@@ -2,6 +2,7 @@ package optsched
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/sched"
@@ -51,13 +52,11 @@ func (b modelBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, core
 		for len(faults) > 0 && faults[0].At <= res.Rounds {
 			ev := faults[0]
 			faults = faults[1:]
-			core := ev.Core % cores
-			if ev.Revive {
-				m.ReviveCore(core)
-			} else {
-				m.FailCore(core)
-				res.FaultRescued += int64(sched.Rescue(p, m, core))
+			rescued, err := m.ApplyFault(p, sched.FaultEvent{Core: ev.Core % cores, Revive: ev.Revive})
+			if err != nil {
+				return nil, fmt.Errorf("optsched: scenario %q fault schedule: %w", sc.Name, err)
 			}
+			res.FaultRescued += int64(rescued)
 			res.Faults++
 		}
 		if len(faults) == 0 && m.WorkConserved() {

@@ -367,8 +367,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 // suite on the rescue-capable policy over the same universe healthy,
 // then with one- and two-event fault scripts. Each MaxFaults step
 // multiplies the state count by the number of valid scripts per
-// machine, so this is the curve that says what `-max-faults` costs —
-// recorded as BENCH_faults.json by CI.
+// machine, so this is the curve that says what `-max-faults` costs.
 func BenchmarkVerifyFaults(b *testing.B) {
 	factory := func() sched.Policy {
 		p, err := policy.New("delta2-rescue")

@@ -56,9 +56,8 @@ var VerifyServiceUniverse = service.UniverseSpecOf
 // local in-process verification while the breaker is open.
 var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 
-// VerifyClient talks to a running schedverifyd daemon — the fourth way
-// to verify a policy, next to Cluster.Verify, optsched.Verify and the
-// schedverify CLI. The zero value is not usable; set BaseURL. A client
+// VerifyClient talks to a running schedverifyd daemon — the third way
+// to verify a policy, next to Cluster.Verify and the schedverify CLI. The zero value is not usable; set BaseURL. A client
 // is safe for concurrent use and should be reused: the circuit breaker
 // accumulates state across calls.
 //

@@ -89,44 +89,89 @@ func TestClusterRunAcrossBackends(t *testing.T) {
 }
 
 // TestClusterRunWithFaultsAcrossBackends is the fault model's
-// cross-backend promise: the same fault schedule — kill core 1 at the
-// start of a skewed burst — round-trips through all three backends
-// under a rescue-capable policy with every task accounted for.
+// cross-backend promise, and the conformance check of the shared
+// decision kernel: the same fault schedule round-trips through all
+// three backends with every task accounted for, and where the model's
+// and the simulator's clocks coincide — every event at At = 0 on the
+// loaded core — their rescue accounting agrees exactly.
 func TestClusterRunWithFaultsAcrossBackends(t *testing.T) {
-	scenario := SkewedScenario("skew-faults", 24, 200)
-	scenario.Cores = 4
-	scenario.Faults = []FaultEvent{{At: 0, Core: 1}}
-
+	const tasks = 24
+	fail, revive := FaultEvent{At: 0, Core: 0}, FaultEvent{At: 0, Core: 0, Revive: true}
+	cases := []struct {
+		name, policy string
+		faults       []FaultEvent
+		// shared: all events fire at At = 0 on the loaded core.
+		shared bool
+		// executor: false where the schedule strands work on the real
+		// pool until ctx fires — no rescue rule and no revival.
+		executor bool
+		orphaned int64
+	}{
+		{"rescue/fail-unloaded", "delta2-rescue", []FaultEvent{{At: 0, Core: 1}}, false, true, 0},
+		{"rescue/fail", "delta2-rescue", []FaultEvent{fail}, true, true, 0},
+		{"rescue/fail-revive", "delta2-rescue", []FaultEvent{fail, revive}, true, true, 0},
+		{"no-rescue/fail", "delta2", []FaultEvent{fail}, true, false, tasks},
+		{"no-rescue/fail-revive", "delta2", []FaultEvent{fail, revive}, true, true, 0},
+	}
+	results := map[string]*Result{} // by "<backend>/<case>"
 	for _, backend := range Backends() {
 		t.Run(backend.Name(), func(t *testing.T) {
-			c, err := New(
-				WithPolicy("delta2-rescue"),
-				WithBackend(backend),
-				WithSeed(7),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Run(context.Background(), scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Errorf("backend %s did not converge under the fault schedule: %v", backend.Name(), res)
-			}
-			if res.Orphaned != 0 {
-				t.Errorf("backend %s left %d tasks orphaned: %v", backend.Name(), res.Orphaned, res)
-			}
-			// The executor's fault clock is wall time, so an instant drain
-			// can in principle outrun the kill; the virtual-time backends
-			// must apply it exactly.
-			if backend != BackendExecutor && res.Faults != 1 {
-				t.Errorf("backend %s applied %d fault events, want 1", backend.Name(), res.Faults)
-			}
-			if backend == BackendSim && res.Completed != 24 {
-				t.Errorf("sim completed %d of 24 under faults", res.Completed)
+			for _, tc := range cases {
+				if backend == BackendExecutor && !tc.executor {
+					continue
+				}
+				t.Run(tc.name, func(t *testing.T) {
+					scenario := SkewedScenario("skew-faults", tasks, 200)
+					scenario.Cores = 4
+					scenario.Faults = tc.faults
+					c, err := New(
+						WithPolicy(tc.policy),
+						WithBackend(backend),
+						WithSeed(7),
+					)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := c.Run(context.Background(), scenario)
+					if err != nil {
+						t.Fatal(err)
+					}
+					results[backend.Name()+"/"+tc.name] = res
+					accounted := res.Completed + res.Orphaned
+					if backend == BackendModel {
+						accounted = 0
+						for _, l := range res.FinalLoads {
+							accounted += int64(l)
+						}
+					}
+					if accounted != tasks {
+						t.Errorf("%d of %d tasks accounted for: %v", accounted, tasks, res)
+					}
+					if res.Orphaned != tc.orphaned {
+						t.Errorf("left %d tasks orphaned, want %d: %v", res.Orphaned, tc.orphaned, res)
+					}
+					if tc.orphaned == 0 && !res.Converged {
+						t.Errorf("did not converge under the fault schedule: %v", res)
+					}
+					// The executor's fault clock is wall time, so an instant
+					// drain can in principle outrun the kill; the virtual-time
+					// backends must apply every event exactly.
+					if backend != BackendExecutor && res.Faults != int64(len(tc.faults)) {
+						t.Errorf("applied %d fault events, want %d", res.Faults, len(tc.faults))
+					}
+				})
 			}
 		})
+	}
+	for _, tc := range cases {
+		model, sim := results["model/"+tc.name], results["sim/"+tc.name]
+		if !tc.shared || model == nil || sim == nil {
+			continue
+		}
+		if model.FaultRescued != sim.FaultRescued || model.Orphaned != sim.Orphaned {
+			t.Errorf("%s: model rescued/orphaned %d/%d, sim %d/%d", tc.name,
+				model.FaultRescued, model.Orphaned, sim.FaultRescued, sim.Orphaned)
+		}
 	}
 }
 
@@ -223,6 +268,7 @@ func TestClusterRunRejectsBadFaultSchedule(t *testing.T) {
 		"double fail":      {{At: 0, Core: 1}, {At: 1, Core: 1}},
 		"fail last online": {{At: 0, Core: 0}, {At: 0, Core: 1}},
 		"negative time":    {{At: -1, Core: 0}},
+		"negative core":    {{At: 0, Core: -2}},
 	} {
 		c, err := New(WithPolicy("delta2"), WithBackend(BackendModel))
 		if err != nil {

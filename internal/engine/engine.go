@@ -13,6 +13,13 @@
 // Unlike the kernel's periodic 4ms rounds, the executor balances when a
 // worker runs out of local work (steal-on-idle), the standard adaptation
 // for userspace work-stealing runtimes.
+//
+// The package owns mechanism only — goroutines, locks, atomics, moving
+// closures between queues. Every decision (whom to rob, whether the
+// optimistic selection still holds and how much to take, who adopts an
+// orphan) is internal/sched's Select, DecideSteal and DecideRescue,
+// called on views built from the workers' counters: the verified code is
+// the executed code.
 package engine
 
 import (
@@ -62,6 +69,8 @@ type worker struct {
 	running atomic.Bool
 	qlen    atomic.Int64 // published queue length for lock-free selection
 	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing
+
+	rescueMu sync.Mutex // serializes rehome: one caller of the policy's rescue rule at a time
 }
 
 // Options configures optional pool behaviour.
@@ -127,6 +136,12 @@ func (p *Pool) SubmitTo(id int, t Task) {
 	w.queue = append(w.queue, t)
 	w.qlen.Store(int64(len(w.queue)))
 	w.mu.Unlock()
+	if w.offline.Load() {
+		// Landed on a killed worker: the task is an orphan like the ones
+		// the kill found, so it gets the same offer. Kill sets offline
+		// before it drains, so whichever of the two runs last sees it.
+		w.rehome()
+	}
 }
 
 // Wait blocks until every submitted task has executed.
@@ -136,8 +151,9 @@ func (p *Pool) Wait() { p.wg.Wait() }
 // goroutine cannot be preempted mid-call) and then executes nothing
 // further. Its queue is immediately offered to the policy's rescue rule
 // (sched.Rescuer); orphans the policy declines stay stranded on the
-// offline queue — and keep Wait blocked — until Revive. Killing the
-// last online worker is refused: a pool with no lanes can never drain.
+// offline queue — and keep Wait blocked — until Revive; a task submitted
+// to a killed worker gets the same offer. Killing the last online worker
+// is refused: a pool with no lanes can never drain.
 func (p *Pool) Kill(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Kill(%d) of a %d-worker pool", id, len(p.workers))
@@ -175,66 +191,42 @@ func (p *Pool) Revive(id int) error {
 }
 
 // rehome drains the dead worker's queue through the policy's rescue
-// rule, popping one orphan under the dead worker's lock and appending
-// it under the adopter's lock — never holding both, so it cannot
-// deadlock against concurrent steals. The first orphan the policy
-// declines (or a policy with no rescue rule at all) ends the drain and
-// strands the rest.
+// rule. Each orphan's adopter is decided (sched.DecideRescue, on a
+// lock-free snapshot) before the orphan leaves the queue, so a rule that
+// breaks its contract panics with nothing lost; the orphan is then
+// popped under the dead worker's lock and appended under the adopter's —
+// never holding both, so it cannot deadlock against concurrent steals.
+// The first orphan the policy declines (or a policy with no rescue rule
+// at all) ends the drain and strands the rest.
 func (w *worker) rehome() {
-	rescuer, ok := w.policy.(sched.Rescuer)
-	if !ok {
-		return
-	}
-	for {
-		w.mu.Lock()
-		if len(w.queue) == 0 {
-			w.mu.Unlock()
-			return
-		}
-		t := w.queue[0]
-		w.queue = w.queue[1:]
-		w.qlen.Store(int64(len(w.queue)))
-		w.mu.Unlock()
-		if !w.place(t, rescuer) {
-			w.mu.Lock()
-			w.queue = append([]Task{t}, w.queue...)
-			w.qlen.Store(int64(len(w.queue)))
-			w.mu.Unlock()
-			return
-		}
-		w.pool.rescued.Add(1)
-	}
-}
-
-// place asks the rescue rule for one orphan's adopter and enqueues the
-// task there, re-selecting if the adopter was itself killed in between.
-// False means the policy declined or no online worker remains.
-func (w *worker) place(t Task, rescuer sched.Rescuer) bool {
-	for {
+	w.rescueMu.Lock()
+	defer w.rescueMu.Unlock()
+	for w.qlen.Load() > 0 {
 		views := w.pool.snapshot()
-		var online []*sched.Core
-		for _, c := range views.Cores {
-			if !c.Offline {
-				online = append(online, c)
-			}
-		}
-		if len(online) == 0 {
-			return false
-		}
-		target := rescuer.RescueTarget(views.Cores[w.id], placeholderTask, online)
+		target := sched.DecideRescue(w.policy, views.Cores[w.id], placeholderTask, sched.RescueCandidates(views))
 		if target == nil {
-			return false
+			return
+		}
+		t := w.popLocal()
+		if t == nil {
+			return
 		}
 		tw := w.pool.workers[target.ID]
 		tw.mu.Lock()
 		if tw.offline.Load() {
+			// The adopter was itself killed in between: put the orphan
+			// back and re-select.
 			tw.mu.Unlock()
+			w.mu.Lock()
+			w.queue = append([]Task{t}, w.queue...)
+			w.qlen.Store(int64(len(w.queue)))
+			w.mu.Unlock()
 			continue
 		}
 		tw.queue = append(tw.queue, t)
 		tw.qlen.Store(int64(len(tw.queue)))
 		tw.mu.Unlock()
-		return true
+		w.pool.rescued.Add(1)
 	}
 }
 
@@ -354,27 +346,15 @@ func (w *worker) stealWork() Task {
 	defer second.mu.Unlock()
 	defer first.mu.Unlock()
 
-	// The selection snapshot already skipped offline cores, but either
-	// side may have been killed since — re-validate like any other stale
-	// observation.
-	if w.offline.Load() || victim.offline.Load() {
+	// Either side may have been killed, robbed or fed since selection;
+	// the shared step-3 decision re-validates on the live views. The
+	// views carry placeholders, so a picked task is just one more from
+	// the tail — and a picker naming more than are queued fails the
+	// steal, as the model's mover would.
+	n, _, reason := sched.DecideSteal(w.policy, w.liveViewLocked(), victim.liveViewLocked())
+	if reason != sched.FailNone || n > len(victim.queue) {
 		w.pool.stealFails.Add(1)
 		return nil
-	}
-
-	thiefView := w.liveViewLocked()
-	victimView := victim.liveViewLocked()
-	if !w.policy.CanSteal(thiefView, victimView) {
-		w.pool.stealFails.Add(1)
-		return nil
-	}
-	n := w.policy.StealCount(thiefView, victimView)
-	if n <= 0 || len(victim.queue) == 0 {
-		w.pool.stealFails.Add(1)
-		return nil
-	}
-	if n > len(victim.queue) {
-		n = len(victim.queue)
 	}
 	// Transfer from the victim's tail, keeping its head (oldest) local.
 	cut := len(victim.queue) - n

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,12 +254,26 @@ func rescueFactory() sched.Policy {
 	return p
 }
 
+// rescueOnlyFactory builds a policy that never steals and re-homes every
+// orphan on the lowest-ID online worker: under it a task leaves a queue
+// only by running or by rescue, so rescue counts are exact.
+func rescueOnlyFactory() sched.Policy {
+	return &sched.FuncPolicy{
+		PolicyName: "rescue-only",
+		LoadFn:     func(c *sched.Core) int64 { return int64(c.NThreads()) },
+		FilterFn:   func(_, _ *sched.Core) bool { return false },
+		RescueFn: func(_ *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
+			return sched.ChooseFirst(nil, candidates)
+		},
+	}
+}
+
 func TestKillRescuesQueuedTasks(t *testing.T) {
-	p := NewPool(4, rescueFactory, Options{})
+	p := NewPool(4, rescueOnlyFactory, Options{})
 	defer p.Close()
 	// Pin worker 0 on a gate task so its queue is guaranteed non-empty
-	// when the kill lands, then verify the rescue rule re-homed every
-	// queued task onto the survivors.
+	// when the kill lands (and nothing steals from it meanwhile), then
+	// verify the rescue rule re-homed every queued task onto a survivor.
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	var count atomic.Int64
@@ -285,6 +300,17 @@ func TestKillRescuesQueuedTasks(t *testing.T) {
 	}
 	if st.Orphaned != 0 {
 		t.Errorf("Orphaned = %d, want 0", st.Orphaned)
+	}
+
+	// A task submitted to the dead worker is an orphan too and gets the
+	// same offer, instead of waiting for a revival that may never come.
+	const late = 5
+	for i := 0; i < late; i++ {
+		p.SubmitTo(0, func() { count.Add(1) })
+	}
+	p.Wait()
+	if st := p.Stats(); st.Rescued != n+late || count.Load() != n+late {
+		t.Errorf("after %d late submissions: Rescued = %d, executed %d, want %d", late, st.Rescued, count.Load(), n+late)
 	}
 }
 
@@ -353,6 +379,44 @@ func TestKillReviveValidation(t *testing.T) {
 	if err := p.Revive(0); err == nil {
 		t.Error("Revive of an online worker accepted")
 	}
+}
+
+func TestKillPanicsOnOutOfContractRescuer(t *testing.T) {
+	// A rescue rule that names the failed core itself is outside the
+	// Rescuer contract. The executor must fail like the model does — a
+	// panic from the shared rescue decision — not re-select forever.
+	bad := func() sched.Policy {
+		p := rescueOnlyFactory().(*sched.FuncPolicy)
+		p.RescueFn = func(failed *sched.Core, _ *sched.Task, _ []*sched.Core) *sched.Core { return failed }
+		return p
+	}
+	p := NewPool(2, bad, Options{})
+	defer p.Close()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	p.SubmitTo(0, func() { close(started); <-gate })
+	<-started
+	p.SubmitTo(0, func() {}) // the orphan
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		p.Kill(0)
+	}()
+	select {
+	case r := <-panicked:
+		if msg, _ := r.(string); !strings.Contains(msg, "not among online candidates") {
+			t.Errorf("Kill panicked with %v, want the model's RescueTarget contract panic", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Kill is still re-selecting an adopter the rescue rule will never name")
+	}
+	// The decision precedes the pop: the orphan is still queued, so a
+	// revival drains the pool.
+	if err := p.Revive(0); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	p.Wait()
 }
 
 func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {

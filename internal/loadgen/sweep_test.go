@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 )
@@ -194,5 +195,27 @@ func TestRunSweepCancellation(t *testing.T) {
 	}
 	if len(rep.Policies) != 0 {
 		t.Errorf("first point was cancelled, yet %d complete curves came back", len(rep.Policies))
+	}
+}
+
+// TestCommittedServiceCurveDecodes: the repository's committed
+// BENCH_service.json still passes the validating decoder (schema
+// version, workload kind, registered policies, point grid) and no point
+// of it is empty.
+func TestCommittedServiceCurveDecodes(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_service.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReportFromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rep.Policies {
+		for _, pt := range c.Points {
+			if pt.JobsArrived == 0 || pt.Latency.Count == 0 {
+				t.Errorf("policy %s at load %v has no data", c.Policy, pt.Load)
+			}
+		}
 	}
 }

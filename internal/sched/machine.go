@@ -16,7 +16,7 @@ type Machine struct {
 	// state-space enumerator: event i fires at round boundary i. The
 	// round executors never consult it — the verifier's degraded-mode
 	// checkers (and the backends' fault schedules) apply the events
-	// explicitly via FailCore/ReviveCore.
+	// explicitly via ApplyFault.
 	Faults []FaultEvent
 
 	nextID TaskID // next fresh task ID for Spawn
@@ -210,29 +210,40 @@ func (m *Machine) DegradedWorkConserved() bool {
 	return true
 }
 
-// FailCore fail-stops the core: it goes offline and its current task (if
-// any) is demoted to the runqueue, so every thread it owned becomes an
-// orphan awaiting rescue or revival. Failing an already-offline core is
-// a no-op.
-func (m *Machine) FailCore(id int) {
-	c := m.Cores[id]
-	if c.Offline {
-		return
+// ApplyFault applies one hotplug event and is the one statement of the
+// fail-stop validity rule: only an online core that is not the last one
+// may fail, only an offline core may revive. A refused event returns an
+// error and leaves the machine untouched.
+//
+// A failing core goes offline and its current task (if any) is demoted
+// to the head of its runqueue — the interrupted task restarts first on
+// revival and is first in line for rescue — so every thread it owned
+// becomes an orphan; the orphans are then offered to p's rescue rule
+// (Rescue; a nil or rescue-less p strands them all) and the number
+// re-homed is returned. A reviving core's stranded tasks become ordinary
+// runnable work again.
+func (m *Machine) ApplyFault(p Policy, ev FaultEvent) (rescued int, err error) {
+	if ev.Core < 0 || ev.Core >= len(m.Cores) {
+		return 0, fmt.Errorf("sched: %v on a %d-core machine", ev, len(m.Cores))
+	}
+	c := m.Cores[ev.Core]
+	switch {
+	case ev.Revive && !c.Offline:
+		return 0, fmt.Errorf("sched: %v: core is already online", ev)
+	case ev.Revive:
+		c.Offline = false
+		return 0, nil
+	case c.Offline:
+		return 0, fmt.Errorf("sched: %v: core is already offline", ev)
+	case m.OnlineCores() == 1:
+		return 0, fmt.Errorf("sched: %v: refusing to fail the last online core", ev)
 	}
 	c.Offline = true
 	if c.Current != nil {
-		// Head of the queue: the interrupted task restarts first on
-		// revival, and rescues drain from the tail like steals do.
 		c.Ready = append([]*Task{c.Current}, c.Ready...)
 		c.Current = nil
 	}
-}
-
-// ReviveCore brings a failed core back online (hotplug add). Its
-// stranded tasks become ordinary runnable work again. Reviving an online
-// core is a no-op.
-func (m *Machine) ReviveCore(id int) {
-	m.Cores[id].Offline = false
+	return Rescue(p, m, ev.Core), nil
 }
 
 // OnlineCores counts the cores currently online.

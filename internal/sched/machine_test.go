@@ -241,3 +241,75 @@ func TestMachineScheduleLocalInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestApplyFault pins the one statement of the hotplug rule: which
+// events are refused (and leave the machine untouched), how a failing
+// core's threads become orphans, and what the rescue rule is offered.
+func TestApplyFault(t *testing.T) {
+	m := MachineFromLoads(3, 0)
+	for name, ev := range map[string]FaultEvent{
+		"revive online":     {Core: 1, Revive: true},
+		"core out of range": {Core: 2},
+		"negative core":     {Core: -1, Revive: true},
+	} {
+		if _, err := m.ApplyFault(nil, ev); err == nil {
+			t.Errorf("%s: %v accepted", name, ev)
+		}
+	}
+	current := m.Core(0).Current.ID
+	if n, err := m.ApplyFault(nil, FaultEvent{Core: 0}); err != nil || n != 0 {
+		t.Fatalf("fail(0) with no policy = %d, %v", n, err)
+	}
+	c := m.Core(0)
+	if !c.Offline || c.Current != nil || len(c.Ready) != 3 || c.Ready[0].ID != current {
+		t.Fatalf("after fail(0): %v, want offline with the interrupted task at the queue head", c)
+	}
+	before := m.Key()
+	for name, ev := range map[string]FaultEvent{
+		"fail offline":     {Core: 0},
+		"fail last online": {Core: 1},
+	} {
+		if _, err := m.ApplyFault(nil, ev); err == nil {
+			t.Errorf("%s: %v accepted", name, ev)
+		}
+	}
+	if m.Key() != before {
+		t.Errorf("refused events changed the machine: %s -> %s", before, m.Key())
+	}
+	if _, err := m.ApplyFault(nil, FaultEvent{Core: 0, Revive: true}); err != nil || c.Offline {
+		t.Fatalf("revive(0): err=%v offline=%v", err, c.Offline)
+	}
+
+	// A rescue rule is offered each orphan head-first with only online
+	// candidates, until it declines.
+	m = MachineFromLoads(3, 0, 0)
+	adopt := 2
+	rescuer := delta2().(*FuncPolicy)
+	rescuer.RescueFn = func(failed *Core, _ *Task, candidates []*Core) *Core {
+		for _, cand := range candidates {
+			if cand.Offline || cand == failed {
+				t.Errorf("candidate %v offered for failed %v", cand, failed)
+			}
+		}
+		if adopt == 0 {
+			return nil
+		}
+		adopt--
+		return candidates[len(candidates)-1]
+	}
+	if n, err := m.ApplyFault(rescuer, FaultEvent{Core: 0}); err != nil || n != 2 {
+		t.Fatalf("fail(0) with a two-shot rescuer = %d, %v; want 2 rescued", n, err)
+	}
+	if got := m.Loads(); got[0] != 1 || got[2] != 2 || len(m.Orphans()) != 1 {
+		t.Errorf("loads %v orphans %d, want [1 0 2] and 1", got, len(m.Orphans()))
+	}
+
+	// A target outside the candidates breaks the contract: panic.
+	rescuer.RescueFn = func(failed *Core, _ *Task, _ []*Core) *Core { return failed }
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-contract RescueTarget did not panic")
+		}
+	}()
+	MachineFromLoads(2, 0).ApplyFault(rescuer, FaultEvent{Core: 0})
+}

@@ -73,52 +73,60 @@ type Rescuer interface {
 	RescueTarget(failed *Core, task *Task, candidates []*Core) *Core
 }
 
-// Rescue applies a policy's rescue rule to every task stranded on the
-// given failed core: each orphan the policy re-homes is appended to its
-// target's runqueue (in orphan order — interrupted task first, then the
-// queue head-first). It returns the number of tasks re-homed. Policies
-// that are not Rescuers (or machines with no online core) rescue
-// nothing.
-func Rescue(p Policy, m *Machine, failedCore int) int {
-	r, ok := p.(Rescuer)
-	if !ok {
-		return 0
-	}
-	failed := m.Core(failedCore)
-	if !failed.Offline {
-		return 0
-	}
+// RescueCandidates returns the view's online cores: the only cores an
+// orphan may be re-homed to.
+func RescueCandidates(view *Machine) []*Core {
 	var online []*Core
-	for _, c := range m.Cores {
+	for _, c := range view.Cores {
 		if !c.Offline {
 			online = append(online, c)
 		}
 	}
-	if len(online) == 0 {
+	return online
+}
+
+// DecideRescue is the rescue decision for one orphan of a failed core:
+// the adopter the policy's rescue rule picks among candidates (the
+// RescueCandidates of the view failed belongs to), or nil to leave the
+// task stranded — the policy has no rescue rule or declined, or no core
+// is online. A target outside the candidates has broken the contract the
+// no-task-lost proof relies on, and panics like an escaping Choose.
+func DecideRescue(p Policy, failed *Core, orphan *Task, candidates []*Core) *Core {
+	r, ok := p.(Rescuer)
+	if !ok || len(candidates) == 0 {
+		return nil
+	}
+	target := r.RescueTarget(failed, orphan, candidates)
+	if target == nil {
+		return nil
+	}
+	for _, c := range candidates {
+		if c == target {
+			return target
+		}
+	}
+	panic(fmt.Sprintf("sched: policy %q RescueTarget returned core %d, not among online candidates",
+		p.Name(), target.ID))
+}
+
+// Rescue applies a policy's rescue rule to every task stranded on the
+// given failed core: each orphan DecideRescue re-homes is appended to
+// its target's runqueue (in orphan order — interrupted task first, then
+// the queue head-first); the first one it declines ends the drain. It
+// returns the number of tasks re-homed.
+func Rescue(p Policy, m *Machine, failedCore int) int {
+	failed := m.Core(failedCore)
+	if _, ok := p.(Rescuer); !ok || !failed.Offline {
 		return 0
 	}
+	online := RescueCandidates(m)
 	moved := 0
-	// Drain head-first so FailCore's ordering (interrupted task first)
-	// is the rescue order too.
 	for len(failed.Ready) > 0 {
-		t := failed.Ready[0]
-		target := r.RescueTarget(failed, t, online)
+		target := DecideRescue(p, failed, failed.Ready[0], online)
 		if target == nil {
 			break
 		}
-		found := false
-		for _, c := range online {
-			if c == target {
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("sched: policy %q RescueTarget returned core %d, not among online candidates",
-				p.Name(), target.ID))
-		}
-		failed.Pop()
-		target.Push(t)
+		target.Push(failed.Pop())
 		moved++
 	}
 	return moved

@@ -159,69 +159,70 @@ func Select(p Policy, view *Machine, thiefID int) Attempt {
 	return att
 }
 
-// Steal runs step 3 for a previously selected attempt against the live
-// machine: with both runqueues (conceptually) locked, re-validate the
-// filter and migrate tasks. It mutates m and fills in the attempt's
-// outcome fields. Stealing only takes queued tasks, never the victim's
-// current task (a running thread cannot be migrated in this model).
-func Steal(p Policy, m *Machine, att *Attempt) {
-	if att.Victim < 0 {
-		return
-	}
-	thief := m.Core(att.Thief)
-	victim := m.Core(att.Victim)
+// DecideSteal is step 3's decision for one thief/victim pair, taken on
+// read-only views of the two cores as they are under both runqueue locks:
+// re-validate the optimistic selection (Listing 1 line 12), then size the
+// steal. On FailNone, n tasks move: the picked ones when the policy is a
+// TaskPicker (each must be queued on the victim — the mover checks),
+// otherwise the n at the victim's tail, 0 < n <= len(victim.Ready). Any
+// other reason means nothing moves. It allocates nothing itself.
+func DecideSteal(p Policy, thief, victim *Core) (n int, picked []TaskID, reason FailureReason) {
 	// A core that fail-stopped since selection can neither steal nor be
 	// stolen from — the stale decision dies at re-validation, like any
 	// other invalidated optimistic selection.
 	if thief.Offline || victim.Offline {
-		att.Reason = FailRevalidation
-		return
+		return 0, nil, FailRevalidation
 	}
-	// Listing 1 line 12: the optimistic selection must be re-validated
-	// under locks, because another core may have stolen from the victim
-	// (or handed work to the thief) since the lock-free phase.
+	// Another core may have stolen from the victim (or handed work to
+	// the thief) since the lock-free phase.
 	if !p.CanSteal(thief, victim) {
-		att.Reason = FailRevalidation
-		return
+		return 0, nil, FailRevalidation
 	}
 	if picker, ok := p.(TaskPicker); ok {
-		stealPicked(picker, thief, victim, att)
-		return
+		picked = picker.PickTasks(thief, victim)
+		n = len(picked)
+	} else {
+		n = p.StealCount(thief, victim)
 	}
-	want := p.StealCount(thief, victim)
-	if want <= 0 {
-		att.Reason = FailRevalidation
-		return
+	switch {
+	case n <= 0:
+		return 0, nil, FailRevalidation
+	case len(victim.Ready) == 0:
+		return 0, nil, FailEmptyVictim
+	case picked == nil && n > len(victim.Ready):
+		n = len(victim.Ready)
 	}
-	if len(victim.Ready) == 0 {
-		att.Reason = FailEmptyVictim
-		return
-	}
-	if want > len(victim.Ready) {
-		want = len(victim.Ready)
-	}
-	for i := 0; i < want; i++ {
-		t := victim.PopTail()
-		thief.Push(t)
-		att.MovedTasks = append(att.MovedTasks, t.ID)
-	}
-	att.Moved = want
-	att.Reason = FailNone
+	return n, picked, FailNone
 }
 
-// stealPicked migrates the specific tasks chosen by a TaskPicker policy.
-func stealPicked(picker TaskPicker, thief, victim *Core, att *Attempt) {
-	ids := picker.PickTasks(thief, victim)
-	if len(ids) == 0 {
-		att.Reason = FailRevalidation
+// Steal runs step 3 for a previously selected attempt against the live
+// machine: DecideSteal on the two live cores, then the migration. It
+// mutates m and fills in the attempt's outcome fields. Stealing only
+// takes queued tasks, never the victim's current task (a running thread
+// cannot be migrated in this model).
+func Steal(p Policy, m *Machine, att *Attempt) {
+	if att.Victim < 0 {
 		return
 	}
-	if len(victim.Ready) == 0 {
-		att.Reason = FailEmptyVictim
+	thief, victim := m.Core(att.Thief), m.Core(att.Victim)
+	n, picked, reason := DecideSteal(p, thief, victim)
+	if reason != FailNone {
+		att.Reason = reason
 		return
 	}
-	for _, id := range ids {
-		t := victim.Remove(id)
+	migrate(thief, victim, n, picked, att)
+}
+
+// migrate is the mechanism half of a steal: move n tasks from victim to
+// thief — the picked ones, or the victim's tail — and record them.
+func migrate(thief, victim *Core, n int, picked []TaskID, att *Attempt) {
+	for i := 0; i < n; i++ {
+		var t *Task
+		if picked != nil {
+			t = victim.Remove(picked[i])
+		} else {
+			t = victim.PopTail()
+		}
 		if t == nil {
 			// The picker named a task that is not queued on the victim:
 			// a policy bug the verifier must see, not a crash.
@@ -255,9 +256,13 @@ func SequentialRound(p Policy, m *Machine) RoundResult {
 // where all cores decide "simultaneously". It returns one attempt per
 // core, indexed by core ID.
 func SelectAll(p Policy, m *Machine) []Attempt {
-	snapshot := m.Clone()
-	atts := make([]Attempt, m.NumCores())
-	for id := 0; id < m.NumCores(); id++ {
+	return selectOn(p, m.Clone())
+}
+
+// selectOn runs Select for every core against one shared snapshot.
+func selectOn(p Policy, snapshot *Machine) []Attempt {
+	atts := make([]Attempt, snapshot.NumCores())
+	for id := range atts {
 		atts[id] = Select(p, snapshot, id)
 	}
 	return atts
@@ -304,37 +309,28 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 	if err := checkOrder(order, m.NumCores()); err != nil {
 		panic(err)
 	}
-	snapshot := m.Clone()
-	atts := make([]Attempt, m.NumCores())
-	for id := 0; id < m.NumCores(); id++ {
-		atts[id] = Select(p, snapshot, id)
-	}
+	stale := m.Clone()
+	atts := selectOn(p, stale)
+	picker, _ := p.(TaskPicker)
 	res := RoundResult{Attempts: make([]Attempt, 0, m.NumCores())}
 	for _, id := range order {
 		att := atts[id]
 		if att.Victim >= 0 {
-			thief := m.Core(att.Thief)
-			victim := m.Core(att.Victim)
-			// No re-validation: honor the stale decision blindly.
-			want := p.StealCount(thief, victim)
-			if picker, ok := p.(TaskPicker); ok {
-				// Stale pick too: compute against the snapshot.
-				ids := picker.PickTasks(snapshot.Core(att.Thief), snapshot.Core(att.Victim))
-				want = len(ids)
-			}
-			if want > len(victim.Ready) {
-				want = len(victim.Ready)
-			}
-			if want <= 0 {
-				att.Reason = FailEmptyVictim
+			thief, victim := m.Core(att.Thief), m.Core(att.Victim)
+			// No re-validation: honor the stale decision blindly — a
+			// picker's stale pick is sized against the snapshot too.
+			var n int
+			if picker != nil {
+				n = len(picker.PickTasks(stale.Core(att.Thief), stale.Core(att.Victim)))
 			} else {
-				for i := 0; i < want; i++ {
-					t := victim.PopTail()
-					thief.Push(t)
-					att.MovedTasks = append(att.MovedTasks, t.ID)
-				}
-				att.Moved = want
-				att.Reason = FailNone
+				n = p.StealCount(thief, victim)
+			}
+			if n > len(victim.Ready) {
+				n = len(victim.Ready)
+			}
+			att.Reason = FailEmptyVictim
+			if n > 0 {
+				migrate(thief, victim, n, nil, &att)
 			}
 		}
 		res.Attempts = append(res.Attempts, att)

@@ -19,6 +19,22 @@
 // do not overlap) and a concurrent one (§4.3, selections are stale and
 // steals serialize in an adversary-chosen order), plus the predicates and
 // potential functions used by the proofs in internal/verify.
+//
+// Kernel contract. Every scheduling decision is written here, once, and
+// every backend — these round executors, internal/sim, internal/engine,
+// the verifier's checkers — runs this code rather than a copy of it:
+// Select decides steps 1–2, DecideSteal decides step 3 (re-validation,
+// sizing, the failure reason), DecideRescue (over RescueCandidates)
+// decides where an orphan of a failed core goes, and Machine.ApplyFault
+// states which hotplug events are valid. The three decision functions
+// never mutate the cores they are handed, so a caller may pass the live
+// machine, a clone or a view rebuilt from its own counters. Select needs
+// no lock (its view may be stale); DecideSteal's two views must be the
+// cores as they are with both runqueues locked, which is what makes its
+// verdict final; DecideRescue runs on whatever view the backend has of
+// the online cores and the mover re-selects if the adopter died since.
+// ApplyFault and the movers (Steal, Rescue) mutate a Machine and belong
+// to whoever owns it.
 package sched
 
 import "fmt"

@@ -11,6 +11,12 @@
 // imbalance bug) are reproduced, with virtual time standing in for
 // wall-clock time. One tick is conventionally 1µs, making the default
 // 4000-tick balance period the paper's 4ms CFS interval.
+//
+// The package owns mechanism only — the event queue, virtual time, task
+// lifecycle and accounting. Balancing rounds, idle steals and fail/revive
+// events are internal/sched's round executors, Select/Steal and
+// Machine.ApplyFault run on the simulated machine, not re-implemented
+// here.
 package sim
 
 import (
@@ -185,27 +191,23 @@ func (s *Simulator) SpawnAt(t int64, core int, weight int64, b Behavior) {
 // Whatever it was running is preempted (the task keeps its unfinished
 // work) and joins the core's runqueue; the queue is then re-homed
 // through the policy's rescue rule when it has one, or stranded on the
-// offline core until a ReviveAt.
-func (s *Simulator) FailAt(t int64, core int) {
-	if core < 0 || core >= s.cfg.Cores {
-		panic(fmt.Sprintf("sim: FailAt on core %d of %d", core, s.cfg.Cores))
-	}
-	if t < s.clock {
-		panic(fmt.Sprintf("sim: FailAt(%d) in the past (clock %d)", t, s.clock))
-	}
-	s.post(&event{time: t, kind: evFail, core: core})
-}
+// offline core until a ReviveAt. An event the model refuses when it
+// fires (sched.Machine.ApplyFault: the core is already offline, or is
+// the last one online) is a no-op.
+func (s *Simulator) FailAt(t int64, core int) { s.postFault("FailAt", evFail, t, core) }
 
 // ReviveAt schedules a hotplug recovery: at time t, the core rejoins
 // and resumes running whatever is still queued on it.
-func (s *Simulator) ReviveAt(t int64, core int) {
+func (s *Simulator) ReviveAt(t int64, core int) { s.postFault("ReviveAt", evRevive, t, core) }
+
+func (s *Simulator) postFault(op string, kind eventKind, t int64, core int) {
 	if core < 0 || core >= s.cfg.Cores {
-		panic(fmt.Sprintf("sim: ReviveAt on core %d of %d", core, s.cfg.Cores))
+		panic(fmt.Sprintf("sim: %s on core %d of %d", op, core, s.cfg.Cores))
 	}
 	if t < s.clock {
-		panic(fmt.Sprintf("sim: ReviveAt(%d) in the past (clock %d)", t, s.clock))
+		panic(fmt.Sprintf("sim: %s(%d) in the past (clock %d)", op, t, s.clock))
 	}
-	s.post(&event{time: t, kind: evRevive, core: core})
+	s.post(&event{time: t, kind: kind, core: core})
 }
 
 func (s *Simulator) post(e *event) {
@@ -246,10 +248,8 @@ func (s *Simulator) RunContext(ctx context.Context, until int64) (Stats, error) 
 			s.handleWake(e)
 		case evBalance:
 			s.handleBalance()
-		case evFail:
-			s.handleFail(e)
-		case evRevive:
-			s.handleRevive(e)
+		case evFail, evRevive:
+			s.handleFault(e)
 		}
 		s.observe()
 	}
@@ -486,19 +486,29 @@ func (s *Simulator) idleBalance(core int) {
 	}
 }
 
-// handleFail fail-stops a core. The running task is preempted by the
-// fault — its pending evSliceEnd goes stale through the status check,
-// and it keeps whatever work its interrupted slice left unfinished —
-// then the whole queue is offered to the policy's rescue rule. Without
-// one the tasks stay stranded on the offline core (the runtime shadow
-// of a no-task-lost refutation) until a revive.
-func (s *Simulator) handleFail(e *event) {
+// handleFault applies a fail-stop or revive event through the model's
+// shared rule; an event it refuses (already offline or online, the last
+// online core) is a no-op and is not counted. A failing core's running
+// task is preempted by the fault — its pending evSliceEnd goes stale
+// through the status check, and it keeps whatever work its interrupted
+// slice left unfinished — then the whole queue is offered to the
+// policy's rescue rule. Without one the tasks stay stranded on the
+// offline core (the runtime shadow of a no-task-lost refutation) until a
+// revive makes them runnable again.
+func (s *Simulator) handleFault(e *event) {
 	c := s.m.Core(e.core)
-	if c.Offline {
+	cur := c.Current
+	moved, err := s.m.ApplyFault(s.cfg.Policy, sched.FaultEvent{Core: e.core, Revive: e.kind == evRevive})
+	if err != nil {
 		return
 	}
 	s.faults.Inc()
-	if cur := c.Current; cur != nil {
+	if e.kind == evRevive {
+		s.emit(trace.KindRevive, e.core, -1, int64(len(c.Ready)))
+		s.startIfIdle(e.core)
+		return
+	}
+	if cur != nil {
 		ts := s.tasks[int64(cur.ID)]
 		ts.remaining -= s.clock - ts.sliceStart
 		if ts.remaining < 1 {
@@ -507,12 +517,6 @@ func (s *Simulator) handleFail(e *event) {
 		ts.status = statusReady
 		ts.readySince = s.clock
 	}
-	s.m.FailCore(e.core)
-	orphans := make(map[int64]bool, len(c.Ready))
-	for _, t := range c.Ready {
-		orphans[int64(t.ID)] = true
-	}
-	moved := sched.Rescue(s.cfg.Policy, s.m, e.core)
 	s.emit(trace.KindFail, e.core, -1, int64(moved))
 	if moved == 0 {
 		return
@@ -522,26 +526,15 @@ func (s *Simulator) handleFail(e *event) {
 		if oc.Offline {
 			continue
 		}
+		// A queued task's home is the core it sits on; the ones still
+		// naming the failed core are the orphans just re-homed here.
 		for _, t := range oc.Ready {
-			if orphans[int64(t.ID)] {
-				s.tasks[int64(t.ID)].lastCore = oc.ID
+			if ts := s.tasks[int64(t.ID)]; ts.lastCore == e.core {
+				ts.lastCore = oc.ID
 			}
 		}
 		s.startIfIdle(oc.ID)
 	}
-}
-
-// handleRevive brings an offline core back. Tasks stranded on it become
-// runnable again immediately.
-func (s *Simulator) handleRevive(e *event) {
-	c := s.m.Core(e.core)
-	if !c.Offline {
-		return
-	}
-	s.faults.Inc()
-	s.m.ReviveCore(e.core)
-	s.emit(trace.KindRevive, e.core, -1, int64(len(c.Ready)))
-	s.startIfIdle(e.core)
 }
 
 func (s *Simulator) handleBalance() {

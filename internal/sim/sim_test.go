@@ -455,4 +455,26 @@ func TestFailReviveValidation(t *testing.T) {
 			f()
 		}()
 	}
+
+	// Events the model's validity rule refuses when they fire — reviving
+	// an online core, failing an offline one, failing the last online
+	// core — are no-ops and are not counted as faults.
+	s = New(Config{Cores: 2, Policy: policy.NewNull(), Seed: 1})
+	for i := 0; i < 3; i++ {
+		s.SpawnAt(0, 1, 1024, RunOnce(1000))
+	}
+	s.ReviveAt(50, 1) // online: refused
+	s.FailAt(100, 0)
+	s.FailAt(150, 0) // already offline: refused
+	s.FailAt(200, 1) // the last online core: refused
+	st := s.Run(100_000)
+	if got := s.Machine().OnlineCores(); got != 1 {
+		t.Fatalf("OnlineCores = %d, want 1 (the last online core must not fail)", got)
+	}
+	if st.Faults != 1 {
+		t.Errorf("Faults = %d, want 1 (refused events are not counted)", st.Faults)
+	}
+	if st.Completed != 3 || st.Orphaned != 0 {
+		t.Errorf("Completed/Orphaned = %d/%d, want 3/0", st.Completed, st.Orphaned)
+	}
 }

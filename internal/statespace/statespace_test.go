@@ -466,14 +466,33 @@ func TestEnumerateShardPartitionWithFaults(t *testing.T) {
 }
 
 func TestFaultScriptsValidAndPrefixClosed(t *testing.T) {
-	// Every enumerated script must be valid under fail-stop rules (fail
-	// only online non-last cores, revive only offline cores) and the set
-	// must be prefix-closed — the property the degraded-mode checkers
-	// lean on to treat "recovered after the last event" as covering
-	// recovery after any event. The empty script (healthy machine) must
-	// appear for every machine, so healthy states are a subset.
-	u := Universe{Cores: 3, MaxPerCore: 1, MaxTotal: 2, MaxFaults: 2}
-	scripts := make(map[string]bool)
+	// Every enumerated script must be valid under the fail-stop rule as
+	// sched.Machine.ApplyFault states it (fail only online non-last
+	// cores, revive only offline cores) and the set must be prefix-closed
+	// — the property the degraded-mode checkers lean on to treat
+	// "recovered after the last event" as covering recovery after any
+	// event. The empty script (healthy machine) must appear for every
+	// machine, so healthy states are a subset. The 2-core universe is where
+	// the last-online-core refusal bites within the script bound.
+	for _, u := range []Universe{
+		{Cores: 3, MaxPerCore: 1, MaxTotal: 2, MaxFaults: 2},
+		{Cores: 2, MaxPerCore: 1, MaxTotal: 1, MaxFaults: 3},
+	} {
+		testFaultScripts(t, u)
+	}
+}
+
+func testFaultScripts(t *testing.T, u Universe) {
+	replay := func(script []sched.FaultEvent) *sched.Machine {
+		m := sched.NewMachine(u.Cores)
+		for _, ev := range script {
+			if _, err := m.ApplyFault(nil, ev); err != nil {
+				t.Fatalf("script %v: %v", script, err)
+			}
+		}
+		return m
+	}
+	scripts := make(map[string][]sched.FaultEvent)
 	healthy, total := 0, 0
 	u.Enumerate(func(m *sched.Machine) bool {
 		total++
@@ -483,30 +502,8 @@ func TestFaultScriptsValidAndPrefixClosed(t *testing.T) {
 		if len(m.Faults) > u.MaxFaults {
 			t.Fatalf("script %v longer than MaxFaults=%d", m.Faults, u.MaxFaults)
 		}
-		offline := make([]bool, u.Cores)
-		online := u.Cores
-		for _, ev := range m.Faults {
-			if ev.Core < 0 || ev.Core >= u.Cores {
-				t.Fatalf("script %v: core %d out of range", m.Faults, ev.Core)
-			}
-			if ev.Revive {
-				if !offline[ev.Core] {
-					t.Fatalf("script %v revives online core %d", m.Faults, ev.Core)
-				}
-				offline[ev.Core] = false
-				online++
-			} else {
-				if offline[ev.Core] {
-					t.Fatalf("script %v fails offline core %d", m.Faults, ev.Core)
-				}
-				if online == 1 {
-					t.Fatalf("script %v fails the last online core %d", m.Faults, ev.Core)
-				}
-				offline[ev.Core] = true
-				online--
-			}
-		}
-		scripts[fmt.Sprint(m.Faults)] = true
+		replay(m.Faults)
+		scripts[fmt.Sprint(m.Faults)] = m.Faults
 		return true
 	})
 	if healthy == 0 {
@@ -520,12 +517,29 @@ func TestFaultScriptsValidAndPrefixClosed(t *testing.T) {
 	u.Enumerate(func(m *sched.Machine) bool {
 		for i := range m.Faults {
 			prefix := fmt.Sprint(m.Faults[:i])
-			if !scripts[prefix] {
+			if _, ok := scripts[prefix]; !ok {
 				t.Fatalf("script %v: prefix %s not enumerated", m.Faults, prefix)
 			}
 		}
 		return true
 	})
+	// The DFS and the rule cannot drift: a one-event extension of an
+	// enumerated script is itself enumerated exactly when ApplyFault
+	// accepts the event.
+	for _, script := range scripts {
+		if len(script) == u.MaxFaults {
+			continue
+		}
+		for c := 0; c < u.Cores; c++ {
+			for _, ev := range []sched.FaultEvent{{Core: c}, {Core: c, Revive: true}} {
+				_, err := replay(script).ApplyFault(nil, ev)
+				_, enumerated := scripts[fmt.Sprint(append(script[:len(script):len(script)], ev))]
+				if enumerated != (err == nil) {
+					t.Errorf("script %v + %v: enumerated=%v but ApplyFault says %v", script, ev, enumerated, err)
+				}
+			}
+		}
+	}
 }
 
 func TestMaxFaultsZeroMatchesHealthyUniverse(t *testing.T) {

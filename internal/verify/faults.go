@@ -21,6 +21,19 @@ import (
 // enumerated script, "recovered after the last event" over all scripts
 // covers recovery after *any* event.
 
+// replayFault applies one event of an enumerated script. A revival
+// consults no policy, so none is built for it; enumerated scripts are
+// valid by construction, so a refusal is a verifier bug.
+func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
+	var p sched.Policy
+	if !ev.Revive {
+		p = f()
+	}
+	if _, err := m.ApplyFault(p, ev); err != nil {
+		panic(fmt.Sprintf("verify: enumerated script %v: %v", m.Faults, err))
+	}
+}
+
 // CheckNoTaskLost checks that no task is ever lost to a core failure:
 // every task orphaned by a fail-stop event is back on an online core —
 // re-homed by the policy's rescue rule or recovered by the core's
@@ -52,8 +65,8 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 		orphanedAt := map[sched.TaskID]int{}
 		orphanCore := map[sched.TaskID]int{}
 		for i, ev := range m.Faults {
+			replayFault(m, f, ev)
 			if ev.Revive {
-				m.ReviveCore(ev.Core)
 				// Walk the revived core's queue (not the map) for a
 				// deterministic first witness: the stranded orphans are
 				// exactly the tasks still sitting in its Ready list.
@@ -74,8 +87,6 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 					delete(orphanCore, t.ID)
 				}
 			} else {
-				m.FailCore(ev.Core)
-				sched.Rescue(f(), m, ev.Core)
 				for _, t := range m.Core(ev.Core).Ready {
 					orphanedAt[t.ID] = i
 					orphanCore[t.ID] = ev.Core
@@ -128,12 +139,7 @@ func checkDegradedWastedCoresShard(ctx context.Context, f Factory, u statespace.
 		}
 		start := m.Loads()
 		for _, ev := range m.Faults {
-			if ev.Revive {
-				m.ReviveCore(ev.Core)
-			} else {
-				m.FailCore(ev.Core)
-				sched.Rescue(f(), m, ev.Core)
-			}
+			replayFault(m, f, ev)
 			sched.SequentialRound(f(), m)
 		}
 		// Recovery phase: from the post-script state, sequential rounds

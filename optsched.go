@@ -157,25 +157,8 @@ var (
 	AssignGroups = policy.AssignGroups
 )
 
-// Verification entry points.
-var (
-	// Verify checks a policy against every proof obligation over the
-	// default bounded universe.
-	//
-	// Deprecated: build a Cluster with WithPolicyFactory and call
-	// Cluster.Verify(ctx) — it is context-cancellable and runs the
-	// obligations in parallel.
-	Verify = func(name string, factory func() Policy) *Report {
-		return verify.Policy(name, factory, verify.Config{})
-	}
-	// VerifyWith checks with an explicit configuration.
-	//
-	// Deprecated: build a Cluster with WithUniverse/WithObligations and
-	// call Cluster.Verify(ctx).
-	VerifyWith = verify.Policy
-	// DefaultUniverse is the verifier's default bounded state space.
-	DefaultUniverse = verify.DefaultUniverse
-)
+// DefaultUniverse is the verifier's default bounded state space.
+var DefaultUniverse = verify.DefaultUniverse
 
 // DSL entry points.
 var (

@@ -1,6 +1,7 @@
 package optsched
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -20,13 +21,18 @@ func TestFacadeModelRoundTrip(t *testing.T) {
 }
 
 func TestFacadeVerify(t *testing.T) {
-	rep := Verify("delta2", func() Policy { return NewDelta2() })
-	if !rep.Passed() {
-		t.Fatalf("delta2 verification failed:\n%s", rep)
-	}
-	repBad := Verify("greedy-buggy", func() Policy { return NewGreedyBuggy() })
-	if repBad.Passed() {
-		t.Fatal("greedy verification should fail")
+	for name, want := range map[string]bool{"delta2": true, "greedy-buggy": false} {
+		c, err := New(WithPolicy(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Verify(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Passed() != want {
+			t.Errorf("%s verification passed=%v, want %v:\n%s", name, rep.Passed(), want, rep)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package optsched
 import (
 	"fmt"
 
-	"repro/internal/topology"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -168,16 +168,17 @@ func (sc Scenario) validate(cores int) error {
 	return nil
 }
 
-// validateFaults replays a fault schedule against a fresh online-state
-// tracker, rejecting schedules no backend could apply: out-of-order
-// events, failing an already-offline core, reviving an online one, or
-// taking the last online core down. Core indices wrap modulo the
-// machine width first, exactly as the backends apply them.
+// validateFaults replays a fault schedule on a bare machine, rejecting
+// schedules no backend could apply: out-of-order events, or one that
+// sched.Machine.ApplyFault refuses (failing an already-offline core,
+// reviving an online one, taking the last online core down). Core
+// indices wrap modulo the machine width first, exactly as the backends
+// apply them.
 func validateFaults(events []FaultEvent, cores int) error {
 	if len(events) == 0 {
 		return nil
 	}
-	state := topology.NewOnlineState(cores)
+	m := sched.NewMachine(cores)
 	var prev int64
 	for i, ev := range events {
 		if ev.At < 0 {
@@ -190,14 +191,7 @@ func validateFaults(events []FaultEvent, cores int) error {
 		if ev.Core < 0 {
 			return fmt.Errorf("fault event %d on negative core %d", i, ev.Core)
 		}
-		core := ev.Core % cores
-		var err error
-		if ev.Revive {
-			err = state.Revive(core)
-		} else {
-			err = state.Fail(core)
-		}
-		if err != nil {
+		if _, err := m.ApplyFault(nil, sched.FaultEvent{Core: ev.Core % cores, Revive: ev.Revive}); err != nil {
 			return fmt.Errorf("fault event %d: %w", i, err)
 		}
 	}
