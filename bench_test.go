@@ -183,7 +183,7 @@ func BenchmarkE8Concurrent(b *testing.B) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
 	factory := func() sched.Policy { return policy.NewDelta2() }
 	for i := 0; i < b.N; i++ {
-		res := verify.CheckWorkConservationConcurrent(context.Background(), factory, u)
+		res := verify.RunObligation(context.Background(), verify.ObWorkConservConc, factory, verify.Config{Universe: u})
 		if !res.Passed {
 			b.Fatal(res.Witness)
 		}
@@ -314,8 +314,8 @@ func BenchmarkVerifyFullReport(b *testing.B) {
 	// The complete Leon-substitute pipeline on Listing 1's policy.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true}
 	for i := 0; i < b.N; i++ {
-		rep := verify.Policy("delta2", func() sched.Policy { return policy.NewDelta2() },
-			verify.Config{Universe: u})
+		rep, _ := verify.PolicyContext(context.Background(), "delta2", func() sched.Policy { return policy.NewDelta2() },
+			verify.Config{Universe: u, Sequential: true})
 		if !rep.Passed() {
 			b.Fatal("verification failed")
 		}

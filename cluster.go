@@ -188,7 +188,8 @@ func WithHorizon(ticks int64) Option {
 }
 
 // WithMaxRounds caps the model backend's convergence loop and the
-// verifier's sequential work-conservation search (default 1000).
+// verifier's sequential work-conservation search (default
+// verify.DefaultMaxRounds).
 func WithMaxRounds(n int) Option {
 	return func(o *options) {
 		if n <= 0 {
@@ -387,7 +388,7 @@ func New(opts ...Option) (*Cluster, error) {
 		if o.factory != nil {
 			return nil, fmt.Errorf("optsched: WithVerifyService cannot ship a WithPolicyFactory closure; use WithPolicy or WithDSL")
 		}
-		if c.maxRounds != 0 && c.maxRounds != 1000 {
+		if c.maxRounds != 0 && c.maxRounds != verify.DefaultMaxRounds {
 			return nil, fmt.Errorf("optsched: WithMaxRounds conflicts with WithVerifyService (the daemon's -maxrounds setting governs)")
 		}
 	}
@@ -402,7 +403,7 @@ func New(opts ...Option) (*Cluster, error) {
 		c.horizon = 1_000_000
 	}
 	if c.maxRounds == 0 {
-		c.maxRounds = 1000
+		c.maxRounds = verify.DefaultMaxRounds
 	}
 	if c.verifyURL != "" {
 		c.verifyClient = &VerifyClient{BaseURL: c.verifyURL}

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/service/faultinject"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -57,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queue := fs.Int("queue", 64, "job queue depth; a full queue answers 429 with Retry-After")
 	workers := fs.Int("workers", 2, "concurrent verification jobs")
 	parallel := fs.Int("parallel", 0, "per-job shard worker pool size (0 = GOMAXPROCS)")
-	maxRounds := fs.Int("maxrounds", 1000, "sequential work-conservation round bound")
+	maxRounds := fs.Int("maxrounds", verify.DefaultMaxRounds, "sequential work-conservation round bound")
 	retryAfter := fs.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	dataDir := fs.String("data-dir", "", "durable memo store directory (empty = in-memory only)")
 	compactEvery := fs.Int("compact-every", 0, "WAL records between snapshot compactions (0 = 256)")

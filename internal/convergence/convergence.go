@@ -274,8 +274,9 @@ func SpikeLoadFloat(n int, total float64) []float64 {
 	return load
 }
 
-// Imbalance returns max(load) − min(load).
-func Imbalance(load []int64) int64 {
+// Imbalance returns max(load) − min(load), over Xu & Lau load vectors
+// ([]int64) and sched.Machine.Loads thread counts ([]int) alike.
+func Imbalance[T int | int64](load []T) T {
 	lo, hi := load[0], load[0]
 	for _, v := range load[1:] {
 		if v < lo {

@@ -8,14 +8,16 @@ import (
 // work-stealing rounds, so experiment E9 can compare their convergence
 // speeds on the same initial load vectors.
 
-// StealingRounds runs optimistic concurrent rounds of the given policy
-// from the initial load vector until the machine is work-conserved
-// (tol = "no idle while overloaded") or fully balanced (tol as a max−min
-// bound on thread counts), whichever predicate `balanced` encodes.
-// It returns the rounds taken, with maxRounds+1 as the not-converged
-// sentinel. Orders rotate deterministically so repeated conflicts do not
-// depend on a hidden RNG.
-func StealingRounds(p sched.Policy, loads []int64, tol int64, maxRounds int) int {
+// roundsUntil runs optimistic concurrent rounds of the given policy
+// from the initial load vector until stop holds, and returns the rounds
+// taken, with maxRounds+1 as the not-converged sentinel. Orders rotate
+// deterministically so repeated conflicts do not depend on a hidden RNG:
+// a deterministic adversary weaker than the verifier's exhaustive one,
+// but enough to exercise conflicts. A round that moves nothing ends the
+// run: the first attempt of any order runs against the unchanged
+// snapshot and cannot fail, so a moveless round means no core selected a
+// victim and no later order will do better.
+func roundsUntil(p sched.Policy, loads []int64, maxRounds int, stop func(*sched.Machine) bool) int {
 	ints := make([]int, len(loads))
 	for i, v := range loads {
 		ints[i] = int(v)
@@ -24,60 +26,32 @@ func StealingRounds(p sched.Policy, loads []int64, tol int64, maxRounds int) int
 	n := m.NumCores()
 	order := make([]int, n)
 	for r := 0; r <= maxRounds; r++ {
-		if machineImbalance(m) <= tol {
+		if stop(m) {
 			return r
 		}
-		// Rotate the steal order each round: a deterministic adversary
-		// weaker than the verifier's exhaustive one, but enough to
-		// exercise conflicts.
 		for i := range order {
 			order[i] = (i + r) % n
 		}
 		rr := sched.ConcurrentRound(p, m, order)
 		if rr.TasksMoved() == 0 {
-			if machineImbalance(m) <= tol {
-				return r + 1
-			}
-			return maxRounds + 1
+			break
 		}
 	}
 	return maxRounds + 1
+}
+
+// StealingRounds counts rounds until the machine is balanced to within
+// tol, a max−min bound on thread counts.
+func StealingRounds(p sched.Policy, loads []int64, tol int64, maxRounds int) int {
+	return roundsUntil(p, loads, maxRounds, func(m *sched.Machine) bool {
+		return int64(Imbalance(m.Loads())) <= tol
+	})
 }
 
 // WorkConservationRounds counts rounds until no core is idle while
 // another is overloaded — the paper's N.
 func WorkConservationRounds(p sched.Policy, loads []int64, maxRounds int) int {
-	ints := make([]int, len(loads))
-	for i, v := range loads {
-		ints[i] = int(v)
-	}
-	m := sched.MachineFromLoads(ints...)
-	n := m.NumCores()
-	order := make([]int, n)
-	for r := 0; r <= maxRounds; r++ {
-		if m.WorkConserved() {
-			return r
-		}
-		for i := range order {
-			order[i] = (i + r) % n
-		}
-		sched.ConcurrentRound(p, m, order)
-	}
-	return maxRounds + 1
-}
-
-func machineImbalance(m *sched.Machine) int64 {
-	loads := m.Loads()
-	lo, hi := loads[0], loads[0]
-	for _, v := range loads[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return int64(hi - lo)
+	return roundsUntil(p, loads, maxRounds, (*sched.Machine).WorkConserved)
 }
 
 // SpikeLoad builds the worst-case initial vector for n nodes: all

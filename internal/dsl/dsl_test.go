@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -135,7 +136,10 @@ func TestDSLThroughVerifier(t *testing.T) {
 		}
 		return p
 	}
-	rep := verify.Policy("dsl-delta2", factory, verify.Config{Universe: u})
+	// Sequential: the factories call t.Fatal, which must stay on the test
+	// goroutine.
+	cfg := verify.Config{Universe: u, Sequential: true}
+	rep, _ := verify.PolicyContext(context.Background(), "dsl-delta2", factory, cfg)
 	if !rep.Passed() {
 		t.Fatalf("DSL delta2 failed verification:\n%s", rep)
 	}
@@ -147,7 +151,7 @@ func TestDSLThroughVerifier(t *testing.T) {
 		}
 		return p
 	}
-	repBad := verify.Policy("dsl-greedy", buggy, verify.Config{Universe: u})
+	repBad, _ := verify.PolicyContext(context.Background(), "dsl-greedy", buggy, cfg)
 	if repBad.Passed() {
 		t.Fatal("DSL greedy policy passed verification — livelock missed")
 	}

@@ -70,6 +70,8 @@ func resultVerdict(res verify.Result) string {
 	return verdict(res.Passed)
 }
 
+// factoryOf returns the registered policy's factory; the policy names
+// here are literals, so an unknown one is a bug and panics.
 func factoryOf(name string) verify.Factory {
 	return func() sched.Policy {
 		p, err := policy.New(name)
@@ -78,6 +80,11 @@ func factoryOf(name string) verify.Factory {
 		}
 		return p
 	}
+}
+
+// check runs one obligation for a registered policy over u.
+func check(ctx context.Context, id verify.ObligationID, name string, u statespace.Universe) verify.Result {
+	return verify.RunObligation(ctx, id, factoryOf(name), verify.Config{Universe: u})
 }
 
 // E1Lemma1 reproduces Listing 2: the Lemma 1 check for each policy over
@@ -102,7 +109,7 @@ func E1Lemma1(ctx context.Context) Result {
 	}
 	var failedCFS bool
 	for _, r := range rows {
-		res := verify.CheckLemma1(ctx, factoryOf(r.name), r.u)
+		res := check(ctx, verify.ObLemma1, r.name, r.u)
 		witness := res.Witness
 		if len(witness) > 60 {
 			witness = witness[:57] + "..."
@@ -141,7 +148,7 @@ func E2SequentialConvergence(ctx context.Context) Result {
 		for _, s := range shapes {
 			u := statespace.Universe{Cores: s.cores, MaxPerCore: s.maxPer,
 				MaxTotal: s.maxTotal, IncludeUnscheduled: true}
-			res := verify.CheckWorkConservationSequential(ctx, factoryOf(name), u, 0)
+			res := check(ctx, verify.ObWorkConservSeq, name, u)
 			t.AddRow(name, fmt.Sprint(s.cores), fmt.Sprint(s.maxPer),
 				fmt.Sprint(res.StatesChecked), resultVerdict(res), fmt.Sprint(res.Bound))
 		}
@@ -162,7 +169,7 @@ func E3Counterexample(ctx context.Context) Result {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
 	var witness string
 	for _, name := range []string{"delta2", "greedy-buggy"} {
-		res := verify.CheckWorkConservationConcurrent(ctx, factoryOf(name), u)
+		res := check(ctx, verify.ObWorkConservConc, name, u)
 		t.AddRow(name, fmt.Sprint(res.StatesChecked), fmt.Sprint(res.SchedulesChecked),
 			resultVerdict(res), fmt.Sprint(res.Bound))
 		if !res.Passed && !res.Aborted && witness == "" {
@@ -183,7 +190,7 @@ func E3Counterexample(ctx context.Context) Result {
 func E4Potential(ctx context.Context) Result {
 	t := metrics.NewTable("policy", "states", "verdict", "example machine", "d0", "bound", "observed steals")
 	for _, name := range []string{"delta2", "weighted", "greedy-buggy", "delta1-aggressive"} {
-		res := verify.CheckPotentialDecrease(ctx, factoryOf(name), defaultUniverse())
+		res := check(ctx, verify.ObPotentialDecrease, name, defaultUniverse())
 		// Observed steals to fixpoint on a canonical machine.
 		p := factoryOf(name)()
 		m := sched.MachineFromLoads(0, 6, 2, 0)
@@ -282,7 +289,7 @@ func E6WastedCores(ctx context.Context) Result {
 			break
 		}
 		dbTrap := workload.NewDBTrap()
-		s := sim.New(sim.Config{Cores: dbTrap.Cores(), Policy: mustPolicy(name),
+		s := sim.New(sim.Config{Cores: dbTrap.Cores(), Policy: factoryOf(name)(),
 			Groups: dbTrap.Groups(), Seed: 11})
 		dbTrap.Setup(s)
 		st, err := s.RunContext(ctx, horizon)
@@ -293,7 +300,7 @@ func E6WastedCores(ctx context.Context) Result {
 		req := dbTrap.Server.Requests()
 
 		barTrap := workload.NewBarrierTrap(1700)
-		s2 := sim.New(sim.Config{Cores: barTrap.Cores(), Policy: mustPolicy(name),
+		s2 := sim.New(sim.Config{Cores: barTrap.Cores(), Policy: factoryOf(name)(),
 			Groups: barTrap.Groups(), Seed: 11})
 		barTrap.Setup(s2)
 		if _, err := s2.RunContext(ctx, 400_000); err != nil {
@@ -325,14 +332,6 @@ func E6WastedCores(ctx context.Context) Result {
 	}
 }
 
-func mustPolicy(name string) sched.Policy {
-	p, err := policy.New(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // E7Hierarchical reproduces the §5 extension: two-level balancing passes
 // the identical obligations (no new proof work), and NUMA-aware choice
 // changes steal locality without touching the filter.
@@ -342,9 +341,7 @@ func E7Hierarchical(ctx context.Context) Result {
 		IncludeUnscheduled: true, Groups: []int{0, 0, 1, 1}}
 	for _, ob := range []verify.ObligationID{verify.ObLemma1, verify.ObStealSoundness,
 		verify.ObPotentialDecrease, verify.ObWorkConservSeq, verify.ObChoiceIndependence} {
-		rep, _ := verify.PolicyContext(ctx, "hierarchical", factoryOf("hierarchical"),
-			verify.Config{Universe: u, Obligations: []verify.ObligationID{ob}})
-		res := rep.Results[0]
+		res := check(ctx, ob, "hierarchical", u)
 		detail := fmt.Sprintf("states=%d", res.StatesChecked)
 		if res.SchedulesChecked > 0 {
 			detail += fmt.Sprintf(" schedules=%d", res.SchedulesChecked)
@@ -407,10 +404,10 @@ func localitySample(variant string) (intra, total int) {
 func E8Concurrent(ctx context.Context) Result {
 	t := metrics.NewTable("check", "policy", "result", "detail")
 	u := defaultUniverse()
-	res := verify.CheckFailureImpliesSuccess(ctx, factoryOf("delta2"), u)
+	res := check(ctx, verify.ObFailureImpliesSucc, "delta2", u)
 	t.AddRow("failure implies success", "delta2", resultVerdict(res),
 		fmt.Sprintf("%d schedules", res.SchedulesChecked))
-	resC := verify.CheckWorkConservationConcurrent(ctx, factoryOf("delta2"), u)
+	resC := check(ctx, verify.ObWorkConservConc, "delta2", u)
 	t.AddRow("concurrent WC", "delta2", resultVerdict(resC),
 		fmt.Sprintf("worst-N=%d over %d schedules", resC.Bound, resC.SchedulesChecked))
 	abl := verify.CheckRevalidationAblation(ctx, factoryOf("delta2"),

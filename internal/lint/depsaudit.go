@@ -16,7 +16,7 @@ import (
 //
 //  1. find the package-level `var obligationDeps map[K][]C` literal and
 //     read its rows (obligation -> declared component values);
-//  2. find the dispatch switches on K (verify.rawShardCheck) and map
+//  2. find the dispatch switches on K (verify.newStateCheck) and map
 //     each obligation constant to the checker functions its case body
 //     references — including successor functions passed as values;
 //  3. walk the call graph from those entries, across packages (the

@@ -22,9 +22,11 @@ import (
 //     closed over the load clause where referenced (dsl.ComponentForm);
 //   - MaxRounds, for the one obligation whose verdict depends on it.
 //
-// Parallelism, shard counts and worker pools are deliberately absent:
-// the sharded driver's reports are byte-identical at every level, which
-// is the invariant that makes memoization sound at all.
+// Parallelism and worker pools are deliberately absent: the shard
+// partition is a constant of the verifier (a change to it bumps
+// verify.Version), so the sharded driver's reports are byte-identical at
+// every parallelism level and on every host — the invariant that makes
+// memoization sound at all.
 
 // obligationKey hashes one (policy, universe, obligation) cell.
 func obligationKey(forms map[string]string, u statespace.Universe, id verify.ObligationID, maxRounds int) string {
@@ -43,7 +45,7 @@ func obligationKey(forms map[string]string, u statespace.Universe, id verify.Obl
 		// bound is part of the verdict's identity. The other checkers
 		// never read it.
 		if maxRounds <= 0 {
-			maxRounds = 1000
+			maxRounds = verify.DefaultMaxRounds
 		}
 		writeField(h, fmt.Sprintf("maxRounds=%d", maxRounds))
 	}

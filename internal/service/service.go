@@ -86,7 +86,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 2
 	}
 	if c.MaxRounds <= 0 {
-		c.MaxRounds = 1000
+		c.MaxRounds = verify.DefaultMaxRounds
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second

@@ -41,21 +41,27 @@ type AblationResult struct {
 // unsafe variant commits. A sound policy must show zero violations in the
 // safe half (that is asserted, not counted) and the unsafe half
 // demonstrates why the paper's model requires atomic, re-validated
-// steals. Like the obligation checks, the sweep is sharded across a
-// worker pool (GOMAXPROCS workers); f must be safe for concurrent calls.
+// steals. It is a steady-state sweep under the obligations' own shard
+// loop: the universe's fault dimension is ignored, the shards run on a
+// pool of GOMAXPROCS workers (f must be safe for concurrent calls), and
+// a panicking shard is contained and re-raised on the caller.
 func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Universe) AblationResult {
-	total := shardTotal()
-	parts := make([]AblationResult, total)
-	forEachTask(total, runtime.GOMAXPROCS(0), func(s int) {
-		parts[s] = checkRevalidationAblationShard(ctx, f, u, shard{s, total})
+	shards := make([]Result, shardCount)
+	parts := make([]AblationResult, shardCount)
+	forEachTask(shardCount, runtime.GOMAXPROCS(0), func(s int) {
+		parts[s].order = -1
+		runShard(ctx, "revalidation-ablation", u, s, &shards[s], ablationCheck(ctx, f, &shards[s], &parts[s]))
 	})
 	merged := AblationResult{order: -1}
-	for _, p := range parts {
-		merged.StatesChecked += p.StatesChecked
-		merged.SchedulesChecked += p.SchedulesChecked
+	for s, p := range parts {
+		if shards[s].Aborted && ctx.Err() == nil {
+			panic(shards[s].Witness)
+		}
+		merged.StatesChecked += shards[s].StatesChecked
+		merged.SchedulesChecked += shards[s].SchedulesChecked
 		merged.SoundnessViolations += p.SoundnessViolations
 		merged.PotentialViolations += p.PotentialViolations
-		merged.Aborted = merged.Aborted || p.Aborted
+		merged.Aborted = merged.Aborted || shards[s].Aborted
 		if p.FirstWitness != "" && (merged.order < 0 || p.order < merged.order) {
 			merged.FirstWitness = p.FirstWitness
 			merged.order = p.order
@@ -64,25 +70,21 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 	return merged
 }
 
-func checkRevalidationAblationShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) AblationResult {
-	res := AblationResult{order: -1}
+// ablationCheck is the sweep's per-state check. The shard's Result
+// carries the state and schedule counters and the abort flag; the
+// violations — counted, never a reason to stop — go into out.
+func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationResult) stateCheck {
 	witness := func(rank int, w string) {
-		if res.FirstWitness == "" {
-			res.FirstWitness = w
-			res.order = rank
+		if out.FirstWitness == "" {
+			out.FirstWitness = w
+			out.order = rank
 		}
 	}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if ctx.Err() != nil {
-			res.Aborted = true
-			return false
-		}
-		res.StatesChecked++
-		statespace.Permutations(m.NumCores(), func(order []int) bool {
+	return func(rank int, m *sched.Machine) bool {
+		return statespace.Permutations(m.NumCores(), func(order []int) bool {
 			// Poll per schedule, not just per state: each state fans out
 			// to NumCores()! orders and each order runs two full rounds.
-			if res.SchedulesChecked&63 == 0 && ctx.Err() != nil {
-				res.Aborted = true
+			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {
 				return false
 			}
 			res.SchedulesChecked++
@@ -97,7 +99,7 @@ func checkRevalidationAblationShard(ctx context.Context, f Factory, u statespace
 			sched.UnsafeConcurrentRound(f(), unsafe, order)
 			if v := roundViolation(f(), m, unsafe); v != "" {
 				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
-				res.SoundnessViolations++
+				out.SoundnessViolations++
 			}
 			p := f()
 			beginRound(p, m)
@@ -107,13 +109,11 @@ func checkRevalidationAblationShard(ctx context.Context, f Factory, u statespace
 				witness(rank, fmt.Sprintf(
 					"state %v order %v: unchecked round raised potential %d -> %d",
 					m.Loads(), order, before, after))
-				res.PotentialViolations++
+				out.PotentialViolations++
 			}
 			return true
 		})
-		return !res.Aborted
-	})
-	return res
+	}
 }
 
 // roundViolation reports how a round broke soundness: an overloaded core

@@ -3,25 +3,27 @@ package verify
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/statespace"
 )
 
-// This file is the sharded verification driver. Every obligation's
-// quantifier ("for all machines in the universe") is split into
-// shardTotal() disjoint slices via statespace.Universe.EnumerateShard;
-// the slices run on a worker pool and their per-shard Results merge
-// back into one deterministic Result.
+// This file is the verifier's skeleton: the one shard loop every
+// obligation runs under (runShard), the dispatch from an obligation to
+// its per-state check (newStateCheck), the deterministic merge of
+// per-shard Results, and the worker pool. Every obligation's quantifier
+// ("for all machines in the universe") is split into shardCount disjoint
+// slices via statespace.Universe.EnumerateShardRank; PolicyContext fans
+// the slices out and merges them back into one Result.
 //
-// Two properties make the parallel reports byte-identical run to run
-// and across parallelism levels:
+// Two properties make the reports byte-identical run to run, across
+// parallelism levels and across hosts:
 //
-//   - The shard count depends only on the machine (GOMAXPROCS, floored
-//     at minShards), never on the configured worker count, so every
-//     -parallel level checks exactly the same slices.
+//   - The shard count is a constant, independent of the configured
+//     worker count and of the machine, so every run checks exactly the
+//     same slices (the game explorers' memo is shard-local, so their
+//     schedule counters depend on the partition).
 //   - A refuted shard records the global enumeration rank of its
 //     witness, and the merge keeps the lowest-ranked one — the same
 //     witness a sequential scan of the whole universe would have found
@@ -30,30 +32,81 @@ import (
 //     every parallelism level (including Sequential) at the price of a
 //     fuller sweep on refuted policies.
 
-// minShards keeps the partition real on small machines: even at
-// GOMAXPROCS=1 the driver exercises genuine multi-shard merges, and a
-// later -parallel 8 run on bigger hardware still has slices to spread.
-const minShards = 8
+// shardCount is the per-obligation shard count. Changing it changes the
+// schedule counters of the game obligations, so it bumps Version.
+const shardCount = 8
 
-// shardTotal is the per-obligation shard count: GOMAXPROCS, floored at
-// minShards. It is deliberately independent of Config.Parallelism (see
-// the file comment).
-func shardTotal() int {
-	if n := runtime.GOMAXPROCS(0); n > minShards {
-		return n
+// stateCheck examines one enumerated machine for one obligation. It is
+// built once per (obligation, shard) around that shard's Result: it may
+// mutate m but not retain it, reports a violation through
+// Result.refute with the rank it was handed, and returns false to end
+// the shard (refuted or aborted), true to go on.
+type stateCheck func(rank int, m *sched.Machine) bool
+
+// runShard is the one shard loop: it walks shard s of u, and for every
+// machine polls cancellation (every 64 states), counts the state in
+// res, and hands it to check. res is reset to a passing Result for id
+// first and is what check reports into. The fault obligations are the
+// only consumers of the universe's fault dimension; for everything else
+// MaxFaults is zeroed, so verdicts, counters and witnesses on a
+// fault-extended universe stay byte-identical to the healthy universe's.
+//
+// Panics are contained here: shard tasks run on pool goroutines, where
+// an uncaught panic (a crashing checker or policy) would kill the whole
+// process — in the daemon, taking every other job with it. A panicking
+// shard instead becomes an aborted shard result, which the merge
+// propagates as an ABORTED obligation (never cached, so the next
+// submission re-runs it).
+func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, res *Result, check stateCheck) {
+	defer func() {
+		if p := recover(); p != nil {
+			*res = Result{
+				ID:      id,
+				Aborted: true,
+				Witness: fmt.Sprintf("aborted: checker panic: %v", p),
+			}
+		}
+	}()
+	*res = Result{ID: id, Passed: true}
+	if id != ObNoTaskLost && id != ObDegradedWastedCores {
+		u.MaxFaults = 0
 	}
-	return minShards
+	u.EnumerateShardRank(s, shardCount, func(rank int, m *sched.Machine) bool {
+		if res.StatesChecked&63 == 0 && aborted(ctx, res) {
+			return false
+		}
+		res.StatesChecked++
+		return check(rank, m)
+	})
 }
 
-// shard identifies one slice of the universe partition.
-type shard struct {
-	index, total int
-}
-
-// enumerate walks the shard's slice of u, handing fn each machine with
-// its global enumeration rank.
-func (s shard) enumerate(u statespace.Universe, fn func(rank int, m *sched.Machine) bool) bool {
-	return u.EnumerateShardRank(s.index, s.total, fn)
+// newStateCheck dispatches an obligation to its per-state check,
+// reporting into res. maxRounds is already defaulted.
+func newStateCheck(ctx context.Context, id ObligationID, f Factory, maxRounds int, res *Result) stateCheck {
+	switch id {
+	case ObLemma1:
+		return lemma1Check(f, res)
+	case ObStealSoundness:
+		return admittedSteals(f, res, stealViolation)
+	case ObPotentialDecrease:
+		return admittedSteals(f, res, potentialViolation)
+	case ObFailureImpliesSucc:
+		return failureImpliesSuccessCheck(ctx, f, res)
+	case ObWorkConservSeq:
+		return workConservationSequentialCheck(f, maxRounds, res)
+	case ObWorkConservConc:
+		return gameCheck(ctx, f, orderSuccessors, res)
+	case ObChoiceIndependence:
+		return gameCheck(ctx, f, choiceSuccessors, res)
+	case ObReactivity:
+		return reactivityCheck(ctx, f, res)
+	case ObNoTaskLost:
+		return noTaskLostCheck(f, maxRounds, res)
+	case ObDegradedWastedCores:
+		return degradedWastedCoresCheck(f, maxRounds, res)
+	default:
+		panic(fmt.Sprintf("verify: unknown obligation %q", id))
+	}
 }
 
 // refute records a refutation found at the given global enumeration
@@ -65,59 +118,34 @@ func (r *Result) refute(rank int, witness string) {
 	r.order = rank
 }
 
-// shardCheck dispatches one (obligation, shard) task to its checker,
-// containing panics: shard tasks run on pool goroutines, where an
-// uncaught panic (a crashing checker or policy) would kill the whole
-// process — in the daemon, taking every other job with it. A panicking
-// shard instead becomes an aborted shard result, which the merge
-// propagates as an ABORTED obligation (never cached, so the next
-// submission re-runs it).
-func shardCheck(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, maxRounds int, sh shard) (res Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = Result{
-				ID:      id,
-				Aborted: true,
-				Witness: fmt.Sprintf("aborted: checker panic: %v", p),
-			}
-		}
-	}()
-	return rawShardCheck(ctx, id, f, u, maxRounds, sh)
+// abort marks r as cut short: not passed, nothing refuted, witness
+// saying why.
+func (r *Result) abort(witness string) {
+	r.Passed = false
+	r.Aborted = true
+	r.Witness = witness
 }
 
-// rawShardCheck is the uncontained dispatch. The fault obligations are
-// the only consumers of the universe's fault dimension; for the
-// steady-state obligations MaxFaults is zeroed, so their verdicts,
-// counters and witnesses on a fault-extended universe stay byte-identical
-// to the healthy universe's.
-func rawShardCheck(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
-	switch id {
-	case ObNoTaskLost:
-		return checkNoTaskLostShard(ctx, f, u, maxRounds, sh)
-	case ObDegradedWastedCores:
-		return checkDegradedWastedCoresShard(ctx, f, u, maxRounds, sh)
+// raiseBound keeps the worst-case N seen so far.
+func (r *Result) raiseBound(n int) {
+	if n > r.Bound {
+		r.Bound = n
 	}
-	u.MaxFaults = 0
-	switch id {
-	case ObLemma1:
-		return checkLemma1Shard(ctx, f, u, sh)
-	case ObStealSoundness:
-		return checkStealSoundnessShard(ctx, f, u, sh)
-	case ObPotentialDecrease:
-		return checkPotentialDecreaseShard(ctx, f, u, sh)
-	case ObFailureImpliesSucc:
-		return checkFailureImpliesSuccessShard(ctx, f, u, sh)
-	case ObWorkConservSeq:
-		return checkWorkConservationSequentialShard(ctx, f, u, maxRounds, sh)
-	case ObWorkConservConc:
-		return checkGameShard(ctx, ObWorkConservConc, f, u, orderSuccessors, sh)
-	case ObChoiceIndependence:
-		return checkGameShard(ctx, ObChoiceIndependence, f, u, choiceSuccessors, sh)
-	case ObReactivity:
-		return checkReactivityShard(ctx, f, u, sh)
-	default:
-		panic(fmt.Sprintf("verify: unknown obligation %q", id))
+}
+
+// aborted reports whether ctx is done and, if so, marks res as aborted
+// with the cancellation as the witness. runShard polls it every 64
+// enumerated states, and checks that fan one state out to NumCores()!
+// schedules poll it every 64 schedules (ctx.Err takes a mutex, and
+// concurrent shard checks would otherwise contend on it in their
+// hottest loops) — without the schedule-level poll that fan-out would
+// multiply cancellation latency by the same factor.
+func aborted(ctx context.Context, res *Result) bool {
+	if ctx.Err() == nil {
+		return false
 	}
+	res.abort("aborted: " + ctx.Err().Error())
+	return true
 }
 
 // mergeResults folds per-shard results into the obligation's Result:
@@ -126,82 +154,30 @@ func rawShardCheck(ctx context.Context, id ObligationID, f Factory, u statespace
 // outranks cancellation, which outranks a pass.
 func mergeResults(id ObligationID, parts []Result) Result {
 	merged := Result{ID: id, Passed: true}
-	refutedRank := -1
-	refutedWitness := ""
-	abortWitness := ""
-	for _, p := range parts {
+	var refuted, cut *Result
+	for i := range parts {
+		p := &parts[i]
 		merged.StatesChecked += p.StatesChecked
 		merged.SchedulesChecked += p.SchedulesChecked
-		if p.Bound > merged.Bound {
-			merged.Bound = p.Bound
-		}
+		merged.raiseBound(p.Bound)
 		switch {
 		case p.Aborted:
-			if abortWitness == "" {
-				abortWitness = p.Witness
+			if cut == nil {
+				cut = p
 			}
 		case !p.Passed:
-			if refutedRank < 0 || p.order < refutedRank {
-				refutedRank = p.order
-				refutedWitness = p.Witness
+			if refuted == nil || p.order < refuted.order {
+				refuted = p
 			}
 		}
 	}
 	switch {
-	case refutedRank >= 0:
-		merged.Passed = false
-		merged.Witness = refutedWitness
-		merged.order = refutedRank
-	case abortWitness != "":
-		merged.Passed = false
-		merged.Aborted = true
-		merged.Witness = abortWitness
+	case refuted != nil:
+		merged.refute(refuted.order, refuted.Witness)
+	case cut != nil:
+		merged.abort(cut.Witness)
 	}
 	return merged
-}
-
-// RunObligation checks a single obligation under cfg and returns its
-// merged Result — the per-obligation entry point the incremental
-// verification service (internal/service) memoizes. It is PolicyContext
-// restricted to one obligation: the same shard partition, the same
-// deterministic merge, so the Result for an obligation is byte-for-byte
-// the entry PolicyContext would put in a full report. cfg.Obligations is
-// ignored; cfg.Sequential and cfg.Parallelism govern the shard fan-out
-// exactly as in PolicyContext. Panics on unknown obligations, like
-// PolicyContext.
-func RunObligation(ctx context.Context, id ObligationID, f Factory, cfg Config) Result {
-	if !KnownObligation(id) {
-		panic(fmt.Sprintf("verify: unknown obligation %q", id))
-	}
-	u := cfg.Universe
-	if u.Cores == 0 {
-		u = DefaultUniverse()
-	}
-	total := shardTotal()
-	parts := make([]Result, total)
-	if cfg.Sequential {
-		for s := range parts {
-			parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
-		}
-		return mergeResults(id, parts)
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	forEachTask(total, workers, func(s int) {
-		parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
-	})
-	return mergeResults(id, parts)
-}
-
-// runObligation runs one obligation's full shard fan-out on a pool of
-// GOMAXPROCS workers and merges. The standalone Check* entry points
-// route through here — so they call the factory concurrently; see
-// Factory — while the suite driver (PolicyContext) instead shares one
-// pool across all selected obligations.
-func runObligation(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, maxRounds int) Result {
-	return RunObligation(ctx, id, f, Config{Universe: u, MaxRounds: maxRounds})
 }
 
 // forEachTask runs fn(i) for i in [0, n) with at most `workers`

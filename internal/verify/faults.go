@@ -1,11 +1,9 @@
 package verify
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/sched"
-	"repro/internal/statespace"
 )
 
 // This file checks the fail-stop fault model: the two obligations that
@@ -34,26 +32,14 @@ func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
 	}
 }
 
-// CheckNoTaskLost checks that no task is ever lost to a core failure:
-// every task orphaned by a fail-stop event is back on an online core —
-// re-homed by the policy's rescue rule or recovered by the core's
-// scripted revival — within maxRounds rounds of the failure. A policy
-// with no rescue rule fails this on any script that fails a non-empty
-// core and never revives it.
-func CheckNoTaskLost(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObNoTaskLost, f, u, maxRounds)
-}
-
-func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
-	if maxRounds <= 0 {
-		maxRounds = 1000
-	}
-	res := Result{ID: ObNoTaskLost, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+// noTaskLostCheck checks on one (state, fault script) pair that no task
+// is ever lost to a core failure: every task orphaned by a fail-stop
+// event is back on an online core — re-homed by the policy's rescue rule
+// or recovered by the core's scripted revival — within maxRounds rounds
+// of the failure. A policy with no rescue rule fails this on any script
+// that fails a non-empty core and never revives it.
+func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			return true // no faults, no orphans: vacuously safe
 		}
@@ -75,14 +61,14 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 					if !ok || core != ev.Core {
 						continue
 					}
-					if delay := i - orphanedAt[t.ID]; delay > maxRounds {
+					delay := i - orphanedAt[t.ID]
+					if delay > maxRounds {
 						res.refute(rank, fmt.Sprintf(
 							"state %v script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
 							start, m.Faults, t.ID, core, orphanedAt[t.ID], i, maxRounds))
 						return false
-					} else if delay > res.Bound {
-						res.Bound = delay
 					}
+					res.raiseBound(delay)
 					delete(orphanedAt, t.ID)
 					delete(orphanCore, t.ID)
 				}
@@ -106,32 +92,20 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 			}
 		}
 		return true
-	})
-	return res
-}
-
-// CheckDegradedWastedCores checks the wasted-cores invariant of §3.2
-// restated over a degraded machine's online cores: after the fault
-// script's last event, iterating sequential rounds restores
-// Machine.DegradedWorkConserved — no online core idle while an online
-// core is overloaded or orphan work sits stranded offline — within
-// maxRounds rounds. Counting stranded orphans as waiting work is what
-// refutes rescue-less policies here: the survivors may balance perfectly
-// among themselves while an idle core ignores work it could adopt.
-func CheckDegradedWastedCores(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObDegradedWastedCores, f, u, maxRounds)
-}
-
-func checkDegradedWastedCoresShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
-	if maxRounds <= 0 {
-		maxRounds = 1000
 	}
-	res := Result{ID: ObDegradedWastedCores, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+}
+
+// degradedWastedCoresCheck checks on one (state, fault script) pair the
+// wasted-cores invariant of §3.2 restated over a degraded machine's
+// online cores: after the fault script's last event, iterating
+// sequential rounds restores Machine.DegradedWorkConserved — no online
+// core idle while an online core is overloaded or orphan work sits
+// stranded offline — within maxRounds rounds. Counting stranded orphans
+// as waiting work is what refutes rescue-less policies here: the
+// survivors may balance perfectly among themselves while an idle core
+// ignores work it could adopt.
+func degradedWastedCoresCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			// The healthy invariant is work-conservation-sequential's
 			// job; this obligation owns the degraded states only.
@@ -143,37 +117,23 @@ func checkDegradedWastedCoresShard(ctx context.Context, f Factory, u statespace.
 			sched.SequentialRound(f(), m)
 		}
 		// Recovery phase: from the post-script state, sequential rounds
-		// must reach the degraded invariant. Mirrors the wc-seq loop —
-		// deterministic rounds, so a repeated state is a livelock and a
-		// moveless non-conserved round is stuck.
-		seen := make(statespace.Visited)
-		seen.Add(m)
-		for round := 0; ; round++ {
-			if m.DegradedWorkConserved() {
-				if round > res.Bound {
-					res.Bound = round
-				}
-				return true
-			}
-			if round >= maxRounds {
-				res.refute(rank, fmt.Sprintf(
-					"state %v script %v: degraded invariant not restored after %d rounds", start, m.Faults, maxRounds))
-				return false
-			}
-			rr := sched.SequentialRound(f(), m)
-			if rr.TasksMoved() == 0 {
-				res.refute(rank, fmt.Sprintf(
-					"state %v script %v: stuck at %v with an idle online core and unclaimed work (no steal possible)",
-					start, m.Faults, m.Loads()))
-				return false
-			}
-			if !seen.Add(m) {
-				res.refute(rank, fmt.Sprintf(
-					"state %v script %v: rounds cycle through %v without restoring the degraded invariant",
-					start, m.Faults, m.Loads()))
-				return false
-			}
+		// must reach the degraded invariant.
+		rounds, end := converge(f, m, maxRounds, (*sched.Machine).DegradedWorkConserved)
+		switch end {
+		case exhausted:
+			res.refute(rank, fmt.Sprintf(
+				"state %v script %v: degraded invariant not restored after %d rounds", start, m.Faults, maxRounds))
+		case stuck:
+			res.refute(rank, fmt.Sprintf(
+				"state %v script %v: stuck at %v with an idle online core and unclaimed work (no steal possible)",
+				start, m.Faults, m.Loads()))
+		case cycled:
+			res.refute(rank, fmt.Sprintf(
+				"state %v script %v: rounds cycle through %v without restoring the degraded invariant",
+				start, m.Faults, m.Loads()))
+		default:
+			res.raiseBound(rounds)
 		}
-	})
-	return res
+		return end == converged
+	}
 }

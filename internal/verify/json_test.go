@@ -40,7 +40,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestReportJSONFromColdRun(t *testing.T) {
-	rep := Policy("delta2", delta2Factory, Config{Universe: smallUniverse()})
+	rep := sequentialReport("delta2", delta2Factory, Config{Universe: smallUniverse()})
 	data, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,11 @@ import (
 
 // Factory produces a fresh policy instance per check, isolating any
 // per-round caches (sched.RoundObserver state) between runs. Checks
-// fan out over universe shards on a worker pool — the standalone
-// Check* entry points included — so a factory must be safe for
-// concurrent calls; every registered and DSL-compiled factory is,
-// since each call constructs a fresh policy. A caller whose factory is
-// not concurrency-safe must go through Policy or PolicyContext with
-// Config.Sequential, which runs every shard on the calling goroutine
-// (and produces the identical report).
+// fan out over universe shards on a worker pool, so a factory must be
+// safe for concurrent calls; every registered and DSL-compiled factory
+// is, since each call constructs a fresh policy. A caller whose factory
+// is not concurrency-safe must set Config.Sequential, which runs every
+// shard on the calling goroutine (and produces the identical report).
 type Factory func() sched.Policy
 
 // beginRound refreshes a policy's cached round statistics when it
@@ -27,25 +25,15 @@ func beginRound(p sched.Policy, view *sched.Machine) {
 	}
 }
 
-// CheckLemma1 checks Listing 2 over every state of the universe and every
-// idle thief:
+// lemma1Check checks Listing 2 on one state, for every idle thief:
 //
 //	(∃ overloaded core  ⇒  ∃ core the thief can steal from)  ∧
 //	(∀ cores c: thief.canSteal(c) ⇒ overloaded(c))
 //
 // The paper proves this with Leon for the sequential setting; here it is
 // established by exhaustion up to the universe bound.
-func CheckLemma1(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObLemma1, f, u, 0)
-}
-
-func checkLemma1Shard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
-	res := Result{ID: ObLemma1, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+func lemma1Check(f Factory, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
 		for _, thief := range m.Cores {
@@ -78,56 +66,52 @@ func checkLemma1Shard(ctx context.Context, f Factory, u statespace.Universe, sh 
 			}
 		}
 		return true
-	})
-	return res
+	}
 }
 
-// CheckStealSoundness checks the §4.2 obligations on the stealing phase,
-// over every state and every (thief, stealee) pair admitted by the
-// filter:
-//
-//   - the steal succeeds (an admitted selection is realizable when no
-//     concurrent steal interferes);
-//   - the stealee does not end up idle ("does not steal too much");
-//   - the thread population and structural invariants are preserved.
-func CheckStealSoundness(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObStealSoundness, f, u, 0)
-}
-
-func checkStealSoundnessShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
-	res := Result{ID: ObStealSoundness, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+// admittedSteals is the state check steal-soundness and
+// potential-decrease share: every (thief, stealee) pair the filter
+// admits in the state is stolen in isolation — on a clone, under a fresh
+// policy whose round began on that clone, with no concurrent steal to
+// interfere — and the outcome is handed to violation, which names what
+// the steal broke ("" for nothing). before is the untouched state, after
+// the clone the steal ran on, p the policy that ran it.
+func admittedSteals(f Factory, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
+	// One Attempt per shard, not per pair: handing its address to a func
+	// value would otherwise move a fresh one to the heap for every pair.
+	var att sched.Attempt
+	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
 		for ti := range m.Cores {
 			for si := range m.Cores {
-				if ti == si {
-					continue
-				}
-				if !p.CanSteal(m.Core(ti), m.Core(si)) {
+				if ti == si || !p.CanSteal(m.Core(ti), m.Core(si)) {
 					continue
 				}
 				trial := m.Clone()
 				pt := f()
 				beginRound(pt, trial)
-				att := sched.Attempt{Thief: ti, Victim: si}
+				att = sched.Attempt{Thief: ti, Victim: si}
 				sched.Steal(pt, trial, &att)
-				if bad := stealViolation(m, trial, &att, ti, si); bad != "" {
+				if bad := violation(m, trial, pt, &att); bad != "" {
 					res.refute(rank, bad)
 					return false
 				}
 			}
 		}
 		return true
-	})
-	return res
+	}
 }
 
-func stealViolation(before, after *sched.Machine, att *sched.Attempt, ti, si int) string {
+// stealViolation states the §4.2 obligations on the stealing phase, for
+// one admitted steal:
+//
+//   - the steal succeeds (an admitted selection is realizable when no
+//     concurrent steal interferes);
+//   - the stealee does not end up idle ("does not steal too much");
+//   - the thread population and structural invariants are preserved.
+func stealViolation(before, after *sched.Machine, _ sched.Policy, att *sched.Attempt) string {
+	ti, si := att.Thief, att.Victim
 	if !att.Succeeded() {
 		return fmt.Sprintf("state %v: admitted steal c%d<-c%d failed in isolation (%v)",
 			before.Loads(), ti, si, att.Reason)
@@ -147,73 +131,39 @@ func stealViolation(before, after *sched.Machine, att *sched.Attempt, ti, si int
 	return ""
 }
 
-// CheckPotentialDecrease checks the §4.3 bounded-successes obligation:
-// every steal the filter admits strictly decreases the pairwise imbalance
-// d, over every state and admitted pair. A policy failing this has
-// unbounded steal sequences available (the GreedyBuggy ping-pong).
-func CheckPotentialDecrease(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObPotentialDecrease, f, u, 0)
+// potentialViolation states the §4.3 bounded-successes obligation for
+// one admitted steal: it strictly decreases the pairwise imbalance d. A
+// policy failing this has unbounded steal sequences available (the
+// GreedyBuggy ping-pong). A steal that failed in isolation is
+// steal-soundness's finding, not this one's.
+func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string {
+	if !att.Succeeded() {
+		return ""
+	}
+	// A policy's Load reads only the core it is given, so measuring the
+	// untouched state under p is measuring the clone before the steal.
+	d0, d1 := sched.PairwiseImbalance(p, before), sched.PairwiseImbalance(p, after)
+	if d1 < d0 {
+		return ""
+	}
+	return fmt.Sprintf("state %v: steal c%d<-c%d left potential %d -> %d (no strict decrease)",
+		before.Loads(), att.Thief, att.Victim, d0, d1)
 }
 
-func checkPotentialDecreaseShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
-	res := Result{ID: ObPotentialDecrease, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
-		p := f()
-		beginRound(p, m)
-		for ti := range m.Cores {
-			for si := range m.Cores {
-				if ti == si || !p.CanSteal(m.Core(ti), m.Core(si)) {
-					continue
-				}
-				trial := m.Clone()
-				pt := f()
-				beginRound(pt, trial)
-				before := sched.PairwiseImbalance(pt, trial)
-				att := sched.Attempt{Thief: ti, Victim: si}
-				sched.Steal(pt, trial, &att)
-				if !att.Succeeded() {
-					continue // soundness check reports this separately
-				}
-				if after := sched.PairwiseImbalance(pt, trial); after >= before {
-					res.refute(rank, fmt.Sprintf(
-						"state %v: steal c%d<-c%d left potential %d -> %d (no strict decrease)",
-						m.Loads(), ti, si, before, after))
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return res
-}
-
-// CheckFailureImpliesSuccess checks the first §4.3 concurrency
-// obligation: in every concurrent round, under every adversarial steal
-// order, every re-validation failure is explained by an earlier
-// successful steal involving the failed attempt's thief or victim. The
-// argument in the paper: only the stealing phase mutates runqueues, so a
-// filter that flipped between selection and steal must have been flipped
-// by a completed steal.
-func CheckFailureImpliesSuccess(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObFailureImpliesSucc, f, u, 0)
-}
-
-func checkFailureImpliesSuccessShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
-	res := Result{ID: ObFailureImpliesSucc, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
-		ok := statespace.Permutations(m.NumCores(), func(order []int) bool {
+// failureImpliesSuccessCheck checks the first §4.3 concurrency
+// obligation on one state: in every concurrent round, under every
+// adversarial steal order, every re-validation failure is explained by
+// an earlier successful steal involving the failed attempt's thief or
+// victim. The argument in the paper: only the stealing phase mutates
+// runqueues, so a filter that flipped between selection and steal must
+// have been flipped by a completed steal.
+func failureImpliesSuccessCheck(ctx context.Context, f Factory, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
+		return statespace.Permutations(m.NumCores(), func(order []int) bool {
 			// Each state fans out to NumCores()! orders, so polling only
 			// per state would stretch cancellation latency by that factor
 			// on wide universes; poll per schedule at the same stride.
-			if res.SchedulesChecked&63 == 0 && aborted(ctx, &res) {
+			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {
 				return false
 			}
 			res.SchedulesChecked++
@@ -229,7 +179,5 @@ func checkFailureImpliesSuccessShard(ctx context.Context, f Factory, u statespac
 			}
 			return true
 		})
-		return ok
-	})
-	return res
+	}
 }

@@ -7,7 +7,7 @@
 // machine of a statespace.Universe (all thread placements up to a bound,
 // optionally with weighted tasks), and every statement about concurrent
 // rounds is checked over every adversarial serialization of the round's
-// steal operations. The obligations:
+// steal operations. The obligations, in report order:
 //
 //   - Lemma 1 (Listing 2): an idle thief can steal whenever an overloaded
 //     core exists, and its filter passes only overloaded cores.
@@ -17,11 +17,37 @@
 //     decreases the pairwise load imbalance d.
 //   - Failure implies success (§4.3): a steal that fails re-validation is
 //     always explained by an earlier successful steal in the same round.
-//   - Work conservation (§3.2): from every state, under every adversarial
-//     steal order, some finite number N of rounds reaches a state with no
-//     idle core while an overloaded core exists — checked by exhaustive
+//   - Work conservation, sequential (§3.2 in the §4.2 setting): from
+//     every state, iterating sequential rounds reaches a state with no
+//     idle core while an overloaded core exists; Bound is the worst N.
+//   - Work conservation, concurrent (§3.2 in the §4.3 setting): the same
+//     under every adversarial steal order — checked by exhaustive
 //     game-graph exploration with cycle detection, which finds the §4.3
 //     GreedyBuggy ping-pong automatically.
+//   - Choice independence (§3.1): work conservation survives when the
+//     adversary also picks the step-2 victim among the filtered cores.
+//   - Reactivity (§1): every idle core gets work within a bounded number
+//     of rounds under every adversarial schedule; Bound is that delay.
+//   - No task lost (fail-stop faults): every task orphaned by a core
+//     failure is re-homed by the rescue rule or the core's revival.
+//   - Degraded wasted cores (fail-stop faults): after any fault script
+//     the online cores restore the wasted-cores invariant, counting
+//     stranded orphans as waiting work.
+//
+// # Checker contract
+//
+// An obligation is a per-state check (stateCheck), built once per
+// (obligation, shard) by newStateCheck and driven by the one shard loop,
+// runShard. The loop owns the shard's Result, counts the states, polls
+// cancellation every 64 states and contains panics (a crashing checker
+// or policy becomes an "aborted: checker panic" shard, never a dead
+// process). A check is handed a machine that is its own: it may mutate
+// it but must not retain it. It reports a violation through
+// Result.refute(rank, witness) with the rank it was handed — the merge
+// keeps the lowest-ranked witness, the one a sequential scan finds first
+// — and returns false to end its shard, true to go on. Checks that fan a
+// single state out to many schedules poll cancellation themselves, at
+// the same 64 stride, through aborted.
 package verify
 
 import (

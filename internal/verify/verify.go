@@ -14,7 +14,12 @@ import (
 // Bump it whenever any obligation's verdicts, counters, bounds or
 // witness text can change — shard-merge changes included, since reports
 // are defined to be byte-identical across parallelism levels.
-const Version = "optsched-verify/4"
+const Version = "optsched-verify/5"
+
+// DefaultMaxRounds is the cap on sequential convergence loops that a
+// zero Config.MaxRounds selects — the one statement of that default for
+// the verifier, the daemon's cache keys and every front end's flag.
+const DefaultMaxRounds = 1000
 
 // Config parameterizes a verification run.
 type Config struct {
@@ -23,7 +28,7 @@ type Config struct {
 	// Obligations selects which obligations to check; nil means all.
 	Obligations []ObligationID
 	// MaxRounds caps sequential convergence loops (safety valve for
-	// non-converging policies). Zero means 1000.
+	// non-converging policies). Zero means DefaultMaxRounds.
 	MaxRounds int
 	// Sequential forces the obligations (and their shards) to run one
 	// after another on the calling goroutine instead of on the worker
@@ -70,35 +75,26 @@ func AllObligations() []ObligationID {
 	}
 }
 
-// Policy verifies the policy produced by f against the paper's proof
-// obligations over the configured bounded universe and returns the full
-// report. This is the library's analogue of running the paper's Leon
-// pipeline on a DSL policy.
+// PolicyContext verifies the policy produced by f against the paper's
+// proof obligations over the configured bounded universe and returns the
+// full report — the library's analogue of running the paper's Leon
+// pipeline on a DSL policy. It is the verifier's one fan-out: each
+// selected obligation's universe is partitioned into shardCount disjoint
+// slices (statespace.Universe.EnumerateShard), and all (obligation,
+// shard) tasks drain through one worker pool of cfg.Parallelism
+// goroutines — so a single expensive obligation saturates every worker
+// instead of hogging one goroutine while the others finish early — or,
+// under cfg.Sequential, run inline in the same order. Because pooled
+// shard checks run concurrently, f must then be safe for concurrent
+// calls; every registered and DSL-compiled factory is, since each call
+// constructs a fresh policy.
 //
-// Obligations run sequentially on the calling goroutine, preserving this
-// entry point's original contract (f is never called concurrently); use
-// PolicyContext for the parallel, cancellable variant.
-func Policy(name string, f Factory, cfg Config) *Report {
-	cfg.Sequential = true
-	rep, _ := PolicyContext(context.Background(), name, f, cfg)
-	return rep
-}
-
-// PolicyContext is Policy with cancellation and parallelism. Each
-// selected obligation's universe is partitioned into shardTotal()
-// disjoint slices (statespace.Universe.EnumerateShard), and all
-// (obligation, shard) tasks drain through one worker pool of
-// cfg.Parallelism goroutines — so a single expensive obligation
-// saturates every worker instead of hogging one goroutine while the
-// other seven finish early. Because shard checks run concurrently, f
-// must be safe for concurrent calls; every registered and DSL-compiled
-// factory is, since each call constructs a fresh policy.
-//
-// The parallelism level never changes the report: the shard partition is
-// fixed per machine, every shard runs to its own first witness or to
-// exhaustion, and merging keeps the witness a sequential whole-universe
-// scan would find first. Verdicts, counters and witnesses are
-// byte-identical from Sequential through any Parallelism.
+// Neither the parallelism level nor the host changes the report: the
+// shard partition is a constant, every shard runs to its own first
+// witness or to exhaustion, and merging keeps the witness a sequential
+// whole-universe scan would find first. Verdicts, counters and witnesses
+// are byte-identical from Sequential through any Parallelism, at any
+// GOMAXPROCS.
 //
 // On cancellation the returned report is partial — obligations cut short
 // are marked failed with an "aborted" witness — and the returned error
@@ -118,41 +114,50 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 			panic(fmt.Sprintf("verify: unknown obligation %q", id))
 		}
 	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = DefaultMaxRounds
+	}
+	// All (obligation, shard) tasks flattened obligation-major onto one
+	// task list; each task owns its slot of parts.
+	parts := make([]Result, len(obligations)*shardCount)
+	task := func(i int) {
+		id, res := obligations[i/shardCount], &parts[i]
+		runShard(ctx, id, u, i%shardCount, res, newStateCheck(ctx, id, f, maxRounds, res))
+	}
+	if cfg.Sequential {
+		for i := range parts {
+			task(i)
+		}
+	} else {
+		workers := cfg.Parallelism
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		forEachTask(len(parts), workers, task)
+	}
 	rep := &Report{
 		Policy:   name,
 		Universe: u.String(),
+		Results:  make([]Result, len(obligations)),
 	}
-	rep.Results = make([]Result, len(obligations))
-	total := shardTotal()
-	if cfg.Sequential {
-		for i, id := range obligations {
-			parts := make([]Result, total)
-			for s := range parts {
-				parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
-			}
-			rep.Results[i] = mergeResults(id, parts)
-		}
-		return rep, rep.abortErr(ctx)
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The shared pool: all (obligation, shard) tasks flattened onto one
-	// bounded worker set, so a single expensive obligation saturates
-	// every worker once the cheap ones drain.
-	parts := make([][]Result, len(obligations))
-	for i := range obligations {
-		parts[i] = make([]Result, total)
-	}
-	forEachTask(len(obligations)*total, workers, func(idx int) {
-		i, s := idx/total, idx%total
-		parts[i][s] = shardCheck(ctx, obligations[i], f, u, cfg.MaxRounds, shard{s, total})
-	})
 	for i, id := range obligations {
-		rep.Results[i] = mergeResults(id, parts[i])
+		rep.Results[i] = mergeResults(id, parts[i*shardCount:(i+1)*shardCount])
 	}
 	return rep, rep.abortErr(ctx)
+}
+
+// RunObligation checks a single obligation under cfg and returns its
+// merged Result — the per-obligation entry point the incremental
+// verification service (internal/service) memoizes. It is PolicyContext
+// on the one obligation (cfg.Obligations is ignored): the same shard
+// partition, the same deterministic merge, so the Result is byte-for-byte
+// the entry PolicyContext would put in a full report. Panics on unknown
+// obligations, like PolicyContext.
+func RunObligation(ctx context.Context, id ObligationID, f Factory, cfg Config) Result {
+	cfg.Obligations = []ObligationID{id}
+	rep, _ := PolicyContext(ctx, "", f, cfg)
+	return rep.Results[0]
 }
 
 // abortErr returns ctx's error iff cancellation actually cut an
@@ -173,21 +178,4 @@ func KnownObligation(id ObligationID) bool {
 		}
 	}
 	return false
-}
-
-// aborted reports whether ctx is done and, if so, marks res as aborted:
-// not passed, with the cancellation as the witness. Checks poll it
-// every 64 enumerated states *and* every 64 adversarial schedules
-// (ctx.Err takes a mutex, and concurrent shard checks would otherwise
-// contend on it in their hottest loops) — the schedule-level poll
-// matters because one state fans out to NumCores()! orders, which would
-// otherwise multiply cancellation latency by that factor.
-func aborted(ctx context.Context, res *Result) bool {
-	if ctx.Err() == nil {
-		return false
-	}
-	res.Passed = false
-	res.Aborted = true
-	res.Witness = "aborted: " + ctx.Err().Error()
-	return true
 }

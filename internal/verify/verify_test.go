@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,13 +18,30 @@ func delta2Factory() sched.Policy   { return policy.NewDelta2() }
 func weightedFactory() sched.Policy { return policy.NewWeighted() }
 func greedyFactory() sched.Policy   { return policy.NewGreedyBuggy() }
 
+// check runs one obligation over u on the pooled driver; checkCtx is the
+// cancellable form.
+func check(id ObligationID, f Factory, u statespace.Universe) Result {
+	return checkCtx(context.Background(), id, f, u)
+}
+
+func checkCtx(ctx context.Context, id ObligationID, f Factory, u statespace.Universe) Result {
+	return RunObligation(ctx, id, f, Config{Universe: u})
+}
+
+// sequentialReport is the full suite on the calling goroutine.
+func sequentialReport(name string, f Factory, cfg Config) *Report {
+	cfg.Sequential = true
+	rep, _ := PolicyContext(context.Background(), name, f, cfg)
+	return rep
+}
+
 // smallUniverse keeps individual obligation tests fast.
 func smallUniverse() statespace.Universe {
 	return statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
 }
 
 func TestLemma1Delta2(t *testing.T) {
-	r := CheckLemma1(context.Background(), delta2Factory, smallUniverse())
+	r := check(ObLemma1, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Delta2: %s", r.Witness)
 	}
@@ -35,7 +53,7 @@ func TestLemma1Delta2(t *testing.T) {
 func TestLemma1Weighted(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		Weights: []int64{1, 3}, IncludeUnscheduled: true}
-	r := CheckLemma1(context.Background(), weightedFactory, u)
+	r := check(ObLemma1, weightedFactory, u)
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Weighted: %s", r.Witness)
 	}
@@ -44,7 +62,7 @@ func TestLemma1Weighted(t *testing.T) {
 func TestLemma1GreedyHoldsSequentially(t *testing.T) {
 	// The §4.3 point: the buggy greedy filter is fine by the sequential
 	// lemma — only concurrency breaks it.
-	r := CheckLemma1(context.Background(), greedyFactory, smallUniverse())
+	r := check(ObLemma1, greedyFactory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("Lemma 1 should hold for GreedyBuggy: %s", r.Witness)
 	}
@@ -60,7 +78,7 @@ func TestLemma1CatchesBadFilter(t *testing.T) {
 			FilterFn:   func(_, s *sched.Core) bool { return s.NThreads() >= 1 },
 		}
 	}
-	r := CheckLemma1(context.Background(), f, smallUniverse())
+	r := check(ObLemma1, f, smallUniverse())
 	if r.Passed {
 		t.Fatal("steal-anything filter passed Lemma 1")
 	}
@@ -71,7 +89,7 @@ func TestLemma1CatchesBadFilter(t *testing.T) {
 
 func TestLemma1CatchesTimidFilter(t *testing.T) {
 	// A filter that never steals fails the exists direction.
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewNull() }, smallUniverse())
+	r := check(ObLemma1, func() sched.Policy { return policy.NewNull() }, smallUniverse())
 	if r.Passed {
 		t.Fatal("null policy passed Lemma 1")
 	}
@@ -81,7 +99,7 @@ func TestLemma1CatchesTimidFilter(t *testing.T) {
 }
 
 func TestStealSoundnessDelta2(t *testing.T) {
-	r := CheckStealSoundness(context.Background(), delta2Factory, smallUniverse())
+	r := check(ObStealSoundness, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("steal soundness failed for Delta2: %s", r.Witness)
 	}
@@ -89,7 +107,7 @@ func TestStealSoundnessDelta2(t *testing.T) {
 
 func TestStealSoundnessWeighted(t *testing.T) {
 	u := statespace.Universe{Cores: 2, MaxPerCore: 3, Weights: []int64{1, 2, 5}, IncludeUnscheduled: true}
-	r := CheckStealSoundness(context.Background(), weightedFactory, u)
+	r := check(ObStealSoundness, weightedFactory, u)
 	if !r.Passed {
 		t.Fatalf("steal soundness failed for Weighted: %s", r.Witness)
 	}
@@ -97,7 +115,7 @@ func TestStealSoundnessWeighted(t *testing.T) {
 
 func TestStealSoundnessCatchesDraining(t *testing.T) {
 	// Delta1Aggressive can steal a core's only (queued) thread.
-	r := CheckStealSoundness(context.Background(), func() sched.Policy { return policy.NewDelta1Aggressive() },
+	r := check(ObStealSoundness, func() sched.Policy { return policy.NewDelta1Aggressive() },
 		statespace.Universe{Cores: 2, MaxPerCore: 2, IncludeUnscheduled: true})
 	if r.Passed {
 		t.Fatal("Delta1Aggressive passed steal soundness")
@@ -108,7 +126,7 @@ func TestStealSoundnessCatchesDraining(t *testing.T) {
 }
 
 func TestPotentialDecreaseDelta2(t *testing.T) {
-	r := CheckPotentialDecrease(context.Background(), delta2Factory, smallUniverse())
+	r := check(ObPotentialDecrease, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("potential decrease failed for Delta2: %s", r.Witness)
 	}
@@ -117,14 +135,14 @@ func TestPotentialDecreaseDelta2(t *testing.T) {
 func TestPotentialDecreaseWeighted(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		Weights: []int64{1, 4}, IncludeUnscheduled: true}
-	r := CheckPotentialDecrease(context.Background(), weightedFactory, u)
+	r := check(ObPotentialDecrease, weightedFactory, u)
 	if !r.Passed {
 		t.Fatalf("potential decrease failed for Weighted: %s", r.Witness)
 	}
 }
 
 func TestPotentialDecreaseFailsForGreedy(t *testing.T) {
-	r := CheckPotentialDecrease(context.Background(), greedyFactory, smallUniverse())
+	r := check(ObPotentialDecrease, greedyFactory, smallUniverse())
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed the potential-decrease obligation")
 	}
@@ -134,7 +152,7 @@ func TestPotentialDecreaseFailsForGreedy(t *testing.T) {
 }
 
 func TestFailureImpliesSuccessDelta2(t *testing.T) {
-	r := CheckFailureImpliesSuccess(context.Background(), delta2Factory, smallUniverse())
+	r := check(ObFailureImpliesSucc, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("failure-implies-success failed for Delta2: %s", r.Witness)
 	}
@@ -147,14 +165,14 @@ func TestFailureImpliesSuccessGreedy(t *testing.T) {
 	// Even the buggy policy satisfies this obligation: its failures are
 	// always caused by successes — the problem is that successes are
 	// unbounded, which is the *other* obligation.
-	r := CheckFailureImpliesSuccess(context.Background(), greedyFactory, smallUniverse())
+	r := check(ObFailureImpliesSucc, greedyFactory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("failure-implies-success failed for GreedyBuggy: %s", r.Witness)
 	}
 }
 
 func TestWorkConservationSequentialDelta2(t *testing.T) {
-	r := CheckWorkConservationSequential(context.Background(), delta2Factory, smallUniverse(), 0)
+	r := check(ObWorkConservSeq, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("sequential WC failed for Delta2: %s", r.Witness)
 	}
@@ -165,15 +183,15 @@ func TestWorkConservationSequentialDelta2(t *testing.T) {
 
 func TestWorkConservationSequentialGreedy(t *testing.T) {
 	// §4.2 vs §4.3: greedy is work-conserving without concurrency.
-	r := CheckWorkConservationSequential(context.Background(), greedyFactory, smallUniverse(), 0)
+	r := check(ObWorkConservSeq, greedyFactory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("sequential WC failed for GreedyBuggy: %s", r.Witness)
 	}
 }
 
 func TestWorkConservationSequentialNullFails(t *testing.T) {
-	r := CheckWorkConservationSequential(context.Background(), func() sched.Policy { return policy.NewNull() },
-		smallUniverse(), 0)
+	r := check(ObWorkConservSeq, func() sched.Policy { return policy.NewNull() },
+		smallUniverse())
 	if r.Passed {
 		t.Fatal("null policy passed sequential WC")
 	}
@@ -183,7 +201,7 @@ func TestWorkConservationSequentialNullFails(t *testing.T) {
 }
 
 func TestWorkConservationConcurrentDelta2(t *testing.T) {
-	r := CheckWorkConservationConcurrent(context.Background(), delta2Factory, smallUniverse())
+	r := check(ObWorkConservConc, delta2Factory, smallUniverse())
 	if !r.Passed {
 		t.Fatalf("concurrent WC failed for Delta2: %s", r.Witness)
 	}
@@ -196,7 +214,7 @@ func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
 	// The headline result: the explorer must automatically find the
 	// §4.3 ping-pong livelock for the greedy filter.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckWorkConservationConcurrent(context.Background(), greedyFactory, u)
+	r := check(ObWorkConservConc, greedyFactory, u)
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed concurrent WC — livelock not found")
 	}
@@ -209,7 +227,7 @@ func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
 func TestWorkConservationConcurrentHierarchical(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4,
 		IncludeUnscheduled: true, Groups: []int{0, 0, 1}}
-	r := CheckWorkConservationConcurrent(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := check(ObWorkConservConc, func() sched.Policy { return policy.NewHierarchical() }, u)
 	if !r.Passed {
 		t.Fatalf("concurrent WC failed for Hierarchical: %s", r.Witness)
 	}
@@ -220,7 +238,7 @@ func TestCFSGroupBuggyFailsLemma1(t *testing.T) {
 	// groups and a heavy thread, an idle thief has no candidate.
 	u := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 5,
 		Weights: []int64{1, 8}, Groups: []int{0, 0, 1, 1}}
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewCFSGroupBuggy() }, u)
+	r := check(ObLemma1, func() sched.Policy { return policy.NewCFSGroupBuggy() }, u)
 	if r.Passed {
 		t.Fatal("CFSGroupBuggy passed Lemma 1")
 	}
@@ -233,14 +251,14 @@ func TestCFSGroupBuggyFailsLemma1(t *testing.T) {
 func TestHierarchicalPassesLemma1WithGroups(t *testing.T) {
 	u := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 4,
 		Groups: []int{0, 0, 1, 1}, IncludeUnscheduled: true}
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := check(ObLemma1, func() sched.Policy { return policy.NewHierarchical() }, u)
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Hierarchical: %s", r.Witness)
 	}
 }
 
 func TestVerifyPolicyFullReportDelta2(t *testing.T) {
-	rep := Policy("delta2", delta2Factory, Config{Universe: smallUniverse()})
+	rep := sequentialReport("delta2", delta2Factory, Config{Universe: smallUniverse()})
 	if !rep.Passed() {
 		t.Fatalf("Delta2 report failed:\n%s", rep)
 	}
@@ -256,7 +274,7 @@ func TestVerifyPolicyFullReportDelta2(t *testing.T) {
 }
 
 func TestVerifyPolicyFullReportGreedy(t *testing.T) {
-	rep := Policy("greedy-buggy", greedyFactory, Config{Universe: smallUniverse()})
+	rep := sequentialReport("greedy-buggy", greedyFactory, Config{Universe: smallUniverse()})
 	if rep.Passed() {
 		t.Fatal("GreedyBuggy report passed")
 	}
@@ -282,7 +300,7 @@ func TestVerifyPolicyFullReportGreedy(t *testing.T) {
 }
 
 func TestVerifyPolicyDefaults(t *testing.T) {
-	rep := Policy("delta2", delta2Factory, Config{
+	rep := sequentialReport("delta2", delta2Factory, Config{
 		Obligations: []ObligationID{ObLemma1},
 	})
 	if len(rep.Results) != 1 || rep.Results[0].ID != ObLemma1 {
@@ -299,7 +317,7 @@ func TestVerifyPolicyUnknownObligationPanics(t *testing.T) {
 			t.Error("unknown obligation did not panic")
 		}
 	}()
-	Policy("delta2", delta2Factory, Config{Obligations: []ObligationID{"bogus"}})
+	sequentialReport("delta2", delta2Factory, Config{Obligations: []ObligationID{"bogus"}})
 }
 
 func TestChoiceIndependenceDelta2(t *testing.T) {
@@ -307,13 +325,13 @@ func TestChoiceIndependenceDelta2(t *testing.T) {
 	// conservation when the filter is sound. The adversary picks both
 	// the victims and the steal order.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
-	r := CheckChoiceIndependence(context.Background(), delta2Factory, u)
+	r := check(ObChoiceIndependence, delta2Factory, u)
 	if !r.Passed {
 		t.Fatalf("choice independence failed for Delta2: %s", r.Witness)
 	}
 	// The choice adversary explores strictly more schedules than the
 	// order-only adversary.
-	r2 := CheckWorkConservationConcurrent(context.Background(), delta2Factory, u)
+	r2 := check(ObWorkConservConc, delta2Factory, u)
 	if r.SchedulesChecked <= r2.SchedulesChecked {
 		t.Errorf("choice adversary explored %d schedules, order adversary %d",
 			r.SchedulesChecked, r2.SchedulesChecked)
@@ -322,7 +340,7 @@ func TestChoiceIndependenceDelta2(t *testing.T) {
 
 func TestChoiceIndependenceGreedyFails(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckChoiceIndependence(context.Background(), greedyFactory, u)
+	r := check(ObChoiceIndependence, greedyFactory, u)
 	if r.Passed {
 		t.Fatal("greedy passed choice independence")
 	}
@@ -334,7 +352,7 @@ func TestChoiceIndependenceGreedyFails(t *testing.T) {
 func TestChoiceIndependenceHierarchical(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		IncludeUnscheduled: true, Groups: []int{0, 0, 1}}
-	r := CheckChoiceIndependence(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := check(ObChoiceIndependence, func() sched.Policy { return policy.NewHierarchical() }, u)
 	if !r.Passed {
 		t.Fatalf("choice independence failed for Hierarchical: %s", r.Witness)
 	}
@@ -345,7 +363,7 @@ func TestReactivityDelta2(t *testing.T) {
 	// before an idle core gets work. For Delta2 the bound exists and is
 	// small over the bounded universe.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
-	r := CheckReactivity(context.Background(), delta2Factory, u)
+	r := check(ObReactivity, delta2Factory, u)
 	if !r.Passed {
 		t.Fatalf("reactivity failed for Delta2: %s", r.Witness)
 	}
@@ -357,7 +375,7 @@ func TestReactivityDelta2(t *testing.T) {
 
 func TestReactivityGreedyStarves(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckReactivity(context.Background(), greedyFactory, u)
+	r := check(ObReactivity, greedyFactory, u)
 	if r.Passed {
 		t.Fatal("greedy passed reactivity despite the starvation cycle")
 	}
@@ -367,7 +385,7 @@ func TestReactivityGreedyStarves(t *testing.T) {
 }
 
 func TestReactivityNullFails(t *testing.T) {
-	r := CheckReactivity(context.Background(), func() sched.Policy { return policy.NewNull() },
+	r := check(ObReactivity, func() sched.Policy { return policy.NewNull() },
 		statespace.Universe{Cores: 2, MaxPerCore: 2})
 	if r.Passed {
 		t.Fatal("null policy passed reactivity")
@@ -375,8 +393,8 @@ func TestReactivityNullFails(t *testing.T) {
 }
 
 func TestRevalidationAblation(t *testing.T) {
-	res := CheckRevalidationAblation(context.Background(), delta2Factory,
-		statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true})
+	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true}
+	res := CheckRevalidationAblation(context.Background(), delta2Factory, u)
 	if res.SoundnessViolations == 0 {
 		t.Error("removing re-validation produced no soundness violations — ablation shows nothing")
 	}
@@ -385,6 +403,42 @@ func TestRevalidationAblation(t *testing.T) {
 	}
 	t.Logf("ablation: %d soundness violations, %d potential violations over %d schedules; e.g. %s",
 		res.SoundnessViolations, res.PotentialViolations, res.SchedulesChecked, res.FirstWitness)
+
+	// The ablation is a steady-state sweep: it never applies a fault
+	// script, so a fault-extended universe must not make it count every
+	// healthy machine once per script.
+	u.MaxFaults = 1
+	if faulty := CheckRevalidationAblation(context.Background(), delta2Factory, u); faulty != res {
+		t.Errorf("ablation over MaxFaults=1 diverged from the healthy universe:\n%+v\nvs\n%+v", faulty, res)
+	}
+}
+
+// reportBytes is the canonical encoding the byte-identity contracts are
+// stated over.
+func reportBytes(t *testing.T, rep *Report) string {
+	t.Helper()
+	data, err := ReportJSON(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// assertRunObligationMatches checks RunObligation's contract against a
+// full report: each obligation run on its own, under cfg, is
+// byte-for-byte the entry PolicyContext put in base.
+func assertRunObligationMatches(t *testing.T, base *Report, f Factory, cfg Config) {
+	t.Helper()
+	for _, want := range base.Results {
+		got := RunObligation(context.Background(), want.ID, f, cfg)
+		one := func(r Result) string {
+			return reportBytes(t, &Report{Policy: base.Policy, Universe: base.Universe, Results: []Result{r}})
+		}
+		if one(got) != one(want) {
+			t.Errorf("%s %s (sequential=%v parallelism=%d): RunObligation\n%s\nvs full report entry\n%s",
+				base.Policy, want.ID, cfg.Sequential, cfg.Parallelism, one(got), one(want))
+		}
+	}
 }
 
 func TestShardedDeterminismAcrossParallelism(t *testing.T) {
@@ -403,6 +457,8 @@ func TestShardedDeterminismAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tc.name, err)
 		}
+		assertRunObligationMatches(t, base, tc.f, Config{Universe: smallUniverse(), Sequential: true})
+		assertRunObligationMatches(t, base, tc.f, Config{Universe: smallUniverse(), Parallelism: 3})
 		for _, par := range []int{1, 2, 4, 8} {
 			rep, err := PolicyContext(context.Background(), tc.name, tc.f,
 				Config{Universe: smallUniverse(), Parallelism: par})
@@ -439,7 +495,7 @@ func faultUniverse() statespace.Universe {
 }
 
 func TestNoTaskLostRefutesRescueless(t *testing.T) {
-	r := CheckNoTaskLost(context.Background(), delta2Factory, faultUniverse(), 0)
+	r := check(ObNoTaskLost, delta2Factory, faultUniverse())
 	if r.Passed {
 		t.Fatal("delta2 (no rescue rule) passed no-task-lost under faults")
 	}
@@ -449,21 +505,21 @@ func TestNoTaskLostRefutesRescueless(t *testing.T) {
 }
 
 func TestNoTaskLostProvesRescue(t *testing.T) {
-	r := CheckNoTaskLost(context.Background(), rescueFactory, faultUniverse(), 0)
+	r := check(ObNoTaskLost, rescueFactory, faultUniverse())
 	if !r.Passed {
 		t.Fatalf("delta2-rescue failed no-task-lost: %s", r.Witness)
 	}
 }
 
 func TestDegradedWastedCoresRefutesRescueless(t *testing.T) {
-	r := CheckDegradedWastedCores(context.Background(), delta2Factory, faultUniverse(), 0)
+	r := check(ObDegradedWastedCores, delta2Factory, faultUniverse())
 	if r.Passed {
 		t.Fatal("delta2 (no rescue rule) passed degraded-wasted-cores under faults")
 	}
 }
 
 func TestDegradedWastedCoresProvesRescue(t *testing.T) {
-	r := CheckDegradedWastedCores(context.Background(), rescueFactory, faultUniverse(), 0)
+	r := check(ObDegradedWastedCores, rescueFactory, faultUniverse())
 	if !r.Passed {
 		t.Fatalf("delta2-rescue failed degraded-wasted-cores: %s", r.Witness)
 	}
@@ -486,6 +542,8 @@ func TestShardedDeterminismAcrossParallelismWithFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tc.name, err)
 		}
+		assertRunObligationMatches(t, base, tc.f, Config{Universe: faultUniverse(), Sequential: true})
+		assertRunObligationMatches(t, base, tc.f, Config{Universe: faultUniverse(), Parallelism: 3})
 		for _, par := range []int{1, 2, 4, 8} {
 			rep, err := PolicyContext(context.Background(), tc.name, tc.f,
 				Config{Universe: faultUniverse(), Parallelism: par})
@@ -504,10 +562,8 @@ func TestFaultObligationsVacuousOnHealthyUniverse(t *testing.T) {
 	// With MaxFaults 0 every state is healthy, so both fault obligations
 	// are vacuously proved even for rescue-less policies — the fault
 	// dimension is opt-in and cannot refute a legacy run.
-	for _, check := range []func(context.Context, Factory, statespace.Universe, int) Result{
-		CheckNoTaskLost, CheckDegradedWastedCores,
-	} {
-		r := check(context.Background(), delta2Factory, smallUniverse(), 0)
+	for _, id := range []ObligationID{ObNoTaskLost, ObDegradedWastedCores} {
+		r := check(id, delta2Factory, smallUniverse())
 		if !r.Passed {
 			t.Errorf("%s refuted on a healthy universe: %s", r.ID, r.Witness)
 		}
@@ -551,7 +607,7 @@ func TestShardedWitnessMatchesWholeUniverseScan(t *testing.T) {
 	if want == "" {
 		t.Fatal("brute force found no violation — fixture broken")
 	}
-	r := CheckPotentialDecrease(context.Background(), greedyFactory, u)
+	r := check(ObPotentialDecrease, greedyFactory, u)
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed potential decrease")
 	}
@@ -574,15 +630,14 @@ func TestFailureImpliesSuccessCancelsMidState(t *testing.T) {
 		}
 		return policy.NewDelta2()
 	}
-	r := CheckFailureImpliesSuccess(ctx, f, u)
+	r := checkCtx(ctx, ObFailureImpliesSucc, f, u)
 	if !r.Aborted {
 		t.Fatalf("check not aborted: %+v", r)
 	}
 	// Each shard may run up to ~2 poll strides (128 schedules) past the
-	// cancellation, and the shard count scales with GOMAXPROCS; anything
-	// near the 5040-order fan-out of a single state per shard means the
-	// inner poll is gone.
-	if limit := shardTotal() * 128; r.SchedulesChecked > limit {
+	// cancellation; anything near the 5040-order fan-out of a single
+	// state per shard means the inner poll is gone.
+	if limit := shardCount * 128; r.SchedulesChecked > limit {
 		t.Errorf("aborted check still ran %d schedules (limit %d)", r.SchedulesChecked, limit)
 	}
 }
@@ -595,8 +650,88 @@ func TestRevalidationAblationCancelled(t *testing.T) {
 	if !res.Aborted {
 		t.Error("cancelled ablation not marked aborted")
 	}
-	if limit := shardTotal() * 128; res.SchedulesChecked > limit {
+	if limit := shardCount * 128; res.SchedulesChecked > limit {
 		t.Errorf("cancelled ablation still ran %d schedules (limit %d)", res.SchedulesChecked, limit)
+	}
+}
+
+// bothModes are the driver's two ways through its one task list.
+var bothModes = []struct {
+	name string
+	cfg  Config
+}{
+	{"sequential", Config{Sequential: true}},
+	{"pooled", Config{Parallelism: 4}},
+}
+
+func TestEveryObligationAbortsOnCancelledContext(t *testing.T) {
+	// The shard loop polls before the first state, so a context that is
+	// already cancelled must cost no state — for every obligation, not
+	// only the ones with a schedule-level poll of their own.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range bothModes {
+		cfg := mode.cfg
+		cfg.Universe = faultUniverse()
+		for _, id := range AllObligations() {
+			r := RunObligation(ctx, id, delta2Factory, cfg)
+			if !r.Aborted || r.Passed || r.StatesChecked != 0 || r.Witness != "aborted: context canceled" {
+				t.Errorf("%s %s: %+v, want an aborted result over zero states", mode.name, id, r)
+			}
+		}
+		rep, err := PolicyContext(ctx, "delta2", delta2Factory, cfg)
+		if err != context.Canceled || len(rep.Aborted()) != len(AllObligations()) {
+			t.Errorf("%s: full report err=%v aborted=%v", mode.name, err, rep.Aborted())
+		}
+	}
+}
+
+func TestEveryObligationContainsCheckerPanics(t *testing.T) {
+	// A crashing policy (or checker) must become an ABORTED obligation,
+	// never a crashed process: pooled shards run on goroutines nothing
+	// else could recover. The fault universe makes every obligation
+	// reach the factory.
+	boom := func() sched.Policy { panic("boom") }
+	for _, mode := range bothModes {
+		cfg := mode.cfg
+		cfg.Universe = faultUniverse()
+		for _, id := range AllObligations() {
+			r := RunObligation(context.Background(), id, boom, cfg)
+			if !r.Aborted || r.Passed || r.Witness != "aborted: checker panic: boom" {
+				t.Errorf("%s %s: %+v, want a contained panic", mode.name, id, r)
+			}
+		}
+	}
+}
+
+func TestReportBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	// The shard partition is a constant, not a function of the host: the
+	// game explorers' memo is shard-local, so a partition that followed
+	// GOMAXPROCS made schedules_checked (7584 vs 7632 on this universe)
+	// differ between a laptop and a 12-CPU server — and a memo written
+	// on one replay bytes the other would never print.
+	u := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 5, IncludeUnscheduled: true}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name string
+		f    Factory
+	}{
+		{"delta2", delta2Factory},
+		{"greedy-buggy", greedyFactory},
+	} {
+		var at2 string
+		for _, procs := range []int{2, 12} {
+			runtime.GOMAXPROCS(procs)
+			rep, err := PolicyContext(context.Background(), tc.name, tc.f, Config{Universe: u})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 2 {
+				at2 = reportBytes(t, rep)
+			} else if got := reportBytes(t, rep); got != at2 {
+				t.Errorf("%s: report at GOMAXPROCS=12 differs from GOMAXPROCS=2:\n%s\nvs\n%s", tc.name, got, at2)
+			}
+		}
 	}
 }
 

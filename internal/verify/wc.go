@@ -9,55 +9,64 @@ import (
 	"repro/internal/statespace"
 )
 
-// CheckWorkConservationSequential checks the §3.2 definition in the §4.2
-// sequential setting: from every state of the universe, iterating
-// sequential rounds reaches a work-conserved state within a finite number
-// of rounds. Because sequential rounds are deterministic, a repeated
-// non-conserved state is a livelock and a moveless non-conserved round is
-// a stuck violation. The result's Bound is the worst-case N observed —
-// the existential witness of the paper's definition.
-func CheckWorkConservationSequential(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObWorkConservSeq, f, u, maxRounds)
+// divergence says how a sequential convergence loop ended.
+type divergence int
+
+const (
+	converged divergence = iota
+	exhausted            // maxRounds rounds without reaching the goal
+	stuck                // a round moved no task short of the goal
+	cycled               // a state recurred short of the goal
+)
+
+// converge iterates sequential rounds on m until done(m) holds and
+// returns the rounds that took, or how the loop failed: because
+// sequential rounds are deterministic, a repeated state short of the
+// goal is a livelock and a moveless round short of it is stuck for
+// good. m is left at the state the loop ended in, for the witness.
+func converge(f Factory, m *sched.Machine, maxRounds int, done func(*sched.Machine) bool) (rounds int, end divergence) {
+	seen := make(statespace.Visited)
+	seen.Add(m)
+	for round := 0; ; round++ {
+		if done(m) {
+			return round, converged
+		}
+		if round >= maxRounds {
+			return round, exhausted
+		}
+		rr := sched.SequentialRound(f(), m)
+		if rr.TasksMoved() == 0 {
+			return round, stuck
+		}
+		if !seen.Add(m) {
+			return round, cycled
+		}
+	}
 }
 
-func checkWorkConservationSequentialShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
-	if maxRounds <= 0 {
-		maxRounds = 1000
-	}
-	res := Result{ID: ObWorkConservSeq, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+// workConservationSequentialCheck checks the §3.2 definition in the
+// §4.2 sequential setting on one state: iterating sequential rounds from
+// it reaches a work-conserved state within a finite number of rounds.
+// The result's Bound is the worst-case N observed — the existential
+// witness of the paper's definition.
+func workConservationSequentialCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
 		start := m.Loads()
-		seen := make(statespace.Visited)
-		seen.Add(m)
-		for round := 0; ; round++ {
-			if m.WorkConserved() {
-				if round > res.Bound {
-					res.Bound = round
-				}
-				return true
-			}
-			if round >= maxRounds {
-				res.refute(rank, fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds))
-				return false
-			}
-			rr := sched.SequentialRound(f(), m)
-			if rr.TasksMoved() == 0 {
-				res.refute(rank, fmt.Sprintf(
-					"state %v: stuck at non-conserved %v (no steal possible)", start, m.Loads()))
-				return false
-			}
-			if !seen.Add(m) {
-				res.refute(rank, fmt.Sprintf(
-					"state %v: sequential rounds cycle through %v without conserving", start, m.Loads()))
-				return false
-			}
+		rounds, end := converge(f, m, maxRounds, (*sched.Machine).WorkConserved)
+		switch end {
+		case exhausted:
+			res.refute(rank, fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds))
+		case stuck:
+			res.refute(rank, fmt.Sprintf(
+				"state %v: stuck at non-conserved %v (no steal possible)", start, m.Loads()))
+		case cycled:
+			res.refute(rank, fmt.Sprintf(
+				"state %v: sequential rounds cycle through %v without conserving", start, m.Loads()))
+		default:
+			res.raiseBound(rounds)
 		}
-	})
-	return res
+		return end == converged
+	}
 }
 
 // successorFunc enumerates the adversary's one-round successors of a
@@ -132,34 +141,24 @@ type concExplorer struct {
 	ctx       context.Context
 	f         Factory
 	succ      successorFunc
-	done      func(*sched.Machine) bool // terminal predicate; nil = WorkConserved
+	done      func(*sched.Machine) bool // terminal predicate of the game
+	res       *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
 	memo      map[string]int            // state key -> worst rounds to terminal
 	onPath    map[string]bool
 	trace     []traceStep
 	violation string
 	aborted   bool // violation is a cancellation, not a refutation
 	polls     int  // amortizes the ctx check to every 64 explored nodes
-	states    int
-	schedules int
 }
 
-func newExplorer(ctx context.Context, f Factory, succ successorFunc) *concExplorer {
-	return &concExplorer{ctx: ctx, f: f, succ: succ, memo: make(map[string]int), onPath: make(map[string]bool)}
+func newExplorer(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
+	return &concExplorer{ctx: ctx, f: f, succ: succ, done: done, res: res, memo: make(map[string]int), onPath: make(map[string]bool)}
 }
 
 type traceStep struct {
 	key   string
 	loads []int
 	label string
-}
-
-// done is the terminal predicate of the adversarial game; the default
-// (nil) is work conservation.
-func (e *concExplorer) isDone(m *sched.Machine) bool {
-	if e.done != nil {
-		return e.done(m)
-	}
-	return m.WorkConserved()
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
@@ -175,7 +174,7 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	if n, ok := e.memo[key]; ok {
 		return n, true
 	}
-	if e.isDone(m) {
+	if e.done(m) {
 		e.memo[key] = 0
 		return 0, true
 	}
@@ -183,11 +182,10 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 		e.violation = e.describeCycle(m)
 		return 0, false
 	}
-	e.states++
 	e.onPath[key] = true
 	worst := 0
 	ok := e.succ(e.f, m, func(next *sched.Machine, label string) bool {
-		e.schedules++
+		e.res.SchedulesChecked++
 		e.trace = append(e.trace, traceStep{key: key, loads: m.Loads(), label: label})
 		n, ok := e.explore(next)
 		e.trace = e.trace[:len(e.trace)-1]
@@ -227,107 +225,72 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine) string {
 	return b.String()
 }
 
-// checkGameShard runs the game-graph exploration over one shard of the
-// universe and fills a per-shard Result. The explorer (and its memo) is
-// private to the shard; the refutation found from a shard's start state
-// is independent of the memo's contents — memoized subtrees are
-// violation-free by construction — so the merged witness is the one a
-// whole-universe sequential scan finds first.
-func checkGameShard(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, succ successorFunc, sh shard) Result {
-	res := Result{ID: id, Passed: true}
-	e := newExplorer(ctx, f, succ)
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+// lost folds a failed exploration into the shard's Result, which ends
+// the shard: explore's violation, introduced by from (which names the
+// start state), is an abort when cancellation cut the search short and
+// a refutation at the start state's rank when the adversary won.
+func (e *concExplorer) lost(rank int, from string) bool {
+	if e.aborted {
+		e.res.abort(from + e.violation)
+	} else {
+		e.res.refute(rank, from+e.violation)
+	}
+	return false
+}
+
+// gameCheck checks work conservation in the full optimistic-concurrency
+// setting of §4.3 on one start state, against the adversary succ models.
+// With orderSuccessors it is work-conservation-concurrent — the §3.2
+// definition under *every* adversarial serialization of every round's
+// steals; this is the obligation GreedyBuggy fails: on the 0/1/2 machine
+// the adversary ping-pongs the spare thread between the two non-idle
+// cores forever, and the explorer returns that cycle as the witness.
+// With choiceSuccessors it is choice-independence — the paper's central
+// structural claim (§3.1), "the exact choice of the core does not matter
+// for the correctness proof": the adversary controls the step-2 choice
+// (any filter-passing candidate) *and* the steal order, so a policy
+// whose proofs secretly rely on its Choose heuristic fails here even if
+// it passes work-conservation-concurrent.
+//
+// The explorer (and its memo) is private to the shard; the refutation
+// found from a shard's start state is independent of the memo's contents
+// — memoized subtrees are violation-free by construction — so the merged
+// witness is the one a whole-universe sequential scan finds first.
+func gameCheck(ctx context.Context, f Factory, succ successorFunc, res *Result) stateCheck {
+	e := newExplorer(ctx, f, succ, (*sched.Machine).WorkConserved, res)
+	return func(rank int, m *sched.Machine) bool {
 		n, ok := e.explore(m)
 		if !ok {
-			if e.aborted {
-				res.Passed = false
-				res.Aborted = true
-				res.Witness = fmt.Sprintf("from %v: %s", m.Loads(), e.violation)
-			} else {
-				res.refute(rank, fmt.Sprintf("from %v: %s", m.Loads(), e.violation))
-			}
-			return false
+			return e.lost(rank, fmt.Sprintf("from %v: ", m.Loads()))
 		}
-		if n > res.Bound {
-			res.Bound = n
-		}
+		res.raiseBound(n)
 		return true
-	})
-	res.SchedulesChecked = e.schedules
-	return res
+	}
 }
 
-// CheckWorkConservationConcurrent checks the §3.2 definition in the full
-// optimistic-concurrency setting of §4.3: from every state, under *every*
-// adversarial serialization of every round's steals, conservation is
-// reached within finitely many rounds. This is the obligation GreedyBuggy
-// fails: on the 0/1/2 machine the adversary ping-pongs the spare thread
-// between the two non-idle cores forever, and the explorer returns that
-// cycle as the witness.
-func CheckWorkConservationConcurrent(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObWorkConservConc, f, u, 0)
-}
-
-// CheckReactivity checks the third performance property the paper's
-// introduction lists as unproven in real systems: reactivity, "a bound
-// on the delay to schedule ready threads". Formalized per core: for
-// every state, every core idle in it, and every adversarial schedule,
-// the core stops being idle (or the machine runs out of overloaded
-// cores to take from) within a bounded number of rounds. The result's
-// Bound is that worst-case delay in rounds — the paper's missing
-// latency limit, made concrete over the bounded universe.
-func CheckReactivity(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObReactivity, f, u, 0)
-}
-
-func checkReactivityShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
-	res := Result{ID: ObReactivity, Passed: true}
-	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, &res) {
-			return false
-		}
-		res.StatesChecked++
+// reactivityCheck checks, on one state, the third performance property
+// the paper's introduction lists as unproven in real systems:
+// reactivity, "a bound on the delay to schedule ready threads".
+// Formalized per core: for every core idle in the state and every
+// adversarial schedule, the core stops being idle (or the machine runs
+// out of overloaded cores to take from) within a bounded number of
+// rounds. The result's Bound is that worst-case delay in rounds — the
+// paper's missing latency limit, made concrete over the bounded
+// universe.
+func reactivityCheck(ctx context.Context, f Factory, res *Result) stateCheck {
+	return func(rank int, m *sched.Machine) bool {
 		for _, target := range m.IdleCores() {
-			target := target
 			// A fresh explorer per target: the terminal predicate (and
 			// thus the memo) depends on the target core.
-			e := newExplorer(ctx, f, orderSuccessors)
-			e.done = func(s *sched.Machine) bool {
+			e := newExplorer(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
 				return !s.Core(target).Idle() || len(s.OverloadedCores()) == 0
-			}
+			}, res)
 			n, ok := e.explore(m)
-			res.SchedulesChecked += e.schedules
 			if !ok {
-				witness := fmt.Sprintf("core %d can starve from %v: %s", target, m.Loads(), e.violation)
-				if e.aborted {
-					res.Passed = false
-					res.Aborted = true
-					res.Witness = witness
-				} else {
-					res.refute(rank, witness)
-				}
-				return false
+				return e.lost(rank, fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()))
 			}
-			if n > res.Bound {
-				res.Bound = n
-			}
+			res.raiseBound(n)
 		}
 		return true
-	})
-	return res
-}
-
-// CheckChoiceIndependence checks the paper's central structural claim
-// (§3.1): "the exact choice of the core does not matter for the
-// correctness proof". The adversary controls the step-2 choice (any
-// filter-passing candidate) *and* the steal order; a policy passes iff
-// work conservation survives every combination. A policy whose proofs
-// secretly rely on its Choose heuristic fails here even if it passes
-// CheckWorkConservationConcurrent.
-func CheckChoiceIndependence(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObChoiceIndependence, f, u, 0)
+	}
 }
