@@ -11,18 +11,17 @@ import (
 // so execution and verification consume one artifact, like the paper's
 // single DSL source feeding both C and Scala.
 func Compile(p *Policy) sched.Policy {
-	loadFn := func(c *sched.Core) int64 {
-		return evalInt(p.Load, c, nil, loadOf(p))
-	}
+	// One load evaluator per compiled policy, not one per evaluation.
+	loadFn := loadOf(p)
 	fp := &sched.FuncPolicy{
 		PolicyName: p.Name,
 		LoadFn:     loadFn,
 		FilterFn: func(thief, stealee *sched.Core) bool {
-			return evalBool(p.Filter, thief, stealee, loadOf(p))
+			return evalBool(p.Filter, thief, stealee, loadFn)
 		},
 		ChooseFn: compileChooser(p.Choose, loadFn),
 		CountFn: func(thief, stealee *sched.Core) int {
-			return int(evalInt(p.Steal, thief, stealee, loadOf(p)))
+			return int(evalInt(p.Steal, thief, stealee, loadFn))
 		},
 	}
 	if p.Rescue.Name != "" {

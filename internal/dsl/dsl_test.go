@@ -112,6 +112,24 @@ func TestCompiledListing1MatchesNative(t *testing.T) {
 	}
 }
 
+func TestCompiledFilterAllocatesNothing(t *testing.T) {
+	// The verifier evaluates the filter per core pair per state: the load
+	// evaluator behind `x.load()` is built once per Compile, not per call.
+	pol, _, err := CompileSource(listing1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sched.MachineFromLoads(0, 1, 2, 3)
+	thief, stealee := m.Core(0), m.Core(3)
+	if n := testing.AllocsPerRun(100, func() {
+		pol.CanSteal(thief, stealee)
+		pol.StealCount(thief, stealee)
+		pol.Load(stealee)
+	}); n != 0 {
+		t.Errorf("filter + steal count + load of a compiled policy allocate %v times", n)
+	}
+}
+
 func TestCompiledPolicyBalances(t *testing.T) {
 	pol, _, err := CompileSource(listing1)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dsl"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -400,6 +401,24 @@ func TestRegistry(t *testing.T) {
 	b, _ := New("hierarchical")
 	if a == b {
 		t.Error("registry returned a shared instance")
+	}
+}
+
+func TestDSLBackedFactoryOnlyCompiles(t *testing.T) {
+	// Verifiers call a factory per state and per game node, so a
+	// DSL-backed one must cost what dsl.Compile costs: the source is
+	// lexed and parsed once, at registration.
+	spec, ok := Lookup("delta2-rescue")
+	if !ok {
+		t.Fatal("delta2-rescue is not registered")
+	}
+	ast, err := dsl.Parse(spec.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := testing.AllocsPerRun(100, func() { dsl.Compile(ast) })
+	if got := testing.AllocsPerRun(100, func() { spec.New(nil) }); got != compile {
+		t.Errorf("spec.New allocates %v times per call, dsl.Compile %v: the factory re-parses its source", got, compile)
 	}
 }
 

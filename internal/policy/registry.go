@@ -21,14 +21,16 @@ const delta2RescueDSL = `policy delta2_rescue {
     rescue = min_load
 }`
 
-// mustCompileDSL compiles registry-committed DSL source; the source is
-// code, not input, so failure is a programming error.
-func mustCompileDSL(src string) sched.Policy {
-	p, _, err := dsl.CompileSource(src)
+// mustParseDSL parses registry-committed DSL source once, at
+// registration, into a factory that only compiles: verifiers call a
+// factory per state and per game node. The source is code, not input,
+// so failure is a programming error.
+func mustParseDSL(src string) Factory {
+	ast, err := dsl.Parse(src)
 	if err != nil {
 		panic(fmt.Sprintf("policy: registry DSL does not compile: %v", err))
 	}
-	return p
+	return func() sched.Policy { return dsl.Compile(ast) }
 }
 
 // Factory constructs a fresh policy instance. Policies carrying per-round
@@ -262,7 +264,7 @@ func init() {
 	// degraded-wasted-cores), with plain delta2 as the REFUTE side.
 	Register(Spec{
 		Name:       "delta2-rescue",
-		Factory:    func() sched.Policy { return mustCompileDSL(delta2RescueDSL) },
+		Factory:    mustParseDSL(delta2RescueDSL),
 		Provenance: ProvenanceProved,
 		Doc:        "delta2 plus a min_load rescue rule: orphans of failed cores are re-homed",
 		DSL:        delta2RescueDSL,

@@ -2,8 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // Machine is the global scheduler state: one Core per CPU. The verifier
@@ -20,6 +19,75 @@ type Machine struct {
 	Faults []FaultEvent
 
 	nextID TaskID // next fresh task ID for Spawn
+
+	// buf is the storage the machine reuses from call to call. It sits
+	// behind one pointer so Machine stays in the 64-byte size class:
+	// internal/engine allocates a Machine per lock-free selection and
+	// never needs any of it.
+	buf *buffers
+}
+
+// buffers is what a machine owns beyond its cores and would otherwise
+// allocate again on every call: the arena CopyFrom and SetFromSpec lay
+// tasks out in, and the round executors' per-round slices (see round.go).
+// It is per machine, never shared: a caller may still be reading one
+// machine's round results while it runs rounds on another.
+type buffers struct {
+	tasks []Task // arena behind the cores' task pointers
+
+	stale   *Machine  // SelectAll's round-start snapshot
+	atts    []Attempt // SelectAll's result, indexed by core ID
+	cands   []*Core   // step-1 survivors of the thief being selected for
+	candIDs []int     // backing of every Attempt.Candidates, NumCores per thief
+	done    []Attempt // a round's outcomes in execution order
+	seen    []bool    // checkOrder's duplicate detector
+}
+
+func (m *Machine) scratch() *buffers {
+	if m.buf == nil {
+		m.buf = new(buffers)
+	}
+	return m.buf
+}
+
+// add copies t into the arena and returns the copy's address. reset has
+// sized the arena, so the append never moves the tasks already handed out.
+func (b *buffers) add(t Task) *Task {
+	b.tasks = append(b.tasks, t)
+	return &b.tasks[len(b.tasks)-1]
+}
+
+// reset gives m exactly `cores` cores and an empty arena with room for
+// `tasks` tasks, keeping the cores it already has (and with them their
+// runqueue buffers) and the arena when it is large enough. The cores'
+// fields are left for the caller to overwrite.
+func (m *Machine) reset(cores, tasks int) {
+	if cores <= 0 {
+		panic(fmt.Sprintf("sched: machine needs at least one core, got %d", cores))
+	}
+	if cores > cap(m.Cores) {
+		grown := make([]*Core, cores)
+		copy(grown, m.Cores[:cap(m.Cores)])
+		m.Cores = grown
+	}
+	m.Cores = m.Cores[:cores]
+	var fresh []Core // one block for all the cores m lacks
+	for i, c := range m.Cores {
+		if c != nil {
+			continue
+		}
+		if len(fresh) == 0 {
+			fresh = make([]Core, cores-i)
+		}
+		m.Cores[i], fresh = &fresh[0], fresh[1:]
+	}
+	if tasks > 0 {
+		b := m.scratch()
+		if cap(b.tasks) < tasks {
+			b.tasks = make([]Task, 0, tasks)
+		}
+		b.tasks = b.tasks[:0]
+	}
 }
 
 // FaultEvent is one fail-stop hotplug event: core Core goes offline
@@ -39,12 +107,10 @@ func (e FaultEvent) String() string {
 
 // NewMachine returns a machine with n empty cores on a flat topology.
 func NewMachine(n int) *Machine {
-	if n <= 0 {
-		panic(fmt.Sprintf("sched: machine needs at least one core, got %d", n))
-	}
-	m := &Machine{Cores: make([]*Core, n)}
-	for i := range m.Cores {
-		m.Cores[i] = NewCore(i)
+	m := new(Machine)
+	m.reset(n, 0)
+	for i, c := range m.Cores {
+		c.ID = i
 	}
 	return m
 }
@@ -86,18 +152,38 @@ type CoreSpec struct {
 
 // MachineFromSpec builds a machine from explicit per-core specs.
 func MachineFromSpec(specs ...CoreSpec) *Machine {
-	m := NewMachine(len(specs))
-	for i, s := range specs {
+	m := new(Machine)
+	m.SetFromSpec(specs)
+	return m
+}
+
+// SetFromSpec rebuilds m in place as the machine specs describe — online
+// cores on node and group 0, task IDs from 0 in core order (current task
+// first), no fault script — reusing m's cores, runqueue buffers and task
+// arena. Every *Core and *Task obtained from m before the call is
+// invalidated. specs is only read.
+func (m *Machine) SetFromSpec(specs []CoreSpec) {
+	tasks := 0
+	for _, s := range specs {
 		if s.Running > 0 {
-			m.Cores[i].Current = NewWeightedTask(m.nextID, s.Running)
+			tasks++
+		}
+		tasks += len(s.Queued)
+	}
+	m.reset(len(specs), tasks)
+	m.Faults, m.nextID = nil, 0
+	for i, s := range specs {
+		c := m.Cores[i]
+		*c = Core{ID: i, Ready: c.Ready[:0]}
+		if s.Running > 0 {
+			c.Current = m.buf.add(weightedTask(m.nextID, s.Running))
 			m.nextID++
 		}
 		for _, w := range s.Queued {
-			m.Cores[i].Push(NewWeightedTask(m.nextID, w))
+			c.Ready = append(c.Ready, m.buf.add(weightedTask(m.nextID, w)))
 			m.nextID++
 		}
 	}
-	return m
 }
 
 // NumCores returns the number of cores.
@@ -275,11 +361,30 @@ func (m *Machine) Orphans() []*Task {
 // Clone returns a deep copy of the machine. The fault script is shared
 // (it is immutable once attached).
 func (m *Machine) Clone() *Machine {
-	nm := &Machine{Cores: make([]*Core, len(m.Cores)), Faults: m.Faults, nextID: m.nextID}
-	for i, c := range m.Cores {
-		nm.Cores[i] = c.Clone()
+	return new(Machine).CopyFrom(m)
+}
+
+// CopyFrom makes m a deep copy of src — task IDs, the ID counter and the
+// (shared) fault script included — reusing m's cores, runqueue buffers
+// and task arena, and returns m. Every *Core and *Task obtained from m
+// before the call is invalidated; src is only read.
+func (m *Machine) CopyFrom(src *Machine) *Machine {
+	if m == src {
+		return m
 	}
-	return nm
+	m.reset(len(src.Cores), src.TotalThreads())
+	m.Faults, m.nextID = src.Faults, src.nextID
+	for i, sc := range src.Cores {
+		c := m.Cores[i]
+		*c = Core{ID: sc.ID, Node: sc.Node, Group: sc.Group, Offline: sc.Offline, Ready: c.Ready[:0]}
+		if sc.Current != nil {
+			c.Current = m.buf.add(*sc.Current)
+		}
+		for _, t := range sc.Ready {
+			c.Ready = append(c.Ready, m.buf.add(*t))
+		}
+	}
+	return m
 }
 
 // Key returns a canonical encoding of the machine state for state-space
@@ -290,33 +395,45 @@ func (m *Machine) Clone() *Machine {
 // preserved: policies may treat cores asymmetrically (NUMA, groups), so
 // states that differ only by a core permutation are distinct keys.
 func (m *Machine) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(m.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the Key encoding to dst and returns the extended
+// slice. It allocates only if dst must grow (or a runqueue holds more
+// than 16 tasks), which is what lets the explorers look a state up
+// without materializing a string.
+func (m *Machine) AppendKey(dst []byte) []byte {
+	var buf [16]int64
 	for i, c := range m.Cores {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
 		if c.Offline {
-			b.WriteByte('!')
+			dst = append(dst, '!')
 		}
 		if c.Current != nil {
-			fmt.Fprintf(&b, "%d", c.Current.Weight)
+			dst = strconv.AppendInt(dst, c.Current.Weight, 10)
 		} else {
-			b.WriteByte('0')
+			dst = append(dst, '0')
 		}
-		b.WriteByte(':')
-		ws := make([]int64, len(c.Ready))
-		for j, t := range c.Ready {
-			ws[j] = t.Weight
+		dst = append(dst, ':')
+		ws := buf[:0]
+		for _, t := range c.Ready {
+			// Insertion sort: runqueues are short and mostly sorted.
+			ws = append(ws, t.Weight)
+			for j := len(ws) - 1; j > 0 && ws[j-1] > ws[j]; j-- {
+				ws[j-1], ws[j] = ws[j], ws[j-1]
+			}
 		}
-		sort.Slice(ws, func(a, z int) bool { return ws[a] < ws[z] })
 		for j, w := range ws {
 			if j > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			fmt.Fprintf(&b, "%d", w)
+			dst = strconv.AppendInt(dst, w, 10)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Loads returns the per-core thread counts, mostly for tests and

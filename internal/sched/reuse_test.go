@@ -1,0 +1,221 @@
+package sched
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"testing/quick"
+)
+
+// referenceKey is Machine.Key as it was written before AppendKey
+// (fmt + sort.Slice into a strings.Builder), kept as the encoding's
+// independent statement: verify.Version does not move while the two
+// agree.
+func referenceKey(m *Machine) string {
+	var b strings.Builder
+	for i, c := range m.Cores {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		if c.Offline {
+			b.WriteByte('!')
+		}
+		if c.Current != nil {
+			fmt.Fprintf(&b, "%d", c.Current.Weight)
+		} else {
+			b.WriteByte('0')
+		}
+		b.WriteByte(':')
+		ws := make([]int64, len(c.Ready))
+		for j, t := range c.Ready {
+			ws[j] = t.Weight
+		}
+		sort.Slice(ws, func(a, z int) bool { return ws[a] < ws[z] })
+		for j, w := range ws {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", w)
+		}
+	}
+	return b.String()
+}
+
+// randomMachine draws a machine with multi-digit weights, unsorted
+// queues (some longer than AppendKey's stack buffer), unscheduled and
+// offline cores, and topology labels.
+func randomMachine(r *rand.Rand) *Machine {
+	specs := make([]CoreSpec, 1+r.Intn(6))
+	weight := func() int64 { return 1 + r.Int63n(200000) }
+	for i := range specs {
+		if r.Intn(3) > 0 {
+			specs[i].Running = weight()
+		}
+		for n := r.Intn(5) * r.Intn(6); n > 0; n-- {
+			specs[i].Queued = append(specs[i].Queued, weight())
+		}
+	}
+	m := MachineFromSpec(specs...)
+	for _, c := range m.Cores {
+		c.Offline = r.Intn(4) == 0
+		c.Group, c.Node = r.Intn(3), r.Intn(2)
+	}
+	return m
+}
+
+// taskIDs lists every task ID by position: per core, the current task
+// (or -1) then the queue head first.
+func taskIDs(m *Machine) [][]TaskID {
+	ids := make([][]TaskID, len(m.Cores))
+	for i, c := range m.Cores {
+		ids[i] = []TaskID{-1}
+		if c.Current != nil {
+			ids[i][0] = c.Current.ID
+		}
+		for _, t := range c.Ready {
+			ids[i] = append(ids[i], t.ID)
+		}
+	}
+	return ids
+}
+
+func TestKeyHasOneEncoding(t *testing.T) {
+	prop := func(seed int64) bool {
+		m := randomMachine(rand.New(rand.NewSource(seed)))
+		want := referenceKey(m)
+		prefix := []byte("kept:")
+		return m.Key() == want &&
+			string(m.AppendKey(nil)) == want &&
+			string(m.AppendKey(prefix)) == "kept:"+want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCopyFromProperty(t *testing.T) {
+	p := greedyBuggy() // steals whenever the victim has a queue to take from
+	dst := new(Machine)
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src := randomMachine(r)
+		src.Faults = []FaultEvent{{Core: 0}}
+		// dst is reused across draws: it arrives holding some other
+		// machine, with more or fewer cores and tasks than src.
+		if dst.CopyFrom(src) != dst {
+			return false
+		}
+		key, ids := src.Key(), taskIDs(src)
+		same := func(m *Machine) bool {
+			return m.Key() == key && m.Validate() == nil && reflect.DeepEqual(taskIDs(m), ids)
+		}
+		if !same(dst) || !reflect.DeepEqual(dst.Faults, src.Faults) {
+			return false
+		}
+		for i, c := range dst.Cores {
+			if sc := src.Cores[i]; c == sc || c.ID != sc.ID || c.Group != sc.Group || c.Node != sc.Node || c.Offline != sc.Offline {
+				return false
+			}
+		}
+		// Independence, copy → source: rounds, spawns and direct task
+		// edits on the copy leave the source alone.
+		for _, c := range dst.Cores {
+			c.Offline = false
+		}
+		ConcurrentRound(p, dst, r.Perm(dst.NumCores()))
+		dst.Spawn(0, 7).Weight = 9
+		if t0 := dst.Core(0).Ready[0]; t0 != nil {
+			t0.Weight += 5
+		}
+		if !same(src) {
+			return false
+		}
+		// And source → copy, on a fresh copy; the ID counter came along.
+		dst.CopyFrom(src)
+		nextID := TaskID(src.TotalThreads())
+		for _, c := range src.Cores {
+			c.Offline = false
+		}
+		ConcurrentRound(p, src, r.Perm(src.NumCores()))
+		src.Spawn(0, 7).Weight = 9
+		return same(dst) && dst.Spawn(0, 1).ID == nextID
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSetFromSpecIsMachineFromSpec(t *testing.T) {
+	specs := []CoreSpec{{Running: 3, Queued: []int64{1024, 7}}, {}, {Queued: []int64{5}}}
+	want := MachineFromSpec(specs...)
+	// A receiver in the worst shape: more cores, more tasks, offline
+	// cores, topology labels, a fault script, a spent ID counter.
+	m := randomMachine(rand.New(rand.NewSource(1)))
+	m.CopyFrom(MachineFromLoads(3, 3, 3, 3, 3))
+	for _, c := range m.Cores {
+		c.Offline, c.Group, c.Node = true, 2, 1
+	}
+	m.Faults = []FaultEvent{{Core: 1}}
+	m.SetFromSpec(specs)
+	if m.Key() != want.Key() || !reflect.DeepEqual(taskIDs(m), taskIDs(want)) || m.Validate() != nil {
+		t.Errorf("SetFromSpec built %s with IDs %v, MachineFromSpec %s with %v", m.Key(), taskIDs(m), want.Key(), taskIDs(want))
+	}
+	for i, c := range m.Cores {
+		if c.ID != i || c.Offline || c.Group != 0 || c.Node != 0 {
+			t.Errorf("core %d not reset: %+v", i, c)
+		}
+	}
+	if m.Faults != nil || m.Spawn(0, 1).ID != want.Spawn(0, 1).ID {
+		t.Error("fault script or ID counter survived SetFromSpec")
+	}
+}
+
+func TestReuseAllocatesNothing(t *testing.T) {
+	src := MachineFromSpec(
+		CoreSpec{Running: 1024, Queued: []int64{512, 256, 70000}},
+		CoreSpec{},
+		CoreSpec{Queued: []int64{1024, 3}},
+	)
+	src.Core(1).Offline = true
+	specs := []CoreSpec{{Running: 2, Queued: []int64{9, 8}}, {Queued: []int64{4}}, {}, {Running: 1}}
+	dst := new(Machine)
+	key := make([]byte, 0, 128)
+	for name, fn := range map[string]func(){
+		"CopyFrom":    func() { dst.CopyFrom(src) },
+		"SetFromSpec": func() { dst.SetFromSpec(specs) },
+		"AppendKey":   func() { key = src.AppendKey(key[:0]) },
+	} {
+		fn() // the first call sizes the buffers
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("steady-state %s allocates %v times per call", name, n)
+		}
+	}
+}
+
+func TestRoundBuffersArePerMachine(t *testing.T) {
+	// A game node's attempts are still being permuted while its
+	// successors run their own selections: rounds on other machines —
+	// copies included — must leave them alone.
+	p := greedyBuggy()
+	m := MachineFromLoads(0, 3, 2, 0)
+	atts := SelectAll(p, m)
+	want := fmt.Sprintf("%+v", atts)
+	next := new(Machine)
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		rr := ExecuteSteals(p, next.CopyFrom(m), atts, order)
+		if rr.Successes() == 0 {
+			t.Fatalf("order %v: no steal succeeded — fixture broken", order)
+		}
+		ConcurrentRound(p, next, order)
+		SequentialRound(p, next)
+		if got := fmt.Sprintf("%+v", atts); got != want {
+			t.Fatalf("rounds on a copy rewrote the source's attempts:\n got %s\nwant %s", got, want)
+		}
+	}
+	if m.Key() != MachineFromLoads(0, 3, 2, 0).Key() {
+		t.Error("SelectAll or a round on a copy mutated the machine")
+	}
+}

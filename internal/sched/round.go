@@ -111,6 +111,13 @@ func (r *RoundResult) TasksMoved() int {
 // (sequential mode); Select never mutates it. It returns the attempt with
 // Victim, Candidates and, when nothing is stealable, FailNoCandidate.
 func Select(p Policy, view *Machine, thiefID int) Attempt {
+	return selectInto(p, view, thiefID, nil, nil)
+}
+
+// selectInto is Select appending the filter's survivors to candidates
+// and their IDs — the attempt's Candidates — to ids, both empty on entry:
+// nil to allocate them, or a round executor's buffers.
+func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []int) Attempt {
 	if obs, ok := p.(RoundObserver); ok {
 		obs.BeginRound(view)
 	}
@@ -121,7 +128,6 @@ func Select(p Policy, view *Machine, thiefID int) Attempt {
 		att.Reason = FailNoCandidate
 		return att
 	}
-	var candidates []*Core
 	for _, c := range view.Cores {
 		if c.ID == thiefID || c.Offline {
 			// Offline cores are not victims: their runqueues are
@@ -130,13 +136,14 @@ func Select(p Policy, view *Machine, thiefID int) Attempt {
 		}
 		if p.CanSteal(thief, c) {
 			candidates = append(candidates, c)
-			att.Candidates = append(att.Candidates, c.ID)
+			ids = append(ids, c.ID)
 		}
 	}
 	if len(candidates) == 0 {
 		att.Reason = FailNoCandidate
 		return att
 	}
+	att.Candidates = ids
 	chosen := p.Choose(thief, candidates)
 	if chosen == nil {
 		panic(fmt.Sprintf("sched: policy %q Choose returned nil", p.Name()))
@@ -240,30 +247,51 @@ func migrate(thief, victim *Core, n int, picked []TaskID, att *Attempt) {
 // of §4.2: each core performs all three steps in isolation, in core-ID
 // order, observing the live machine. Steals cannot fail by staleness in
 // this mode (the selection is never stale), which is what makes the
-// sequential lemmas provable in isolation.
+// sequential lemmas provable in isolation. The result lives in m's
+// buffers: m's next round overwrites it.
 func SequentialRound(p Policy, m *Machine) RoundResult {
-	res := RoundResult{Attempts: make([]Attempt, 0, m.NumCores())}
-	for id := 0; id < m.NumCores(); id++ {
-		att := Select(p, m, id)
+	b := m.roundBuffers()
+	n := m.NumCores()
+	for id := 0; id < n; id++ {
+		att := selectInto(p, m, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
 		Steal(p, m, &att)
-		res.Attempts = append(res.Attempts, att)
+		b.done = append(b.done, att)
 	}
-	return res
+	return RoundResult{Attempts: b.done}
+}
+
+// roundBuffers returns m's buffers sized for one round over its cores,
+// with the outcome list emptied: whatever the previous round on m
+// returned is overwritten from here on.
+func (m *Machine) roundBuffers() *buffers {
+	b, n := m.scratch(), m.NumCores()
+	if cap(b.atts) < n {
+		b.atts = make([]Attempt, n)
+		b.cands = make([]*Core, 0, n)
+		b.candIDs = make([]int, n*n)
+		b.done = make([]Attempt, 0, n)
+		b.seen = make([]bool, n)
+	}
+	b.done = b.done[:0]
+	return b
 }
 
 // SelectAll runs the lock-free selection phase for every core against a
 // shared snapshot of the machine — the maximal-staleness model of §3.1
 // where all cores decide "simultaneously". It returns one attempt per
-// core, indexed by core ID.
+// core, indexed by core ID. The attempts live in m's buffers (see the
+// package doc's reuse paragraph): ExecuteSteals keeps them intact, m's
+// next selection or SequentialRound overwrites them.
 func SelectAll(p Policy, m *Machine) []Attempt {
-	return selectOn(p, m.Clone())
-}
-
-// selectOn runs Select for every core against one shared snapshot.
-func selectOn(p Policy, snapshot *Machine) []Attempt {
-	atts := make([]Attempt, snapshot.NumCores())
+	b := m.roundBuffers()
+	if b.stale == nil {
+		b.stale = new(Machine)
+	}
+	b.stale.CopyFrom(m)
+	n := m.NumCores()
+	atts := b.atts[:n]
 	for id := range atts {
-		atts[id] = Select(p, snapshot, id)
+		atts[id] = selectInto(p, b.stale, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
 	}
 	return atts
 }
@@ -272,21 +300,21 @@ func selectOn(p Policy, snapshot *Machine) []Attempt {
 // steals serialize in the given order (the adversary's lock-acquisition
 // order), each re-validating its filter under locks against the live
 // machine. The attempts slice is not modified; outcomes are returned in
-// execution order.
+// execution order, in m's buffers: m's next round overwrites them.
 func ExecuteSteals(p Policy, m *Machine, atts []Attempt, order []int) RoundResult {
-	if err := checkOrder(order, m.NumCores()); err != nil {
+	b := m.roundBuffers()
+	if err := checkOrder(order, b.seen[:m.NumCores()]); err != nil {
 		panic(err)
 	}
-	res := RoundResult{Attempts: make([]Attempt, 0, m.NumCores())}
 	for _, id := range order {
 		att := atts[id]
 		Steal(p, m, &att)
 		if att.Reason == FailRevalidation || att.Reason == FailEmptyVictim {
-			att.PredecessorSuccess = priorSuccessTouched(res.Attempts, att.Victim, att.Thief)
+			att.PredecessorSuccess = priorSuccessTouched(b.done, att.Victim, att.Thief)
 		}
-		res.Attempts = append(res.Attempts, att)
+		b.done = append(b.done, att)
 	}
-	return res
+	return RoundResult{Attempts: b.done}
 }
 
 // ConcurrentRound executes one balancing round in the optimistic
@@ -306,13 +334,13 @@ func ConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 // that no longer exists (that would corrupt the machine rather than model
 // a scheduler bug), reporting FailEmptyVictim instead.
 func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
-	if err := checkOrder(order, m.NumCores()); err != nil {
+	b := m.roundBuffers()
+	if err := checkOrder(order, b.seen[:m.NumCores()]); err != nil {
 		panic(err)
 	}
-	stale := m.Clone()
-	atts := selectOn(p, stale)
+	atts := SelectAll(p, m)
+	stale := b.stale
 	picker, _ := p.(TaskPicker)
-	res := RoundResult{Attempts: make([]Attempt, 0, m.NumCores())}
 	for _, id := range order {
 		att := atts[id]
 		if att.Victim >= 0 {
@@ -333,9 +361,9 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 				migrate(thief, victim, n, nil, &att)
 			}
 		}
-		res.Attempts = append(res.Attempts, att)
+		b.done = append(b.done, att)
 	}
-	return res
+	return RoundResult{Attempts: b.done}
 }
 
 // priorSuccessTouched reports whether any already-executed successful
@@ -355,11 +383,14 @@ func priorSuccessTouched(done []Attempt, victim, thief int) bool {
 	return false
 }
 
-func checkOrder(order []int, n int) error {
+// checkOrder reports whether order is a permutation of the core IDs;
+// seen is its scratch, one entry per core.
+func checkOrder(order []int, seen []bool) error {
+	n := len(seen)
 	if len(order) != n {
 		return fmt.Errorf("sched: order has %d entries for %d cores", len(order), n)
 	}
-	seen := make([]bool, n)
+	clear(seen)
 	for _, id := range order {
 		if id < 0 || id >= n {
 			return fmt.Errorf("sched: order contains invalid core ID %d", id)

@@ -35,6 +35,20 @@
 // the online cores and the mover re-selects if the adopter died since.
 // ApplyFault and the movers (Steal, Rescue) mutate a Machine and belong
 // to whoever owns it.
+//
+// Reuse. A Machine owns its storage — its cores, their runqueue buffers,
+// the arena its tasks sit in, and the buffers its rounds fill — and one
+// goroutine at a time owns the Machine. CopyFrom and SetFromSpec
+// overwrite that storage in place instead of allocating a new machine, so
+// they invalidate every *Core and *Task obtained from the receiver
+// before the call (the source of a CopyFrom is only read, and stays
+// independent of the copy). The slices the round executors return —
+// SelectAll's attempts and their Candidates, a RoundResult's Attempts —
+// live in the buffers of the machine the round ran on and are valid until
+// that machine's next selection or round (ExecuteSteals leaves the
+// attempts it is handed intact, whichever machine selected them); rounds
+// on any other machine, copies included, leave them alone. Clone still
+// returns a machine that shares nothing with its source.
 package sched
 
 import "fmt"
@@ -71,10 +85,15 @@ func NewTask(id TaskID) *Task {
 
 // NewWeightedTask returns a task with the given weight.
 func NewWeightedTask(id TaskID, weight int64) *Task {
+	t := weightedTask(id, weight)
+	return &t
+}
+
+func weightedTask(id TaskID, weight int64) Task {
 	if weight <= 0 {
 		panic(fmt.Sprintf("sched: task %d weight must be positive, got %d", id, weight))
 	}
-	return &Task{ID: id, Weight: weight, NodeHint: -1}
+	return Task{ID: id, Weight: weight, NodeHint: -1}
 }
 
 // Clone returns an independent copy of the task.

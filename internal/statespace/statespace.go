@@ -99,17 +99,20 @@ func (u Universe) Size() int {
 	return n
 }
 
-// Enumerate calls fn for every machine in the universe. fn may mutate the
-// machine it receives (each call gets a fresh one). Enumeration stops
-// early if fn returns false; Enumerate reports whether it ran to
-// completion.
+// Enumerate calls fn for every machine in the universe. Every call is
+// handed the same machine, rebuilt in place (sched.Machine.SetFromSpec):
+// fn may mutate it — and its Faults are live enumeration state, read-only
+// — but must not retain it, its cores, its tasks or its fault script
+// beyond the call (Clone what must outlive it). Enumeration stops early
+// if fn returns false; Enumerate reports whether it ran to completion.
 func (u Universe) Enumerate(fn func(*sched.Machine) bool) bool {
 	return u.enumerate(0, 1, func(_ int, m *sched.Machine) bool { return fn(m) })
 }
 
 // EnumerateShard calls fn for every machine in one shard of a total-way
-// partition of the universe. The partition splits the search at the
-// top-level per-core thread-count recursion: complete thread-count
+// partition of the universe, under Enumerate's contract (one machine,
+// reused: mutate freely, do not retain). The partition splits the search
+// at the top-level per-core thread-count recursion: complete thread-count
 // vectors are dealt round-robin to shards in enumeration order, so the
 // shards are pairwise disjoint, their union is exactly Enumerate's
 // output, and concurrent shards need no coordination. EnumerateShard(0, 1, fn)
@@ -151,6 +154,10 @@ func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool)
 	// shard are expanded; walking the skipped vectors costs a few integer
 	// ops each, negligible next to the expansion they gate.
 	counts := make([]int, u.Cores)
+	// The one machine and the per-core spec buffers every state of the
+	// shard is built into.
+	m := new(sched.Machine)
+	specs := make([]sched.CoreSpec, u.Cores)
 	rank := 0
 	var rec func(core, used int) bool
 	rec = func(core, used int) bool {
@@ -160,7 +167,7 @@ func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool)
 			if r%total != shard {
 				return true
 			}
-			return u.enumerateSchedBits(counts, weights, func(m *sched.Machine) bool {
+			return u.enumerateSchedBits(counts, weights, specs, m, func(m *sched.Machine) bool {
 				return fn(r, m)
 			})
 		}
@@ -178,7 +185,7 @@ func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool)
 // enumerateSchedBits expands one thread-count vector into machines: for
 // each loaded core, either the first thread is running (always) or — when
 // IncludeUnscheduled — all threads are queued.
-func (u Universe) enumerateSchedBits(counts []int, weights []int64, fn func(*sched.Machine) bool) bool {
+func (u Universe) enumerateSchedBits(counts []int, weights []int64, specs []sched.CoreSpec, m *sched.Machine, fn func(*sched.Machine) bool) bool {
 	loaded := 0
 	for _, n := range counts {
 		if n > 0 {
@@ -190,7 +197,7 @@ func (u Universe) enumerateSchedBits(counts []int, weights []int64, fn func(*sch
 		variants = 1 << loaded
 	}
 	for v := 0; v < variants; v++ {
-		ok := u.enumerateWeights(counts, v, weights, fn)
+		ok := u.enumerateWeights(counts, v, weights, specs, m, fn)
 		if !ok {
 			return false
 		}
@@ -201,15 +208,15 @@ func (u Universe) enumerateSchedBits(counts []int, weights []int64, fn func(*sch
 // enumerateWeights expands one (counts, scheduled-bits) pair over all
 // weight assignments. To keep the space canonical, weights within a
 // core's queue are non-decreasing (queue order is irrelevant to
-// policies that pick tasks by weight).
-func (u Universe) enumerateWeights(counts []int, schedBits int, weights []int64, fn func(*sched.Machine) bool) bool {
-	specs := make([]sched.CoreSpec, len(counts))
+// policies that pick tasks by weight). Every state is built into m
+// through specs, whose Queued buffers are reused from state to state.
+func (u Universe) enumerateWeights(counts []int, schedBits int, weights []int64, specs []sched.CoreSpec, m *sched.Machine, fn func(*sched.Machine) bool) bool {
 	loadedIdx := 0
 	if u.Groups != nil && len(u.Groups) != len(counts) {
 		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), len(counts)))
 	}
 	build := func(faults []sched.FaultEvent) bool {
-		m := sched.MachineFromSpec(specs...)
+		m.SetFromSpec(specs)
 		for id, g := range u.Groups {
 			m.Core(id).Group = g
 			m.Core(id).Node = g
@@ -227,17 +234,18 @@ func (u Universe) enumerateWeights(counts []int, schedBits int, weights []int64,
 		}
 		n := counts[core]
 		if n == 0 {
-			specs[core] = sched.CoreSpec{}
+			specs[core] = sched.CoreSpec{Queued: specs[core].Queued[:0]}
 			return rec(core + 1)
 		}
 		idx := loadedIdx
 		loadedIdx++
 		unscheduled := u.IncludeUnscheduled && schedBits&(1<<idx) != 0
 		ok := enumerateCoreWeights(n, weights, func(ws []int64) bool {
+			queued := specs[core].Queued[:0]
 			if unscheduled {
-				specs[core] = sched.CoreSpec{Queued: append([]int64(nil), ws...)}
+				specs[core] = sched.CoreSpec{Queued: append(queued, ws...)}
 			} else {
-				specs[core] = sched.CoreSpec{Running: ws[0], Queued: append([]int64(nil), ws[1:]...)}
+				specs[core] = sched.CoreSpec{Running: ws[0], Queued: append(queued, ws[1:]...)}
 			}
 			return rec(core + 1)
 		})
@@ -261,7 +269,11 @@ func (u Universe) enumerateFaultScripts(fn func([]sched.FaultEvent) bool) bool {
 	script := make([]sched.FaultEvent, 0, u.MaxFaults)
 	var rec func() bool
 	rec = func() bool {
-		if !fn(append([]sched.FaultEvent(nil), script...)) {
+		live := script
+		if len(live) == 0 {
+			live = nil
+		}
+		if !fn(live) {
 			return false
 		}
 		if len(script) == u.MaxFaults {
@@ -363,13 +375,15 @@ func Permutations(n int, fn func([]int) bool) bool {
 // fixpoint exploration.
 type Visited map[string]bool
 
-// Add inserts the machine's key and reports whether it was new.
+// Add inserts the machine's key and reports whether it was new. Only a
+// new key is materialized as a string.
 func (v Visited) Add(m *sched.Machine) bool {
-	k := m.Key()
-	if v[k] {
+	var buf [64]byte
+	k := m.AppendKey(buf[:0])
+	if v[string(k)] {
 		return false
 	}
-	v[k] = true
+	v[string(k)] = true
 	return true
 }
 

@@ -67,19 +67,50 @@ func TestUniverseWeights(t *testing.T) {
 	})
 }
 
-func TestUniverseStatesAreValidAndFresh(t *testing.T) {
-	u := Universe{Cores: 3, MaxPerCore: 2, IncludeUnscheduled: true}
-	var prev *sched.Machine
-	u.Enumerate(func(m *sched.Machine) bool {
-		if err := m.Validate(); err != nil {
-			t.Fatalf("invalid state: %v", err)
+func TestUniverseStatesAreValidAndReused(t *testing.T) {
+	// The reuse contract: every callback gets the same machine, rebuilt in
+	// place, so a callback that wrecks what it is handed — drains every
+	// queue onto core 0, flips every Offline bit — must leave the
+	// enumeration exactly what a read-only pass sees.
+	type state struct{ key, faults string }
+	observe := func(u Universe, wreck bool) []state {
+		var seen []state
+		u.Enumerate(func(m *sched.Machine) bool {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("invalid state: %v", err)
+			}
+			seen = append(seen, state{m.Key(), fmt.Sprint(m.Faults)})
+			if wreck {
+				for _, c := range m.Cores[1:] {
+					for task := c.Pop(); task != nil; task = c.Pop() {
+						m.Core(0).Push(task)
+					}
+				}
+				for _, c := range m.Cores {
+					c.Current = nil
+					c.Offline = !c.Offline
+					c.Group, c.Node = 7, 7
+				}
+				m.Spawn(0, 99)
+			}
+			return true
+		})
+		return seen
+	}
+	for name, u := range map[string]Universe{
+		"weighted":    {Cores: 3, MaxPerCore: 2, MaxTotal: 4, Weights: []int64{1, 300}},
+		"unscheduled": {Cores: 3, MaxPerCore: 2, IncludeUnscheduled: true},
+		"faults":      {Cores: 3, MaxPerCore: 2, MaxTotal: 3, IncludeUnscheduled: true, MaxFaults: 2},
+		"grouped":     {Cores: 4, MaxPerCore: 1, Groups: []int{0, 0, 1, 1}},
+	} {
+		want, got := observe(u, false), observe(u, true)
+		if len(want) != u.Size() {
+			t.Errorf("%s: observed %d states, Size %d", name, len(want), u.Size())
 		}
-		if m == prev {
-			t.Fatal("enumerate reused a machine")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a mutating callback changed the enumeration (%d vs %d states)", name, len(got), len(want))
 		}
-		prev = m
-		return true
-	})
+	}
 }
 
 func TestUniverseEarlyStop(t *testing.T) {
@@ -503,7 +534,8 @@ func testFaultScripts(t *testing.T, u Universe) {
 			t.Fatalf("script %v longer than MaxFaults=%d", m.Faults, u.MaxFaults)
 		}
 		replay(m.Faults)
-		scripts[fmt.Sprint(m.Faults)] = m.Faults
+		// The script is live enumeration state: keep a copy.
+		scripts[fmt.Sprint(m.Faults)] = append([]sched.FaultEvent(nil), m.Faults...)
 		return true
 	})
 	if healthy == 0 {

@@ -80,6 +80,7 @@ func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationRes
 			out.order = rank
 		}
 	}
+	safe, unsafe := new(sched.Machine), new(sched.Machine)
 	return func(rank int, m *sched.Machine) bool {
 		return statespace.Permutations(m.NumCores(), func(order []int) bool {
 			// Poll per schedule, not just per state: each state fans out
@@ -89,14 +90,12 @@ func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationRes
 			}
 			res.SchedulesChecked++
 
-			safe := m.Clone()
-			sched.ConcurrentRound(f(), safe, order)
+			sched.ConcurrentRound(f(), safe.CopyFrom(m), order)
 			if v := roundViolation(f(), m, safe); v != "" {
 				panic(fmt.Sprintf("verify: safe executor violated soundness: %s", v))
 			}
 
-			unsafe := m.Clone()
-			sched.UnsafeConcurrentRound(f(), unsafe, order)
+			sched.UnsafeConcurrentRound(f(), unsafe.CopyFrom(m), order)
 			if v := roundViolation(f(), m, unsafe); v != "" {
 				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
 				out.SoundnessViolations++

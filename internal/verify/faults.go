@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
+	"repro/internal/statespace"
 )
 
 // This file checks the fail-stop fault model: the two obligations that
@@ -105,6 +106,7 @@ func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
 // survivors may balance perfectly among themselves while an idle core
 // ignores work it could adopt.
 func degradedWastedCoresCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	seen := make(statespace.Visited)
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			// The healthy invariant is work-conservation-sequential's
@@ -118,7 +120,7 @@ func degradedWastedCoresCheck(f Factory, maxRounds int, res *Result) stateCheck 
 		}
 		// Recovery phase: from the post-script state, sequential rounds
 		// must reach the degraded invariant.
-		rounds, end := converge(f, m, maxRounds, (*sched.Machine).DegradedWorkConserved)
+		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).DegradedWorkConserved)
 		switch end {
 		case exhausted:
 			res.refute(rank, fmt.Sprintf(

@@ -71,15 +71,16 @@ func lemma1Check(f Factory, res *Result) stateCheck {
 
 // admittedSteals is the state check steal-soundness and
 // potential-decrease share: every (thief, stealee) pair the filter
-// admits in the state is stolen in isolation — on a clone, under a fresh
-// policy whose round began on that clone, with no concurrent steal to
+// admits in the state is stolen in isolation — on a copy, under a fresh
+// policy whose round began on that copy, with no concurrent steal to
 // interfere — and the outcome is handed to violation, which names what
 // the steal broke ("" for nothing). before is the untouched state, after
-// the clone the steal ran on, p the policy that ran it.
+// the copy the steal ran on, p the policy that ran it.
 func admittedSteals(f Factory, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
 	// One Attempt per shard, not per pair: handing its address to a func
 	// value would otherwise move a fresh one to the heap for every pair.
 	var att sched.Attempt
+	trial := new(sched.Machine) // likewise one per shard, overwritten per pair
 	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
@@ -88,7 +89,7 @@ func admittedSteals(f Factory, res *Result, violation func(before, after *sched.
 				if ti == si || !p.CanSteal(m.Core(ti), m.Core(si)) {
 					continue
 				}
-				trial := m.Clone()
+				trial.CopyFrom(m)
 				pt := f()
 				beginRound(pt, trial)
 				att = sched.Attempt{Thief: ti, Victim: si}
@@ -158,7 +159,12 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 // runqueues, so a filter that flipped between selection and steal must
 // have been flipped by a completed steal.
 func failureImpliesSuccessCheck(ctx context.Context, f Factory, res *Result) stateCheck {
+	trial := new(sched.Machine)
 	return func(rank int, m *sched.Machine) bool {
+		// One selection per state: it reads only the round-start
+		// snapshot, which is the same under every order.
+		p := f()
+		atts := sched.SelectAll(p, m)
 		return statespace.Permutations(m.NumCores(), func(order []int) bool {
 			// Each state fans out to NumCores()! orders, so polling only
 			// per state would stretch cancellation latency by that factor
@@ -167,8 +173,7 @@ func failureImpliesSuccessCheck(ctx context.Context, f Factory, res *Result) sta
 				return false
 			}
 			res.SchedulesChecked++
-			trial := m.Clone()
-			rr := sched.ConcurrentRound(f(), trial, order)
+			rr := sched.ExecuteSteals(p, trial.CopyFrom(m), atts, order)
 			for _, att := range rr.Attempts {
 				if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
 					res.refute(rank, fmt.Sprintf(

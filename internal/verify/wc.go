@@ -23,9 +23,10 @@ const (
 // returns the rounds that took, or how the loop failed: because
 // sequential rounds are deterministic, a repeated state short of the
 // goal is a livelock and a moveless round short of it is stuck for
-// good. m is left at the state the loop ended in, for the witness.
-func converge(f Factory, m *sched.Machine, maxRounds int, done func(*sched.Machine) bool) (rounds int, end divergence) {
-	seen := make(statespace.Visited)
+// good. m is left at the state the loop ended in, for the witness. seen
+// is the caller's cycle set, emptied here so one map serves a whole shard.
+func converge(f Factory, m *sched.Machine, maxRounds int, seen statespace.Visited, done func(*sched.Machine) bool) (rounds int, end divergence) {
+	clear(seen)
 	seen.Add(m)
 	for round := 0; ; round++ {
 		if done(m) {
@@ -50,9 +51,10 @@ func converge(f Factory, m *sched.Machine, maxRounds int, done func(*sched.Machi
 // The result's Bound is the worst-case N observed — the existential
 // witness of the paper's definition.
 func workConservationSequentialCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	seen := make(statespace.Visited)
 	return func(rank int, m *sched.Machine) bool {
 		start := m.Loads()
-		rounds, end := converge(f, m, maxRounds, (*sched.Machine).WorkConserved)
+		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).WorkConserved)
 		switch end {
 		case exhausted:
 			res.refute(rank, fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds))
@@ -70,21 +72,24 @@ func workConservationSequentialCheck(f Factory, maxRounds int, res *Result) stat
 }
 
 // successorFunc enumerates the adversary's one-round successors of a
-// machine state, invoking visit with each resulting state and a label
-// describing the adversarial decisions. Enumeration stops early when
-// visit returns false; the function reports whether it ran to
-// completion.
-type successorFunc func(f Factory, m *sched.Machine, visit func(next *sched.Machine, label string) bool) bool
+// machine state for an explorer, invoking visit with each resulting
+// state and the adversarial decisions that led to it: the steal order
+// and, when the adversary also chose the victims, the attempts carrying
+// them (nil otherwise). next, atts and order are the enumeration's own
+// storage — unchanged for the duration of the visit, reused after it.
+// Enumeration stops early when visit returns false; the function reports
+// whether it ran to completion.
+//
+// The selection phase runs once per state, not once per order: it reads
+// only the round-start snapshot, which no order can change.
+type successorFunc func(e *concExplorer, m *sched.Machine, visit func(next *sched.Machine, atts []sched.Attempt, order []int) bool) bool
 
 // orderSuccessors gives the adversary control of the steal serialization
 // order only — the §4.3 model where the policy's own Choose picks
 // victims.
-func orderSuccessors(f Factory, m *sched.Machine, visit func(*sched.Machine, string) bool) bool {
-	return statespace.Permutations(m.NumCores(), func(order []int) bool {
-		next := m.Clone()
-		sched.ConcurrentRound(f(), next, order)
-		return visit(next, fmt.Sprintf("steal-order %v", order))
-	})
+func orderSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
+	p := e.f()
+	return e.permuteSteals(p, m, sched.SelectAll(p, m), nil, visit)
 }
 
 // choiceSuccessors gives the adversary control of both the victim chosen
@@ -92,21 +97,18 @@ func orderSuccessors(f Factory, m *sched.Machine, visit func(*sched.Machine, str
 // checking the paper's claim that the exact choice "does not matter for
 // the correctness proof". The candidate sets come from the policy's own
 // filter against the round-start snapshot.
-func choiceSuccessors(f Factory, m *sched.Machine, visit func(*sched.Machine, string) bool) bool {
-	base := sched.SelectAll(f(), m)
+func choiceSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
+	base := sched.SelectAll(e.f(), m)
+	// The steals re-validate under a second instance, one that has not
+	// seen BeginRound, never the selecting one: sharing it flips
+	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
+	// item 2 records the open question).
+	p := e.f()
 	atts := make([]sched.Attempt, len(base))
 	var rec func(core int) bool
 	rec = func(core int) bool {
 		if core == len(base) {
-			victims := make([]int, len(atts))
-			for i := range atts {
-				victims[i] = atts[i].Victim
-			}
-			return statespace.Permutations(m.NumCores(), func(order []int) bool {
-				next := m.Clone()
-				sched.ExecuteSteals(f(), next, atts, order)
-				return visit(next, fmt.Sprintf("victims %v steal-order %v", victims, order))
-			})
+			return e.permuteSteals(p, m, atts, atts, visit)
 		}
 		if base[core].Victim < 0 {
 			atts[core] = base[core]
@@ -122,6 +124,25 @@ func choiceSuccessors(f Factory, m *sched.Machine, visit func(*sched.Machine, st
 		return true
 	}
 	return rec(0)
+}
+
+// permuteSteals visits the state every steal order makes of m under the
+// selected attempts, each on a machine borrowed from the explorer's free
+// list for the duration of the visit. chosen is what visit is told the
+// adversary picked besides the order.
+func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
+	return statespace.Permutations(m.NumCores(), func(order []int) bool {
+		var next *sched.Machine
+		if n := len(e.free); n > 0 {
+			next, e.free = e.free[n-1], e.free[:n-1]
+		} else {
+			next = new(sched.Machine)
+		}
+		sched.ExecuteSteals(p, next.CopyFrom(m), atts, order)
+		ok := visit(next, chosen, order)
+		e.free = append(e.free, next)
+		return ok
+	})
 }
 
 // concExplorer performs the adversarial game-graph search: states are
@@ -146,6 +167,7 @@ type concExplorer struct {
 	memo      map[string]int            // state key -> worst rounds to terminal
 	onPath    map[string]bool
 	trace     []traceStep
+	free      []*sched.Machine // successor machines not on the current path, for reuse
 	violation string
 	aborted   bool // violation is a cancellation, not a refutation
 	polls     int  // amortizes the ctx check to every 64 explored nodes
@@ -155,10 +177,14 @@ func newExplorer(ctx context.Context, f Factory, succ successorFunc, done func(*
 	return &concExplorer{ctx: ctx, f: f, succ: succ, done: done, res: res, memo: make(map[string]int), onPath: make(map[string]bool)}
 }
 
+// traceStep is one edge of the path under exploration: the state it
+// leaves and the adversary's decisions. All three are live and unchanged
+// while the edge is on the path, so nothing is copied or rendered unless
+// describeCycle prints it.
 type traceStep struct {
-	key   string
-	loads []int
-	label string
+	m     *sched.Machine
+	atts  []sched.Attempt // the adversary's victims, nil when it only picks the order
+	order []int
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
@@ -170,23 +196,27 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 		e.aborted = true
 		return 0, false
 	}
-	key := m.Key()
-	if n, ok := e.memo[key]; ok {
+	// Lookups go through the key's bytes; only a node seen for the first
+	// time pays for a string.
+	var buf [64]byte
+	kb := m.AppendKey(buf[:0])
+	if n, ok := e.memo[string(kb)]; ok {
 		return n, true
 	}
 	if e.done(m) {
-		e.memo[key] = 0
+		e.memo[string(kb)] = 0
 		return 0, true
 	}
-	if e.onPath[key] {
+	if e.onPath[string(kb)] {
 		e.violation = e.describeCycle(m)
 		return 0, false
 	}
+	key := string(kb)
 	e.onPath[key] = true
 	worst := 0
-	ok := e.succ(e.f, m, func(next *sched.Machine, label string) bool {
+	ok := e.succ(e, m, func(next *sched.Machine, atts []sched.Attempt, order []int) bool {
 		e.res.SchedulesChecked++
-		e.trace = append(e.trace, traceStep{key: key, loads: m.Loads(), label: label})
+		e.trace = append(e.trace, traceStep{m: m, atts: atts, order: order})
 		n, ok := e.explore(next)
 		e.trace = e.trace[:len(e.trace)-1]
 		if !ok {
@@ -213,13 +243,21 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine) string {
 	start := 0
 	target := repeat.Key()
 	for i := range e.trace {
-		if e.trace[i].key == target {
+		if e.trace[i].m.Key() == target {
 			start = i
 			break
 		}
 	}
 	for _, step := range e.trace[start:] {
-		fmt.Fprintf(&b, " %v --%s-->", step.loads, step.label)
+		fmt.Fprintf(&b, " %v --", step.m.Loads())
+		if step.atts != nil {
+			victims := make([]int, len(step.atts))
+			for i := range step.atts {
+				victims[i] = step.atts[i].Victim
+			}
+			fmt.Fprintf(&b, "victims %v ", victims)
+		}
+		fmt.Fprintf(&b, "steal-order %v-->", step.order)
 	}
 	fmt.Fprintf(&b, " %v", repeat.Loads())
 	return b.String()
@@ -278,13 +316,15 @@ func gameCheck(ctx context.Context, f Factory, succ successorFunc, res *Result) 
 // paper's missing latency limit, made concrete over the bounded
 // universe.
 func reactivityCheck(ctx context.Context, f Factory, res *Result) stateCheck {
+	e := newExplorer(ctx, f, orderSuccessors, nil, res)
 	return func(rank int, m *sched.Machine) bool {
 		for _, target := range m.IdleCores() {
-			// A fresh explorer per target: the terminal predicate (and
-			// thus the memo) depends on the target core.
-			e := newExplorer(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
+			// A fresh game per target: the terminal predicate (and thus
+			// the memo) depends on the target core.
+			clear(e.memo)
+			e.done = func(s *sched.Machine) bool {
 				return !s.Core(target).Idle() || len(s.OverloadedCores()) == 0
-			}, res)
+			}
 			n, ok := e.explore(m)
 			if !ok {
 				return e.lost(rank, fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()))
