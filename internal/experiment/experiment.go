@@ -217,8 +217,8 @@ func E4Potential(ctx context.Context) Result {
 }
 
 // E5RoundCost reproduces the Figure 1 overhead story: the cost of a
-// balancing round by core count, the concurrent (snapshot) mode's
-// premium, and the DSL-interpreter's overhead versus the native policy —
+// balancing round by core count, the concurrent (select-all-then-steal)
+// mode's premium, and the DSL-interpreter's overhead versus the native policy —
 // design constraint (iii), "incurring low overhead".
 func E5RoundCost(ctx context.Context) Result {
 	t := metrics.NewTable("cores", "sequential ns/round", "concurrent ns/round", "dsl ns/round", "dsl overhead")
@@ -254,7 +254,7 @@ func E5RoundCost(ctx context.Context) Result {
 	return Result{
 		ID: "E5", Title: "Balancing-round cost and DSL overhead (Figure 1, constraint iii)", Table: t,
 		Notes: []string{
-			"concurrent rounds pay for the stale snapshot (clone) — the price of lock-free selection in the model checker; the real executor (E8) publishes load counters instead",
+			"concurrent rounds pay for re-validating every steal and recording each attempt's candidates; selection runs on the live machine (nothing mutates it before the last core has selected), so there is no snapshot to pay for",
 			"the interpreted DSL policy costs ≈3x over native Go at scale; the generated-code backend (scheddsl -gen) removes the interpreter entirely",
 		},
 	}

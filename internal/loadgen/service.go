@@ -73,6 +73,12 @@ func (w *Service) Setup(s *sim.Simulator) {
 	if w.latency == nil {
 		w.latency = metrics.NewHistogram(32)
 	}
+	// s(k) for every width a job can draw, computed once: one math.Pow
+	// per width instead of one per job.
+	speedup := make([]float64, max(w.Malleable.MaxWidth, 1)+1)
+	for k := 1; k < len(speedup); k++ {
+		speedup[k] = w.Malleable.Speedup(k)
+	}
 	rng := s.RNG()
 	t := s.Clock()
 	rr := 0
@@ -86,7 +92,7 @@ func (w *Service) Setup(s *sim.Simulator) {
 		if w.Malleable.ParallelFraction > 0 && rng.Float64() < w.Malleable.ParallelFraction {
 			k = 2 + rng.Intn(w.Malleable.MaxWidth-1)
 		}
-		perTask := int64(math.Ceil(float64(work) / w.Malleable.Speedup(k)))
+		perTask := int64(math.Ceil(float64(work) / speedup[k]))
 		if perTask < 1 {
 			perTask = 1
 		}
@@ -94,35 +100,40 @@ func (w *Service) Setup(s *sim.Simulator) {
 		w.arrived++
 		w.offered += int64(k) * (perTask + 1)
 		for i := 0; i < k; i++ {
-			s.SpawnAt(t, cores[rr%len(cores)], weight, w.jobTask(j, perTask))
+			s.SpawnAt(t, cores[rr%len(cores)], weight, &jobTask{w: w, j: j, run: perTask})
 			rr++
 		}
 	}
 }
 
-// jobTask builds one task of a job: compute the task's share, then (at
-// the exact completion instant, observed via the yield transition) close
-// out the job if this was its last piece, and exit on a final one-tick
-// stub. The stub is the price of observing completion time exactly; it
-// is accounted for in both the offered-work counter and
+// jobTask is one task of a job: compute the task's share, then (at the
+// exact completion instant, observed via the yield transition) close out
+// the job if this was its last piece, and exit on a final one-tick stub.
+// The stub is the price of observing completion time exactly; it is
+// accounted for in both the offered-work counter and
 // MalleableSpec.ExpectedCPU.
-func (w *Service) jobTask(j *job, run int64) sim.Behavior {
-	phase := 0
-	return sim.BehaviorFunc(func(now int64, _ *sim.RNG) sim.Action {
-		if phase == 0 {
-			phase = 1
-			return sim.Action{RunFor: run, Then: sim.ThenYield}
+type jobTask struct {
+	w     *Service
+	j     *job
+	run   int64
+	phase int8
+}
+
+// Next implements sim.Behavior.
+func (t *jobTask) Next(now int64, _ *sim.RNG) sim.Action {
+	if t.phase == 0 {
+		t.phase = 1
+		return sim.Action{RunFor: t.run, Then: sim.ThenYield}
+	}
+	if t.phase == 1 {
+		t.phase = 2
+		t.j.remaining--
+		if t.j.remaining == 0 {
+			t.w.completed++
+			t.w.latency.Record(now - t.j.arrival)
 		}
-		if phase == 1 {
-			phase = 2
-			j.remaining--
-			if j.remaining == 0 {
-				w.completed++
-				w.latency.Record(now - j.arrival)
-			}
-		}
-		return sim.Action{RunFor: 1, Then: sim.ThenExit}
-	})
+	}
+	return sim.Action{RunFor: 1, Then: sim.ThenExit}
 }
 
 // Arrived returns the number of jobs generated.

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -73,6 +74,7 @@ func (w *TimeWeighted) MeanAt(t int64, startT int64) float64 {
 // construction.
 type Histogram struct {
 	subBuckets int
+	subBits    int // floor(log2(subBuckets))
 	counts     []int64
 	total      int64
 	sum        float64
@@ -87,6 +89,7 @@ func NewHistogram(subBuckets int) *Histogram {
 	}
 	return &Histogram{
 		subBuckets: subBuckets,
+		subBits:    bits.Len(uint(subBuckets)) - 1,
 		counts:     make([]int64, 64*subBuckets),
 		min:        math.MaxInt64,
 		max:        -1,
@@ -101,30 +104,9 @@ func (h *Histogram) bucketIndex(v int64) int {
 	if v < int64(h.subBuckets) {
 		return int(v)
 	}
-	exp := 63 - leadingZeros(uint64(v))
-	shift := exp - log2int(h.subBuckets)
+	shift := bits.Len64(uint64(v)) - 1 - h.subBits
 	sub := int(v >> uint(shift) & int64(h.subBuckets-1))
-	return (exp-log2int(h.subBuckets)+1)*h.subBuckets + sub
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
-}
-
-func log2int(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return (shift+1)*h.subBuckets + sub
 }
 
 // Record adds one observation.

@@ -29,13 +29,15 @@ type Machine struct {
 
 // buffers is what a machine owns beyond its cores and would otherwise
 // allocate again on every call: the arena CopyFrom and SetFromSpec lay
-// tasks out in, and the round executors' per-round slices (see round.go).
-// It is per machine, never shared: a caller may still be reading one
-// machine's round results while it runs rounds on another.
+// tasks out in, the chunk Spawn carves tasks from, and the round
+// executors' per-round slices (see round.go). It is per machine, never
+// shared: a caller may still be reading one machine's round results
+// while it runs rounds on another.
 type buffers struct {
-	tasks []Task // arena behind the cores' task pointers
+	tasks   []Task // arena behind the cores' task pointers
+	spawned []Task // the chunk Spawn is filling; full ones belong to their tasks
 
-	stale   *Machine  // SelectAll's round-start snapshot
+	stale   *Machine  // UnsafeConcurrentRound's round-start snapshot
 	atts    []Attempt // SelectAll's result, indexed by core ID
 	cands   []*Core   // step-1 survivors of the thief being selected for
 	candIDs []int     // backing of every Attempt.Candidates, NumCores per thief
@@ -59,8 +61,10 @@ func (b *buffers) add(t Task) *Task {
 
 // reset gives m exactly `cores` cores and an empty arena with room for
 // `tasks` tasks, keeping the cores it already has (and with them their
-// runqueue buffers) and the arena when it is large enough. The cores'
-// fields are left for the caller to overwrite.
+// runqueue buffers) and the arena when it is large enough; a new arena at
+// least doubles the old one, so a machine copied from a growing source
+// reallocates O(log n) times. The cores' fields are left for the caller
+// to overwrite.
 func (m *Machine) reset(cores, tasks int) {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: machine needs at least one core, got %d", cores))
@@ -84,7 +88,7 @@ func (m *Machine) reset(cores, tasks int) {
 	if tasks > 0 {
 		b := m.scratch()
 		if cap(b.tasks) < tasks {
-			b.tasks = make([]Task, 0, tasks)
+			b.tasks = make([]Task, 0, max(tasks, 2*cap(b.tasks)))
 		}
 		b.tasks = b.tasks[:0]
 	}
@@ -192,10 +196,20 @@ func (m *Machine) NumCores() int { return len(m.Cores) }
 // Core returns the core with the given ID.
 func (m *Machine) Core(id int) *Core { return m.Cores[id] }
 
+// spawnChunk is how many tasks Spawn allocates at a time.
+const spawnChunk = 64
+
 // Spawn creates a fresh task with the given weight and pushes it on core
-// id's runqueue, returning the task.
+// id's runqueue, returning the task. Tasks are carved from chunks of
+// spawnChunk, which never move: the pointer stays valid until a CopyFrom
+// or SetFromSpec overwrites m.
 func (m *Machine) Spawn(id int, weight int64) *Task {
-	t := NewWeightedTask(m.nextID, weight)
+	b := m.scratch()
+	if len(b.spawned) == cap(b.spawned) {
+		b.spawned = make([]Task, 0, spawnChunk)
+	}
+	b.spawned = append(b.spawned, weightedTask(m.nextID, weight))
+	t := &b.spawned[len(b.spawned)-1]
 	m.nextID++
 	m.Cores[id].Push(t)
 	return t

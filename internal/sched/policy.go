@@ -19,8 +19,8 @@ import "fmt"
 // Implementations must be pure with respect to the machine state: the
 // selection phase of a balancing round is lock-free and read-only (§3.1),
 // so a Policy must not mutate the cores it inspects. The executors hand
-// policies cloned snapshots in the concurrent mode, so a mutating policy
-// cannot corrupt the machine, but it would invalidate its own proofs.
+// policies the live machine in both modes — a mutating policy corrupts it
+// and invalidates its own proofs.
 type Policy interface {
 	// Name identifies the policy in reports and traces.
 	Name() string
@@ -53,10 +53,13 @@ type Policy interface {
 // RoundObserver is an optional Policy extension for policies whose filter
 // depends on machine-wide statistics (e.g. per-group load sums for
 // hierarchical balancing, §5). BeginRound is invoked with the view the
-// subsequent selection runs against — the live machine in sequential mode,
-// the stale snapshot in concurrent mode — so cached statistics have
-// exactly the staleness the optimistic model prescribes. Implementations
-// must treat the view as read-only.
+// subsequent selections run against: SelectAll observes the live machine
+// once and then selects for every core on it, so through the stealing
+// phase the cached statistics are as stale as the selections — exactly
+// the staleness the optimistic model prescribes; Select and
+// SequentialRound observe before each core's selection. Implementations
+// must treat the view as read-only and keep what they need from it: the
+// machine changes under them once steals begin.
 type RoundObserver interface {
 	BeginRound(view *Machine)
 }

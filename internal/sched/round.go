@@ -106,21 +106,29 @@ func (r *RoundResult) TasksMoved() int {
 }
 
 // Select runs steps 1 and 2 for thief against the given view of the
-// machine: filter every other core, then choose among the survivors. The
-// view may be a stale snapshot (concurrent mode) or the live machine
-// (sequential mode); Select never mutates it. It returns the attempt with
-// Victim, Candidates and, when nothing is stealable, FailNoCandidate.
+// machine: let a RoundObserver observe the view, filter every other core,
+// then choose among the survivors. The view may be a stale snapshot (the
+// executor's lock-free phase) or the live machine (sequential mode);
+// Select never mutates it. It returns the attempt with Victim, Candidates
+// and, when nothing is stealable, FailNoCandidate.
 func Select(p Policy, view *Machine, thiefID int) Attempt {
+	observe(p, view)
 	return selectInto(p, view, thiefID, nil, nil)
 }
 
-// selectInto is Select appending the filter's survivors to candidates
-// and their IDs — the attempt's Candidates — to ids, both empty on entry:
-// nil to allocate them, or a round executor's buffers.
-func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []int) Attempt {
+// observe shows a RoundObserver the view the selections that follow run
+// against.
+func observe(p Policy, view *Machine) {
 	if obs, ok := p.(RoundObserver); ok {
 		obs.BeginRound(view)
 	}
+}
+
+// selectInto is Select after the observation, appending the filter's
+// survivors to candidates and their IDs — the attempt's Candidates — to
+// ids, both empty on entry: nil to allocate them, or a round executor's
+// buffers.
+func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []int) Attempt {
 	thief := view.Core(thiefID)
 	att := Attempt{Thief: thiefID, Victim: -1}
 	if thief.Offline {
@@ -253,6 +261,7 @@ func SequentialRound(p Policy, m *Machine) RoundResult {
 	b := m.roundBuffers()
 	n := m.NumCores()
 	for id := 0; id < n; id++ {
+		observe(p, m) // the previous core's steal changed the machine
 		att := selectInto(p, m, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
 		Steal(p, m, &att)
 		b.done = append(b.done, att)
@@ -276,22 +285,23 @@ func (m *Machine) roundBuffers() *buffers {
 	return b
 }
 
-// SelectAll runs the lock-free selection phase for every core against a
-// shared snapshot of the machine — the maximal-staleness model of §3.1
-// where all cores decide "simultaneously". It returns one attempt per
+// SelectAll runs the lock-free selection phase for every core against one
+// shared state of the machine — the maximal-staleness model of §3.1 where
+// all cores decide "simultaneously". That state is m itself, observed
+// once: selection only reads (policies treat views as read-only by
+// contract, and the attempts carry IDs, not pointers), and nothing
+// mutates m before the last core has selected, so no snapshot is needed
+// to keep the selections mutually consistent. It returns one attempt per
 // core, indexed by core ID. The attempts live in m's buffers (see the
 // package doc's reuse paragraph): ExecuteSteals keeps them intact, m's
 // next selection or SequentialRound overwrites them.
 func SelectAll(p Policy, m *Machine) []Attempt {
 	b := m.roundBuffers()
-	if b.stale == nil {
-		b.stale = new(Machine)
-	}
-	b.stale.CopyFrom(m)
+	observe(p, m)
 	n := m.NumCores()
 	atts := b.atts[:n]
 	for id := range atts {
-		atts[id] = selectInto(p, b.stale, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
+		atts[id] = selectInto(p, m, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
 	}
 	return atts
 }
@@ -319,7 +329,7 @@ func ExecuteSteals(p Policy, m *Machine, atts []Attempt, order []int) RoundResul
 
 // ConcurrentRound executes one balancing round in the optimistic
 // concurrent setting of §3.1/§4.3: lock-free selection against the
-// round-start snapshot (SelectAll), then steals serialized in the given
+// round-start state (SelectAll), then steals serialized in the given
 // adversarial order with re-validation (ExecuteSteals).
 func ConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 	return ExecuteSteals(p, m, SelectAll(p, m), order)
@@ -339,8 +349,16 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 		panic(err)
 	}
 	atts := SelectAll(p, m)
-	stale := b.stale
+	// This executor alone reads the round-start state after steals have
+	// begun (a picker's stale pick below), so it alone snapshots it.
 	picker, _ := p.(TaskPicker)
+	var stale *Machine
+	if picker != nil {
+		if b.stale == nil {
+			b.stale = new(Machine)
+		}
+		stale = b.stale.CopyFrom(m)
+	}
 	for _, id := range order {
 		att := atts[id]
 		if att.Victim >= 0 {

@@ -48,7 +48,13 @@
 // that machine's next selection or round (ExecuteSteals leaves the
 // attempts it is handed intact, whichever machine selected them); rounds
 // on any other machine, copies included, leave them alone. Clone still
-// returns a machine that shares nothing with its source.
+// returns a machine that shares nothing with its source. SelectAll takes
+// no snapshot: it lets a RoundObserver observe the live machine once and
+// selects for every core on it — nothing mutates the machine between the
+// observation and the last selection, and attempts carry core IDs only —
+// so a concurrent round costs no copy. Spawn carves tasks from 64-task
+// chunks that never move, so a spawned *Task stays valid until the
+// machine is next the receiver of a CopyFrom or SetFromSpec.
 package sched
 
 import "fmt"

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
-
-// mathLog avoids importing math in two files.
-func mathLog(x float64) float64 { return math.Log(x) }
+import "math"
 
 // eventKind discriminates simulator events.
 type eventKind int8
@@ -28,52 +22,77 @@ const (
 )
 
 // event is one scheduled simulator event. seq breaks time ties
-// deterministically (FIFO among same-time events).
+// deterministically (FIFO among same-time events). Events are plain
+// values without pointers: the queue stores them inline, so posting one
+// allocates nothing and the collector never scans the queue.
 type event struct {
 	time int64
 	seq  uint64
-	kind eventKind
 
-	core    int    // evSliceEnd: the core; evSpawn: arrival core; evFail/evRevive: the core
-	task    int64  // evSliceEnd/evWake/evSpawn: the task
-	runSeq  uint64 // evSliceEnd: validity token (stale slices are ignored)
-	spawnID int    // evSpawn: index into pending spawn descriptors
+	task   int64  // evSliceEnd/evWake: the task; evSpawn: index into the pending spawn descriptors
+	runSeq uint64 // evSliceEnd: validity token (stale slices are ignored)
+	core   int32  // evSliceEnd: the core; evSpawn: arrival core; evFail/evRevive: the core
+	kind   eventKind
 }
 
-// eventQueue is a min-heap on (time, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before is the queue order: earlier time first, then posting order.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-// Push implements heap.Interface.
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-// Pop implements heap.Interface.
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
+// eventQueue is a binary min-heap on (time, seq), stored by value. (time,
+// seq) is a total order — seq is unique — so the pop order is that of a
+// stable sort on time, whatever the heap's internal layout.
+type eventQueue []event
 
 // push schedules e on the queue.
-func (q *eventQueue) push(e *event) { heap.Push(q, e) }
-
-// pop removes and returns the earliest event, or nil when empty.
-func (q *eventQueue) pop() *event {
-	if len(*q) == 0 {
-		return nil
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return heap.Pop(q).(*event)
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }
 
 // peekTime returns the earliest event time, or math.MaxInt64 when empty.

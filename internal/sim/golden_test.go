@@ -1,0 +1,189 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/policy"
+	"repro/internal/sched"
+	"repro/internal/trace"
+)
+
+// updateGolden regenerates testdata/golden-trace.txt from the simulator as
+// it stands. The sweep reports are a function of these event streams, so
+// it goes together with a loadgen.ReportVersion bump.
+var updateGolden = flag.Bool("update-golden", false, "rewrite internal/sim/testdata/golden-trace.txt (only together with a loadgen.ReportVersion bump)")
+
+const goldenFile = "testdata/golden-trace.txt"
+
+type goldenScenario struct {
+	name string
+	cfg  Config
+	// build schedules the scenario's tasks and faults and returns the
+	// horizons to Run to, in order.
+	build func(s *Simulator) []int64
+}
+
+func mustPolicy(name string) sched.Policy {
+	p, err := policy.New(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// goldenScenarios is the pinned corpus. Between them the scenarios take
+// every transition (exit, block, yield, barrier), both round modes, idle
+// balancing, fail/revive with and without a rescue rule (including the
+// refused events and a wake onto an offline home core), weighted tasks
+// under a TaskPicker, grouped machines under both RoundObservers, spawns
+// posted out of time order and bursts of equal-time events.
+func goldenScenarios() []goldenScenario {
+	return []goldenScenario{
+		{"rescue-faults-idle", Config{Cores: 4, Policy: mustPolicy("delta2-rescue"), Seed: 7, IdleBalance: true}, func(s *Simulator) []int64 {
+			// Posted latest first: the queue, not the call order, sorts them.
+			for i := 11; i >= 0; i-- {
+				s.SpawnAt(int64(i)*3000, i%2, 1024, RunBlockLoop(1500+int64(i)*100, 2500, 3))
+			}
+			for i := 0; i < 6; i++ {
+				s.SpawnAt(100, 0, 1024, RunOnce(9000))
+			}
+			s.SpawnAt(0, 3, 1024, RunForever(700))
+			s.FailAt(20_000, 1)
+			s.FailAt(21_000, 1) // already offline: refused
+			s.ReviveAt(60_000, 1)
+			s.ReviveAt(61_000, 1) // already online: refused
+			s.FailAt(70_000, 0)
+			s.ReviveAt(90_000, 0)
+			return []int64{50_000, 200_000}
+		}},
+		{"barrier-hierarchical-sequential", Config{Cores: 8, Policy: mustPolicy("hierarchical"), Seed: 8,
+			Groups: []int{0, 0, 0, 0, 1, 1, 1, 1}, Mode: RoundSequential}, func(s *Simulator) []int64 {
+			b := NewBarrier(6)
+			for i := 0; i < 6; i++ {
+				s.SpawnAt(int64(i), 0, 1024, BarrierLoop(b, 2000+int64(i)*300, 12))
+			}
+			for i := 0; i < 5; i++ {
+				s.SpawnAt(500, 4+i%2, 1024, RunForever(2500))
+			}
+			return []int64{300_000}
+		}},
+		{"stranded-until-revive", Config{Cores: 3, Policy: mustPolicy("delta2"), Seed: 9, BalancePeriod: 3000, Quantum: 400}, func(s *Simulator) []int64 {
+			for i := 0; i < 5; i++ {
+				s.SpawnAt(0, 0, 1024, RunBlockLoop(1000, 4000, 4))
+				s.SpawnAt(0, 1, 1024, RunOnce(6000))
+			}
+			s.FailAt(1500, 0) // blocked tasks wake onto the lowest online core
+			s.FailAt(2500, 1)
+			s.FailAt(2600, 2) // the last online core: refused
+			s.ReviveAt(30_000, 0)
+			s.ReviveAt(45_000, 1)
+			return []int64{10_000, 40_000, 150_000}
+		}},
+		{"weighted-churn-idle", Config{Cores: 4, Policy: mustPolicy("weighted"), Seed: 10, IdleBalance: true}, func(s *Simulator) []int64 {
+			rng := NewRNG(99)
+			for i := 0; i < 120; i++ {
+				at := rng.Int63n(200_000)
+				service := 500 + rng.Int63n(4000)
+				weight := int64(256) << uint(rng.Intn(4))
+				if rng.Float64() < 0.3 {
+					s.SpawnAt(at, rng.Intn(2), weight, RunBlockLoop(service, 1000+rng.Int63n(2000), 2+rng.Intn(3)))
+				} else {
+					s.SpawnAt(at, 0, weight, RunOnce(service))
+				}
+			}
+			return []int64{250_000, 500_000}
+		}},
+		{"cfs-group-buggy-equal-times", Config{Cores: 4, Policy: mustPolicy("cfs-group-buggy"), Seed: 11, Groups: []int{0, 0, 1, 1}}, func(s *Simulator) []int64 {
+			s.SpawnAt(0, 1, 8192, RunOnce(150_000))
+			for i := 0; i < 16; i++ {
+				// Sixteen arrivals per instant, twice: FIFO among equals.
+				s.SpawnAt(1000, 2+i%2, 1024, RunOnce(8000+int64(i)))
+				s.SpawnAt(4000, 2, 1024, RunBlockLoop(900, 900, 2))
+			}
+			return []int64{400_000}
+		}},
+		{"greedy-contention", Config{Cores: 6, Policy: mustPolicy("greedy-buggy"), Seed: 12, BalancePeriod: 1000}, func(s *Simulator) []int64 {
+			for i := 0; i < 7; i++ {
+				s.SpawnAt(0, 0, 1024, RunOnce(40_000))
+			}
+			s.SpawnAt(12_345, 5, 1024, RunForever(300))
+			return []int64{120_000}
+		}},
+		{"null-sequential-idle", Config{Cores: 2, Policy: mustPolicy("null"), Seed: 13, Mode: RoundSequential, IdleBalance: true}, func(s *Simulator) []int64 {
+			for i := 0; i < 10; i++ {
+				s.SpawnAt(int64(10-i)*100, 0, 1024, RunOnce(3000))
+			}
+			return []int64{60_000}
+		}},
+	}
+}
+
+func histLine(h *metrics.Histogram) string {
+	return fmt.Sprintf("n=%d mean=%v min=%d max=%d p50=%d p90=%d p99=%d p999=%d",
+		h.Count(), h.Mean(), h.Min(), h.Max(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Quantile(0.999))
+}
+
+// goldenTraceLine hashes what one scenario emits: every trace event in
+// order, the Stats of every Run, and the machine it leaves behind.
+func goldenTraceLine(t *testing.T, g goldenScenario) string {
+	t.Helper()
+	ring := trace.NewRing(1 << 18)
+	cfg := g.cfg
+	cfg.Ring = ring
+	s := New(cfg)
+	h := sha256.New()
+	for _, until := range g.build(s) {
+		st := s.Run(until)
+		lat, wait := st.Latency, st.WaitTime
+		st.Latency, st.WaitTime = nil, nil
+		fmt.Fprintf(h, "%+v\nlatency %s\nwait %s\n", st, histLine(lat), histLine(wait))
+	}
+	if ring.Dropped() != 0 {
+		t.Fatalf("%s: ring dropped %d events: the hash must cover the whole stream", g.name, ring.Dropped())
+	}
+	for _, e := range ring.Events() {
+		fmt.Fprintln(h, e)
+	}
+	if err := s.Machine().Validate(); err != nil {
+		t.Fatalf("%s: %v", g.name, err)
+	}
+	fmt.Fprintln(h, s.Machine().Key())
+	return fmt.Sprintf("%x  %s  events=%d", h.Sum(nil), g.name, ring.Len())
+}
+
+// TestGoldenTraces pins the simulator's behaviour event by event: the
+// sweep reports (loadgen's TestGoldenSweeps) only see it through
+// histograms and counters.
+func TestGoldenTraces(t *testing.T) {
+	cases := goldenScenarios()
+	if *updateGolden {
+		var b strings.Builder
+		for _, g := range cases {
+			b.WriteString(goldenTraceLine(t, g))
+			b.WriteByte('\n')
+		}
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(want) != len(cases) {
+		t.Fatalf("%s has %d lines for %d cases", goldenFile, len(want), len(cases))
+	}
+	for i, g := range cases {
+		if got := goldenTraceLine(t, g); got != want[i] {
+			t.Errorf("simulator event stream changed: bump ReportVersion in internal/loadgen and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+		}
+	}
+}

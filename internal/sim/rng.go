@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a deterministic xorshift64* pseudo-random generator. The
 // simulator is fully deterministic given a seed, which is what makes the
 // E6 experiments reproducible without math/rand's global state.
@@ -49,25 +51,24 @@ func (r *RNG) Float64() float64 {
 // mean, rounded up to at least 1 tick — the inter-arrival law of the
 // open-loop database workload.
 func (r *RNG) ExpTicks(mean float64) int64 {
-	// Inverse-CDF sampling; ln via the stdlib-free approximation is not
-	// worth it — math.Log is allowed (stdlib).
+	// Inverse-CDF sampling.
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	d := int64(-mean * ln(u))
+	d := int64(-mean * math.Log(u))
 	if d < 1 {
 		d = 1
 	}
 	return d
 }
 
-// ln is a thin wrapper so the only math import sits in one place.
-func ln(x float64) float64 { return mathLog(x) }
+// Perm returns a pseudo-random permutation of [0, n).
+func (r *RNG) Perm(n int) []int { return r.permInto(make([]int, n)) }
 
-// Perm fills out with a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	out := make([]int, n)
+// permInto overwrites out with a pseudo-random permutation of
+// [0, len(out)) — Perm's draws, in a buffer the caller keeps.
+func (r *RNG) permInto(out []int) []int {
 	for i := range out {
 		j := r.Intn(i + 1)
 		out[i] = out[j]

@@ -17,6 +17,15 @@
 // events are internal/sched's round executors, Select/Steal and
 // Machine.ApplyFault run on the simulated machine, not re-implemented
 // here.
+//
+// Storage contract. Events are plain values in one heap slice, never
+// individually allocated: post and the handlers pass them by value. Task
+// state lives in a chunked slab indexed by task ID — the simulated machine
+// hands out IDs 0, 1, 2, … and nothing else spawns on it — so a *taskState
+// stays valid for the simulator's lifetime and an exited task is a status,
+// not a deletion. Each state keeps its *sched.Task, which is equally
+// stable: the simulated machine is never the target of a CopyFrom or
+// SetFromSpec, the only calls that invalidate a machine's tasks.
 package sim
 
 import (
@@ -33,7 +42,7 @@ type RoundMode int8
 
 const (
 	// RoundConcurrent runs rounds optimistically: all cores select
-	// against the round-start snapshot, steals serialize in a random
+	// against the round-start state, steals serialize in a random
 	// order (the default; matches §3.1).
 	RoundConcurrent RoundMode = iota
 	// RoundSequential runs rounds in the §4.2 no-overlap mode.
@@ -69,15 +78,15 @@ type Config struct {
 // Simulator is the discrete-event engine. Create with New, populate with
 // SpawnAt, drive with Run.
 type Simulator struct {
-	cfg    Config
-	m      *sched.Machine
-	rng    *RNG
-	clock  int64
-	seq    uint64
-	q      eventQueue
-	tasks  map[int64]*taskState
-	parked map[int64]*sched.Task // blocked tasks, off every runqueue
-	spawn  []spawnDesc
+	cfg   Config
+	m     *sched.Machine
+	rng   *RNG
+	clock int64
+	seq   uint64
+	q     eventQueue
+	tasks [][]taskState // slab of taskChunk-sized chunks, indexed by task ID
+	spawn []spawnDesc
+	order []int // handleBalance's steal order, redrawn every round
 
 	// measurement
 	completions metrics.Counter
@@ -102,8 +111,12 @@ const (
 	statusExited
 )
 
+// taskChunk is the slab's growth unit: states never move once handed out.
+const taskChunk = 64
+
 type taskState struct {
 	id         int64
+	task       *sched.Task // the model's task: on a runqueue, current, or parked here while blocked
 	behavior   Behavior
 	status     taskStatus
 	action     Action
@@ -146,8 +159,7 @@ func New(cfg Config) *Simulator {
 		cfg:        cfg,
 		m:          sched.NewMachine(cfg.Cores),
 		rng:        NewRNG(cfg.Seed),
-		tasks:      make(map[int64]*taskState),
-		parked:     make(map[int64]*sched.Task),
+		order:      make([]int, cfg.Cores),
 		latency:    metrics.NewHistogram(32),
 		waitTime:   metrics.NewHistogram(32),
 		violations: metrics.NewViolationTracker(0),
@@ -156,8 +168,13 @@ func New(cfg Config) *Simulator {
 		s.m.Core(id).Group = g
 		s.m.Core(id).Node = g
 	}
-	s.post(&event{time: cfg.BalancePeriod, kind: evBalance})
+	s.post(event{time: cfg.BalancePeriod, kind: evBalance})
 	return s
+}
+
+// state returns the slab entry of task id, which must have been spawned.
+func (s *Simulator) state(id int64) *taskState {
+	return &s.tasks[id/taskChunk][id%taskChunk]
 }
 
 // Machine exposes the simulated machine for inspection (tests, metrics).
@@ -184,7 +201,7 @@ func (s *Simulator) SpawnAt(t int64, core int, weight int64, b Behavior) {
 		panic(fmt.Sprintf("sim: SpawnAt(%d) in the past (clock %d)", t, s.clock))
 	}
 	s.spawn = append(s.spawn, spawnDesc{core: core, weight: weight, behavior: b})
-	s.post(&event{time: t, kind: evSpawn, core: core, spawnID: len(s.spawn) - 1})
+	s.post(event{time: t, kind: evSpawn, core: int32(core), task: int64(len(s.spawn) - 1)})
 }
 
 // FailAt schedules a fail-stop fault: at time t, the core goes offline.
@@ -207,10 +224,10 @@ func (s *Simulator) postFault(op string, kind eventKind, t int64, core int) {
 	if t < s.clock {
 		panic(fmt.Sprintf("sim: %s(%d) in the past (clock %d)", op, t, s.clock))
 	}
-	s.post(&event{time: t, kind: kind, core: core})
+	s.post(event{time: t, kind: kind, core: int32(core)})
 }
 
-func (s *Simulator) post(e *event) {
+func (s *Simulator) post(e event) {
 	s.seq++
 	e.seq = s.seq
 	s.q.push(e)
@@ -284,11 +301,18 @@ func (s *Simulator) observe() {
 	s.violations.Observe(s.clock, idle, over)
 }
 
-func (s *Simulator) handleSpawn(e *event) {
-	d := s.spawn[e.spawnID]
+func (s *Simulator) handleSpawn(e event) {
+	d := s.spawn[e.task]
+	s.spawn[e.task].behavior = nil // the task owns it from here on
 	task := s.m.Spawn(d.core, d.weight)
-	ts := &taskState{
-		id:         int64(task.ID),
+	id := int64(task.ID)
+	for id >= int64(len(s.tasks))*taskChunk {
+		s.tasks = append(s.tasks, make([]taskState, taskChunk))
+	}
+	ts := s.state(id)
+	*ts = taskState{
+		id:         id,
+		task:       task,
 		behavior:   d.behavior,
 		status:     statusReady,
 		lastCore:   d.core,
@@ -296,7 +320,6 @@ func (s *Simulator) handleSpawn(e *event) {
 		readySince: s.clock,
 	}
 	s.nextAction(ts)
-	s.tasks[ts.id] = ts
 	s.emit(trace.KindSpawn, d.core, ts.id, -1)
 	s.startIfIdle(d.core)
 }
@@ -325,7 +348,7 @@ func (s *Simulator) startIfIdle(core int) {
 		return
 	}
 	t := c.ScheduleLocal()
-	ts := s.tasks[int64(t.ID)]
+	ts := s.state(int64(t.ID))
 	ts.status = statusRunning
 	ts.lastCore = core
 	s.waitTime.Record(s.clock - ts.readySince)
@@ -342,15 +365,15 @@ func (s *Simulator) armSlice(core int, ts *taskState) {
 	}
 	ts.sliceStart = s.clock
 	ts.runSeq++
-	s.post(&event{time: s.clock + slice, kind: evSliceEnd, core: core, task: ts.id, runSeq: ts.runSeq})
+	s.post(event{time: s.clock + slice, kind: evSliceEnd, core: int32(core), task: ts.id, runSeq: ts.runSeq})
 }
 
-func (s *Simulator) handleSliceEnd(e *event) {
-	ts, ok := s.tasks[e.task]
-	if !ok || ts.runSeq != e.runSeq || ts.status != statusRunning {
+func (s *Simulator) handleSliceEnd(e event) {
+	ts := s.state(e.task)
+	if ts.runSeq != e.runSeq || ts.status != statusRunning {
 		return // stale slice: the task blocked, exited or was rescheduled
 	}
-	core := s.m.Core(e.core)
+	core := s.m.Core(int(e.core))
 	if core.Current == nil || int64(core.Current.ID) != ts.id {
 		return // defensive: the core runs something else now
 	}
@@ -360,7 +383,7 @@ func (s *Simulator) handleSliceEnd(e *event) {
 		if len(core.Ready) > 0 {
 			s.preempt(core, ts)
 		} else {
-			s.armSlice(e.core, ts)
+			s.armSlice(core.ID, ts)
 		}
 		return
 	}
@@ -383,18 +406,17 @@ func (s *Simulator) transition(core *sched.Core, ts *taskState) {
 	switch ts.action.Then {
 	case ThenExit:
 		core.Current = nil
-		delete(s.tasks, ts.id)
 		ts.status = statusExited
+		ts.task, ts.behavior = nil, nil // the slab entry outlives the task
 		s.completions.Inc()
 		s.latency.Record(s.clock - ts.arrival)
 		s.emit(trace.KindExit, core.ID, ts.id, -1)
 		s.startIfIdle(core.ID)
 	case ThenBlock:
-		s.parked[ts.id] = core.Current
 		core.Current = nil
 		ts.status = statusBlocked
 		s.emit(trace.KindBlock, core.ID, ts.id, ts.action.BlockFor)
-		s.post(&event{time: s.clock + ts.action.BlockFor, kind: evWake, task: ts.id})
+		s.post(event{time: s.clock + ts.action.BlockFor, kind: evWake, task: ts.id})
 		s.startIfIdle(core.ID)
 	case ThenYield:
 		s.nextAction(ts)
@@ -412,14 +434,13 @@ func (s *Simulator) transition(core *sched.Core, ts *taskState) {
 			// Last arrival: release the generation and keep running.
 			b.Generation++
 			for _, id := range b.waiting {
-				s.post(&event{time: s.clock, kind: evWake, task: id})
+				s.post(event{time: s.clock, kind: evWake, task: id})
 			}
 			b.waiting = b.waiting[:0]
 			s.nextAction(ts)
 			s.armSlice(core.ID, ts)
 		} else {
 			b.waiting = append(b.waiting, ts.id)
-			s.parked[ts.id] = core.Current
 			core.Current = nil
 			ts.status = statusBlocked
 			s.emit(trace.KindBlock, core.ID, ts.id, -1)
@@ -430,9 +451,9 @@ func (s *Simulator) transition(core *sched.Core, ts *taskState) {
 	}
 }
 
-func (s *Simulator) handleWake(e *event) {
-	ts, ok := s.tasks[e.task]
-	if !ok || ts.status != statusBlocked {
+func (s *Simulator) handleWake(e event) {
+	ts := s.state(e.task)
+	if ts.status != statusBlocked {
 		return
 	}
 	core := ts.lastCore // wake where the task last ran (cache locality)
@@ -450,20 +471,9 @@ func (s *Simulator) handleWake(e *event) {
 	ts.status = statusReady
 	ts.readySince = s.clock
 	s.nextAction(ts)
-	s.m.Core(core).Push(s.findTask(ts.id))
+	s.m.Core(core).Push(ts.task)
 	s.emit(trace.KindWake, core, ts.id, -1)
 	s.startIfIdle(core)
-}
-
-// findTask locates the sched.Task object for a blocked task. Blocked
-// tasks are off every runqueue, so the simulator parks them in a side
-// map; see block/unblock bookkeeping below.
-func (s *Simulator) findTask(id int64) *sched.Task {
-	if t, ok := s.parked[id]; ok {
-		delete(s.parked, id)
-		return t
-	}
-	panic(fmt.Sprintf("sim: task %d not parked", id))
 }
 
 // idleBalance runs one immediate three-step steal attempt on behalf of a
@@ -479,7 +489,7 @@ func (s *Simulator) idleBalance(core int) {
 		s.steals.Add(int64(att.Moved))
 		s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
 		for _, id := range att.MovedTasks {
-			s.tasks[int64(id)].lastCore = att.Thief
+			s.state(int64(id)).lastCore = att.Thief
 		}
 	} else {
 		s.stealFails.Inc()
@@ -495,21 +505,22 @@ func (s *Simulator) idleBalance(core int) {
 // policy's rescue rule. Without one the tasks stay stranded on the
 // offline core (the runtime shadow of a no-task-lost refutation) until a
 // revive makes them runnable again.
-func (s *Simulator) handleFault(e *event) {
-	c := s.m.Core(e.core)
+func (s *Simulator) handleFault(e event) {
+	failed := int(e.core)
+	c := s.m.Core(failed)
 	cur := c.Current
-	moved, err := s.m.ApplyFault(s.cfg.Policy, sched.FaultEvent{Core: e.core, Revive: e.kind == evRevive})
+	moved, err := s.m.ApplyFault(s.cfg.Policy, sched.FaultEvent{Core: failed, Revive: e.kind == evRevive})
 	if err != nil {
 		return
 	}
 	s.faults.Inc()
 	if e.kind == evRevive {
-		s.emit(trace.KindRevive, e.core, -1, int64(len(c.Ready)))
-		s.startIfIdle(e.core)
+		s.emit(trace.KindRevive, failed, -1, int64(len(c.Ready)))
+		s.startIfIdle(failed)
 		return
 	}
 	if cur != nil {
-		ts := s.tasks[int64(cur.ID)]
+		ts := s.state(int64(cur.ID))
 		ts.remaining -= s.clock - ts.sliceStart
 		if ts.remaining < 1 {
 			ts.remaining = 1
@@ -517,7 +528,7 @@ func (s *Simulator) handleFault(e *event) {
 		ts.status = statusReady
 		ts.readySince = s.clock
 	}
-	s.emit(trace.KindFail, e.core, -1, int64(moved))
+	s.emit(trace.KindFail, failed, -1, int64(moved))
 	if moved == 0 {
 		return
 	}
@@ -529,7 +540,7 @@ func (s *Simulator) handleFault(e *event) {
 		// A queued task's home is the core it sits on; the ones still
 		// naming the failed core are the orphans just re-homed here.
 		for _, t := range oc.Ready {
-			if ts := s.tasks[int64(t.ID)]; ts.lastCore == e.core {
+			if ts := s.state(int64(t.ID)); ts.lastCore == failed {
 				ts.lastCore = oc.ID
 			}
 		}
@@ -543,7 +554,7 @@ func (s *Simulator) handleBalance() {
 	if s.cfg.Mode == RoundSequential {
 		rr = sched.SequentialRound(s.cfg.Policy, s.m)
 	} else {
-		rr = sched.ConcurrentRound(s.cfg.Policy, s.m, s.rng.Perm(s.cfg.Cores))
+		rr = sched.ConcurrentRound(s.cfg.Policy, s.m, s.rng.permInto(s.order))
 	}
 	for i := range rr.Attempts {
 		att := &rr.Attempts[i]
@@ -552,7 +563,7 @@ func (s *Simulator) handleBalance() {
 			s.steals.Add(int64(att.Moved))
 			s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
 			for _, id := range att.MovedTasks {
-				s.tasks[int64(id)].lastCore = att.Thief
+				s.state(int64(id)).lastCore = att.Thief
 			}
 		case att.Reason == sched.FailRevalidation || att.Reason == sched.FailEmptyVictim:
 			s.stealFails.Inc()
@@ -563,5 +574,5 @@ func (s *Simulator) handleBalance() {
 		s.startIfIdle(id)
 	}
 	s.emit(trace.KindRound, -1, -1, int64(rr.TasksMoved()))
-	s.post(&event{time: s.clock + s.cfg.BalancePeriod, kind: evBalance})
+	s.post(event{time: s.clock + s.cfg.BalancePeriod, kind: evBalance})
 }
