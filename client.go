@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -63,8 +64,15 @@ var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 //
 // Verify submits and blocks until a verdict, resiliently:
 //
-//   - Queued jobs are polled with jittered exponential backoff from
-//     PollInterval up to MaxPollInterval, not at a fixed interval.
+//   - A queued job is polled at once, at the poll URL the daemon handed
+//     out. A daemon that long-polls (the URL carries ?wait=) holds each
+//     poll until the verdict, so there is one poll per job and no timer
+//     between the verdict and the caller; the client only lowers that
+//     wait to half its HTTPClient.Timeout when the timeout is shorter.
+//     Against a daemon that answers polls at once, polls are spaced by
+//     jittered exponential backoff from PollInterval up to
+//     MaxPollInterval — each sleep net of the time the previous poll
+//     itself took, so neither kind of daemon needs detecting.
 //   - 429 backpressure honors the server's Retry-After (jittered).
 //   - Transport errors and 5xx responses retry with jittered backoff
 //     until the circuit breaker opens (BreakerThreshold consecutive
@@ -81,8 +89,9 @@ type VerifyClient struct {
 	BaseURL string
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval is the initial job-poll spacing (default 25ms); each
-	// subsequent poll backs off exponentially with full jitter.
+	// PollInterval is the initial spacing between job polls that come
+	// back non-terminal (default 25ms); each subsequent one backs off
+	// exponentially with full jitter. The first poll is never delayed.
 	PollInterval time.Duration
 	// MaxPollInterval caps the poll backoff (default 2s).
 	MaxPollInterval time.Duration
@@ -292,24 +301,31 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
-// poll drives one queued job to completion with jittered exponential
-// backoff between polls.
+// poll drives one queued job to completion. The first poll goes out at
+// once; after a poll that came back without a verdict the next one waits
+// out what is left of the jittered exponential backoff once the time the
+// poll itself took is taken off — nothing when the daemon held the poll
+// (a long-poll), the whole backoff when it answered at once.
 func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string) (*Report, error) {
 	if pollURL == "" {
 		pollURL = "/v1/jobs/" + jobID
 	}
-	attempt := 0
-	for {
-		if err := sleepCtx(ctx, backoffDelay(attempt, c.pollInterval(), c.maxPollInterval())); err != nil {
-			c.cancelRemote(pollURL)
-			return nil, err
+	pollURL = c.fitWait(pollURL)
+	var took time.Duration
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if err := sleepCtx(ctx, backoffDelay(attempt-1, c.pollInterval(), c.maxPollInterval())-took); err != nil {
+				c.cancelRemote(pollURL)
+				return nil, err
+			}
 		}
-		attempt++
 		if c.breakerOpen() {
 			c.cancelRemote(pollURL)
 			return nil, fmt.Errorf("%w (abandoning job %s)", ErrCircuitOpen, jobID)
 		}
+		start := time.Now()
 		resp, err := c.do(ctx, http.MethodGet, pollURL, nil)
+		took = time.Since(start)
 		if err != nil {
 			if ctx.Err() != nil {
 				c.cancelRemote(pollURL)
@@ -339,6 +355,26 @@ func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string) (*Report
 			return nil, fmt.Errorf("optsched: verify job %s cancelled: %s", jobID, resp.envelope.Error)
 		}
 	}
+}
+
+// fitWait lowers the wait a poll URL asks the daemon for to half the
+// HTTP client's own timeout when it is longer than that — the one thing
+// the client knows and the daemon does not — so a long job is a series
+// of unanswered long-polls, never a series of transport timeouts that
+// trip the breaker. A URL without a wait parameter is left as it is.
+func (c *VerifyClient) fitWait(pollURL string) string {
+	timeout := c.httpClient().Timeout
+	u, err := url.Parse(pollURL)
+	if timeout <= 0 || err != nil {
+		return pollURL
+	}
+	q := u.Query()
+	if wait, err := time.ParseDuration(q.Get("wait")); err != nil || wait <= timeout/2 {
+		return pollURL
+	}
+	q.Set("wait", (timeout / 2).String())
+	u.RawQuery = q.Encode()
+	return u.String()
 }
 
 // cancelRemote best-effort cancels an abandoned job so queued work is
@@ -453,6 +489,9 @@ func decodeReport(env service.SubmitResponse) (*Report, error) {
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

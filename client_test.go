@@ -6,11 +6,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/service/faultinject"
 	"repro/internal/verify"
 )
 
@@ -162,6 +164,145 @@ func TestVerifyClientPollsQueuedJobWithBackoff(t *testing.T) {
 	}
 	if polls.Load() != 3 {
 		t.Errorf("job polled %d times, want 3", polls.Load())
+	}
+}
+
+// Against a daemon that answers polls at once (it ignores ?wait=), the
+// first poll goes out immediately and the rest are spaced by the jittered
+// exponential backoff — same schedule as ever, no hot loop.
+func TestVerifyClientBacksOffAgainstAnImmediateDaemon(t *testing.T) {
+	env := doneEnvelope(t)
+	var mu sync.Mutex
+	var arrivals []time.Time
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		arrivals = append(arrivals, time.Now()) // [0] is the submit
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.SubmitResponse{Status: "queued", JobID: "j-1", Poll: "/v1/jobs/j-1?wait=30s"})
+	})
+	mux.HandleFunc("GET /v1/jobs/j-1", func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		arrivals = append(arrivals, time.Now())
+		n := len(arrivals) - 1
+		mu.Unlock()
+		if n < 4 {
+			json.NewEncoder(w).Encode(service.SubmitResponse{Status: "queued", JobID: "j-1"})
+			return
+		}
+		w.Write(env)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const base = 20 * time.Millisecond
+	c := &VerifyClient{BaseURL: srv.URL, PollInterval: base, MaxPollInterval: 8 * base}
+	if rep, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2"}); err != nil || !rep.Passed() {
+		t.Fatalf("Verify: rep=%v err=%v", rep, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(arrivals) != 5 {
+		t.Fatalf("daemon saw %d requests, want 1 submit + 4 polls", len(arrivals))
+	}
+	if first := arrivals[1].Sub(arrivals[0]); first > base/2 {
+		t.Errorf("first poll came %v after the submit, want at once (under the smallest backoff, %v)", first, base/2)
+	}
+	// Gap k between polls is backoffDelay(k) in [base<<k / 2, base<<k):
+	// the sleep is net of the request, so the gap is the backoff itself.
+	const slack = 2 * time.Millisecond // timer and scheduling granularity
+	for k := 0; k < 3; k++ {
+		gap, lo := arrivals[k+2].Sub(arrivals[k+1]), base<<k/2
+		if gap < lo-slack {
+			t.Errorf("poll %d came %v after the previous one, want at least the backoff's %v", k+2, gap, lo)
+		}
+	}
+}
+
+// Against the daemon's real handler the advertised poll URL long-polls:
+// one poll per verdict with the client's DEFAULT intervals, answered when
+// the job finishes — not a poll interval later.
+func TestVerifyClientLongPollsTheRealDaemon(t *testing.T) {
+	const stall = 60 * time.Millisecond
+	svc := service.MustNew(service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
+		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: stall,
+	})))
+	defer svc.Close()
+	var polls atomic.Int64
+	handler := svc.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			polls.Add(1)
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c := &VerifyClient{BaseURL: srv.URL}
+	start := time.Now()
+	rep, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2", Obligations: []string{"lemma1"}})
+	took := time.Since(start)
+	if err != nil || !rep.Passed() {
+		t.Fatalf("Verify: rep=%v err=%v", rep, err)
+	}
+	if polls.Load() != 1 {
+		t.Errorf("cold Verify made %d polls, want exactly 1", polls.Load())
+	}
+	if took < stall || took > stall+c.pollInterval() {
+		t.Errorf("verdict of a job stalled %v arrived after %v, want within one default poll interval (%v) of it", stall, took, c.pollInterval())
+	}
+}
+
+// A client whose own HTTP timeout is shorter than the wait the daemon
+// advertises asks for half its timeout instead: a long job is then a
+// series of unanswered long-polls, never transport timeouts that trip
+// the breaker.
+func TestVerifyClientFitsTheWaitToItsTimeout(t *testing.T) {
+	const stall, timeout = 500 * time.Millisecond, 200 * time.Millisecond
+	svc := service.MustNew(service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
+		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: stall,
+	})))
+	defer svc.Close()
+	var mu sync.Mutex
+	var waits []string
+	handler := svc.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			mu.Lock()
+			waits = append(waits, r.URL.Query().Get("wait"))
+			mu.Unlock()
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c := fastClient(srv.URL)
+	c.HTTPClient = &http.Client{Timeout: timeout}
+	rep, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2", Obligations: []string{"lemma1"}})
+	if err != nil || !rep.Passed() {
+		t.Fatalf("Verify of a job longer than the client's HTTP timeout: rep=%v err=%v", rep, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(waits) < 2 || len(waits) > 1+int(stall/(timeout/2)) {
+		t.Errorf("%d polls for a %v job at wait=%v", len(waits), stall, timeout/2)
+	}
+	for _, w := range waits {
+		if w != (timeout / 2).String() {
+			t.Errorf("poll asked the daemon to wait %q, want half the client's timeout (%v)", w, timeout/2)
+		}
+	}
+	if c.fails != 0 {
+		t.Errorf("long job counted %d failures toward the breaker", c.fails)
+	}
+	// Without a timeout, and with one that outlasts the wait, the URL is
+	// followed verbatim.
+	for _, hc := range []*http.Client{nil, {Timeout: 2 * time.Minute}} {
+		c := &VerifyClient{BaseURL: srv.URL, HTTPClient: hc}
+		if got := c.fitWait("/v1/jobs/j-1?wait=30s"); got != "/v1/jobs/j-1?wait=30s" {
+			t.Errorf("fitWait rewrote the daemon's URL to %q", got)
+		}
 	}
 }
 

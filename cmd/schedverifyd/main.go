@@ -15,7 +15,8 @@
 // API (see internal/service):
 //
 //	POST   /v1/verify     submit {"policy": "delta2"} or {"source": "policy ..."}
-//	GET    /v1/jobs/{id}  poll a queued job
+//	GET    /v1/jobs/{id}  poll a queued job; ?wait=30s holds the answer until
+//	                      the verdict (the poll URL in a 202 asks for that)
 //	DELETE /v1/jobs/{id}  cancel a job
 //	GET    /v1/stats      cache, queue and durable-store counters
 //	DELETE /v1/cache      admin flush of the memo (memory + disk)
@@ -137,7 +138,10 @@ func startDaemon(addr string, cfg service.Config, opts ...service.Option) (*daem
 	}
 	return &daemon{
 		svc: svc,
-		srv: &http.Server{Handler: svc.Handler()},
+		// A peer gets ten seconds to send its request headers. There is
+		// deliberately no WriteTimeout: it would cut the long-polls the
+		// handler holds (see the wait parameter in internal/service).
+		srv: &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second},
 		ln:  ln,
 	}, nil
 }
@@ -156,10 +160,12 @@ func (d *daemon) Serve() error {
 
 // Shutdown is the graceful exit: drain the verification workers within
 // ctx's budget (readyz flips to 503, polls keep answering so clients
-// collect finished reports), then stop the HTTP server and cancel
-// whatever outlived the deadline.
+// collect finished reports), cancel whatever outlived the deadline, then
+// stop the HTTP server. The service closes first so that every job is
+// terminal — a long-poll still held on one gets its answer — before the
+// server stops waiting for handlers.
 func (d *daemon) Shutdown(ctx context.Context) {
 	d.svc.Drain(ctx)
-	d.srv.Shutdown(ctx)
 	d.svc.Close()
+	d.srv.Shutdown(ctx)
 }

@@ -28,8 +28,7 @@ func runAll(b *testing.B, s *Service, reqs []Request) {
 		if rep != nil {
 			continue
 		}
-		for !job.Done() {
-		}
+		<-job.done
 		if _, rep, errMsg := job.Snapshot(); rep == nil {
 			b.Fatalf("job %s cancelled: %s", job.ID(), errMsg)
 		}

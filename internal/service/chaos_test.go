@@ -113,42 +113,46 @@ func TestTornAppendHealedAcrossRestart(t *testing.T) {
 }
 
 // A panicking checker must not kill the daemon: the obligation comes
-// back ABORTED (and uncached), sibling obligations complete normally,
-// and a resubmission re-runs the crashed checker.
+// back ABORTED (and uncached), the other nine obligations of the same
+// fan-out complete and are memoized, and a resubmission re-runs exactly
+// the crashed checker.
 func TestCheckerPanicContained(t *testing.T) {
 	faults := faultinject.New(faultinject.Rule{
 		Op: faultinject.OpChecker, Kind: faultinject.KindPanic, Match: "lemma1", On: 1,
 	})
 	s := MustNew(Config{}, WithFaults(faults))
 	defer s.Close()
-	req := Request{Policy: "delta2", Obligations: fastObligations}
+	req := Request{Policy: "delta2"}
 
 	rep := submitWait(t, s, req)
-	if len(rep.Results) != 2 {
-		t.Fatalf("report has %d results, want 2", len(rep.Results))
+	if len(rep.Results) != 10 {
+		t.Fatalf("report has %d results, want 10", len(rep.Results))
 	}
-	lemma, steal := rep.Results[0], rep.Results[1]
-	if !lemma.Aborted || !strings.Contains(lemma.Witness, "checker panic") {
+	if lemma := rep.Results[0]; !lemma.Aborted || !strings.Contains(lemma.Witness, "checker panic") {
 		t.Errorf("panicked obligation reported %+v, want ABORTED with a panic witness", lemma)
 	}
-	if !steal.Passed || steal.Aborted {
-		t.Errorf("sibling obligation disturbed by the panic: %+v", steal)
+	for _, res := range rep.Results[1:] {
+		if !res.Passed || res.Aborted {
+			t.Errorf("sibling obligation disturbed by the panic: %+v", res)
+		}
 	}
 	st := s.Stats()
 	if st.CheckerPanics != 1 {
 		t.Errorf("CheckerPanics = %d, want 1", st.CheckerPanics)
 	}
-	if st.CacheEntries != 1 {
-		t.Errorf("aborted result was cached: %d entries, want 1", st.CacheEntries)
+	if st.CacheEntries != 9 {
+		t.Errorf("%d entries cached, want the nine that completed and not the aborted one", st.CacheEntries)
 	}
 
-	// The fault was one-shot: resubmitting re-runs lemma1 cleanly.
+	// The fault was one-shot: resubmitting re-runs lemma1, and only it.
 	rep2 := submitWait(t, s, req)
 	if !rep2.Passed() {
 		t.Errorf("resubmission after the panic did not verify cleanly:\n%s", rep2)
 	}
-	if got := s.Stats().CacheEntries; got != 2 {
-		t.Errorf("cache has %d entries after the clean re-run, want 2", got)
+	st2 := s.Stats()
+	if st2.CacheEntries != 10 || st2.CacheMisses != st.CacheMisses+1 || st2.CacheHits != st.CacheHits+9 {
+		t.Errorf("resubmission: %d entries, +%d misses, +%d hits, want 10 entries from one re-run and nine hits",
+			st2.CacheEntries, st2.CacheMisses-st.CacheMisses, st2.CacheHits-st.CacheHits)
 	}
 }
 

@@ -16,7 +16,13 @@ import (
 //	POST   /v1/verify     submit a Request; 200 done (cache), 202 queued,
 //	                      400 bad request, 429 queue full (+ Retry-After),
 //	                      503 draining or closed
-//	GET    /v1/jobs/{id}  poll a job; includes the report when done
+//	GET    /v1/jobs/{id}  poll a job; includes the report when done.
+//	                      With ?wait=<duration> (e.g. 30s, 250ms) the
+//	                      answer is held until the job is terminal, the
+//	                      wait — capped at 30s — elapses, or the
+//	                      client goes away: a long-poll, one wake-up per
+//	                      verdict. A missing, malformed or negative wait
+//	                      means none: the poll answers at once.
 //	DELETE /v1/jobs/{id}  cancel a job
 //	GET    /v1/stats      Stats snapshot (cache, queue, durable store)
 //	DELETE /v1/cache      admin flush of the memo, memory and disk
@@ -25,11 +31,40 @@ import (
 //	                      draining — polls still work then, so clients
 //	                      collect finished reports during shutdown
 //
+// The daemon, not the client, chooses the wait: the `poll` URL it hands
+// out in 202 and non-terminal poll envelopes already carries
+// ?wait=30s (maxPollWait), so a client that follows `poll` verbatim
+// long-polls and needs no timer of its own. (A client whose own HTTP
+// timeout is shorter lowers the value it sends — that is the one thing
+// it knows and the daemon does not.) POST /v1/verify never waits: a memo
+// hit answers on the submit round trip, anything else answers 202 at
+// once.
+//
 // Submit and poll responses share the SubmitResponse envelope. The
 // embedded report is the deterministic verify.ReportJSON encoding — the
 // same bytes `schedverify -json` prints — re-compacted by the envelope
 // encoder; fetch it from the envelope's `report` field for
 // byte-comparison across requests.
+
+// maxPollWait caps the ?wait= of a job poll and is the wait the daemon
+// advertises in the poll URLs it hands out. It stays well under the idle
+// timeouts of common proxies; an http.Server in front of Handler must
+// not set a WriteTimeout below it.
+const maxPollWait = 30 * time.Second
+
+// pollURL is the URL a client should poll a live job at.
+func pollURL(id string) string {
+	return "/v1/jobs/" + id + "?wait=" + maxPollWait.String()
+}
+
+// pollWait reads a poll request's wait parameter.
+func pollWait(r *http.Request) time.Duration {
+	wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	if err != nil || wait < 0 {
+		return 0
+	}
+	return min(wait, maxPollWait)
+}
 
 // SubmitResponse is the envelope of submit and poll responses.
 type SubmitResponse struct {
@@ -99,7 +134,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{
 			Status:   string(state),
 			JobID:    job.ID(),
-			Poll:     "/v1/jobs/" + job.ID(),
+			Poll:     pollURL(job.ID()),
 			Warnings: warnings,
 		})
 	}
@@ -111,13 +146,22 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
+	if wait := pollWait(r); wait > 0 {
+		timer := time.NewTimer(wait)
+		select {
+		case <-job.done:
+		case <-timer.C:
+		case <-r.Context().Done():
+		}
+		timer.Stop()
+	}
 	state, rep, errMsg := job.Snapshot()
 	resp := SubmitResponse{Status: string(state), JobID: job.ID(), Error: errMsg, Warnings: job.sub.warnings}
 	if state == JobDone {
 		resp = doneResponse(rep, false, job.sub.warnings)
 		resp.JobID = job.ID()
 	} else if state != JobCancelled {
-		resp.Poll = "/v1/jobs/" + job.ID()
+		resp.Poll = pollURL(job.ID())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

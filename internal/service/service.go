@@ -11,10 +11,16 @@
 // obligations whose checkers consult that clause, not all eight.
 //
 // The execution layer is the existing sharded worker-pool driver
-// (verify.RunObligation): per-job context cancellation, deterministic
-// shard merges, reports independent of parallelism level — which is
-// exactly what makes memoized per-obligation Results safe to splice
-// into fresh reports.
+// (verify.PolicyContext): per-job context cancellation, deterministic
+// shard merges, reports independent of parallelism level and of which
+// obligations run together — which is exactly what makes memoized
+// per-obligation Results safe to splice into fresh reports.
+//
+// A job waits once on each thing it waits on: its memo misses run as one
+// fan-out (every shard of every missing obligation through one pool, one
+// join), its fresh results reach the durable store as one batch (one
+// fsync), and whoever polls it is woken by its done channel rather than
+// by a timer (see the wait parameter in http.go).
 package service
 
 import (
@@ -130,7 +136,6 @@ type Service struct {
 	doneOrder []string        // finished job ids, oldest first (retention ring)
 
 	draining atomic.Bool
-	pending  atomic.Int64 // queued + running jobs (what Drain waits out)
 
 	jobsSubmitted   atomic.Int64
 	jobsCoalesced   atomic.Int64
@@ -227,22 +232,29 @@ func (s *Service) Ready() bool {
 // whatever outlived the deadline.
 func (s *Service) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if s.pending.Load() == 0 {
-			return nil
-		}
+	// Every live job is in byKey, and no job joins it once draining is
+	// set (enqueue checks under the same lock).
+	s.mu.Lock()
+	live := make([]*Job, 0, len(s.byKey))
+	//schedlint:allow determinism every live job is awaited below; the order they are collected in reaches nothing
+	for _, job := range s.byKey {
+		live = append(live, job)
+	}
+	s.mu.Unlock()
+	for _, job := range live {
 		select {
+		case <-job.done:
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-tick.C:
 		}
 	}
+	return nil
 }
 
 // Close cancels every running job, rejects further submissions, waits
-// for the workers to drain and closes the durable store.
+// for the workers to drain and closes the durable store. The workers
+// take every job still queued through finish (cancelled before start),
+// so nobody waiting on a job outlives Close.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -423,6 +435,7 @@ func (s *Service) enqueue(sub *submission) (*verify.Report, *Job, error) {
 		sub:       sub,
 		ctx:       ctx,
 		cancelFn:  cancel,
+		done:      make(chan struct{}),
 		state:     JobQueued,
 		submitted: time.Now(), //schedlint:allow determinism job lifecycle timestamps are operational metadata, not report content
 	}
@@ -435,7 +448,6 @@ func (s *Service) enqueue(sub *submission) (*verify.Report, *Job, error) {
 	s.jobs[job.id] = job
 	s.byKey[sub.jobKey] = job
 	s.jobsSubmitted.Add(1)
-	s.pending.Add(1)
 	return nil, job, nil
 }
 
@@ -451,8 +463,10 @@ func (s *Service) Job(id string) (*Job, bool) {
 func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
 // runJob executes one job on a worker: memoized obligations splice in
-// from the cache, the rest run on the sharded driver and are stored —
-// in memory and, with a durable store, WAL-appended before the job can
+// from the cache, the misses run together as one fan-out on the sharded
+// driver — byte-identical per obligation to running each alone: same
+// shards, same merge — and the completed ones are stored, in memory and,
+// with a durable store, WAL-committed as one batch before the job can
 // report them.
 func (s *Service) runJob(job *Job) {
 	job.mu.Lock()
@@ -474,39 +488,64 @@ func (s *Service) runJob(job *Job) {
 		Parallelism: s.cfg.Parallelism,
 	}
 	results := make([]verify.Result, len(sub.obligations))
+	var misses []int // indexes into results of the obligations to run
 	for i, id := range sub.obligations {
 		if res, ok := s.cache.lookup(sub.keys[i]); ok {
 			results[i] = res
-			continue
-		}
-		start := time.Now() //schedlint:allow determinism latency measurement feeds Stats, not the verification report
-		res := s.runChecker(job.ctx, id, sub.factory, cfg)
-		if res.Aborted {
-			if job.ctx.Err() != nil {
-				s.finish(job, nil, "cancelled: "+res.Witness)
-				return
-			}
-			// Aborted without cancellation means the checker panicked: the
-			// worker survived it, the result says so, and it is never
-			// cached — the next submission re-runs the checker.
+		} else if res, crashed := s.checkerFault(id); crashed {
 			results[i] = res
-			continue
+		} else {
+			misses = append(misses, i)
+			cfg.Obligations = append(cfg.Obligations, id)
 		}
-		s.recordLatency(id, time.Since(start)) //schedlint:allow determinism latency measurement feeds Stats, not the verification report
-		s.cache.store(sub.keys[i], res)
-		s.persist(sub.keys[i], res)
+	}
+	if len(misses) == 0 {
+		s.finish(job, sub.report(results), "")
+		return
+	}
+	rep, _ := verify.PolicyContext(job.ctx, sub.display, sub.factory, cfg)
+	cancelled := ""
+	var fresh []store.Entry // what the durable store, if any, has to commit
+	for k, i := range misses {
+		res := rep.Results[k]
 		results[i] = res
+		switch {
+		case !res.Aborted:
+			s.recordLatency(res.ID, rep.Elapsed[k])
+			s.cache.store(sub.keys[i], res)
+			if s.store != nil {
+				fresh = append(fresh, store.Entry{Key: sub.keys[i], Result: res})
+			}
+		case job.ctx.Err() == nil:
+			// Aborted without cancellation means a shard panicked: the
+			// driver contained it, the result says so, and it is never
+			// cached — the next submission re-runs the checker.
+			s.checkerPanics.Add(1)
+		case cancelled == "":
+			cancelled = "cancelled: " + res.Witness
+		}
+	}
+	// A cancelled job still memoizes what it completed: those are valid
+	// results, and the resubmission re-runs only the rest.
+	if len(fresh) > 0 {
+		// Disk failure degrades, never blocks: the in-memory cache still
+		// serves the entries, and the store's append-error counters
+		// surface the loss via /v1/stats.
+		s.store.AppendBatch(fresh)
+	}
+	if cancelled != "" {
+		s.finish(job, nil, cancelled)
+		return
 	}
 	s.finish(job, sub.report(results), "")
 }
 
-// runChecker runs one obligation with panic containment: a crashing
-// checker becomes an ABORTED (never-cached) result instead of killing
-// the daemon. The sharded driver contains panics on its own worker
-// goroutines the same way (see verify.RunObligation); this recover
-// catches the fault-injection hook and any panic on the job goroutine
-// itself.
-func (s *Service) runChecker(ctx context.Context, id verify.ObligationID, f verify.Factory, cfg verify.Config) (res verify.Result) {
+// checkerFault is the per-obligation chaos hook, consulted for each memo
+// miss before the fan-out: an injected checker panic is contained here,
+// on the job goroutine, and becomes that obligation's ABORTED
+// (never-cached) result — the other misses still run. Panics inside the
+// checkers are contained per shard by the driver (see verify.runShard).
+func (s *Service) checkerFault(id verify.ObligationID) (res verify.Result, crashed bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.checkerPanics.Add(1)
@@ -515,25 +554,11 @@ func (s *Service) runChecker(ctx context.Context, id verify.ObligationID, f veri
 				Aborted: true,
 				Witness: fmt.Sprintf("aborted: checker panic: %v", p),
 			}
+			crashed = true
 		}
 	}()
-	s.faults.Check(faultinject.OpChecker, string(id)) // chaos: injected checker panic
-	res = verify.RunObligation(ctx, id, f, cfg)
-	if res.Aborted && ctx.Err() == nil {
-		s.checkerPanics.Add(1) // shard-level panic contained by the driver
-	}
-	return res
-}
-
-// persist write-through appends a freshly computed result to the
-// durable store. Disk failure degrades, never blocks: the in-memory
-// cache still serves the entry, and the store's append-error counters
-// surface the loss via /v1/stats.
-func (s *Service) persist(key string, res verify.Result) {
-	if s.store == nil || res.Aborted {
-		return
-	}
-	s.store.Append(key, res) // errors are counted in store stats
+	s.faults.Check(faultinject.OpChecker, string(id))
+	return verify.Result{}, false
 }
 
 // FlushCache is the admin flush behind DELETE /v1/cache: it drops every
@@ -548,7 +573,8 @@ func (s *Service) FlushCache() (int, error) {
 	return removed, nil
 }
 
-// finish moves a job to its terminal state and updates the indexes.
+// finish moves a job to its terminal state, updates the indexes and
+// wakes whoever waits on the job. Every job reaches it exactly once.
 func (s *Service) finish(job *Job, rep *verify.Report, errMsg string) {
 	job.mu.Lock()
 	job.finished = time.Now() //schedlint:allow determinism job lifecycle timestamps are operational metadata, not report content
@@ -576,7 +602,7 @@ func (s *Service) finish(job *Job, rep *verify.Report, errMsg string) {
 		s.doneOrder = s.doneOrder[1:]
 	}
 	s.mu.Unlock()
-	s.pending.Add(-1)
+	close(job.done)
 }
 
 func (s *Service) recordLatency(id verify.ObligationID, d time.Duration) {

@@ -9,15 +9,13 @@ import (
 	"repro/internal/verify"
 )
 
-// waitDone polls a job to its terminal state.
+// waitDone waits for a job to reach its terminal state.
 func waitDone(t *testing.T, job *Job) (*verify.Report, string) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for !job.Done() {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s did not finish", job.ID())
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-job.done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s did not finish", job.ID())
 	}
 	_, rep, errMsg := job.Snapshot()
 	return rep, errMsg
@@ -256,7 +254,12 @@ func TestWarmResubmissionByteIdenticalAndFast(t *testing.T) {
 	s := MustNew(Config{})
 	defer s.Close()
 
-	req := Request{Policy: "delta2-gen"}
+	// A 4-core universe: the cold run is tens of ms of checking, so the
+	// ratio below measures the memo, not how fast a small job is woken.
+	req := Request{
+		Policy:   "delta2-gen",
+		Universe: &UniverseSpec{Cores: 4, MaxPerCore: 3, MaxTotal: 6, IncludeUnscheduled: true},
+	}
 	coldStart := time.Now()
 	coldRep := submitWait(t, s, req)
 	coldDur := time.Since(coldStart)
@@ -292,11 +295,12 @@ func TestWarmResubmissionByteIdenticalAndFast(t *testing.T) {
 }
 
 // slowRequest occupies a worker long enough to observe queue behavior:
-// a 4-core universe's game-graph obligations take hundreds of ms.
+// a 5-core universe's game-graph obligations take hundreds of ms, a
+// hundred times what its lemma1 takes.
 func slowRequest() Request {
 	return Request{
 		Policy:   "weighted",
-		Universe: &UniverseSpec{Cores: 4, MaxPerCore: 3, MaxTotal: 6, IncludeUnscheduled: true},
+		Universe: &UniverseSpec{Cores: 5, MaxPerCore: 2, MaxTotal: 6, IncludeUnscheduled: true},
 	}
 }
 

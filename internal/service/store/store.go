@@ -7,9 +7,19 @@
 //
 //	wal.log        append-only log of committed results. A fixed header
 //	               (magic + verifier version) followed by CRC-framed
-//	               records; every append is fsynced before it counts.
+//	               records; every batch of appends is fsynced before any
+//	               record of it counts.
 //	snapshot.json  periodic compaction of the full entry map, written to
 //	               a temp file and atomically renamed into place.
+//
+// The batch is the unit of durability and the frame is the unit of
+// recovery. AppendBatch encodes a job's results as frames back to back
+// and commits them with one write and one fsync — a verification job
+// waits on the disk once, not once per obligation — and Append is the
+// batch of one, so there is a single write path. On disk a batch leaves
+// no trace: the WAL is the same sequence of self-describing frames
+// whatever the grouping, and a crash in the middle of a batch recovers
+// the frames that made it, as a prefix.
 //
 // Crash safety is truncation-based: a record is committed iff its full
 // frame (length, CRC, payload) is on disk. Recovery loads the snapshot,
@@ -80,6 +90,9 @@ type Stats struct {
 	// the last compaction; bytes include the header).
 	WALRecords int   `json:"wal_records"`
 	WALBytes   int64 `json:"wal_bytes"`
+	// Commits counts the batches committed since Open: one write and one
+	// fsync each, however many records the batch carried.
+	Commits int64 `json:"commits"`
 	// SnapshotEntries is the entry count of the last written or loaded
 	// snapshot.
 	SnapshotEntries int `json:"snapshot_entries"`
@@ -110,17 +123,18 @@ type Stats struct {
 	Disabled bool `json:"disabled,omitempty"`
 }
 
-// record is the WAL/snapshot wire form of one memo entry.
-type record struct {
+// Entry is one memo entry: the element of an AppendBatch and, through
+// its json tags, the WAL/snapshot wire form.
+type Entry struct {
 	Key    string        `json:"key"`
 	Result verify.Result `json:"result"`
 }
 
 // snapshotFile is the compacted on-disk form of the whole map.
 type snapshotFile struct {
-	Magic           string   `json:"magic"`
-	VerifierVersion string   `json:"verifier_version"`
-	Entries         []record `json:"entries"`
+	Magic           string  `json:"magic"`
+	VerifierVersion string  `json:"verifier_version"`
+	Entries         []Entry `json:"entries"`
 }
 
 // Store is the durable memo. All methods are safe for concurrent use.
@@ -131,7 +145,8 @@ type Store struct {
 
 	mu       sync.Mutex
 	wal      *os.File
-	walOff   int64 // committed end of the WAL (frames below are intact)
+	walOff   int64  // committed end of the WAL (frames below are intact)
+	buf      []byte // the frames AppendBatch has encoded but not yet written; reused
 	entries  map[string]verify.Result
 	disabled bool
 	stats    Stats
@@ -287,86 +302,140 @@ func decodeFrame(data []byte, off int64) (key string, res verify.Result, next in
 	if crc32.Checksum(payload, crcTable) != sum {
 		return "", verify.Result{}, 0, false
 	}
-	var rec record
+	var rec Entry
 	if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
 		return "", verify.Result{}, 0, false
 	}
 	return rec.Key, rec.Result, off + 8 + n, true
 }
 
-// encodeFrame renders one committed record's frame.
-func encodeFrame(key string, res verify.Result) ([]byte, error) {
-	payload, err := json.Marshal(record{Key: key, Result: res})
+// appendFrame appends e's frame — payload length, payload CRC, payload —
+// to dst.
+func appendFrame(dst []byte, e Entry) ([]byte, error) {
+	payload, err := json.Marshal(e)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	return frame, nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...), nil
 }
 
-// Append commits one memo entry: frame written, fsynced, then counted.
-// A failed or torn write is healed by truncating the WAL back to its
-// pre-append offset — the entry is lost from disk (the caller's
-// in-memory cache still serves it) but the WAL stays recoverable. If
-// even the healing truncate fails, the store degrades to memory-only
-// mode (ErrDisabled from then on).
+// Append commits one memo entry: the batch of one.
 func (s *Store) Append(key string, res verify.Result) error {
+	return s.AppendBatch([]Entry{{Key: key, Result: res}})
+}
+
+// AppendBatch commits the entries in order: frames encoded back to back,
+// written with one WriteAt, fsynced once, then counted — none of them is
+// committed before the fsync returns. Failure is per frame: a frame whose
+// write fails or tears is healed by truncating the WAL back to the last
+// committed offset — the entry is lost from disk (the caller's in-memory
+// cache still serves it) but the WAL stays recoverable — and the frames
+// after it are still attempted. If even the healing truncate fails, the
+// store degrades to memory-only mode (ErrDisabled from then on). The
+// returned error is the first frame's that failed; Stats.AppendErrors
+// counts them all.
+func (s *Store) AppendBatch(batch []Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.disabled {
-		s.stats.AppendErrors++
-		return ErrDisabled
-	}
-	frame, err := encodeFrame(key, res)
-	if err != nil {
-		s.stats.AppendErrors++
-		return fmt.Errorf("store: encoding record: %w", err)
-	}
-	if err := s.writeFrame(frame); err != nil {
-		s.stats.AppendErrors++
-		s.heal()
-		return fmt.Errorf("store: appending record: %w", err)
-	}
-	s.walOff += int64(len(frame))
-	s.stats.WALBytes = s.walOff
-	s.stats.WALRecords++
-	s.entries[key] = res
-	if s.stats.WALRecords >= s.compactEvery {
-		if err := s.compactLocked(); err != nil {
-			s.stats.CompactErrors++
+	// s.buf holds the frames of batch[start:i], the run encoded since the
+	// last commit. A run ends where a frame fails (so a failed frame costs
+	// only itself) and where the WAL reaches the compaction threshold (so
+	// the snapshot and the WAL after it are the ones per-entry appends
+	// leave).
+	s.buf = s.buf[:0]
+	start := 0
+	var first error
+	fail := func(n int, err error) {
+		s.stats.AppendErrors += int64(n)
+		if first == nil {
+			first = err
 		}
+	}
+	flush := func(end int) {
+		if err := s.commit(batch[start:end]); err != nil {
+			fail(end-start, fmt.Errorf("store: appending record: %w", err))
+		}
+		start = end
+	}
+	// drop fails entry i alone, after flushing the run before it.
+	drop := func(i int, err error) {
+		flush(i)
+		fail(1, err)
+		start = i + 1
+	}
+	for i, e := range batch {
+		if s.disabled {
+			drop(i, ErrDisabled)
+			continue
+		}
+		mark := len(s.buf)
+		var err error
+		if s.buf, err = appendFrame(s.buf, e); err != nil {
+			s.buf = s.buf[:mark]
+			drop(i, fmt.Errorf("store: encoding record: %w", err))
+			continue
+		}
+		if d := s.faults.Check(faultinject.OpWALAppend, ""); d.Err != nil {
+			// Injected disk fault on this frame: it fails (or tears) alone,
+			// at the offset it would have had.
+			frame := s.buf[mark:]
+			s.buf = s.buf[:mark]
+			drop(i, fmt.Errorf("store: appending record: %w", d.Err))
+			if !s.disabled {
+				if n := min(d.TornBytes, len(frame)); n > 0 {
+					s.wal.WriteAt(frame[:n], s.walOff)
+					s.wal.Sync()
+				}
+				s.heal(1)
+			}
+			continue
+		}
+		if s.stats.WALRecords+(i+1-start) >= s.compactEvery {
+			flush(i + 1)
+			if s.stats.WALRecords >= s.compactEvery {
+				if err := s.compactLocked(); err != nil {
+					s.stats.CompactErrors++
+				}
+			}
+		}
+	}
+	flush(len(batch))
+	return first
+}
+
+// commit writes the frames in s.buf — run's, back to back — at the
+// committed offset, fsyncs once and only then counts them; a failed
+// write heals the WAL and commits none of them. It empties s.buf.
+func (s *Store) commit(run []Entry) error {
+	frames := s.buf
+	s.buf = s.buf[:0]
+	if len(run) == 0 {
+		return nil
+	}
+	_, err := s.wal.WriteAt(frames, s.walOff)
+	if err == nil {
+		err = s.wal.Sync()
+	}
+	if err != nil {
+		s.heal(len(run))
+		return err
+	}
+	s.walOff += int64(len(frames))
+	s.stats.WALBytes = s.walOff
+	s.stats.WALRecords += len(run)
+	s.stats.Commits++
+	for _, e := range run {
+		s.entries[e.Key] = e.Result
 	}
 	return nil
 }
 
-// writeFrame writes and fsyncs one frame at the committed offset,
-// honoring injected disk faults (outright failures and torn writes).
-func (s *Store) writeFrame(frame []byte) error {
-	d := s.faults.Check(faultinject.OpWALAppend, "")
-	if d.Err != nil {
-		if d.TornBytes > 0 {
-			n := d.TornBytes
-			if n > len(frame) {
-				n = len(frame)
-			}
-			s.wal.WriteAt(frame[:n], s.walOff)
-			s.wal.Sync()
-		}
-		return d.Err
-	}
-	if _, err := s.wal.WriteAt(frame, s.walOff); err != nil {
-		return err
-	}
-	return s.wal.Sync()
-}
-
-// heal truncates the WAL back to the last committed offset after a
-// failed append; an unhealable WAL disables the write path.
-func (s *Store) heal() {
-	s.stats.TruncatedRecords++
+// heal truncates the WAL back to the last committed offset after n
+// frames failed to reach it; an unhealable WAL disables the write path.
+func (s *Store) heal(n int) {
+	s.stats.TruncatedRecords += n
 	if d := s.faults.Check(faultinject.OpWALTruncate, ""); d.Err != nil {
 		s.disabled = true
 		s.stats.Disabled = true
@@ -391,11 +460,11 @@ func (s *Store) compactLocked() error {
 	snap := snapshotFile{
 		Magic:           magic,
 		VerifierVersion: verify.Version,
-		Entries:         make([]record, 0, len(s.entries)),
+		Entries:         make([]Entry, 0, len(s.entries)),
 	}
 	//schedlint:allow determinism the collected entries are sorted by key on the next line, so iteration order never reaches the snapshot bytes
 	for k, v := range s.entries {
-		snap.Entries = append(snap.Entries, record{Key: k, Result: v})
+		snap.Entries = append(snap.Entries, Entry{Key: k, Result: v})
 	}
 	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].Key < snap.Entries[j].Key })
 	data, err := json.MarshalIndent(&snap, "", " ")

@@ -33,6 +33,15 @@ func sampleResults() []struct {
 	}
 }
 
+// sampleBatch is sampleResults as the batch AppendBatch takes.
+func sampleBatch() []Entry {
+	var batch []Entry
+	for _, rec := range sampleResults() {
+		batch = append(batch, Entry{Key: rec.key, Result: rec.res})
+	}
+	return batch
+}
+
 func mustOpen(t *testing.T, dir string, opts Options) (*Store, map[string]verify.Result) {
 	t.Helper()
 	s, entries, err := Open(dir, opts)
@@ -77,20 +86,32 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 // truncation of a valid WAL — every possible torn final write or
 // kill -9 mid-append — the store reopens cleanly and serves exactly the
 // fully-committed records, byte-identical, never a partial one.
+//
+// The WAL under test is written as ONE batch, so every cut inside it is a
+// kill -9 in the middle of a batch: what comes back is the prefix of
+// frames that made it — the frame, not the batch, is the unit of
+// recovery.
 func TestCrashRecoveryPrefixProperty(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
-	// offsets[i] is the committed WAL length after i records.
+	// offsets[i] is the WAL length after i whole frames.
 	offsets := []int64{s.Stats().WALBytes}
 	var keys []string
 	var results []verify.Result
-	for _, rec := range sampleResults() {
-		if err := s.Append(rec.key, rec.res); err != nil {
+	for _, e := range sampleBatch() {
+		frame, err := appendFrame(nil, e)
+		if err != nil {
 			t.Fatal(err)
 		}
-		offsets = append(offsets, s.Stats().WALBytes)
-		keys = append(keys, rec.key)
-		results = append(results, rec.res)
+		offsets = append(offsets, offsets[len(offsets)-1]+int64(len(frame)))
+		keys = append(keys, e.Key)
+		results = append(results, e.Result)
+	}
+	if err := s.AppendBatch(sampleBatch()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Commits != 1 || st.WALRecords != len(keys) {
+		t.Fatalf("one batch of %d: %+v, want 1 commit", len(keys), st)
 	}
 	s.Close()
 	wal, err := os.ReadFile(filepath.Join(dir, walName))
@@ -306,7 +327,7 @@ func TestUnhealableWALDegradesToMemoryOnly(t *testing.T) {
 }
 
 func TestFrameCRCGuardsPayload(t *testing.T) {
-	frame, err := encodeFrame("k", verify.Result{ID: verify.ObLemma1, Passed: true, StatesChecked: 9})
+	frame, err := appendFrame(nil, Entry{Key: "k", Result: verify.Result{ID: verify.ObLemma1, Passed: true, StatesChecked: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +341,131 @@ func TestFrameCRCGuardsPayload(t *testing.T) {
 		if _, _, _, ok := decodeFrame(mut, int64(len(header()))); ok {
 			t.Fatalf("payload corruption at byte %d went undetected", i)
 		}
+	}
+}
+
+// A batch is invisible on disk: committing entries one Append at a time
+// and committing them as one AppendBatch leave the same WAL bytes, the
+// same snapshot, the same counters (but for the number of commits) and
+// the same recovered entries — on the plain path, across a compaction
+// threshold in the middle of the batch, and when an injected fault fails
+// or tears one frame of it (the frame before it persists, it alone is
+// dropped and healed, the frames after it persist).
+func TestBatchLeavesTheBytesAppendsLeave(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		opts        Options
+		faults      string
+		wantRecords int
+		wantErrors  int64
+		wantCommits int64
+		size        int // entries in the batch
+		lost        int // index of the entry the fault costs
+	}{
+		{name: "plain", size: 4, wantRecords: 4, wantCommits: 1},
+		{name: "batch of one", size: 1, wantRecords: 1, wantCommits: 1},
+		{name: "compaction mid-batch", size: 4, opts: Options{CompactEvery: 3}, wantRecords: 1, wantCommits: 2},
+		{name: "torn frame 2", size: 4, faults: "wal-append:torn=5@2", lost: 1, wantRecords: 3, wantErrors: 1, wantCommits: 2},
+		{name: "failed frame 1", size: 4, faults: "wal-append:fail@1", lost: 0, wantRecords: 3, wantErrors: 1, wantCommits: 1},
+		{name: "failed last frame", size: 4, faults: "wal-append:fail@4", lost: 3, wantRecords: 3, wantErrors: 1, wantCommits: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch := sampleBatch()[:tc.size]
+			type outcome struct {
+				wal, snap []byte
+				stats     Stats
+				entries   map[string]verify.Result
+			}
+			run := func(write func(*Store) error) outcome {
+				t.Helper()
+				dir := t.TempDir()
+				opts := tc.opts
+				var err error
+				if opts.Faults, err = faultinject.Parse(tc.faults); err != nil {
+					t.Fatal(err)
+				}
+				s, _ := mustOpen(t, dir, opts)
+				if err := write(s); (err != nil) != (tc.wantErrors > 0) {
+					t.Fatalf("write returned %v with %d failures expected", err, tc.wantErrors)
+				}
+				var out outcome
+				out.stats = s.Stats()
+				s.Close()
+				if out.wal, err = os.ReadFile(filepath.Join(dir, walName)); err != nil {
+					t.Fatal(err)
+				}
+				out.snap, _ = os.ReadFile(filepath.Join(dir, snapshotName)) // absent without a compaction
+				s2, entries := mustOpen(t, dir, Options{})
+				defer s2.Close()
+				if st := s2.Stats(); st.TruncatedRecords != 0 {
+					t.Errorf("reopen found a corrupt tail: %+v", st)
+				}
+				out.entries = entries
+				return out
+			}
+			single := run(func(s *Store) error {
+				var first error
+				for _, e := range batch {
+					if err := s.Append(e.Key, e.Result); err != nil && first == nil {
+						first = err
+					}
+				}
+				return first
+			})
+			batched := run(func(s *Store) error { return s.AppendBatch(batch) })
+
+			if !bytes.Equal(single.wal, batched.wal) {
+				t.Errorf("WAL bytes differ: %d bytes by Append, %d by AppendBatch", len(single.wal), len(batched.wal))
+			}
+			if !bytes.Equal(single.snap, batched.snap) {
+				t.Errorf("snapshot bytes differ:\n%s\nvs\n%s", single.snap, batched.snap)
+			}
+			if !reflect.DeepEqual(single.entries, batched.entries) {
+				t.Errorf("recovered entries differ:\n%+v\nvs\n%+v", single.entries, batched.entries)
+			}
+			st := batched.stats
+			if st.WALRecords != tc.wantRecords || st.AppendErrors != tc.wantErrors ||
+				st.TruncatedRecords != int(tc.wantErrors) || st.Commits != tc.wantCommits || st.Disabled {
+				t.Errorf("batch stats %+v, want %d WAL records, %d append errors, %d commits",
+					st, tc.wantRecords, tc.wantErrors, tc.wantCommits)
+			}
+			// Everything but the number of commits (and the compaction
+			// wall-clock stamp) is what the per-entry path counted.
+			single.stats.Commits, single.stats.LastCompaction = 0, ""
+			st.Commits, st.LastCompaction = 0, ""
+			if single.stats != st {
+				t.Errorf("counters differ:\n by Append      %+v\n by AppendBatch %+v", single.stats, st)
+			}
+			if tc.faults != "" {
+				lost := batch[tc.lost].Key
+				if _, ok := batched.entries[lost]; ok || len(batched.entries) != len(batch)-1 {
+					t.Errorf("recovered %d entries (lost one present: %v), want every frame but %s", len(batched.entries), ok, lost)
+				}
+			}
+		})
+	}
+}
+
+// An unhealable WAL in the middle of a batch: the frames before the
+// failure are committed, the failed frame and every later one count as
+// append errors, and the store says it is disabled.
+func TestBatchDisabledMidwayFailsTheRest(t *testing.T) {
+	faults := faultinject.New(
+		faultinject.Rule{Op: faultinject.OpWALAppend, Kind: faultinject.KindFail, On: 2},
+		faultinject.Rule{Op: faultinject.OpWALTruncate, Kind: faultinject.KindFail, On: 1},
+	)
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Faults: faults})
+	if err := s.AppendBatch(sampleBatch()); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("AppendBatch returned %v, want the first frame's failure", err)
+	}
+	if st := s.Stats(); !st.Disabled || st.WALRecords != 1 || st.AppendErrors != 3 {
+		t.Errorf("stats %+v, want 1 committed record, 3 append errors, disabled", st)
+	}
+	s.Close()
+	s2, got := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if _, ok := got["k-pass"]; !ok || len(got) != 1 {
+		t.Errorf("recovered %v, want the one frame committed before the WAL was disabled", got)
 	}
 }

@@ -94,6 +94,7 @@ type Job struct {
 	sub      *submission
 	ctx      context.Context
 	cancelFn func()
+	done     chan struct{} // closed by finish: the job is terminal
 
 	mu        sync.Mutex
 	state     JobState
@@ -121,8 +122,12 @@ func (j *Job) Snapshot() (JobState, *verify.Report, string) {
 
 // Done reports whether the job reached a terminal state.
 func (j *Job) Done() bool {
-	st, _, _ := j.Snapshot()
-	return st == JobDone || st == JobCancelled
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stats is the /v1/stats snapshot.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/statespace"
@@ -57,7 +59,13 @@ type stateCheck func(rank int, m *sched.Machine) bool
 // shard instead becomes an aborted shard result, which the merge
 // propagates as an ABORTED obligation (never cached, so the next
 // submission re-runs it).
-func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, res *Result, check stateCheck) {
+//
+// The returned duration is how long the shard took. Every (obligation,
+// shard) task passes through here, so this is the one place shard time
+// is stamped; it travels beside the Results (Report.Elapsed), never in
+// them.
+func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, res *Result, check stateCheck) (took time.Duration) {
+	defer func(start time.Time) { took = time.Since(start) }(time.Now()) //schedlint:allow determinism shard timing is telemetry beside the report (Report.Elapsed, json:"-"), never in a Result, a memo key or a WAL frame
 	defer func() {
 		if p := recover(); p != nil {
 			*res = Result{
@@ -78,6 +86,7 @@ func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int
 		res.StatesChecked++
 		return check(rank, m)
 	})
+	return // took is stamped by the deferred call above
 }
 
 // newStateCheck dispatches an obligation to its per-state check,
@@ -151,12 +160,15 @@ func aborted(ctx context.Context, res *Result) bool {
 // mergeResults folds per-shard results into the obligation's Result:
 // counters sum, bounds max, and the verdict follows the report's
 // precedence — a conclusive refutation (lowest witness rank wins)
-// outranks cancellation, which outranks a pass.
-func mergeResults(id ObligationID, parts []Result) Result {
+// outranks cancellation, which outranks a pass. The shards' durations
+// sum into the obligation's elapsed time.
+func mergeResults(id ObligationID, parts []Result, took []time.Duration) (Result, time.Duration) {
 	merged := Result{ID: id, Passed: true}
+	var elapsed time.Duration
 	var refuted, cut *Result
 	for i := range parts {
 		p := &parts[i]
+		elapsed += took[i]
 		merged.StatesChecked += p.StatesChecked
 		merged.SchedulesChecked += p.SchedulesChecked
 		merged.raiseBound(p.Bound)
@@ -177,32 +189,31 @@ func mergeResults(id ObligationID, parts []Result) Result {
 	case cut != nil:
 		merged.abort(cut.Witness)
 	}
-	return merged
+	return merged, elapsed
 }
 
-// forEachTask runs fn(i) for i in [0, n) with at most `workers`
-// concurrent calls (a semaphore over eagerly spawned goroutines — the
-// one worker-pool implementation every parallel driver path shares).
-// Each index is handed to exactly one goroutine, so fn needs no locking
-// for per-index state. workers=1 serializes the calls (they still hop
-// goroutines, but the semaphore orders them happens-before).
+// forEachTask runs fn(i) for every i in [0, n) on min(workers, n)
+// goroutines — the caller is one of them — that claim indices from one
+// atomic counter: no goroutine is ever parked waiting for a slot, and a
+// fast worker simply claims more. It is the one worker pool every
+// parallel driver path shares. Each index is claimed exactly once, so fn
+// needs no locking for per-index state; workers=1 runs every call inline
+// on the caller.
 func forEachTask(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			fn(i)
-		}(i)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
 	wg.Wait()
 }

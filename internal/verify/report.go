@@ -53,6 +53,7 @@ package verify
 import (
 	"fmt"
 	"strings"
+	"time"
 )
 
 // ObligationID names one proof obligation.
@@ -153,6 +154,14 @@ type Report struct {
 	Universe string `json:"universe"`
 	// Results holds one entry per checked obligation.
 	Results []Result `json:"results"`
+
+	// Elapsed is telemetry beside the report, parallel to Results on a
+	// report PolicyContext returned and nil on any other: the time the
+	// obligation's shards took, summed over the shards. Shards of
+	// different obligations interleave on one worker pool, so this is
+	// checker busy time, not a span on the clock. It is not part of the
+	// report: it never reaches ReportJSON, a memo key or a WAL frame.
+	Elapsed []time.Duration `json:"-"`
 }
 
 // Passed reports whether every obligation holds.

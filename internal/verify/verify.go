@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/statespace"
 )
@@ -121,9 +122,10 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 	// All (obligation, shard) tasks flattened obligation-major onto one
 	// task list; each task owns its slot of parts.
 	parts := make([]Result, len(obligations)*shardCount)
+	took := make([]time.Duration, len(parts))
 	task := func(i int) {
 		id, res := obligations[i/shardCount], &parts[i]
-		runShard(ctx, id, u, i%shardCount, res, newStateCheck(ctx, id, f, maxRounds, res))
+		took[i] = runShard(ctx, id, u, i%shardCount, res, newStateCheck(ctx, id, f, maxRounds, res))
 	}
 	if cfg.Sequential {
 		for i := range parts {
@@ -140,9 +142,11 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 		Policy:   name,
 		Universe: u.String(),
 		Results:  make([]Result, len(obligations)),
+		Elapsed:  make([]time.Duration, len(obligations)),
 	}
 	for i, id := range obligations {
-		rep.Results[i] = mergeResults(id, parts[i*shardCount:(i+1)*shardCount])
+		lo, hi := i*shardCount, (i+1)*shardCount
+		rep.Results[i], rep.Elapsed[i] = mergeResults(id, parts[lo:hi], took[lo:hi])
 	}
 	return rep, rep.abortErr(ctx)
 }

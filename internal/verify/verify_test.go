@@ -748,3 +748,78 @@ func TestResultString(t *testing.T) {
 		}
 	}
 }
+
+func TestForEachTaskRunsEachIndexOnce(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{1, 2, n, n + 3} {
+		ran := make([]atomic.Int32, n)
+		var running, peak atomic.Int32
+		forEachTask(n, workers, func(i int) {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			ran[i].Add(1)
+			runtime.Gosched() // let the other claimants at the counter
+			running.Add(-1)
+		})
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Errorf("workers=%d: index %d ran %d times, want once", workers, i, got)
+			}
+		}
+		if got := int(peak.Load()); got > min(workers, n) {
+			t.Errorf("workers=%d: %d calls ran at once", workers, got)
+		}
+	}
+	forEachTask(0, 4, func(int) { t.Error("ran a task of an empty list") })
+}
+
+// One fan-out over any set of obligations yields, per obligation, the
+// Result that obligation yields alone — what lets the daemon run a job's
+// memo misses together and splice memoized Results between them.
+func TestFanOutOfASubsetEqualsItsObligationsAlone(t *testing.T) {
+	subset := []ObligationID{ObDegradedWastedCores, ObLemma1, ObWorkConservConc, ObNoTaskLost}
+	for _, f := range []Factory{delta2Factory, greedyFactory} {
+		cfg := Config{Universe: faultUniverse(), Obligations: subset, Parallelism: 3}
+		rep, err := PolicyContext(context.Background(), "p", f, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range subset {
+			if alone := RunObligation(context.Background(), id, f, Config{Universe: cfg.Universe, Sequential: true}); !reflect.DeepEqual(rep.Results[i], alone) {
+				t.Errorf("%s in a fan-out of %d: %+v, alone: %+v", id, len(subset), rep.Results[i], alone)
+			}
+		}
+	}
+}
+
+// Shard time travels beside the report, never in it.
+func TestElapsedIsNotPartOfTheReport(t *testing.T) {
+	rep, err := PolicyContext(context.Background(), "delta2", delta2Factory, Config{Universe: smallUniverse()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Elapsed) != len(rep.Results) {
+		t.Fatalf("%d elapsed times for %d results", len(rep.Elapsed), len(rep.Results))
+	}
+	for i, d := range rep.Elapsed {
+		if d <= 0 {
+			t.Errorf("%s: elapsed %v, want the summed time of its shards", rep.Results[i].ID, d)
+		}
+	}
+	timed := reportBytes(t, rep)
+	if strings.Contains(strings.ToLower(timed), "elapsed") {
+		t.Errorf("shard time reached the report bytes:\n%s", timed)
+	}
+	back, err := ReportFromJSON([]byte(timed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Elapsed != nil {
+		t.Errorf("decoded report carries elapsed times %v", back.Elapsed)
+	}
+	rep.Elapsed = nil
+	if bare := reportBytes(t, rep); bare != timed {
+		t.Errorf("report bytes depend on Elapsed:\n%s\nvs\n%s", timed, bare)
+	}
+}
