@@ -20,6 +20,17 @@
 // orphan) is internal/sched's Select, DecideSteal and DecideRescue,
 // called on views built from the workers' counters: the verified code is
 // the executed code.
+//
+// Views and who may touch them. The views are built once, at NewPool, and
+// overwritten in place from then on, so a balancing round allocates
+// nothing — the lock-free phase shares no state but the published
+// counters, not even the allocator. Each worker owns a selection view
+// (one model core per worker), the two live views of step 3 and a policy
+// instance: only that worker's goroutine, inside stealWork, reads or
+// writes them. Orphans are re-homed from other goroutines (the killer's,
+// a submitter's) while the dead worker's goroutine may still be inside
+// stealWork, so each worker also has a rescue view and a second policy
+// instance that only the holder of its rescueMu touches.
 package engine
 
 import (
@@ -36,8 +47,10 @@ import (
 // Task is a unit of work.
 type Task func()
 
-// Factory builds one policy instance per worker; instances must not be
-// shared because policies may carry per-round caches.
+// Factory builds the policy instances of a pool, two per worker (one for
+// the worker's own balancing rounds, one for re-homing its orphans);
+// instances must not be shared because policies may carry per-round
+// caches.
 type Factory func() sched.Policy
 
 // Pool is the work-stealing executor.
@@ -59,10 +72,10 @@ type Pool struct {
 
 // worker is one executor lane.
 type worker struct {
-	id     int
-	group  int
-	pool   *Pool
-	policy sched.Policy
+	id      int
+	group   int
+	pool    *Pool
+	killArg string // the core-kill fault point's argument: the worker ID
 
 	mu      sync.Mutex
 	queue   []Task
@@ -70,7 +83,17 @@ type worker struct {
 	qlen    atomic.Int64 // published queue length for lock-free selection
 	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing
 
-	rescueMu sync.Mutex // serializes rehome: one caller of the policy's rescue rule at a time
+	// Owned by the worker's goroutine and touched only inside stealWork.
+	policy                sched.Policy
+	view                  *sched.Machine // lock-free selection view, one core per worker
+	liveThief, liveVictim sched.Core     // step 3's views of the two locked runqueues
+
+	// Guarded by rescueMu, which serializes rehome: one caller of the
+	// policy's rescue rule at a time, on a view and an instance the
+	// worker's own rounds never see.
+	rescueMu     sync.Mutex
+	rescuePolicy sched.Policy
+	rescueView   *sched.Machine
 }
 
 // Options configures optional pool behaviour.
@@ -89,6 +112,19 @@ type Options struct {
 
 // NewPool starts n workers using policies from factory.
 func NewPool(n int, factory Factory, opts Options) *Pool {
+	p := newPool(n, factory, opts)
+	if opts.IdleSleep <= 0 {
+		opts.IdleSleep = 50 * time.Microsecond
+	}
+	for _, w := range p.workers {
+		go w.run(opts.IdleSleep)
+	}
+	return p
+}
+
+// newPool builds the pool NewPool starts: the workers with everything
+// they will ever select on, and no goroutine yet.
+func newPool(n int, factory Factory, opts Options) *Pool {
 	if n <= 0 {
 		panic(fmt.Sprintf("engine: NewPool(%d)", n))
 	}
@@ -98,19 +134,17 @@ func NewPool(n int, factory Factory, opts Options) *Pool {
 	if opts.Groups != nil && len(opts.Groups) != n {
 		panic(fmt.Sprintf("engine: %d groups for %d workers", len(opts.Groups), n))
 	}
-	if opts.IdleSleep <= 0 {
-		opts.IdleSleep = 50 * time.Microsecond
-	}
 	p := &Pool{workers: make([]*worker, n), faults: opts.Faults}
 	for i := range p.workers {
 		g := 0
 		if opts.Groups != nil {
 			g = opts.Groups[i]
 		}
-		p.workers[i] = &worker{id: i, group: g, pool: p, policy: factory()}
-	}
-	for _, w := range p.workers {
-		go w.run(opts.IdleSleep)
+		p.workers[i] = &worker{
+			id: i, group: g, pool: p, killArg: strconv.Itoa(i),
+			policy: factory(), view: sched.NewMachine(n),
+			rescuePolicy: factory(), rescueView: sched.NewMachine(n),
+		}
 	}
 	return p
 }
@@ -191,19 +225,19 @@ func (p *Pool) Revive(id int) error {
 }
 
 // rehome drains the dead worker's queue through the policy's rescue
-// rule. Each orphan's adopter is decided (sched.DecideRescue, on a
-// lock-free snapshot) before the orphan leaves the queue, so a rule that
-// breaks its contract panics with nothing lost; the orphan is then
-// popped under the dead worker's lock and appended under the adopter's —
-// never holding both, so it cannot deadlock against concurrent steals.
-// The first orphan the policy declines (or a policy with no rescue rule
-// at all) ends the drain and strands the rest.
+// rule. Each orphan's adopter is decided (sched.DecideRescue, on the
+// rescue view refreshed lock-free) before the orphan leaves the queue, so
+// a rule that breaks its contract panics with nothing lost; the orphan is
+// then popped under the dead worker's lock and appended under the
+// adopter's — never holding both, so it cannot deadlock against
+// concurrent steals. The first orphan the policy declines (or a policy
+// with no rescue rule at all) ends the drain and strands the rest.
 func (w *worker) rehome() {
 	w.rescueMu.Lock()
 	defer w.rescueMu.Unlock()
 	for w.qlen.Load() > 0 {
-		views := w.pool.snapshot()
-		target := sched.DecideRescue(w.policy, views.Cores[w.id], placeholderTask, sched.RescueCandidates(views))
+		w.pool.refresh(w.rescueView)
+		target := sched.DecideRescue(w.rescuePolicy, w.rescueView.Cores[w.id], placeholderTask, sched.RescueCandidates(w.rescueView))
 		if target == nil {
 			return
 		}
@@ -279,7 +313,7 @@ func (w *worker) run(idleSleep time.Duration) {
 			time.Sleep(idleSleep)
 			continue
 		}
-		if d := w.pool.faults.Check(faultinject.OpCoreKill, strconv.Itoa(w.id)); d.Err != nil {
+		if d := w.pool.faults.Check(faultinject.OpCoreKill, w.killArg); d.Err != nil {
 			// Chaos self-kill; Kill refuses the last online worker, so an
 			// aggressive probabilistic rule cannot wedge the pool.
 			w.pool.Kill(w.id)
@@ -327,9 +361,9 @@ func (w *worker) popLocal() Task {
 // steal from the chosen victim. It returns one task to run immediately
 // (the rest of the stolen batch goes on the local queue).
 func (w *worker) stealWork() Task {
-	// Step 1+2: selection against a lock-free snapshot.
-	views := w.pool.snapshot()
-	att := sched.Select(w.policy, views, w.id)
+	// Step 1+2: selection against the worker's view, refreshed lock-free.
+	w.pool.refresh(w.view)
+	att := sched.Select(w.policy, w.view, w.id)
 	if att.Victim < 0 {
 		return nil
 	}
@@ -351,55 +385,50 @@ func (w *worker) stealWork() Task {
 	// views carry placeholders, so a picked task is just one more from
 	// the tail — and a picker naming more than are queued fails the
 	// steal, as the model's mover would.
-	n, _, reason := sched.DecideSteal(w.policy, w.liveViewLocked(), victim.liveViewLocked())
+	w.fill(&w.liveThief, len(w.queue))
+	victim.fill(&w.liveVictim, len(victim.queue))
+	n, _, reason := sched.DecideSteal(w.policy, &w.liveThief, &w.liveVictim)
 	if reason != sched.FailNone || n > len(victim.queue) {
 		w.pool.stealFails.Add(1)
 		return nil
 	}
-	// Transfer from the victim's tail, keeping its head (oldest) local.
+	// Transfer from the victim's tail, keeping its head (oldest) local:
+	// the first stolen task runs now, the rest queue behind the thief's.
 	cut := len(victim.queue) - n
-	stolen := make([]Task, n)
-	copy(stolen, victim.queue[cut:])
-	for i := cut; i < len(victim.queue); i++ {
-		victim.queue[i] = nil
-	}
+	t := victim.queue[cut]
+	w.queue = append(w.queue, victim.queue[cut+1:]...)
+	clear(victim.queue[cut:])
 	victim.queue = victim.queue[:cut]
 	victim.qlen.Store(int64(cut))
-
-	w.queue = append(w.queue, stolen[1:]...)
 	w.qlen.Store(int64(len(w.queue)))
 	w.pool.steals.Add(int64(n))
-	return stolen[0]
+	return t
 }
 
-// snapshot builds the lock-free selection view: one model core per
-// worker, populated from atomically published counters only. The Ready
-// slices alias a shared immutable array of placeholder tasks, so the
-// policy sees correct lengths and unit weights without copying queues.
-func (p *Pool) snapshot() *sched.Machine {
-	m := &sched.Machine{Cores: make([]*sched.Core, len(p.workers))}
+// refresh overwrites view — a machine of one model core per worker that
+// the caller owns — from atomically published counters only: the
+// lock-free observation of the pool.
+func (p *Pool) refresh(view *sched.Machine) {
 	for i, w := range p.workers {
-		m.Cores[i] = w.viewAt(w.qlen.Load(), w.running.Load())
+		w.fill(view.Cores[i], int(w.qlen.Load()))
 	}
-	return m
 }
 
-// liveViewLocked builds a view from the worker's live state; the caller
-// holds w.mu.
-func (w *worker) liveViewLocked() *sched.Core {
-	return w.viewAt(int64(len(w.queue)), w.running.Load())
-}
-
-func (w *worker) viewAt(qlen int64, running bool) *sched.Core {
-	c := &sched.Core{
+// fill overwrites c, wholesale, with the model's view of w holding qlen
+// queued tasks: nothing of what c showed before survives. The Ready slice
+// aliases a shared immutable array of placeholder tasks, so the policy
+// sees correct lengths and unit weights without copying queues. qlen is
+// the published counter for a lock-free view, or len(w.queue) with w.mu
+// held for a live one.
+func (w *worker) fill(c *sched.Core, qlen int) {
+	*c = sched.Core{
 		ID: w.id, Group: w.group, Node: w.group,
-		Ready:   placeholders(int(qlen)),
+		Ready:   placeholders(qlen),
 		Offline: w.offline.Load(),
 	}
-	if running {
+	if w.running.Load() {
 		c.Current = placeholderTask
 	}
-	return c
 }
 
 // placeholderTask is the shared unit-weight stand-in for executor tasks

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -447,5 +449,279 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 	}
 	if st.Orphaned != 0 {
 		t.Errorf("Orphaned = %d after a drained run, want 0", st.Orphaned)
+	}
+}
+
+// spin is a task body that takes some ten microseconds, allocates nothing
+// and yields, so two workers interleave even on one CPU.
+func spin() {
+	for i := 0; i < 2000; i++ {
+		spinSink.Add(1)
+	}
+	runtime.Gosched()
+}
+
+var spinSink atomic.Int64
+
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+func TestStealPathAllocatesNothing(t *testing.T) {
+	// The executor-skew shape: everything lands on worker 0 and worker 1
+	// lives on optimistic steals. Between the last submission and the
+	// drain the queues only shrink, so whatever is allocated there is the
+	// balancer's.
+	p := NewPool(2, delta2Factory, Options{})
+	defer p.Close()
+	tasks := make([]Task, 4000)
+	for i := range tasks {
+		tasks[i] = spin
+	}
+	batch := func() (steals int64, allocated uint64) {
+		for _, task := range tasks {
+			p.SubmitTo(0, task)
+		}
+		s0, m0 := p.Stats().Steals, mallocs()
+		p.Wait()
+		return p.Stats().Steals - s0, mallocs() - m0
+	}
+	batch() // sizes the views' buffers and the workers' sleep timers
+	steals, allocated := batch()
+	t.Logf("%d steals, %d objects allocated", steals, allocated)
+	if steals <= 1000 {
+		t.Fatalf("only %d steals of %d tasks: the batch did not exercise the steal path", steals, len(tasks))
+	}
+	if allocated*100 > uint64(steals) {
+		t.Errorf("%d objects allocated over %d steals, want at most 1 per 100", allocated, steals)
+	}
+}
+
+func TestIdlePoolAllocatesNothing(t *testing.T) {
+	// An idle worker still runs the lock-free phase every turn. 128
+	// workers also cover the three-digit IDs of the core-kill fault point.
+	for _, workers := range []int{8, 128} {
+		p := NewPool(workers, delta2Factory, Options{})
+		// The first turn of each worker sizes its view's buffers: let every
+		// worker through it, then require a quiet window.
+		time.Sleep(100 * time.Millisecond)
+		least := ^uint64(0)
+		for try := 0; try < 5 && least > 0; try++ {
+			m0 := mallocs()
+			time.Sleep(200 * time.Millisecond)
+			least = min(least, mallocs()-m0)
+		}
+		if least != 0 {
+			t.Errorf("%d idle workers allocate at least %d objects per 200ms, want 0", workers, least)
+		}
+		p.Close()
+	}
+}
+
+func TestStealViewRefreshIsComplete(t *testing.T) {
+	// The views are overwritten in place: after every transition each of
+	// them must equal a view built from nothing, so no field of an earlier
+	// refresh (a Current, an Offline, a longer Ready) survives.
+	type state struct {
+		qlen             int
+		running, offline bool
+	}
+	groups := []int{0, 1, 1}
+	p := newPool(len(groups), delta2Factory, Options{Groups: groups})
+	for step, states := range [][]state{
+		{{5, true, false}, {0, false, false}, {2, true, false}},
+		{{0, false, false}, {0, false, false}, {2, false, false}},  // busy -> idle
+		{{3, true, false}, {9000, true, true}, {0, false, false}},  // killed, long queue
+		{{3, false, false}, {0, false, false}, {1, true, true}},    // revived, long queue -> empty
+		{{0, false, true}, {0, false, false}, {0, false, false}},   // everything cleared
+		{{1, true, false}, {12000, true, false}, {4, false, true}}, // and set again
+	} {
+		want := make([]*sched.Core, len(states))
+		for i, st := range states {
+			w := p.workers[i]
+			w.queue = make([]Task, st.qlen)
+			w.qlen.Store(int64(st.qlen))
+			w.running.Store(st.running)
+			w.offline.Store(st.offline)
+			want[i] = &sched.Core{ID: i, Group: groups[i], Node: groups[i], Ready: placeholders(st.qlen), Offline: st.offline}
+			if st.running {
+				want[i].Current = placeholderTask
+			}
+		}
+		for i, w := range p.workers {
+			p.refresh(w.view)
+			if !reflect.DeepEqual(w.view.Cores, want) {
+				t.Errorf("step %d: worker %d's selection view is %v, want %v", step, i, w.view.Cores, want)
+			}
+			p.refresh(w.rescueView)
+			if !reflect.DeepEqual(w.rescueView.Cores, want) {
+				t.Errorf("step %d: worker %d's rescue view is %v, want %v", step, i, w.rescueView.Cores, want)
+			}
+			victim := p.workers[(i+1)%len(p.workers)]
+			w.fill(&w.liveThief, len(w.queue))
+			victim.fill(&w.liveVictim, len(victim.queue))
+			if !reflect.DeepEqual(&w.liveThief, want[w.id]) || !reflect.DeepEqual(&w.liveVictim, want[victim.id]) {
+				t.Errorf("step %d: worker %d's live views are %v and %v, want %v and %v",
+					step, i, &w.liveThief, &w.liveVictim, want[w.id], want[victim.id])
+			}
+		}
+	}
+}
+
+func TestStealMovesVictimTailInOrder(t *testing.T) {
+	// A three-task steal: the victim keeps its head, the first stolen task
+	// is the one to run and the other two queue behind the thief's own,
+	// all in submission order.
+	steal3 := func() sched.Policy {
+		return &sched.FuncPolicy{
+			PolicyName: "steal3",
+			LoadFn:     func(c *sched.Core) int64 { return int64(c.NThreads()) },
+			FilterFn:   func(thief, stealee *sched.Core) bool { return stealee.NThreads()-thief.NThreads() >= 2 },
+			CountFn:    func(_, _ *sched.Core) int { return 3 },
+		}
+	}
+	p := newPool(2, steal3, Options{}) // no goroutines: the test is the thief
+	var ran []int
+	submit := func(worker, id int) {
+		w := p.workers[worker]
+		w.queue = append(w.queue, func() { ran = append(ran, id) })
+		w.qlen.Store(int64(len(w.queue)))
+	}
+	for id := 0; id < 6; id++ {
+		submit(0, id)
+	}
+	submit(1, 10)
+	submit(1, 11)
+	thief, victim := p.workers[1], p.workers[0]
+	first := thief.stealWork()
+	if first == nil {
+		t.Fatal("the steal failed")
+	}
+	first()
+	for _, w := range []*worker{thief, victim} {
+		if got := w.qlen.Load(); got != int64(len(w.queue)) {
+			t.Errorf("worker %d publishes %d queued tasks, has %d", w.id, got, len(w.queue))
+		}
+		for task := w.popLocal(); task != nil; task = w.popLocal() {
+			task()
+		}
+	}
+	if want := []int{3, 10, 11, 4, 5, 0, 1, 2}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("ran %v, want %v (stolen head, thief's queue, victim's queue)", ran, want)
+	}
+	if st := p.Stats(); st.Steals != 3 || st.StealFails != 0 {
+		t.Errorf("Steals = %d, StealFails = %d, want 3 and 0", st.Steals, st.StealFails)
+	}
+}
+
+func TestStealClearsVictimTail(t *testing.T) {
+	// The stolen closures must not stay reachable from the victim's array.
+	p := newPool(2, delta2Factory, Options{})
+	victim := p.workers[0]
+	for i := 0; i < 4; i++ {
+		victim.queue = append(victim.queue, func() {})
+	}
+	victim.qlen.Store(4)
+	if p.workers[1].stealWork() == nil {
+		t.Fatal("the steal failed")
+	}
+	if len(victim.queue) != 3 || victim.queue[:4][3] != nil {
+		t.Errorf("victim keeps %d tasks and its freed slot is cleared = %v", len(victim.queue), victim.queue[:4][3] == nil)
+	}
+}
+
+// taggedPolicy is delta2 with a rescue rule, and a per-round cache that
+// BeginRound writes and RescueTarget reads: the kind of instance state
+// Factory's contract exists for.
+type taggedPolicy struct {
+	*policy.Delta2
+	tag            int
+	round          int // plain on purpose: the race detector watches it
+	began, rescued atomic.Bool
+}
+
+func (p *taggedPolicy) BeginRound(*sched.Machine) {
+	p.round++
+	p.began.Store(true)
+}
+
+func (p *taggedPolicy) RescueTarget(_ *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
+	p.rescued.Store(true)
+	return candidates[p.round%len(candidates)]
+}
+
+func TestKillRescueUsesItsOwnPolicyInstance(t *testing.T) {
+	var instances []*taggedPolicy // NewPool calls the factory from one goroutine
+	p := NewPool(2, func() sched.Policy {
+		tp := &taggedPolicy{Delta2: policy.NewDelta2(), tag: len(instances)}
+		instances = append(instances, tp)
+		return tp
+	}, Options{})
+	defer p.Close()
+	balancer := p.workers[0].policy.(*taggedPolicy)
+	for !balancer.began.Load() { // worker 0 has run the lock-free phase on its instance
+		time.Sleep(time.Millisecond)
+	}
+	gate, started := make(chan struct{}), make(chan struct{})
+	p.SubmitTo(0, func() { close(started); <-gate })
+	<-started
+	for i := 0; i < 40; i++ {
+		p.SubmitTo(0, spin)
+	}
+	if err := p.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	p.Wait()
+	if p.Stats().Rescued == 0 {
+		t.Fatal("nothing was rescued: the test did not exercise the rescue rule")
+	}
+	for _, tp := range instances {
+		if tp.began.Load() && tp.rescued.Load() {
+			t.Errorf("policy instance %d both observed balancing rounds and re-homed orphans: two goroutines share it", tp.tag)
+		}
+	}
+}
+
+func TestKillReviveLoopRunsEveryTaskOnce(t *testing.T) {
+	// Faults land on both workers while a skewed batch drains: the views,
+	// the rescue views and the policy instances are all in use at once.
+	p := NewPool(2, rescueFactory, Options{})
+	defer p.Close()
+	const n = 5000
+	ran := make([]atomic.Int32, n)
+	var sum atomic.Int64
+	for i := 0; i < n; i++ {
+		p.SubmitTo(0, func() {
+			ran[i].Add(1)
+			sum.Add(int64(i))
+			spin()
+		})
+	}
+	for id := 0; p.Stats().Executed < n/2; id = 1 - id {
+		if err := p.Kill(id); err != nil {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
+		if err := p.Revive(id); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond) // let the balancer work between faults
+	}
+	p.Wait() // both workers are back: the pool must drain
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Fatalf("task %d ran %d times", i, got)
+		}
+	}
+	if want := int64(n) * (n - 1) / 2; sum.Load() != want {
+		t.Errorf("checksum %d, want %d", sum.Load(), want)
+	}
+	st := p.Stats()
+	t.Logf("kills=%d rescued=%d steals=%d fails=%d", st.Kills, st.Rescued, st.Steals, st.StealFails)
+	if st.Executed != n || st.Orphaned != 0 || st.Kills != st.Revives || st.Kills == 0 {
+		t.Errorf("Executed = %d, Orphaned = %d, Kills/Revives = %d/%d, want %d, 0 and equal non-zero", st.Executed, st.Orphaned, st.Kills, st.Revives, n)
 	}
 }

@@ -20,10 +20,9 @@ type Machine struct {
 
 	nextID TaskID // next fresh task ID for Spawn
 
-	// buf is the storage the machine reuses from call to call. It sits
-	// behind one pointer so Machine stays in the 64-byte size class:
-	// internal/engine allocates a Machine per lock-free selection and
-	// never needs any of it.
+	// buf is the storage the machine reuses from call to call, allocated
+	// on first use: a machine that is only cloned or compared never needs
+	// any of it.
 	buf *buffers
 }
 

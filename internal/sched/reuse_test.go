@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 // referenceKey is Machine.Key as it was written before AppendKey
@@ -249,18 +248,5 @@ func TestSpawnAcrossChunkBoundaryKeepsTasksValid(t *testing.T) {
 	}
 	if got := c.Spawn(1, 7).ID; got != TaskID(len(tasks)) {
 		t.Errorf("clone's next ID = %d, want %d", got, len(tasks))
-	}
-}
-
-// engine.(*Pool).snapshot allocates a Machine and its Cores per lock-free
-// selection: growing either moves executor-skew's alloc_kb_per_op (inline
-// buffers in Machine measured +20 %). New per-machine storage goes behind
-// Machine.buf.
-func TestMachineAndCoreStayInTheirSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Machine{}); got > 64 {
-		t.Errorf("sizeof(Machine) = %d, want <= 64: put new storage in buffers", got)
-	}
-	if got := unsafe.Sizeof(Core{}); got != 64 {
-		t.Errorf("sizeof(Core) = %d, want 64", got)
 	}
 }

@@ -109,11 +109,19 @@ func (r *RoundResult) TasksMoved() int {
 // machine: let a RoundObserver observe the view, filter every other core,
 // then choose among the survivors. The view may be a stale snapshot (the
 // executor's lock-free phase) or the live machine (sequential mode);
-// Select never mutates it. It returns the attempt with Victim, Candidates
-// and, when nothing is stealable, FailNoCandidate.
+// Select never mutates its cores. It returns the attempt with Victim,
+// Candidates and, when nothing is stealable, FailNoCandidate.
+//
+// Select allocates nothing once the view's buffers are sized (its first
+// selection): Candidates is this thief's slot of the view's buffers — the
+// slot SelectAll fills for the same thief — so it is valid until the next
+// selection for that thief on that view, and selecting needs the view's
+// owner like any other use of its storage. Selections for other thieves,
+// or on other views, leave it alone.
 func Select(p Policy, view *Machine, thiefID int) Attempt {
+	b := view.selectBuffers()
 	observe(p, view)
-	return selectInto(p, view, thiefID, nil, nil)
+	return selectInto(p, view, thiefID, b.cands[:0], b.thiefIDs(thiefID, view.NumCores()))
 }
 
 // observe shows a RoundObserver the view the selections that follow run
@@ -126,8 +134,7 @@ func observe(p Policy, view *Machine) {
 
 // selectInto is Select after the observation, appending the filter's
 // survivors to candidates and their IDs — the attempt's Candidates — to
-// ids, both empty on entry: nil to allocate them, or a round executor's
-// buffers.
+// ids, both empty on entry and backed by the view's buffers.
 func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []int) Attempt {
 	thief := view.Core(thiefID)
 	att := Attempt{Thief: thiefID, Victim: -1}
@@ -262,17 +269,15 @@ func SequentialRound(p Policy, m *Machine) RoundResult {
 	n := m.NumCores()
 	for id := 0; id < n; id++ {
 		observe(p, m) // the previous core's steal changed the machine
-		att := selectInto(p, m, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
+		att := selectInto(p, m, id, b.cands[:0], b.thiefIDs(id, n))
 		Steal(p, m, &att)
 		b.done = append(b.done, att)
 	}
 	return RoundResult{Attempts: b.done}
 }
 
-// roundBuffers returns m's buffers sized for one round over its cores,
-// with the outcome list emptied: whatever the previous round on m
-// returned is overwritten from here on.
-func (m *Machine) roundBuffers() *buffers {
+// selectBuffers returns m's buffers sized for selections over its cores.
+func (m *Machine) selectBuffers() *buffers {
 	b, n := m.scratch(), m.NumCores()
 	if cap(b.atts) < n {
 		b.atts = make([]Attempt, n)
@@ -281,6 +286,19 @@ func (m *Machine) roundBuffers() *buffers {
 		b.done = make([]Attempt, 0, n)
 		b.seen = make([]bool, n)
 	}
+	return b
+}
+
+// thiefIDs is the empty slot of candIDs that backs the Candidates of one
+// thief's attempt on a machine of n cores.
+func (b *buffers) thiefIDs(thief, n int) []int {
+	return b.candIDs[thief*n : thief*n : (thief+1)*n]
+}
+
+// roundBuffers is selectBuffers with the outcome list emptied: whatever
+// the previous round on m returned is overwritten from here on.
+func (m *Machine) roundBuffers() *buffers {
+	b := m.selectBuffers()
 	b.done = b.done[:0]
 	return b
 }
@@ -301,7 +319,7 @@ func SelectAll(p Policy, m *Machine) []Attempt {
 	n := m.NumCores()
 	atts := b.atts[:n]
 	for id := range atts {
-		atts[id] = selectInto(p, m, id, b.cands[:0], b.candIDs[id*n:id*n:(id+1)*n])
+		atts[id] = selectInto(p, m, id, b.cands[:0], b.thiefIDs(id, n))
 	}
 	return atts
 }

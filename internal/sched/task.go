@@ -47,7 +47,10 @@
 // live in the buffers of the machine the round ran on and are valid until
 // that machine's next selection or round (ExecuteSteals leaves the
 // attempts it is handed intact, whichever machine selected them); rounds
-// on any other machine, copies included, leave them alone. Clone still
+// on any other machine, copies included, leave them alone. A single
+// Select draws on the same buffers — its Candidates are its thief's slot
+// of SelectAll's, valid until that thief next selects on that view — so
+// it allocates nothing and disturbs no other thief's attempt. Clone still
 // returns a machine that shares nothing with its source. SelectAll takes
 // no snapshot: it lets a RoundObserver observe the live machine once and
 // selects for every core on it — nothing mutates the machine between the

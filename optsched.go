@@ -91,7 +91,9 @@ var (
 
 // Round execution: the three steps of Figure 1.
 var (
-	// Select runs steps 1-2 (lock-free filter + choice).
+	// Select runs steps 1-2 (lock-free filter + choice). It allocates
+	// nothing: the attempt's Candidates live in the view's own buffers
+	// and are valid until the next selection for that thief on that view.
 	Select = sched.Select
 	// Steal runs step 3 (locked, re-validated migration).
 	Steal = sched.Steal
