@@ -3,6 +3,7 @@ package dsl
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // typ is the DSL's two-type system.
@@ -142,6 +143,9 @@ type Policy struct {
 	// revives, which is the behavior the no-task-lost obligation
 	// refutes.
 	Rescue Chooser
+
+	// prog is the executable program, built by the first Compile.
+	prog atomic.Pointer[program]
 }
 
 // String renders the policy back to canonical DSL form.

@@ -49,8 +49,9 @@ type Task func()
 
 // Factory builds the policy instances of a pool, two per worker (one for
 // the worker's own balancing rounds, one for re-homing its orphans);
-// instances must not be shared because policies may carry per-round
-// caches.
+// instances of a stateful policy must not be shared because it may carry
+// per-round caches. A stateless one — a DSL-compiled policy without a
+// random chooser — may be one shared instance.
 type Factory func() sched.Policy
 
 // Pool is the work-stealing executor.
@@ -78,7 +79,7 @@ type worker struct {
 	killArg string // the core-kill fault point's argument: the worker ID
 
 	mu      sync.Mutex
-	queue   []Task
+	queue   taskQueue
 	running atomic.Bool
 	qlen    atomic.Int64 // published queue length for lock-free selection
 	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing
@@ -167,8 +168,8 @@ func (p *Pool) SubmitTo(id int, t Task) {
 	p.inflt.Add(1)
 	p.wg.Add(1)
 	w.mu.Lock()
-	w.queue = append(w.queue, t)
-	w.qlen.Store(int64(len(w.queue)))
+	w.queue.pushBack(t)
+	w.qlen.Store(int64(w.queue.n))
 	w.mu.Unlock()
 	if w.offline.Load() {
 		// Landed on a killed worker: the task is an orphan like the ones
@@ -252,13 +253,13 @@ func (w *worker) rehome() {
 			// back and re-select.
 			tw.mu.Unlock()
 			w.mu.Lock()
-			w.queue = append([]Task{t}, w.queue...)
-			w.qlen.Store(int64(len(w.queue)))
+			w.queue.pushFront(t)
+			w.qlen.Store(int64(w.queue.n))
 			w.mu.Unlock()
 			continue
 		}
-		tw.queue = append(tw.queue, t)
-		tw.qlen.Store(int64(len(tw.queue)))
+		tw.queue.pushBack(t)
+		tw.qlen.Store(int64(tw.queue.n))
 		tw.mu.Unlock()
 		w.pool.rescued.Add(1)
 	}
@@ -343,16 +344,8 @@ func (w *worker) run(idleSleep time.Duration) {
 func (w *worker) popLocal() Task {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.queue) == 0 {
-		return nil
-	}
-	t := w.queue[0]
-	w.queue[0] = nil
-	w.queue = w.queue[1:]
-	if len(w.queue) == 0 {
-		w.queue = nil // release the drifting backing array
-	}
-	w.qlen.Store(int64(len(w.queue)))
+	t := w.queue.popFront()
+	w.qlen.Store(int64(w.queue.n))
 	return t
 }
 
@@ -385,22 +378,23 @@ func (w *worker) stealWork() Task {
 	// views carry placeholders, so a picked task is just one more from
 	// the tail — and a picker naming more than are queued fails the
 	// steal, as the model's mover would.
-	w.fill(&w.liveThief, len(w.queue))
-	victim.fill(&w.liveVictim, len(victim.queue))
+	w.fill(&w.liveThief, w.queue.n)
+	victim.fill(&w.liveVictim, victim.queue.n)
 	n, _, reason := sched.DecideSteal(w.policy, &w.liveThief, &w.liveVictim)
-	if reason != sched.FailNone || n > len(victim.queue) {
+	if reason != sched.FailNone || n > victim.queue.n {
 		w.pool.stealFails.Add(1)
 		return nil
 	}
 	// Transfer from the victim's tail, keeping its head (oldest) local:
 	// the first stolen task runs now, the rest queue behind the thief's.
-	cut := len(victim.queue) - n
-	t := victim.queue[cut]
-	w.queue = append(w.queue, victim.queue[cut+1:]...)
-	clear(victim.queue[cut:])
-	victim.queue = victim.queue[:cut]
+	cut := victim.queue.n - n
+	t := victim.queue.at(cut)
+	for i := cut + 1; i < victim.queue.n; i++ {
+		w.queue.pushBack(victim.queue.at(i))
+	}
+	victim.queue.truncate(cut)
 	victim.qlen.Store(int64(cut))
-	w.qlen.Store(int64(len(w.queue)))
+	w.qlen.Store(int64(w.queue.n))
 	w.pool.steals.Add(int64(n))
 	return t
 }
@@ -418,7 +412,7 @@ func (p *Pool) refresh(view *sched.Machine) {
 // queued tasks: nothing of what c showed before survives. The Ready slice
 // aliases a shared immutable array of placeholder tasks, so the policy
 // sees correct lengths and unit weights without copying queues. qlen is
-// the published counter for a lock-free view, or len(w.queue) with w.mu
+// the published counter for a lock-free view, or w.queue.n with w.mu
 // held for a live one.
 func (w *worker) fill(c *sched.Core, qlen int) {
 	*c = sched.Core{
@@ -462,4 +456,87 @@ func placeholders(n int) []*sched.Task {
 	}
 	placeholderPool.Store(grown)
 	return grown[:n]
+}
+
+// taskQueue is a worker's runqueue: a ring over a power-of-two buffer.
+// Taking the head, cutting off a stolen tail and putting an orphan back
+// at the head move indices, never the buffer, so a busy worker allocates
+// only when its backlog outgrows the buffer. A queue that drains after
+// holding a burst — more than keptSlots tasks since its buffer was
+// allocated — returns the buffer and remembers its size: an idle worker
+// does not pin a burst's memory, and the next burst allocates the buffer
+// the last one needed in one step instead of regrowing it by doublings.
+type taskQueue struct {
+	buf  []Task
+	head int // buf index of the head (oldest) task
+	n    int // queued tasks
+	peak int // the most tasks queued since buf was allocated
+	next int // the buffer an empty queue allocates: the last one returned
+}
+
+// keptSlots is the largest backlog a drained queue keeps its buffer
+// after.
+const keptSlots = 1024
+
+// slot is the buf index of the i-th task from the head.
+func (q *taskQueue) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
+// at returns the i-th task from the head.
+func (q *taskQueue) at(i int) Task { return q.buf[q.slot(i)] }
+
+// makeRoom grows a full buffer, laying the tasks out from index 0.
+func (q *taskQueue) makeRoom() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]Task, max(8, 2*len(q.buf), q.next))
+	for i := range q.n {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *taskQueue) pushBack(t Task) {
+	q.makeRoom()
+	q.buf[q.slot(q.n)] = t
+	q.n++
+	q.peak = max(q.peak, q.n)
+}
+
+func (q *taskQueue) pushFront(t Task) {
+	q.makeRoom()
+	q.head = q.slot(len(q.buf) - 1)
+	q.buf[q.head] = t
+	q.n++
+	q.peak = max(q.peak, q.n)
+}
+
+// popFront removes and returns the head task, or nil if q is empty.
+func (q *taskQueue) popFront() Task {
+	if q.n == 0 {
+		return nil
+	}
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = q.slot(1)
+	q.n--
+	q.drained()
+	return t
+}
+
+// truncate keeps the first n tasks, clearing the slots of the rest so
+// their closures are not kept reachable.
+func (q *taskQueue) truncate(n int) {
+	for i := n; i < q.n; i++ {
+		q.buf[q.slot(i)] = nil
+	}
+	q.n = n
+	q.drained()
+}
+
+// drained returns an emptied queue's buffer if it held a burst.
+func (q *taskQueue) drained() {
+	if q.n == 0 && q.peak > keptSlots {
+		q.buf, q.head, q.peak, q.next = nil, 0, 0, len(q.buf)
+	}
 }

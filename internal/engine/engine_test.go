@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"strings"
@@ -471,9 +472,9 @@ func mallocs() uint64 {
 
 func TestStealPathAllocatesNothing(t *testing.T) {
 	// The executor-skew shape: everything lands on worker 0 and worker 1
-	// lives on optimistic steals. Between the last submission and the
-	// drain the queues only shrink, so whatever is allocated there is the
-	// balancer's.
+	// lives on optimistic steals. The first batch sizes the views' buffers
+	// and the workers' sleep timers; the second, submission included, may
+	// allocate only worker 0's ring, in one step.
 	p := NewPool(2, delta2Factory, Options{})
 	defer p.Close()
 	tasks := make([]Task, 4000)
@@ -481,21 +482,21 @@ func TestStealPathAllocatesNothing(t *testing.T) {
 		tasks[i] = spin
 	}
 	batch := func() (steals int64, allocated uint64) {
+		s0, m0 := p.Stats().Steals, mallocs()
 		for _, task := range tasks {
 			p.SubmitTo(0, task)
 		}
-		s0, m0 := p.Stats().Steals, mallocs()
 		p.Wait()
 		return p.Stats().Steals - s0, mallocs() - m0
 	}
-	batch() // sizes the views' buffers and the workers' sleep timers
+	batch()
 	steals, allocated := batch()
 	t.Logf("%d steals, %d objects allocated", steals, allocated)
 	if steals <= 1000 {
 		t.Fatalf("only %d steals of %d tasks: the batch did not exercise the steal path", steals, len(tasks))
 	}
-	if allocated*100 > uint64(steals) {
-		t.Errorf("%d objects allocated over %d steals, want at most 1 per 100", allocated, steals)
+	if allocated > 5 {
+		t.Errorf("a warmed batch of %d tasks and %d steals allocated %d objects, want at most 5", len(tasks), steals, allocated)
 	}
 }
 
@@ -505,10 +506,13 @@ func TestIdlePoolAllocatesNothing(t *testing.T) {
 	for _, workers := range []int{8, 128} {
 		p := NewPool(workers, delta2Factory, Options{})
 		// The first turn of each worker sizes its view's buffers: let every
-		// worker through it, then require a quiet window.
+		// worker through it, then require a quiet window. Under -race the
+		// 128 first turns (some 150 KB of buffers each) can spread over more
+		// than a second, so the search for a quiet window gets five; an
+		// allocation on every turn would leave none quiet however long.
 		time.Sleep(100 * time.Millisecond)
 		least := ^uint64(0)
-		for try := 0; try < 5 && least > 0; try++ {
+		for try := 0; try < 25 && least > 0; try++ {
 			m0 := mallocs()
 			time.Sleep(200 * time.Millisecond)
 			least = min(least, mallocs()-m0)
@@ -541,7 +545,10 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 		want := make([]*sched.Core, len(states))
 		for i, st := range states {
 			w := p.workers[i]
-			w.queue = make([]Task, st.qlen)
+			w.queue = taskQueue{}
+			for range st.qlen {
+				w.queue.pushBack(spin)
+			}
 			w.qlen.Store(int64(st.qlen))
 			w.running.Store(st.running)
 			w.offline.Store(st.offline)
@@ -560,8 +567,8 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 				t.Errorf("step %d: worker %d's rescue view is %v, want %v", step, i, w.rescueView.Cores, want)
 			}
 			victim := p.workers[(i+1)%len(p.workers)]
-			w.fill(&w.liveThief, len(w.queue))
-			victim.fill(&w.liveVictim, len(victim.queue))
+			w.fill(&w.liveThief, w.queue.n)
+			victim.fill(&w.liveVictim, victim.queue.n)
 			if !reflect.DeepEqual(&w.liveThief, want[w.id]) || !reflect.DeepEqual(&w.liveVictim, want[victim.id]) {
 				t.Errorf("step %d: worker %d's live views are %v and %v, want %v and %v",
 					step, i, &w.liveThief, &w.liveVictim, want[w.id], want[victim.id])
@@ -573,7 +580,9 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 func TestStealMovesVictimTailInOrder(t *testing.T) {
 	// A three-task steal: the victim keeps its head, the first stolen task
 	// is the one to run and the other two queue behind the thief's own,
-	// all in submission order.
+	// all in submission order. In the wrapped case both queues' heads sit
+	// near the end of their 8-slot buffers, so both runqueues wrap around
+	// — and must neither reorder nor grow.
 	steal3 := func() sched.Policy {
 		return &sched.FuncPolicy{
 			PolicyName: "steal3",
@@ -582,37 +591,122 @@ func TestStealMovesVictimTailInOrder(t *testing.T) {
 			CountFn:    func(_, _ *sched.Core) int { return 3 },
 		}
 	}
-	p := newPool(2, steal3, Options{}) // no goroutines: the test is the thief
-	var ran []int
-	submit := func(worker, id int) {
-		w := p.workers[worker]
-		w.queue = append(w.queue, func() { ran = append(ran, id) })
-		w.qlen.Store(int64(len(w.queue)))
+	for _, tc := range []struct {
+		name          string
+		thiefDrained  int // tasks the thief ran before the test's own
+		victimDrained int // likewise for the victim
+	}{
+		{"flat", 0, 0},
+		{"wrapped", 7, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPool(2, steal3, Options{}) // no goroutines: the test is the thief
+			thief, victim := p.workers[1], p.workers[0]
+			var ran []int
+			submit := func(w *worker, id int) {
+				w.queue.pushBack(func() { ran = append(ran, id) })
+				w.qlen.Store(int64(w.queue.n))
+			}
+			for w, drained := range map[*worker]int{thief: tc.thiefDrained, victim: tc.victimDrained} {
+				for range drained {
+					submit(w, -1)
+				}
+				for range drained {
+					w.popLocal()
+				}
+			}
+			for id := 0; id < 6; id++ {
+				submit(victim, id)
+			}
+			submit(thief, 10)
+			submit(thief, 11)
+			first := thief.stealWork()
+			if first == nil {
+				t.Fatal("the steal failed")
+			}
+			first()
+			for _, w := range []*worker{thief, victim} {
+				if got := w.qlen.Load(); got != int64(w.queue.n) {
+					t.Errorf("worker %d publishes %d queued tasks, has %d", w.id, got, w.queue.n)
+				}
+				if len(w.queue.buf) != 8 {
+					t.Errorf("worker %d's buffer grew to %d slots for at most 6 tasks", w.id, len(w.queue.buf))
+				}
+				for task := w.popLocal(); task != nil; task = w.popLocal() {
+					task()
+				}
+			}
+			if want := []int{3, 10, 11, 4, 5, 0, 1, 2}; !reflect.DeepEqual(ran, want) {
+				t.Errorf("ran %v, want %v (stolen head, thief's queue, victim's queue)", ran, want)
+			}
+			if st := p.Stats(); st.Steals != 3 || st.StealFails != 0 {
+				t.Errorf("Steals = %d, StealFails = %d, want 3 and 0", st.Steals, st.StealFails)
+			}
+		})
 	}
-	for id := 0; id < 6; id++ {
-		submit(0, id)
-	}
-	submit(1, 10)
-	submit(1, 11)
-	thief, victim := p.workers[1], p.workers[0]
-	first := thief.stealWork()
-	if first == nil {
-		t.Fatal("the steal failed")
-	}
-	first()
-	for _, w := range []*worker{thief, victim} {
-		if got := w.qlen.Load(); got != int64(len(w.queue)) {
-			t.Errorf("worker %d publishes %d queued tasks, has %d", w.id, got, len(w.queue))
+}
+
+func TestTaskQueueMatchesASlice(t *testing.T) {
+	// Random pushes at both ends, pops and truncations against a slice,
+	// with bursts past keptSlots: the ring keeps the order, clears what it
+	// drops, reallocates only when full, and returns its buffer when it
+	// drains after a burst.
+	rng := rand.New(rand.NewPCG(1, 2))
+	var q taskQueue
+	var model []int
+	ran := -1
+	task := func(id int) Task { return func() { ran = id } }
+	idOf := func(t Task) int { t(); return ran }
+	for op := 0; op < 20000; op++ {
+		before, burst := len(q.buf), q.peak > keptSlots
+		switch k := rng.IntN(10); {
+		case op%5000 < 1500:
+			q.pushBack(task(op)) // a burst
+			model = append(model, op)
+		case k < 4:
+			q.pushBack(task(op))
+			model = append(model, op)
+		case k < 5:
+			q.pushFront(task(op))
+			model = append([]int{op}, model...)
+		case k < 9:
+			got := q.popFront()
+			if len(model) == 0 {
+				if got != nil {
+					t.Fatalf("op %d: popFront of an empty queue returned a task", op)
+				}
+				continue
+			}
+			if id := idOf(got); id != model[0] {
+				t.Fatalf("op %d: popFront = %d, want %d", op, id, model[0])
+			}
+			model = model[1:]
+		default:
+			keep := rng.IntN(len(model) + 1)
+			q.truncate(keep)
+			model = model[:keep]
 		}
-		for task := w.popLocal(); task != nil; task = w.popLocal() {
-			task()
+		if q.n != len(model) {
+			t.Fatalf("op %d: %d tasks queued, want %d", op, q.n, len(model))
+		}
+		switch grown, returned := q.n-1 == before, q.n == 0 && burst; {
+		case returned && (len(q.buf) != 0 || q.next != before):
+			t.Fatalf("op %d: a drained %d-slot buffer left %d slots and a next size of %d", op, before, len(q.buf), q.next)
+		case len(q.buf) != before && before != 0 && !grown && !returned:
+			t.Fatalf("op %d: the buffer went from %d to %d slots with %d tasks", op, before, len(q.buf), q.n)
+		case before == 0 && q.n == 1 && len(q.buf) != max(8, q.next):
+			t.Fatalf("op %d: an empty queue allocated %d slots, not the %d it last needed", op, len(q.buf), q.next)
 		}
 	}
-	if want := []int{3, 10, 11, 4, 5, 0, 1, 2}; !reflect.DeepEqual(ran, want) {
-		t.Errorf("ran %v, want %v (stolen head, thief's queue, victim's queue)", ran, want)
+	for i, want := range model {
+		if id := idOf(q.at(i)); id != want {
+			t.Fatalf("task %d from the head is %d, want %d", i, id, want)
+		}
 	}
-	if st := p.Stats(); st.Steals != 3 || st.StealFails != 0 {
-		t.Errorf("Steals = %d, StealFails = %d, want 3 and 0", st.Steals, st.StealFails)
+	for i := q.n; i < len(q.buf); i++ {
+		if q.buf[q.slot(i)] != nil {
+			t.Fatalf("free slot %d still holds a task", q.slot(i))
+		}
 	}
 }
 
@@ -621,14 +715,14 @@ func TestStealClearsVictimTail(t *testing.T) {
 	p := newPool(2, delta2Factory, Options{})
 	victim := p.workers[0]
 	for i := 0; i < 4; i++ {
-		victim.queue = append(victim.queue, func() {})
+		victim.queue.pushBack(func() {})
 	}
 	victim.qlen.Store(4)
 	if p.workers[1].stealWork() == nil {
 		t.Fatal("the steal failed")
 	}
-	if len(victim.queue) != 3 || victim.queue[:4][3] != nil {
-		t.Errorf("victim keeps %d tasks and its freed slot is cleared = %v", len(victim.queue), victim.queue[:4][3] == nil)
+	if freed := victim.queue.buf[victim.queue.slot(3)]; victim.queue.n != 3 || freed != nil {
+		t.Errorf("victim keeps %d tasks and its freed slot is cleared = %v", victim.queue.n, freed == nil)
 	}
 }
 

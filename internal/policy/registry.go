@@ -22,9 +22,10 @@ const delta2RescueDSL = `policy delta2_rescue {
 }`
 
 // mustParseDSL parses registry-committed DSL source once, at
-// registration, into a factory that only compiles: verifiers call a
-// factory per state and per game node. The source is code, not input,
-// so failure is a programming error.
+// registration, into a factory that only compiles — and dsl.Compile
+// builds the program once, on the first call, then hands out its shared
+// instance: verifiers call a factory per state and per game node. The
+// source is code, not input, so failure is a programming error.
 func mustParseDSL(src string) Factory {
 	ast, err := dsl.Parse(src)
 	if err != nil {
@@ -33,10 +34,14 @@ func mustParseDSL(src string) Factory {
 	return func() sched.Policy { return dsl.Compile(ast) }
 }
 
-// Factory constructs a fresh policy instance. Policies carrying per-round
-// caches (RoundObservers) are stateful, so every consumer that needs
-// isolation — each verifier run, each simulated machine, each executor
-// worker set — must construct its own instance through a Factory.
+// Factory constructs a policy instance. Policies carrying per-round
+// caches (RoundObservers) or chooser state are stateful, so every
+// consumer that needs isolation — each verifier run, each simulated
+// machine, each executor worker set — must construct its own instance
+// through a Factory, and the Factory must return a fresh one. A
+// stateless policy has nothing to isolate: its Factory may hand out one
+// shared instance, as a DSL-compiled policy without a random chooser
+// does (dsl.Compile).
 type Factory func() sched.Policy
 
 // Provenance classifies how a registered policy relates to the paper's

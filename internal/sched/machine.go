@@ -38,9 +38,10 @@ type buffers struct {
 
 	stale   *Machine  // UnsafeConcurrentRound's round-start snapshot
 	atts    []Attempt // SelectAll's result, indexed by core ID
-	cands   []*Core   // step-1 survivors of the thief being selected for
+	cands   []*Core   // step-1 survivors of the thief being selected for, or RescueCandidates' result
 	candIDs []int     // backing of every Attempt.Candidates, NumCores per thief
 	done    []Attempt // a round's outcomes in execution order
+	moved   []TaskID  // backing of every Attempt.MovedTasks of the round (or standalone Steal)
 	seen    []bool    // checkOrder's duplicate detector
 }
 
@@ -339,8 +340,10 @@ func (m *Machine) ApplyFault(p Policy, ev FaultEvent) (rescued int, err error) {
 	}
 	c.Offline = true
 	if c.Current != nil {
-		c.Ready = append([]*Task{c.Current}, c.Ready...)
-		c.Current = nil
+		// Shift the queue in place: the runqueue keeps its buffer.
+		c.Ready = append(c.Ready, nil)
+		copy(c.Ready[1:], c.Ready)
+		c.Ready[0], c.Current = c.Current, nil
 	}
 	return Rescue(p, m, ev.Core), nil
 }

@@ -77,14 +77,17 @@ type Rescuer interface {
 }
 
 // RescueCandidates returns the view's online cores: the only cores an
-// orphan may be re-homed to.
+// orphan may be re-homed to. The slice lives in the view's buffers, valid
+// until the next RescueCandidates or selection on that view.
 func RescueCandidates(view *Machine) []*Core {
-	var online []*Core
+	b := view.scratch()
+	online := b.cands[:0]
 	for _, c := range view.Cores {
 		if !c.Offline {
 			online = append(online, c)
 		}
 	}
+	b.cands = online[:0] // keep what the append grew
 	return online
 }
 

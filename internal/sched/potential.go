@@ -12,11 +12,15 @@ package sched
 
 // PairwiseImbalance computes d under the policy's load metric. Both (i,j)
 // and (j,i) are summed, as in the paper's double summation, so every
-// unordered pair contributes twice.
+// unordered pair contributes twice. Up to 16 cores it allocates nothing.
 func PairwiseImbalance(p Policy, m *Machine) int64 {
-	loads := make([]int64, m.NumCores())
-	for i, c := range m.Cores {
-		loads[i] = p.Load(c)
+	var buf [16]int64
+	loads := buf[:0]
+	if n := m.NumCores(); n > len(buf) {
+		loads = make([]int64, 0, n)
+	}
+	for _, c := range m.Cores {
+		loads = append(loads, p.Load(c))
 	}
 	var d int64
 	for i := range loads {
@@ -29,27 +33,6 @@ func PairwiseImbalance(p Policy, m *Machine) int64 {
 		}
 	}
 	return d
-}
-
-// MaxMinImbalance computes the alternative potential max(load) − min(load),
-// used by the ablation bench to compare convergence-bound tightness
-// against the paper's pairwise sum.
-func MaxMinImbalance(p Policy, m *Machine) int64 {
-	if m.NumCores() == 0 {
-		return 0
-	}
-	lo := p.Load(m.Cores[0])
-	hi := lo
-	for _, c := range m.Cores[1:] {
-		l := p.Load(c)
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	return hi - lo
 }
 
 // StealDecreasesPotential reports whether migrating `moved` units of load

@@ -16,24 +16,15 @@ func TestPairwiseImbalance(t *testing.T) {
 		{[]int{0, 1, 2}, 8},  // pairs (0,1)=1,(0,2)=2,(1,2)=1 each twice
 		{[]int{3}, 0},        // single core
 		{[]int{0, 0, 4}, 16}, // (0,4)+(0,4) = 8, twice
+		// Past the 16 loads kept on the stack: one loaded core among 17
+		// differs from each of the 16 idle ones by 1, twice.
+		{[]int{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 32},
 	}
 	for _, tc := range cases {
 		m := MachineFromLoads(tc.loads...)
 		if got := PairwiseImbalance(p, m); got != tc.want {
 			t.Errorf("PairwiseImbalance(%v) = %d, want %d", tc.loads, got, tc.want)
 		}
-	}
-}
-
-func TestMaxMinImbalance(t *testing.T) {
-	p := delta2()
-	m := MachineFromLoads(0, 3, 1)
-	if got := MaxMinImbalance(p, m); got != 3 {
-		t.Errorf("MaxMinImbalance = %d, want 3", got)
-	}
-	balanced := MachineFromLoads(2, 2)
-	if got := MaxMinImbalance(p, balanced); got != 0 {
-		t.Errorf("MaxMinImbalance = %d, want 0", got)
 	}
 }
 

@@ -183,10 +183,32 @@ func TestReuseAllocatesNothing(t *testing.T) {
 	specs := []CoreSpec{{Running: 2, Queued: []int64{9, 8}}, {Queued: []int64{4}}, {}, {Running: 1}}
 	dst := new(Machine)
 	key := make([]byte, 0, 128)
+	// A standalone steal moving two tasks, and a failing core whose three
+	// threads the rescue rule hands to the lowest online core.
+	steal2 := delta2().(*FuncPolicy)
+	steal2.CountFn = func(_, _ *Core) int { return 2 }
+	robbed := MachineFromLoads(0, 4, 1)
+	rescuer := delta2().(*FuncPolicy)
+	rescuer.RescueFn = func(_ *Core, _ *Task, candidates []*Core) *Core { return candidates[0] }
+	failing := MachineFromLoads(3, 1, 0)
 	for name, fn := range map[string]func(){
 		"CopyFrom":    func() { dst.CopyFrom(src) },
 		"SetFromSpec": func() { dst.SetFromSpec(specs) },
 		"AppendKey":   func() { key = src.AppendKey(key[:0]) },
+		"Steal": func() {
+			att := Attempt{Thief: 0, Victim: 1}
+			Steal(steal2, dst.CopyFrom(robbed), &att)
+			if att.Moved != 2 || len(att.MovedTasks) != 2 {
+				t.Fatalf("the steal moved %d tasks, recorded %v", att.Moved, att.MovedTasks)
+			}
+		},
+		"ApplyFault": func() {
+			if n, err := dst.CopyFrom(failing).ApplyFault(rescuer, FaultEvent{Core: 0}); n != 3 || err != nil {
+				t.Fatalf("fail(0) rescued %d tasks, err %v", n, err)
+			}
+		},
+		"RescueCandidates":  func() { RescueCandidates(src) },
+		"PairwiseImbalance": func() { PairwiseImbalance(steal2, src) },
 	} {
 		fn() // the first call sizes the buffers
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
@@ -217,6 +239,44 @@ func TestRoundBuffersArePerMachine(t *testing.T) {
 	}
 	if m.Key() != MachineFromLoads(0, 3, 2, 0).Key() {
 		t.Error("SelectAll or a round on a copy mutated the machine")
+	}
+}
+
+func TestMovedTasksArePerMachine(t *testing.T) {
+	// MovedTasks live in the round buffers of the machine the steal ran
+	// on, like Candidates: a round on another machine leaves them alone,
+	// the machine's own next round overwrites them.
+	p := greedyBuggy()
+	start := MachineFromLoads(0, 3, 2, 0)
+	a, b := new(Machine), new(Machine)
+	round := func(m *Machine) RoundResult { return ConcurrentRound(p, m.CopyFrom(start), []int{3, 2, 1, 0}) }
+	rrB := round(b)
+	if rrB.TasksMoved() == 0 || len(rrB.Attempts[0].MovedTasks) == 0 {
+		t.Fatal("the first steal moved nothing — fixture broken")
+	}
+	wantB := fmt.Sprint(rrB.Attempts)
+	round(a) // sizes a's buffers
+	first := round(a).Attempts[0].MovedTasks
+	if got := fmt.Sprint(rrB.Attempts); got != wantB {
+		t.Errorf("rounds on a rewrote b's attempts:\n got %s\nwant %s", got, wantB)
+	}
+	if second := round(a).Attempts[0].MovedTasks; &first[0] != &second[0] {
+		t.Error("a's next round recorded its moves beside its previous round's, not over them")
+	}
+	// Repeated standalone steals on one machine reuse one buffer.
+	m := MachineFromLoads(0, 9)
+	var slot *TaskID
+	for i := 0; i < 4; i++ {
+		att := Attempt{Thief: 0, Victim: 1}
+		Steal(p, m, &att)
+		if !att.Succeeded() {
+			t.Fatalf("steal %d failed: %v", i, att.Reason)
+		}
+		if i == 0 {
+			slot = &att.MovedTasks[0]
+		} else if &att.MovedTasks[0] != slot {
+			t.Errorf("standalone steal %d recorded its move beside the previous steal's", i)
+		}
 	}
 }
 

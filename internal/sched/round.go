@@ -54,7 +54,9 @@ type Attempt struct {
 	Candidates []int
 	// Moved is the number of tasks actually migrated in step 3.
 	Moved int
-	// MovedTasks are the IDs of the migrated tasks.
+	// MovedTasks are the IDs of the migrated tasks, in the round buffers
+	// of the machine the steal ran on (see the package doc's reuse
+	// paragraph).
 	MovedTasks []TaskID
 	// Reason classifies the outcome.
 	Reason FailureReason
@@ -221,8 +223,17 @@ func DecideSteal(p Policy, thief, victim *Core) (n int, picked []TaskID, reason 
 // machine: DecideSteal on the two live cores, then the migration. It
 // mutates m and fills in the attempt's outcome fields. Stealing only
 // takes queued tasks, never the victim's current task (a running thread
-// cannot be migrated in this model).
+// cannot be migrated in this model). A standalone Steal is a round of
+// one: its MovedTasks replace whatever m's last round or Steal recorded.
 func Steal(p Policy, m *Machine, att *Attempt) {
+	b := m.scratch()
+	b.moved = b.moved[:0]
+	steal(p, m, b, att)
+}
+
+// steal is Steal inside a round: the moved IDs are appended to the
+// round's record in b, m's buffers.
+func steal(p Policy, m *Machine, b *buffers, att *Attempt) {
 	if att.Victim < 0 {
 		return
 	}
@@ -232,12 +243,15 @@ func Steal(p Policy, m *Machine, att *Attempt) {
 		att.Reason = reason
 		return
 	}
-	migrate(thief, victim, n, picked, att)
+	migrate(thief, victim, n, picked, b, att)
 }
 
 // migrate is the mechanism half of a steal: move n tasks from victim to
-// thief — the picked ones, or the victim's tail — and record them.
-func migrate(thief, victim *Core, n int, picked []TaskID, att *Attempt) {
+// thief — the picked ones, or the victim's tail — and record them in
+// att.MovedTasks, carved from the moved IDs of b's round.
+func migrate(thief, victim *Core, n int, picked []TaskID, b *buffers, att *Attempt) {
+	start := len(b.moved)
+	att.Reason = FailNone
 	for i := 0; i < n; i++ {
 		var t *Task
 		if picked != nil {
@@ -249,13 +263,17 @@ func migrate(thief, victim *Core, n int, picked []TaskID, att *Attempt) {
 			// The picker named a task that is not queued on the victim:
 			// a policy bug the verifier must see, not a crash.
 			att.Reason = FailEmptyVictim
-			return
+			break
 		}
 		thief.Push(t)
-		att.MovedTasks = append(att.MovedTasks, t.ID)
+		b.moved = append(b.moved, t.ID)
 		att.Moved++
 	}
-	att.Reason = FailNone
+	if len(b.moved) > start {
+		// Capped, so an append to one attempt's IDs can never run into
+		// the next attempt's.
+		att.MovedTasks = b.moved[start:len(b.moved):len(b.moved)]
+	}
 }
 
 // SequentialRound executes one balancing round in the simplified setting
@@ -270,7 +288,7 @@ func SequentialRound(p Policy, m *Machine) RoundResult {
 	for id := 0; id < n; id++ {
 		observe(p, m) // the previous core's steal changed the machine
 		att := selectInto(p, m, id, b.cands[:0], b.thiefIDs(id, n))
-		Steal(p, m, &att)
+		steal(p, m, b, &att)
 		b.done = append(b.done, att)
 	}
 	return RoundResult{Attempts: b.done}
@@ -295,11 +313,12 @@ func (b *buffers) thiefIDs(thief, n int) []int {
 	return b.candIDs[thief*n : thief*n : (thief+1)*n]
 }
 
-// roundBuffers is selectBuffers with the outcome list emptied: whatever
-// the previous round on m returned is overwritten from here on.
+// roundBuffers is selectBuffers with the outcome list and the moved IDs
+// emptied: whatever the previous round on m returned is overwritten from
+// here on.
 func (m *Machine) roundBuffers() *buffers {
 	b := m.selectBuffers()
-	b.done = b.done[:0]
+	b.done, b.moved = b.done[:0], b.moved[:0]
 	return b
 }
 
@@ -336,7 +355,7 @@ func ExecuteSteals(p Policy, m *Machine, atts []Attempt, order []int) RoundResul
 	}
 	for _, id := range order {
 		att := atts[id]
-		Steal(p, m, &att)
+		steal(p, m, b, &att)
 		if att.Reason == FailRevalidation || att.Reason == FailEmptyVictim {
 			att.PredecessorSuccess = priorSuccessTouched(b.done, att.Victim, att.Thief)
 		}
@@ -394,7 +413,7 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 			}
 			att.Reason = FailEmptyVictim
 			if n > 0 {
-				migrate(thief, victim, n, nil, &att)
+				migrate(thief, victim, n, nil, b, &att)
 			}
 		}
 		b.done = append(b.done, att)

@@ -43,14 +43,19 @@
 // they invalidate every *Core and *Task obtained from the receiver
 // before the call (the source of a CopyFrom is only read, and stays
 // independent of the copy). The slices the round executors return —
-// SelectAll's attempts and their Candidates, a RoundResult's Attempts —
-// live in the buffers of the machine the round ran on and are valid until
-// that machine's next selection or round (ExecuteSteals leaves the
-// attempts it is handed intact, whichever machine selected them); rounds
-// on any other machine, copies included, leave them alone. A single
-// Select draws on the same buffers — its Candidates are its thief's slot
-// of SelectAll's, valid until that thief next selects on that view — so
-// it allocates nothing and disturbs no other thief's attempt. Clone still
+// SelectAll's attempts and their Candidates, a RoundResult's Attempts and
+// their MovedTasks — live in the buffers of the machine the round ran on
+// and are valid until that machine's next selection or round
+// (ExecuteSteals leaves the attempts it is handed intact, whichever
+// machine selected them); rounds on any other machine, copies included,
+// leave them alone. A standalone Steal is a round of one: its MovedTasks
+// replace those of m's previous round or Steal, so repeated steals reuse
+// one buffer instead of growing it. A single Select draws on the same
+// buffers — its Candidates are its thief's slot of SelectAll's, valid
+// until that thief next selects on that view — so it allocates nothing
+// and disturbs no other thief's attempt. RescueCandidates returns the
+// view's online cores in the same buffers, valid until the view's next
+// RescueCandidates or selection. Clone still
 // returns a machine that shares nothing with its source. SelectAll takes
 // no snapshot: it lets a RoundObserver observe the live machine once and
 // selects for every core on it — nothing mutates the machine between the

@@ -132,6 +132,11 @@ func (u Universe) EnumerateShardRank(shard, total int, fn func(rank int, m *sche
 	return u.enumerate(shard, total, fn)
 }
 
+// unitWeights is the weight set of a universe that names none: the
+// canonical unit weight, so enumerated states share keys with machines
+// built by sched.MachineFromLoads. Read only.
+var unitWeights = []int64{sched.DefaultWeight}
+
 func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool) bool {
 	if u.Cores <= 0 {
 		panic(fmt.Sprintf("statespace: universe with %d cores", u.Cores))
@@ -139,214 +144,228 @@ func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool)
 	if total <= 0 || shard < 0 || shard >= total {
 		panic(fmt.Sprintf("statespace: shard %d of %d", shard, total))
 	}
-	maxTotal := u.MaxTotal
-	if maxTotal == 0 {
-		maxTotal = u.Cores * u.MaxPerCore
+	if u.Groups != nil && len(u.Groups) != u.Cores {
+		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), u.Cores))
 	}
-	weights := u.Weights
-	if len(weights) == 0 {
-		// Default to the canonical unit weight so enumerated states share
-		// keys with machines built by sched.MachineFromLoads.
-		weights = []int64{sched.DefaultWeight}
+	e := &enumerator{
+		u:        u,
+		shard:    shard,
+		total:    total,
+		fn:       fn,
+		maxTotal: u.MaxTotal,
+		weights:  u.Weights,
+		counts:   make([]int, u.Cores),
+		specs:    make([]sched.CoreSpec, u.Cores),
+		ws:       make([]int64, u.Cores*u.MaxPerCore),
+		m:        new(sched.Machine),
+		online:   u.Cores,
 	}
-	// Enumerate per-core thread counts, then (optionally) the scheduled
-	// bit, then weight assignments. Only the count vectors owned by the
-	// shard are expanded; walking the skipped vectors costs a few integer
-	// ops each, negligible next to the expansion they gate.
-	counts := make([]int, u.Cores)
-	// The one machine and the per-core spec buffers every state of the
-	// shard is built into.
-	m := new(sched.Machine)
-	specs := make([]sched.CoreSpec, u.Cores)
-	rank := 0
-	var rec func(core, used int) bool
-	rec = func(core, used int) bool {
-		if core == u.Cores {
-			r := rank
-			rank++
-			if r%total != shard {
-				return true
-			}
-			return u.enumerateSchedBits(counts, weights, specs, m, func(m *sched.Machine) bool {
-				return fn(r, m)
-			})
-		}
-		for n := 0; n <= u.MaxPerCore && used+n <= maxTotal; n++ {
-			counts[core] = n
-			if !rec(core+1, used+n) {
-				return false
-			}
-		}
-		return true
+	if e.maxTotal == 0 {
+		e.maxTotal = u.Cores * u.MaxPerCore
 	}
-	return rec(0, 0)
+	if len(e.weights) == 0 {
+		e.weights = unitWeights
+	}
+	if u.MaxFaults > 0 {
+		e.offline = make([]bool, u.Cores)
+		e.script = make([]sched.FaultEvent, 0, u.MaxFaults)
+	}
+	return e.expandCounts(0, 0)
 }
 
-// enumerateSchedBits expands one thread-count vector into machines: for
-// each loaded core, either the first thread is running (always) or — when
-// IncludeUnscheduled — all threads are queued.
-func (u Universe) enumerateSchedBits(counts []int, weights []int64, specs []sched.CoreSpec, m *sched.Machine, fn func(*sched.Machine) bool) bool {
-	loaded := 0
-	for _, n := range counts {
-		if n > 0 {
-			loaded++
+// enumerator is one enumeration's state. It enumerates per-core thread
+// counts, then (optionally) the scheduled bits, then weight assignments,
+// then fault scripts, building every state into one machine from
+// buffers that are reused from state to state: the walk allocates only
+// when it starts. Only the count vectors owned by the shard are
+// expanded; walking the skipped vectors costs a few integer ops each,
+// negligible next to the expansion they gate.
+type enumerator struct {
+	u            Universe
+	shard, total int
+	fn           func(int, *sched.Machine) bool
+	maxTotal     int
+	weights      []int64
+
+	counts []int            // the thread-count vector being expanded
+	next   int              // the rank of the next complete count vector
+	rank   int              // the rank of the one being expanded
+	bits   int              // its scheduled bits: the i-th loaded core queues all its threads iff bit i is set
+	specs  []sched.CoreSpec // the state being built, Queued buffers reused
+	ws     []int64          // the weight buffer: core c's vector is ws[c*MaxPerCore:][:counts[c]]
+	m      *sched.Machine   // the one machine every state is built into
+
+	offline []bool             // the cores the fault script has failed so far
+	online  int                // how many cores it leaves online
+	script  []sched.FaultEvent // the fault script being extended
+}
+
+// expandCounts gives cores core.. every thread count that fits beside
+// the used threads before them, and expands each complete count vector
+// the shard owns.
+func (e *enumerator) expandCounts(core, used int) bool {
+	if core == e.u.Cores {
+		r := e.next
+		e.next++
+		if r%e.total != e.shard {
+			return true
 		}
+		e.rank = r
+		return e.expandSchedBits()
 	}
-	variants := 1
-	if u.IncludeUnscheduled {
-		variants = 1 << loaded
-	}
-	for v := 0; v < variants; v++ {
-		ok := u.enumerateWeights(counts, v, weights, specs, m, fn)
-		if !ok {
+	for n := 0; n <= e.u.MaxPerCore && used+n <= e.maxTotal; n++ {
+		e.counts[core] = n
+		if !e.expandCounts(core+1, used+n) {
 			return false
 		}
 	}
 	return true
 }
 
-// enumerateWeights expands one (counts, scheduled-bits) pair over all
-// weight assignments. To keep the space canonical, weights within a
-// core's queue are non-decreasing (queue order is irrelevant to
-// policies that pick tasks by weight). Every state is built into m
-// through specs, whose Queued buffers are reused from state to state.
-func (u Universe) enumerateWeights(counts []int, schedBits int, weights []int64, specs []sched.CoreSpec, m *sched.Machine, fn func(*sched.Machine) bool) bool {
-	loadedIdx := 0
-	if u.Groups != nil && len(u.Groups) != len(counts) {
-		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), len(counts)))
+// expandSchedBits expands one thread-count vector into scheduling
+// variants: for each loaded core, either the first thread is running
+// (always) or — when IncludeUnscheduled — all threads are queued.
+func (e *enumerator) expandSchedBits() bool {
+	loaded := 0
+	for _, n := range e.counts {
+		if n > 0 {
+			loaded++
+		}
 	}
-	build := func(faults []sched.FaultEvent) bool {
-		m.SetFromSpec(specs)
-		for id, g := range u.Groups {
-			m.Core(id).Group = g
-			m.Core(id).Node = g
-		}
-		m.Faults = faults
-		return fn(m)
+	variants := 1
+	if e.u.IncludeUnscheduled {
+		variants = 1 << loaded
 	}
-	var rec func(core int) bool
-	rec = func(core int) bool {
-		if core == len(counts) {
-			if u.MaxFaults <= 0 {
-				return build(nil)
-			}
-			return u.enumerateFaultScripts(build)
-		}
-		n := counts[core]
-		if n == 0 {
-			specs[core] = sched.CoreSpec{Queued: specs[core].Queued[:0]}
-			return rec(core + 1)
-		}
-		idx := loadedIdx
-		loadedIdx++
-		unscheduled := u.IncludeUnscheduled && schedBits&(1<<idx) != 0
-		ok := enumerateCoreWeights(n, weights, func(ws []int64) bool {
-			queued := specs[core].Queued[:0]
-			if unscheduled {
-				specs[core] = sched.CoreSpec{Queued: append(queued, ws...)}
-			} else {
-				specs[core] = sched.CoreSpec{Running: ws[0], Queued: append(queued, ws[1:]...)}
-			}
-			return rec(core + 1)
-		})
-		loadedIdx--
-		return ok
-	}
-	return rec(0)
-}
-
-// enumerateFaultScripts yields every valid fail-stop fault script of
-// length 0..MaxFaults over the universe's cores, in deterministic DFS
-// order (the empty script first, then each script before its
-// extensions; extensions try fail(0..n-1) then revive(0..n-1)). A
-// prefix of every emitted script is itself emitted, which is what lets
-// the degraded-mode checkers treat "bounded recovery after the last
-// event" as covering recovery after *any* event. fn receives a fresh
-// slice per call (nil for the empty script).
-func (u Universe) enumerateFaultScripts(fn func([]sched.FaultEvent) bool) bool {
-	offline := make([]bool, u.Cores)
-	online := u.Cores
-	script := make([]sched.FaultEvent, 0, u.MaxFaults)
-	var rec func() bool
-	rec = func() bool {
-		live := script
-		if len(live) == 0 {
-			live = nil
-		}
-		if !fn(live) {
+	for v := 0; v < variants; v++ {
+		e.bits = v
+		if !e.expandCores(0, 0) {
 			return false
 		}
-		if len(script) == u.MaxFaults {
-			return true
-		}
-		for c := 0; c < u.Cores; c++ {
-			if offline[c] || online == 1 {
-				continue
-			}
-			offline[c] = true
-			online--
-			script = append(script, sched.FaultEvent{Core: c})
-			ok := rec()
-			script = script[:len(script)-1]
-			offline[c] = false
-			online++
-			if !ok {
-				return false
-			}
-		}
-		for c := 0; c < u.Cores; c++ {
-			if !offline[c] {
-				continue
-			}
-			offline[c] = false
-			online++
-			script = append(script, sched.FaultEvent{Core: c, Revive: true})
-			ok := rec()
-			script = script[:len(script)-1]
-			offline[c] = true
-			online--
-			if !ok {
-				return false
-			}
-		}
-		return true
 	}
-	return rec()
+	return true
 }
 
-// enumerateCoreWeights yields every non-decreasing weight vector of length
-// n drawn from weights.
-func enumerateCoreWeights(n int, weights []int64, fn func([]int64) bool) bool {
-	ws := make([]int64, n)
-	var rec func(i, minIdx int) bool
-	rec = func(i, minIdx int) bool {
-		if i == n {
-			return fn(ws)
+// expandCores builds the specs of cores core.. over all weight
+// assignments; loaded counts the loaded cores before core.
+func (e *enumerator) expandCores(core, loaded int) bool {
+	if core == e.u.Cores {
+		if e.u.MaxFaults <= 0 {
+			return e.build(nil)
 		}
-		for w := minIdx; w < len(weights); w++ {
-			ws[i] = weights[w]
-			if !rec(i+1, w) {
-				return false
-			}
-		}
-		return true
+		return e.expandFaults()
 	}
-	return rec(0, 0)
+	if e.counts[core] == 0 {
+		e.specs[core] = sched.CoreSpec{Queued: e.specs[core].Queued[:0]}
+		return e.expandCores(core+1, loaded)
+	}
+	return e.expandCoreWeights(core, loaded, 0, 0)
 }
 
-// Permutations calls fn with every permutation of [0, n), reusing one
-// backing slice. fn must not retain the slice. Iteration stops early if fn
+// expandCoreWeights yields every non-decreasing weight vector for core,
+// filling its slice of the weight buffer from index i on with weights
+// from index minIdx on. Keeping each queue's weights sorted keeps the
+// space canonical: queue order is irrelevant to policies that pick tasks
+// by weight.
+func (e *enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
+	ws := e.ws[core*e.u.MaxPerCore:][:e.counts[core]]
+	if i == len(ws) {
+		queued := e.specs[core].Queued[:0]
+		if e.u.IncludeUnscheduled && e.bits&(1<<loaded) != 0 {
+			e.specs[core] = sched.CoreSpec{Queued: append(queued, ws...)}
+		} else {
+			e.specs[core] = sched.CoreSpec{Running: ws[0], Queued: append(queued, ws[1:]...)}
+		}
+		return e.expandCores(core+1, loaded+1)
+	}
+	for w := minIdx; w < len(e.weights); w++ {
+		ws[i] = e.weights[w]
+		if !e.expandCoreWeights(core, loaded, i+1, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// expandFaults yields every valid fail-stop fault script of length
+// 0..MaxFaults over the universe's cores, in deterministic DFS order
+// (the empty script first, then each script before its extensions;
+// extensions try fail(0..n-1) then revive(0..n-1)). A prefix of every
+// emitted script is itself emitted, which is what lets the degraded-mode
+// checkers treat "bounded recovery after the last event" as covering
+// recovery after *any* event. The machine's Faults is the script buffer
+// itself (nil for the empty script).
+func (e *enumerator) expandFaults() bool {
+	faults := e.script
+	if len(faults) == 0 {
+		faults = nil
+	}
+	if !e.build(faults) {
+		return false
+	}
+	if len(e.script) == e.u.MaxFaults {
+		return true
+	}
+	for c := 0; c < e.u.Cores; c++ {
+		if !e.offline[c] && e.online > 1 && !e.extend(sched.FaultEvent{Core: c}) {
+			return false
+		}
+	}
+	for c := 0; c < e.u.Cores; c++ {
+		if e.offline[c] && !e.extend(sched.FaultEvent{Core: c, Revive: true}) {
+			return false
+		}
+	}
+	return true
+}
+
+// extend expands the scripts that continue the current one with ev.
+func (e *enumerator) extend(ev sched.FaultEvent) bool {
+	e.setOffline(ev.Core, !ev.Revive)
+	e.script = append(e.script, ev)
+	ok := e.expandFaults()
+	e.script = e.script[:len(e.script)-1]
+	e.setOffline(ev.Core, ev.Revive)
+	return ok
+}
+
+func (e *enumerator) setOffline(core int, off bool) {
+	e.offline[core] = off
+	if off {
+		e.online--
+	} else {
+		e.online++
+	}
+}
+
+// build rebuilds the machine as the specs describe, under the given
+// fault script, and hands it to fn.
+func (e *enumerator) build(faults []sched.FaultEvent) bool {
+	e.m.SetFromSpec(e.specs)
+	for id, g := range e.u.Groups {
+		c := e.m.Core(id)
+		c.Group, c.Node = g, g
+	}
+	e.m.Faults = faults
+	return e.fn(e.rank, e.m)
+}
+
+// Permutations calls fn with every permutation of [0, len(perm)), laid
+// out in perm; state is its scratch and must be at least as long. Both
+// are overwritten and belong to the caller, so a caller that walks the
+// permutations of every state of a shard passes one pair and allocates
+// nothing. fn must not retain the slice. Iteration stops early if fn
 // returns false; Permutations reports whether it ran to completion.
-// Classic Heap's algorithm, allocation-free per permutation.
-func Permutations(n int, fn func([]int) bool) bool {
-	perm := make([]int, n)
+// Classic Heap's algorithm.
+func Permutations(perm, state []int, fn func([]int) bool) bool {
+	n := len(perm)
 	for i := range perm {
 		perm[i] = i
 	}
 	if n == 0 {
 		return fn(perm)
 	}
-	c := make([]int, n)
+	c := state[:n]
+	clear(c)
 	if !fn(perm) {
 		return false
 	}

@@ -140,7 +140,7 @@ func TestUniversePanicsWithoutCores(t *testing.T) {
 func TestPermutationsCountAndUniqueness(t *testing.T) {
 	for n, want := range map[int]int{1: 1, 2: 2, 3: 6, 4: 24} {
 		seen := make(map[string]bool)
-		Permutations(n, func(p []int) bool {
+		Permutations(make([]int, n), make([]int, n), func(p []int) bool {
 			key := ""
 			for _, v := range p {
 				key += string(rune('0' + v))
@@ -158,7 +158,7 @@ func TestPermutationsCountAndUniqueness(t *testing.T) {
 }
 
 func TestPermutationsAreValid(t *testing.T) {
-	Permutations(4, func(p []int) bool {
+	Permutations(make([]int, 4), make([]int, 4), func(p []int) bool {
 		seen := [4]bool{}
 		for _, v := range p {
 			if v < 0 || v >= 4 || seen[v] {
@@ -172,7 +172,7 @@ func TestPermutationsAreValid(t *testing.T) {
 
 func TestPermutationsEarlyStop(t *testing.T) {
 	n := 0
-	complete := Permutations(3, func([]int) bool {
+	complete := Permutations(make([]int, 3), make([]int, 3), func([]int) bool {
 		n++
 		return n < 2
 	})

@@ -1,8 +1,10 @@
 // Package trace records structured scheduler events into a bounded ring
 // buffer with JSON export — the debugging/replay facility of the
-// simulator and the concurrent executor. Tracing is designed to be cheap
-// enough to leave enabled: one struct copy per event, no allocation once
-// the ring is warm, and a nil *Ring is a valid no-op tracer.
+// simulator (internal/sim), the only backend that emits events; the model
+// backend and the concurrent executor (internal/engine) emit none.
+// Tracing is designed to be cheap enough to leave enabled: one struct
+// copy per event, no allocation once the ring is warm, and a nil *Ring is
+// a valid no-op tracer.
 package trace
 
 import (
@@ -14,7 +16,7 @@ import (
 // Kind classifies an event.
 type Kind string
 
-// Event kinds emitted by the simulator and executor.
+// Event kinds, all emitted by the simulator.
 const (
 	KindSpawn     Kind = "spawn"      // task created on a core
 	KindStart     Kind = "start"      // task started running
@@ -33,7 +35,7 @@ const (
 // Event is one trace record. Fields are int64/strings only so the JSON
 // export is stable and greppable.
 type Event struct {
-	// Time is the virtual (simulator) or wall (executor) timestamp.
+	// Time is the simulator's virtual timestamp.
 	Time int64 `json:"t"`
 	// Kind classifies the event.
 	Kind Kind `json:"kind"`

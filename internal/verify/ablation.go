@@ -81,8 +81,9 @@ func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationRes
 		}
 	}
 	safe, unsafe := new(sched.Machine), new(sched.Machine)
+	var perms permScratch
 	return func(rank int, m *sched.Machine) bool {
-		return statespace.Permutations(m.NumCores(), func(order []int) bool {
+		return perms.each(m.NumCores(), func(order []int) bool {
 			// Poll per schedule, not just per state: each state fans out
 			// to NumCores()! orders and each order runs two full rounds.
 			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {

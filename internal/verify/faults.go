@@ -40,17 +40,21 @@ func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
 // of the failure. A policy with no rescue rule fails this on any script
 // that fails a non-empty core and never revives it.
 func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
+	var start []int // the start state's loads, for the witness
+	// orphanedAt[id] is the round at which task id became an orphan;
+	// orphanCore[id] the offline core holding it. In the model a task
+	// leaves an offline core only through rescue (at fail time) or
+	// revival, so the maps are maintained exactly at fault events. Both
+	// are the shard's, emptied per state.
+	orphanedAt := map[sched.TaskID]int{}
+	orphanCore := map[sched.TaskID]int{}
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			return true // no faults, no orphans: vacuously safe
 		}
-		start := m.Loads()
-		// orphanedAt[id] is the round at which task id became an orphan;
-		// orphanCore[id] the offline core holding it. In the model a task
-		// leaves an offline core only through rescue (at fail time) or
-		// revival, so the maps are maintained exactly at fault events.
-		orphanedAt := map[sched.TaskID]int{}
-		orphanCore := map[sched.TaskID]int{}
+		start = appendLoads(start[:0], m)
+		clear(orphanedAt)
+		clear(orphanCore)
 		for i, ev := range m.Faults {
 			replayFault(m, f, ev)
 			if ev.Revive {
@@ -107,13 +111,14 @@ func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
 // ignores work it could adopt.
 func degradedWastedCoresCheck(f Factory, maxRounds int, res *Result) stateCheck {
 	seen := make(statespace.Visited)
+	var start []int // the start state's loads, for the witness
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			// The healthy invariant is work-conservation-sequential's
 			// job; this obligation owns the degraded states only.
 			return true
 		}
-		start := m.Loads()
+		start = appendLoads(start[:0], m)
 		for _, ev := range m.Faults {
 			replayFault(m, f, ev)
 			sched.SequentialRound(f(), m)

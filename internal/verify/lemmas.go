@@ -5,16 +5,19 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
-	"repro/internal/statespace"
 )
 
-// Factory produces a fresh policy instance per check, isolating any
-// per-round caches (sched.RoundObserver state) between runs. Checks
-// fan out over universe shards on a worker pool, so a factory must be
-// safe for concurrent calls; every registered and DSL-compiled factory
-// is, since each call constructs a fresh policy. A caller whose factory
-// is not concurrency-safe must set Config.Sequential, which runs every
-// shard on the calling goroutine (and produces the identical report).
+// Factory produces a policy instance per check, isolating any per-round
+// caches (sched.RoundObserver state) or chooser state between runs: the
+// instance of a stateful policy must be fresh. A factory may hand out one
+// shared instance of a stateless policy — dsl.Compile does for every
+// program without a random chooser — since no check can then observe
+// another's. Checks fan out over universe shards on a worker pool, so a
+// factory must be safe for concurrent calls, and a shared instance safe
+// for concurrent use; every registered and DSL-compiled factory is. A
+// caller whose factory is not concurrency-safe must set
+// Config.Sequential, which runs every shard on the calling goroutine
+// (and produces the identical report).
 type Factory func() sched.Policy
 
 // beginRound refreshes a policy's cached round statistics when it
@@ -160,12 +163,13 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 // have been flipped by a completed steal.
 func failureImpliesSuccessCheck(ctx context.Context, f Factory, res *Result) stateCheck {
 	trial := new(sched.Machine)
+	var perms permScratch
 	return func(rank int, m *sched.Machine) bool {
 		// One selection per state: it reads only the round-start
 		// snapshot, which is the same under every order.
 		p := f()
 		atts := sched.SelectAll(p, m)
-		return statespace.Permutations(m.NumCores(), func(order []int) bool {
+		return perms.each(m.NumCores(), func(order []int) bool {
 			// Each state fans out to NumCores()! orders, so polling only
 			// per state would stretch cancellation latency by that factor
 			// on wide universes; poll per schedule at the same stride.

@@ -87,8 +87,7 @@ func AllObligations() []ObligationID {
 // instead of hogging one goroutine while the others finish early — or,
 // under cfg.Sequential, run inline in the same order. Because pooled
 // shard checks run concurrently, f must then be safe for concurrent
-// calls; every registered and DSL-compiled factory is, since each call
-// constructs a fresh policy.
+// calls; every registered and DSL-compiled factory is (see Factory).
 //
 // Neither the parallelism level nor the host changes the report: the
 // shard partition is a constant, every shard runs to its own first

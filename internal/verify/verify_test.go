@@ -511,6 +511,36 @@ func TestNoTaskLostProvesRescue(t *testing.T) {
 	}
 }
 
+func TestCheckersAllocateNothingPerState(t *testing.T) {
+	// A state costs the checkers nothing it does not keep: the compiled
+	// policy is shared, and every scratch slice, map and machine is the
+	// shard's. The allocations of two universes differ by per-state cost
+	// only: they have the same cores and bounds, so the eight shards'
+	// setup — their buffers grown to the largest state — is the same in
+	// both, and the second one's task weights multiply its states.
+	small := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1}
+	large := small
+	large.Weights = []int64{sched.DefaultWeight, 2 * sched.DefaultWeight}
+	for _, id := range []ObligationID{ObLemma1, ObStealSoundness, ObPotentialDecrease, ObNoTaskLost} {
+		measure := func(u statespace.Universe) (states int, allocs float64) {
+			cfg := Config{Universe: u, Sequential: true}
+			var r Result
+			allocs = testing.AllocsPerRun(3, func() { r = RunObligation(context.Background(), id, rescueFactory, cfg) })
+			if !r.Passed {
+				t.Fatalf("%s: delta2-rescue failed: %s", id, r.Witness)
+			}
+			return r.StatesChecked, allocs
+		}
+		s0, a0 := measure(small)
+		s1, a1 := measure(large)
+		perState := (a1 - a0) / float64(s1-s0)
+		t.Logf("%s: %d → %d states, %.0f → %.0f objects: %.4f per additional state", id, s0, s1, a0, a1, perState)
+		if perState > 0.1 {
+			t.Errorf("%s allocates %.3f objects per additional state, want at most 0.1", id, perState)
+		}
+	}
+}
+
 func TestDegradedWastedCoresRefutesRescueless(t *testing.T) {
 	r := check(ObDegradedWastedCores, delta2Factory, faultUniverse())
 	if r.Passed {

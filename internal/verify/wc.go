@@ -52,8 +52,9 @@ func converge(f Factory, m *sched.Machine, maxRounds int, seen statespace.Visite
 // witness of the paper's definition.
 func workConservationSequentialCheck(f Factory, maxRounds int, res *Result) stateCheck {
 	seen := make(statespace.Visited)
+	var start []int // the start state's loads, for the witness
 	return func(rank int, m *sched.Machine) bool {
-		start := m.Loads()
+		start = appendLoads(start[:0], m)
 		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).WorkConserved)
 		switch end {
 		case exhausted:
@@ -104,34 +105,48 @@ func choiceSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machi
 	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
 	// item 2 records the open question).
 	p := e.f()
-	atts := make([]sched.Attempt, len(base))
-	var rec func(core int) bool
-	rec = func(core int) bool {
-		if core == len(base) {
-			return e.permuteSteals(p, m, atts, atts, visit)
-		}
-		if base[core].Victim < 0 {
-			atts[core] = base[core]
-			return rec(core + 1)
-		}
-		for _, victim := range base[core].Candidates {
-			atts[core] = base[core]
-			atts[core].Victim = victim
-			if !rec(core + 1) {
-				return false
-			}
-		}
-		return true
+	// The adversary's attempts are borrowed per search depth, like the
+	// order-walk scratch: they stay on the search path while visited.
+	var atts []sched.Attempt
+	if n := len(e.atts); n > 0 {
+		atts, e.atts = e.atts[n-1], e.atts[:n-1]
 	}
-	return rec(0)
+	atts = append(atts[:0], base...)
+	ok := e.chooseVictims(p, m, base, atts, 0, visit)
+	e.atts = append(e.atts, atts)
+	return ok
+}
+
+// chooseVictims gives the attempts of cores core.. every victim their
+// filter admitted, and permutes the steals of each assignment.
+func (e *concExplorer) chooseVictims(p sched.Policy, m *sched.Machine, base, atts []sched.Attempt, core int, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
+	if core == len(base) {
+		return e.permuteSteals(p, m, atts, atts, visit)
+	}
+	if base[core].Victim < 0 {
+		return e.chooseVictims(p, m, base, atts, core+1, visit)
+	}
+	for _, victim := range base[core].Candidates {
+		atts[core].Victim = victim
+		if !e.chooseVictims(p, m, base, atts, core+1, visit) {
+			return false
+		}
+	}
+	return true
 }
 
 // permuteSteals visits the state every steal order makes of m under the
 // selected attempts, each on a machine borrowed from the explorer's free
 // list for the duration of the visit. chosen is what visit is told the
-// adversary picked besides the order.
+// adversary picked besides the order. The orders are walked on scratch
+// borrowed the same way: the walk one search depth down must not disturb
+// this one, whose order stays on the search path while it is visited.
 func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	return statespace.Permutations(m.NumCores(), func(order []int) bool {
+	var perms permScratch
+	if n := len(e.perms); n > 0 {
+		perms, e.perms = e.perms[n-1], e.perms[:n-1]
+	}
+	ok := perms.each(m.NumCores(), func(order []int) bool {
 		var next *sched.Machine
 		if n := len(e.free); n > 0 {
 			next, e.free = e.free[n-1], e.free[:n-1]
@@ -143,6 +158,31 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 		e.free = append(e.free, next)
 		return ok
 	})
+	e.perms = append(e.perms, perms)
+	return ok
+}
+
+// permScratch is what a statespace.Permutations walk runs on. Each shard
+// keeps its own — the game explorer one per search depth — so walking the
+// steal orders of a state allocates nothing once it is sized.
+type permScratch []int
+
+// each walks the permutations of [0, n) on s, sizing it first if needed.
+func (s *permScratch) each(n int, fn func(order []int) bool) bool {
+	if len(*s) != 2*n {
+		*s = make([]int, 2*n)
+	}
+	return statespace.Permutations((*s)[:n], (*s)[n:], fn)
+}
+
+// appendLoads appends m's per-core thread counts — Machine.Loads — to
+// dst. The checks keep a start state's loads this way, in a per-shard
+// buffer, and only a refutation renders them.
+func appendLoads(dst []int, m *sched.Machine) []int {
+	for _, c := range m.Cores {
+		dst = append(dst, c.NThreads())
+	}
+	return dst
 }
 
 // concExplorer performs the adversarial game-graph search: states are
@@ -159,32 +199,29 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 // permutation fan-out under a node needs no extra polling because every
 // successor edge immediately re-enters explore, which polls.
 type concExplorer struct {
-	ctx       context.Context
-	f         Factory
-	succ      successorFunc
-	done      func(*sched.Machine) bool // terminal predicate of the game
-	res       *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
-	memo      map[string]int            // state key -> worst rounds to terminal
-	onPath    map[string]bool
-	trace     []traceStep
-	free      []*sched.Machine // successor machines not on the current path, for reuse
+	ctx    context.Context
+	f      Factory
+	succ   successorFunc
+	done   func(*sched.Machine) bool // terminal predicate of the game
+	res    *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
+	memo   map[string]int            // state key -> worst rounds to terminal
+	onPath map[string]bool
+	// path holds the nodes whose successors are being explored, root
+	// first; visitNext is visit, bound once.
+	path      []pathNode
+	visitNext func(*sched.Machine, []sched.Attempt, []int) bool
+	free      []*sched.Machine  // successor machines not on the current path, for reuse
+	perms     []permScratch     // order-walk scratch not in use by a search depth, for reuse
+	atts      [][]sched.Attempt // choiceSuccessors' attempts not in use by a search depth, for reuse
 	violation string
 	aborted   bool // violation is a cancellation, not a refutation
 	polls     int  // amortizes the ctx check to every 64 explored nodes
 }
 
 func newExplorer(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
-	return &concExplorer{ctx: ctx, f: f, succ: succ, done: done, res: res, memo: make(map[string]int), onPath: make(map[string]bool)}
-}
-
-// traceStep is one edge of the path under exploration: the state it
-// leaves and the adversary's decisions. All three are live and unchanged
-// while the edge is on the path, so nothing is copied or rendered unless
-// describeCycle prints it.
-type traceStep struct {
-	m     *sched.Machine
-	atts  []sched.Attempt // the adversary's victims, nil when it only picks the order
-	order []int
+	e := &concExplorer{ctx: ctx, f: f, succ: succ, done: done, res: res, memo: make(map[string]int), onPath: make(map[string]bool)}
+	e.visitNext = e.visit
+	return e
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
@@ -213,20 +250,10 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	}
 	key := string(kb)
 	e.onPath[key] = true
-	worst := 0
-	ok := e.succ(e, m, func(next *sched.Machine, atts []sched.Attempt, order []int) bool {
-		e.res.SchedulesChecked++
-		e.trace = append(e.trace, traceStep{m: m, atts: atts, order: order})
-		n, ok := e.explore(next)
-		e.trace = e.trace[:len(e.trace)-1]
-		if !ok {
-			return false
-		}
-		if n+1 > worst {
-			worst = n + 1
-		}
-		return true
-	})
+	e.path = append(e.path, pathNode{m: m})
+	ok := e.succ(e, m, e.visitNext)
+	worst := e.path[len(e.path)-1].worst
+	e.path = e.path[:len(e.path)-1]
 	delete(e.onPath, key)
 	if !ok {
 		return 0, false
@@ -235,20 +262,49 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	return worst, true
 }
 
+// pathNode is a node on the search path: its state, the edge out of it
+// being explored — the adversary's decisions — and the worst rounds to
+// terminal found among its successors so far. The state and the
+// decisions are live and unchanged while the node is on the path, so
+// nothing is copied or rendered unless describeCycle prints it.
+type pathNode struct {
+	m     *sched.Machine
+	atts  []sched.Attempt // the adversary's victims, nil when it only picks the order
+	order []int
+	worst int
+}
+
+// visit is the successor callback of the node on top of the search path
+// (bound once, as visitNext): it explores next, the state the adversary's
+// atts and order make of the node, and folds its rounds into the node's.
+func (e *concExplorer) visit(next *sched.Machine, atts []sched.Attempt, order []int) bool {
+	top := len(e.path) - 1
+	e.res.SchedulesChecked++
+	e.path[top].atts, e.path[top].order = atts, order
+	n, ok := e.explore(next)
+	if !ok {
+		return false
+	}
+	if n+1 > e.path[top].worst {
+		e.path[top].worst = n + 1
+	}
+	return true
+}
+
 func (e *concExplorer) describeCycle(repeat *sched.Machine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "adversarial livelock: state %v recurs without conserving; schedule:", repeat.Loads())
-	// Print the trace suffix forming the cycle: from the first occurrence
+	// Print the path suffix forming the cycle: from the first occurrence
 	// of the repeated state to the top of the exploration stack.
 	start := 0
 	target := repeat.Key()
-	for i := range e.trace {
-		if e.trace[i].m.Key() == target {
+	for i := range e.path {
+		if e.path[i].m.Key() == target {
 			start = i
 			break
 		}
 	}
-	for _, step := range e.trace[start:] {
+	for _, step := range e.path[start:] {
 		fmt.Fprintf(&b, " %v --", step.m.Loads())
 		if step.atts != nil {
 			victims := make([]int, len(step.atts))
@@ -316,15 +372,19 @@ func gameCheck(ctx context.Context, f Factory, succ successorFunc, res *Result) 
 // paper's missing latency limit, made concrete over the bounded
 // universe.
 func reactivityCheck(ctx context.Context, f Factory, res *Result) stateCheck {
-	e := newExplorer(ctx, f, orderSuccessors, nil, res)
+	target := 0 // the idle core the current game is about
+	e := newExplorer(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
+		return !s.Core(target).Idle() || !hasOverloaded(s)
+	}, res)
 	return func(rank int, m *sched.Machine) bool {
-		for _, target := range m.IdleCores() {
+		for _, c := range m.Cores {
+			if !c.Idle() {
+				continue
+			}
 			// A fresh game per target: the terminal predicate (and thus
 			// the memo) depends on the target core.
+			target = c.ID
 			clear(e.memo)
-			e.done = func(s *sched.Machine) bool {
-				return !s.Core(target).Idle() || len(s.OverloadedCores()) == 0
-			}
 			n, ok := e.explore(m)
 			if !ok {
 				return e.lost(rank, fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()))
@@ -333,4 +393,14 @@ func reactivityCheck(ctx context.Context, f Factory, res *Result) stateCheck {
 		}
 		return true
 	}
+}
+
+// hasOverloaded reports whether m has an overloaded core.
+func hasOverloaded(m *sched.Machine) bool {
+	for _, c := range m.Cores {
+		if c.Overloaded() {
+			return true
+		}
+	}
+	return false
 }
