@@ -375,13 +375,12 @@ func (w *worker) stealWork() Task {
 
 	// Either side may have been killed, robbed or fed since selection;
 	// the shared step-3 decision re-validates on the live views. The
-	// views carry placeholders, so a picked task is just one more from
-	// the tail — and a picker naming more than are queued fails the
-	// steal, as the model's mover would.
+	// views carry placeholders, so a picked task is just one from the
+	// tail, and n never exceeds the victim's queue.
 	w.fill(&w.liveThief, w.queue.n)
 	victim.fill(&w.liveVictim, victim.queue.n)
 	n, _, reason := sched.DecideSteal(w.policy, &w.liveThief, &w.liveVictim)
-	if reason != sched.FailNone || n > victim.queue.n {
+	if reason != sched.FailNone {
 		w.pool.stealFails.Add(1)
 		return nil
 	}

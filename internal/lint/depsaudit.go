@@ -22,7 +22,7 @@ import (
 //  3. walk the call graph from those entries, across packages (the
 //     sched helpers), down to references of the policy interface
 //     methods: Load→load, CanSteal→filter, Choose→choose,
-//     StealCount→steal, PickTasks→steal on Policy/TaskPicker, and
+//     StealCount→steal, PickTask→steal on Policy/TaskPicker, and
 //     RescueTarget→rescue on Rescuer — method calls and method values
 //     alike;
 //  4. fail on any disagreement between the reached set and the row.
@@ -61,7 +61,7 @@ var policyMethodComponents = map[string]string{
 	"CanSteal":     "filter",
 	"Choose":       "choose",
 	"StealCount":   "steal",
-	"PickTasks":    "steal",
+	"PickTask":     "steal",
 	"RescueTarget": "rescue",
 }
 

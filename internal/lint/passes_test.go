@@ -25,12 +25,12 @@ func TestDepsAuditOK(t *testing.T) {
 
 // TestDepsAuditBad pins the issue's negative case: a checker calling
 // Choose without CompChoose in its row draws exactly one diagnostic on
-// that row (plus the one unreached-steal diagnostic the fixture also
-// carries).
+// that row (plus the unreached-steal and undeclared-pick diagnostics
+// the fixture also carries).
 func TestDepsAuditBad(t *testing.T) {
 	diags := linttest.Run(t, "./testdata/src/depsaudit_bad", lint.DepsAudit)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
 	}
 	undeclared := 0
 	for _, d := range diags {

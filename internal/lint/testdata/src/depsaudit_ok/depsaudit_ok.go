@@ -2,7 +2,8 @@
 // obligation machinery on which depsaudit must stay silent: rows that
 // match their checkers' reach exactly, a load-closure case (Load
 // reached, CompLoad undeclared, another component declared), and an
-// allow-annotated discarded-Choose row.
+// allow-annotated discarded-Choose row, and a steal sized by a
+// TaskPicker's PickTask.
 package fixture
 
 type Core struct{ ID int }
@@ -15,6 +16,10 @@ type Policy interface {
 	CanSteal(self, stealee *Core) bool
 	Choose(self *Core, cands []*Core) *Core
 	StealCount(self, stealee *Core) int
+}
+
+type TaskPicker interface {
+	PickTask(self, stealee *Core) *Core
 }
 
 type Rescuer interface {
@@ -30,6 +35,7 @@ const (
 	ObDiscard  ObligationID = "discarded-choose"
 	ObIndirect ObligationID = "indirect"
 	ObRescue   ObligationID = "rescue"
+	ObPicked   ObligationID = "picked"
 )
 
 const (
@@ -47,6 +53,7 @@ var obligationDeps = map[ObligationID][]string{
 	ObDiscard:  {CompFilter}, //schedlint:allow depsaudit fixture: Choose is called and discarded on purpose
 	ObIndirect: {CompFilter, CompChoose},
 	ObRescue:   {CompRescue},
+	ObPicked:   {CompFilter, CompSteal},
 }
 
 func dispatch(id ObligationID, p Policy, r Rescuer) {
@@ -63,6 +70,8 @@ func dispatch(id ObligationID, p Policy, r Rescuer) {
 		checkIndirect(p)
 	case ObRescue:
 		checkRescue(r)
+	case ObPicked:
+		checkPicked(p)
 	}
 }
 
@@ -123,4 +132,13 @@ func successors(p Policy, c *Core) []*Core {
 func checkRescue(r Rescuer) {
 	var m Machine
 	_ = r.RescueTarget(&m, 0)
+}
+
+// checkPicked sizes its steal the way sched.DecideSteal does for a
+// TaskPicker: PickTask counts as the steal component.
+func checkPicked(p Policy) {
+	var a, b Core
+	if picker, ok := p.(TaskPicker); ok && p.CanSteal(&a, &b) {
+		_ = picker.PickTask(&a, &b)
+	}
 }

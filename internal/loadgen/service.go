@@ -47,6 +47,11 @@ type job struct {
 	remaining int
 }
 
+// slabChunk is how many jobs, or job tasks, Setup allocates at a time.
+// Chunks are never grown in place, so the pointers the simulator holds
+// stay valid; a small chunk keeps each run's unused tail small.
+const slabChunk = 64
+
 // Name implements the zoo's Workload interface.
 func (w *Service) Name() string {
 	return fmt.Sprintf("service(%s/%s/%s)", w.Arrivals.Name(), w.Work.Name(), w.Malleable)
@@ -82,6 +87,8 @@ func (w *Service) Setup(s *sim.Simulator) {
 	rng := s.RNG()
 	t := s.Clock()
 	rr := 0
+	var jobs []job
+	var tasks []jobTask
 	for {
 		t += w.Arrivals.Next(rng)
 		if t >= w.Horizon {
@@ -96,11 +103,19 @@ func (w *Service) Setup(s *sim.Simulator) {
 		if perTask < 1 {
 			perTask = 1
 		}
-		j := &job{arrival: t, remaining: k}
+		if len(jobs) == cap(jobs) {
+			jobs = make([]job, 0, slabChunk)
+		}
+		jobs = append(jobs, job{arrival: t, remaining: k})
+		j := &jobs[len(jobs)-1]
 		w.arrived++
 		w.offered += int64(k) * (perTask + 1)
 		for i := 0; i < k; i++ {
-			s.SpawnAt(t, cores[rr%len(cores)], weight, &jobTask{w: w, j: j, run: perTask})
+			if len(tasks) == cap(tasks) {
+				tasks = make([]jobTask, 0, slabChunk)
+			}
+			tasks = append(tasks, jobTask{w: w, j: j, run: perTask})
+			s.SpawnAt(t, cores[rr%len(cores)], weight, &tasks[len(tasks)-1])
 			rr++
 		}
 	}

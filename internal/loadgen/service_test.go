@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/policy"
@@ -128,4 +129,33 @@ func TestServiceSetupPanicsOnBadConfig(t *testing.T) {
 			svc.Setup(sim.New(sim.Config{Cores: 2, Policy: policy.NewNull()}))
 		}()
 	}
+}
+
+// Setup carves jobs and their tasks from 64-entry slabs: on a fixed seed
+// it allocates one chunk per 64 jobs and per 64 tasks, plus a constant
+// for the speedup table, the latency histogram and the simulator's
+// spawn list and event queue growing to hold every arrival.
+func TestServiceSetupAllocatesPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes what escapes to the heap")
+	}
+	const slack = 64
+	svc := testService(2_000_000)
+	s := sim.New(sim.Config{Cores: 4, Policy: policy.NewDelta2(), Seed: 11})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc.Setup(s)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+
+	st := s.Run(40_000_000) // drain: every spawned task completes once
+	jobs, tasks := svc.Arrived(), st.Completed
+	if svc.Completed() != jobs || jobs < 500 || tasks <= jobs {
+		t.Fatalf("fixture broken: %d of %d jobs completed, %d tasks", svc.Completed(), jobs, tasks)
+	}
+	chunks := func(n int64) uint64 { return uint64((n + slabChunk - 1) / slabChunk) }
+	if limit := chunks(jobs) + chunks(tasks) + slack; allocs > limit {
+		t.Errorf("Setup of %d jobs / %d tasks allocated %d objects, want <= %d", jobs, tasks, allocs, limit)
+	}
+	t.Logf("%d jobs, %d tasks: Setup allocated %d objects", jobs, tasks, allocs)
 }

@@ -88,32 +88,14 @@ func (p *CFSGroupBuggy) Choose(thief *sched.Core, candidates []*sched.Core) *sch
 // StealCount implements sched.Policy.
 func (p *CFSGroupBuggy) StealCount(_, _ *sched.Core) int { return 1 }
 
-// PickTasks implements sched.TaskPicker: the admissible queued task
+// PickTask implements sched.TaskPicker: the admissible queued task
 // closest to gap/2, like Weighted.
-func (p *CFSGroupBuggy) PickTasks(thief, stealee *sched.Core) []sched.TaskID {
+func (p *CFSGroupBuggy) PickTask(thief, stealee *sched.Core) *sched.Task {
 	gap := p.Load(stealee) - p.Load(thief)
 	if gap < 2 {
 		return nil
 	}
-	var best *sched.Task
-	var bestResidual int64
-	for _, t := range stealee.Ready {
-		if t.Weight >= gap {
-			continue
-		}
-		residual := gap - 2*t.Weight
-		if residual < 0 {
-			residual = -residual
-		}
-		if best == nil || residual < bestResidual ||
-			(residual == bestResidual && t.Weight < best.Weight) {
-			best, bestResidual = t, residual
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return []sched.TaskID{best.ID}
+	return closestToHalfGap(stealee, gap)
 }
 
 var (

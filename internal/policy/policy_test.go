@@ -68,7 +68,7 @@ func TestDelta2StealCountIsOne(t *testing.T) {
 	}
 }
 
-func TestWeightedPickTasks(t *testing.T) {
+func TestWeightedPickTask(t *testing.T) {
 	p := NewWeighted()
 	// Thief idle; stealee runs w=4 and queues w=1, w=2, w=8.
 	m := sched.MachineFromSpec(
@@ -78,11 +78,11 @@ func TestWeightedPickTasks(t *testing.T) {
 	thief, stealee := m.Core(0), m.Core(1)
 	// gap = 15; every queued task is admissible (w < 15). Residuals
 	// |15-2w|: w=1 -> 13, w=2 -> 11, w=8 -> 1. The picker wants w=8.
-	ids := p.PickTasks(thief, stealee)
-	if len(ids) != 1 {
-		t.Fatalf("PickTasks = %v", ids)
+	pick := p.PickTask(thief, stealee)
+	if pick == nil {
+		t.Fatal("PickTask = nil")
 	}
-	picked := stealee.Remove(ids[0])
+	picked := stealee.Remove(pick.ID)
 	if picked == nil || picked.Weight != 8 {
 		t.Errorf("picked %v, want the weight-8 task", picked)
 	}
@@ -466,12 +466,12 @@ func TestWeightedPickerSoundProperty(t *testing.T) {
 		}
 		m := sched.MachineFromSpec(sched.CoreSpec{}, spec)
 		thief, stealee := m.Core(0), m.Core(1)
-		ids := p.PickTasks(thief, stealee)
-		if len(ids) == 0 {
+		pick := p.PickTask(thief, stealee)
+		if pick == nil {
 			return true
 		}
 		gap := p.Load(stealee) - p.Load(thief)
-		task := stealee.Remove(ids[0])
+		task := stealee.Remove(pick.ID)
 		if task == nil {
 			return false // picked a non-queued task
 		}

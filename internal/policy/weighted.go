@@ -41,7 +41,7 @@ func (p *Weighted) Load(c *sched.Core) int64 { return c.WeightSum() }
 // total (the gap seen from an idle thief), so an idle thief always has a
 // candidate when an overloaded core exists.
 func (p *Weighted) CanSteal(thief, stealee *sched.Core) bool {
-	return p.pickTask(thief, stealee) != nil
+	return p.PickTask(thief, stealee) != nil
 }
 
 // Choose implements sched.Policy (step 2).
@@ -53,21 +53,19 @@ func (p *Weighted) Choose(thief *sched.Core, candidates []*sched.Core) *sched.Co
 }
 
 // StealCount implements sched.Policy. The actual migration is driven by
-// PickTasks; the count is advisory.
+// PickTask; the count is advisory.
 func (p *Weighted) StealCount(_, _ *sched.Core) int { return 1 }
 
-// PickTasks implements sched.TaskPicker: the admissible queued task whose
+// PickTask implements sched.TaskPicker: the admissible queued task whose
 // weight is closest to gap/2 (maximal gap shrinkage per steal).
-func (p *Weighted) PickTasks(thief, stealee *sched.Core) []sched.TaskID {
-	t := p.pickTask(thief, stealee)
-	if t == nil {
-		return nil
-	}
-	return []sched.TaskID{t.ID}
+func (p *Weighted) PickTask(thief, stealee *sched.Core) *sched.Task {
+	return closestToHalfGap(stealee, p.Load(stealee)-p.Load(thief))
 }
 
-func (p *Weighted) pickTask(thief, stealee *sched.Core) *sched.Task {
-	gap := p.Load(stealee) - p.Load(thief)
+// closestToHalfGap returns the queued task on stealee whose migration
+// shrinks the load gap the most — the admissible one (0 < w < gap) with
+// weight closest to gap/2, the lighter on ties — or nil if none is.
+func closestToHalfGap(stealee *sched.Core, gap int64) *sched.Task {
 	var best *sched.Task
 	var bestResidual int64
 	for _, t := range stealee.Ready {

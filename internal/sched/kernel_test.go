@@ -41,12 +41,14 @@ func TestDecideStealMatchesSteal(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s %v<-%v offline=%d", p.Name(), ts, vs, offline)
 					views := m.Clone()
-					n, picked, reason := sched.DecideSteal(p, views.Core(0), views.Core(1))
+					n, pick, reason := sched.DecideSteal(p, views.Core(0), views.Core(1))
 					if views.Key() != m.Key() {
 						t.Fatalf("%s: DecideSteal mutated its views", name)
 					}
-					want := picked
-					if reason == sched.FailNone && picked == nil {
+					var want []sched.TaskID
+					if pick != nil {
+						want = []sched.TaskID{pick.ID}
+					} else if reason == sched.FailNone {
 						ready := views.Core(1).Ready
 						for i := 0; i < n; i++ {
 							want = append(want, ready[len(ready)-1-i].ID)
@@ -60,8 +62,8 @@ func TestDecideStealMatchesSteal(t *testing.T) {
 					}
 					seen[reason]++
 					if reason != sched.FailNone {
-						if n != 0 || picked != nil || att.Moved != 0 {
-							t.Fatalf("%s: failed decision moves n=%d picked=%v, Steal moved %d", name, n, picked, att.Moved)
+						if n != 0 || pick != nil || att.Moved != 0 {
+							t.Fatalf("%s: failed decision moves n=%d pick=%v, Steal moved %d", name, n, pick, att.Moved)
 						}
 						continue
 					}

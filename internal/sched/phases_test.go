@@ -145,18 +145,11 @@ type pickerPolicy struct{}
 func (*pickerPolicy) Name() string               { return "picker-test" }
 func (*pickerPolicy) Load(c *Core) int64         { return c.WeightSum() }
 func (*pickerPolicy) StealCount(_, _ *Core) int  { return 1 }
-func (p *pickerPolicy) CanSteal(t, s *Core) bool { return p.pick(t, s) != nil }
+func (p *pickerPolicy) CanSteal(t, s *Core) bool { return p.PickTask(t, s) != nil }
 func (p *pickerPolicy) Choose(t *Core, cands []*Core) *Core {
 	return ChooseFirst(t, cands)
 }
-func (p *pickerPolicy) PickTasks(t, s *Core) []TaskID {
-	task := p.pick(t, s)
-	if task == nil {
-		return nil
-	}
-	return []TaskID{task.ID}
-}
-func (p *pickerPolicy) pick(t, s *Core) *Task {
+func (p *pickerPolicy) PickTask(t, s *Core) *Task {
 	gap := s.WeightSum() - t.WeightSum()
 	var best *Task
 	for _, task := range s.Ready {

@@ -141,11 +141,11 @@ func Rescue(p Policy, m *Machine, failedCore int) int {
 // TaskPicker is an optional Policy extension for policies that must steal
 // specific tasks rather than whatever sits at the runqueue tail (e.g. the
 // weighted balancer, which picks a task small enough to strictly decrease
-// the load imbalance). PickTasks returns the IDs of queued tasks on
-// stealee to migrate; returning an empty slice fails the steal. Every
-// returned ID must be queued (not running) on stealee.
+// the load imbalance). PickTask returns the one queued task on stealee
+// to migrate; nil fails the steal. The task must be queued (not running)
+// on stealee.
 type TaskPicker interface {
-	PickTasks(thief, stealee *Core) []TaskID
+	PickTask(thief, stealee *Core) *Task
 }
 
 // ChooseFunc is a standalone step-2 heuristic. Policies built from

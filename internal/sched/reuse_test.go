@@ -183,14 +183,17 @@ func TestReuseAllocatesNothing(t *testing.T) {
 	specs := []CoreSpec{{Running: 2, Queued: []int64{9, 8}}, {Queued: []int64{4}}, {}, {Running: 1}}
 	dst := new(Machine)
 	key := make([]byte, 0, 128)
-	// A standalone steal moving two tasks, and a failing core whose three
-	// threads the rescue rule hands to the lowest online core.
+	// A standalone steal moving two tasks, a picked steal, and a failing
+	// core whose three threads the rescue rule hands to the lowest online
+	// core.
 	steal2 := delta2().(*FuncPolicy)
 	steal2.CountFn = func(_, _ *Core) int { return 2 }
 	robbed := MachineFromLoads(0, 4, 1)
 	rescuer := delta2().(*FuncPolicy)
 	rescuer.RescueFn = func(_ *Core, _ *Task, candidates []*Core) *Core { return candidates[0] }
 	failing := MachineFromLoads(3, 1, 0)
+	// A picked steal: the picker names the weight-2 task, not the tail.
+	weighed := MachineFromSpec(CoreSpec{}, CoreSpec{Running: 4, Queued: []int64{2, 8}})
 	for name, fn := range map[string]func(){
 		"CopyFrom":    func() { dst.CopyFrom(src) },
 		"SetFromSpec": func() { dst.SetFromSpec(specs) },
@@ -200,6 +203,13 @@ func TestReuseAllocatesNothing(t *testing.T) {
 			Steal(steal2, dst.CopyFrom(robbed), &att)
 			if att.Moved != 2 || len(att.MovedTasks) != 2 {
 				t.Fatalf("the steal moved %d tasks, recorded %v", att.Moved, att.MovedTasks)
+			}
+		},
+		"Steal (TaskPicker)": func() {
+			att := Attempt{Thief: 0, Victim: 1}
+			Steal(&pickerPolicy{}, dst.CopyFrom(weighed), &att)
+			if att.Moved != 1 || len(att.MovedTasks) != 1 {
+				t.Fatalf("the picked steal moved %d tasks, recorded %v", att.Moved, att.MovedTasks)
 			}
 		},
 		"ApplyFault": func() {

@@ -186,11 +186,12 @@ func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []
 // DecideSteal is step 3's decision for one thief/victim pair, taken on
 // read-only views of the two cores as they are under both runqueue locks:
 // re-validate the optimistic selection (Listing 1 line 12), then size the
-// steal. On FailNone, n tasks move: the picked ones when the policy is a
-// TaskPicker (each must be queued on the victim — the mover checks),
-// otherwise the n at the victim's tail, 0 < n <= len(victim.Ready). Any
-// other reason means nothing moves. It allocates nothing itself.
-func DecideSteal(p Policy, thief, victim *Core) (n int, picked []TaskID, reason FailureReason) {
+// steal. On FailNone, n tasks move: when the policy is a TaskPicker, n is
+// 1 and the one to move is pick (it must be queued on the victim — the
+// mover checks); otherwise pick is nil and the n at the victim's tail
+// move, 0 < n <= len(victim.Ready). Any other reason means nothing moves.
+// It allocates nothing itself.
+func DecideSteal(p Policy, thief, victim *Core) (n int, pick *Task, reason FailureReason) {
 	// A core that fail-stopped since selection can neither steal nor be
 	// stolen from — the stale decision dies at re-validation, like any
 	// other invalidated optimistic selection.
@@ -203,8 +204,9 @@ func DecideSteal(p Policy, thief, victim *Core) (n int, picked []TaskID, reason 
 		return 0, nil, FailRevalidation
 	}
 	if picker, ok := p.(TaskPicker); ok {
-		picked = picker.PickTasks(thief, victim)
-		n = len(picked)
+		if pick = picker.PickTask(thief, victim); pick != nil {
+			n = 1
+		}
 	} else {
 		n = p.StealCount(thief, victim)
 	}
@@ -213,10 +215,10 @@ func DecideSteal(p Policy, thief, victim *Core) (n int, picked []TaskID, reason 
 		return 0, nil, FailRevalidation
 	case len(victim.Ready) == 0:
 		return 0, nil, FailEmptyVictim
-	case picked == nil && n > len(victim.Ready):
+	case n > len(victim.Ready):
 		n = len(victim.Ready)
 	}
-	return n, picked, FailNone
+	return n, pick, FailNone
 }
 
 // Steal runs step 3 for a previously selected attempt against the live
@@ -238,24 +240,24 @@ func steal(p Policy, m *Machine, b *buffers, att *Attempt) {
 		return
 	}
 	thief, victim := m.Core(att.Thief), m.Core(att.Victim)
-	n, picked, reason := DecideSteal(p, thief, victim)
+	n, pick, reason := DecideSteal(p, thief, victim)
 	if reason != FailNone {
 		att.Reason = reason
 		return
 	}
-	migrate(thief, victim, n, picked, b, att)
+	migrate(thief, victim, n, pick, b, att)
 }
 
 // migrate is the mechanism half of a steal: move n tasks from victim to
-// thief — the picked ones, or the victim's tail — and record them in
-// att.MovedTasks, carved from the moved IDs of b's round.
-func migrate(thief, victim *Core, n int, picked []TaskID, b *buffers, att *Attempt) {
+// thief — pick, or the victim's tail when pick is nil — and record them
+// in att.MovedTasks, carved from the moved IDs of b's round.
+func migrate(thief, victim *Core, n int, pick *Task, b *buffers, att *Attempt) {
 	start := len(b.moved)
 	att.Reason = FailNone
 	for i := 0; i < n; i++ {
 		var t *Task
-		if picked != nil {
-			t = victim.Remove(picked[i])
+		if pick != nil {
+			t = victim.Remove(pick.ID)
 		} else {
 			t = victim.PopTail()
 		}
@@ -404,7 +406,9 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 			// picker's stale pick is sized against the snapshot too.
 			var n int
 			if picker != nil {
-				n = len(picker.PickTasks(stale.Core(att.Thief), stale.Core(att.Victim)))
+				if picker.PickTask(stale.Core(att.Thief), stale.Core(att.Victim)) != nil {
+					n = 1
+				}
 			} else {
 				n = p.StealCount(thief, victim)
 			}

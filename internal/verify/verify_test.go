@@ -672,6 +672,28 @@ func TestFailureImpliesSuccessCancelsMidState(t *testing.T) {
 	}
 }
 
+func TestGameCheckersAbortLikeEveryChecker(t *testing.T) {
+	// A cancellation that lands inside a game's exploration must read
+	// exactly as one caught by the shard loop: no start state in front
+	// of "aborted:". The factory cancels once the game is under way, so
+	// the explorer's own poll is the one that fires.
+	u := statespace.Universe{Cores: 4, MaxPerCore: 3}
+	for _, id := range []ObligationID{ObWorkConservConc, ObChoiceIndependence, ObReactivity} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		f := func() sched.Policy {
+			if calls.Add(1) == 2 {
+				cancel()
+			}
+			return policy.NewDelta2()
+		}
+		r := RunObligation(ctx, id, f, Config{Universe: u, Sequential: true})
+		if !r.Aborted || r.Witness != "aborted: context canceled" {
+			t.Errorf("%s: aborted=%v witness %q, want %q", id, r.Aborted, r.Witness, "aborted: context canceled")
+		}
+	}
+}
+
 func TestRevalidationAblationCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -320,12 +320,13 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine) string {
 }
 
 // lost folds a failed exploration into the shard's Result, which ends
-// the shard: explore's violation, introduced by from (which names the
-// start state), is an abort when cancellation cut the search short and
-// a refutation at the start state's rank when the adversary won.
+// the shard: explore's violation is an abort when cancellation cut the
+// search short — worded like every other checker's — and, introduced by
+// from (which names the start state), a refutation at the start state's
+// rank when the adversary won.
 func (e *concExplorer) lost(rank int, from string) bool {
 	if e.aborted {
-		e.res.abort(from + e.violation)
+		e.res.abort(e.violation)
 	} else {
 		e.res.refute(rank, from+e.violation)
 	}
