@@ -414,9 +414,10 @@ func New(opts ...Option) (*Cluster, error) {
 // PolicyName returns the configured policy's name.
 func (c *Cluster) PolicyName() string { return c.policyName }
 
-// NewPolicy constructs a fresh instance of the cluster's policy — fresh
-// because policies may carry per-round caches that must not be shared
-// across machines or workers.
+// NewPolicy returns an instance of the cluster's policy: a fresh one if
+// the policy carries state — per-round caches, a chooser's rng — that
+// must not be shared across machines or workers, possibly a shared one
+// if it carries none.
 func (c *Cluster) NewPolicy() Policy { return c.factory() }
 
 // PolicySpec returns the registry metadata of the cluster's policy, or

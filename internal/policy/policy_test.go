@@ -404,6 +404,31 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// The stateless natives share one instance across factory calls, the
+// way dsl.Compile shares a stateless program; a policy with round
+// caches, chooser state or a topology still gets a fresh one per call.
+func TestStatelessSpecsShareOneInstance(t *testing.T) {
+	same := func(a, b sched.Policy) bool { return a == b }
+	for _, name := range []string{"delta2", "weighted", "greedy-buggy", "null", "delta1-aggressive", "delta2-gen"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		if !same(spec.New(nil), spec.New(nil)) {
+			t.Errorf("%s: two New calls returned distinct instances, want one shared", name)
+		}
+	}
+	for _, name := range []string{"hierarchical", "cfs-group-buggy", "random-choice", "numa-aware"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		if same(spec.New(nil), spec.New(nil)) {
+			t.Errorf("%s: two New calls returned one instance, want fresh ones", name)
+		}
+	}
+}
+
 func TestDSLBackedFactoryOnlyCompiles(t *testing.T) {
 	// Verifiers call a factory per state and per game node, so a
 	// DSL-backed one must cost what dsl.Compile costs: the source is

@@ -41,8 +41,17 @@ func mustParseDSL(src string) Factory {
 // through a Factory, and the Factory must return a fresh one. A
 // stateless policy has nothing to isolate: its Factory may hand out one
 // shared instance, as a DSL-compiled policy without a random chooser
-// does (dsl.Compile).
+// does (dsl.Compile) and as the registry's stateless natives do. A
+// caller that means to mutate an instance must therefore build its own
+// (NewDelta2 and friends), never change one a Factory returned.
 type Factory func() sched.Policy
+
+// shared is the Factory of a stateless policy: it hands out p itself on
+// every call. Verifiers call a factory per state and per game node, so a
+// fresh empty struct per call is pure allocation.
+func shared(p sched.Policy) Factory {
+	return func() sched.Policy { return p }
+}
 
 // Provenance classifies how a registered policy relates to the paper's
 // verification story. It is informational metadata for listings and docs;
@@ -69,9 +78,10 @@ const (
 type Spec struct {
 	// Name is the registry key (e.g. "delta2").
 	Name string
-	// Factory builds a fresh instance for topology-free policies. Exactly
-	// one of Factory and TopologyFactory must be set, matching
-	// NeedsTopology.
+	// Factory builds an instance of a topology-free policy — a fresh one
+	// if the policy is stateful, possibly a shared one if it is not (see
+	// Factory). Exactly one of Factory and TopologyFactory must be set,
+	// matching NeedsTopology.
 	Factory Factory
 	// TopologyFactory builds a fresh instance of a policy that needs a
 	// machine topology (set iff NeedsTopology).
@@ -94,8 +104,10 @@ type Spec struct {
 	DSL string
 }
 
-// New builds a fresh instance from the spec. A nil topology selects
-// DefaultTopology for topology-needing policies and is ignored otherwise.
+// New builds an instance from the spec, under Factory's rule: fresh for a
+// stateful policy, possibly shared for a stateless one. A nil topology
+// selects DefaultTopology for topology-needing policies and is ignored
+// otherwise.
 func (s Spec) New(top *topology.Topology) sched.Policy {
 	if s.NeedsTopology {
 		if top == nil {
@@ -164,15 +176,16 @@ func Names() []string {
 	return names
 }
 
-// New returns a fresh instance of the named built-in policy,
-// constructing topology-needing policies over DefaultTopology.
+// New returns an instance of the named built-in policy — fresh if it is
+// stateful, possibly shared if it is not (see Factory) — constructing
+// topology-needing policies over DefaultTopology.
 func New(name string) (sched.Policy, error) {
 	return NewWithTopology(name, nil)
 }
 
-// NewWithTopology returns a fresh instance of the named policy built for
-// the given topology (nil = DefaultTopology for policies that need one;
-// topology-free policies ignore it).
+// NewWithTopology returns an instance of the named policy, under New's
+// rule, built for the given topology (nil = DefaultTopology for policies
+// that need one; topology-free policies ignore it).
 func NewWithTopology(name string, top *topology.Topology) (sched.Policy, error) {
 	s, ok := Lookup(name)
 	if !ok {
@@ -190,7 +203,7 @@ func init() {
 	// spells it out because that is the committed delta2.pol form.
 	Register(Spec{
 		Name:       "delta2",
-		Factory:    func() sched.Policy { return NewDelta2() },
+		Factory:    shared(NewDelta2()),
 		Provenance: ProvenanceProved,
 		Doc:        "Listing 1's simple balancer: steal one task across a load gap >= 2",
 		DSL: `policy delta2 {
@@ -202,13 +215,13 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "weighted",
-		Factory:    func() sched.Policy { return NewWeighted() },
+		Factory:    shared(NewWeighted()),
 		Provenance: ProvenanceProved,
 		Doc:        "niceness-weighted balancer over per-task load weights",
 	})
 	Register(Spec{
 		Name:       "greedy-buggy",
-		Factory:    func() sched.Policy { return NewGreedyBuggy() },
+		Factory:    shared(NewGreedyBuggy()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "the §4.3 counterexample: concurrent rounds livelock (ping-pong)",
 	})
@@ -232,13 +245,13 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "null",
-		Factory:    func() sched.Policy { return NewNull() },
+		Factory:    shared(NewNull()),
 		Provenance: ProvenanceBaseline,
 		Doc:        "no balancing at all: the E6 lower bound",
 	})
 	Register(Spec{
 		Name:       "delta1-aggressive",
-		Factory:    func() sched.Policy { return NewDelta1Aggressive() },
+		Factory:    shared(NewDelta1Aggressive()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "over-eager gap>=1 filter: unbounded steal sequences",
 	})
@@ -248,7 +261,7 @@ func init() {
 	// TestGeneratedDelta2MatchesEverything.
 	Register(Spec{
 		Name:       "delta2-gen",
-		Factory:    func() sched.Policy { return &Delta2Gen{} },
+		Factory:    shared(&Delta2Gen{}),
 		Provenance: ProvenanceGenerated,
 		Doc:        "Listing 1 as emitted by the DSL Go backend (scheddsl -gen)",
 		// testdata/delta2.pol, the source gen_delta2.go was generated

@@ -106,7 +106,7 @@ func (u Universe) Size() int {
 // beyond the call (Clone what must outlive it). Enumeration stops early
 // if fn returns false; Enumerate reports whether it ran to completion.
 func (u Universe) Enumerate(fn func(*sched.Machine) bool) bool {
-	return u.enumerate(0, 1, func(_ int, m *sched.Machine) bool { return fn(m) })
+	return u.EnumerateShard(0, 1, fn)
 }
 
 // EnumerateShard calls fn for every machine in one shard of a total-way
@@ -119,7 +119,7 @@ func (u Universe) Enumerate(fn func(*sched.Machine) bool) bool {
 // is Enumerate(fn). Like Enumerate, it stops early when fn returns false
 // and reports whether it ran to completion.
 func (u Universe) EnumerateShard(shard, total int, fn func(*sched.Machine) bool) bool {
-	return u.enumerate(shard, total, func(_ int, m *sched.Machine) bool { return fn(m) })
+	return u.EnumerateShardRank(shard, total, func(_ int, m *sched.Machine) bool { return fn(m) })
 }
 
 // EnumerateShardRank is EnumerateShard with provenance: fn also receives
@@ -129,7 +129,7 @@ func (u Universe) EnumerateShard(shard, total int, fn func(*sched.Machine) bool)
 // fanning shards out in parallel can merge per-shard findings back into
 // the deterministic sequential order by comparing ranks.
 func (u Universe) EnumerateShardRank(shard, total int, fn func(rank int, m *sched.Machine) bool) bool {
-	return u.enumerate(shard, total, fn)
+	return new(Enumerator).EnumerateShardRank(u, shard, total, fn)
 }
 
 // unitWeights is the weight set of a universe that names none: the
@@ -137,50 +137,17 @@ func (u Universe) EnumerateShardRank(shard, total int, fn func(rank int, m *sche
 // built by sched.MachineFromLoads. Read only.
 var unitWeights = []int64{sched.DefaultWeight}
 
-func (u Universe) enumerate(shard, total int, fn func(int, *sched.Machine) bool) bool {
-	if u.Cores <= 0 {
-		panic(fmt.Sprintf("statespace: universe with %d cores", u.Cores))
-	}
-	if total <= 0 || shard < 0 || shard >= total {
-		panic(fmt.Sprintf("statespace: shard %d of %d", shard, total))
-	}
-	if u.Groups != nil && len(u.Groups) != u.Cores {
-		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), u.Cores))
-	}
-	e := &enumerator{
-		u:        u,
-		shard:    shard,
-		total:    total,
-		fn:       fn,
-		maxTotal: u.MaxTotal,
-		weights:  u.Weights,
-		counts:   make([]int, u.Cores),
-		specs:    make([]sched.CoreSpec, u.Cores),
-		ws:       make([]int64, u.Cores*u.MaxPerCore),
-		m:        new(sched.Machine),
-		online:   u.Cores,
-	}
-	if e.maxTotal == 0 {
-		e.maxTotal = u.Cores * u.MaxPerCore
-	}
-	if len(e.weights) == 0 {
-		e.weights = unitWeights
-	}
-	if u.MaxFaults > 0 {
-		e.offline = make([]bool, u.Cores)
-		e.script = make([]sched.FaultEvent, 0, u.MaxFaults)
-	}
-	return e.expandCounts(0, 0)
-}
-
-// enumerator is one enumeration's state. It enumerates per-core thread
-// counts, then (optionally) the scheduled bits, then weight assignments,
-// then fault scripts, building every state into one machine from
-// buffers that are reused from state to state: the walk allocates only
-// when it starts. Only the count vectors owned by the shard are
+// Enumerator is the one enumeration walk, with its buffers and its
+// machine kept from walk to walk: a caller that enumerates many shards,
+// of one universe or of several, passes one Enumerator and allocates
+// only while its buffers grow to the largest universe walked. It
+// enumerates per-core thread counts, then (optionally) the scheduled
+// bits, then weight assignments, then fault scripts, building every
+// state into one machine. Only the count vectors owned by the shard are
 // expanded; walking the skipped vectors costs a few integer ops each,
-// negligible next to the expansion they gate.
-type enumerator struct {
+// negligible next to the expansion they gate. The zero value is ready to
+// use; an Enumerator is not safe for concurrent walks.
+type Enumerator struct {
 	u            Universe
 	shard, total int
 	fn           func(int, *sched.Machine) bool
@@ -193,17 +160,60 @@ type enumerator struct {
 	bits   int              // its scheduled bits: the i-th loaded core queues all its threads iff bit i is set
 	specs  []sched.CoreSpec // the state being built, Queued buffers reused
 	ws     []int64          // the weight buffer: core c's vector is ws[c*MaxPerCore:][:counts[c]]
-	m      *sched.Machine   // the one machine every state is built into
+	m      sched.Machine    // the one machine every state is built into
 
 	offline []bool             // the cores the fault script has failed so far
 	online  int                // how many cores it leaves online
 	script  []sched.FaultEvent // the fault script being extended
 }
 
+// EnumerateShardRank is Universe.EnumerateShardRank on e's buffers. The
+// machine fn is handed is e's, so the contract is Enumerate's and one
+// more: it is rebuilt by the next walk on e, too.
+func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(rank int, m *sched.Machine) bool) bool {
+	if u.Cores <= 0 {
+		panic(fmt.Sprintf("statespace: universe with %d cores", u.Cores))
+	}
+	if total <= 0 || shard < 0 || shard >= total {
+		panic(fmt.Sprintf("statespace: shard %d of %d", shard, total))
+	}
+	if u.Groups != nil && len(u.Groups) != u.Cores {
+		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), u.Cores))
+	}
+	e.u, e.shard, e.total, e.fn = u, shard, total, fn
+	e.maxTotal, e.weights = u.MaxTotal, u.Weights
+	if e.maxTotal == 0 {
+		e.maxTotal = u.Cores * u.MaxPerCore
+	}
+	if len(e.weights) == 0 {
+		e.weights = unitWeights
+	}
+	e.counts = resize(e.counts, u.Cores)
+	e.ws = resize(e.ws, u.Cores*u.MaxPerCore)
+	e.specs = resize(e.specs, u.Cores)
+	e.next, e.online = 0, u.Cores
+	e.offline = resize(e.offline, u.Cores)
+	clear(e.offline)
+	e.script = e.script[:0]
+	ok := e.expandCounts(0, 0)
+	e.fn = nil
+	return ok
+}
+
+// resize returns s with length n, reallocated only if it is too short.
+// The contents are the caller's to overwrite: every walk rewrites counts,
+// ws and specs before reading them, and clears offline.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // expandCounts gives cores core.. every thread count that fits beside
 // the used threads before them, and expands each complete count vector
 // the shard owns.
-func (e *enumerator) expandCounts(core, used int) bool {
+func (e *Enumerator) expandCounts(core, used int) bool {
 	if core == e.u.Cores {
 		r := e.next
 		e.next++
@@ -225,7 +235,7 @@ func (e *enumerator) expandCounts(core, used int) bool {
 // expandSchedBits expands one thread-count vector into scheduling
 // variants: for each loaded core, either the first thread is running
 // (always) or — when IncludeUnscheduled — all threads are queued.
-func (e *enumerator) expandSchedBits() bool {
+func (e *Enumerator) expandSchedBits() bool {
 	loaded := 0
 	for _, n := range e.counts {
 		if n > 0 {
@@ -247,7 +257,7 @@ func (e *enumerator) expandSchedBits() bool {
 
 // expandCores builds the specs of cores core.. over all weight
 // assignments; loaded counts the loaded cores before core.
-func (e *enumerator) expandCores(core, loaded int) bool {
+func (e *Enumerator) expandCores(core, loaded int) bool {
 	if core == e.u.Cores {
 		if e.u.MaxFaults <= 0 {
 			return e.build(nil)
@@ -266,7 +276,7 @@ func (e *enumerator) expandCores(core, loaded int) bool {
 // from index minIdx on. Keeping each queue's weights sorted keeps the
 // space canonical: queue order is irrelevant to policies that pick tasks
 // by weight.
-func (e *enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
+func (e *Enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
 	ws := e.ws[core*e.u.MaxPerCore:][:e.counts[core]]
 	if i == len(ws) {
 		queued := e.specs[core].Queued[:0]
@@ -294,7 +304,7 @@ func (e *enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
 // checkers treat "bounded recovery after the last event" as covering
 // recovery after *any* event. The machine's Faults is the script buffer
 // itself (nil for the empty script).
-func (e *enumerator) expandFaults() bool {
+func (e *Enumerator) expandFaults() bool {
 	faults := e.script
 	if len(faults) == 0 {
 		faults = nil
@@ -319,7 +329,7 @@ func (e *enumerator) expandFaults() bool {
 }
 
 // extend expands the scripts that continue the current one with ev.
-func (e *enumerator) extend(ev sched.FaultEvent) bool {
+func (e *Enumerator) extend(ev sched.FaultEvent) bool {
 	e.setOffline(ev.Core, !ev.Revive)
 	e.script = append(e.script, ev)
 	ok := e.expandFaults()
@@ -328,7 +338,7 @@ func (e *enumerator) extend(ev sched.FaultEvent) bool {
 	return ok
 }
 
-func (e *enumerator) setOffline(core int, off bool) {
+func (e *Enumerator) setOffline(core int, off bool) {
 	e.offline[core] = off
 	if off {
 		e.online--
@@ -339,14 +349,14 @@ func (e *enumerator) setOffline(core int, off bool) {
 
 // build rebuilds the machine as the specs describe, under the given
 // fault script, and hands it to fn.
-func (e *enumerator) build(faults []sched.FaultEvent) bool {
+func (e *Enumerator) build(faults []sched.FaultEvent) bool {
 	e.m.SetFromSpec(e.specs)
 	for id, g := range e.u.Groups {
 		c := e.m.Core(id)
 		c.Group, c.Node = g, g
 	}
 	e.m.Faults = faults
-	return e.fn(e.rank, e.m)
+	return e.fn(e.rank, &e.m)
 }
 
 // Permutations calls fn with every permutation of [0, len(perm)), laid

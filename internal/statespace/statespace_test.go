@@ -310,6 +310,62 @@ func TestEnumerateShardEarlyStop(t *testing.T) {
 	}
 }
 
+func TestReusedEnumeratorMatchesFresh(t *testing.T) {
+	// One Enumerator walking universes of shrinking core counts, with and
+	// without faults and weights, must yield exactly what a fresh one
+	// yields: a stale offline flag would drop or add fault scripts, and a
+	// stale specs[i].Queued would leak an earlier universe's tasks into
+	// the next one's machines. The opening walk panics in the middle of a
+	// two-event script — as a checker may, under verify's recover — so
+	// nothing unwinds its failed cores or its script.
+	type state struct {
+		rank int
+		key  string
+	}
+	walk := func(e *Enumerator, u Universe, shard, total int) []state {
+		var got []state
+		e.EnumerateShardRank(u, shard, total, func(rank int, m *sched.Machine) bool {
+			got = append(got, state{rank, faultKey(m)})
+			return true
+		})
+		return got
+	}
+	faults := Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 3, MaxFaults: 2}
+	var reused Enumerator
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the opening walk never reached a two-event script")
+			}
+		}()
+		reused.EnumerateShardRank(faults, 0, 1, func(_ int, m *sched.Machine) bool {
+			if len(m.Faults) == 2 {
+				panic("mid-script")
+			}
+			return true
+		})
+	}()
+	const total = 3
+	for _, u := range []Universe{
+		faults,
+		{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true},
+		{Cores: 2, MaxPerCore: 2, Weights: []int64{1, 3}},
+	} {
+		for shard := 0; shard < total; shard++ {
+			got, want := walk(&reused, u, shard, total), walk(new(Enumerator), u, shard, total)
+			if len(want) == 0 {
+				t.Fatalf("%v shard %d: empty", u, shard)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v shard %d: a reused enumerator yielded %d states, a fresh one %d (or they differ)", u, shard, len(got), len(want))
+			}
+		}
+	}
+	if reused.fn != nil {
+		t.Error("the enumerator kept the last walk's fn")
+	}
+}
+
 func TestEnumerateShardBadArgsPanic(t *testing.T) {
 	u := Universe{Cores: 2, MaxPerCore: 1}
 	for name, call := range map[string]func(){

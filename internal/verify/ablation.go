@@ -48,9 +48,11 @@ type AblationResult struct {
 func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Universe) AblationResult {
 	shards := make([]Result, shardCount)
 	parts := make([]AblationResult, shardCount)
-	forEachTask(shardCount, runtime.GOMAXPROCS(0), func(s int) {
+	workers := runtime.GOMAXPROCS(0)
+	scratch := make([]shardScratch, min(workers, shardCount))
+	forEachTask(shardCount, workers, func(w, s int) {
 		parts[s].order = -1
-		runShard(ctx, "revalidation-ablation", u, s, &shards[s], ablationCheck(ctx, f, &shards[s], &parts[s]))
+		runShard(ctx, "revalidation-ablation", u, s, &scratch[w], &shards[s], ablationCheck(ctx, f, &scratch[w], &shards[s], &parts[s]))
 	})
 	merged := AblationResult{order: -1}
 	for s, p := range parts {
@@ -73,17 +75,18 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 // ablationCheck is the sweep's per-state check. The shard's Result
 // carries the state and schedule counters and the abort flag; the
 // violations — counted, never a reason to stop — go into out.
-func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationResult) stateCheck {
+func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result, out *AblationResult) stateCheck {
 	witness := func(rank int, w string) {
 		if out.FirstWitness == "" {
 			out.FirstWitness = w
 			out.order = rank
 		}
 	}
-	safe, unsafe := new(sched.Machine), new(sched.Machine)
-	var perms permScratch
+	// The safe round's copy is checked before the unsafe round runs, so
+	// both rounds run on the worker's one trial machine.
+	trial := &sc.trial
 	return func(rank int, m *sched.Machine) bool {
-		return perms.each(m.NumCores(), func(order []int) bool {
+		return sc.perms.each(m.NumCores(), func(order []int) bool {
 			// Poll per schedule, not just per state: each state fans out
 			// to NumCores()! orders and each order runs two full rounds.
 			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {
@@ -91,20 +94,20 @@ func ablationCheck(ctx context.Context, f Factory, res *Result, out *AblationRes
 			}
 			res.SchedulesChecked++
 
-			sched.ConcurrentRound(f(), safe.CopyFrom(m), order)
-			if v := roundViolation(f(), m, safe); v != "" {
+			sched.ConcurrentRound(f(), trial.CopyFrom(m), order)
+			if v := roundViolation(f(), m, trial); v != "" {
 				panic(fmt.Sprintf("verify: safe executor violated soundness: %s", v))
 			}
 
-			sched.UnsafeConcurrentRound(f(), unsafe.CopyFrom(m), order)
-			if v := roundViolation(f(), m, unsafe); v != "" {
+			sched.UnsafeConcurrentRound(f(), trial.CopyFrom(m), order)
+			if v := roundViolation(f(), m, trial); v != "" {
 				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
 				out.SoundnessViolations++
 			}
 			p := f()
 			beginRound(p, m)
 			before := sched.PairwiseImbalance(p, m)
-			after := sched.PairwiseImbalance(p, unsafe)
+			after := sched.PairwiseImbalance(p, trial)
 			if after > before {
 				witness(rank, fmt.Sprintf(
 					"state %v order %v: unchecked round raised potential %d -> %d",

@@ -38,6 +38,36 @@ import (
 // schedule counters of the game obligations, so it bumps Version.
 const shardCount = 8
 
+// shardScratch is what one worker's shard tasks run on, kept from task to
+// task for the length of one fan-out (PolicyContext makes one per worker,
+// Sequential exactly one): the enumerator, the game explorer with its
+// maps and free lists, and every buffer a per-state check reuses. A
+// check takes what it needs from the scratch when it is built and
+// resets it as its own per-state code always has, so a shard's Result
+// never depends on the tasks the scratch ran before — in particular the
+// explorer's memo is cleared per shard, never shared across shards.
+type shardScratch struct {
+	enum     statespace.Enumerator
+	explorer concExplorer
+	trial    sched.Machine // the copy a single steal or one whole order runs on
+	perms    permScratch
+	seen     statespace.Visited
+	start    []int // the start state's loads, for the witness
+	// noTaskLostCheck's orphan maps: orphanedAt[id] is the round at
+	// which task id became an orphan, orphanCore[id] the offline core
+	// holding it.
+	orphanedAt map[sched.TaskID]int
+	orphanCore map[sched.TaskID]int
+}
+
+// visited returns the scratch's cycle set; converge empties it per use.
+func (sc *shardScratch) visited() statespace.Visited {
+	if sc.seen == nil {
+		sc.seen = make(statespace.Visited)
+	}
+	return sc.seen
+}
+
 // stateCheck examines one enumerated machine for one obligation. It is
 // built once per (obligation, shard) around that shard's Result: it may
 // mutate m but not retain it, reports a violation through
@@ -45,8 +75,9 @@ const shardCount = 8
 // the shard (refuted or aborted), true to go on.
 type stateCheck func(rank int, m *sched.Machine) bool
 
-// runShard is the one shard loop: it walks shard s of u, and for every
-// machine polls cancellation (every 64 states), counts the state in
+// runShard is the one shard loop: it walks shard s of u on sc's
+// enumerator, and for every machine polls cancellation (every 64 states),
+// counts the state in
 // res, and hands it to check. res is reset to a passing Result for id
 // first and is what check reports into. The fault obligations are the
 // only consumers of the universe's fault dimension; for everything else
@@ -64,7 +95,7 @@ type stateCheck func(rank int, m *sched.Machine) bool
 // shard) task passes through here, so this is the one place shard time
 // is stamped; it travels beside the Results (Report.Elapsed), never in
 // them.
-func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, res *Result, check stateCheck) (took time.Duration) {
+func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, sc *shardScratch, res *Result, check stateCheck) (took time.Duration) {
 	defer func(start time.Time) { took = time.Since(start) }(time.Now()) //schedlint:allow determinism shard timing is telemetry beside the report (Report.Elapsed, json:"-"), never in a Result, a memo key or a WAL frame
 	defer func() {
 		if p := recover(); p != nil {
@@ -79,7 +110,7 @@ func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int
 	if id != ObNoTaskLost && id != ObDegradedWastedCores {
 		u.MaxFaults = 0
 	}
-	u.EnumerateShardRank(s, shardCount, func(rank int, m *sched.Machine) bool {
+	sc.enum.EnumerateShardRank(u, s, shardCount, func(rank int, m *sched.Machine) bool {
 		if res.StatesChecked&63 == 0 && aborted(ctx, res) {
 			return false
 		}
@@ -89,30 +120,30 @@ func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int
 	return // took is stamped by the deferred call above
 }
 
-// newStateCheck dispatches an obligation to its per-state check,
-// reporting into res. maxRounds is already defaulted.
-func newStateCheck(ctx context.Context, id ObligationID, f Factory, maxRounds int, res *Result) stateCheck {
+// newStateCheck dispatches an obligation to its per-state check, on sc
+// and reporting into res. maxRounds is already defaulted.
+func newStateCheck(ctx context.Context, id ObligationID, f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
 	switch id {
 	case ObLemma1:
 		return lemma1Check(f, res)
 	case ObStealSoundness:
-		return admittedSteals(f, res, stealViolation)
+		return admittedSteals(f, sc, res, stealViolation)
 	case ObPotentialDecrease:
-		return admittedSteals(f, res, potentialViolation)
+		return admittedSteals(f, sc, res, potentialViolation)
 	case ObFailureImpliesSucc:
-		return failureImpliesSuccessCheck(ctx, f, res)
+		return failureImpliesSuccessCheck(ctx, f, sc, res)
 	case ObWorkConservSeq:
-		return workConservationSequentialCheck(f, maxRounds, res)
+		return workConservationSequentialCheck(f, maxRounds, sc, res)
 	case ObWorkConservConc:
-		return gameCheck(ctx, f, orderSuccessors, res)
+		return gameCheck(ctx, f, orderSuccessors, sc, res)
 	case ObChoiceIndependence:
-		return gameCheck(ctx, f, choiceSuccessors, res)
+		return gameCheck(ctx, f, choiceSuccessors, sc, res)
 	case ObReactivity:
-		return reactivityCheck(ctx, f, res)
+		return reactivityCheck(ctx, f, sc, res)
 	case ObNoTaskLost:
-		return noTaskLostCheck(f, maxRounds, res)
+		return noTaskLostCheck(f, maxRounds, sc, res)
 	case ObDegradedWastedCores:
-		return degradedWastedCoresCheck(f, maxRounds, res)
+		return degradedWastedCoresCheck(f, maxRounds, sc, res)
 	default:
 		panic(fmt.Sprintf("verify: unknown obligation %q", id))
 	}
@@ -192,18 +223,20 @@ func mergeResults(id ObligationID, parts []Result, took []time.Duration) (Result
 	return merged, elapsed
 }
 
-// forEachTask runs fn(i) for every i in [0, n) on min(workers, n)
+// forEachTask runs fn(w, i) for every i in [0, n) on min(workers, n)
 // goroutines — the caller is one of them — that claim indices from one
 // atomic counter: no goroutine is ever parked waiting for a slot, and a
 // fast worker simply claims more. It is the one worker pool every
-// parallel driver path shares. Each index is claimed exactly once, so fn
-// needs no locking for per-index state; workers=1 runs every call inline
-// on the caller.
-func forEachTask(n, workers int, fn func(i int)) {
+// parallel driver path shares. w is the index of the goroutine running
+// the call, in [0, min(workers, n)), and no two concurrent calls share
+// one, so fn may index per-worker scratch by w; each i is claimed exactly
+// once, so fn needs no locking for per-index state either. workers=1
+// runs every call inline on the caller, as worker 0.
+func forEachTask(n, workers int, fn func(w, i int)) {
 	var next atomic.Int64
-	drain := func() {
+	drain := func(w int) {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
+			fn(w, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -211,9 +244,9 @@ func forEachTask(n, workers int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			drain()
+			drain(w)
 		}()
 	}
-	drain()
+	drain(0)
 	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
-	"repro/internal/statespace"
 )
 
 // This file checks the fail-stop fault model: the two obligations that
@@ -39,20 +38,20 @@ func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
 // or recovered by the core's scripted revival — within maxRounds rounds
 // of the failure. A policy with no rescue rule fails this on any script
 // that fails a non-empty core and never revives it.
-func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
-	var start []int // the start state's loads, for the witness
-	// orphanedAt[id] is the round at which task id became an orphan;
-	// orphanCore[id] the offline core holding it. In the model a task
-	// leaves an offline core only through rescue (at fail time) or
-	// revival, so the maps are maintained exactly at fault events. Both
-	// are the shard's, emptied per state.
-	orphanedAt := map[sched.TaskID]int{}
-	orphanCore := map[sched.TaskID]int{}
+func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
+	// In the model a task leaves an offline core only through rescue (at
+	// fail time) or revival, so the orphan maps are maintained exactly at
+	// fault events. Both are the worker's, emptied per state.
+	if sc.orphanedAt == nil {
+		sc.orphanedAt, sc.orphanCore = map[sched.TaskID]int{}, map[sched.TaskID]int{}
+	}
+	orphanedAt, orphanCore := sc.orphanedAt, sc.orphanCore
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			return true // no faults, no orphans: vacuously safe
 		}
-		start = appendLoads(start[:0], m)
+		start := appendLoads(sc.start[:0], m)
+		sc.start = start
 		clear(orphanedAt)
 		clear(orphanCore)
 		for i, ev := range m.Faults {
@@ -109,16 +108,16 @@ func noTaskLostCheck(f Factory, maxRounds int, res *Result) stateCheck {
 // as waiting work is what refutes rescue-less policies here: the
 // survivors may balance perfectly among themselves while an idle core
 // ignores work it could adopt.
-func degradedWastedCoresCheck(f Factory, maxRounds int, res *Result) stateCheck {
-	seen := make(statespace.Visited)
-	var start []int // the start state's loads, for the witness
+func degradedWastedCoresCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
+	seen := sc.visited()
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			// The healthy invariant is work-conservation-sequential's
 			// job; this obligation owns the degraded states only.
 			return true
 		}
-		start = appendLoads(start[:0], m)
+		start := appendLoads(sc.start[:0], m)
+		sc.start = start
 		for _, ev := range m.Faults {
 			replayFault(m, f, ev)
 			sched.SequentialRound(f(), m)

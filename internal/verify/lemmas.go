@@ -79,11 +79,11 @@ func lemma1Check(f Factory, res *Result) stateCheck {
 // interfere — and the outcome is handed to violation, which names what
 // the steal broke ("" for nothing). before is the untouched state, after
 // the copy the steal ran on, p the policy that ran it.
-func admittedSteals(f Factory, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
+func admittedSteals(f Factory, sc *shardScratch, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
 	// One Attempt per shard, not per pair: handing its address to a func
 	// value would otherwise move a fresh one to the heap for every pair.
 	var att sched.Attempt
-	trial := new(sched.Machine) // likewise one per shard, overwritten per pair
+	trial := &sc.trial // the worker's, overwritten per pair
 	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
@@ -161,9 +161,8 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 // victim. The argument in the paper: only the stealing phase mutates
 // runqueues, so a filter that flipped between selection and steal must
 // have been flipped by a completed steal.
-func failureImpliesSuccessCheck(ctx context.Context, f Factory, res *Result) stateCheck {
-	trial := new(sched.Machine)
-	var perms permScratch
+func failureImpliesSuccessCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result) stateCheck {
+	trial, perms := &sc.trial, &sc.perms
 	return func(rank int, m *sched.Machine) bool {
 		// One selection per state: it reads only the round-start
 		// snapshot, which is the same under every order.

@@ -119,24 +119,22 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 		maxRounds = DefaultMaxRounds
 	}
 	// All (obligation, shard) tasks flattened obligation-major onto one
-	// task list; each task owns its slot of parts.
+	// task list; each task owns its slot of parts, and runs on the
+	// scratch of the worker that claimed it.
 	parts := make([]Result, len(obligations)*shardCount)
 	took := make([]time.Duration, len(parts))
-	task := func(i int) {
-		id, res := obligations[i/shardCount], &parts[i]
-		took[i] = runShard(ctx, id, u, i%shardCount, res, newStateCheck(ctx, id, f, maxRounds, res))
-	}
-	if cfg.Sequential {
-		for i := range parts {
-			task(i)
-		}
-	} else {
-		workers := cfg.Parallelism
+	workers := 1
+	if !cfg.Sequential {
+		workers = cfg.Parallelism
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		forEachTask(len(parts), workers, task)
 	}
+	scratch := make([]shardScratch, min(workers, len(parts)))
+	forEachTask(len(parts), workers, func(w, i int) {
+		id, sc, res := obligations[i/shardCount], &scratch[w], &parts[i]
+		took[i] = runShard(ctx, id, u, i%shardCount, sc, res, newStateCheck(ctx, id, f, maxRounds, sc, res))
+	})
 	rep := &Report{
 		Policy:   name,
 		Universe: u.String(),

@@ -514,10 +514,11 @@ func TestNoTaskLostProvesRescue(t *testing.T) {
 func TestCheckersAllocateNothingPerState(t *testing.T) {
 	// A state costs the checkers nothing it does not keep: the compiled
 	// policy is shared, and every scratch slice, map and machine is the
-	// shard's. The allocations of two universes differ by per-state cost
-	// only: they have the same cores and bounds, so the eight shards'
-	// setup — their buffers grown to the largest state — is the same in
-	// both, and the second one's task weights multiply its states.
+	// worker's. The allocations of two universes differ by per-state cost
+	// only: they have the same cores and bounds, so the setup — the
+	// worker's buffers grown to the largest state, the shards' closures —
+	// is the same in both, and the second one's task weights multiply its
+	// states.
 	small := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1}
 	large := small
 	large.Weights = []int64{sched.DefaultWeight, 2 * sched.DefaultWeight}
@@ -805,14 +806,23 @@ func TestForEachTaskRunsEachIndexOnce(t *testing.T) {
 	const n = 37
 	for _, workers := range []int{1, 2, n, n + 3} {
 		ran := make([]atomic.Int32, n)
+		held := make([]atomic.Int32, min(workers, n)) // calls running as each worker
 		var running, peak atomic.Int32
-		forEachTask(n, workers, func(i int) {
+		forEachTask(n, workers, func(w, i int) {
+			if w < 0 || w >= len(held) {
+				t.Errorf("workers=%d: index %d ran as worker %d, want [0, %d)", workers, i, w, len(held))
+				return
+			}
+			if held[w].Add(1) != 1 {
+				t.Errorf("workers=%d: two concurrent calls ran as worker %d", workers, w)
+			}
 			now := running.Add(1)
 			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 			}
 			ran[i].Add(1)
 			runtime.Gosched() // let the other claimants at the counter
 			running.Add(-1)
+			held[w].Add(-1)
 		})
 		for i := range ran {
 			if got := ran[i].Load(); got != 1 {
@@ -823,7 +833,7 @@ func TestForEachTaskRunsEachIndexOnce(t *testing.T) {
 			t.Errorf("workers=%d: %d calls ran at once", workers, got)
 		}
 	}
-	forEachTask(0, 4, func(int) { t.Error("ran a task of an empty list") })
+	forEachTask(0, 4, func(int, int) { t.Error("ran a task of an empty list") })
 }
 
 // One fan-out over any set of obligations yields, per obligation, the

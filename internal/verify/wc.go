@@ -50,11 +50,11 @@ func converge(f Factory, m *sched.Machine, maxRounds int, seen statespace.Visite
 // it reaches a work-conserved state within a finite number of rounds.
 // The result's Bound is the worst-case N observed — the existential
 // witness of the paper's definition.
-func workConservationSequentialCheck(f Factory, maxRounds int, res *Result) stateCheck {
-	seen := make(statespace.Visited)
-	var start []int // the start state's loads, for the witness
+func workConservationSequentialCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
+	seen := sc.visited()
 	return func(rank int, m *sched.Machine) bool {
-		start = appendLoads(start[:0], m)
+		start := appendLoads(sc.start[:0], m)
+		sc.start = start
 		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).WorkConserved)
 		switch end {
 		case exhausted:
@@ -176,7 +176,7 @@ func (s *permScratch) each(n int, fn func(order []int) bool) bool {
 }
 
 // appendLoads appends m's per-core thread counts — Machine.Loads — to
-// dst. The checks keep a start state's loads this way, in a per-shard
+// dst. The checks keep a start state's loads this way, in the worker's
 // buffer, and only a refutation renders them.
 func appendLoads(dst []int, m *sched.Machine) []int {
 	for _, c := range m.Cores {
@@ -192,10 +192,12 @@ func appendLoads(dst []int, m *sched.Machine) []int {
 // change nothing). Otherwise every path reaches conservation and the
 // longest path is the worst-case N.
 //
-// An explorer is shard-local: sharing the memo across shards would need
+// An explorer's memo is shard-local: sharing it across shards would need
 // locking on the hottest map, and the per-shard memo still collapses the
-// game graph under each shard's start states. Cancellation is polled per
-// explored node (every 64, matching the enumeration stride); the
+// game graph under each shard's start states. The explorer itself is the
+// worker's (shardScratch), re-armed per shard: its maps are emptied and
+// its free lists kept. Cancellation is polled per explored node (every
+// 64, matching the enumeration stride); the
 // permutation fan-out under a node needs no extra polling because every
 // successor edge immediately re-enters explore, which polls.
 type concExplorer struct {
@@ -218,9 +220,18 @@ type concExplorer struct {
 	polls     int  // amortizes the ctx check to every 64 explored nodes
 }
 
-func newExplorer(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
-	e := &concExplorer{ctx: ctx, f: f, succ: succ, done: done, res: res, memo: make(map[string]int), onPath: make(map[string]bool)}
-	e.visitNext = e.visit
+// arm readies e for one shard's games: what the shard plays, and where it
+// reports, are set; the search state — memo, path, verdict, poll count —
+// starts empty, as a fresh explorer's would; the free lists are kept.
+func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
+	e.ctx, e.f, e.succ, e.done, e.res = ctx, f, succ, done, res
+	e.path, e.violation, e.aborted, e.polls = e.path[:0], "", false, 0
+	if e.memo == nil {
+		e.memo, e.onPath = make(map[string]int), make(map[string]bool)
+		e.visitNext = e.visit
+	}
+	clear(e.memo)
+	clear(e.onPath)
 	return e
 }
 
@@ -347,12 +358,12 @@ func (e *concExplorer) lost(rank int, from string) bool {
 // whose proofs secretly rely on its Choose heuristic fails here even if
 // it passes work-conservation-concurrent.
 //
-// The explorer (and its memo) is private to the shard; the refutation
-// found from a shard's start state is independent of the memo's contents
-// — memoized subtrees are violation-free by construction — so the merged
+// The explorer's memo is private to the shard; the refutation found from
+// a shard's start state is independent of the memo's contents —
+// memoized subtrees are violation-free by construction — so the merged
 // witness is the one a whole-universe sequential scan finds first.
-func gameCheck(ctx context.Context, f Factory, succ successorFunc, res *Result) stateCheck {
-	e := newExplorer(ctx, f, succ, (*sched.Machine).WorkConserved, res)
+func gameCheck(ctx context.Context, f Factory, succ successorFunc, sc *shardScratch, res *Result) stateCheck {
+	e := sc.explorer.arm(ctx, f, succ, (*sched.Machine).WorkConserved, res)
 	return func(rank int, m *sched.Machine) bool {
 		n, ok := e.explore(m)
 		if !ok {
@@ -372,9 +383,9 @@ func gameCheck(ctx context.Context, f Factory, succ successorFunc, res *Result) 
 // rounds. The result's Bound is that worst-case delay in rounds — the
 // paper's missing latency limit, made concrete over the bounded
 // universe.
-func reactivityCheck(ctx context.Context, f Factory, res *Result) stateCheck {
+func reactivityCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result) stateCheck {
 	target := 0 // the idle core the current game is about
-	e := newExplorer(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
+	e := sc.explorer.arm(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
 		return !s.Core(target).Idle() || !hasOverloaded(s)
 	}, res)
 	return func(rank int, m *sched.Machine) bool {

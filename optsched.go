@@ -142,7 +142,8 @@ var (
 type (
 	// PolicySpec is one registry entry: constructor plus metadata.
 	PolicySpec = policy.Spec
-	// PolicyFactory constructs a fresh policy instance per call.
+	// PolicyFactory constructs a policy instance per call: a fresh one
+	// for a stateful policy, possibly a shared one for a stateless one.
 	PolicyFactory = policy.Factory
 	// Provenance classifies a registered policy's verification status.
 	Provenance = policy.Provenance
