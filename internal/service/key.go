@@ -3,8 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"hash"
+	"strconv"
 
 	"repro/internal/statespace"
 	"repro/internal/verify"
@@ -27,16 +26,26 @@ import (
 // verify.Version), so the sharded driver's reports are byte-identical at
 // every parallelism level and on every host — the invariant that makes
 // memoization sound at all.
+//
+// A key is the hex SHA-256 of its fields, each NUL-terminated (every
+// field is NUL-free), laid out in one buffer. These bytes are what the
+// durable memo's WAL stores: changing them orphans every data directory
+// (TestObligationKeysArePinned).
 
 // obligationKey hashes one (policy, universe, obligation) cell.
 func obligationKey(forms map[string]string, u statespace.Universe, id verify.ObligationID, maxRounds int) string {
-	h := sha256.New()
-	writeField(h, verify.Version)
-	writeField(h, u.Canonical())
-	writeField(h, string(id))
+	return hexKey(appendObligationFields(nil, forms, u.Canonical(), id, maxRounds))
+}
+
+// appendObligationFields appends the hashed fields of one cell to dst;
+// canon is the universe's Canonical form.
+func appendObligationFields(dst []byte, forms map[string]string, canon string, id verify.ObligationID, maxRounds int) []byte {
+	dst = appendField(dst, verify.Version)
+	dst = appendField(dst, canon)
+	dst = appendField(dst, string(id))
 	for _, comp := range verify.ObligationDeps(id) {
-		writeField(h, string(comp))
-		writeField(h, forms[string(comp)])
+		dst = appendField(dst, string(comp))
+		dst = appendField(dst, forms[string(comp)])
 	}
 	if id == verify.ObWorkConservSeq || id == verify.ObNoTaskLost || id == verify.ObDegradedWastedCores {
 		// The sequential work-conservation search gives up (REFUTED)
@@ -47,9 +56,10 @@ func obligationKey(forms map[string]string, u statespace.Universe, id verify.Obl
 		if maxRounds <= 0 {
 			maxRounds = verify.DefaultMaxRounds
 		}
-		writeField(h, fmt.Sprintf("maxRounds=%d", maxRounds))
+		dst = strconv.AppendInt(append(dst, "maxRounds="...), int64(maxRounds), 10)
+		dst = append(dst, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return dst
 }
 
 // jobKeyOf identifies a whole submission for coalescing: the report
@@ -57,18 +67,25 @@ func obligationKey(forms map[string]string, u statespace.Universe, id verify.Obl
 // concurrent identical submissions share one job; submissions that
 // differ only in display name share cache cells but not jobs, so each
 // poller still receives a report headed by its own submission's name.
-func jobKeyOf(display string, keys []string) string {
-	h := sha256.New()
-	writeField(h, display)
+// buf is scratch the fields are laid out in.
+func jobKeyOf(buf []byte, display string, keys []string) string {
+	buf = appendField(buf[:0], display)
 	for _, k := range keys {
-		writeField(h, k)
+		buf = appendField(buf, k)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hexKey(buf)
 }
 
-// writeField writes a length-unambiguous field (NUL-terminated; every
+// appendField appends a length-unambiguous field (NUL-terminated; every
 // hashed string here is NUL-free).
-func writeField(h hash.Hash, s string) {
-	h.Write([]byte(s))
-	h.Write([]byte{0})
+func appendField(dst []byte, s string) []byte {
+	return append(append(dst, s...), 0)
+}
+
+// hexKey returns the hex SHA-256 of fields: the key's one allocation.
+func hexKey(fields []byte) string {
+	sum := sha256.Sum256(fields)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }

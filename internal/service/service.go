@@ -291,6 +291,8 @@ type submission struct {
 // resolve validates a request and computes its content identity.
 func (s *Service) resolve(req Request) (*submission, error) {
 	sub := &submission{}
+	// Every content key's fields are laid out in this one buffer.
+	var keyBuf [1024]byte
 	switch {
 	case req.Policy != "" && req.Source != "":
 		return nil, fmt.Errorf("service: request carries both a policy name and DSL source")
@@ -305,7 +307,7 @@ func (s *Service) resolve(req Request) (*submission, error) {
 		}
 		sub.display = spec.Name
 		sub.factory = func() sched.Policy { return spec.New(nil) }
-		sub.keys, sub.obligations, err = s.keysFor(req, forms)
+		sub.keys, sub.obligations, err = s.keysFor(req, forms, keyBuf[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +318,7 @@ func (s *Service) resolve(req Request) (*submission, error) {
 		}
 		sub.display = ast.Name
 		sub.factory = func() sched.Policy { return dsl.Compile(ast) }
-		sub.keys, sub.obligations, err = s.keysFor(req, dsl.ComponentForms(ast))
+		sub.keys, sub.obligations, err = s.keysFor(req, dsl.ComponentForms(ast), keyBuf[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +327,7 @@ func (s *Service) resolve(req Request) (*submission, error) {
 		return nil, fmt.Errorf("service: request needs a policy name or DSL source")
 	}
 	sub.universe = req.universe()
-	sub.jobKey = jobKeyOf(sub.display, sub.keys)
+	sub.jobKey = jobKeyOf(keyBuf[:0], sub.display, sub.keys)
 	if req.TimeoutMs < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMs)
 	}
@@ -333,8 +335,9 @@ func (s *Service) resolve(req Request) (*submission, error) {
 	return sub, nil
 }
 
-// keysFor resolves the requested obligations and their content keys.
-func (s *Service) keysFor(req Request, forms map[string]string) ([]string, []verify.ObligationID, error) {
+// keysFor resolves the requested obligations and their content keys,
+// laying each key's fields out in buf.
+func (s *Service) keysFor(req Request, forms map[string]string, buf []byte) ([]string, []verify.ObligationID, error) {
 	obligations := verify.AllObligations()
 	if len(req.Obligations) > 0 {
 		obligations = make([]verify.ObligationID, len(req.Obligations))
@@ -355,9 +358,11 @@ func (s *Service) keysFor(req Request, forms map[string]string) ([]string, []ver
 	if err := u.Validate(); err != nil {
 		return nil, nil, err
 	}
+	canon := u.Canonical()
 	keys := make([]string, len(obligations))
 	for i, id := range obligations {
-		keys[i] = obligationKey(forms, u, id, s.cfg.MaxRounds)
+		buf = appendObligationFields(buf[:0], forms, canon, id, s.cfg.MaxRounds)
+		keys[i] = hexKey(buf)
 	}
 	return keys, obligations, nil
 }

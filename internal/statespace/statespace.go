@@ -399,22 +399,3 @@ func Permutations(perm, state []int, fn func([]int) bool) bool {
 	}
 	return true
 }
-
-// Visited is a set of canonical machine keys, used for cycle detection and
-// fixpoint exploration.
-type Visited map[string]bool
-
-// Add inserts the machine's key and reports whether it was new. Only a
-// new key is materialized as a string.
-func (v Visited) Add(m *sched.Machine) bool {
-	var buf [64]byte
-	k := m.AppendKey(buf[:0])
-	if v[string(k)] {
-		return false
-	}
-	v[string(k)] = true
-	return true
-}
-
-// Has reports whether the machine's key is present.
-func (v Visited) Has(m *sched.Machine) bool { return v[m.Key()] }

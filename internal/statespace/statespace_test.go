@@ -58,7 +58,7 @@ func TestUniverseWeights(t *testing.T) {
 	if got := u.Size(); got != 6 {
 		t.Errorf("Size = %d, want 6", got)
 	}
-	distinct := make(Visited)
+	var distinct Visited
 	u.Enumerate(func(m *sched.Machine) bool {
 		if !distinct.Add(m) {
 			t.Errorf("duplicate state %q", m.Key())
@@ -182,7 +182,7 @@ func TestPermutationsEarlyStop(t *testing.T) {
 }
 
 func TestVisited(t *testing.T) {
-	v := make(Visited)
+	var v Visited
 	a := sched.MachineFromLoads(0, 2)
 	b := sched.MachineFromLoads(2, 0)
 	if !v.Add(a) {
@@ -196,6 +196,13 @@ func TestVisited(t *testing.T) {
 	}
 	if !v.Has(a) {
 		t.Error("added state not found")
+	}
+	v.Reset()
+	if v.Has(a) {
+		t.Error("state still visited after Reset")
+	}
+	if !v.Add(b) || !v.Add(a) {
+		t.Error("Add after Reset should be new")
 	}
 }
 

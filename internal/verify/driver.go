@@ -41,8 +41,8 @@ const shardCount = 8
 // shardScratch is what one worker's shard tasks run on, kept from task to
 // task for the length of one fan-out (PolicyContext makes one per worker,
 // Sequential exactly one): the enumerator, the game explorer with its
-// maps and free lists, and every buffer a per-state check reuses. A
-// check takes what it needs from the scratch when it is built and
+// memo and free lists, the cycle set, and every buffer a per-state check
+// reuses. A check takes what it needs from the scratch when it is built and
 // resets it as its own per-state code always has, so a shard's Result
 // never depends on the tasks the scratch ran before — in particular the
 // explorer's memo is cleared per shard, never shared across shards.
@@ -51,21 +51,13 @@ type shardScratch struct {
 	explorer concExplorer
 	trial    sched.Machine // the copy a single steal or one whole order runs on
 	perms    permScratch
-	seen     statespace.Visited
-	start    []int // the start state's loads, for the witness
+	seen     statespace.Visited // the sequential checks' cycle set
+	start    []int              // the start state's loads, for the witness
 	// noTaskLostCheck's orphan maps: orphanedAt[id] is the round at
 	// which task id became an orphan, orphanCore[id] the offline core
 	// holding it.
 	orphanedAt map[sched.TaskID]int
 	orphanCore map[sched.TaskID]int
-}
-
-// visited returns the scratch's cycle set; converge empties it per use.
-func (sc *shardScratch) visited() statespace.Visited {
-	if sc.seen == nil {
-		sc.seen = make(statespace.Visited)
-	}
-	return sc.seen
 }
 
 // stateCheck examines one enumerated machine for one obligation. It is

@@ -109,7 +109,6 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 // survivors may balance perfectly among themselves while an idle core
 // ignores work it could adopt.
 func degradedWastedCoresCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
-	seen := sc.visited()
 	return func(rank int, m *sched.Machine) bool {
 		if len(m.Faults) == 0 {
 			// The healthy invariant is work-conservation-sequential's
@@ -124,7 +123,7 @@ func degradedWastedCoresCheck(f Factory, maxRounds int, sc *shardScratch, res *R
 		}
 		// Recovery phase: from the post-script state, sequential rounds
 		// must reach the degraded invariant.
-		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).DegradedWorkConserved)
+		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).DegradedWorkConserved)
 		switch end {
 		case exhausted:
 			res.refute(rank, fmt.Sprintf(

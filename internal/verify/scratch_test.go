@@ -111,3 +111,49 @@ func TestShardSetupAllocatesOncePerWorker(t *testing.T) {
 		t.Errorf("two more obligations cost %.0f objects, want at most %d per shard task (%d)", extra, perTask, 2*shardCount*perTask)
 	}
 }
+
+// The game explorer allocates per shard task, not per node: its memo is
+// one key table whose arena and index the worker's scratch keeps, so a
+// second identical work-conservation-concurrent shard on the same scratch
+// allocates the task's closures and nothing that grows with the nodes it
+// explores.
+func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what escapes to the heap")
+	}
+	p := policy.NewDelta2()
+	f := func() sched.Policy { return p }
+	var sc shardScratch
+	for _, u := range []statespace.Universe{
+		{Cores: 3, MaxPerCore: 2},
+		{Cores: 4, MaxPerCore: 3, MaxTotal: 7, IncludeUnscheduled: true},
+	} {
+		var r Result
+		runTask(context.Background(), ObWorkConservConc, f, u, 0, &sc)
+		allocs := testing.AllocsPerRun(3, func() { r = runTask(context.Background(), ObWorkConservConc, f, u, 0, &sc) })
+		if !r.Passed {
+			t.Fatalf("%v: delta2 refuted: %s", u, r.Witness)
+		}
+		t.Logf("%v: %.0f objects for a shard of %d states, %d schedules", u, allocs, r.StatesChecked, r.SchedulesChecked)
+		const perTask = 8
+		if allocs > perTask {
+			t.Errorf("%v: a warmed shard allocates %.0f objects, want at most %d whatever its node count", u, allocs, perTask)
+		}
+	}
+}
+
+// A livelock witness prints the cycle only: from the path node whose memo
+// entry the repeated state has, not from the root of the search.
+func TestDescribeCyclePrintsFromTheRepeatedNode(t *testing.T) {
+	a, b, c := sched.MachineFromLoads(0, 0, 3), sched.MachineFromLoads(0, 1, 2), sched.MachineFromLoads(0, 2, 1)
+	e := &concExplorer{path: []pathNode{
+		{m: a, node: 0, order: []int{0, 1, 2}},
+		{m: b, node: 1, order: []int{1, 0, 2}},
+		{m: c, node: 2, order: []int{2, 1, 0}},
+	}}
+	const want = "adversarial livelock: state [0 1 2] recurs without conserving; schedule:" +
+		" [0 1 2] --steal-order [1 0 2]--> [0 2 1] --steal-order [2 1 0]--> [0 1 2]"
+	if got := e.describeCycle(b, 1); got != want {
+		t.Errorf("witness\n got %s\nwant %s", got, want)
+	}
+}

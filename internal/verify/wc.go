@@ -24,9 +24,9 @@ const (
 // sequential rounds are deterministic, a repeated state short of the
 // goal is a livelock and a moveless round short of it is stuck for
 // good. m is left at the state the loop ended in, for the witness. seen
-// is the caller's cycle set, emptied here so one map serves a whole shard.
-func converge(f Factory, m *sched.Machine, maxRounds int, seen statespace.Visited, done func(*sched.Machine) bool) (rounds int, end divergence) {
-	clear(seen)
+// is the caller's cycle set, reset here so one set serves a whole shard.
+func converge(f Factory, m *sched.Machine, maxRounds int, seen *statespace.Visited, done func(*sched.Machine) bool) (rounds int, end divergence) {
+	seen.Reset()
 	seen.Add(m)
 	for round := 0; ; round++ {
 		if done(m) {
@@ -51,11 +51,10 @@ func converge(f Factory, m *sched.Machine, maxRounds int, seen statespace.Visite
 // The result's Bound is the worst-case N observed — the existential
 // witness of the paper's definition.
 func workConservationSequentialCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
-	seen := sc.visited()
 	return func(rank int, m *sched.Machine) bool {
 		start := appendLoads(sc.start[:0], m)
 		sc.start = start
-		rounds, end := converge(f, m, maxRounds, seen, (*sched.Machine).WorkConserved)
+		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).WorkConserved)
 		switch end {
 		case exhausted:
 			res.refute(rank, fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds))
@@ -193,21 +192,24 @@ func appendLoads(dst []int, m *sched.Machine) []int {
 // longest path is the worst-case N.
 //
 // An explorer's memo is shard-local: sharing it across shards would need
-// locking on the hottest map, and the per-shard memo still collapses the
-// game graph under each shard's start states. The explorer itself is the
-// worker's (shardScratch), re-armed per shard: its maps are emptied and
+// locking on the hottest table, and the per-shard memo still collapses
+// the game graph under each shard's start states. The explorer itself is
+// the worker's (shardScratch), re-armed per shard: its memo is reset and
 // its free lists kept. Cancellation is polled per explored node (every
 // 64, matching the enumeration stride); the
 // permutation fan-out under a node needs no extra polling because every
 // successor edge immediately re-enters explore, which polls.
 type concExplorer struct {
-	ctx    context.Context
-	f      Factory
-	succ   successorFunc
-	done   func(*sched.Machine) bool // terminal predicate of the game
-	res    *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
-	memo   map[string]int            // state key -> worst rounds to terminal
-	onPath map[string]bool
+	ctx  context.Context
+	f    Factory
+	succ successorFunc
+	done func(*sched.Machine) bool // terminal predicate of the game
+	res  *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
+	// memo maps every state key the game has reached to its worst rounds
+	// to terminal (≥ 0), or to onPath or gone; key is the AppendKey
+	// scratch a lookup renders into.
+	memo statespace.KeyTable
+	key  []byte
 	// path holds the nodes whose successors are being explored, root
 	// first; visitNext is visit, bound once.
 	path      []pathNode
@@ -220,23 +222,30 @@ type concExplorer struct {
 	polls     int  // amortizes the ctx check to every 64 explored nodes
 }
 
+// The memo's two sentinel values; every other value is a node's worst
+// rounds to terminal.
+const (
+	onPath int32 = -1 // the node is on the search path: reaching it again closes a cycle
+	gone   int32 = -2 // a search from the node failed: it is neither memoized nor on the path
+)
+
 // arm readies e for one shard's games: what the shard plays, and where it
 // reports, are set; the search state — memo, path, verdict, poll count —
 // starts empty, as a fresh explorer's would; the free lists are kept.
 func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
 	e.ctx, e.f, e.succ, e.done, e.res = ctx, f, succ, done, res
 	e.path, e.violation, e.aborted, e.polls = e.path[:0], "", false, 0
-	if e.memo == nil {
-		e.memo, e.onPath = make(map[string]int), make(map[string]bool)
+	if e.visitNext == nil {
 		e.visitNext = e.visit
 	}
-	clear(e.memo)
-	clear(e.onPath)
+	e.memo.Reset()
 	return e
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
 // if the adversary can prevent conservation (violation is filled in).
+// One memo lookup per node serves the memo, the cycle check and the
+// insert; the node's entry, not its key, is what the search holds.
 func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	e.polls++
 	if e.polls&63 == 0 && e.ctx.Err() != nil {
@@ -244,42 +253,43 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 		e.aborted = true
 		return 0, false
 	}
-	// Lookups go through the key's bytes; only a node seen for the first
-	// time pays for a string.
-	var buf [64]byte
-	kb := m.AppendKey(buf[:0])
-	if n, ok := e.memo[string(kb)]; ok {
-		return n, true
+	e.key = m.AppendKey(e.key[:0])
+	node, found := e.memo.Lookup(e.key, onPath)
+	if found {
+		switch n := e.memo.Value(node); n {
+		case onPath:
+			e.violation = e.describeCycle(m, node)
+			return 0, false
+		case gone:
+			e.memo.Set(node, onPath)
+		default:
+			return int(n), true
+		}
 	}
 	if e.done(m) {
-		e.memo[string(kb)] = 0
+		e.memo.Set(node, 0)
 		return 0, true
 	}
-	if e.onPath[string(kb)] {
-		e.violation = e.describeCycle(m)
-		return 0, false
-	}
-	key := string(kb)
-	e.onPath[key] = true
-	e.path = append(e.path, pathNode{m: m})
+	e.path = append(e.path, pathNode{m: m, node: node})
 	ok := e.succ(e, m, e.visitNext)
 	worst := e.path[len(e.path)-1].worst
 	e.path = e.path[:len(e.path)-1]
-	delete(e.onPath, key)
 	if !ok {
+		e.memo.Set(node, gone)
 		return 0, false
 	}
-	e.memo[key] = worst
+	e.memo.Set(node, int32(worst))
 	return worst, true
 }
 
-// pathNode is a node on the search path: its state, the edge out of it
-// being explored — the adversary's decisions — and the worst rounds to
-// terminal found among its successors so far. The state and the
-// decisions are live and unchanged while the node is on the path, so
-// nothing is copied or rendered unless describeCycle prints it.
+// pathNode is a node on the search path: its state and memo entry, the
+// edge out of it being explored — the adversary's decisions — and the
+// worst rounds to terminal found among its successors so far. The state
+// and the decisions are live and unchanged while the node is on the
+// path, so nothing is copied or rendered unless describeCycle prints it.
 type pathNode struct {
 	m     *sched.Machine
+	node  int             // the state's memo entry
 	atts  []sched.Attempt // the adversary's victims, nil when it only picks the order
 	order []int
 	worst int
@@ -302,15 +312,17 @@ func (e *concExplorer) visit(next *sched.Machine, atts []sched.Attempt, order []
 	return true
 }
 
-func (e *concExplorer) describeCycle(repeat *sched.Machine) string {
+// describeCycle renders the witness of a cycle closed by reaching
+// repeat, whose memo entry is node, again.
+func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "adversarial livelock: state %v recurs without conserving; schedule:", repeat.Loads())
 	// Print the path suffix forming the cycle: from the first occurrence
-	// of the repeated state to the top of the exploration stack.
+	// of the repeated state — the path node with the same memo entry, so
+	// the same key — to the top of the exploration stack.
 	start := 0
-	target := repeat.Key()
 	for i := range e.path {
-		if e.path[i].m.Key() == target {
+		if e.path[i].node == node {
 			start = i
 			break
 		}
@@ -396,7 +408,7 @@ func reactivityCheck(ctx context.Context, f Factory, sc *shardScratch, res *Resu
 			// A fresh game per target: the terminal predicate (and thus
 			// the memo) depends on the target core.
 			target = c.ID
-			clear(e.memo)
+			e.memo.Reset()
 			n, ok := e.explore(m)
 			if !ok {
 				return e.lost(rank, fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()))
