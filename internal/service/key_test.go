@@ -23,15 +23,18 @@ func delta2Forms(t *testing.T) map[string]string {
 
 // Content keys are what the durable memo's WAL stores and what every
 // data directory is looked up by. A change to these bytes orphans every
-// durable memo — an upgraded daemon would miss on all of it — so it
-// needs a migration, not a regenerated golden.
+// durable memo — an upgraded daemon would miss on all of it. The one
+// sanctioned change is a verify.Version bump, a key field: it moves every
+// key on purpose, and the store's version check discards the old
+// snapshot and WAL (TestVerifierVersionMismatchDiscardsWAL). Any other
+// key change needs a migration, not a regenerated pin.
 func TestObligationKeysArePinned(t *testing.T) {
 	forms := delta2Forms(t)
 	u := verify.DefaultUniverse()
 	for id, want := range map[verify.ObligationID]string{
-		verify.ObLemma1:         "f6b61d152f816920aa56a8c4a865ad574ea23a8fc3e9010fe9fc6e687ff2320d",
-		verify.ObWorkConservSeq: "f00e16aa6fd4c1ce15e0f8d42212fdbce41b6919a4c2de66d56a3f8408e9c5ce",
-		verify.ObNoTaskLost:     "372617a2a0bf0cefb56ad793fb37727cad23c1d8785a2ef50e120d20a9acfad1",
+		verify.ObLemma1:         "7a99775b5d8b6367ba26416f11bd0dec5f01c97bda01582c1500e2af80be93e7",
+		verify.ObWorkConservSeq: "8611977546278355a0f225f6e6f3044b8630bc2bcfbef8ecce8d0a36a65c25b9",
+		verify.ObNoTaskLost:     "f809e4434d7b4a3f83e24f49950950126a0d37785d9940542314d3ee481d698e",
 	} {
 		if got := obligationKey(forms, u, id, 0); got != want {
 			t.Errorf("%s: key %s, pinned %s", id, got, want)
@@ -44,7 +47,7 @@ func TestObligationKeysArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "21d4a668ef0b47854635c25e4158be141030ffaf975e35f2e43acaaa18dce035"; sub.jobKey != want {
+	if want := "c553f9cef2574474d6c17ca7932a880784a786f687c01ad29ba0bac095d5f434"; sub.jobKey != want {
 		t.Errorf("job key %s, pinned %s", sub.jobKey, want)
 	}
 	// A submission's keys are obligationKey's, cell for cell.

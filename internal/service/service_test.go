@@ -2,6 +2,10 @@ package service
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,5 +413,30 @@ func TestSubmitValidation(t *testing.T) {
 		if _, _, err := s.Submit(req); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
+	}
+}
+
+// A universe too wide for the schedule counter is the client's error: a
+// 400 that says why, before any key is hashed or job queued.
+func TestSubmitRejectsUniverseWiderThanTheScheduleCounterHTTP(t *testing.T) {
+	s := MustNew(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := `{"policy":"delta2","universe":{"cores":21,"max_per_core":1,"max_total":1}}`
+	resp, err := http.Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "SchedulesChecked") {
+		t.Errorf("21-core universe: %d %s, want 400 naming the schedule counter", resp.StatusCode, raw)
+	}
+	if st := s.Stats(); st.CacheMisses != 0 {
+		t.Errorf("rejected submission still cost %d memo misses", st.CacheMisses)
 	}
 }

@@ -45,12 +45,21 @@ type Universe struct {
 	MaxFaults int
 }
 
+// maxCores is the widest universe Validate admits: 20! is the largest
+// factorial an int64 holds, and the verifier counts the n! steal orders
+// of an n-core state in an int.
+const maxCores = 20
+
 // Validate checks the universe's structural invariants and returns the
 // first problem found, or nil — the error-returning counterpart of the
 // panics Enumerate raises on malformed universes.
 func (u Universe) Validate() error {
 	if u.Cores <= 0 {
 		return fmt.Errorf("statespace: universe with %d cores", u.Cores)
+	}
+	if u.Cores > maxCores {
+		return fmt.Errorf("statespace: universe with %d cores exceeds %d: a state's %d! steal orders would overflow the verifier's schedule counter (SchedulesChecked)",
+			u.Cores, maxCores, u.Cores)
 	}
 	if u.MaxPerCore < 0 || u.MaxTotal < 0 {
 		return fmt.Errorf("statespace: negative MaxPerCore/MaxTotal")

@@ -3,6 +3,7 @@ package statespace
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -419,6 +420,19 @@ func TestValidateAcceptsAndRejects(t *testing.T) {
 		if err := u.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, u)
 		}
+	}
+}
+
+// The verifier counts a state's n! steal orders in an int, and 21!
+// passes int64: 20 cores is the widest universe, and the refusal names
+// the counter it protects.
+func TestValidateCapsCoresAtTheScheduleCounter(t *testing.T) {
+	if err := (Universe{Cores: 20, MaxPerCore: 1, MaxTotal: 1}).Validate(); err != nil {
+		t.Errorf("20 cores rejected: %v", err)
+	}
+	err := Universe{Cores: 21, MaxPerCore: 1, MaxTotal: 1}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "SchedulesChecked") {
+		t.Errorf("21 cores: Validate returned %v, want an error naming the schedule counter", err)
 	}
 }
 

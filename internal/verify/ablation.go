@@ -38,7 +38,8 @@ type AblationResult struct {
 // CheckRevalidationAblation runs every state of the universe through
 // every adversarial order twice — once with the safe ConcurrentRound,
 // once with UnsafeConcurrentRound — and records the violations only the
-// unsafe variant commits. A sound policy must show zero violations in the
+// unsafe variant commits; an order walked stands for its class
+// (stealOrders), so its violations count by the class's weight. A sound policy must show zero violations in the
 // safe half (that is asserted, not counted) and the unsafe half
 // demonstrates why the paper's model requires atomic, re-validated
 // steals. It is a steady-state sweep under the obligations' own shard
@@ -60,9 +61,9 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 			panic(shards[s].Witness)
 		}
 		merged.StatesChecked += shards[s].StatesChecked
-		merged.SchedulesChecked += shards[s].SchedulesChecked
-		merged.SoundnessViolations += p.SoundnessViolations
-		merged.PotentialViolations += p.PotentialViolations
+		merged.SchedulesChecked = satAdd(merged.SchedulesChecked, shards[s].SchedulesChecked)
+		merged.SoundnessViolations = satAdd(merged.SoundnessViolations, p.SoundnessViolations)
+		merged.PotentialViolations = satAdd(merged.PotentialViolations, p.PotentialViolations)
 		merged.Aborted = merged.Aborted || shards[s].Aborted
 		if p.FirstWitness != "" && (merged.order < 0 || p.order < merged.order) {
 			merged.FirstWitness = p.FirstWitness
@@ -85,14 +86,20 @@ func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result
 	// The safe round's copy is checked before the unsafe round runs, so
 	// both rounds run on the worker's one trial machine.
 	trial := &sc.trial
+	walked := 0 // the shard's walked orders, the cancellation poll's stride
 	return func(rank int, m *sched.Machine) bool {
-		return sc.perms.each(m.NumCores(), func(order []int) bool {
-			// Poll per schedule, not just per state: each state fans out
-			// to NumCores()! orders and each order runs two full rounds.
-			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {
+		// One selection per state gives the attempting set: each round
+		// below selects the same way on a copy of m, and both executors
+		// pass over a core with no victim without calling the policy, so
+		// every order of a class commits the same violations.
+		return sc.perms.stealOrders(sched.SelectAll(f(), m), func(order []int, weight int) bool {
+			// Poll per walked order, not just per state: each state fans
+			// out to k! orders and each order runs two full rounds.
+			if walked&63 == 0 && aborted(ctx, res) {
 				return false
 			}
-			res.SchedulesChecked++
+			walked++
+			res.SchedulesChecked = satAdd(res.SchedulesChecked, weight)
 
 			sched.ConcurrentRound(f(), trial.CopyFrom(m), order)
 			if v := roundViolation(f(), m, trial); v != "" {
@@ -102,7 +109,7 @@ func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result
 			sched.UnsafeConcurrentRound(f(), trial.CopyFrom(m), order)
 			if v := roundViolation(f(), m, trial); v != "" {
 				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
-				out.SoundnessViolations++
+				out.SoundnessViolations = satAdd(out.SoundnessViolations, weight)
 			}
 			p := f()
 			beginRound(p, m)
@@ -112,7 +119,7 @@ func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result
 				witness(rank, fmt.Sprintf(
 					"state %v order %v: unchecked round raised potential %d -> %d",
 					m.Loads(), order, before, after))
-				out.PotentialViolations++
+				out.PotentialViolations = satAdd(out.PotentialViolations, weight)
 			}
 			return true
 		})

@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,13 +166,26 @@ func (r *Result) raiseBound(n int) {
 	}
 }
 
+// satAdd is a + b for the schedule counts, saturating at math.MaxInt
+// rather than wrapping: one walked order stands for up to 20! schedules
+// (the most statespace.Universe.Validate admits), so the sum over a wide
+// sparse universe can pass what an int holds.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
 // aborted reports whether ctx is done and, if so, marks res as aborted
 // with the cancellation as the witness. runShard polls it every 64
-// enumerated states, and checks that fan one state out to NumCores()!
-// schedules poll it every 64 schedules (ctx.Err takes a mutex, and
+// enumerated states, and checks that fan one state out to its steal
+// orders poll it every 64 walked orders (ctx.Err takes a mutex, and
 // concurrent shard checks would otherwise contend on it in their
-// hottest loops) — without the schedule-level poll that fan-out would
-// multiply cancellation latency by the same factor.
+// hottest loops) — without the order-level poll that fan-out would
+// multiply cancellation latency by up to k!. The poll counts walked
+// orders, never the weighted schedule count: that jumps by n!/k! per
+// order and could step over every multiple of 64.
 func aborted(ctx context.Context, res *Result) bool {
 	if ctx.Err() == nil {
 		return false
@@ -193,7 +207,7 @@ func mergeResults(id ObligationID, parts []Result, took []time.Duration) (Result
 		p := &parts[i]
 		elapsed += took[i]
 		merged.StatesChecked += p.StatesChecked
-		merged.SchedulesChecked += p.SchedulesChecked
+		merged.SchedulesChecked = satAdd(merged.SchedulesChecked, p.SchedulesChecked)
 		merged.raiseBound(p.Bound)
 		switch {
 		case p.Aborted:

@@ -163,19 +163,21 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 // have been flipped by a completed steal.
 func failureImpliesSuccessCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result) stateCheck {
 	trial, perms := &sc.trial, &sc.perms
+	walked := 0 // the shard's walked orders, the cancellation poll's stride
 	return func(rank int, m *sched.Machine) bool {
 		// One selection per state: it reads only the round-start
 		// snapshot, which is the same under every order.
 		p := f()
 		atts := sched.SelectAll(p, m)
-		return perms.each(m.NumCores(), func(order []int) bool {
-			// Each state fans out to NumCores()! orders, so polling only
-			// per state would stretch cancellation latency by that factor
-			// on wide universes; poll per schedule at the same stride.
-			if res.SchedulesChecked&63 == 0 && aborted(ctx, res) {
+		return perms.stealOrders(atts, func(order []int, weight int) bool {
+			// A state fans out to k! walked orders, so polling only per
+			// state would stretch cancellation latency by that factor on
+			// wide universes; poll per walked order at the same stride.
+			if walked&63 == 0 && aborted(ctx, res) {
 				return false
 			}
-			res.SchedulesChecked++
+			walked++
+			res.SchedulesChecked = satAdd(res.SchedulesChecked, weight)
 			rr := sched.ExecuteSteals(p, trial.CopyFrom(m), atts, order)
 			for _, att := range rr.Attempts {
 				if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {

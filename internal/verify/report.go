@@ -46,8 +46,26 @@
 // Result.refute(rank, witness) with the rank it was handed — the merge
 // keeps the lowest-ranked witness, the one a sequential scan finds first
 // — and returns false to end its shard, true to go on. Checks that fan a
-// single state out to many schedules poll cancellation themselves, at
-// the same 64 stride, through aborted.
+// single state out to many steal orders poll cancellation themselves,
+// every 64 walked orders, through aborted.
+//
+// # Steal orders
+//
+// The §4.3 obligations quantify over every serialization of a round's
+// steals: n! orders on n cores. The verifier walks fewer, exactly
+// (stealOrders, the one walk): a core whose selection kept no victim
+// (Victim < 0) makes no steal, and its attempt returns before the
+// executor looks at the machine or calls the policy. So all orders that
+// differ only in where the no-op cores sit give the same successor
+// machine and the same outcome for every attempt — the same
+// PredecessorSuccess too, since a no-op record never succeeds and so
+// never explains a failure — for every policy, stateful ones included:
+// only the place of the no-op records in RoundResult.Attempts differs,
+// and no check reads it. The walk visits one order per class, the k
+// attempting cores in each of their k! orders followed by the no-op
+// cores in ascending ID, and counts it as the n!/k! schedules it stands
+// for, so SchedulesChecked and the ablation's violation counts are the
+// full walk's.
 package verify
 
 import (
@@ -106,8 +124,9 @@ type Result struct {
 	Witness string `json:"witness,omitempty"`
 	// StatesChecked counts the machine states examined.
 	StatesChecked int `json:"states_checked"`
-	// SchedulesChecked counts (state, steal-order) pairs examined by the
-	// concurrent obligations; zero for sequential ones.
+	// SchedulesChecked counts (state, steal-order) pairs covered by the
+	// concurrent obligations; zero for sequential ones. It saturates at
+	// math.MaxInt rather than wrap.
 	SchedulesChecked int `json:"schedules_checked,omitempty"`
 	// Bound carries the obligation's quantitative finding, when one
 	// exists: the worst-case N for the work-conservation obligations,

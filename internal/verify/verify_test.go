@@ -647,29 +647,37 @@ func TestShardedWitnessMatchesWholeUniverseScan(t *testing.T) {
 	}
 }
 
+// cancelOnSteal is delta2 with a cancellation wired into its steal
+// phase: every steal it sizes cancels the context.
+type cancelOnSteal struct {
+	*policy.Delta2
+	cancel context.CancelFunc
+}
+
+func (p cancelOnSteal) StealCount(thief, victim *sched.Core) int {
+	p.cancel()
+	return p.Delta2.StealCount(thief, victim)
+}
+
 func TestFailureImpliesSuccessCancelsMidState(t *testing.T) {
-	// The per-schedule ctx poll: one state of a 7-core universe fans out
-	// to 5040 adversarial orders, so polling only per state would run
-	// thousands of schedules after cancellation. Cancel during the first
-	// round and require the check to stop within a few poll strides.
-	u := statespace.Universe{Cores: 7, MaxPerCore: 1}
+	// The per-order ctx poll. Shard 6 of this universe opens on six idle
+	// cores beside a 6-thread core, [0 0 0 0 0 0 6]: six attempting cores,
+	// 6! = 720 walked orders, each standing for 7!/6! = 7 schedules. The
+	// first order's first steal cancels, so the walk must stop at its
+	// next poll, within a stride or two of walked orders, and inside the
+	// first state; polling per state would walk all 720 orders and the
+	// 63 states after them.
+	u := statespace.Universe{Cores: 7, MaxPerCore: 6, MaxTotal: 6}
 	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	f := func() sched.Policy {
-		if calls.Add(1) == 1 {
-			cancel()
-		}
-		return policy.NewDelta2()
+	defer cancel()
+	p := cancelOnSteal{policy.NewDelta2(), cancel}
+	r := runTask(ctx, ObFailureImpliesSucc, func() sched.Policy { return p }, u, 6, new(shardScratch))
+	if !r.Aborted || r.StatesChecked != 1 {
+		t.Fatalf("want an abort inside the first state: %+v", r)
 	}
-	r := checkCtx(ctx, ObFailureImpliesSucc, f, u)
-	if !r.Aborted {
-		t.Fatalf("check not aborted: %+v", r)
-	}
-	// Each shard may run up to ~2 poll strides (128 schedules) past the
-	// cancellation; anything near the 5040-order fan-out of a single
-	// state per shard means the inner poll is gone.
-	if limit := shardCount * 128; r.SchedulesChecked > limit {
-		t.Errorf("aborted check still ran %d schedules (limit %d)", r.SchedulesChecked, limit)
+	const weight = 7
+	if walked, limit := r.SchedulesChecked/weight, 2*64; walked > limit {
+		t.Errorf("aborted check still walked %d orders (limit %d)", walked, limit)
 	}
 }
 

@@ -102,7 +102,7 @@ func choiceSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machi
 	// The steals re-validate under a second instance, one that has not
 	// seen BeginRound, never the selecting one: sharing it flips
 	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
-	// item 2 records the open question).
+	// item 3(a) records the open question).
 	p := e.f()
 	// The adversary's attempts are borrowed per search depth, like the
 	// order-walk scratch: they stay on the search path while visited.
@@ -135,8 +135,10 @@ func (e *concExplorer) chooseVictims(p sched.Policy, m *sched.Machine, base, att
 }
 
 // permuteSteals visits the state every steal order makes of m under the
-// selected attempts, each on a machine borrowed from the explorer's free
-// list for the duration of the visit. chosen is what visit is told the
+// selected attempts — one order per class of orders that differ only in
+// where the no-op cores sit (stealOrders), counted by the schedules it
+// stands for — each on a machine borrowed from the explorer's free list
+// for the duration of the visit. chosen is what visit is told the
 // adversary picked besides the order. The orders are walked on scratch
 // borrowed the same way: the walk one search depth down must not disturb
 // this one, whose order stays on the search path while it is visited.
@@ -145,7 +147,7 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 	if n := len(e.perms); n > 0 {
 		perms, e.perms = e.perms[n-1], e.perms[:n-1]
 	}
-	ok := perms.each(m.NumCores(), func(order []int) bool {
+	ok := perms.stealOrders(atts, func(order []int, weight int) bool {
 		var next *sched.Machine
 		if n := len(e.free); n > 0 {
 			next, e.free = e.free[n-1], e.free[:n-1]
@@ -153,6 +155,7 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 			next = new(sched.Machine)
 		}
 		sched.ExecuteSteals(p, next.CopyFrom(m), atts, order)
+		e.res.SchedulesChecked = satAdd(e.res.SchedulesChecked, weight)
 		ok := visit(next, chosen, order)
 		e.free = append(e.free, next)
 		return ok
@@ -161,17 +164,50 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 	return ok
 }
 
-// permScratch is what a statespace.Permutations walk runs on. Each shard
-// keeps its own — the game explorer one per search depth — so walking the
-// steal orders of a state allocates nothing once it is sized.
+// permScratch is what a steal-order walk runs on. Each shard keeps its
+// own — the game explorer one per search depth — so walking the steal
+// orders of a state allocates nothing once it is sized.
 type permScratch []int
 
-// each walks the permutations of [0, n) on s, sizing it first if needed.
-func (s *permScratch) each(n int, fn func(order []int) bool) bool {
-	if len(*s) != 2*n {
-		*s = make([]int, 2*n)
+// stealOrders is the verifier's one steal-order walk, over the attempts
+// a round's selection made (one per core, indexed by core ID). An
+// attempt with no victim is a no-op in every order, so orders that differ
+// only in where the no-op cores sit are one class (see the package doc):
+// the walk hands fn one order per class — the k attempting cores in one
+// of their k! orders, then the no-op cores in ascending ID, a full order
+// of the n cores — and weight, the n!/k! full orders it stands for.
+// order is s's storage, overwritten by the next one. The walk stops
+// early when fn returns false and reports whether it ran to completion.
+func (s *permScratch) stealOrders(atts []sched.Attempt, fn func(order []int, weight int) bool) bool {
+	n := len(atts)
+	if len(*s) != 4*n {
+		*s = make([]int, 4*n)
 	}
-	return statespace.Permutations((*s)[:n], (*s)[n:], fn)
+	ids, order, perm, state := (*s)[:n], (*s)[n:2*n], (*s)[2*n:3*n], (*s)[3*n:]
+	k := 0
+	for id := range atts {
+		if atts[id].Victim >= 0 {
+			ids[k] = id
+			k++
+		}
+	}
+	noop := k
+	for id := range atts {
+		if atts[id].Victim < 0 {
+			order[noop] = id
+			noop++
+		}
+	}
+	weight := 1
+	for i := k + 1; i <= n; i++ {
+		weight *= i
+	}
+	return statespace.Permutations(perm[:k], state, func(p []int) bool {
+		for i, x := range p {
+			order[i] = ids[x]
+		}
+		return fn(order, weight)
+	})
 }
 
 // appendLoads appends m's per-core thread counts — Machine.Loads — to
@@ -196,9 +232,9 @@ func appendLoads(dst []int, m *sched.Machine) []int {
 // the game graph under each shard's start states. The explorer itself is
 // the worker's (shardScratch), re-armed per shard: its memo is reset and
 // its free lists kept. Cancellation is polled per explored node (every
-// 64, matching the enumeration stride); the
-// permutation fan-out under a node needs no extra polling because every
-// successor edge immediately re-enters explore, which polls.
+// 64, matching the enumeration stride); the steal orders walked under a
+// node need no extra polling because every successor edge immediately
+// re-enters explore, which polls.
 type concExplorer struct {
 	ctx  context.Context
 	f    Factory
@@ -300,7 +336,6 @@ type pathNode struct {
 // atts and order make of the node, and folds its rounds into the node's.
 func (e *concExplorer) visit(next *sched.Machine, atts []sched.Attempt, order []int) bool {
 	top := len(e.path) - 1
-	e.res.SchedulesChecked++
 	e.path[top].atts, e.path[top].order = atts, order
 	n, ok := e.explore(next)
 	if !ok {
