@@ -13,7 +13,6 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dsl"
 	"repro/internal/engine"
@@ -277,7 +276,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			pool := engine.NewPool(4, func() sched.Policy {
 				p, _ := policy.New(name)
 				return p
-			}, engine.Options{IdleSleep: 10 * time.Microsecond})
+			}, engine.Options{})
 			defer pool.Close()
 			var sink atomic.Int64
 			b.ResetTimer()

@@ -16,6 +16,16 @@ import (
 	"repro/internal/verify"
 )
 
+// newService starts an in-process verification service.
+func newService(t *testing.T, cfg service.Config, opts ...service.Option) *service.Service {
+	t.Helper()
+	svc, err := service.New(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
 // doneEnvelope renders the daemon's 200 response for a minimal finished
 // report.
 func doneEnvelope(t *testing.T) []byte {
@@ -225,7 +235,7 @@ func TestVerifyClientBacksOffAgainstAnImmediateDaemon(t *testing.T) {
 // the job finishes — not a poll interval later.
 func TestVerifyClientLongPollsTheRealDaemon(t *testing.T) {
 	const stall = 60 * time.Millisecond
-	svc := service.MustNew(service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
+	svc := newService(t, service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: stall,
 	})))
 	defer svc.Close()
@@ -260,7 +270,7 @@ func TestVerifyClientLongPollsTheRealDaemon(t *testing.T) {
 // the breaker.
 func TestVerifyClientFitsTheWaitToItsTimeout(t *testing.T) {
 	const stall, timeout = 500 * time.Millisecond, 200 * time.Millisecond
-	svc := service.MustNew(service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
+	svc := newService(t, service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: stall,
 	})))
 	defer svc.Close()

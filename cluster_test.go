@@ -88,6 +88,37 @@ func TestClusterRunAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestForkJoinAndBurstyScenariosOnTheSimulator runs the portable
+// fork-join and bursty shapes on the simulator: waves forked on one core
+// of a 4-core machine all complete, and the balancer has to steal to
+// spread them.
+func TestForkJoinAndBurstyScenariosOnTheSimulator(t *testing.T) {
+	for _, tc := range []struct {
+		sc    Scenario
+		tasks int64
+	}{
+		{ForkJoinScenario("forkjoin", 3, 8, 2000, 50_000, 0), 24},
+		{BurstyScenario("bursty", 5, 6, 1500, 30_000, 0), 30},
+	} {
+		sc := tc.sc
+		sc.Cores = 4
+		c, err := New(WithPolicy("delta2"), WithBackend(BackendSim), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != tc.tasks {
+			t.Errorf("%s: completed %d of %d tasks", sc.Name, res.Completed, tc.tasks)
+		}
+		if res.Steals <= 0 {
+			t.Errorf("%s: no steals spread the waves: %v", sc.Name, res)
+		}
+	}
+}
+
 // TestClusterRunWithFaultsAcrossBackends is the fault model's
 // cross-backend promise, and the conformance check of the shared
 // decision kernel: the same fault schedule round-trips through all
@@ -537,7 +568,7 @@ func TestBackendByName(t *testing.T) {
 // byte-identical to local verification, and a second Verify is served
 // entirely from the daemon's memo.
 func TestClusterVerifyServiceRoundTrip(t *testing.T) {
-	svc := service.MustNew(service.Config{})
+	svc := newService(t, service.Config{})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()

@@ -6,8 +6,9 @@
 // *Load Balancing in Parallel Computers: Theory and Practice*, 1996).
 //
 // It provides the two classical iterative schemes from that line of work
-// — nearest-neighbor diffusion and dimension exchange — on standard
-// interconnect graphs (ring, mesh, hypercube, complete), plus empirical
+// — nearest-neighbor diffusion and dimension exchange — on the ring and
+// the hypercube, the slowest- and fastest-mixing of the standard
+// interconnect graphs, plus empirical
 // convergence measurement, so the paper's work-stealing rounds can be
 // compared against the theory's baselines (experiment E9).
 package convergence
@@ -22,41 +23,6 @@ type Graph struct {
 	Adj [][]int
 	// Name labels the topology in reports.
 	Name string
-}
-
-// Validate checks structural sanity and symmetry.
-func (g Graph) Validate() error {
-	if g.N <= 0 || len(g.Adj) != g.N {
-		return fmt.Errorf("convergence: graph %q has N=%d with %d adjacency rows", g.Name, g.N, len(g.Adj))
-	}
-	for i, nbrs := range g.Adj {
-		seen := make(map[int]bool, len(nbrs))
-		for _, j := range nbrs {
-			if j < 0 || j >= g.N {
-				return fmt.Errorf("convergence: node %d has invalid neighbor %d", i, j)
-			}
-			if j == i {
-				return fmt.Errorf("convergence: node %d has a self-loop", i)
-			}
-			if seen[j] {
-				return fmt.Errorf("convergence: node %d lists neighbor %d twice", i, j)
-			}
-			seen[j] = true
-			if !contains(g.Adj[j], i) {
-				return fmt.Errorf("convergence: edge %d->%d not symmetric", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxDegree returns the largest node degree.
@@ -82,23 +48,6 @@ func Ring(n int) Graph {
 	return g
 }
 
-// Complete returns the n-node complete graph — one diffusion round
-// reaches near-perfect balance.
-func Complete(n int) Graph {
-	if n < 2 {
-		panic(fmt.Sprintf("convergence: Complete(%d)", n))
-	}
-	g := Graph{N: n, Adj: make([][]int, n), Name: fmt.Sprintf("complete(%d)", n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j != i {
-				g.Adj[i] = append(g.Adj[i], j)
-			}
-		}
-	}
-	return g
-}
-
 // Hypercube returns the 2^dim-node hypercube, the dimension-exchange
 // scheme's native topology.
 func Hypercube(dim int) Graph {
@@ -113,68 +62,6 @@ func Hypercube(dim int) Graph {
 		}
 	}
 	return g
-}
-
-// Mesh returns the rows×cols grid (no wraparound).
-func Mesh(rows, cols int) Graph {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		panic(fmt.Sprintf("convergence: Mesh(%d, %d)", rows, cols))
-	}
-	n := rows * cols
-	g := Graph{N: n, Adj: make([][]int, n), Name: fmt.Sprintf("mesh(%dx%d)", rows, cols)}
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			i := id(r, c)
-			if r > 0 {
-				g.Adj[i] = append(g.Adj[i], id(r-1, c))
-			}
-			if c > 0 {
-				g.Adj[i] = append(g.Adj[i], id(r, c-1))
-			}
-			if c < cols-1 {
-				g.Adj[i] = append(g.Adj[i], id(r, c+1))
-			}
-			if r < rows-1 {
-				g.Adj[i] = append(g.Adj[i], id(r+1, c))
-			}
-		}
-	}
-	return g
-}
-
-// DiffusionRound performs one synchronous first-order diffusion step
-// (FOS in Xu & Lau): every edge (i,j) moves ⌊α·(xᵢ−xⱼ)⌋ units downhill,
-// with the uniform diffusion parameter α = 1/(maxdeg+1) that guarantees
-// convergence on any graph. It returns the units moved; zero means a
-// fixpoint (balanced up to integer granularity).
-func DiffusionRound(g Graph, load []int64) int64 {
-	if len(load) != g.N {
-		panic(fmt.Sprintf("convergence: %d loads for %d nodes", len(load), g.N))
-	}
-	alpha := int64(g.MaxDegree() + 1)
-	delta := make([]int64, g.N)
-	var moved int64
-	for i, nbrs := range g.Adj {
-		for _, j := range nbrs {
-			if i < j { // each undirected edge once
-				flow := (load[i] - load[j]) / alpha
-				if flow > 0 {
-					delta[i] -= flow
-					delta[j] += flow
-					moved += flow
-				} else if flow < 0 {
-					delta[i] += -flow
-					delta[j] -= -flow
-					moved += -flow
-				}
-			}
-		}
-	}
-	for i := range load {
-		load[i] += delta[i]
-	}
-	return moved
 }
 
 // DimensionExchangeRound performs one full dimension-exchange sweep on a
@@ -287,15 +174,6 @@ func Imbalance[T int | int64](load []T) T {
 		}
 	}
 	return hi - lo
-}
-
-// Total sums the loads (conservation checks).
-func Total(load []int64) int64 {
-	var s int64
-	for _, v := range load {
-		s += v
-	}
-	return s
 }
 
 // RoundsTo iterates step until Imbalance(load) ≤ tol or step moves

@@ -1,6 +1,8 @@
 package convergence
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,31 +10,30 @@ import (
 )
 
 func TestGraphBuilders(t *testing.T) {
-	for _, g := range []Graph{Ring(5), Complete(4), Hypercube(3), Mesh(2, 3), Mesh(1, 4)} {
-		if err := g.Validate(); err != nil {
-			t.Errorf("%s: %v", g.Name, err)
+	for _, g := range []Graph{Ring(5), Hypercube(3)} {
+		if len(g.Adj) != g.N {
+			t.Errorf("%s: N=%d with %d adjacency rows", g.Name, g.N, len(g.Adj))
+		}
+		for i, nbrs := range g.Adj {
+			for _, j := range nbrs {
+				if j == i || !slices.Contains(g.Adj[j], i) {
+					t.Errorf("%s: edge %d->%d is a self-loop or not symmetric", g.Name, i, j)
+				}
+			}
 		}
 	}
 	if got := Ring(5).MaxDegree(); got != 2 {
 		t.Errorf("ring degree = %d", got)
 	}
-	if got := Complete(4).MaxDegree(); got != 3 {
-		t.Errorf("complete degree = %d", got)
-	}
 	if got := Hypercube(3).MaxDegree(); got != 3 {
 		t.Errorf("hypercube degree = %d", got)
-	}
-	if got := Mesh(3, 3).MaxDegree(); got != 4 {
-		t.Errorf("mesh degree = %d", got)
 	}
 }
 
 func TestGraphBuilderPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"ring":      func() { Ring(2) },
-		"complete":  func() { Complete(1) },
 		"hypercube": func() { Hypercube(0) },
-		"mesh":      func() { Mesh(1, 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -45,53 +46,39 @@ func TestGraphBuilderPanics(t *testing.T) {
 	}
 }
 
-func TestGraphValidateCatchesAsymmetry(t *testing.T) {
-	g := Ring(4)
-	g.Adj[0] = []int{1} // drop the 0-3 back edge
-	if g.Validate() == nil {
-		t.Error("asymmetric graph accepted")
+// sum is the conservation check of the schemes below.
+func sum[T int64 | float64](load []T) T {
+	var s T
+	for _, v := range load {
+		s += v
 	}
-	g2 := Ring(4)
-	g2.Adj[0] = append(g2.Adj[0], 0)
-	if g2.Validate() == nil {
-		t.Error("self-loop accepted")
-	}
+	return s
 }
 
 func TestDiffusionConvergesOnEveryTopology(t *testing.T) {
-	for _, g := range []Graph{Ring(8), Complete(8), Hypercube(3), Mesh(2, 4)} {
-		load := SpikeLoad(g.N, 64)
-		total := Total(load)
-		// Integer diffusion stalls once every *neighbor* gap is below
-		// maxdeg+1, leaving a residual global imbalance of up to
-		// (maxdeg) x diameter — tolerate that.
-		tol := int64((g.MaxDegree() + 1) * g.N)
-		rounds := RoundsTo(func(l []int64) int64 { return DiffusionRound(g, l) }, load, tol, 10_000)
+	for _, g := range []Graph{Ring(8), Hypercube(3)} {
+		load := SpikeLoadFloat(g.N, 64)
+		rounds := RoundsToFloat(func(l []float64) { DiffusionRoundFloat(g, l) }, load, 0.5, 10_000)
 		if rounds > 10_000 {
 			t.Errorf("%s: diffusion did not converge; final %v", g.Name, load)
 		}
-		if Total(load) != total {
-			t.Errorf("%s: load not conserved: %d -> %d", g.Name, total, Total(load))
+		if got := sum(load); math.Abs(got-64) > 1e-9 {
+			t.Errorf("%s: load not conserved: 64 -> %g", g.Name, got)
 		}
 	}
 }
 
 func TestDiffusionSpeedOrdering(t *testing.T) {
-	// The Xu & Lau shape result: complete mixes fastest, ring slowest,
-	// hypercube in between, for the same spike.
+	// The Xu & Lau shape result: the hypercube mixes faster than the
+	// ring for the same spike.
 	rounds := func(g Graph) int {
-		load := SpikeLoad(g.N, 128)
-		return RoundsTo(func(l []int64) int64 { return DiffusionRound(g, l) }, load, 8, 100_000)
+		return RoundsToFloat(func(l []float64) { DiffusionRoundFloat(g, l) }, SpikeLoadFloat(g.N, 128), 8, 100_000)
 	}
 	ring := rounds(Ring(8))
 	cube := rounds(Hypercube(3))
-	comp := rounds(Complete(8))
-	t.Logf("diffusion rounds to imbalance<=8 on n=8: ring=%d hypercube=%d complete=%d", ring, cube, comp)
-	if !(comp <= cube && cube <= ring) {
-		t.Errorf("speed ordering violated: complete=%d hypercube=%d ring=%d", comp, cube, ring)
-	}
-	if ring <= comp {
-		t.Errorf("ring (%d) should be strictly slower than complete (%d)", ring, comp)
+	t.Logf("diffusion rounds to imbalance<=8 on n=8: ring=%d hypercube=%d", ring, cube)
+	if cube >= ring {
+		t.Errorf("ring (%d) should be strictly slower than hypercube (%d)", ring, cube)
 	}
 }
 
@@ -105,8 +92,8 @@ func TestDimensionExchangeBalancesInOneSweep(t *testing.T) {
 	if Imbalance(load) > 1 {
 		t.Errorf("imbalance after one sweep = %d, want <= 1 (%v)", Imbalance(load), load)
 	}
-	if Total(load) != 80 {
-		t.Errorf("total = %d", Total(load))
+	if sum(load) != 80 {
+		t.Errorf("total = %d", sum(load))
 	}
 }
 
@@ -156,8 +143,14 @@ func TestImbalanceAndTotal(t *testing.T) {
 	if Imbalance(load) != 6 {
 		t.Errorf("Imbalance = %d", Imbalance(load))
 	}
-	if Total(load) != 11 {
-		t.Errorf("Total = %d", Total(load))
+	if Imbalance([]int{3, 7, 1}) != 6 {
+		t.Errorf("Imbalance over thread counts = %d", Imbalance([]int{3, 7, 1}))
+	}
+	if ImbalanceFloat([]float64{3, 7, 1}) != 6 {
+		t.Errorf("ImbalanceFloat = %g", ImbalanceFloat([]float64{3, 7, 1}))
+	}
+	if sum(load) != 11 {
+		t.Errorf("total = %d", sum(load))
 	}
 }
 
@@ -166,14 +159,14 @@ func TestImbalanceAndTotal(t *testing.T) {
 func TestDiffusionMonotoneProperty(t *testing.T) {
 	g := Ring(6)
 	f := func(raw [6]uint8) bool {
-		load := make([]int64, 6)
+		load := make([]float64, 6)
 		for i, r := range raw {
-			load[i] = int64(r % 32)
+			load[i] = float64(r % 32)
 		}
-		total := Total(load)
-		before := Imbalance(load)
-		DiffusionRound(g, load)
-		return Total(load) == total && Imbalance(load) <= before
+		total := sum(load)
+		before := ImbalanceFloat(load)
+		DiffusionRoundFloat(g, load)
+		return math.Abs(sum(load)-total) < 1e-9 && ImbalanceFloat(load) <= before+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -189,9 +182,9 @@ func TestDimensionExchangeProperty(t *testing.T) {
 		for i, r := range raw {
 			load[i] = int64(r % 64)
 		}
-		total := Total(load)
+		total := sum(load)
 		DimensionExchangeRound(3, load)
-		return Total(load) == total && Imbalance(load) <= 3
+		return sum(load) == total && Imbalance(load) <= 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -10,6 +10,13 @@ import (
 	"repro/internal/verify"
 )
 
+// machineFromSpec builds a fresh machine from explicit per-core specs.
+func machineFromSpec(specs ...sched.CoreSpec) *sched.Machine {
+	m := new(sched.Machine)
+	m.SetFromSpec(specs)
+	return m
+}
+
 // listing1 is the paper's Listing 1 transcribed into the DSL.
 const listing1 = `
 # The simple load balancer of Listing 1.
@@ -173,7 +180,13 @@ func TestDSLThroughVerifier(t *testing.T) {
 	if repBad.Passed() {
 		t.Fatal("DSL greedy policy passed verification — livelock missed")
 	}
-	if res := repBad.Result(verify.ObWorkConservConc); res == nil || res.Passed {
+	refuted := false
+	for _, res := range repBad.Results {
+		if res.ID == verify.ObWorkConservConc {
+			refuted = !res.Passed
+		}
+	}
+	if !refuted {
 		t.Error("concurrent WC should have failed for the greedy DSL policy")
 	}
 }
@@ -194,7 +207,7 @@ policy weighted_gap {
 	if ast.Choose.Name != "max_load" {
 		t.Errorf("chooser = %q", ast.Choose.Name)
 	}
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}},
 	)
@@ -335,7 +348,7 @@ func TestNumericUnderscores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sched.MachineFromSpec(sched.CoreSpec{}, sched.CoreSpec{Running: 2048})
+	m := machineFromSpec(sched.CoreSpec{}, sched.CoreSpec{Running: 2048})
 	if !pol.CanSteal(m.Core(0), m.Core(1)) {
 		t.Error("underscore literal mis-lexed")
 	}

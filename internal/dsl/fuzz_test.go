@@ -151,7 +151,7 @@ func randomView(rng *rand.Rand) *sched.Machine {
 			specs[i].Queued = append(specs[i].Queued, weights[rng.IntN(len(weights))])
 		}
 	}
-	m := sched.MachineFromSpec(specs...)
+	m := machineFromSpec(specs...)
 	for _, c := range m.Cores {
 		c.Group = rng.IntN(2)
 		c.Node = c.Group

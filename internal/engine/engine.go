@@ -60,7 +60,6 @@ type Pool struct {
 	closed  atomic.Bool
 	inflt   atomic.Int64 // submitted but not finished tasks
 	wg      sync.WaitGroup
-	next    atomic.Uint64 // round-robin submission cursor
 	faults  *faultinject.Set
 
 	executed   atomic.Int64
@@ -101,8 +100,6 @@ type worker struct {
 type Options struct {
 	// Groups assigns workers to scheduling groups (defaults to all 0).
 	Groups []int
-	// IdleSleep is the idle worker's poll interval (default 50µs).
-	IdleSleep time.Duration
 	// Faults optionally arms chaos fault injection: each worker consults
 	// the set at the core-kill fault point (arg: its worker ID) once per
 	// loop turn, and a fail directive fail-stops it exactly like Kill.
@@ -114,11 +111,8 @@ type Options struct {
 // NewPool starts n workers using policies from factory.
 func NewPool(n int, factory Factory, opts Options) *Pool {
 	p := newPool(n, factory, opts)
-	if opts.IdleSleep <= 0 {
-		opts.IdleSleep = 50 * time.Microsecond
-	}
 	for _, w := range p.workers {
-		go w.run(opts.IdleSleep)
+		go w.run()
 	}
 	return p
 }
@@ -150,19 +144,14 @@ func newPool(n int, factory Factory, opts Options) *Pool {
 	return p
 }
 
-// Submit enqueues a task on the next worker round-robin.
-func (p *Pool) Submit(t Task) {
-	p.SubmitTo(int(p.next.Add(1)-1)%len(p.workers), t)
-}
-
 // SubmitTo enqueues a task on a specific worker — how the benchmarks
 // create the skewed placements the balancer must fix.
 func (p *Pool) SubmitTo(id int, t Task) {
 	if t == nil {
-		panic("engine: Submit(nil)")
+		panic("engine: SubmitTo(nil)")
 	}
 	if p.closed.Load() {
-		panic("engine: Submit on closed pool")
+		panic("engine: SubmitTo on closed pool")
 	}
 	w := p.workers[id]
 	p.inflt.Add(1)
@@ -302,8 +291,11 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
+// idleSleep is an idle worker's poll interval.
+const idleSleep = 50 * time.Microsecond
+
 // run is the worker main loop.
-func (w *worker) run(idleSleep time.Duration) {
+func (w *worker) run() {
 	for {
 		if w.offline.Load() {
 			// Fail-stopped: execute nothing until Revive, but still honor

@@ -22,7 +22,7 @@ func TestAllTasksExecute(t *testing.T) {
 	var count atomic.Int64
 	const n = 1000
 	for i := 0; i < n; i++ {
-		p.Submit(func() { count.Add(1) })
+		p.SubmitTo(i%4, func() { count.Add(1) })
 	}
 	p.Wait()
 	if got := count.Load(); got != n {
@@ -96,7 +96,7 @@ func TestSubmitFromManyGoroutines(t *testing.T) {
 	for g := 0; g < producers; g++ {
 		go func() {
 			for i := 0; i < each; i++ {
-				p.Submit(func() { count.Add(1) })
+				p.SubmitTo((g+i)%4, func() { count.Add(1) })
 			}
 			doneProducing <- struct{}{}
 		}()
@@ -114,7 +114,7 @@ func TestTasksRunAfterClose(t *testing.T) {
 	p := NewPool(2, delta2Factory, Options{})
 	var count atomic.Int64
 	for i := 0; i < 50; i++ {
-		p.Submit(func() { count.Add(1) })
+		p.SubmitTo(i%2, func() { count.Add(1) })
 	}
 	p.Close() // close with work still queued: it must still drain
 	p.Wait()
@@ -128,10 +128,10 @@ func TestSubmitAfterClosePanics(t *testing.T) {
 	p.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("Submit after Close did not panic")
+			t.Error("SubmitTo after Close did not panic")
 		}
 	}()
-	p.Submit(func() {})
+	p.SubmitTo(0, func() {})
 }
 
 func TestPoolValidation(t *testing.T) {
@@ -142,7 +142,7 @@ func TestPoolValidation(t *testing.T) {
 		"nil task": func() {
 			p := NewPool(1, delta2Factory, Options{})
 			defer p.Close()
-			p.Submit(nil)
+			p.SubmitTo(0, nil)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

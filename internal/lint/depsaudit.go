@@ -71,8 +71,8 @@ var policyInterfaces = map[string]bool{
 	"Policy": true, "Rescuer": true, "TaskPicker": true,
 }
 
-// knownComponents is the component vocabulary, in the canonical
-// verify.AllComponents order.
+// knownComponents is the component vocabulary, in the canonical order
+// of verify's CompLoad … CompRescue declarations.
 var knownComponents = []string{"load", "filter", "choose", "steal", "rescue"}
 
 func runDepsAudit(pass *Pass) error {

@@ -1,10 +1,11 @@
-// Package linttest is the expectation harness for the lint suite's
-// fixture tests, in the style of x/tools' analysistest: a fixture
-// package under testdata/src carries `// want "regexp"` comments on the
-// lines where diagnostics are expected, and Run fails the test on any
-// unmatched expectation or unexpected diagnostic — so each fixture pins
-// the exact diagnostic set, not just "at least one finding".
-package linttest
+package lint_test
+
+// The expectation harness for the lint suite's fixture tests, in the
+// style of x/tools' analysistest: a fixture package under testdata/src
+// carries `// want "regexp"` comments on the lines where diagnostics are
+// expected, and runFixture fails the test on any unmatched expectation
+// or unexpected diagnostic — so each fixture pins the exact diagnostic
+// set, not just "at least one finding".
 
 import (
 	"fmt"
@@ -25,13 +26,13 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the single fixture package named by pattern (a package
+// runFixture loads the single fixture package named by pattern (a package
 // pattern relative to the test's working directory, e.g.
 // "./testdata/src/determinism"), runs the analyzers through
 // lint.RunPackage — directives and all — and checks the resulting
 // diagnostics against the fixture's `// want` comments. It returns the
 // diagnostics for any extra assertions the caller wants to make.
-func Run(t *testing.T, pattern string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
+func runFixture(t *testing.T, pattern string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
 	t.Helper()
 	prog, targets, err := lint.Load(".", pattern)
 	if err != nil {

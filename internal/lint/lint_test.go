@@ -1,7 +1,12 @@
 package lint_test
 
 import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -48,20 +53,24 @@ func TestByName(t *testing.T) {
 // declaration is reachable by its types.Func — the property depsaudit's
 // call-graph walk rests on.
 func TestLoadRepo(t *testing.T) {
-	prog, targets, err := lint.Load("../..", "./internal/verify", "./internal/sched")
+	_, targets, err := lint.Load("../..", "./internal/verify", "./internal/sched")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if len(targets) != 2 {
 		t.Fatalf("got %d targets, want 2", len(targets))
 	}
+	byPath := map[string]*lint.Package{}
+	for _, pkg := range targets {
+		byPath[pkg.Path] = pkg
+	}
 	for _, want := range []string{"repro/internal/verify", "repro/internal/sched"} {
-		if _, ok := prog.Package(want); !ok {
+		if byPath[want] == nil {
 			t.Errorf("package %s not loaded", want)
 		}
 	}
-	verifyPkg, _ := prog.Package("repro/internal/verify")
-	if verifyPkg.Info == nil || verifyPkg.Types == nil || len(verifyPkg.Files) == 0 {
+	verifyPkg := byPath["repro/internal/verify"]
+	if verifyPkg == nil || verifyPkg.Info == nil || verifyPkg.Types == nil || len(verifyPkg.Files) == 0 {
 		t.Fatal("verify package loaded without syntax or type info")
 	}
 }
@@ -98,13 +107,7 @@ func TestDirectiveHygiene(t *testing.T) {
 // clean over the whole module, with every remaining wall-clock or
 // map-order use annotated.
 func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks the whole module")
-	}
-	prog, targets, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	prog, targets := loadRepo(t)
 	for _, pkg := range targets {
 		diags, err := lint.RunPackage(prog, pkg, lint.AnalyzersFor(pkg.Path))
 		if err != nil {
@@ -114,4 +117,247 @@ func TestRepoClean(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
+}
+
+var repo struct {
+	once    sync.Once
+	prog    *lint.Program
+	targets []*lint.Package
+	err     error
+}
+
+// loadRepo loads and type-checks the module's non-test code once for
+// every test in this file that looks at the whole tree.
+func loadRepo(t *testing.T) (*lint.Program, []*lint.Package) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and typechecks the whole module")
+	}
+	repo.once.Do(func() {
+		repo.prog, repo.targets, repo.err = lint.Load("../..", "./...")
+	})
+	if repo.err != nil {
+		t.Fatalf("Load: %v", repo.err)
+	}
+	return repo.prog, repo.targets
+}
+
+// deadExportExemptions names the exported objects of internal packages
+// that stay without a non-test reference, keyed as exportKey keys them,
+// each with the reason it stays. Keep it to five entries at most: an
+// export that only tests use belongs in those tests' files.
+var deadExportExemptions = map[string]string{
+	"(*repro/internal/metrics.Histogram).Min": "TestGoldenTraces hashes every histogram's min " +
+		"and loadgen's tests bound the fastest job by it; the pinned trace hashes must not move",
+	"(*repro/internal/service/faultinject.Set).Fired": "the chaos tests of internal/service read it " +
+		"to prove an injected fault fired, so it cannot live in one package's test files",
+	"(*repro/internal/sim.Simulator).Machine": "the one window onto a simulated machine: " +
+		"TestGoldenTraces hashes the machine a run leaves, and internal/workload's tests inspect it",
+}
+
+// TestNoDeadInternalExports fails on every exported func, type, var,
+// const, method or interface method of a repro/internal/... package that
+// no non-test file of the module references. A reference from inside
+// the object's own declaration (recursion, a receiver naming its type)
+// does not count. A method that satisfies an interface — one declared
+// in the module or in a package the module imports — is exempt, since
+// it may be called through that interface.
+func TestNoDeadInternalExports(t *testing.T) {
+	prog, pkgs := loadRepo(t)
+	if len(deadExportExemptions) > 5 {
+		t.Errorf("%d exemptions; at most five may stay", len(deadExportExemptions))
+	}
+
+	// Every exported object of an internal package, with the extent of
+	// its declaration.
+	type decl struct {
+		pos      token.Position
+		from, to token.Pos
+	}
+	exported := make(map[string]decl)
+	for _, pkg := range pkgs {
+		declare := func(name *ast.Ident, extent ast.Node) {
+			if key := exportKey(pkg.Info.Defs[name]); key != "" {
+				exported[key] = decl{prog.Fset.Position(name.Pos()), extent.Pos(), extent.End()}
+			}
+		}
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declare(fd.Name, fd)
+					continue
+				}
+				for _, spec := range d.(*ast.GenDecl).Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name, s)
+						if iface, ok := s.Type.(*ast.InterfaceType); ok {
+							for _, m := range iface.Methods.List {
+								for _, name := range m.Names {
+									declare(name, m)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							declare(name, s)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every reference from non-test code, minus self-references.
+	used := make(map[string]bool)
+	for _, pkg := range pkgs {
+		receivers := make(map[*ast.Ident]bool)
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receivers[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+		for id, obj := range pkg.Info.Uses {
+			key := exportKey(obj)
+			if key == "" || receivers[id] {
+				continue
+			}
+			if d, ok := exported[key]; ok && d.from <= id.Pos() && id.Pos() < d.to {
+				continue
+			}
+			used[key] = true
+		}
+	}
+
+	// Methods that satisfy an interface. Each package is checked against
+	// the interfaces it can see, in its own type universe: its source
+	// objects and the export-data objects of everything it imports.
+	for _, pkg := range pkgs {
+		for _, key := range interfaceMethods(pkg) {
+			used[key] = true
+		}
+	}
+
+	var dead []string
+	for key, d := range exported {
+		if used[key] {
+			continue
+		}
+		if _, ok := deadExportExemptions[key]; ok {
+			continue
+		}
+		dead = append(dead, d.pos.String()+": "+key)
+	}
+	for key := range deadExportExemptions {
+		if _, ok := exported[key]; !ok {
+			t.Errorf("exemption %s names no exported object", key)
+		} else if used[key] {
+			t.Errorf("exemption %s is referenced from non-test code; drop it", key)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s has no non-test reference", d)
+	}
+}
+
+func isInternal(path string) bool {
+	return strings.HasPrefix(path, "repro/internal/")
+}
+
+// exportKey names an exported object of an internal package the same
+// way from source and from export data: package path plus name for
+// package-level objects, types.Func.FullName for methods and interface
+// methods. Anything else — locals, fields, other modules — keys to "".
+func exportKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil || !obj.Exported() || !isInternal(obj.Pkg().Path()) {
+		return ""
+	}
+	if f, ok := obj.(*types.Func); ok {
+		f = f.Origin()
+		if f.Type().(*types.Signature).Recv() != nil {
+			return f.FullName()
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// interfaceMethods returns the keys of the internal methods that pkg's
+// view shows satisfying an interface of that view: every named
+// interface of pkg and of its transitive imports, standard library
+// included, and every interface literal pkg spells.
+func interfaceMethods(pkg *lint.Package) []string {
+	var scopes []*types.Scope
+	seen := make(map[*types.Package]bool)
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scopes = append(scopes, p.Scope())
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	walk(pkg.Types)
+	scopes = append(scopes, types.Universe)
+
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, scope := range scopes {
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				if it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			} else if tn.Pkg() != nil && isInternal(tn.Pkg().Path()) {
+				named = append(named, n)
+			}
+		}
+	}
+	for _, tv := range pkg.Info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+
+	var keys []string
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		mset := types.NewMethodSet(ptr)
+		if mset.Len() == 0 {
+			continue
+		}
+		for _, it := range ifaces {
+			if it.NumMethods() > mset.Len() || !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				sel := mset.Lookup(it.Method(i).Pkg(), it.Method(i).Name())
+				if key := exportKey(sel.Obj()); key != "" {
+					keys = append(keys, key)
+				}
+			}
+		}
+	}
+	return keys
 }

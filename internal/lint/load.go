@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -175,12 +174,6 @@ func (prog *Program) AddFiles(importPath string, files []string) {
 	prog.goFiles[importPath] = files
 }
 
-// Package returns the already-loaded package for an import path.
-func (prog *Program) Package(path string) (*Package, bool) {
-	p, ok := prog.pkgs[path]
-	return p, ok
-}
-
 // ensure parses and type-checks the package registered for path,
 // memoized.
 func (prog *Program) ensure(path string) (*Package, error) {
@@ -274,20 +267,6 @@ func (prog *Program) FuncDecl(obj *types.Func) (*ast.FuncDecl, *Package) {
 		}
 	}
 	return nil, nil
-}
-
-// Packages returns every loaded package, sorted by import path.
-func (prog *Program) Packages() []*Package {
-	paths := make([]string, 0, len(prog.pkgs))
-	for p := range prog.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, len(paths))
-	for i, p := range paths {
-		out[i] = prog.pkgs[p]
-	}
-	return out
 }
 
 // LoadFiles type-checks one package given explicit file names and an

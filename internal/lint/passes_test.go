@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestDeterminismFixture(t *testing.T) {
-	linttest.Run(t, "./testdata/src/determinism", lint.Determinism)
+	runFixture(t, "./testdata/src/determinism", lint.Determinism)
 }
 
 func TestAtomicsFixture(t *testing.T) {
-	linttest.Run(t, "./testdata/src/atomics", lint.AtomicsDiscipline)
+	runFixture(t, "./testdata/src/atomics", lint.AtomicsDiscipline)
 }
 
 func TestDepsAuditOK(t *testing.T) {
-	diags := linttest.Run(t, "./testdata/src/depsaudit_ok", lint.DepsAudit)
+	diags := runFixture(t, "./testdata/src/depsaudit_ok", lint.DepsAudit)
 	if len(diags) != 0 {
 		t.Errorf("clean fixture produced %d diagnostics", len(diags))
 	}
@@ -28,7 +27,7 @@ func TestDepsAuditOK(t *testing.T) {
 // that row (plus the unreached-steal and undeclared-pick diagnostics
 // the fixture also carries).
 func TestDepsAuditBad(t *testing.T) {
-	diags := linttest.Run(t, "./testdata/src/depsaudit_bad", lint.DepsAudit)
+	diags := runFixture(t, "./testdata/src/depsaudit_bad", lint.DepsAudit)
 	if len(diags) != 3 {
 		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
 	}
@@ -44,7 +43,7 @@ func TestDepsAuditBad(t *testing.T) {
 }
 
 func TestDepsAuditNoRow(t *testing.T) {
-	linttest.Run(t, "./testdata/src/depsaudit_norow", lint.DepsAudit)
+	runFixture(t, "./testdata/src/depsaudit_norow", lint.DepsAudit)
 }
 
 // TestDepsAuditRealTable runs the audit over the real internal/verify

@@ -31,10 +31,6 @@ type ArrivalProcess interface {
 	Name() string
 	// Next returns the gap to the next arrival, always ≥ 1 tick.
 	Next(rng *sim.RNG) int64
-	// MeanGap returns the analytic long-run mean interarrival gap in
-	// ticks (total elapsed time over arrivals, which for the modulated
-	// process is the harmonic — not arithmetic — mix of its states).
-	MeanGap() float64
 }
 
 // Poisson is the memoryless arrival process: exponential interarrival
@@ -59,9 +55,6 @@ func (p *Poisson) Name() string { return "poisson" }
 // Next implements ArrivalProcess.
 func (p *Poisson) Next(rng *sim.RNG) int64 { return rng.ExpTicks(p.meanGap) }
 
-// MeanGap implements ArrivalProcess.
-func (p *Poisson) MeanGap() float64 { return p.meanGap }
-
 // BurstyMAP is a two-state Markov-modulated arrival process: a calm
 // state emitting Poisson arrivals at a low rate and a burst state
 // emitting them Burstiness times faster, with geometrically distributed
@@ -81,7 +74,6 @@ func (p *Poisson) MeanGap() float64 { return p.meanGap }
 type BurstyMAP struct {
 	calmGap, burstGap float64
 	dwell             float64
-	meanGap           float64
 	burstiness        float64
 	inBurst           bool
 }
@@ -105,7 +97,6 @@ func NewBurstyMAP(meanGap, burstiness, dwell float64) *BurstyMAP {
 		calmGap:    calm,
 		burstGap:   calm / burstiness,
 		dwell:      dwell,
-		meanGap:    meanGap,
 		burstiness: burstiness,
 	}
 }
@@ -127,6 +118,3 @@ func (b *BurstyMAP) Next(rng *sim.RNG) int64 {
 	}
 	return d
 }
-
-// MeanGap implements ArrivalProcess.
-func (b *BurstyMAP) MeanGap() float64 { return b.meanGap }

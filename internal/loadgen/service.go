@@ -161,10 +161,6 @@ func (w *Service) Completed() int64 { return w.completed }
 // task's work completion) over completed jobs. Nil before Setup.
 func (w *Service) Latency() *metrics.Histogram { return w.latency }
 
-// OfferedCoreTicks returns the total core-ticks of work generated,
-// including parallelization overhead and the per-task completion stubs.
-func (w *Service) OfferedCoreTicks() int64 { return w.offered }
-
 // OfferedUtilization returns offered work as a fraction of the
 // machine's capacity over the horizon — the empirical ρ the sweep
 // reports next to the target load.

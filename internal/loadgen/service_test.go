@@ -27,7 +27,7 @@ func TestServiceDeterministicAcrossRuns(t *testing.T) {
 		svc.Setup(s)
 		st := s.Run(450_000)
 		return fmt.Sprintf("arrived=%d done=%d offered=%d lat=%s steals=%d",
-			svc.Arrived(), svc.Completed(), svc.OfferedCoreTicks(), svc.Latency(), st.Steals)
+			svc.Arrived(), svc.Completed(), svc.offered, svc.Latency(), st.Steals)
 	}
 	a, b := run(), run()
 	if a != b {

@@ -189,15 +189,6 @@ func (cfg SweepConfig) groups() []int {
 	return g
 }
 
-// DefaultLoads is the canonical 60–95% sweep in 5-point steps.
-func DefaultLoads() []float64 {
-	var loads []float64
-	for m := 60; m <= 95; m += 5 {
-		loads = append(loads, float64(m)/100)
-	}
-	return loads
-}
-
 // Quantiles summarizes one latency distribution. P-fields use the
 // histogram's upper-edge convention (≤ 1/32 relative error).
 type Quantiles struct {

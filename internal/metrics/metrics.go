@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -58,14 +57,6 @@ func (w *TimeWeighted) IntegralAt(t int64) float64 {
 		return 0
 	}
 	return w.integral + float64(t-w.lastT)*w.lastV
-}
-
-// MeanAt returns the time-weighted mean value over [start of observation, t].
-func (w *TimeWeighted) MeanAt(t int64, startT int64) float64 {
-	if t <= startT {
-		return 0
-	}
-	return w.IntegralAt(t) / float64(t-startT)
 }
 
 // Histogram is a log-linear histogram (HdrHistogram-style buckets): each
@@ -156,10 +147,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.max = o.max
 	}
 }
-
-// SubBuckets returns the histogram's per-power-of-two resolution; two
-// histograms are mergeable iff it matches.
-func (h *Histogram) SubBuckets() int { return h.subBuckets }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.total }
@@ -285,18 +272,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRows sorts the table's rows by the given column, lexicographically.
-func (t *Table) SortRows(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		var a, b string
-		if col < len(t.rows[i]) {
-			a = t.rows[i][col]
-		}
-		if col < len(t.rows[j]) {
-			b = t.rows[j][col]
-		}
-		return a < b
-	})
 }

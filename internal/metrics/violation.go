@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // ViolationTracker quantifies work-conservation violations over a
 // simulation: the time integral of "cores idle while at least one core is
 // overloaded". This is the paper's §1 "wasted cores" quantity — the CPU
@@ -77,15 +75,4 @@ func (v *ViolationTracker) LongestEpisodeAt(t int64) int64 {
 		}
 	}
 	return longest
-}
-
-// Summary renders the tracker state at time t over n cores.
-func (v *ViolationTracker) Summary(t int64, cores int) string {
-	span := float64(t - v.startT)
-	if span <= 0 {
-		return "violations: no time elapsed"
-	}
-	wasted := v.WastedCoreSeconds(t)
-	return fmt.Sprintf("wasted %.0f core-ticks (%.1f%% of capacity) across %d violation episodes",
-		wasted, 100*wasted/(span*float64(cores)), v.episodes)
 }

@@ -80,7 +80,7 @@ func TestGeneratedDelta2Balances(t *testing.T) {
 }
 
 func TestGeneratedSupportHelpers(t *testing.T) {
-	c := sched.NewCore(0)
+	c := &sched.Core{}
 	if currentSize(c) != 0 {
 		t.Error("currentSize of empty core != 0")
 	}

@@ -9,6 +9,13 @@ import (
 	"repro/internal/topology"
 )
 
+// machineFromSpec builds a fresh machine from explicit per-core specs.
+func machineFromSpec(specs ...sched.CoreSpec) *sched.Machine {
+	m := new(sched.Machine)
+	m.SetFromSpec(specs)
+	return m
+}
+
 func TestDelta2Filter(t *testing.T) {
 	p := NewDelta2()
 	m := sched.MachineFromLoads(0, 1, 2, 3)
@@ -71,7 +78,7 @@ func TestDelta2StealCountIsOne(t *testing.T) {
 func TestWeightedPickTask(t *testing.T) {
 	p := NewWeighted()
 	// Thief idle; stealee runs w=4 and queues w=1, w=2, w=8.
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Running: 4, Queued: []int64{1, 2, 8}},
 	)
@@ -92,7 +99,7 @@ func TestWeightedFilterRequiresAdmissibleTask(t *testing.T) {
 	p := NewWeighted()
 	// gap = 8 but the only queued task weighs 8: 2*8 > 8, inadmissible —
 	// migrating it would just swap the imbalance.
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Queued: []int64{8}},
 	)
@@ -100,7 +107,7 @@ func TestWeightedFilterRequiresAdmissibleTask(t *testing.T) {
 		t.Error("filter admitted a steal that cannot decrease the gap")
 	}
 	// With an extra small task the steal becomes possible.
-	m2 := sched.MachineFromSpec(
+	m2 := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Queued: []int64{8, 3}},
 	)
@@ -111,7 +118,7 @@ func TestWeightedFilterRequiresAdmissibleTask(t *testing.T) {
 
 func TestWeightedStealDecreasesWeightedPotential(t *testing.T) {
 	p := NewWeighted()
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Running: 1, Queued: []int64{1, 2, 4}},
 		sched.CoreSpec{Running: 2},
@@ -138,7 +145,7 @@ func TestWeightedUnitWeightsBehaveLikeDelta2(t *testing.T) {
 	w, d := NewWeighted(), NewDelta2()
 	f := func(a, b uint8) bool {
 		la, lb := int(a%6), int(b%6)
-		m := sched.MachineFromSpec(
+		m := machineFromSpec(
 			sched.CoreSpec{Queued: unitWeights(la)},
 			sched.CoreSpec{Queued: unitWeights(lb)},
 		)
@@ -193,7 +200,7 @@ func TestCFSGroupBuggyWitness(t *testing.T) {
 	// The E6 witness: group 0 = {idle, one heavy thread}, group 1 = {two
 	// overloaded cores}. The buggy filter must refuse the cross-group
 	// steal; Delta2 must accept it.
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},                                     // core 0: idle (group 0)
 		sched.CoreSpec{Running: 8192},                        // core 1: one heavy thread (group 0)
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}}, // core 2 (group 1)
@@ -220,7 +227,7 @@ func TestCFSGroupBuggyWitness(t *testing.T) {
 }
 
 func TestCFSGroupBuggyIntraGroupStillWorks(t *testing.T) {
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{}, // idle, group 0
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024, 1024}}, // group 0
 		sched.CoreSpec{Running: 1024},                              // group 1
@@ -240,7 +247,7 @@ func TestCFSGroupBuggyIntraGroupStillWorks(t *testing.T) {
 func TestHierarchicalIdleEscape(t *testing.T) {
 	// Same witness as the buggy test: the sound hierarchical policy must
 	// let the idle core escape its heavy-looking group.
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Running: 8192},
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}},
@@ -364,7 +371,7 @@ func TestDelta1AggressiveSwaps(t *testing.T) {
 	// 0/1 with the only thread queued (not running): the aggressive
 	// filter admits the steal, producing 1/0 — a swap that does not
 	// decrease the potential.
-	m := sched.MachineFromSpec(
+	m := machineFromSpec(
 		sched.CoreSpec{},
 		sched.CoreSpec{Queued: []int64{1024}},
 	)
@@ -489,7 +496,7 @@ func TestWeightedPickerSoundProperty(t *testing.T) {
 		for _, q := range queued {
 			spec.Queued = append(spec.Queued, int64(q%7)+1)
 		}
-		m := sched.MachineFromSpec(sched.CoreSpec{}, spec)
+		m := machineFromSpec(sched.CoreSpec{}, spec)
 		thief, stealee := m.Core(0), m.Core(1)
 		pick := p.PickTask(thief, stealee)
 		if pick == nil {
@@ -500,8 +507,10 @@ func TestWeightedPickerSoundProperty(t *testing.T) {
 		if task == nil {
 			return false // picked a non-queued task
 		}
-		// The strict-decrease condition of the potential proof.
-		return sched.StealDecreasesPotential(0, gap, task.Weight)
+		// The strict-decrease condition of the potential proof: moving
+		// the task shrinks the thief/stealee gap |gap| to |gap - 2w|.
+		after := gap - 2*task.Weight
+		return task.Weight > 0 && after < gap && -after < gap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -33,11 +33,6 @@ type Core struct {
 	Offline bool
 }
 
-// NewCore returns an empty core with the given ID on node/group 0.
-func NewCore(id int) *Core {
-	return &Core{ID: id}
-}
-
 // NThreads is the total number of threads owned by the core, counting the
 // current task — the `load()` of Listing 1 for unweighted policies.
 func (c *Core) NThreads() int {
@@ -73,18 +68,6 @@ func (c *Core) Idle() bool {
 // the current thread").
 func (c *Core) Overloaded() bool {
 	return c.NThreads() >= 2
-}
-
-// Clone returns a deep copy of the core.
-func (c *Core) Clone() *Core {
-	nc := &Core{ID: c.ID, Node: c.Node, Group: c.Group, Current: c.Current.Clone(), Offline: c.Offline}
-	if len(c.Ready) > 0 {
-		nc.Ready = make([]*Task, len(c.Ready))
-		for i, t := range c.Ready {
-			nc.Ready[i] = t.Clone()
-		}
-	}
-	return nc
 }
 
 // Push appends a task to the tail of the runqueue.

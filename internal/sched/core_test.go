@@ -19,9 +19,9 @@ func TestTaskNew(t *testing.T) {
 }
 
 func TestTaskNewWeighted(t *testing.T) {
-	task := NewWeightedTask(3, 2048)
-	if task.Weight != 2048 {
-		t.Errorf("Weight = %d, want 2048", task.Weight)
+	task := NewMachine(1).Spawn(0, 2048)
+	if task.Weight != 2048 || task.NodeHint != -1 {
+		t.Errorf("Weight = %d, NodeHint = %d, want 2048, -1", task.Weight, task.NodeHint)
 	}
 }
 
@@ -30,27 +30,11 @@ func TestTaskNewWeightedRejectsNonPositive(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewWeightedTask(1, %d) did not panic", w)
+					t.Errorf("Spawn(0, %d) did not panic", w)
 				}
 			}()
-			NewWeightedTask(1, w)
+			NewMachine(1).Spawn(0, w)
 		}()
-	}
-}
-
-func TestTaskClone(t *testing.T) {
-	orig := NewWeightedTask(1, 512)
-	c := orig.Clone()
-	if c == orig {
-		t.Fatal("Clone returned the same pointer")
-	}
-	c.Weight = 99
-	if orig.Weight != 512 {
-		t.Errorf("mutating clone changed original: %d", orig.Weight)
-	}
-	var nilTask *Task
-	if nilTask.Clone() != nil {
-		t.Error("Clone of nil task should be nil")
 	}
 }
 
@@ -58,7 +42,7 @@ func TestTaskString(t *testing.T) {
 	if got := NewTask(5).String(); got != "task(5)" {
 		t.Errorf("String = %q", got)
 	}
-	if got := NewWeightedTask(5, 2).String(); got != "task(5,w=2)" {
+	if got := (&Task{ID: 5, Weight: 2}).String(); got != "task(5,w=2)" {
 		t.Errorf("String = %q", got)
 	}
 	var nilTask *Task
@@ -83,7 +67,7 @@ func TestCoreIdleOverloaded(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCore(0)
+			c := &Core{}
 			id := TaskID(0)
 			if tc.current {
 				c.Current = NewTask(id)
@@ -104,13 +88,13 @@ func TestCoreIdleOverloaded(t *testing.T) {
 }
 
 func TestCoreNThreadsAndWeightSum(t *testing.T) {
-	c := NewCore(1)
+	c := &Core{ID: 1}
 	if c.NThreads() != 0 || c.WeightSum() != 0 {
 		t.Fatalf("empty core: NThreads=%d WeightSum=%d", c.NThreads(), c.WeightSum())
 	}
-	c.Current = NewWeightedTask(0, 100)
-	c.Push(NewWeightedTask(1, 10))
-	c.Push(NewWeightedTask(2, 1))
+	c.Current = &Task{ID: 0, Weight: 100}
+	c.Push(&Task{ID: 1, Weight: 10})
+	c.Push(&Task{ID: 2, Weight: 1})
 	if got := c.NThreads(); got != 3 {
 		t.Errorf("NThreads = %d, want 3", got)
 	}
@@ -120,7 +104,7 @@ func TestCoreNThreadsAndWeightSum(t *testing.T) {
 }
 
 func TestCorePushPopFIFO(t *testing.T) {
-	c := NewCore(0)
+	c := &Core{}
 	for i := 0; i < 5; i++ {
 		c.Push(NewTask(TaskID(i)))
 	}
@@ -136,7 +120,7 @@ func TestCorePushPopFIFO(t *testing.T) {
 }
 
 func TestCorePopTailLIFO(t *testing.T) {
-	c := NewCore(0)
+	c := &Core{}
 	for i := 0; i < 3; i++ {
 		c.Push(NewTask(TaskID(i)))
 	}
@@ -157,11 +141,11 @@ func TestCorePushNilPanics(t *testing.T) {
 			t.Error("Push(nil) did not panic")
 		}
 	}()
-	NewCore(0).Push(nil)
+	(&Core{}).Push(nil)
 }
 
 func TestCoreRemove(t *testing.T) {
-	c := NewCore(0)
+	c := &Core{}
 	for i := 0; i < 4; i++ {
 		c.Push(NewTask(TaskID(i)))
 	}
@@ -187,7 +171,7 @@ func TestCoreRemove(t *testing.T) {
 }
 
 func TestCoreScheduleLocal(t *testing.T) {
-	c := NewCore(0)
+	c := &Core{}
 	if c.ScheduleLocal() != nil {
 		t.Error("ScheduleLocal on empty core should do nothing")
 	}
@@ -209,31 +193,8 @@ func TestCoreScheduleLocal(t *testing.T) {
 	}
 }
 
-func TestCoreClone(t *testing.T) {
-	c := NewCore(3)
-	c.Node, c.Group = 1, 2
-	c.Current = NewTask(0)
-	c.Push(NewTask(1))
-	cl := c.Clone()
-	if cl.ID != 3 || cl.Node != 1 || cl.Group != 2 {
-		t.Errorf("clone metadata mismatch: %+v", cl)
-	}
-	cl.Push(NewTask(9))
-	cl.Current.Weight = 1
-	if len(c.Ready) != 1 {
-		t.Error("mutating clone's runqueue affected original")
-	}
-	if c.Current.Weight != DefaultWeight {
-		t.Error("mutating clone's current task affected original")
-	}
-	empty := NewCore(0).Clone()
-	if empty.Current != nil || len(empty.Ready) != 0 {
-		t.Error("clone of empty core is not empty")
-	}
-}
-
 func TestCoreString(t *testing.T) {
-	c := NewCore(2)
+	c := &Core{ID: 2}
 	if got := c.String(); got != "c2[run:- rq:0]" {
 		t.Errorf("String = %q", got)
 	}
@@ -248,7 +209,7 @@ func TestCoreString(t *testing.T) {
 // order and leaves the queue empty.
 func TestCoreQueueProperty(t *testing.T) {
 	f := func(ids []uint8) bool {
-		c := NewCore(0)
+		c := &Core{}
 		for i := range ids {
 			c.Push(NewTask(TaskID(i)))
 		}
@@ -269,7 +230,7 @@ func TestCoreQueueProperty(t *testing.T) {
 // overloaded iff NThreads >= 2.
 func TestCorePredicateProperty(t *testing.T) {
 	f := func(hasCurrent bool, nReady uint8) bool {
-		c := NewCore(0)
+		c := &Core{}
 		if hasCurrent {
 			c.Current = NewTask(1000)
 		}

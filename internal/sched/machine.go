@@ -142,7 +142,7 @@ func MachineFromLoads(loads ...int) *Machine {
 	return m
 }
 
-// CoreSpec describes one core's state for MachineFromSpec: whether a task
+// CoreSpec describes one core's state for SetFromSpec: whether a task
 // is running and the weights of the queued tasks. It lets tests and the
 // exhaustive checker build every corner-case state, including cores that
 // have ready tasks but nothing running (e.g. just after the current task
@@ -152,13 +152,6 @@ type CoreSpec struct {
 	Running int64
 	// Queued holds the weights of the runqueue tasks, head first.
 	Queued []int64
-}
-
-// MachineFromSpec builds a machine from explicit per-core specs.
-func MachineFromSpec(specs ...CoreSpec) *Machine {
-	m := new(Machine)
-	m.SetFromSpec(specs)
-	return m
 }
 
 // SetFromSpec rebuilds m in place as the machine specs describe — online
@@ -222,37 +215,6 @@ func (m *Machine) TotalThreads() int {
 		n += c.NThreads()
 	}
 	return n
-}
-
-// TotalWeight sums every thread weight on the machine.
-func (m *Machine) TotalWeight() int64 {
-	var w int64
-	for _, c := range m.Cores {
-		w += c.WeightSum()
-	}
-	return w
-}
-
-// IdleCores returns the IDs of all idle cores.
-func (m *Machine) IdleCores() []int {
-	var ids []int
-	for _, c := range m.Cores {
-		if c.Idle() {
-			ids = append(ids, c.ID)
-		}
-	}
-	return ids
-}
-
-// OverloadedCores returns the IDs of all overloaded cores.
-func (m *Machine) OverloadedCores() []int {
-	var ids []int
-	for _, c := range m.Cores {
-		if c.Overloaded() {
-			ids = append(ids, c.ID)
-		}
-	}
-	return ids
 }
 
 // WorkConserved reports whether the machine currently satisfies the

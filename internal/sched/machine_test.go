@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// MachineFromSpec builds a machine from explicit per-core specs — the
+// fixture constructor of this package's tests, internal and external.
+func MachineFromSpec(specs ...CoreSpec) *Machine {
+	m := new(Machine)
+	m.SetFromSpec(specs)
+	return m
+}
+
 func TestMachineFromLoads(t *testing.T) {
 	m := MachineFromLoads(0, 1, 2)
 	if m.NumCores() != 3 {
@@ -78,8 +86,8 @@ func TestMachineSpawn(t *testing.T) {
 	if m.TotalThreads() != 2 {
 		t.Errorf("TotalThreads = %d, want 2", m.TotalThreads())
 	}
-	if m.TotalWeight() != 300 {
-		t.Errorf("TotalWeight = %d, want 300", m.TotalWeight())
+	if w := m.Core(0).WeightSum() + m.Core(1).WeightSum(); w != 300 {
+		t.Errorf("total weight = %d, want 300", w)
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -88,13 +96,23 @@ func TestMachineSpawn(t *testing.T) {
 
 func TestMachineIdleOverloadedSets(t *testing.T) {
 	m := MachineFromLoads(0, 1, 2, 0, 5)
-	idle := m.IdleCores()
-	if len(idle) != 2 || idle[0] != 0 || idle[1] != 3 {
-		t.Errorf("IdleCores = %v, want [0 3]", idle)
+	var idle, over []int
+	for _, c := range m.Cores {
+		if c.Idle() {
+			idle = append(idle, c.ID)
+		}
+		if c.Overloaded() {
+			over = append(over, c.ID)
+		}
 	}
-	over := m.OverloadedCores()
+	if len(idle) != 2 || idle[0] != 0 || idle[1] != 3 {
+		t.Errorf("idle cores = %v, want [0 3]", idle)
+	}
 	if len(over) != 2 || over[0] != 2 || over[1] != 4 {
-		t.Errorf("OverloadedCores = %v, want [2 4]", over)
+		t.Errorf("overloaded cores = %v, want [2 4]", over)
+	}
+	if m.WorkConserved() {
+		t.Error("idle cores beside overloaded ones must not be work-conserved")
 	}
 }
 

@@ -35,29 +35,6 @@ func PairwiseImbalance(p Policy, m *Machine) int64 {
 	return d
 }
 
-// StealDecreasesPotential reports whether migrating `moved` units of load
-// from victim to thief strictly decreases the pairwise imbalance, given
-// the pre-steal loads. It implements the paper's local criterion: the
-// stealCore function must reduce the absolute load difference between the
-// initiating core and the core stolen from.
-//
-// It exists as a pure function of the two loads so the verifier can check
-// it over the whole bounded load space without materializing machines.
-func StealDecreasesPotential(thiefLoad, victimLoad, moved int64) bool {
-	if moved <= 0 {
-		return false
-	}
-	before := victimLoad - thiefLoad
-	if before < 0 {
-		before = -before
-	}
-	after := (victimLoad - moved) - (thiefLoad + moved)
-	if after < 0 {
-		after = -after
-	}
-	return after < before
-}
-
 // PotentialBound returns an upper bound on the number of successful steals
 // a policy can perform from the given state, derived from the potential
 // argument: every successful steal decreases d by at least minDrop, so at

@@ -28,9 +28,20 @@ func TestPairwiseImbalance(t *testing.T) {
 	}
 }
 
+// stealDecreasesPotential reports whether moving `moved` tasks from a
+// victim with victimLoad threads to a thief with thiefLoad strictly
+// decreases the pairwise imbalance of the two-core machine — the paper's
+// local criterion for stealCore.
+func stealDecreasesPotential(thiefLoad, victimLoad, moved int) bool {
+	p := delta2()
+	before := PairwiseImbalance(p, MachineFromLoads(thiefLoad, victimLoad))
+	after := PairwiseImbalance(p, MachineFromLoads(thiefLoad+moved, victimLoad-moved))
+	return after < before
+}
+
 func TestStealDecreasesPotentialLocal(t *testing.T) {
 	cases := []struct {
-		thief, victim, moved int64
+		thief, victim, moved int
 		want                 bool
 	}{
 		{0, 2, 1, true},  // 0/2 -> 1/1: diff 2 -> 0
@@ -43,8 +54,8 @@ func TestStealDecreasesPotentialLocal(t *testing.T) {
 		{0, 1, 1, false}, // 0/1 -> 1/0: swap
 	}
 	for _, tc := range cases {
-		if got := StealDecreasesPotential(tc.thief, tc.victim, tc.moved); got != tc.want {
-			t.Errorf("StealDecreasesPotential(%d,%d,%d) = %v, want %v",
+		if got := stealDecreasesPotential(tc.thief, tc.victim, tc.moved); got != tc.want {
+			t.Errorf("stealDecreasesPotential(%d,%d,%d) = %v, want %v",
 				tc.thief, tc.victim, tc.moved, got, tc.want)
 		}
 	}
@@ -75,7 +86,7 @@ func TestDelta2StealStrictlyDecreasesGlobalPotential(t *testing.T) {
 func TestGreedyBuggyStealDoesNotDecreasePotential(t *testing.T) {
 	// The §4.3 counterexample: a greedy steal between loads 1 and 2 keeps
 	// the potential constant, which is why the livelock exists.
-	if StealDecreasesPotential(1, 2, 1) {
+	if stealDecreasesPotential(1, 2, 1) {
 		t.Error("the ping-pong steal must not decrease the potential")
 	}
 }
@@ -148,11 +159,11 @@ func TestPairwiseImbalanceProperty(t *testing.T) {
 // the exact inductive step of the paper's bounded-successes proof.
 func TestDelta2LocalDecreaseProperty(t *testing.T) {
 	f := func(thief, victim uint8) bool {
-		tl, vl := int64(thief%16), int64(victim%16)
+		tl, vl := int(thief%16), int(victim%16)
 		if vl-tl < 2 {
 			return true // filter would reject; nothing to prove
 		}
-		return StealDecreasesPotential(tl, vl, 1)
+		return stealDecreasesPotential(tl, vl, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

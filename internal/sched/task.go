@@ -97,26 +97,13 @@ func NewTask(id TaskID) *Task {
 	return &Task{ID: id, Weight: DefaultWeight, NodeHint: -1}
 }
 
-// NewWeightedTask returns a task with the given weight.
-func NewWeightedTask(id TaskID, weight int64) *Task {
-	t := weightedTask(id, weight)
-	return &t
-}
-
+// weightedTask returns a task with the given weight, which must be
+// positive, and no NUMA preference.
 func weightedTask(id TaskID, weight int64) Task {
 	if weight <= 0 {
 		panic(fmt.Sprintf("sched: task %d weight must be positive, got %d", id, weight))
 	}
 	return Task{ID: id, Weight: weight, NodeHint: -1}
-}
-
-// Clone returns an independent copy of the task.
-func (t *Task) Clone() *Task {
-	if t == nil {
-		return nil
-	}
-	c := *t
-	return &c
 }
 
 // String implements fmt.Stringer.

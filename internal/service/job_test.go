@@ -282,7 +282,9 @@ func TestDrainPastBudgetThenCloseReleasesLongPolls(t *testing.T) {
 	}
 	s.Close()
 	for _, job := range []*Job{running, queued} {
-		if !job.Done() {
+		select {
+		case <-job.done:
+		default:
 			t.Errorf("job %s never reached finish", job.ID())
 		}
 	}

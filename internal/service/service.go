@@ -202,16 +202,6 @@ func New(cfg Config, opts ...Option) (*Service, error) {
 	return s, nil
 }
 
-// MustNew is New for callers whose Config cannot fail (no DataDir) —
-// the in-process embedding path.
-func MustNew(cfg Config, opts ...Option) *Service {
-	s, err := New(cfg, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Ready reports whether the service accepts new submissions (it stops
 // during drain and after Close); /readyz serves this, distinct from
 // /healthz liveness.
@@ -463,9 +453,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	j, ok := s.jobs[id]
 	return j, ok
 }
-
-// RetryAfter is the backoff the HTTP layer advertises on ErrQueueFull.
-func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
 // runJob executes one job on a worker: memoized obligations splice in
 // from the cache, the misses run together as one fan-out on the sharded

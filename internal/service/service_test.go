@@ -13,6 +13,15 @@ import (
 	"repro/internal/verify"
 )
 
+// MustNew is New for a Config that cannot fail (no DataDir).
+func MustNew(cfg Config, opts ...Option) *Service {
+	s, err := New(cfg, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // waitDone waits for a job to reach its terminal state.
 func waitDone(t *testing.T, job *Job) (*verify.Report, string) {
 	t.Helper()

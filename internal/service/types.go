@@ -120,16 +120,6 @@ func (j *Job) Snapshot() (JobState, *verify.Report, string) {
 	return j.state, j.report, j.errMsg
 }
 
-// Done reports whether the job reached a terminal state.
-func (j *Job) Done() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Stats is the /v1/stats snapshot.
 type Stats struct {
 	VerifierVersion string `json:"verifier_version"`

@@ -60,20 +60,6 @@ func RunForever(slice int64) Behavior {
 	})
 }
 
-// RunBlockLoop returns a behavior alternating compute and blocking —
-// a thread handling I/O-bound requests: run `serve`, block `wait`,
-// repeat `iters` times (0 = forever), then exit.
-func RunBlockLoop(serve, wait int64, iters int) Behavior {
-	n := 0
-	return BehaviorFunc(func(int64, *RNG) Action {
-		n++
-		if iters > 0 && n > iters {
-			return Action{RunFor: 1, Then: ThenExit}
-		}
-		return Action{RunFor: serve, Then: ThenBlock, BlockFor: wait}
-	})
-}
-
 // Barrier is a cyclic rendezvous for ThenBarrier actions: when Need tasks
 // have arrived, all of them are released and the generation counter
 // increments. It reproduces the synchronization pattern of the paper's

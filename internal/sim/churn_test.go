@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // The paper's proofs assume no thread enters or leaves the runqueues
@@ -123,6 +125,36 @@ func TestIdleBalanceStealsImmediately(t *testing.T) {
 	}
 	if s.Machine().Core(1).Idle() {
 		t.Error("core 1 still idle despite idle balancing")
+	}
+}
+
+// TestIdleBalanceTracesEveryFailedSteal pins the trace to the counter:
+// an idle steal that fails is one KindStealFail event, exactly as a
+// failed attempt of a periodic round is. The policy's filter passes an
+// overloaded victim but it sizes every steal at zero, so every attempt
+// — idle or periodic — fails.
+func TestIdleBalanceTracesEveryFailedSteal(t *testing.T) {
+	never := &sched.FuncPolicy{
+		PolicyName: "never",
+		LoadFn:     func(c *sched.Core) int64 { return int64(c.NThreads()) },
+		FilterFn:   func(_, stealee *sched.Core) bool { return stealee.NThreads() >= 2 },
+		CountFn:    func(_, _ *sched.Core) int { return 0 },
+	}
+	ring := trace.NewRing(1 << 12)
+	s := New(Config{Cores: 2, Policy: never, Ring: ring, Seed: 1, IdleBalance: true})
+	s.SpawnAt(0, 0, 1024, RunOnce(50_000))
+	s.SpawnAt(0, 0, 1024, RunOnce(50_000))
+	s.SpawnAt(0, 1, 1024, RunOnce(100))
+	st := s.Run(20_000)
+	if ring.Len() == 1<<12 {
+		t.Fatal("ring full: events may have been dropped")
+	}
+	fails := eventsOf(ring, trace.KindStealFail)
+	if len(fails) == 0 || fails[0].Time >= 4000 {
+		t.Fatalf("fail events = %+v, want the idle steal's before the first periodic round", fails)
+	}
+	if int64(len(fails)) != st.StealFails {
+		t.Errorf("%d KindStealFail events, Stats.StealFails = %d", len(fails), st.StealFails)
 	}
 }
 

@@ -34,14 +34,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a pseudo-random int64 in [0, n). n must be positive.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive bound")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

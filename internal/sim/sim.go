@@ -493,6 +493,7 @@ func (s *Simulator) idleBalance(core int) {
 		}
 	} else {
 		s.stealFails.Inc()
+		s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
 	}
 }
 

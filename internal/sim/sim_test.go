@@ -15,6 +15,39 @@ func newSim(cores int, opts ...func(*Config)) *Simulator {
 	return New(cfg)
 }
 
+// RunBlockLoop returns a behavior alternating compute and blocking —
+// a thread handling I/O-bound requests: run `serve`, block `wait`,
+// repeat `iters` times (0 = forever), then exit.
+func RunBlockLoop(serve, wait int64, iters int) Behavior {
+	n := 0
+	return BehaviorFunc(func(int64, *RNG) Action {
+		n++
+		if iters > 0 && n > iters {
+			return Action{RunFor: 1, Then: ThenExit}
+		}
+		return Action{RunFor: serve, Then: ThenBlock, BlockFor: wait}
+	})
+}
+
+// Int63n returns a pseudo-random int64 in [0, n). n must be positive.
+func (r *RNG) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("sim: Int63n with non-positive bound")
+	}
+	return int64(r.Uint64() % uint64(n))
+}
+
+// eventsOf returns the ring's retained events of one kind, oldest first.
+func eventsOf(r *trace.Ring, kind trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range r.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestSingleTaskRunsToCompletion(t *testing.T) {
 	s := newSim(1)
 	s.SpawnAt(0, 0, 1024, RunOnce(5000))
@@ -116,7 +149,7 @@ func TestWakeGoesToLastCore(t *testing.T) {
 	s2 := New(Config{Cores: 2, Policy: policy.NewDelta2(), Ring: ring, Seed: 1})
 	s2.SpawnAt(0, 1, 1024, RunBlockLoop(500, 2000, 2))
 	s2.Run(20_000)
-	for _, e := range ring.Filter(trace.KindWake) {
+	for _, e := range eventsOf(ring, trace.KindWake) {
 		if e.Core != 1 {
 			t.Errorf("wake on core %d, want 1", e.Core)
 		}
@@ -213,16 +246,16 @@ func TestTraceEvents(t *testing.T) {
 	s.SpawnAt(0, 0, 1024, RunOnce(6000))
 	s.SpawnAt(0, 0, 1024, RunOnce(6000))
 	s.Run(50_000)
-	if len(ring.Filter(trace.KindSpawn)) != 2 {
-		t.Errorf("spawn events = %d", len(ring.Filter(trace.KindSpawn)))
+	if len(eventsOf(ring, trace.KindSpawn)) != 2 {
+		t.Errorf("spawn events = %d", len(eventsOf(ring, trace.KindSpawn)))
 	}
-	if len(ring.Filter(trace.KindExit)) != 2 {
-		t.Errorf("exit events = %d", len(ring.Filter(trace.KindExit)))
+	if len(eventsOf(ring, trace.KindExit)) != 2 {
+		t.Errorf("exit events = %d", len(eventsOf(ring, trace.KindExit)))
 	}
-	if len(ring.Filter(trace.KindSteal)) == 0 {
+	if len(eventsOf(ring, trace.KindSteal)) == 0 {
 		t.Error("no steal events")
 	}
-	if len(ring.Filter(trace.KindRound)) == 0 {
+	if len(eventsOf(ring, trace.KindRound)) == 0 {
 		t.Error("no round events")
 	}
 }
@@ -428,7 +461,7 @@ func TestFailAndReviveEmitTraceEvents(t *testing.T) {
 	s.FailAt(500, 1)
 	s.ReviveAt(1500, 1)
 	s.Run(10_000)
-	fails, revives := ring.Filter(trace.KindFail), ring.Filter(trace.KindRevive)
+	fails, revives := eventsOf(ring, trace.KindFail), eventsOf(ring, trace.KindRevive)
 	if len(fails) != 1 || fails[0].Core != 1 || fails[0].Time != 500 {
 		t.Errorf("fail events = %+v, want one on core 1 at t=500", fails)
 	}

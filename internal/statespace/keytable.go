@@ -62,28 +62,10 @@ func (t *KeyTable) Lookup(key []byte, v int32) (entry int, found bool) {
 	}
 }
 
-// Find returns key's entry, or -1 if the key is absent.
-func (t *KeyTable) Find(key []byte) int {
-	if len(t.index) == 0 {
-		return -1
-	}
-	h := hashKey(key)
-	mask := len(t.index) - 1
-	for s := int(h) & mask; ; s = (s + 1) & mask {
-		i := int(t.index[s]) - 1
-		if i < 0 {
-			return -1
-		}
-		if t.entries[i].hash == h && bytes.Equal(t.key(i), key) {
-			return i
-		}
-	}
-}
-
-// Value returns the value of an entry Lookup or Find returned.
+// Value returns the value of an entry Lookup returned.
 func (t *KeyTable) Value(entry int) int32 { return t.entries[entry].val }
 
-// Set replaces the value of an entry Lookup or Find returned.
+// Set replaces the value of an entry Lookup returned.
 func (t *KeyTable) Set(entry int, v int32) { t.entries[entry].val = v }
 
 func (t *KeyTable) key(entry int) []byte {
@@ -134,12 +116,6 @@ func (v *Visited) Add(m *sched.Machine) bool {
 	v.buf = m.AppendKey(v.buf[:0])
 	_, found := v.keys.Lookup(v.buf, 0)
 	return !found
-}
-
-// Has reports whether the machine's key is present.
-func (v *Visited) Has(m *sched.Machine) bool {
-	v.buf = m.AppendKey(v.buf[:0])
-	return v.keys.Find(v.buf) >= 0
 }
 
 // Reset empties the set.

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// Find returns key's entry, or -1 if the key is absent: a lookup that
+// inserts nothing, for checking the table against its model.
+func (t *KeyTable) Find(key []byte) int {
+	if len(t.index) == 0 {
+		return -1
+	}
+	h := hashKey(key)
+	mask := len(t.index) - 1
+	for s := int(h) & mask; ; s = (s + 1) & mask {
+		i := int(t.index[s]) - 1
+		if i < 0 {
+			return -1
+		}
+		if t.entries[i].hash == h && bytes.Equal(t.key(i), key) {
+			return i
+		}
+	}
+}
+
 // keyTableModel drives a KeyTable and a map beside it, and checks after
 // every operation that they agree.
 type keyTableModel struct {

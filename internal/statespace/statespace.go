@@ -99,15 +99,6 @@ func (u Universe) Canonical() string {
 	return u.String()
 }
 
-// Size returns the number of states Enumerate will produce. It mirrors
-// Enumerate's loop structure rather than a closed formula so the two can
-// never disagree.
-func (u Universe) Size() int {
-	n := 0
-	u.Enumerate(func(*sched.Machine) bool { n++; return true })
-	return n
-}
-
 // Enumerate calls fn for every machine in the universe. Every call is
 // handed the same machine, rebuilt in place (sched.Machine.SetFromSpec):
 // fn may mutate it — and its Faults are live enumeration state, read-only

@@ -223,9 +223,6 @@ func NUMA(nodes, perNode int) *Topology {
 	return &Topology{NCores: n, NodeOf: nodeOf, NodeDistance: dist, Root: root}
 }
 
-// DualSocket returns the common two-socket shape: NUMA(2, perSocket).
-func DualSocket(perSocket int) *Topology { return NUMA(2, perSocket) }
-
 // Groups returns the per-node core ID sets, in node order — the "groups of
 // cores" of §5's hierarchical balancing.
 func (t *Topology) Groups() [][]int {

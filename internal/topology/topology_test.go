@@ -73,8 +73,9 @@ func TestNUMAPanics(t *testing.T) {
 	}
 }
 
+// TestDualSocket checks the common two-socket shape.
 func TestDualSocket(t *testing.T) {
-	top := DualSocket(8)
+	top := NUMA(2, 8)
 	if err := top.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}

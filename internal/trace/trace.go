@@ -60,7 +60,6 @@ type Ring struct {
 	buf     []Event
 	next    int
 	wrapped bool
-	dropped int64
 }
 
 // NewRing returns a ring holding the last capacity events.
@@ -83,7 +82,6 @@ func (r *Ring) Emit(e Event) {
 	r.buf[r.next] = e
 	r.next = (r.next + 1) % cap(r.buf)
 	r.wrapped = true
-	r.dropped++
 }
 
 // Len returns the number of retained events.
@@ -92,14 +90,6 @@ func (r *Ring) Len() int {
 		return 0
 	}
 	return len(r.buf)
-}
-
-// Dropped returns how many events were evicted.
-func (r *Ring) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }
 
 // Events returns the retained events oldest-first.
@@ -121,15 +111,4 @@ func (r *Ring) Events() []Event {
 func (r *Ring) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(r.Events())
-}
-
-// Filter returns the retained events of the given kind, oldest-first.
-func (r *Ring) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

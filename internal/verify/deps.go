@@ -9,6 +9,7 @@ package verify
 // exactly the obligations whose semantics it can change.
 type PolicyComponent string
 
+// The components in canonical order, the order the memoizer hashes in.
 const (
 	CompLoad   PolicyComponent = "load"
 	CompFilter PolicyComponent = "filter"
@@ -68,9 +69,4 @@ func ObligationDeps(id ObligationID) []PolicyComponent {
 	out := make([]PolicyComponent, len(deps))
 	copy(out, deps)
 	return out
-}
-
-// AllComponents lists every policy component in canonical order.
-func AllComponents() []PolicyComponent {
-	return []PolicyComponent{CompLoad, CompFilter, CompChoose, CompSteal, CompRescue}
 }

@@ -193,17 +193,6 @@ func (r *Report) Passed() bool {
 	return true
 }
 
-// Failed returns the IDs of obligations that do not hold.
-func (r *Report) Failed() []ObligationID {
-	var ids []ObligationID
-	for _, res := range r.Results {
-		if !res.Passed {
-			ids = append(ids, res.ID)
-		}
-	}
-	return ids
-}
-
 // Aborted returns the IDs of obligations cut short by cancellation.
 func (r *Report) Aborted() []ObligationID {
 	var ids []ObligationID
@@ -213,16 +202,6 @@ func (r *Report) Aborted() []ObligationID {
 		}
 	}
 	return ids
-}
-
-// Result returns the result for the given obligation, or nil.
-func (r *Report) Result(id ObligationID) *Result {
-	for i := range r.Results {
-		if r.Results[i].ID == id {
-			return &r.Results[i]
-		}
-	}
-	return nil
 }
 
 // String renders the full report.

@@ -265,8 +265,10 @@ func TestVerifyPolicyFullReportDelta2(t *testing.T) {
 	if len(rep.Results) != len(AllObligations()) {
 		t.Errorf("results = %d, want %d", len(rep.Results), len(AllObligations()))
 	}
-	if rep.Result(ObLemma1) == nil || rep.Result("nope") != nil {
-		t.Error("Result lookup misbehaves")
+	for i, id := range AllObligations() {
+		if rep.Results[i].ID != id {
+			t.Errorf("Results[%d] = %s, want %s", i, rep.Results[i].ID, id)
+		}
 	}
 	if !strings.Contains(rep.String(), "WORK-CONSERVING") {
 		t.Errorf("report: %s", rep)
@@ -278,7 +280,12 @@ func TestVerifyPolicyFullReportGreedy(t *testing.T) {
 	if rep.Passed() {
 		t.Fatal("GreedyBuggy report passed")
 	}
-	failed := rep.Failed()
+	var failed []ObligationID
+	for _, res := range rep.Results {
+		if !res.Passed {
+			failed = append(failed, res.ID)
+		}
+	}
 	wantFailed := map[ObligationID]bool{
 		ObPotentialDecrease:  true,
 		ObWorkConservConc:    true,

@@ -165,36 +165,3 @@ func (t *BarrierTrap) Name() string { return t.combined.Name() }
 
 // Setup implements Workload.
 func (t *BarrierTrap) Setup(s *sim.Simulator) { t.combined.Setup(s) }
-
-// Bursty generates square-wave load: bursts of tasks arriving on one
-// core, separated by quiet gaps — the pattern that exposes slow
-// rebalancing (convergence N) as latency spikes. For the
-// backend-portable equivalent, see the root package's BurstyScenario.
-type Bursty struct {
-	// Bursts is the number of bursts.
-	Bursts int
-	// TasksPerBurst arrive together on BurstCore.
-	TasksPerBurst int
-	// Work is each task's CPU time.
-	Work int64
-	// Period separates burst starts.
-	Period int64
-	// BurstCore is where bursts land.
-	BurstCore int
-}
-
-// Name implements Workload.
-func (w *Bursty) Name() string { return "bursty" }
-
-// Setup implements Workload.
-func (w *Bursty) Setup(s *sim.Simulator) {
-	if w.Bursts <= 0 || w.TasksPerBurst <= 0 || w.Work <= 0 {
-		panic("workload: Bursty needs positive Bursts, TasksPerBurst, Work")
-	}
-	for b := 0; b < w.Bursts; b++ {
-		t := s.Clock() + int64(b)*w.Period
-		for i := 0; i < w.TasksPerBurst; i++ {
-			s.SpawnAt(t, w.BurstCore, 1024, sim.RunOnce(w.Work))
-		}
-	}
-}

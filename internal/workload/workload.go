@@ -1,8 +1,9 @@
 // Package workload provides the synthetic workloads used to reproduce
 // the paper's §1 motivation numbers (Lozi et al.'s wasted-cores
-// scenarios): barrier-synchronized scientific applications, an open-loop
-// database-style server with blocking I/O, fork-join batches and bursty
-// arrivals. Every generator is deterministic given the simulator's seed.
+// scenarios): barrier-synchronized scientific applications, a
+// closed-loop database-style server, pinned heavy threads, and the
+// calibrated traps that combine them. Every generator is deterministic
+// given the simulator's seed.
 package workload
 
 import (
@@ -65,106 +66,6 @@ func (w *Barrier) Generations() int64 {
 		return 0
 	}
 	return w.bar.Generation
-}
-
-// Database is an open-loop transactional server: requests arrive with
-// exponential inter-arrival times (mean Interarrival) on the cores listed
-// in ArrivalCores (the "network softirq" cores), run for Service ticks,
-// and with BlockProb block once for BlockFor ticks (a disk or lock wait)
-// before finishing. Throughput and p99 latency are the paper's database
-// metrics; a non-work-conserving scheduler loses throughput roughly in
-// proportion to the wasted cores.
-type Database struct {
-	// Requests is the total number of requests to generate.
-	Requests int
-	// Interarrival is the mean inter-arrival gap in ticks.
-	Interarrival float64
-	// Service is the per-request CPU time.
-	Service int64
-	// BlockProb is the probability a request blocks once mid-service.
-	BlockProb float64
-	// BlockFor is the blocking duration.
-	BlockFor int64
-	// ArrivalCores lists the cores requests arrive on, round-robin.
-	ArrivalCores []int
-}
-
-// Name implements Workload.
-func (w *Database) Name() string {
-	return fmt.Sprintf("db(req=%d,ia=%.0f,svc=%d)", w.Requests, w.Interarrival, w.Service)
-}
-
-// Setup implements Workload.
-func (w *Database) Setup(s *sim.Simulator) {
-	if w.Requests <= 0 || w.Interarrival <= 0 || w.Service <= 0 {
-		panic("workload: Database needs positive Requests, Interarrival, Service")
-	}
-	cores := w.ArrivalCores
-	if len(cores) == 0 {
-		cores = []int{0}
-	}
-	rng := s.RNG()
-	t := s.Clock()
-	for i := 0; i < w.Requests; i++ {
-		t += rng.ExpTicks(w.Interarrival)
-		core := cores[i%len(cores)]
-		s.SpawnAt(t, core, 1024, w.requestBehavior(rng))
-	}
-}
-
-// requestBehavior builds one request's behavior: run half the service,
-// maybe block, run the rest.
-func (w *Database) requestBehavior(rng *sim.RNG) sim.Behavior {
-	blocks := w.BlockProb > 0 && rng.Float64() < w.BlockProb
-	phase := 0
-	return sim.BehaviorFunc(func(int64, *sim.RNG) sim.Action {
-		phase++
-		if blocks {
-			switch phase {
-			case 1:
-				return sim.Action{RunFor: w.Service / 2, Then: sim.ThenBlock, BlockFor: w.BlockFor}
-			default:
-				return sim.Action{RunFor: w.Service - w.Service/2, Then: sim.ThenExit}
-			}
-		}
-		return sim.Action{RunFor: w.Service, Then: sim.ThenExit}
-	})
-}
-
-// ForkJoin spawns Waves batches of Width tasks; each wave forks on one
-// core, runs in parallel (if the balancer spreads it) and the next wave
-// starts after a fixed Gap. It models `make -j`-style build bursts.
-// For the backend-portable equivalent, see the root package's
-// ForkJoinScenario.
-type ForkJoin struct {
-	// Waves is the number of batches.
-	Waves int
-	// Width is the tasks per batch.
-	Width int
-	// Work is each task's CPU time.
-	Work int64
-	// Gap separates wave start times.
-	Gap int64
-	// ForkCore is where every task is born.
-	ForkCore int
-}
-
-// Name implements Workload.
-func (w *ForkJoin) Name() string {
-	return fmt.Sprintf("forkjoin(waves=%d,width=%d)", w.Waves, w.Width)
-}
-
-// Setup implements Workload.
-func (w *ForkJoin) Setup(s *sim.Simulator) {
-	if w.Waves <= 0 || w.Width <= 0 || w.Work <= 0 {
-		panic("workload: ForkJoin needs positive Waves, Width, Work")
-	}
-	for wave := 0; wave < w.Waves; wave++ {
-		t := s.Clock() + int64(wave)*w.Gap
-		for i := 0; i < w.Width; i++ {
-			s.SpawnAt(t, w.ForkCore, 1024, sim.RunOnce(w.Work))
-		}
-	}
 }
 
 // Pinned is a single long-running heavy thread — the high-load R-style

@@ -4,9 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/loadgen"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
+
+// The open-loop service workload lives in internal/loadgen and satisfies
+// Workload structurally (loadgen must not import this package, or the
+// sweep runner would cycle), so it composes with Combined beside a
+// Pinned hog — the paper's "service traffic vs. rogue thread" mix.
+var _ Workload = (*loadgen.Service)(nil)
 
 func newSim(cores int, p string, groups []int) *sim.Simulator {
 	pol, err := policy.New(p)
@@ -48,33 +55,6 @@ func TestBarrierSpreadBeatsPiledUp(t *testing.T) {
 	}
 }
 
-func TestDatabaseWorkloadThroughput(t *testing.T) {
-	s := newSim(4, "delta2", nil)
-	w := &Database{Requests: 200, Interarrival: 500, Service: 1500,
-		BlockProb: 0.3, BlockFor: 700, ArrivalCores: []int{0, 1}}
-	w.Setup(s)
-	st := s.Run(2_000_000)
-	if st.Completed != 200 {
-		t.Fatalf("Completed = %d, want 200", st.Completed)
-	}
-	if st.Latency.Quantile(0.5) < 1500 {
-		t.Errorf("p50 = %d, below service time", st.Latency.Quantile(0.5))
-	}
-}
-
-func TestForkJoin(t *testing.T) {
-	s := newSim(4, "delta2", nil)
-	w := &ForkJoin{Waves: 3, Width: 8, Work: 2000, Gap: 50_000}
-	w.Setup(s)
-	st := s.Run(500_000)
-	if st.Completed != 24 {
-		t.Fatalf("Completed = %d, want 24", st.Completed)
-	}
-	if st.Steals == 0 {
-		t.Error("fork-join should trigger steals")
-	}
-}
-
 func TestPinnedNeverMigrates(t *testing.T) {
 	s := newSim(2, "delta2", nil)
 	(&Pinned{Core: 1, Weight: 8192}).Setup(s)
@@ -88,22 +68,12 @@ func TestPinnedNeverMigrates(t *testing.T) {
 	}
 }
 
-func TestBurstyCompletes(t *testing.T) {
-	s := newSim(4, "delta2", nil)
-	w := &Bursty{Bursts: 5, TasksPerBurst: 6, Work: 1500, Period: 30_000}
-	w.Setup(s)
-	st := s.Run(500_000)
-	if st.Completed != 30 {
-		t.Fatalf("Completed = %d, want 30", st.Completed)
-	}
-}
-
 func TestCombinedAndNames(t *testing.T) {
 	c := &Combined{Parts: []Workload{
 		&Pinned{Core: 0},
-		&Bursty{Bursts: 1, TasksPerBurst: 1, Work: 1, Period: 1},
+		&Barrier{Threads: 1, Work: 1},
 	}}
-	if !strings.Contains(c.Name(), "pinned") || !strings.Contains(c.Name(), "bursty") {
+	if !strings.Contains(c.Name(), "pinned") || !strings.Contains(c.Name(), "barrier") {
 		t.Errorf("Name = %q", c.Name())
 	}
 	c.Label = "custom"
@@ -112,8 +82,8 @@ func TestCombinedAndNames(t *testing.T) {
 	}
 	for _, w := range []Workload{
 		&Barrier{Threads: 1, Work: 1},
-		&Database{Requests: 1, Interarrival: 1, Service: 1},
-		&ForkJoin{Waves: 1, Width: 1, Work: 1},
+		&Server{Workers: 1, Service: 1},
+		NewDBTrap(),
 	} {
 		if w.Name() == "" {
 			t.Error("empty workload name")
@@ -214,9 +184,7 @@ func TestWorkloadValidation(t *testing.T) {
 	s := newSim(1, "delta2", nil)
 	for _, w := range []Workload{
 		&Barrier{Threads: 0, Work: 1},
-		&Database{Requests: 0, Interarrival: 1, Service: 1},
-		&ForkJoin{Waves: 0, Width: 1, Work: 1},
-		&Bursty{Bursts: 0, TasksPerBurst: 1, Work: 1, Period: 1},
+		&Server{Workers: 0, Service: 1},
 	} {
 		func() {
 			defer func() {
