@@ -359,7 +359,7 @@ func probeCores() []*sched.Core {
 			c.Current = &sched.Task{ID: sched.TaskID(100*id + 99), Weight: weight, NodeHint: -1}
 		}
 		for i := 0; i < ready; i++ {
-			c.Ready = append(c.Ready, &sched.Task{ID: sched.TaskID(100*id + i), Weight: weight, NodeHint: -1})
+			c.Push(&sched.Task{ID: sched.TaskID(100*id + i), Weight: weight, NodeHint: -1})
 		}
 		return c
 	}

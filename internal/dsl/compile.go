@@ -254,7 +254,7 @@ func attrValue(a coreAttr, c *sched.Core, load func(*sched.Core) int64) int64 {
 	case attrNThreads:
 		return int64(c.NThreads())
 	case attrReadySize:
-		return int64(len(c.Ready))
+		return int64(len(c.Queued()))
 	case attrCurrent:
 		if c.Current != nil {
 			return 1

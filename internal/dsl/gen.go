@@ -98,7 +98,7 @@ func genAttr(a coreAttr, v string) string {
 	case attrNThreads:
 		return fmt.Sprintf("int64(%s.NThreads())", v)
 	case attrReadySize:
-		return fmt.Sprintf("int64(len(%s.Ready))", v)
+		return fmt.Sprintf("int64(len(%s.Queued()))", v)
 	case attrCurrent:
 		return fmt.Sprintf("currentSize(%s)", v)
 	case attrWeightSum:

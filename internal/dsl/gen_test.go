@@ -94,16 +94,16 @@ func TestInterpreterMatchesGeneratorSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The generated code for this policy, hand-checked: load(c) =
-	// len(Ready)*2 + current; filter as written.
+	// len(Queued())*2 + current; filter as written.
 	genLoad := func(c *sched.Core) int64 {
 		cur := int64(0)
 		if c.Current != nil {
 			cur = 1
 		}
-		return int64(len(c.Ready))*2 + cur
+		return int64(len(c.Queued()))*2 + cur
 	}
 	genFilter := func(thief, stealee *sched.Core) bool {
-		return genLoad(stealee)-genLoad(thief) >= 3 && len(stealee.Ready) >= 1
+		return genLoad(stealee)-genLoad(thief) >= 3 && len(stealee.Queued()) >= 1
 	}
 	for a := 0; a <= 4; a++ {
 		for b := 0; b <= 4; b++ {

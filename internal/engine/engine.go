@@ -237,9 +237,16 @@ func (w *worker) rehome() {
 		}
 		tw := w.pool.workers[target.ID]
 		tw.mu.Lock()
+		// Publish the orphan before checking the adopter, as SubmitTo
+		// does: a kill that lands after the check drains it, and one that
+		// landed before is seen here.
+		tw.queue.pushBack(t)
+		tw.qlen.Store(int64(tw.queue.n))
 		if tw.offline.Load() {
-			// The adopter was itself killed in between: put the orphan
+			// The adopter was itself killed in between: take the orphan
 			// back and re-select.
+			tw.queue.truncate(tw.queue.n - 1)
+			tw.qlen.Store(int64(tw.queue.n))
 			tw.mu.Unlock()
 			w.mu.Lock()
 			w.queue.pushFront(t)
@@ -247,8 +254,6 @@ func (w *worker) rehome() {
 			w.mu.Unlock()
 			continue
 		}
-		tw.queue.pushBack(t)
-		tw.qlen.Store(int64(tw.queue.n))
 		tw.mu.Unlock()
 		w.pool.rescued.Add(1)
 	}
@@ -400,17 +405,14 @@ func (p *Pool) refresh(view *sched.Machine) {
 }
 
 // fill overwrites c, wholesale, with the model's view of w holding qlen
-// queued tasks: nothing of what c showed before survives. The Ready slice
+// queued tasks: nothing of what c showed before survives. The runqueue
 // aliases a shared immutable array of placeholder tasks, so the policy
-// sees correct lengths and unit weights without copying queues. qlen is
-// the published counter for a lock-free view, or w.queue.n with w.mu
-// held for a live one.
+// sees correct lengths and default weights without copying queues or
+// scanning them. qlen is the published counter for a lock-free view, or
+// w.queue.n with w.mu held for a live one.
 func (w *worker) fill(c *sched.Core, qlen int) {
-	*c = sched.Core{
-		ID: w.id, Group: w.group, Node: w.group,
-		Ready:   placeholders(qlen),
-		Offline: w.offline.Load(),
-	}
+	*c = sched.Core{ID: w.id, Group: w.group, Node: w.group, Offline: w.offline.Load()}
+	c.ShareDefaultQueue(placeholders(qlen))
 	if w.running.Load() {
 		c.Current = placeholderTask
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -527,7 +528,9 @@ func TestIdlePoolAllocatesNothing(t *testing.T) {
 func TestStealViewRefreshIsComplete(t *testing.T) {
 	// The views are overwritten in place: after every transition each of
 	// them must equal a view built from nothing, so no field of an earlier
-	// refresh (a Current, an Offline, a longer Ready) survives.
+	// refresh (a Current, an Offline, a longer runqueue or its totals)
+	// survives. The want cores go through the same installer as fill, so
+	// each view's totals are also recomputed from its queue.
 	type state struct {
 		qlen             int
 		running, offline bool
@@ -552,13 +555,19 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			w.qlen.Store(int64(st.qlen))
 			w.running.Store(st.running)
 			w.offline.Store(st.offline)
-			want[i] = &sched.Core{ID: i, Group: groups[i], Node: groups[i], Ready: placeholders(st.qlen), Offline: st.offline}
+			want[i] = &sched.Core{ID: i, Group: groups[i], Node: groups[i], Offline: st.offline}
+			want[i].ShareDefaultQueue(placeholders(st.qlen))
 			if st.running {
 				want[i].Current = placeholderTask
 			}
 		}
 		for i, w := range p.workers {
 			p.refresh(w.view)
+			for _, c := range w.view.Cores {
+				if err := queueTotalsErr(c); err != nil {
+					t.Errorf("step %d: worker %d's selection view: %v", step, i, err)
+				}
+			}
 			if !reflect.DeepEqual(w.view.Cores, want) {
 				t.Errorf("step %d: worker %d's selection view is %v, want %v", step, i, w.view.Cores, want)
 			}
@@ -575,6 +584,29 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			}
 		}
 	}
+}
+
+// queueTotalsErr recomputes c's runqueue totals from its queue and
+// reports any that c's accessors disagree with.
+func queueTotalsErr(c *sched.Core) error {
+	q := c.Queued()
+	var sum, least int64
+	uniform := true
+	for _, t := range q {
+		sum += t.Weight
+		if least == 0 || t.Weight < least {
+			least = t.Weight
+		}
+		uniform = uniform && t.Weight == q[0].Weight
+	}
+	if c.Current != nil {
+		sum += c.Current.Weight
+	}
+	if c.WeightSum() != sum || c.MinQueuedWeight() != least || c.UniformQueue() != uniform {
+		return fmt.Errorf("core %d reads WeightSum %d, MinQueuedWeight %d, UniformQueue %v; its queue gives %d, %d, %v",
+			c.ID, c.WeightSum(), c.MinQueuedWeight(), c.UniformQueue(), sum, least, uniform)
+	}
+	return nil
 }
 
 func TestStealMovesVictimTailInOrder(t *testing.T) {

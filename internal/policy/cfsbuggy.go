@@ -64,17 +64,11 @@ func (p *CFSGroupBuggy) CanSteal(thief, stealee *sched.Core) bool {
 }
 
 // hasAdmissibleTask reports whether stealee queues a task whose migration
-// strictly shrinks the gap (the sound weighted-steal condition, 0<w<gap).
+// strictly shrinks the gap (the sound weighted-steal condition, 0<w<gap):
+// whether its lightest queued task weighs less than the gap.
 func hasAdmissibleTask(stealee *sched.Core, gap int64) bool {
-	if gap < 2 {
-		return false
-	}
-	for _, t := range stealee.Ready {
-		if t.Weight < gap {
-			return true
-		}
-	}
-	return false
+	w := stealee.MinQueuedWeight() // 0 when nothing is queued
+	return 0 < w && w < gap
 }
 
 // Choose implements sched.Policy.

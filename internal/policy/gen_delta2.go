@@ -19,7 +19,7 @@ func (p *Delta2Gen) Name() string { return "delta2_gen" }
 
 // Load implements sched.Policy.
 func (p *Delta2Gen) Load(c *sched.Core) int64 {
-	return (int64(len(c.Ready)) + currentSize(c))
+	return (int64(len(c.Queued())) + currentSize(c))
 }
 
 // CanSteal implements sched.Policy (step-1 filter).

@@ -84,7 +84,7 @@ func (*Delta1Aggressive) Load(c *sched.Core) int64 { return int64(c.NThreads()) 
 
 // CanSteal implements sched.Policy: gap ≥ 1 — too eager.
 func (p *Delta1Aggressive) CanSteal(thief, stealee *sched.Core) bool {
-	return p.Load(stealee)-p.Load(thief) >= 1 && len(stealee.Ready) > 0
+	return p.Load(stealee)-p.Load(thief) >= 1 && len(stealee.Queued()) > 0
 }
 
 // Choose implements sched.Policy.

@@ -41,7 +41,7 @@ func (p *Weighted) Load(c *sched.Core) int64 { return c.WeightSum() }
 // total (the gap seen from an idle thief), so an idle thief always has a
 // candidate when an overloaded core exists.
 func (p *Weighted) CanSteal(thief, stealee *sched.Core) bool {
-	return p.PickTask(thief, stealee) != nil
+	return hasAdmissibleTask(stealee, p.Load(stealee)-p.Load(thief))
 }
 
 // Choose implements sched.Policy (step 2).
@@ -64,11 +64,20 @@ func (p *Weighted) PickTask(thief, stealee *sched.Core) *sched.Task {
 
 // closestToHalfGap returns the queued task on stealee whose migration
 // shrinks the load gap the most — the admissible one (0 < w < gap) with
-// weight closest to gap/2, the lighter on ties — or nil if none is.
+// weight closest to gap/2, the lighter on ties — or nil if none is. On a
+// runqueue of one weight every admissible task ties on both counts, and
+// the first, the head, wins; only a mixed-weight runqueue is scanned.
 func closestToHalfGap(stealee *sched.Core, gap int64) *sched.Task {
+	if !hasAdmissibleTask(stealee, gap) {
+		return nil
+	}
+	q := stealee.Queued()
+	if stealee.UniformQueue() {
+		return q[0]
+	}
 	var best *sched.Task
 	var bestResidual int64
-	for _, t := range stealee.Ready {
+	for _, t := range q {
 		if t.Weight >= gap {
 			continue // would not strictly shrink the gap
 		}

@@ -153,10 +153,10 @@ func TestCoreRemove(t *testing.T) {
 	if got == nil || got.ID != 2 {
 		t.Fatalf("Remove(2) = %v", got)
 	}
-	if len(c.Ready) != 3 {
-		t.Fatalf("len(Ready) = %d, want 3", len(c.Ready))
+	if len(c.Queued()) != 3 {
+		t.Fatalf("len(Queued()) = %d, want 3", len(c.Queued()))
 	}
-	for _, rem := range c.Ready {
+	for _, rem := range c.Queued() {
 		if rem.ID == 2 {
 			t.Error("task 2 still in runqueue after Remove")
 		}
@@ -219,7 +219,7 @@ func TestCoreQueueProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(c.Ready) == 0
+		return len(c.Queued()) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -49,7 +49,7 @@ func TestDecideStealMatchesSteal(t *testing.T) {
 					if pick != nil {
 						want = []sched.TaskID{pick.ID}
 					} else if reason == sched.FailNone {
-						ready := views.Core(1).Ready
+						ready := views.Core(1).Queued()
 						for i := 0; i < n; i++ {
 							want = append(want, ready[len(ready)-1-i].ID)
 						}

@@ -171,13 +171,13 @@ func (m *Machine) SetFromSpec(specs []CoreSpec) {
 	m.Faults, m.nextID = nil, 0
 	for i, s := range specs {
 		c := m.Cores[i]
-		*c = Core{ID: i, Ready: c.Ready[:0]}
+		*c = Core{ID: i, ring: c.ring[:0]}
 		if s.Running > 0 {
 			c.Current = m.buf.add(weightedTask(m.nextID, s.Running))
 			m.nextID++
 		}
 		for _, w := range s.Queued {
-			c.Ready = append(c.Ready, m.buf.add(weightedTask(m.nextID, w)))
+			c.Push(m.buf.add(weightedTask(m.nextID, w)))
 			m.nextID++
 		}
 	}
@@ -302,10 +302,8 @@ func (m *Machine) ApplyFault(p Policy, ev FaultEvent) (rescued int, err error) {
 	}
 	c.Offline = true
 	if c.Current != nil {
-		// Shift the queue in place: the runqueue keeps its buffer.
-		c.Ready = append(c.Ready, nil)
-		copy(c.Ready[1:], c.Ready)
-		c.Ready[0], c.Current = c.Current, nil
+		c.pushFront(c.Current)
+		c.Current = nil
 	}
 	return Rescue(p, m, ev.Core), nil
 }
@@ -331,7 +329,7 @@ func (m *Machine) Orphans() []*Task {
 		if c.Current != nil {
 			ts = append(ts, c.Current)
 		}
-		ts = append(ts, c.Ready...)
+		ts = append(ts, c.Queued()...)
 	}
 	return ts
 }
@@ -354,12 +352,13 @@ func (m *Machine) CopyFrom(src *Machine) *Machine {
 	m.Faults, m.nextID = src.Faults, src.nextID
 	for i, sc := range src.Cores {
 		c := m.Cores[i]
-		*c = Core{ID: sc.ID, Node: sc.Node, Group: sc.Group, Offline: sc.Offline, Ready: c.Ready[:0]}
+		*c = Core{ID: sc.ID, Node: sc.Node, Group: sc.Group, Offline: sc.Offline,
+			ring: c.ring[:0], n: sc.n, minN: sc.minN, sum: sc.sum, min: sc.min}
 		if sc.Current != nil {
 			c.Current = m.buf.add(*sc.Current)
 		}
-		for _, t := range sc.Ready {
-			c.Ready = append(c.Ready, m.buf.add(*t))
+		for _, t := range sc.Queued() {
+			c.ring = append(c.ring, m.buf.add(*t))
 		}
 	}
 	return m
@@ -397,7 +396,7 @@ func (m *Machine) AppendKey(dst []byte) []byte {
 		}
 		dst = append(dst, ':')
 		ws := buf[:0]
-		for _, t := range c.Ready {
+		for _, t := range c.Queued() {
 			// Insertion sort: runqueues are short and mostly sorted.
 			ws = append(ws, t.Weight)
 			for j := len(ws) - 1; j > 0 && ws[j-1] > ws[j]; j-- {
@@ -431,9 +430,11 @@ func (m *Machine) String() string {
 }
 
 // Validate checks structural invariants: no nil tasks, no duplicate task
-// IDs across the machine, positive weights. It returns an error describing
-// the first violation, or nil. The round executors preserve these
-// invariants; tests and the verifier call Validate after every transition.
+// IDs across the machine, positive weights, and each core's runqueue
+// totals (weight sum, minimum weight, how many weigh the minimum) equal
+// to what its queue holds. It returns an error describing the first
+// violation, or nil. The round executors preserve these invariants; tests
+// and the verifier call Validate after every transition.
 func (m *Machine) Validate() error {
 	seen := make(map[TaskID]int, m.TotalThreads())
 	check := func(t *Task, core int, where string) error {
@@ -452,13 +453,22 @@ func (m *Machine) Validate() error {
 				return err
 			}
 		}
-		for _, t := range c.Ready {
+		if c.n < 0 || int(c.n) > len(c.ring) {
+			return fmt.Errorf("sched: core %d counts %d queued tasks in %d slots", c.ID, c.n, len(c.ring))
+		}
+		want := Core{}
+		for _, t := range c.Queued() {
 			if t == nil {
 				return fmt.Errorf("sched: core %d has a nil task in its runqueue", c.ID)
 			}
 			if err := check(t, c.ID, "queued"); err != nil {
 				return err
 			}
+			want.added(t.Weight)
+		}
+		if c.sum != want.sum || c.min != want.min || c.minN != want.minN {
+			return fmt.Errorf("sched: core %d runqueue totals (sum %d, min %d ×%d) disagree with its queue (sum %d, min %d ×%d)",
+				c.ID, c.sum, c.min, c.minN, want.sum, want.min, want.minN)
 		}
 	}
 	return nil

@@ -23,11 +23,11 @@ func TestMachineFromLoads(t *testing.T) {
 		t.Errorf("Loads = %v, want [0 1 2]", got)
 	}
 	// Convention: the first thread of a loaded core is its current task.
-	if m.Core(1).Current == nil || len(m.Core(1).Ready) != 0 {
-		t.Errorf("core 1: current=%v ready=%d", m.Core(1).Current, len(m.Core(1).Ready))
+	if m.Core(1).Current == nil || len(m.Core(1).Queued()) != 0 {
+		t.Errorf("core 1: current=%v ready=%d", m.Core(1).Current, len(m.Core(1).Queued()))
 	}
-	if m.Core(2).Current == nil || len(m.Core(2).Ready) != 1 {
-		t.Errorf("core 2: current=%v ready=%d", m.Core(2).Current, len(m.Core(2).Ready))
+	if m.Core(2).Current == nil || len(m.Core(2).Queued()) != 1 {
+		t.Errorf("core 2: current=%v ready=%d", m.Core(2).Current, len(m.Core(2).Queued()))
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -188,12 +188,13 @@ func TestMachineValidateCatchesDuplicates(t *testing.T) {
 	}
 	m2 := NewMachine(1)
 	m2.Core(0).Push(NewTask(1))
-	m2.Core(0).Ready[0].Weight = 0
+	m2.Core(0).Queued()[0].Weight = 0
 	if err := m2.Validate(); err == nil {
 		t.Error("Validate should reject non-positive weights")
 	}
 	m3 := NewMachine(1)
-	m3.Core(0).Ready = append(m3.Core(0).Ready, nil)
+	m3.Core(0).Push(NewTask(1))
+	m3.Core(0).Queued()[0] = nil
 	if err := m3.Validate(); err == nil {
 		t.Error("Validate should reject nil queued tasks")
 	}
@@ -279,7 +280,7 @@ func TestApplyFault(t *testing.T) {
 		t.Fatalf("fail(0) with no policy = %d, %v", n, err)
 	}
 	c := m.Core(0)
-	if !c.Offline || c.Current != nil || len(c.Ready) != 3 || c.Ready[0].ID != current {
+	if !c.Offline || c.Current != nil || len(c.Queued()) != 3 || c.Queued()[0].ID != current {
 		t.Fatalf("after fail(0): %v, want offline with the interrupted task at the queue head", c)
 	}
 	before := m.Key()

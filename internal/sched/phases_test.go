@@ -152,7 +152,7 @@ func (p *pickerPolicy) Choose(t *Core, cands []*Core) *Core {
 func (p *pickerPolicy) PickTask(t, s *Core) *Task {
 	gap := s.WeightSum() - t.WeightSum()
 	var best *Task
-	for _, task := range s.Ready {
+	for _, task := range s.Queued() {
 		if task.Weight >= gap {
 			continue
 		}

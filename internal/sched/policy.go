@@ -127,8 +127,8 @@ func Rescue(p Policy, m *Machine, failedCore int) int {
 	}
 	online := RescueCandidates(m)
 	moved := 0
-	for len(failed.Ready) > 0 {
-		target := DecideRescue(p, failed, failed.Ready[0], online)
+	for q := failed.Queued(); len(q) > 0; q = failed.Queued() {
+		target := DecideRescue(p, failed, q[0], online)
 		if target == nil {
 			break
 		}

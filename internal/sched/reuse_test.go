@@ -29,8 +29,8 @@ func referenceKey(m *Machine) string {
 			b.WriteByte('0')
 		}
 		b.WriteByte(':')
-		ws := make([]int64, len(c.Ready))
-		for j, t := range c.Ready {
+		ws := make([]int64, len(c.Queued()))
+		for j, t := range c.Queued() {
 			ws[j] = t.Weight
 		}
 		sort.Slice(ws, func(a, z int) bool { return ws[a] < ws[z] })
@@ -75,7 +75,7 @@ func taskIDs(m *Machine) [][]TaskID {
 		if c.Current != nil {
 			ids[i][0] = c.Current.ID
 		}
-		for _, t := range c.Ready {
+		for _, t := range c.Queued() {
 			ids[i] = append(ids[i], t.ID)
 		}
 	}
@@ -121,13 +121,15 @@ func TestCopyFromProperty(t *testing.T) {
 			}
 		}
 		// Independence, copy → source: rounds, spawns and direct task
-		// edits on the copy leave the source alone.
+		// edits on the copy leave the source alone. The edits change
+		// queued weights, which leaves the copy's runqueue totals stale;
+		// the CopyFrom below overwrites the copy before it is read again.
 		for _, c := range dst.Cores {
 			c.Offline = false
 		}
 		ConcurrentRound(p, dst, r.Perm(dst.NumCores()))
 		dst.Spawn(0, 7).Weight = 9
-		if t0 := dst.Core(0).Ready[0]; t0 != nil {
+		if t0 := dst.Core(0).Queued()[0]; t0 != nil {
 			t0.Weight += 5
 		}
 		if !same(src) {
@@ -194,6 +196,9 @@ func TestReuseAllocatesNothing(t *testing.T) {
 	failing := MachineFromLoads(3, 1, 0)
 	// A picked steal: the picker names the weight-2 task, not the tail.
 	weighed := MachineFromSpec(CoreSpec{}, CoreSpec{Running: 4, Queued: []int64{2, 8}})
+	// A runqueue cycling at a fixed high-water mark: pushes compact into
+	// the slack pops leave at the front instead of growing the array.
+	cycling := MachineFromSpec(CoreSpec{Queued: []int64{3, 1, 1024, 1, 2, 8192, 3}}).Core(0)
 	for name, fn := range map[string]func(){
 		"CopyFrom":    func() { dst.CopyFrom(src) },
 		"SetFromSpec": func() { dst.SetFromSpec(specs) },
@@ -215,6 +220,11 @@ func TestReuseAllocatesNothing(t *testing.T) {
 		"ApplyFault": func() {
 			if n, err := dst.CopyFrom(failing).ApplyFault(rescuer, FaultEvent{Core: 0}); n != 3 || err != nil {
 				t.Fatalf("fail(0) rescued %d tasks, err %v", n, err)
+			}
+		},
+		"Push/Pop": func() {
+			for range 10 {
+				cycling.Push(cycling.Pop())
 			}
 		},
 		"RescueCandidates":  func() { RescueCandidates(src) },
@@ -300,7 +310,7 @@ func TestSpawnAcrossChunkBoundaryKeepsTasksValid(t *testing.T) {
 		if task.ID != TaskID(i) || task.Weight != int64(1+i) || task.NodeHint != -1 {
 			t.Fatalf("task %d reads %+v after later spawns", i, *task)
 		}
-		if q := m.Core(i % 3).Ready[i/3]; q != task {
+		if q := m.Core(i % 3).Queued()[i/3]; q != task {
 			t.Fatalf("core %d slot %d holds %p, Spawn returned %p", i%3, i/3, q, task)
 		}
 	}

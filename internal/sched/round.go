@@ -189,7 +189,7 @@ func selectInto(p Policy, view *Machine, thiefID int, candidates []*Core, ids []
 // steal. On FailNone, n tasks move: when the policy is a TaskPicker, n is
 // 1 and the one to move is pick (it must be queued on the victim — the
 // mover checks); otherwise pick is nil and the n at the victim's tail
-// move, 0 < n <= len(victim.Ready). Any other reason means nothing moves.
+// move, 0 < n <= len(victim.Queued()). Any other reason means nothing moves.
 // It allocates nothing itself.
 func DecideSteal(p Policy, thief, victim *Core) (n int, pick *Task, reason FailureReason) {
 	// A core that fail-stopped since selection can neither steal nor be
@@ -210,13 +210,14 @@ func DecideSteal(p Policy, thief, victim *Core) (n int, pick *Task, reason Failu
 	} else {
 		n = p.StealCount(thief, victim)
 	}
+	queued := len(victim.Queued())
 	switch {
 	case n <= 0:
 		return 0, nil, FailRevalidation
-	case len(victim.Ready) == 0:
+	case queued == 0:
 		return 0, nil, FailEmptyVictim
-	case n > len(victim.Ready):
-		n = len(victim.Ready)
+	case n > queued:
+		n = queued
 	}
 	return n, pick, FailNone
 }
@@ -412,8 +413,8 @@ func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 			} else {
 				n = p.StealCount(thief, victim)
 			}
-			if n > len(victim.Ready) {
-				n = len(victim.Ready)
+			if q := victim.Queued(); n > len(q) {
+				n = len(q)
 			}
 			att.Reason = FailEmptyVictim
 			if n > 0 {

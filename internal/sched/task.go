@@ -63,6 +63,11 @@
 // so a concurrent round costs no copy. Spawn carves tasks from 64-task
 // chunks that never move, so a spawned *Task stays valid until the
 // machine is next the receiver of a CopyFrom or SetFromSpec.
+//
+// A core's runqueue keeps running totals of its tasks' weights (see
+// Core), which costs two rules: a task's Weight is immutable while the
+// task is queued, and a Core is copied only through CopyFrom or Clone —
+// a value copy shares the runqueue's backing array with its source.
 package sched
 
 import "fmt"

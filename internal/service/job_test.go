@@ -108,7 +108,12 @@ func TestJobCommitsItsResultsOnce(t *testing.T) {
 // still memoizes — in memory and on disk — every obligation that had
 // completed; the resubmission re-runs only the rest.
 func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
+	// A job of ~0.2 s on 2 vCPUs, ten times slowRequest's: while its
+	// verifier workers hold both CPUs, this goroutine's wake-ups wait for
+	// a scheduler quantum (~10 ms), and slowRequest's job often finished
+	// before the cancel landed.
 	req := slowRequest()
+	req.Universe.MaxPerCore, req.Universe.MaxTotal = 3, 7
 	// The fan-out claims shards obligation-major, so lemma1 (first, and a
 	// hundredth of the job) finishes first: cancel once the job has run
 	// several times as long as lemma1 alone takes on this machine.

@@ -341,10 +341,10 @@ func (s *Simulator) startIfIdle(core int) {
 	if c.Offline || c.Current != nil {
 		return
 	}
-	if len(c.Ready) == 0 && s.cfg.IdleBalance {
+	if len(c.Queued()) == 0 && s.cfg.IdleBalance {
 		s.idleBalance(core)
 	}
-	if c.Current != nil || len(c.Ready) == 0 {
+	if c.Current != nil || len(c.Queued()) == 0 {
 		return
 	}
 	t := c.ScheduleLocal()
@@ -380,7 +380,7 @@ func (s *Simulator) handleSliceEnd(e event) {
 	ts.remaining -= s.clock - ts.sliceStart
 	if ts.remaining > 0 {
 		// Quantum expiry mid-action: preempt if someone waits.
-		if len(core.Ready) > 0 {
+		if len(core.Queued()) > 0 {
 			s.preempt(core, ts)
 		} else {
 			s.armSlice(core.ID, ts)
@@ -420,7 +420,7 @@ func (s *Simulator) transition(core *sched.Core, ts *taskState) {
 		s.startIfIdle(core.ID)
 	case ThenYield:
 		s.nextAction(ts)
-		if len(core.Ready) > 0 {
+		if len(core.Queued()) > 0 {
 			s.preempt(core, ts)
 		} else {
 			s.armSlice(core.ID, ts)
@@ -516,7 +516,7 @@ func (s *Simulator) handleFault(e event) {
 	}
 	s.faults.Inc()
 	if e.kind == evRevive {
-		s.emit(trace.KindRevive, failed, -1, int64(len(c.Ready)))
+		s.emit(trace.KindRevive, failed, -1, int64(len(c.Queued())))
 		s.startIfIdle(failed)
 		return
 	}
@@ -540,7 +540,7 @@ func (s *Simulator) handleFault(e event) {
 		}
 		// A queued task's home is the core it sits on; the ones still
 		// naming the failed core are the orphans just re-homed here.
-		for _, t := range oc.Ready {
+		for _, t := range oc.Queued() {
 			if ts := s.state(int64(t.ID)); ts.lastCore == failed {
 				ts.lastCore = oc.ID
 			}

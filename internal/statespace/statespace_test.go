@@ -48,7 +48,7 @@ func TestUniverseIncludeUnscheduled(t *testing.T) {
 	seenUnscheduled := false
 	u.Enumerate(func(m *sched.Machine) bool {
 		c := m.Core(0)
-		if c.Current == nil && len(c.Ready) == 1 {
+		if c.Current == nil && len(c.Queued()) == 1 {
 			seenUnscheduled = true
 		}
 		return true

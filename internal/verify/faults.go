@@ -59,8 +59,8 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 			if ev.Revive {
 				// Walk the revived core's queue (not the map) for a
 				// deterministic first witness: the stranded orphans are
-				// exactly the tasks still sitting in its Ready list.
-				for _, t := range m.Core(ev.Core).Ready {
+				// exactly the tasks still sitting in its runqueue.
+				for _, t := range m.Core(ev.Core).Queued() {
 					core, ok := orphanCore[t.ID]
 					if !ok || core != ev.Core {
 						continue
@@ -77,7 +77,7 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 					delete(orphanCore, t.ID)
 				}
 			} else {
-				for _, t := range m.Core(ev.Core).Ready {
+				for _, t := range m.Core(ev.Core).Queued() {
 					orphanedAt[t.ID] = i
 					orphanCore[t.ID] = ev.Core
 				}
