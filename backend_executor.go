@@ -81,11 +81,7 @@ func (b executorBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, c
 	st := pool.Stats()
 	res := newResult(b, c, sc, cores)
 	res.Completed = st.Executed
-	res.Steals = st.Steals
-	res.StealFails = st.StealFails
-	res.Faults = st.Kills + st.Revives
-	res.FaultRescued = st.Rescued
-	res.Orphaned = st.Orphaned
+	res.Counters = st.Counters
 	res.Converged = res.Completed >= int64(res.Tasks)
 	res.Wall = time.Since(start)
 	return res, nil

@@ -56,8 +56,7 @@ func (b modelBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, core
 			if err != nil {
 				return nil, fmt.Errorf("optsched: scenario %q fault schedule: %w", sc.Name, err)
 			}
-			res.FaultRescued += int64(rescued)
-			res.Faults++
+			res.CountFault(rescued)
 		}
 		if len(faults) == 0 && m.WorkConserved() {
 			break
@@ -68,9 +67,7 @@ func (b modelBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, core
 		} else {
 			rr = sched.ConcurrentRound(p, m, rng.Perm(cores))
 		}
-		res.Rounds++
-		res.Steals += int64(rr.TasksMoved())
-		res.StealFails += int64(rr.Failures())
+		res.CountRound(rr)
 		if rr.TasksMoved() == 0 && len(faults) == 0 {
 			break // stuck: no steal possible, conserved or not
 		}

@@ -25,13 +25,12 @@ func (b simBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores 
 		mode = sim.RoundSequential
 	}
 	s := sim.New(sim.Config{
-		Cores:       cores,
-		Policy:      c.NewPolicy(),
-		Groups:      groups,
-		Mode:        mode,
-		Seed:        c.Seed(),
-		IdleBalance: c.idleBalance,
-		Ring:        c.ring,
+		Cores:  cores,
+		Policy: c.NewPolicy(),
+		Groups: groups,
+		Mode:   mode,
+		Seed:   c.Seed(),
+		Ring:   c.ring,
 	})
 	if sc.Workload != nil {
 		sc.Workload.Setup(s)
@@ -61,15 +60,8 @@ func (b simBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores 
 
 	res := newResult(b, c, sc, cores)
 	res.Completed = st.Completed
-	res.Steals = st.Steals
-	res.StealFails = st.StealFails
-	res.Rounds = st.Rounds
+	res.Counters = st.Counters
 	res.Converged = res.Tasks == 0 || res.Completed >= int64(res.Tasks)
-	res.Faults = st.Faults
-	res.FaultRescued = st.Rescued
-	res.Orphaned = st.Orphaned
-	res.VirtualTicks = st.Duration
-	res.WastedPct = st.WastedPct
 	res.Sim = &st
 	res.Wall = time.Since(start)
 	return res, nil

@@ -44,7 +44,6 @@ type Cluster struct {
 	cores        int
 	seed         uint64
 	sequential   bool
-	idleBalance  bool
 	horizon      int64
 	maxRounds    int
 	parallelism  int
@@ -166,13 +165,6 @@ func WithSeed(seed uint64) Option {
 // concurrent mode.
 func WithSequentialRounds() Option {
 	return func(o *options) { o.cluster.sequential = true }
-}
-
-// WithIdleBalance enables the simulator's steal-on-idle: a core that
-// runs out of work immediately attempts one three-step steal instead of
-// waiting for the next periodic round.
-func WithIdleBalance() Option {
-	return func(o *options) { o.cluster.idleBalance = true }
 }
 
 // WithHorizon sets the simulator backend's default virtual-time horizon
@@ -352,7 +344,7 @@ func New(opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("optsched: unknown policy %q (known: %v)", name, policy.Names())
 		}
 		top := c.top
-		if spec.NeedsTopology {
+		if spec.NeedsTopology() {
 			if top == nil {
 				top = policy.DefaultTopology()
 			}

@@ -76,7 +76,7 @@ func TestClusterRunAcrossBackends(t *testing.T) {
 				if res.Completed != 24 {
 					t.Errorf("sim: completed %d of 24", res.Completed)
 				}
-				if res.Sim == nil || res.VirtualTicks <= 0 {
+				if res.Sim == nil || res.Sim.Duration <= 0 {
 					t.Errorf("sim: missing sim stats: %+v", res)
 				}
 			case BackendExecutor:
@@ -199,9 +199,9 @@ func TestClusterRunWithFaultsAcrossBackends(t *testing.T) {
 		if !tc.shared || model == nil || sim == nil {
 			continue
 		}
-		if model.FaultRescued != sim.FaultRescued || model.Orphaned != sim.Orphaned {
+		if model.Rescued != sim.Rescued || model.Orphaned != sim.Orphaned {
 			t.Errorf("%s: model rescued/orphaned %d/%d, sim %d/%d", tc.name,
-				model.FaultRescued, model.Orphaned, sim.FaultRescued, sim.Orphaned)
+				model.Rescued, model.Orphaned, sim.Rescued, sim.Orphaned)
 		}
 	}
 }
@@ -231,8 +231,8 @@ func TestClusterRunModelFaultSemantics(t *testing.T) {
 
 	// No rescue, no revival: all six tasks stay stranded on core 0.
 	res := run(t, "delta2", []FaultEvent{{At: 0, Core: 0}})
-	if res.Orphaned != 6 || res.FaultRescued != 0 {
-		t.Errorf("delta2 fail(0): orphaned=%d rescued=%d, want 6/0", res.Orphaned, res.FaultRescued)
+	if res.Orphaned != 6 || res.Rescued != 0 {
+		t.Errorf("delta2 fail(0): orphaned=%d rescued=%d, want 6/0", res.Orphaned, res.Rescued)
 	}
 
 	// Scripted revival recovers the stranded tasks without a rescue rule.
@@ -249,8 +249,8 @@ func TestClusterRunModelFaultSemantics(t *testing.T) {
 
 	// The rescue rule re-homes every orphan at fail time.
 	res = run(t, "delta2-rescue", []FaultEvent{{At: 0, Core: 0}})
-	if res.Orphaned != 0 || res.FaultRescued != 6 {
-		t.Errorf("delta2-rescue fail(0): orphaned=%d rescued=%d, want 0/6", res.Orphaned, res.FaultRescued)
+	if res.Orphaned != 0 || res.Rescued != 6 {
+		t.Errorf("delta2-rescue fail(0): orphaned=%d rescued=%d, want 0/6", res.Orphaned, res.Rescued)
 	}
 	if !res.Converged {
 		t.Errorf("delta2-rescue did not converge: %v", res)

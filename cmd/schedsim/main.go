@@ -124,7 +124,7 @@ func main() {
 	fmt.Printf("result    %v\n", res)
 	if res.Faults > 0 {
 		fmt.Printf("faults    %d events applied, %d tasks rescued, %d still orphaned\n",
-			res.Faults, res.FaultRescued, res.Orphaned)
+			res.Faults, res.Rescued, res.Orphaned)
 	}
 	if st := res.Sim; st != nil {
 		fmt.Printf("stats     %v\n", *st)

@@ -65,7 +65,7 @@ func main() {
 		fmt.Println("built-in policies:")
 		for _, s := range optsched.PolicySpecs() {
 			topo := ""
-			if s.NeedsTopology {
+			if s.NeedsTopology() {
 				topo = " [topology]"
 			}
 			fmt.Printf("  %-18s %-10s%s %s\n", s.Name, s.Provenance, topo, s.Doc)

@@ -34,7 +34,7 @@ func main() {
 		}
 		loss := 100 * float64(dbBase-req) / float64(dbBase)
 		fmt.Printf("%-16s requests=%-6d loss=%5.1f%%  wasted=%5.1f%% of capacity  episodes=%d\n",
-			name, req, loss, res.WastedPct, res.Sim.ViolationEpisodes)
+			name, req, loss, res.Sim.WastedPct, res.Sim.ViolationEpisodes)
 	}
 	fmt.Println("paper: 'up to 25% decrease in throughput for realistic database workloads'")
 

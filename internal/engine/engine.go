@@ -267,27 +267,28 @@ func (p *Pool) Close() {
 
 // Stats is a snapshot of the pool's counters.
 type Stats struct {
+	// Counters tallies steals and faults (Faults = Kills + Revives);
+	// the pool balances on idle, not in rounds, so Rounds stays zero.
+	sched.Counters
 	// Executed counts completed tasks.
 	Executed int64
-	// Steals counts migrated tasks; StealFails counts optimistic
-	// attempts that failed re-validation.
-	Steals, StealFails int64
-	// Kills and Revives count applied fault events; Rescued counts
-	// orphans the rescue rule re-homed at kill time; Orphaned counts
-	// tasks currently stranded on offline workers.
-	Kills, Revives, Rescued, Orphaned int64
+	// Kills and Revives count the applied fault events by kind.
+	Kills, Revives int64
 }
 
 // Stats returns the current counters.
 func (p *Pool) Stats() Stats {
 	st := Stats{
-		Executed:   p.executed.Load(),
-		Steals:     p.steals.Load(),
-		StealFails: p.stealFails.Load(),
-		Kills:      p.kills.Load(),
-		Revives:    p.revives.Load(),
-		Rescued:    p.rescued.Load(),
+		Counters: sched.Counters{
+			Steals:     p.steals.Load(),
+			StealFails: p.stealFails.Load(),
+			Rescued:    p.rescued.Load(),
+		},
+		Executed: p.executed.Load(),
+		Kills:    p.kills.Load(),
+		Revives:  p.revives.Load(),
 	}
+	st.Faults = st.Kills + st.Revives
 	for _, w := range p.workers {
 		if w.offline.Load() {
 			st.Orphaned += w.qlen.Load()

@@ -1,8 +1,8 @@
 // Package metrics provides the measurement primitives used by the
-// simulator and benchmark harness: counters, time-weighted gauges,
-// log-linear latency histograms, and the work-conservation violation
-// tracker that quantifies "wasted cores" (idle time accumulated while
-// other cores were overloaded — the §1 motivation metric).
+// simulator and benchmark harness: time-weighted gauges, log-linear
+// latency histograms, and the work-conservation violation tracker that
+// quantifies "wasted cores" (idle time accumulated while other cores
+// were overloaded — the §1 motivation metric).
 package metrics
 
 import (
@@ -11,25 +11,6 @@ import (
 	"math/bits"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta, which must be non-negative.
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("metrics: Counter.Add(%d)", delta))
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
 
 // TimeWeighted accumulates the time integral of a step function — e.g.
 // "number of idle cores" weighted by how long each value held.

@@ -8,25 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestCounterRejectsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Add(-1) did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
 func TestTimeWeighted(t *testing.T) {
 	var w TimeWeighted
 	w.Observe(0, 2)  // value 2 during [0,10)

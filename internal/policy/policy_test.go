@@ -531,9 +531,6 @@ func TestRegistrySpecs(t *testing.T) {
 		if s.Doc == "" || s.Provenance == "" {
 			t.Errorf("spec %q missing metadata: %+v", s.Name, s)
 		}
-		if s.NeedsTopology != (s.TopologyFactory != nil) {
-			t.Errorf("spec %q: NeedsTopology=%v but TopologyFactory set=%v", s.Name, s.NeedsTopology, s.TopologyFactory != nil)
-		}
 		if p := s.New(nil); p == nil || p.Name() == "" {
 			t.Errorf("spec %q built an unnamed policy", s.Name)
 		}
@@ -542,7 +539,7 @@ func TestRegistrySpecs(t *testing.T) {
 
 func TestRegistryNUMAAware(t *testing.T) {
 	s, ok := Lookup("numa-aware")
-	if !ok || !s.NeedsTopology {
+	if !ok || !s.NeedsTopology() {
 		t.Fatalf("numa-aware not registered as topology-needing: %+v", s)
 	}
 	// Constructible without a topology (default 2×4 NUMA machine)…
@@ -572,6 +569,6 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 	mustPanic("empty name", Spec{})
 	mustPanic("duplicate", Spec{Name: "delta2", Factory: func() sched.Policy { return NewDelta2() }})
 	mustPanic("both factories", Spec{Name: "x", Factory: func() sched.Policy { return NewDelta2() },
-		TopologyFactory: func(*topology.Topology) sched.Policy { return NewDelta2() }, NeedsTopology: true})
+		TopologyFactory: func(*topology.Topology) sched.Policy { return NewDelta2() }})
 	mustPanic("no factory", Spec{Name: "y"})
 }

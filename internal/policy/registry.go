@@ -80,15 +80,11 @@ type Spec struct {
 	Name string
 	// Factory builds an instance of a topology-free policy — a fresh one
 	// if the policy is stateful, possibly a shared one if it is not (see
-	// Factory). Exactly one of Factory and TopologyFactory must be set,
-	// matching NeedsTopology.
+	// Factory). Exactly one of Factory and TopologyFactory must be set.
 	Factory Factory
 	// TopologyFactory builds a fresh instance of a policy that needs a
-	// machine topology (set iff NeedsTopology).
+	// machine topology.
 	TopologyFactory func(*topology.Topology) sched.Policy
-	// NeedsTopology reports whether construction requires a topology;
-	// New falls back to DefaultTopology when the caller supplies none.
-	NeedsTopology bool
 	// Provenance classifies the policy's verification status.
 	Provenance Provenance
 	// Doc is a one-line description for listings.
@@ -109,7 +105,7 @@ type Spec struct {
 // selects DefaultTopology for topology-needing policies and is ignored
 // otherwise.
 func (s Spec) New(top *topology.Topology) sched.Policy {
-	if s.NeedsTopology {
+	if s.NeedsTopology() {
 		if top == nil {
 			top = DefaultTopology()
 		}
@@ -117,6 +113,10 @@ func (s Spec) New(top *topology.Topology) sched.Policy {
 	}
 	return s.Factory()
 }
+
+// NeedsTopology reports whether construction requires a topology; New
+// falls back to DefaultTopology when the caller supplies none.
+func (s Spec) NeedsTopology() bool { return s.TopologyFactory != nil }
 
 // DefaultTopology is the topology used when a topology-needing policy is
 // constructed without one: 2 NUMA nodes × 4 cores, the smallest machine
@@ -134,8 +134,8 @@ func Register(s Spec) {
 	if s.Name == "" {
 		panic("policy: Register with empty Name")
 	}
-	if s.NeedsTopology != (s.TopologyFactory != nil) || s.NeedsTopology == (s.Factory != nil) {
-		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory (NeedsTopology=false) or TopologyFactory (NeedsTopology=true)", s.Name))
+	if (s.Factory == nil) == (s.TopologyFactory == nil) {
+		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory and TopologyFactory", s.Name))
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -290,7 +290,6 @@ func init() {
 	Register(Spec{
 		Name:            "numa-aware",
 		TopologyFactory: func(top *topology.Topology) sched.Policy { return NewNUMAAware(top) },
-		NeedsTopology:   true,
 		Provenance:      ProvenanceProved,
 		Doc:             "Delta2 with a locality-preferring step-2 choice over the machine topology",
 	})

@@ -70,6 +70,55 @@ type Attempt struct {
 // Succeeded reports whether the attempt moved at least one task.
 func (a *Attempt) Succeeded() bool { return a.Reason == FailNone && a.Moved > 0 }
 
+// failed reports whether an attempt that ended for reason is a failed
+// steal: it selected a victim, then moved nothing.
+func failed(reason FailureReason) bool {
+	return reason == FailRevalidation || reason == FailEmptyVictim
+}
+
+// Counters is the one tally of balancing and fault activity that every
+// backend reports, whatever drives it: model rounds, the simulator or
+// the executor.
+type Counters struct {
+	// Rounds counts balancing rounds.
+	Rounds int64
+	// Steals counts migrated tasks; StealFails counts attempts that
+	// selected a victim and then moved nothing (FailRevalidation or
+	// FailEmptyVictim) — the paper's failed work-stealing attempts.
+	Steals, StealFails int64
+	// Faults counts applied fault events, failures and revivals
+	// together; Rescued counts orphans the policy's rescue rule re-homed
+	// at failure time; Orphaned counts tasks stranded on offline cores
+	// when the counters were read.
+	Faults, Rescued, Orphaned int64
+}
+
+// CountAttempt counts one steal attempt's migrated tasks, or its failure,
+// and reports whether it was a failed steal.
+func (c *Counters) CountAttempt(att *Attempt) bool {
+	c.Steals += int64(att.Moved)
+	if !failed(att.Reason) {
+		return false
+	}
+	c.StealFails++
+	return true
+}
+
+// CountRound counts one balancing round and every attempt in it.
+func (c *Counters) CountRound(rr RoundResult) {
+	c.Rounds++
+	for i := range rr.Attempts {
+		c.CountAttempt(&rr.Attempts[i])
+	}
+}
+
+// CountFault counts one applied fault event that re-homed rescued
+// orphans.
+func (c *Counters) CountFault(rescued int) {
+	c.Faults++
+	c.Rescued += int64(rescued)
+}
+
 // RoundResult aggregates the attempts of one balancing round.
 type RoundResult struct {
 	Attempts []Attempt
@@ -80,18 +129,6 @@ func (r *RoundResult) Successes() int {
 	n := 0
 	for i := range r.Attempts {
 		if r.Attempts[i].Succeeded() {
-			n++
-		}
-	}
-	return n
-}
-
-// Failures counts attempts that selected a victim but failed to steal.
-func (r *RoundResult) Failures() int {
-	n := 0
-	for i := range r.Attempts {
-		switch r.Attempts[i].Reason {
-		case FailRevalidation, FailEmptyVictim:
 			n++
 		}
 	}
@@ -359,7 +396,7 @@ func ExecuteSteals(p Policy, m *Machine, atts []Attempt, order []int) RoundResul
 	for _, id := range order {
 		att := atts[id]
 		steal(p, m, b, &att)
-		if att.Reason == FailRevalidation || att.Reason == FailEmptyVictim {
+		if failed(att.Reason) {
 			att.PredecessorSuccess = priorSuccessTouched(b.done, att.Victim, att.Thief)
 		}
 		b.done = append(b.done, att)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -323,11 +324,52 @@ func TestRoundResultCounters(t *testing.T) {
 	if got := res.Successes(); got != 2 {
 		t.Errorf("Successes = %d, want 2", got)
 	}
-	if got := res.Failures(); got != 2 {
-		t.Errorf("Failures = %d, want 2", got)
-	}
 	if got := res.TasksMoved(); got != 3 {
 		t.Errorf("TasksMoved = %d, want 3", got)
+	}
+}
+
+// TestCountersMatchAttemptReasons pins the one failed-steal rule: over
+// random machines and orders, counting a round of any executor gives one
+// round, the attempts' moved tasks as steals and their FailRevalidation
+// and FailEmptyVictim outcomes as failed steals.
+func TestCountersMatchAttemptReasons(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	executors := map[string]func(Policy, *Machine, []int) RoundResult{
+		"sequential": func(p Policy, m *Machine, _ []int) RoundResult { return SequentialRound(p, m) },
+		"concurrent": ConcurrentRound,
+		"unsafe":     UnsafeConcurrentRound,
+	}
+	seen := map[FailureReason]int{}
+	for i := 0; i < 300; i++ {
+		loads := make([]int, 2+rng.Intn(5))
+		for j := range loads {
+			loads[j] = rng.Intn(5)
+		}
+		order := rng.Perm(len(loads))
+		for name, run := range executors {
+			for _, p := range []Policy{delta2(), greedyBuggy()} {
+				rr := run(p, MachineFromLoads(loads...), order)
+				want := Counters{Rounds: 1}
+				for _, att := range rr.Attempts {
+					seen[att.Reason]++
+					want.Steals += int64(att.Moved)
+					if att.Reason == FailRevalidation || att.Reason == FailEmptyVictim {
+						want.StealFails++
+					}
+				}
+				var got Counters
+				got.CountRound(rr)
+				if got != want {
+					t.Fatalf("%s/%s on %v order %v: counted %+v, want %+v", name, p.Name(), loads, order, got, want)
+				}
+			}
+		}
+	}
+	for _, r := range []FailureReason{FailNone, FailNoCandidate, FailRevalidation, FailEmptyVictim} {
+		if seen[r] == 0 {
+			t.Errorf("no attempt ended %v: the corpus does not exercise the rule", r)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +131,29 @@ func histLine(h *metrics.Histogram) string {
 		h.Count(), h.Mean(), h.Min(), h.Max(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Quantile(0.999))
 }
 
+// statsLine renders every non-pointer leaf field of st as name=value,
+// embedded structs inlined and the fields sorted by name, so the text
+// depends on what Stats holds, not on how its declaration lays it out.
+// The histograms behind its pointers get histLine.
+func statsLine(st Stats) string {
+	var fields []string
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			switch {
+			case f.Anonymous && fv.Kind() == reflect.Struct:
+				walk(fv)
+			case fv.Kind() != reflect.Pointer:
+				fields = append(fields, fmt.Sprintf("%s=%v", f.Name, fv.Interface()))
+			}
+		}
+	}
+	walk(reflect.ValueOf(st))
+	slices.Sort(fields)
+	return strings.Join(fields, " ")
+}
+
 // goldenTraceLine hashes what one scenario emits: every trace event in
 // order, the Stats of every Run, and the machine it leaves behind.
 func goldenTraceLine(t *testing.T, g goldenScenario) string {
@@ -141,9 +166,7 @@ func goldenTraceLine(t *testing.T, g goldenScenario) string {
 	h := sha256.New()
 	for _, until := range g.build(s) {
 		st := s.Run(until)
-		lat, wait := st.Latency, st.WaitTime
-		st.Latency, st.WaitTime = nil, nil
-		fmt.Fprintf(h, "%+v\nlatency %s\nwait %s\n", st, histLine(lat), histLine(wait))
+		fmt.Fprintf(h, "%s\nlatency %s\nwait %s\n", statsLine(st), histLine(st.Latency), histLine(st.WaitTime))
 	}
 	if ring.Len() == ringCap {
 		t.Fatalf("%s: ring full, events may have been dropped: the hash must cover the whole stream", g.name)
@@ -185,6 +208,47 @@ func TestGoldenTraces(t *testing.T) {
 	for i, g := range cases {
 		if got := goldenTraceLine(t, g); got != want[i] {
 			t.Errorf("simulator event stream changed: bump ReportVersion in internal/loadgen and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+		}
+	}
+}
+
+// TestGoldenCountersMatchTraces holds every golden scenario's counters
+// to its event stream: one KindStealFail per failed steal, idle or
+// periodic; one KindRound per round; one KindFail or KindRevive per
+// applied fault event; and the rescues the KindFail events report add up
+// to Rescued.
+func TestGoldenCountersMatchTraces(t *testing.T) {
+	for _, g := range goldenScenarios() {
+		const ringCap = 1 << 18
+		ring := trace.NewRing(ringCap)
+		cfg := g.cfg
+		cfg.Ring = ring
+		s := New(cfg)
+		var st Stats
+		for _, until := range g.build(s) {
+			st = s.Run(until)
+		}
+		if ring.Len() == ringCap {
+			t.Fatalf("%s: ring full, events may have been dropped", g.name)
+		}
+		kinds := map[trace.Kind]int64{}
+		var rescued int64
+		for _, e := range ring.Events() {
+			kinds[e.Kind]++
+			if e.Kind == trace.KindFail {
+				rescued += e.Aux
+			}
+		}
+		got := sched.Counters{
+			Rounds:     kinds[trace.KindRound],
+			StealFails: kinds[trace.KindStealFail],
+			Faults:     kinds[trace.KindFail] + kinds[trace.KindRevive],
+			Rescued:    rescued,
+		}
+		want := st.Counters
+		want.Steals, want.Orphaned = 0, 0
+		if got != want {
+			t.Errorf("%s: the trace counts %+v, Stats %+v", g.name, got, want)
 		}
 	}
 }

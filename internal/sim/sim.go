@@ -89,13 +89,9 @@ type Simulator struct {
 	order []int // handleBalance's steal order, redrawn every round
 
 	// measurement
-	completions metrics.Counter
-	preemptions metrics.Counter
-	steals      metrics.Counter
-	stealFails  metrics.Counter
-	rounds      metrics.Counter
-	faults      metrics.Counter
-	rescued     metrics.Counter
+	counters    sched.Counters // Orphaned is read off the machine at snapshot
+	completions int64
+	preemptions int64
 	latency     *metrics.Histogram
 	waitTime    *metrics.Histogram
 	violations  *metrics.ViolationTracker
@@ -391,7 +387,7 @@ func (s *Simulator) handleSliceEnd(e event) {
 }
 
 func (s *Simulator) preempt(core *sched.Core, ts *taskState) {
-	s.preemptions.Inc()
+	s.preemptions++
 	s.emit(trace.KindPreempt, core.ID, ts.id, -1)
 	t := core.Current
 	core.Current = nil
@@ -408,7 +404,7 @@ func (s *Simulator) transition(core *sched.Core, ts *taskState) {
 		core.Current = nil
 		ts.status = statusExited
 		ts.task, ts.behavior = nil, nil // the slab entry outlives the task
-		s.completions.Inc()
+		s.completions++
 		s.latency.Record(s.clock - ts.arrival)
 		s.emit(trace.KindExit, core.ID, ts.id, -1)
 		s.startIfIdle(core.ID)
@@ -481,19 +477,20 @@ func (s *Simulator) handleWake(e event) {
 // exactly the §4.2 isolated case, so the attempt cannot fail spuriously).
 func (s *Simulator) idleBalance(core int) {
 	att := sched.Select(s.cfg.Policy, s.m, core)
-	if att.Victim < 0 {
-		return
-	}
-	sched.Steal(s.cfg.Policy, s.m, &att)
-	if att.Succeeded() {
-		s.steals.Add(int64(att.Moved))
+	sched.Steal(s.cfg.Policy, s.m, &att) // a no-op without a victim
+	s.account(&att)
+}
+
+// account counts one steal attempt, idle or in a periodic round, traces
+// its outcome and makes the thief the home of every task it moved.
+func (s *Simulator) account(att *sched.Attempt) {
+	if failed := s.counters.CountAttempt(att); failed {
+		s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
+	} else if att.Succeeded() {
 		s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
 		for _, id := range att.MovedTasks {
 			s.state(int64(id)).lastCore = att.Thief
 		}
-	} else {
-		s.stealFails.Inc()
-		s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
 	}
 }
 
@@ -514,7 +511,7 @@ func (s *Simulator) handleFault(e event) {
 	if err != nil {
 		return
 	}
-	s.faults.Inc()
+	s.counters.CountFault(moved)
 	if e.kind == evRevive {
 		s.emit(trace.KindRevive, failed, -1, int64(len(c.Queued())))
 		s.startIfIdle(failed)
@@ -533,7 +530,6 @@ func (s *Simulator) handleFault(e event) {
 	if moved == 0 {
 		return
 	}
-	s.rescued.Add(int64(moved))
 	for _, oc := range s.m.Cores {
 		if oc.Offline {
 			continue
@@ -550,7 +546,7 @@ func (s *Simulator) handleFault(e event) {
 }
 
 func (s *Simulator) handleBalance() {
-	s.rounds.Inc()
+	s.counters.Rounds++
 	var rr sched.RoundResult
 	if s.cfg.Mode == RoundSequential {
 		rr = sched.SequentialRound(s.cfg.Policy, s.m)
@@ -558,18 +554,7 @@ func (s *Simulator) handleBalance() {
 		rr = sched.ConcurrentRound(s.cfg.Policy, s.m, s.rng.permInto(s.order))
 	}
 	for i := range rr.Attempts {
-		att := &rr.Attempts[i]
-		switch {
-		case att.Succeeded():
-			s.steals.Add(int64(att.Moved))
-			s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
-			for _, id := range att.MovedTasks {
-				s.state(int64(id)).lastCore = att.Thief
-			}
-		case att.Reason == sched.FailRevalidation || att.Reason == sched.FailEmptyVictim:
-			s.stealFails.Inc()
-			s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
-		}
+		s.account(&rr.Attempts[i])
 	}
 	for id := 0; id < s.cfg.Cores; id++ {
 		s.startIfIdle(id)

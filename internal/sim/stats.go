@@ -4,10 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // Stats is the measurement snapshot returned by Run.
 type Stats struct {
+	// Counters tallies the balancing rounds (the periodic ones), steals
+	// idle and periodic, and the applied fault events; Orphaned is read
+	// off the machine at snapshot time.
+	sched.Counters
 	// Duration is the simulated horizon in ticks.
 	Duration int64
 	// Completed counts tasks that exited.
@@ -18,10 +23,8 @@ type Stats struct {
 	Latency *metrics.Histogram
 	// WaitTime is the ready→running distribution (scheduling delay).
 	WaitTime *metrics.Histogram
-	// Steals counts migrated tasks; StealFails counts failed optimistic
-	// attempts; Rounds counts balancing rounds; Preemptions counts
-	// quantum preemptions.
-	Steals, StealFails, Rounds, Preemptions int64
+	// Preemptions counts quantum preemptions.
+	Preemptions int64
 	// WastedCoreTicks integrates idle core-time while another core was
 	// overloaded — the §1 "wasted cores" quantity.
 	WastedCoreTicks float64
@@ -36,32 +39,23 @@ type Stats struct {
 	// inflation (one long starvation interval hurts p99 far more than
 	// the same wasted time as transient blips).
 	LongestViolationTicks int64
-	// Faults counts applied fault events (failures and revivals);
-	// Rescued counts orphans re-homed by the policy's rescue rule at
-	// failure time; Orphaned counts tasks still stranded on offline
-	// cores at snapshot time.
-	Faults, Rescued, Orphaned int64
 }
 
 // snapshot assembles the Stats for the current clock.
 func (s *Simulator) snapshot() Stats {
 	st := Stats{
+		Counters:              s.counters,
 		Duration:              s.clock,
-		Completed:             s.completions.Value(),
+		Completed:             s.completions,
 		Latency:               s.latency,
 		WaitTime:              s.waitTime,
-		Steals:                s.steals.Value(),
-		StealFails:            s.stealFails.Value(),
-		Rounds:                s.rounds.Value(),
-		Preemptions:           s.preemptions.Value(),
+		Preemptions:           s.preemptions,
 		WastedCoreTicks:       s.violations.WastedCoreSeconds(s.clock),
 		IdleCoreTicks:         s.violations.IdleCoreSeconds(s.clock),
 		ViolationEpisodes:     s.violations.Episodes(),
 		LongestViolationTicks: s.violations.LongestEpisodeAt(s.clock),
-		Faults:                s.faults.Value(),
-		Rescued:               s.rescued.Value(),
-		Orphaned:              int64(len(s.m.Orphans())),
 	}
+	st.Orphaned = int64(len(s.m.Orphans()))
 	if s.clock > 0 {
 		st.Throughput = float64(st.Completed) * 1000 / float64(s.clock)
 		st.WastedPct = 100 * st.WastedCoreTicks / (float64(s.clock) * float64(s.cfg.Cores))

@@ -57,6 +57,9 @@ type (
 	RoundResult = sched.RoundResult
 	// Attempt is one core's participation in a round.
 	Attempt = sched.Attempt
+	// Counters tallies rounds, steals, failed steals and faults: the
+	// shared part of every backend's Result.
+	Counters = sched.Counters
 	// Rescuer is the optional Policy extension that re-homes tasks
 	// orphaned by fail-stop core faults (see FaultEvent, WithFaults and
 	// the DSL's rescue clause).

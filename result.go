@@ -27,41 +27,28 @@ type Result struct {
 	// Completed counts tasks that finished execution. The model backend
 	// moves tasks but never runs them, so it reports zero.
 	Completed int64
-	// Steals counts migrated tasks across all balancing activity;
-	// StealFails counts optimistic attempts that failed re-validation.
-	Steals, StealFails int64
-	// Rounds counts balancing rounds: model rounds to convergence, or
-	// the simulator's periodic rounds. The executor balances on idle
-	// rather than in rounds and reports zero.
-	Rounds int64
+	// Counters tallies the run's balancing and faults. Rounds counts
+	// model rounds to convergence or the simulator's periodic rounds;
+	// the executor balances on idle and reports zero. Orphaned, read
+	// when the run ended, is nonzero only for rescue-less policies under
+	// an unrecovered failure: the runtime shadow of a no-task-lost
+	// refutation.
+	Counters
 	// Converged reports the backend's completion criterion: work
 	// conservation for the model, all placed tasks retired for the
 	// simulator and executor (workload-driven simulations report true at
 	// the horizon).
 	Converged bool
 
-	// Faults counts the fault-schedule events the backend applied
-	// (failures and revivals together); FaultRescued counts orphaned
-	// tasks the policy's rescue rule re-homed at failure time; Orphaned
-	// counts tasks still stranded on offline cores when the run ended —
-	// nonzero only for rescue-less policies under an unrecovered
-	// failure, the runtime shadow of a no-task-lost refutation.
-	Faults, FaultRescued, Orphaned int64
-
-	// VirtualTicks is the virtual time consumed (model: zero — it has no
-	// clock; executor: zero — it runs in real time).
-	VirtualTicks int64
 	// Wall is the real time the run took.
 	Wall time.Duration
 
 	// FinalLoads is the per-core thread count after the run (model
 	// backend only).
 	FinalLoads []int
-	// WastedPct is idle-while-overloaded core time as a percentage of
-	// capacity (simulator backend only).
-	WastedPct float64
 	// Sim carries the simulator's full measurement snapshot (simulator
-	// backend only).
+	// backend only): virtual time consumed (Duration), wasted-core time
+	// (WastedPct), latency histograms and the rest.
 	Sim *SimStats
 }
 
@@ -73,17 +60,17 @@ func (r *Result) String() string {
 	if r.Rounds > 0 {
 		fmt.Fprintf(&b, " rounds=%d", r.Rounds)
 	}
-	if r.VirtualTicks > 0 {
-		fmt.Fprintf(&b, " vticks=%d", r.VirtualTicks)
+	if r.Sim != nil && r.Sim.Duration > 0 {
+		fmt.Fprintf(&b, " vticks=%d", r.Sim.Duration)
 	}
 	if r.Faults > 0 {
-		fmt.Fprintf(&b, " faults=%d rescued=%d orphaned=%d", r.Faults, r.FaultRescued, r.Orphaned)
+		fmt.Fprintf(&b, " faults=%d rescued=%d orphaned=%d", r.Faults, r.Rescued, r.Orphaned)
 	}
 	if r.FinalLoads != nil {
 		fmt.Fprintf(&b, " loads=%v", r.FinalLoads)
 	}
 	if r.Sim != nil {
-		fmt.Fprintf(&b, " wasted=%.1f%%", r.WastedPct)
+		fmt.Fprintf(&b, " wasted=%.1f%%", r.Sim.WastedPct)
 	}
 	fmt.Fprintf(&b, " converged=%v wall=%v", r.Converged, r.Wall.Round(time.Microsecond))
 	return b.String()
