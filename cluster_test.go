@@ -2,14 +2,18 @@ package optsched
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -116,6 +120,69 @@ func TestForkJoinAndBurstyScenariosOnTheSimulator(t *testing.T) {
 		if res.Steals <= 0 {
 			t.Errorf("%s: no steals spread the waves: %v", sc.Name, res)
 		}
+	}
+}
+
+// TestSimBatchOrderDoesNotMatter pins the simulator's arrival insertion
+// path: batches listed out of At order must run exactly as the same
+// batches sorted by At (ties kept in listed order) — the same Result,
+// counters, simulator statistics and trace — because arrivals fire in
+// time order, not in the order they were posted.
+func TestSimBatchOrderDoesNotMatter(t *testing.T) {
+	listed := Scenario{
+		Name:  "unsorted",
+		Cores: 4,
+		Batches: []Batch{
+			{At: 30_000, Core: 2, Tasks: 5, Work: 3_000},
+			{At: 12_000, Core: 0, Tasks: 6, Work: 2_500, Weight: 2048},
+			{At: 0, Core: 1, Tasks: 8, Work: 4_000},
+			{At: 12_000, Core: 3, Tasks: 3, Work: 1_500},
+			{At: 4_000, Core: 0, Tasks: 4},
+			{At: 0, Core: 0, Tasks: 2, Work: 9_000},
+		},
+		Faults: []FaultEvent{{At: 12_000, Core: 1}, {At: 20_000, Core: 1, Revive: true}},
+	}
+	sorted := listed
+	sorted.Batches = slices.Clone(listed.Batches)
+	slices.SortStableFunc(sorted.Batches, func(a, b Batch) int { return cmp.Compare(a.At, b.At) })
+	if slices.Equal(sorted.Batches, listed.Batches) {
+		t.Fatal("fixture broken: the listed batches are already sorted")
+	}
+
+	run := func(sc Scenario) (*Result, []trace.Event) {
+		t.Helper()
+		ring := NewTraceRing(1 << 14)
+		c, err := New(WithPolicy("delta2-rescue"), WithBackend(BackendSim), WithSeed(11), WithTrace(ring), WithHorizon(200_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Len() == 1<<14 {
+			t.Fatal("the trace ring overflowed; enlarge it")
+		}
+		res.Wall = 0
+		return res, ring.Events()
+	}
+	want, wantTrace := run(sorted)
+	got, gotTrace := run(listed)
+	if got.Completed != int64(listed.TotalTasks()) || got.Steals == 0 || got.Faults != 2 {
+		t.Fatalf("fixture broken: completed %d of %d, %d steals, %d faults", got.Completed, listed.TotalTasks(), got.Steals, got.Faults)
+	}
+	if got.Counters != want.Counters {
+		t.Errorf("counters differ:\n listed %+v\n sorted %+v", got.Counters, want.Counters)
+	}
+	if !reflect.DeepEqual(got.Sim, want.Sim) {
+		t.Errorf("simulator statistics differ:\n listed %+v\n sorted %+v", got.Sim, want.Sim)
+	}
+	got.Sim, want.Sim = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("results differ:\n listed %+v\n sorted %+v", got, want)
+	}
+	if !slices.Equal(gotTrace, wantTrace) {
+		t.Errorf("traces differ: %d events listed, %d sorted", len(gotTrace), len(wantTrace))
 	}
 }
 

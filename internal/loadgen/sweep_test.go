@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,6 +156,40 @@ func TestReportFromJSONRejectsMalformed(t *testing.T) {
 	if _, err := ReportFromJSON([]byte("{not json")); err == nil {
 		t.Error("ReportFromJSON accepted non-JSON input")
 	}
+}
+
+// FuzzSweepReportRoundTrip holds the report decoder to two properties:
+// ReportFromJSON never panics, and any report it accepts re-encodes
+// through ReportJSON to bytes that it accepts again as an equal report.
+func FuzzSweepReportRoundTrip(f *testing.F) {
+	rep, err := RunSweep(context.Background(), smallSweep())
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := ReportJSON(rep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":1,"workload":"service","loads":[0.5],"policies":[{"policy":"null","points":[{"load":0.5}]}]}`))
+	f.Add([]byte(`{"version":1,"workload":"service","loads":[1e-7,-0],"policies":[{"policy":"delta2","points":[{"load":1e-7,"latency":{"mean":0.1}},{"load":-0}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReportFromJSON(data)
+		if err != nil {
+			return
+		}
+		again, err := ReportJSON(r)
+		if err != nil {
+			t.Fatalf("an accepted report does not re-encode: %v", err)
+		}
+		back, err := ReportFromJSON(again)
+		if err != nil {
+			t.Fatalf("the re-encoded report is rejected: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(r, back) {
+			t.Fatalf("the round trip changed the report:\n%+v\n%+v", r, back)
+		}
+	})
 }
 
 func TestRunSweepValidation(t *testing.T) {

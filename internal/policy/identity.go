@@ -20,11 +20,12 @@ import (
 // obligations that never consult that clause.
 //
 // Plain Go specs get the opaque identity "go:<name>" for every
-// component. That is sound for schedverifyd's in-process cache — a Go
-// implementation cannot change within one process lifetime — but it is
-// deliberately all-or-nothing: without a clause-level description there
-// is nothing finer to hash, and restarting a rebuilt daemon starts with
-// an empty cache anyway.
+// component. That is sound only within one process: a Go implementation
+// cannot change while the process lives, but a rebuilt binary may carry
+// a different one under the same name. So schedverifyd memoizes these
+// cells in memory and never writes them to its durable store. The
+// identity is also all-or-nothing: without a clause-level description
+// there is nothing finer to hash.
 func (s Spec) ComponentForms() (map[string]string, error) {
 	if s.DSL == "" {
 		opaque := "go:" + s.Name

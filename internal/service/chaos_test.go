@@ -74,6 +74,44 @@ func TestCrashRestartWarmFromStore(t *testing.T) {
 	}
 }
 
+// A Go-only spec's cells are keyed by the opaque "go:<name>", which a
+// rebuilt binary reuses for whatever code then carries the name, so they
+// live in the in-memory memo only. A daemon reopened on its data dir
+// re-verifies weighted ("cached" false) and still serves delta2, whose
+// keys hash its clauses, from the store.
+func TestCrashRestartForgetsOpaqueCells(t *testing.T) {
+	dir := t.TempDir()
+	delta2 := Request{Policy: "delta2", Obligations: fastObligations}
+	weighted := Request{Policy: "weighted", Obligations: fastObligations}
+	cached := func(s *Service, req Request) bool {
+		t.Helper()
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		_, env, _ := postVerify(t, srv.URL, req)
+		return env.Cached
+	}
+
+	s1 := newDurable(t, dir)
+	submitWait(t, s1, delta2)
+	submitWait(t, s1, weighted)
+	if !cached(s1, delta2) || !cached(s1, weighted) {
+		t.Fatal("the live daemon does not serve both policies from its memo")
+	}
+	if got := s1.Stats().Store.Entries; got != len(fastObligations) {
+		t.Errorf("the store holds %d entries, want delta2's %d only", got, len(fastObligations))
+	}
+	s1.Close()
+
+	s2 := newDurable(t, dir)
+	defer s2.Close()
+	if !cached(s2, delta2) {
+		t.Error(`reopened daemon answers "cached": false for delta2, want true`)
+	}
+	if cached(s2, weighted) {
+		t.Error(`reopened daemon answers "cached": true for weighted, a Go-only spec`)
+	}
+}
+
 // A torn WAL write (the disk half of kill -9 mid-append) loses exactly
 // the torn record: the live service still reports from memory, the
 // restarted one re-runs only the lost obligation, and the re-run verdict

@@ -114,6 +114,8 @@ func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
 	// before the cancel landed.
 	req := slowRequest()
 	req.Universe.MaxPerCore, req.Universe.MaxTotal = 3, 7
+	// A spec with a DSL form: a Go-only one's cells never reach the disk.
+	req.Policy = "delta2"
 	// The fan-out claims shards obligation-major, so lemma1 (first, and a
 	// hundredth of the job) finishes first: cancel once the job has run
 	// several times as long as lemma1 alone takes on this machine.

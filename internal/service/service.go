@@ -272,6 +272,11 @@ type submission struct {
 	keys        []string // parallel to obligations
 	jobKey      string
 	timeout     time.Duration // client-propagated deadline; 0 = none
+	// memoryOnly keeps the submission's cells out of the durable store:
+	// a Go-only spec's component forms are the opaque "go:<name>", which
+	// name the code rather than hash it, so a rebuilt daemon would serve
+	// a changed implementation the old verdicts from disk.
+	memoryOnly bool
 	// warnings are the DSL linter's findings for source submissions:
 	// advisory only, echoed in submit and poll responses, never part of
 	// the content identity (they restate the policy, not the verdict).
@@ -297,6 +302,7 @@ func (s *Service) resolve(req Request) (*submission, error) {
 		}
 		sub.display = spec.Name
 		sub.factory = func() sched.Policy { return spec.New(nil) }
+		sub.memoryOnly = spec.DSL == ""
 		sub.keys, sub.obligations, err = s.keysFor(req, forms, keyBuf[:0])
 		if err != nil {
 			return nil, err
@@ -505,7 +511,7 @@ func (s *Service) runJob(job *Job) {
 		case !res.Aborted:
 			s.recordLatency(res.ID, rep.Elapsed[k])
 			s.cache.store(sub.keys[i], res)
-			if s.store != nil {
+			if s.store != nil && !sub.memoryOnly {
 				fresh = append(fresh, store.Entry{Key: sub.keys[i], Result: res})
 			}
 		case job.ctx.Err() == nil:

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/policy"
@@ -184,5 +186,40 @@ func TestMidRunSpawnsIntegrate(t *testing.T) {
 	}
 	if err := s.Machine().Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// A spawn posted mid-run for the current instant joins the back of that
+// instant: it fires after every event and arrival already posted for the
+// same time, as if it had been posted to one queue with everything else.
+func TestMidRunSpawnAtClockFiresLast(t *testing.T) {
+	ring := trace.NewRing(1024)
+	s := newSim(4, func(c *Config) { c.Ring = ring })
+	// Task 0 (core 0) ends its action at 2000 in a slice posted at 1000
+	// and, from that slice end, spawns task 3 at the current instant.
+	phase := 0
+	s.SpawnAt(0, 0, 1024, BehaviorFunc(func(now int64, _ *RNG) Action {
+		phase++
+		if phase == 2 {
+			s.SpawnAt(s.Clock(), 2, 1024, RunOnce(100))
+		}
+		return Action{RunFor: 2000, Then: ThenYield}
+	}))
+	// Task 1 (core 1) blocks at 1500 until 2000: a wake posted after
+	// task 0's slice end, for the same instant.
+	s.SpawnAt(0, 1, 1024, RunBlockLoop(1500, 500, 1))
+	// Task 2 arrives at 2000, posted before the run.
+	s.SpawnAt(2000, 3, 1024, RunOnce(100))
+	s.Run(3000)
+
+	var got []string
+	for _, e := range ring.Events() {
+		if e.Time == 2000 && (e.Kind == trace.KindSpawn || e.Kind == trace.KindWake) {
+			got = append(got, fmt.Sprintf("%s %d", e.Kind, e.Task))
+		}
+	}
+	want := []string{"spawn 2", "wake 1", "spawn 3"}
+	if !slices.Equal(got, want) {
+		t.Errorf("order at t=2000 = %v, want %v", got, want)
 	}
 }

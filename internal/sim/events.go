@@ -11,8 +11,6 @@ const (
 	evSliceEnd eventKind = iota
 	// evWake fires when a blocked task becomes runnable.
 	evWake
-	// evSpawn fires when a new task arrives.
-	evSpawn
 	// evBalance fires a load-balancing round.
 	evBalance
 	// evFail fail-stops a core (see Simulator.FailAt).
@@ -29,28 +27,55 @@ type event struct {
 	time int64
 	seq  uint64
 
-	task   int64  // evSliceEnd/evWake: the task; evSpawn: index into the pending spawn descriptors
+	task   int64  // evSliceEnd/evWake: the task
 	runSeq uint64 // evSliceEnd: validity token (stale slices are ignored)
-	core   int32  // evSliceEnd: the core; evSpawn: arrival core; evFail/evRevive: the core
+	core   int32  // evSliceEnd: the core; evFail/evRevive: the core
 	kind   eventKind
 }
 
-// before is the queue order: earlier time first, then posting order.
-func (e *event) before(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
+// earlier is the queue order on (time, seq) stamps: earlier time first,
+// then posting order.
+func earlier(time int64, seq uint64, otime int64, oseq uint64) bool {
+	if time != otime {
+		return time < otime
 	}
-	return e.seq < o.seq
+	return seq < oseq
 }
 
-// eventQueue is a binary min-heap on (time, seq), stored by value. (time,
-// seq) is a total order — seq is unique — so the pop order is that of a
-// stable sort on time, whatever the heap's internal layout.
-type eventQueue []event
+// before is the queue order between two events.
+func (e *event) before(o *event) bool { return earlier(e.time, e.seq, o.time, o.seq) }
 
-// push schedules e on the queue.
+// arrival is one pending task arrival (see Simulator.SpawnAt). Its seq
+// comes from the same counter as the events', so arrivals and events
+// share one (time, seq) order.
+type arrival struct {
+	time     int64
+	seq      uint64
+	weight   int64
+	behavior Behavior
+	core     int
+}
+
+// eventQueue is everything the simulator has scheduled, popped in
+// (time, seq) order. (time, seq) is a total order — seq is unique — so
+// the pop order is that of a stable sort on time of everything posted,
+// whatever the storage.
+//
+// It is stored in two parts. The live events (slice ends, wakes, balance
+// ticks, faults: a handful at a time) are a binary min-heap, stored by
+// value. Arrivals, which a workload posts up front by the thousand, are
+// a slice kept sorted: pop merges its head with the heap top.
+type eventQueue struct {
+	heap []event
+	// arrivals are in (time, seq) order; [:next] have fired and are
+	// zeroed, so the queue no longer holds their behaviors.
+	arrivals []arrival
+	next     int
+}
+
+// push schedules e on the heap.
 func (q *eventQueue) push(e event) {
-	h := append(*q, e)
+	h := append(q.heap, e)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -61,17 +86,53 @@ func (q *eventQueue) push(e event) {
 		i = parent
 	}
 	h[i] = e
-	*q = h
+	q.heap = h
 }
 
-// pop removes and returns the earliest event. The queue must not be empty.
-func (q *eventQueue) pop() event {
-	h := *q
+// pushArrival schedules a on the arrival stream. It scans back from the
+// tail for a's place, so arrivals posted in time order are an append.
+func (q *eventQueue) pushArrival(a arrival) {
+	s := append(q.arrivals, a)
+	i := len(s) - 1
+	for ; i > q.next; i-- {
+		if p := &s[i-1]; earlier(p.time, p.seq, a.time, a.seq) {
+			break
+		}
+		s[i] = s[i-1]
+	}
+	s[i] = a
+	q.arrivals = s
+}
+
+// pop removes the earliest scheduled item: an arrival (isArrival true)
+// or an event. The queue must not be empty.
+func (q *eventQueue) pop() (e event, a arrival, isArrival bool) {
+	if q.next == len(q.arrivals) {
+		return q.popHeap(), a, false
+	}
+	head := &q.arrivals[q.next]
+	if len(q.heap) > 0 && earlier(q.heap[0].time, q.heap[0].seq, head.time, head.seq) {
+		return q.popHeap(), a, false
+	}
+	a, *head = *head, arrival{}
+	q.next++
+	if q.next == len(q.arrivals) {
+		// Drained: later posts reuse the slice from the front instead of
+		// growing it by every arrival ever fired.
+		q.arrivals, q.next = q.arrivals[:0], 0
+	}
+	return e, a, true
+}
+
+// popHeap removes and returns the heap's earliest event. The heap must
+// not be empty.
+func (q *eventQueue) popHeap() event {
+	h := q.heap
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]
-	*q = h
+	q.heap = h
 	if n == 0 {
 		return top
 	}
@@ -95,10 +156,15 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// peekTime returns the earliest event time, or math.MaxInt64 when empty.
-func (q eventQueue) peekTime() int64 {
-	if len(q) == 0 {
-		return math.MaxInt64
+// peekTime returns the earliest scheduled time, or math.MaxInt64 when
+// nothing is scheduled.
+func (q *eventQueue) peekTime() int64 {
+	t := int64(math.MaxInt64)
+	if len(q.heap) > 0 {
+		t = q.heap[0].time
 	}
-	return q[0].time
+	if q.next < len(q.arrivals) && q.arrivals[q.next].time < t {
+		t = q.arrivals[q.next].time
+	}
+	return t
 }

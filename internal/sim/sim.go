@@ -18,14 +18,19 @@
 // Machine.ApplyFault run on the simulated machine, not re-implemented
 // here.
 //
-// Storage contract. Events are plain values in one heap slice, never
-// individually allocated: post and the handlers pass them by value. Task
-// state lives in a chunked slab indexed by task ID — the simulated machine
-// hands out IDs 0, 1, 2, … and nothing else spawns on it — so a *taskState
-// stays valid for the simulator's lifetime and an exited task is a status,
-// not a deletion. Each state keeps its *sched.Task, which is equally
-// stable: the simulated machine is never the target of a CopyFrom or
-// SetFromSpec, the only calls that invalidate a machine's tasks.
+// Storage contract. Nothing scheduled is individually allocated. The
+// dynamic events — slice ends, wakes, balance ticks, faults, a handful
+// at a time — are plain values in a heap slice: post and the handlers
+// pass them by value. Arrivals, which a workload posts up front by the
+// thousand, are values in a slice kept in (time, seq) order and merged
+// with the heap as they come due; a fired arrival's record is zeroed, so
+// the task alone holds its behavior. Task state lives in a chunked slab
+// indexed by task ID — the simulated machine hands out IDs 0, 1, 2, …
+// and nothing else spawns on it — so a *taskState stays valid for the
+// simulator's lifetime and an exited task is a status, not a deletion.
+// Each state keeps its *sched.Task, which is equally stable: the
+// simulated machine is never the target of a CopyFrom or SetFromSpec,
+// the only calls that invalidate a machine's tasks.
 package sim
 
 import (
@@ -85,8 +90,7 @@ type Simulator struct {
 	seq   uint64
 	q     eventQueue
 	tasks [][]taskState // slab of taskChunk-sized chunks, indexed by task ID
-	spawn []spawnDesc
-	order []int // handleBalance's steal order, redrawn every round
+	order []int         // handleBalance's steal order, redrawn every round
 
 	// measurement
 	counters    sched.Counters // Orphaned is read off the machine at snapshot
@@ -122,12 +126,6 @@ type taskState struct {
 	lastCore   int
 	arrival    int64
 	readySince int64
-}
-
-type spawnDesc struct {
-	core     int
-	weight   int64
-	behavior Behavior
 }
 
 // New builds a simulator. Panics on invalid configuration — a config is
@@ -185,7 +183,8 @@ func (s *Simulator) Clock() int64 { return s.clock }
 func (s *Simulator) RNG() *RNG { return s.rng }
 
 // SpawnAt schedules a task arrival: at time t, a task with the given
-// weight and behavior appears on core's runqueue.
+// weight and behavior appears on core's runqueue. Like every post, it
+// fires after whatever is already scheduled for time t.
 func (s *Simulator) SpawnAt(t int64, core int, weight int64, b Behavior) {
 	if core < 0 || core >= s.cfg.Cores {
 		panic(fmt.Sprintf("sim: SpawnAt on core %d of %d", core, s.cfg.Cores))
@@ -196,8 +195,8 @@ func (s *Simulator) SpawnAt(t int64, core int, weight int64, b Behavior) {
 	if t < s.clock {
 		panic(fmt.Sprintf("sim: SpawnAt(%d) in the past (clock %d)", t, s.clock))
 	}
-	s.spawn = append(s.spawn, spawnDesc{core: core, weight: weight, behavior: b})
-	s.post(event{time: t, kind: evSpawn, core: int32(core), task: int64(len(s.spawn) - 1)})
+	s.seq++
+	s.q.pushArrival(arrival{time: t, seq: s.seq, weight: weight, behavior: b, core: core})
 }
 
 // FailAt schedules a fail-stop fault: at time t, the core goes offline.
@@ -250,19 +249,22 @@ func (s *Simulator) RunContext(ctx context.Context, until int64) (Stats, error) 
 		if n%256 == 0 && ctx.Err() != nil {
 			return s.snapshot(), ctx.Err()
 		}
-		e := s.q.pop()
-		s.clock = e.time
-		switch e.kind {
-		case evSpawn:
-			s.handleSpawn(e)
-		case evSliceEnd:
-			s.handleSliceEnd(e)
-		case evWake:
-			s.handleWake(e)
-		case evBalance:
-			s.handleBalance()
-		case evFail, evRevive:
-			s.handleFault(e)
+		e, a, isArrival := s.q.pop()
+		if isArrival {
+			s.clock = a.time
+			s.handleSpawn(&a)
+		} else {
+			s.clock = e.time
+			switch e.kind {
+			case evSliceEnd:
+				s.handleSliceEnd(e)
+			case evWake:
+				s.handleWake(e)
+			case evBalance:
+				s.handleBalance()
+			case evFail, evRevive:
+				s.handleFault(e)
+			}
 		}
 		s.observe()
 	}
@@ -297,10 +299,8 @@ func (s *Simulator) observe() {
 	s.violations.Observe(s.clock, idle, over)
 }
 
-func (s *Simulator) handleSpawn(e event) {
-	d := s.spawn[e.task]
-	s.spawn[e.task].behavior = nil // the task owns it from here on
-	task := s.m.Spawn(d.core, d.weight)
+func (s *Simulator) handleSpawn(a *arrival) {
+	task := s.m.Spawn(a.core, a.weight)
 	id := int64(task.ID)
 	for id >= int64(len(s.tasks))*taskChunk {
 		s.tasks = append(s.tasks, make([]taskState, taskChunk))
@@ -309,15 +309,15 @@ func (s *Simulator) handleSpawn(e event) {
 	*ts = taskState{
 		id:         id,
 		task:       task,
-		behavior:   d.behavior,
+		behavior:   a.behavior,
 		status:     statusReady,
-		lastCore:   d.core,
+		lastCore:   a.core,
 		arrival:    s.clock,
 		readySince: s.clock,
 	}
 	s.nextAction(ts)
-	s.emit(trace.KindSpawn, d.core, ts.id, -1)
-	s.startIfIdle(d.core)
+	s.emit(trace.KindSpawn, a.core, ts.id, -1)
+	s.startIfIdle(a.core)
 }
 
 // nextAction pulls the next action from the behavior and arms remaining.
