@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dsl"
@@ -10,12 +11,20 @@ import (
 
 // Every spec that asserts a DSL equivalence must actually be
 // behaviorally identical to its DSL's compiled form — same load, same
-// filter decisions, same choice, same steal sizing — over every state
-// of the verifier's default universe. This is what licenses schedverifyd
-// to share cache entries between the Go spec and equivalent DSL
-// submissions.
+// filter decisions, same choice, same steal sizing, same rescue — over
+// every state of the four universes the verifier's golden reports pin
+// (faults, a fourth core, weights, groups). One instance of each side
+// is stepped in lockstep across the whole enumeration, so a stateful
+// chooser's stream is compared call for call, not restarted per state.
+// This is what licenses schedverifyd to share cache entries between the
+// Go spec and equivalent DSL submissions.
 func TestSpecDSLEquivalence(t *testing.T) {
-	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true}
+	universes := []statespace.Universe{
+		{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1},
+		{Cores: 4, MaxPerCore: 2, MaxTotal: 3, IncludeUnscheduled: true},
+		{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true, Weights: []int64{1, 3}},
+		{Cores: 4, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true, Groups: []int{0, 0, 1, 1}},
+	}
 	for _, spec := range Specs() {
 		if spec.DSL == "" {
 			continue
@@ -26,46 +35,66 @@ func TestSpecDSLEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("spec %q carries broken DSL: %v", spec.Name, err)
 			}
-			u.Enumerate(func(m *sched.Machine) bool {
+			for _, u := range universes {
 				goP, dslP := spec.New(nil), dsl.Compile(ast)
-				for _, c := range m.Cores {
-					if gl, dl := goP.Load(c), dslP.Load(c); gl != dl {
-						t.Fatalf("state %v: Load(c%d) Go=%d DSL=%d", m.Loads(), c.ID, gl, dl)
+				states := 0
+				u.Enumerate(func(m *sched.Machine) bool {
+					states++
+					if err := lockstep(goP, dslP, m); err != nil {
+						t.Fatalf("%s, state %v: %v", u, m.Loads(), err)
 					}
-				}
-				var candidates []*sched.Core
-				for _, thief := range m.Cores {
-					candidates = candidates[:0]
-					for _, stealee := range m.Cores {
-						if stealee.ID == thief.ID {
-							continue
-						}
-						gc, dc := goP.CanSteal(thief, stealee), dslP.CanSteal(thief, stealee)
-						if gc != dc {
-							t.Fatalf("state %v: CanSteal(c%d,c%d) Go=%v DSL=%v",
-								m.Loads(), thief.ID, stealee.ID, gc, dc)
-						}
-						if gc {
-							candidates = append(candidates, stealee)
-							gn, dn := goP.StealCount(thief, stealee), dslP.StealCount(thief, stealee)
-							if gn != dn {
-								t.Fatalf("state %v: StealCount(c%d,c%d) Go=%d DSL=%d",
-									m.Loads(), thief.ID, stealee.ID, gn, dn)
-							}
-						}
-					}
-					if len(candidates) > 0 {
-						gch, dch := goP.Choose(thief, candidates), dslP.Choose(thief, candidates)
-						if gch.ID != dch.ID {
-							t.Fatalf("state %v: Choose(c%d) Go=c%d DSL=c%d",
-								m.Loads(), thief.ID, gch.ID, dch.ID)
-						}
-					}
-				}
-				return true
-			})
+					return true
+				})
+				t.Logf("%s: %d states equal", u, states)
+			}
 		})
 	}
+}
+
+// lockstep puts the same questions to goP and dslP on m, in the same
+// order, and reports the first answer on which they differ.
+func lockstep(goP, dslP sched.Policy, m *sched.Machine) error {
+	for _, c := range m.Cores {
+		if gl, dl := goP.Load(c), dslP.Load(c); gl != dl {
+			return fmt.Errorf("Load(c%d) Go=%d DSL=%d", c.ID, gl, dl)
+		}
+	}
+	var candidates []*sched.Core
+	for _, thief := range m.Cores {
+		candidates = candidates[:0]
+		for _, stealee := range m.Cores {
+			if stealee.ID == thief.ID {
+				continue
+			}
+			gc, dc := goP.CanSteal(thief, stealee), dslP.CanSteal(thief, stealee)
+			if gc != dc {
+				return fmt.Errorf("CanSteal(c%d,c%d) Go=%v DSL=%v", thief.ID, stealee.ID, gc, dc)
+			}
+			if gc {
+				candidates = append(candidates, stealee)
+				if gn, dn := goP.StealCount(thief, stealee), dslP.StealCount(thief, stealee); gn != dn {
+					return fmt.Errorf("StealCount(c%d,c%d) Go=%d DSL=%d", thief.ID, stealee.ID, gn, dn)
+				}
+			}
+		}
+		if len(candidates) > 0 {
+			if gch, dch := goP.Choose(thief, candidates), dslP.Choose(thief, candidates); gch.ID != dch.ID {
+				return fmt.Errorf("Choose(c%d) Go=c%d DSL=c%d", thief.ID, gch.ID, dch.ID)
+			}
+		}
+	}
+	online := sched.RescueCandidates(m)
+	for _, failed := range m.Cores {
+		q := failed.Queued()
+		if !failed.Offline || len(q) == 0 {
+			continue
+		}
+		gr, dr := sched.DecideRescue(goP, failed, q[0], online), sched.DecideRescue(dslP, failed, q[0], online)
+		if (gr == nil) != (dr == nil) || (gr != nil && gr.ID != dr.ID) {
+			return fmt.Errorf("DecideRescue(c%d) Go=%v DSL=%v", failed.ID, gr, dr)
+		}
+	}
+	return nil
 }
 
 // Plain Go specs hash opaquely by name; DSL-backed specs hash by

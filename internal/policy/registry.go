@@ -224,6 +224,12 @@ func init() {
 		Factory:    shared(NewGreedyBuggy()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "the §4.3 counterexample: concurrent rounds livelock (ping-pong)",
+		DSL: `policy greedy_buggy {
+    load   = self.ready.size + self.current.size
+    filter = stealee.load >= 2
+    steal  = 1
+    choose = max_load
+}`,
 	})
 	Register(Spec{
 		Name:       "cfs-group-buggy",
@@ -242,18 +248,34 @@ func init() {
 		Factory:    func() sched.Policy { return NewRandomChoice(1) },
 		Provenance: ProvenanceProved,
 		Doc:        "Delta2 with a pseudo-random step-2 choice (choice independence demo)",
+		DSL: `policy random_choice {
+    load   = self.ready.size + self.current.size
+    filter = stealee.load - self.load >= 2
+    steal  = 1
+    choose = random(1)
+}`,
 	})
 	Register(Spec{
 		Name:       "null",
 		Factory:    shared(NewNull()),
 		Provenance: ProvenanceBaseline,
 		Doc:        "no balancing at all: the E6 lower bound",
+		DSL: `policy null {
+    filter = false
+    steal  = 0
+}`,
 	})
 	Register(Spec{
 		Name:       "delta1-aggressive",
 		Factory:    shared(NewDelta1Aggressive()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "over-eager gap>=1 filter: unbounded steal sequences",
+		DSL: `policy delta1_aggressive {
+    load   = self.ready.size + self.current.size
+    filter = stealee.load - self.load >= 1 && stealee.ready.size > 0
+    steal  = 1
+    choose = first
+}`,
 	})
 	// delta2-gen is the DSL code-generation backend's output for
 	// Listing 1 (internal/dsl/testdata/delta2.pol), committed as
