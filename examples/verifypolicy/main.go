@@ -78,7 +78,7 @@ func main() {
 			"delta2-fancy-choice", delta2Fancy},
 		{"\n== an overly timid filter (gap >= 3) ==", "delta3-timid", delta3},
 		{"\n== the paper's greedy counterexample ==", "greedy-buggy",
-			func() optsched.Policy { return optsched.NewGreedyBuggy() }},
+			func() optsched.Policy { p, _ := optsched.NewPolicy("greedy-buggy"); return p }},
 	}
 	for _, tc := range cases {
 		fmt.Println(tc.banner)

@@ -70,6 +70,35 @@ func TestRandomInstancesKeepTheirSequences(t *testing.T) {
 	}
 }
 
+func TestRandomZeroSeedTakesTheGoldenRatioSeed(t *testing.T) {
+	// xorshift64 never leaves state 0, so random(0) and a bare random
+	// start from the golden-ratio constant instead: their picks are that
+	// stream's, not candidate 0 forever.
+	m := sched.MachineFromLoads(0, 2, 2, 2, 2, 2)
+	thief, cands := m.Core(0), m.Cores[1:]
+	state := uint64(0x9E3779B97F4A7C15)
+	var want []int
+	for i := 0; i < 12; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		want = append(want, cands[state%uint64(len(cands))].ID)
+	}
+	for _, src := range []string{
+		`policy r { filter = stealee.load >= 2 choose = random(0) }`,
+		`policy r { filter = stealee.load >= 2 choose = random }`,
+	} {
+		p := Compile(mustParse(t, src))
+		var got []int
+		for range want {
+			got = append(got, p.Choose(thief, cands).ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s chose %v, want the golden-ratio stream %v", src, got, want)
+		}
+	}
+}
+
 func TestCompiledFactoryIsRaceFree(t *testing.T) {
 	// Shard goroutines call one factory concurrently, the first Compile
 	// included, and evaluate what it returns: run under -race.

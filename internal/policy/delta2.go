@@ -1,14 +1,18 @@
-// Package policy provides the scheduling policies studied in the paper:
-// the provably work-conserving balancers (Delta2 from Listing 1, its
-// weighted variant, the hierarchical §5 extension and NUMA-aware step-2
-// variants), the §4.3 GreedyBuggy counterexample, a model of the CFS
-// "group imbalance" bug that motivates the work, and baselines.
+// Package policy provides the scheduling policies studied in the paper
+// and the registry that names them: the provably work-conserving
+// balancers (Delta2 from Listing 1, its weighted variant, the
+// hierarchical §5 extension and NUMA-aware step-2 variants), a model of
+// the CFS "group imbalance" bug that motivates the work, the §4.3
+// greedy-buggy counterexample, and baselines.
 //
 // Every policy implements sched.Policy; some additionally implement
 // sched.RoundObserver (group-statistics policies) or sched.TaskPicker
-// (weighted stealing). internal/verify checks each against the paper's
-// proof obligations — see EXPERIMENTS.md for which pass and which fail,
-// and with what witnesses.
+// (weighted stealing). The policies today's DSL expresses exactly —
+// greedy-buggy, null, delta1-aggressive, random-choice and delta2-rescue
+// — are registered as DSL source only (Spec.DSL), compiled by Register;
+// the rest are Go. internal/verify checks each against the paper's proof
+// obligations — see EXPERIMENTS.md for which pass and which fail, and
+// with what witnesses.
 package policy
 
 import (

@@ -26,6 +26,9 @@ import (
 // cells in memory and never writes them to its durable store. The
 // identity is also all-or-nothing: without a clause-level description
 // there is nothing finer to hash.
+//
+// A registered DSL source's forms are computed once, by Register, and the
+// one map is returned to every caller: it must not be modified.
 func (s Spec) ComponentForms() (map[string]string, error) {
 	if s.DSL == "" {
 		opaque := "go:" + s.Name
@@ -33,6 +36,12 @@ func (s Spec) ComponentForms() (map[string]string, error) {
 		for _, comp := range []string{"load", "filter", "choose", "steal", "rescue"} {
 			forms[comp] = opaque
 		}
+		return forms, nil
+	}
+	registryMu.RLock()
+	forms, ok := registeredForms[s.DSL]
+	registryMu.RUnlock()
+	if ok {
 		return forms, nil
 	}
 	ast, err := dsl.Parse(s.DSL)

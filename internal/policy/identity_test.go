@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dsl"
@@ -133,5 +134,31 @@ func TestSpecComponentForms(t *testing.T) {
 	broken := Spec{Name: "broken", DSL: "policy x {"}
 	if _, err := broken.ComponentForms(); err == nil {
 		t.Error("broken DSL accepted")
+	}
+}
+
+// Every registered DSL source lints clean, except null, whose filter
+// never fires by design: a sloppy port — a dead load clause, a shadowed
+// conjunct — fails here.
+func TestRegisteredDSLLintsClean(t *testing.T) {
+	for _, spec := range Specs() {
+		if spec.DSL == "" {
+			continue
+		}
+		ast, err := dsl.Parse(spec.DSL)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		var codes []string
+		for _, d := range dsl.Analyze(ast, dsl.AnalyzeOptions{MaxFaults: 0}) {
+			codes = append(codes, d.Code)
+		}
+		var want []string
+		if spec.Name == "null" {
+			want = []string{"filter-false"}
+		}
+		if !reflect.DeepEqual(codes, want) {
+			t.Errorf("%s: dsl.Analyze reports %v, want %v", spec.Name, codes, want)
+		}
 	}
 }

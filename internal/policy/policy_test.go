@@ -164,8 +164,18 @@ func unitWeights(n int) []int64 {
 	return ws
 }
 
+// mustNew builds the registered policy name.
+func mustNew(t *testing.T, name string) sched.Policy {
+	t.Helper()
+	p, err := New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestGreedyBuggyAcceptsDownhillSteal(t *testing.T) {
-	p := NewGreedyBuggy()
+	p := mustNew(t, "greedy-buggy")
 	m := sched.MachineFromLoads(1, 2)
 	// A load-1 core may steal from a load-2 core: the ping-pong enabler.
 	if !p.CanSteal(m.Core(0), m.Core(1)) {
@@ -176,7 +186,7 @@ func TestGreedyBuggyAcceptsDownhillSteal(t *testing.T) {
 func TestGreedyBuggyPingPong(t *testing.T) {
 	// Reproduce the §4.3 scenario concretely: rounds alternate and core 0
 	// remains idle while the machine keeps an overloaded core.
-	p := NewGreedyBuggy()
+	p := mustNew(t, "greedy-buggy")
 	m := sched.MachineFromLoads(0, 1, 2)
 	for round := 0; round < 6; round++ {
 		// Adversarial order: the non-idle thief steals first.
@@ -329,7 +339,7 @@ func TestNUMAAwareChoosesLocalVictim(t *testing.T) {
 }
 
 func TestRandomChoiceStaysInCandidates(t *testing.T) {
-	p := NewRandomChoice(42)
+	p := mustNew(t, "random-choice")
 	m := sched.MachineFromLoads(0, 3, 4, 5)
 	for i := 0; i < 50; i++ {
 		att := sched.Select(p, m, 0)
@@ -345,17 +355,8 @@ func TestRandomChoiceStaysInCandidates(t *testing.T) {
 	}
 }
 
-func TestRandomChoiceZeroSeed(t *testing.T) {
-	p := NewRandomChoice(0)
-	m := sched.MachineFromLoads(0, 3)
-	att := sched.Select(p, m, 0)
-	if att.Victim != 1 {
-		t.Errorf("Victim = %d", att.Victim)
-	}
-}
-
 func TestNullNeverSteals(t *testing.T) {
-	p := NewNull()
+	p := mustNew(t, "null")
 	m := sched.MachineFromLoads(0, 10)
 	res := sched.SequentialRound(p, m)
 	if res.TasksMoved() != 0 {
@@ -367,7 +368,7 @@ func TestNullNeverSteals(t *testing.T) {
 }
 
 func TestDelta1AggressiveSwaps(t *testing.T) {
-	p := NewDelta1Aggressive()
+	p := mustNew(t, "delta1-aggressive")
 	// 0/1 with the only thread queued (not running): the aggressive
 	// filter admits the steal, producing 1/0 — a swap that does not
 	// decrease the potential.
@@ -440,17 +441,19 @@ func TestDSLBackedFactoryOnlyCompiles(t *testing.T) {
 	// Verifiers call a factory per state and per game node, so a
 	// DSL-backed one must cost what dsl.Compile costs: the source is
 	// lexed and parsed once, at registration.
-	spec, ok := Lookup("delta2-rescue")
-	if !ok {
-		t.Fatal("delta2-rescue is not registered")
-	}
-	ast, err := dsl.Parse(spec.DSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compile := testing.AllocsPerRun(100, func() { dsl.Compile(ast) })
-	if got := testing.AllocsPerRun(100, func() { spec.New(nil) }); got != compile {
-		t.Errorf("spec.New allocates %v times per call, dsl.Compile %v: the factory re-parses its source", got, compile)
+	for _, name := range []string{"greedy-buggy", "null", "delta1-aggressive", "random-choice", "delta2-rescue"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		ast, err := dsl.Parse(spec.DSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile := testing.AllocsPerRun(100, func() { dsl.Compile(ast) })
+		if got := testing.AllocsPerRun(100, func() { spec.New(nil) }); got != compile {
+			t.Errorf("%s: spec.New allocates %v times per call, dsl.Compile %v: the factory re-parses its source", name, got, compile)
+		}
 	}
 }
 
@@ -571,4 +574,5 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 	mustPanic("both factories", Spec{Name: "x", Factory: func() sched.Policy { return NewDelta2() },
 		TopologyFactory: func(*topology.Topology) sched.Policy { return NewDelta2() }})
 	mustPanic("no factory", Spec{Name: "y"})
+	mustPanic("DSL-only spec that does not parse", Spec{Name: "z", DSL: "policy z {"})
 }

@@ -10,30 +10,6 @@ import (
 	"repro/internal/topology"
 )
 
-// delta2RescueDSL is the committed source of delta2-rescue; the registry
-// factory compiles it directly, so name and source submissions are the
-// same policy by construction.
-const delta2RescueDSL = `policy delta2_rescue {
-    load   = self.ready.size + self.current.size
-    filter = stealee.load - self.load >= 2
-    steal  = 1
-    choose = first
-    rescue = min_load
-}`
-
-// mustParseDSL parses registry-committed DSL source once, at
-// registration, into a factory that only compiles — and dsl.Compile
-// builds the program once, on the first call, then hands out its shared
-// instance: verifiers call a factory per state and per game node. The
-// source is code, not input, so failure is a programming error.
-func mustParseDSL(src string) Factory {
-	ast, err := dsl.Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("policy: registry DSL does not compile: %v", err))
-	}
-	return func() sched.Policy { return dsl.Compile(ast) }
-}
-
 // Factory constructs a policy instance. Policies carrying per-round
 // caches (RoundObservers) or chooser state are stateful, so every
 // consumer that needs isolation — each verifier run, each simulated
@@ -80,7 +56,8 @@ type Spec struct {
 	Name string
 	// Factory builds an instance of a topology-free policy — a fresh one
 	// if the policy is stateful, possibly a shared one if it is not (see
-	// Factory). Exactly one of Factory and TopologyFactory must be set.
+	// Factory). Exactly one of Factory, TopologyFactory and a DSL-only
+	// spec must be set: Register compiles a spec that sets only DSL.
 	Factory Factory
 	// TopologyFactory builds a fresh instance of a policy that needs a
 	// machine topology.
@@ -89,14 +66,17 @@ type Spec struct {
 	Provenance Provenance
 	// Doc is a one-line description for listings.
 	Doc string
-	// DSL, when set, is DSL source the registrant asserts to be
-	// behaviorally identical to the Go implementation — same load,
-	// filter, choice and steal semantics over every machine state. The
-	// incremental verification service then identifies the policy by its
+	// DSL, when set, is the policy's DSL source. It is either the policy
+	// itself — a spec with no factory, which Register compiles — or a
+	// form the registrant asserts to be behaviorally identical to a Go
+	// implementation (delta2, delta2-gen): same load, filter, choice,
+	// steal and rescue semantics over every machine state. Either way the
+	// incremental verification service identifies the policy by its
 	// canonical compiled form (see ComponentForms), so submitting this
 	// spec by name and submitting equivalent DSL source share one cache
-	// entry. Leave it empty unless the equivalence is test-enforced:
-	// a wrong assertion here replays another policy's verdicts.
+	// entry. Pair it with a Factory only if the equivalence is
+	// test-enforced (TestSpecDSLEquivalence): a wrong assertion here
+	// replays another policy's verdicts.
 	DSL string
 }
 
@@ -126,16 +106,35 @@ func DefaultTopology() *topology.Topology { return topology.NUMA(2, 4) }
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Spec{}
+	// registeredForms maps each registered DSL source to its component
+	// forms, computed once by Register: by-name submissions ask for them
+	// on every request.
+	registeredForms = map[string]map[string]string{}
 )
 
-// Register adds a policy spec to the registry. It panics on duplicate
-// names or structurally invalid specs — registration is code, not input.
+// Register adds a policy spec to the registry, parsing its DSL once: a
+// spec that sets only DSL gets a Factory that compiles the parsed source
+// (dsl.Compile builds the program once and shares it, a random chooser
+// aside), and every DSL spec's component forms are kept for
+// ComponentForms. It panics on duplicate names, structurally invalid
+// specs and DSL that does not parse — registration is code, not input.
 func Register(s Spec) {
 	if s.Name == "" {
 		panic("policy: Register with empty Name")
 	}
+	var forms map[string]string
+	if s.DSL != "" {
+		ast, err := dsl.Parse(s.DSL)
+		if err != nil {
+			panic(fmt.Sprintf("policy: Register(%q): DSL does not compile: %v", s.Name, err))
+		}
+		forms = dsl.ComponentForms(ast)
+		if s.Factory == nil && s.TopologyFactory == nil {
+			s.Factory = func() sched.Policy { return dsl.Compile(ast) }
+		}
+	}
 	if (s.Factory == nil) == (s.TopologyFactory == nil) {
-		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory and TopologyFactory", s.Name))
+		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory, TopologyFactory and a DSL-only spec", s.Name))
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -143,6 +142,9 @@ func Register(s Spec) {
 		panic(fmt.Sprintf("policy: Register(%q) called twice", s.Name))
 	}
 	registry[s.Name] = s
+	if forms != nil {
+		registeredForms[s.DSL] = forms
+	}
 }
 
 // Lookup returns the spec registered under name.
@@ -195,12 +197,12 @@ func NewWithTopology(name string, top *topology.Topology) (sched.Policy, error) 
 }
 
 func init() {
-	// The DSL equivalences below are test-enforced: delta2 by
-	// TestSpecDSLEquivalence (this package), delta2-gen additionally by
-	// TestGeneratedDelta2MatchesEverything. They let schedverifyd share
-	// cache entries between name submissions and equivalent DSL source.
-	// NewDelta2's load is NThreads = ready.size + current.size; the DSL
-	// spells it out because that is the committed delta2.pol form.
+	// delta2 and delta2-gen are natives with a test-enforced DSL form
+	// (TestSpecDSLEquivalence; delta2-gen also
+	// TestGeneratedDelta2MatchesEverything), so name submissions and
+	// equivalent DSL source share cache entries. Every DSL spec spells
+	// load as delta2.pol does, NThreads = ready.size + current.size, so
+	// specs share delta2's cells wherever their clauses agree.
 	Register(Spec{
 		Name:       "delta2",
 		Factory:    shared(NewDelta2()),
@@ -219,9 +221,14 @@ func init() {
 		Provenance: ProvenanceProved,
 		Doc:        "niceness-weighted balancer over per-task load weights",
 	})
+	// greedy-buggy is the §4.3 counterexample: any core may steal from an
+	// overloaded one, whatever its own load. On the 0/1/2 machine cores 0
+	// and 1 both chase core 2 (max_load); if core 1 wins, the next round
+	// can mirror the state, and the task ping-pongs between two busy
+	// cores while core 0 starves — a steal between loads 1 and 2 does not
+	// decrease the potential. internal/verify finds the cycle (E3).
 	Register(Spec{
 		Name:       "greedy-buggy",
-		Factory:    shared(NewGreedyBuggy()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "the §4.3 counterexample: concurrent rounds livelock (ping-pong)",
 		DSL: `policy greedy_buggy {
@@ -243,9 +250,12 @@ func init() {
 		Provenance: ProvenanceProved,
 		Doc:        "§5 two-level balancer: steal within the group, then across",
 	})
+	// random-choice is delta2 with a deterministic xorshift64 step-2
+	// choice: even an arbitrary choice cannot break work conservation
+	// while the filter is sound. dsl.Compile hands out a fresh instance,
+	// seeded from the source, per call.
 	Register(Spec{
 		Name:       "random-choice",
-		Factory:    func() sched.Policy { return NewRandomChoice(1) },
 		Provenance: ProvenanceProved,
 		Doc:        "Delta2 with a pseudo-random step-2 choice (choice independence demo)",
 		DSL: `policy random_choice {
@@ -255,9 +265,11 @@ func init() {
     choose = random(1)
 }`,
 	})
+	// null is the no-balancing baseline: trivially safe, maximally
+	// non-work-conserving (experiment E6's lower bound). Its load is the
+	// parser's default, self.nthreads.
 	Register(Spec{
 		Name:       "null",
-		Factory:    shared(NewNull()),
 		Provenance: ProvenanceBaseline,
 		Doc:        "no balancing at all: the E6 lower bound",
 		DSL: `policy null {
@@ -265,9 +277,12 @@ func init() {
     steal  = 0
 }`,
 	})
+	// delta1-aggressive steals across any gap of at least 1: it swaps a
+	// queued task between a load-0 and a load-1 core (0/1 → 1/0 → 0/1
+	// ...), so its steals do not decrease the potential and it fails the
+	// bounded-successes obligation although it satisfies Lemma 1.
 	Register(Spec{
 		Name:       "delta1-aggressive",
-		Factory:    shared(NewDelta1Aggressive()),
 		Provenance: ProvenanceRefuted,
 		Doc:        "over-eager gap>=1 filter: unbounded steal sequences",
 		DSL: `policy delta1_aggressive {
@@ -298,16 +313,20 @@ func init() {
 	})
 	// delta2-rescue is delta2 plus a rescue rule for fail-stop core
 	// faults: orphans of a failed core are adopted by the least-loaded
-	// online core. The factory compiles the DSL itself, so the Spec.DSL
-	// equivalence is exact by construction; the policy exists as the
-	// PROVE side of the fault obligations (no-task-lost,
-	// degraded-wasted-cores), with plain delta2 as the REFUTE side.
+	// online core. It exists as the PROVE side of the fault obligations
+	// (no-task-lost, degraded-wasted-cores), with plain delta2 as the
+	// REFUTE side.
 	Register(Spec{
 		Name:       "delta2-rescue",
-		Factory:    mustParseDSL(delta2RescueDSL),
 		Provenance: ProvenanceProved,
 		Doc:        "delta2 plus a min_load rescue rule: orphans of failed cores are re-homed",
-		DSL:        delta2RescueDSL,
+		DSL: `policy delta2_rescue {
+    load   = self.ready.size + self.current.size
+    filter = stealee.load - self.load >= 2
+    steal  = 1
+    choose = first
+    rescue = min_load
+}`,
 	})
 	Register(Spec{
 		Name:            "numa-aware",

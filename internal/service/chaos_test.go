@@ -77,12 +77,13 @@ func TestCrashRestartWarmFromStore(t *testing.T) {
 // A Go-only spec's cells are keyed by the opaque "go:<name>", which a
 // rebuilt binary reuses for whatever code then carries the name, so they
 // live in the in-memory memo only. A daemon reopened on its data dir
-// re-verifies weighted ("cached" false) and still serves delta2, whose
-// keys hash its clauses, from the store.
+// re-verifies weighted ("cached" false) and still serves delta2 and the
+// DSL-only greedy-buggy, whose keys hash their clauses, from the store.
 func TestCrashRestartForgetsOpaqueCells(t *testing.T) {
 	dir := t.TempDir()
 	delta2 := Request{Policy: "delta2", Obligations: fastObligations}
 	weighted := Request{Policy: "weighted", Obligations: fastObligations}
+	greedy := Request{Policy: "greedy-buggy", Obligations: fastObligations}
 	cached := func(s *Service, req Request) bool {
 		t.Helper()
 		srv := httptest.NewServer(s.Handler())
@@ -94,11 +95,12 @@ func TestCrashRestartForgetsOpaqueCells(t *testing.T) {
 	s1 := newDurable(t, dir)
 	submitWait(t, s1, delta2)
 	submitWait(t, s1, weighted)
-	if !cached(s1, delta2) || !cached(s1, weighted) {
-		t.Fatal("the live daemon does not serve both policies from its memo")
+	submitWait(t, s1, greedy)
+	if !cached(s1, delta2) || !cached(s1, weighted) || !cached(s1, greedy) {
+		t.Fatal("the live daemon does not serve all three policies from its memo")
 	}
-	if got := s1.Stats().Store.Entries; got != len(fastObligations) {
-		t.Errorf("the store holds %d entries, want delta2's %d only", got, len(fastObligations))
+	if got := s1.Stats().Store.Entries; got != 2*len(fastObligations) {
+		t.Errorf("the store holds %d entries, want delta2's and greedy-buggy's %d", got, 2*len(fastObligations))
 	}
 	s1.Close()
 
@@ -106,6 +108,9 @@ func TestCrashRestartForgetsOpaqueCells(t *testing.T) {
 	defer s2.Close()
 	if !cached(s2, delta2) {
 		t.Error(`reopened daemon answers "cached": false for delta2, want true`)
+	}
+	if !cached(s2, greedy) {
+		t.Error(`reopened daemon answers "cached": false for greedy-buggy, a DSL-only spec, want true`)
 	}
 	if cached(s2, weighted) {
 		t.Error(`reopened daemon answers "cached": true for weighted, a Go-only spec`)

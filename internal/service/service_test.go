@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/statespace"
 	"repro/internal/verify"
 )
@@ -98,6 +99,46 @@ func TestNameAndSourceShareCacheEntries(t *testing.T) {
 			t.Errorf("result %d differs between name and source submissions:\n %+v\n %+v",
 				i, cold.Results[i], rep.Results[i])
 		}
+	}
+}
+
+// A registered DSL-only spec is keyed by its clauses, like delta2: after
+// a by-name submission of greedy-buggy, a POST of its source is served
+// entirely from the memo.
+func TestDSLOnlySpecSharesCellsWithItsSource(t *testing.T) {
+	s := MustNew(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	submitWait(t, s, Request{Policy: "greedy-buggy"})
+	st0 := s.Stats()
+	spec, _ := policy.Lookup("greedy-buggy")
+	code, env, raw := postVerify(t, srv.URL, Request{Source: spec.DSL})
+	if code != http.StatusOK || !env.Cached {
+		t.Fatalf("POST of greedy-buggy's source after the by-name run: %d, want a fully cached 200\n%s", code, raw)
+	}
+	st1 := s.Stats()
+	if n := int64(len(verify.AllObligations())); st1.CacheHits != st0.CacheHits+n || st1.CacheMisses != st0.CacheMisses {
+		t.Errorf("source resubmission: +%d hits +%d misses, want +%d/+0",
+			st1.CacheHits-st0.CacheHits, st1.CacheMisses-st0.CacheMisses, n)
+	}
+}
+
+// random-choice is delta2 with another choose clause, so after delta2 a
+// by-name random-choice re-runs only the six obligations that consult
+// Choose.
+func TestRandomChoiceRerunsOnlyChooseObligations(t *testing.T) {
+	s := MustNew(Config{})
+	defer s.Close()
+
+	submitWait(t, s, Request{Policy: "delta2"})
+	st0 := s.Stats()
+	submitWait(t, s, Request{Policy: "random-choice"})
+	st1 := s.Stats()
+	if st1.CacheHits != st0.CacheHits+4 || st1.CacheMisses != st0.CacheMisses+6 {
+		t.Errorf("random-choice after delta2: +%d hits +%d misses, want +4/+6",
+			st1.CacheHits-st0.CacheHits, st1.CacheMisses-st0.CacheMisses)
 	}
 }
 

@@ -138,7 +138,7 @@ func stealViolation(before, after *sched.Machine, _ sched.Policy, att *sched.Att
 // potentialViolation states the §4.3 bounded-successes obligation for
 // one admitted steal: it strictly decreases the pairwise imbalance d. A
 // policy failing this has unbounded steal sequences available (the
-// GreedyBuggy ping-pong). A steal that failed in isolation is
+// greedy-buggy ping-pong). A steal that failed in isolation is
 // steal-soundness's finding, not this one's.
 func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string {
 	if !att.Succeeded() {

@@ -23,7 +23,7 @@
 //   - Work conservation, concurrent (§3.2 in the §4.3 setting): the same
 //     under every adversarial steal order — checked by exhaustive
 //     game-graph exploration with cycle detection, which finds the §4.3
-//     GreedyBuggy ping-pong automatically.
+//     greedy-buggy ping-pong automatically.
 //   - Choice independence (§3.1): work conservation survives when the
 //     adversary also picks the step-2 victim among the filtered cores.
 //   - Reactivity (§1): every idle core gets work within a bounded number

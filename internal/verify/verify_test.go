@@ -16,7 +16,16 @@ import (
 
 func delta2Factory() sched.Policy   { return policy.NewDelta2() }
 func weightedFactory() sched.Policy { return policy.NewWeighted() }
-func greedyFactory() sched.Policy   { return policy.NewGreedyBuggy() }
+func greedyFactory() sched.Policy   { return registered("greedy-buggy") }
+
+// registered builds the registry's policy name.
+func registered(name string) sched.Policy {
+	p, err := policy.New(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 // check runs one obligation over u on the pooled driver; checkCtx is the
 // cancellable form.
@@ -64,7 +73,7 @@ func TestLemma1GreedyHoldsSequentially(t *testing.T) {
 	// lemma — only concurrency breaks it.
 	r := check(ObLemma1, greedyFactory, smallUniverse())
 	if !r.Passed {
-		t.Fatalf("Lemma 1 should hold for GreedyBuggy: %s", r.Witness)
+		t.Fatalf("Lemma 1 should hold for greedy-buggy: %s", r.Witness)
 	}
 }
 
@@ -114,11 +123,11 @@ func TestStealSoundnessWeighted(t *testing.T) {
 }
 
 func TestStealSoundnessCatchesDraining(t *testing.T) {
-	// Delta1Aggressive can steal a core's only (queued) thread.
-	r := check(ObStealSoundness, func() sched.Policy { return policy.NewDelta1Aggressive() },
+	// delta1-aggressive can steal a core's only (queued) thread.
+	r := check(ObStealSoundness, func() sched.Policy { return registered("delta1-aggressive") },
 		statespace.Universe{Cores: 2, MaxPerCore: 2, IncludeUnscheduled: true})
 	if r.Passed {
-		t.Fatal("Delta1Aggressive passed steal soundness")
+		t.Fatal("delta1-aggressive passed steal soundness")
 	}
 	if !strings.Contains(r.Witness, "emptied") {
 		t.Errorf("witness = %q", r.Witness)
@@ -144,7 +153,7 @@ func TestPotentialDecreaseWeighted(t *testing.T) {
 func TestPotentialDecreaseFailsForGreedy(t *testing.T) {
 	r := check(ObPotentialDecrease, greedyFactory, smallUniverse())
 	if r.Passed {
-		t.Fatal("GreedyBuggy passed the potential-decrease obligation")
+		t.Fatal("greedy-buggy passed the potential-decrease obligation")
 	}
 	if !strings.Contains(r.Witness, "no strict decrease") {
 		t.Errorf("witness = %q", r.Witness)
@@ -167,7 +176,7 @@ func TestFailureImpliesSuccessGreedy(t *testing.T) {
 	// unbounded, which is the *other* obligation.
 	r := check(ObFailureImpliesSucc, greedyFactory, smallUniverse())
 	if !r.Passed {
-		t.Fatalf("failure-implies-success failed for GreedyBuggy: %s", r.Witness)
+		t.Fatalf("failure-implies-success failed for greedy-buggy: %s", r.Witness)
 	}
 }
 
@@ -185,7 +194,7 @@ func TestWorkConservationSequentialGreedy(t *testing.T) {
 	// §4.2 vs §4.3: greedy is work-conserving without concurrency.
 	r := check(ObWorkConservSeq, greedyFactory, smallUniverse())
 	if !r.Passed {
-		t.Fatalf("sequential WC failed for GreedyBuggy: %s", r.Witness)
+		t.Fatalf("sequential WC failed for greedy-buggy: %s", r.Witness)
 	}
 }
 
@@ -216,7 +225,7 @@ func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
 	r := check(ObWorkConservConc, greedyFactory, u)
 	if r.Passed {
-		t.Fatal("GreedyBuggy passed concurrent WC — livelock not found")
+		t.Fatal("greedy-buggy passed concurrent WC — livelock not found")
 	}
 	if !strings.Contains(r.Witness, "livelock") {
 		t.Errorf("witness = %q", r.Witness)
@@ -278,7 +287,7 @@ func TestVerifyPolicyFullReportDelta2(t *testing.T) {
 func TestVerifyPolicyFullReportGreedy(t *testing.T) {
 	rep := sequentialReport("greedy-buggy", greedyFactory, Config{Universe: smallUniverse()})
 	if rep.Passed() {
-		t.Fatal("GreedyBuggy report passed")
+		t.Fatal("greedy-buggy report passed")
 	}
 	var failed []ObligationID
 	for _, res := range rep.Results {
@@ -486,13 +495,7 @@ func TestShardedDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-func rescueFactory() sched.Policy {
-	p, err := policy.New("delta2-rescue")
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+func rescueFactory() sched.Policy { return registered("delta2-rescue") }
 
 // faultUniverse extends the small fixture with the fault dimension.
 func faultUniverse() statespace.Universe {
@@ -611,7 +614,7 @@ func TestFaultObligationsVacuousOnHealthyUniverse(t *testing.T) {
 func TestShardedWitnessMatchesWholeUniverseScan(t *testing.T) {
 	// The merged witness must be the one a single sequential scan of the
 	// whole universe finds first (lowest enumeration rank), not whichever
-	// shard happened to refute: re-derive GreedyBuggy's first
+	// shard happened to refute: re-derive greedy-buggy's first
 	// potential-decrease violation by brute force and compare.
 	u := smallUniverse()
 	var want string
@@ -647,7 +650,7 @@ func TestShardedWitnessMatchesWholeUniverseScan(t *testing.T) {
 	}
 	r := check(ObPotentialDecrease, greedyFactory, u)
 	if r.Passed {
-		t.Fatal("GreedyBuggy passed potential decrease")
+		t.Fatal("greedy-buggy passed potential decrease")
 	}
 	if r.Witness != want {
 		t.Errorf("sharded witness %q, whole-universe first witness %q", r.Witness, want)

@@ -395,7 +395,7 @@ func (e *concExplorer) lost(rank int, from string) bool {
 // setting of §4.3 on one start state, against the adversary succ models.
 // With orderSuccessors it is work-conservation-concurrent — the §3.2
 // definition under *every* adversarial serialization of every round's
-// steals; this is the obligation GreedyBuggy fails: on the 0/1/2 machine
+// steals; this is the obligation greedy-buggy fails: on the 0/1/2 machine
 // the adversary ping-pongs the spare thread between the two non-idle
 // cores forever, and the explorer returns that cycle as the witness.
 // With choiceSuccessors it is choice-independence — the paper's central

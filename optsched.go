@@ -115,8 +115,6 @@ var (
 	NewDelta2 = policy.NewDelta2
 	// NewWeighted is the niceness-weighted balancer (proved).
 	NewWeighted = policy.NewWeighted
-	// NewGreedyBuggy is the §4.3 counterexample (refuted: livelock).
-	NewGreedyBuggy = policy.NewGreedyBuggy
 	// NewCFSGroupBuggy models the Lozi et al. group-imbalance bug
 	// (refuted: fails Lemma 1).
 	NewCFSGroupBuggy = policy.NewCFSGroupBuggy
