@@ -47,13 +47,17 @@ func TestCompileBuildsOnceAndSharesStatelessPrograms(t *testing.T) {
 func TestRandomInstancesKeepTheirSequences(t *testing.T) {
 	// Every instance starts from the source's seed and advances only its
 	// own state: the sequences are the ones per-call closures produced.
+	// xorshift64 never leaves state 0, so random(0) starts from the
+	// golden-ratio constant 0x9E3779B97F4A7C15 instead.
 	ast := mustParse(t, randomBoth)
 	m := sched.MachineFromLoads(0, 2, 2, 2, 2, 2)
 	thief, cands := m.Core(0), m.Cores[1:]
 	a, b := Compile(ast), Compile(ast)
-	var chooseA, chooseB, rescueA []int
+	zero := Compile(mustParse(t, `policy z { filter = stealee.load >= 2 choose = random(0) }`))
+	var chooseA, chooseB, rescueA, chooseZero []int
 	for i := 0; i < 12; i++ {
 		chooseA = append(chooseA, a.Choose(thief, cands).ID)
+		chooseZero = append(chooseZero, zero.Choose(thief, cands).ID)
 		rescueA = append(rescueA, a.(sched.Rescuer).RescueTarget(thief, nil, cands).ID)
 		if i%2 == 0 {
 			chooseB = append(chooseB, b.Choose(thief, cands).ID)
@@ -68,34 +72,8 @@ func TestRandomInstancesKeepTheirSequences(t *testing.T) {
 	if want := []int{4, 4, 4, 5, 1, 4, 4, 1, 2, 2, 1, 3}; !reflect.DeepEqual(rescueA, want) {
 		t.Errorf("rescue random(3) chose %v, want %v", rescueA, want)
 	}
-}
-
-func TestRandomZeroSeedTakesTheGoldenRatioSeed(t *testing.T) {
-	// xorshift64 never leaves state 0, so random(0) and a bare random
-	// start from the golden-ratio constant instead: their picks are that
-	// stream's, not candidate 0 forever.
-	m := sched.MachineFromLoads(0, 2, 2, 2, 2, 2)
-	thief, cands := m.Core(0), m.Cores[1:]
-	state := uint64(0x9E3779B97F4A7C15)
-	var want []int
-	for i := 0; i < 12; i++ {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		want = append(want, cands[state%uint64(len(cands))].ID)
-	}
-	for _, src := range []string{
-		`policy r { filter = stealee.load >= 2 choose = random(0) }`,
-		`policy r { filter = stealee.load >= 2 choose = random }`,
-	} {
-		p := Compile(mustParse(t, src))
-		var got []int
-		for range want {
-			got = append(got, p.Choose(thief, cands).ID)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s chose %v, want the golden-ratio stream %v", src, got, want)
-		}
+	if want := []int{5, 5, 1, 1, 4, 1, 3, 1, 3, 3, 2, 4}; !reflect.DeepEqual(chooseZero, want) {
+		t.Errorf("random(0) chose %v, want %v: the golden-ratio stream", chooseZero, want)
 	}
 }
 

@@ -56,8 +56,8 @@ type Spec struct {
 	Name string
 	// Factory builds an instance of a topology-free policy — a fresh one
 	// if the policy is stateful, possibly a shared one if it is not (see
-	// Factory). Exactly one of Factory, TopologyFactory and a DSL-only
-	// spec must be set: Register compiles a spec that sets only DSL.
+	// Factory). Set exactly one of Factory and TopologyFactory, or
+	// neither and DSL alone, which Register compiles into the Factory.
 	Factory Factory
 	// TopologyFactory builds a fresh instance of a policy that needs a
 	// machine topology.
@@ -134,7 +134,7 @@ func Register(s Spec) {
 		}
 	}
 	if (s.Factory == nil) == (s.TopologyFactory == nil) {
-		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory, TopologyFactory and a DSL-only spec", s.Name))
+		panic(fmt.Sprintf("policy: Register(%q) must set exactly one of Factory and TopologyFactory, or DSL alone", s.Name))
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
