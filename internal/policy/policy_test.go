@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -351,6 +352,27 @@ func TestRandomChoiceStaysInCandidates(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("victim %d not among candidates %v", att.Victim, att.Candidates)
+		}
+	}
+}
+
+func TestRandomChoiceZeroSeed(t *testing.T) {
+	// random-choice's source with seed 0: xorshift64 never leaves state
+	// 0, so the choice must start from another state and still pick the
+	// only candidate.
+	spec, ok := Lookup("random-choice")
+	if !ok {
+		t.Fatal("random-choice not registered")
+	}
+	ast, err := dsl.Parse(strings.Replace(spec.DSL, "random(1)", "random(0)", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dsl.Compile(ast)
+	m := sched.MachineFromLoads(0, 3)
+	for i := 0; i < 4; i++ {
+		if att := sched.Select(p, m, 0); att.Victim != 1 {
+			t.Errorf("call %d: Victim = %d, want 1", i, att.Victim)
 		}
 	}
 }
