@@ -50,6 +50,7 @@ func (e *Exponential) Mean() float64 { return e.mean }
 type BoundedPareto struct {
 	alpha float64
 	l, h  float64
+	norm  float64 // 1 − (L/H)^α, the CDF's normalizer
 }
 
 // NewBoundedPareto returns a bounded Pareto distribution with shape
@@ -58,7 +59,9 @@ func NewBoundedPareto(alpha float64, l, h int64) *BoundedPareto {
 	if alpha <= 0 || math.IsNaN(alpha) || l < 1 || h <= l {
 		panic(fmt.Sprintf("loadgen: NewBoundedPareto(%v, %d, %d)", alpha, l, h))
 	}
-	return &BoundedPareto{alpha: alpha, l: float64(l), h: float64(h)}
+	p := &BoundedPareto{alpha: alpha, l: float64(l), h: float64(h)}
+	p.norm = 1 - math.Pow(p.l/p.h, p.alpha)
+	return p
 }
 
 // Name implements ServiceDist.
@@ -70,7 +73,7 @@ func (p *BoundedPareto) Name() string {
 // (1 − (L/H)^α), inverted over a uniform u.
 func (p *BoundedPareto) Sample(rng *sim.RNG) int64 {
 	u := rng.Float64()
-	x := p.l * math.Pow(1-u*(1-math.Pow(p.l/p.h, p.alpha)), -1/p.alpha)
+	x := p.l * math.Pow(1-u*p.norm, -1/p.alpha)
 	// Discretize; the clamps guard floating-point spill at u→1.
 	d := int64(x)
 	if d < int64(p.l) {
@@ -89,7 +92,6 @@ func (p *BoundedPareto) Mean() float64 {
 		return p.l / (1 - p.l/p.h) * math.Log(p.h/p.l)
 	}
 	la := math.Pow(p.l, p.alpha)
-	norm := 1 - math.Pow(p.l/p.h, p.alpha)
-	return p.alpha * la / (norm * (p.alpha - 1)) *
+	return p.alpha * la / (p.norm * (p.alpha - 1)) *
 		(math.Pow(p.l, 1-p.alpha) - math.Pow(p.h, 1-p.alpha))
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -33,6 +34,36 @@ func TestBoundedParetoMeanMatchesAnalytic(t *testing.T) {
 		got := sampleMean(d, 77, 500_000)
 		if rel := (got - want) / want; rel < -0.03 || rel > 0.03 {
 			t.Errorf("%s: empirical mean %v vs analytic %v (rel %.3f)", d.Name(), got, want, rel)
+		}
+	}
+}
+
+// NewBoundedPareto computes (L/H)^α once; every draw and the mean keep
+// the bits of the expressions that recomputed it, written out here: 10^5
+// draws from one seed per shape, and Mean compared by its float bits.
+func TestBoundedParetoKeepsItsBits(t *testing.T) {
+	for _, c := range []struct {
+		alpha float64
+		l, h  int64
+	}{{1.5, 1_000, 1_000_000}, {1.1, 500, 2_000_000}, {1.0, 1_000, 100_000}, {2.5, 100, 50_000}} {
+		d := NewBoundedPareto(c.alpha, c.l, c.h)
+		l, h := float64(c.l), float64(c.h)
+		got, want := sim.NewRNG(5), sim.NewRNG(5)
+		for i := range 100_000 {
+			u := want.Float64()
+			x := l * math.Pow(1-u*(1-math.Pow(l/h, c.alpha)), -1/c.alpha)
+			w := min(max(int64(x), c.l), c.h)
+			if g := d.Sample(got); g != w {
+				t.Fatalf("%s: draw %d = %d, the inline expression gives %d", d.Name(), i, g, w)
+			}
+		}
+		mean := l / (1 - l/h) * math.Log(h/l)
+		if c.alpha != 1 {
+			mean = c.alpha * math.Pow(l, c.alpha) / ((1 - math.Pow(l/h, c.alpha)) * (c.alpha - 1)) *
+				(math.Pow(l, 1-c.alpha) - math.Pow(h, 1-c.alpha))
+		}
+		if g := d.Mean(); math.Float64bits(g) != math.Float64bits(mean) {
+			t.Errorf("%s: Mean = %v, the closed form gives %v", d.Name(), g, mean)
 		}
 	}
 }

@@ -42,8 +42,10 @@ func (w *TimeWeighted) IntegralAt(t int64) float64 {
 
 // Histogram is a log-linear histogram (HdrHistogram-style buckets): each
 // power-of-two range is split into subBuckets linear buckets, giving a
-// bounded relative error with O(1) record cost and no allocation after
-// construction.
+// bounded relative error with O(1) record cost. The counts start with
+// startTiers tiers, so a histogram grows only past 2^28 (at 32
+// sub-buckets), and then to maxTiers at once; bucket bounds, and so
+// every quantile, do not depend on whether it grew.
 type Histogram struct {
 	subBuckets int
 	subBits    int // floor(log2(subBuckets))
@@ -52,6 +54,11 @@ type Histogram struct {
 	sum        float64
 	min, max   int64
 }
+
+const (
+	startTiers = 24
+	maxTiers   = 64
+)
 
 // NewHistogram returns a histogram with the given sub-bucket resolution
 // (16 gives ≈6% relative error; 32 gives ≈3%).
@@ -62,7 +69,7 @@ func NewHistogram(subBuckets int) *Histogram {
 	return &Histogram{
 		subBuckets: subBuckets,
 		subBits:    bits.Len(uint(subBuckets)) - 1,
-		counts:     make([]int64, 64*subBuckets),
+		counts:     make([]int64, startTiers*subBuckets),
 		min:        math.MaxInt64,
 		max:        -1,
 	}
@@ -88,7 +95,8 @@ func (h *Histogram) Record(v int64) {
 	}
 	idx := h.bucketIndex(v)
 	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
+		h.grow()
+		idx = min(idx, len(h.counts)-1)
 	}
 	h.counts[idx]++
 	h.total++
@@ -116,6 +124,9 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.subBuckets != h.subBuckets {
 		panic(fmt.Sprintf("metrics: Merge of %d-sub-bucket histogram into %d", o.subBuckets, h.subBuckets))
 	}
+	if len(o.counts) > len(h.counts) {
+		h.grow()
+	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
@@ -127,6 +138,12 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.max > h.max {
 		h.max = o.max
 	}
+}
+
+// grow lengthens the counts to all maxTiers tiers; past those, Record
+// clamps into the last bucket.
+func (h *Histogram) grow() {
+	h.counts = append(h.counts, make([]int64, maxTiers*h.subBuckets-len(h.counts))...)
 }
 
 // Count returns the number of observations.

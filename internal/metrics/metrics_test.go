@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -253,6 +256,137 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// refHistogram is the full-width reference FuzzHistogram holds
+// Histogram to: 64 tiers of counts from the start, every bucket edge
+// worked out here, out-of-range indices clamped into the last bucket.
+type refHistogram struct {
+	sub      int64
+	counts   []int64
+	total    int64
+	sum      float64
+	min, max int64
+}
+
+func newRefHistogram(sub int) *refHistogram {
+	return &refHistogram{sub: int64(sub), counts: make([]int64, 64*sub), min: math.MaxInt64, max: -1}
+}
+
+// tierOf returns v's tier (0 below sub) and the log2 of its bucket width.
+func (r *refHistogram) tierOf(v int64) (tier, shift int) {
+	if v < r.sub {
+		return 0, 0
+	}
+	shift = bits.Len64(uint64(v)) - bits.Len64(uint64(r.sub))
+	return shift + 1, shift
+}
+
+func (r *refHistogram) record(v int64) {
+	v = max(v, 0)
+	tier, shift := r.tierOf(v)
+	idx := int(v)
+	if tier > 0 {
+		idx = tier*int(r.sub) + int(v>>shift&(r.sub-1))
+	}
+	r.counts[min(idx, len(r.counts)-1)]++
+	r.total++
+	r.sum += float64(v)
+	r.min, r.max = min(r.min, v), max(r.max, v)
+}
+
+func (r *refHistogram) merge(o *refHistogram) {
+	if o.total == 0 {
+		return
+	}
+	for i, c := range o.counts {
+		r.counts[i] += c
+	}
+	r.total += o.total
+	r.sum += o.sum
+	r.min, r.max = min(r.min, o.min), max(r.max, o.max)
+}
+
+func (r *refHistogram) quantile(q float64) int64 {
+	if r.total == 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(min(max(q, 0), 1)*float64(r.total))), 1)
+	for idx, c := range r.counts {
+		if rank -= c; rank <= 0 {
+			if int64(idx) < r.sub {
+				return int64(idx)
+			}
+			tier, sub := int64(idx)/r.sub-1, int64(idx)%r.sub
+			return r.sub<<tier + (sub+1)<<tier - 1
+		}
+	}
+	return r.max
+}
+
+// FuzzHistogram records values of every magnitude — negative, 0, either
+// side of 2^28, past 2^40, MaxInt64 — into two histograms and merges
+// them either way, so histograms of different lengths meet. Each one
+// answers Count, Min, Max and Mean after every step, and Quantile after
+// every merge and at the end, exactly as its full-width reference does.
+func FuzzHistogram(f *testing.F) {
+	f.Add(uint8(32), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
+	f.Add(uint8(16), []byte{9, 200, 1, 0, 0, 0, 0, 0, 0, 2, 5, 255, 255, 255, 255, 255, 255, 255, 127, 3, 0})
+	f.Add(uint8(3), []byte{16, 4, 13, 60, 21, 9, 30, 0, 29, 1, 6, 5, 11, 77})
+	f.Fuzz(func(t *testing.T, sub uint8, ops []byte) {
+		subBuckets := int(sub%100) + 2
+		hs := [2]*Histogram{NewHistogram(subBuckets), NewHistogram(subBuckets)}
+		refs := [2]*refHistogram{newRefHistogram(subBuckets), newRefHistogram(subBuckets)}
+		check := func(withQuantiles bool) {
+			for i, h := range hs {
+				r := refs[i]
+				if h.Count() != r.total || h.Max() != r.max || math.Float64bits(h.Mean()) != math.Float64bits(meanOf(r)) ||
+					(r.total > 0 && h.Min() != r.min) {
+					t.Fatalf("histogram %d: %s, reference n=%d min=%d max=%d sum=%v", i, h, r.total, r.min, r.max, r.sum)
+				}
+				for q := 0.0; withQuantiles && q <= 1; q += 1.0 / 64 {
+					if got, want := h.Quantile(q), r.quantile(q); got != want {
+						t.Fatalf("histogram %d: Quantile(%v) = %d, reference %d", i, q, got, want)
+					}
+				}
+			}
+		}
+		for len(ops) > 0 {
+			op := ops[0]
+			var raw [8]byte
+			ops = ops[1+copy(raw[:], ops[1:]):]
+			x := int64(binary.LittleEndian.Uint64(raw[:]))
+			dst := int(op & 1)
+			switch op >> 1 % 8 {
+			case 0:
+				hs[dst].Merge(hs[1-dst])
+				refs[dst].merge(refs[1-dst])
+				check(true)
+			case 1:
+				hs[dst], refs[dst] = NewHistogram(subBuckets), newRefHistogram(subBuckets)
+			default:
+				v := [...]int64{
+					x,                            // any int64, negative half the time
+					x % 5_000,                    // small, some negative
+					1<<28 + x%64,                 // around the initial width
+					1<<40 + x&(1<<20-1),          // past 2^40
+					math.MaxInt64 - x&0xff,       // the top tier
+					int64(uint64(x) >> (x & 63)), // every magnitude
+				}[op>>4%6]
+				hs[dst].Record(v)
+				refs[dst].record(v)
+				check(false)
+			}
+		}
+		check(true)
+	})
+}
+
+func meanOf(r *refHistogram) float64 {
+	if r.total == 0 {
+		return 0
+	}
+	return r.sum / float64(r.total)
 }
 
 func TestViolationTracker(t *testing.T) {

@@ -64,13 +64,25 @@ type arrival struct {
 // It is stored in two parts. The live events (slice ends, wakes, balance
 // ticks, faults: a handful at a time) are a binary min-heap, stored by
 // value. Arrivals, which a workload posts up front by the thousand, are
-// a slice kept sorted: pop merges its head with the heap top.
+// a stream kept sorted: pop merges its head with the heap top.
 type eventQueue struct {
 	heap []event
-	// arrivals are in (time, seq) order; [:next] have fired and are
-	// zeroed, so the queue no longer holds their behaviors.
-	arrivals []arrival
-	next     int
+	// arrivals is the stream in arrivalChunk-sized chunks, addressed by
+	// flat index (arrivalAt): [head, tail) are pending in (time, seq)
+	// order, [:head] have fired and are zeroed, so the queue no longer
+	// holds their behaviors. A chunk never moves once made.
+	arrivals   [][]arrival
+	head, tail int
+}
+
+// arrivalChunk is the arrival stream's growth unit: 255 records of 48
+// bytes plus the allocator's 8-byte header for a pointerful object just
+// fill a 12 KiB size class, where 256 would take the next, 10 % larger.
+const arrivalChunk = 255
+
+// arrivalAt returns the record at flat index i of the arrival stream.
+func (q *eventQueue) arrivalAt(i int) *arrival {
+	return &q.arrivals[uint(i)/arrivalChunk][uint(i)%arrivalChunk]
 }
 
 // push schedules e on the heap.
@@ -92,34 +104,37 @@ func (q *eventQueue) push(e event) {
 // pushArrival schedules a on the arrival stream. It scans back from the
 // tail for a's place, so arrivals posted in time order are an append.
 func (q *eventQueue) pushArrival(a arrival) {
-	s := append(q.arrivals, a)
-	i := len(s) - 1
-	for ; i > q.next; i-- {
-		if p := &s[i-1]; earlier(p.time, p.seq, a.time, a.seq) {
+	if q.tail == len(q.arrivals)*arrivalChunk {
+		q.arrivals = append(q.arrivals, make([]arrival, arrivalChunk))
+	}
+	i := q.tail
+	q.tail++
+	for ; i > q.head; i-- {
+		p := q.arrivalAt(i - 1)
+		if earlier(p.time, p.seq, a.time, a.seq) {
 			break
 		}
-		s[i] = s[i-1]
+		*q.arrivalAt(i) = *p
 	}
-	s[i] = a
-	q.arrivals = s
+	*q.arrivalAt(i) = a
 }
 
 // pop removes the earliest scheduled item: an arrival (isArrival true)
 // or an event. The queue must not be empty.
 func (q *eventQueue) pop() (e event, a arrival, isArrival bool) {
-	if q.next == len(q.arrivals) {
+	if q.head == q.tail {
 		return q.popHeap(), a, false
 	}
-	head := &q.arrivals[q.next]
+	head := q.arrivalAt(q.head)
 	if len(q.heap) > 0 && earlier(q.heap[0].time, q.heap[0].seq, head.time, head.seq) {
 		return q.popHeap(), a, false
 	}
 	a, *head = *head, arrival{}
-	q.next++
-	if q.next == len(q.arrivals) {
-		// Drained: later posts reuse the slice from the front instead of
-		// growing it by every arrival ever fired.
-		q.arrivals, q.next = q.arrivals[:0], 0
+	q.head++
+	if q.head == q.tail {
+		// Drained: later posts reuse the chunks from the front instead
+		// of adding one per arrivalChunk arrivals ever fired.
+		q.head, q.tail = 0, 0
 	}
 	return e, a, true
 }
@@ -163,8 +178,8 @@ func (q *eventQueue) peekTime() int64 {
 	if len(q.heap) > 0 {
 		t = q.heap[0].time
 	}
-	if q.next < len(q.arrivals) && q.arrivals[q.next].time < t {
-		t = q.arrivals[q.next].time
+	if q.head < q.tail {
+		t = min(t, q.arrivalAt(q.head).time)
 	}
 	return t
 }

@@ -14,7 +14,7 @@ func HeapTop(s *Simulator) (time int64, balance bool) {
 }
 
 // PendingArrivals returns how many arrivals have not fired yet.
-func PendingArrivals(s *Simulator) int { return len(s.q.arrivals) - s.q.next }
+func PendingArrivals(s *Simulator) int { return s.q.tail - s.q.head }
 
 // NextTime returns the time of the earliest scheduled item.
 func NextTime(s *Simulator) int64 { return s.q.peekTime() }

@@ -19,18 +19,24 @@
 // here.
 //
 // Storage contract. Nothing scheduled is individually allocated. The
-// dynamic events — slice ends, wakes, balance ticks, faults, a handful
-// at a time — are plain values in a heap slice: post and the handlers
-// pass them by value. Arrivals, which a workload posts up front by the
-// thousand, are values in a slice kept in (time, seq) order and merged
-// with the heap as they come due; a fired arrival's record is zeroed, so
-// the task alone holds its behavior. Task state lives in a chunked slab
-// indexed by task ID — the simulated machine hands out IDs 0, 1, 2, …
-// and nothing else spawns on it — so a *taskState stays valid for the
-// simulator's lifetime and an exited task is a status, not a deletion.
-// Each state keeps its *sched.Task, which is equally stable: the
-// simulated machine is never the target of a CopyFrom or SetFromSpec,
-// the only calls that invalidate a machine's tasks.
+// dynamic events — slice ends, wakes, balance ticks, faults, a
+// handful at a time — are plain values in a heap slice: post and the
+// handlers pass them by value. Arrivals, which a workload posts up
+// front by the thousand, are values in fixed-size chunks kept in
+// (time, seq) order and merged with the heap as they come due; a
+// record never moves to a new array, and a fired one is zeroed, so
+// the task alone holds its behavior. Task state lives in a chunked
+// slab indexed by task ID — the simulated machine hands out IDs 0, 1,
+// 2, … and nothing else spawns on it — so a *taskState stays valid
+// for the simulator's lifetime and an exited task is a status, not a
+// deletion. Each state keeps its *sched.Task, which is equally
+// stable: the simulated machine is never the target of a CopyFrom or
+// SetFromSpec, the only calls that invalidate a machine's tasks.
+// Occupancy — how many cores are idle and how many overloaded, the
+// input of the wasted-cores tracker — is kept as counts over a class
+// per core, and after an event only the cores it touched are
+// reclassified: the core startIfIdle runs on and the victim of an
+// idle steal, or every core after a round or a fault.
 package sim
 
 import (
@@ -99,7 +105,36 @@ type Simulator struct {
 	latency     *metrics.Histogram
 	waitTime    *metrics.Histogram
 	violations  *metrics.ViolationTracker
+
+	// occupancy, kept for observe: each core's class at its last
+	// recount and how many cores are in each class. Only the cores
+	// touched since the last observe are recounted — all of them when
+	// recountAll is set (a round or fault moved work machine-wide, or
+	// the fixed-capacity dirty list overflowed). seenIdle and
+	// seenViolating are what the violation tracker last saw.
+	class         []coreClass
+	nClass        [numClasses]int
+	dirty         []int
+	recountAll    bool
+	seenIdle      int
+	seenViolating bool
 }
+
+// coreClass is what a core adds to the occupancy counts.
+type coreClass int8
+
+const (
+	classBusy coreClass = iota // neither idle capacity nor overloaded
+	classIdle
+	// classOver is an online core with two or more threads, or an
+	// offline one with work stranded on it.
+	classOver
+	numClasses
+)
+
+// dirtyCap bounds the dirty list: an event outside a round or fault
+// touches at most a core and the victim of its idle steal.
+const dirtyCap = 8
 
 type taskStatus int8
 
@@ -157,7 +192,11 @@ func New(cfg Config) *Simulator {
 		latency:    metrics.NewHistogram(32),
 		waitTime:   metrics.NewHistogram(32),
 		violations: metrics.NewViolationTracker(0),
+		class:      make([]coreClass, cfg.Cores),
+		dirty:      make([]int, 0, dirtyCap),
+		recountAll: true,
 	}
+	s.nClass[classBusy] = cfg.Cores
 	for id, g := range cfg.Groups {
 		s.m.Core(id).Group = g
 		s.m.Core(id).Node = g
@@ -273,30 +312,62 @@ func (s *Simulator) RunContext(ctx context.Context, until int64) (Stats, error) 
 	return s.snapshot(), nil
 }
 
-// observe feeds the violation tracker with the current occupancy.
+// observe recounts the touched cores and feeds the violation tracker
+// whenever the occupancy it tracks changed. Skipping an unchanged
+// observation is exact: the tracker integrates integer steps.
 func (s *Simulator) observe() {
-	idle := 0
-	over := false
-	for _, c := range s.m.Cores {
-		if c.Offline {
-			// An offline core is not idle capacity, but work stranded on
-			// it makes every online idle core a violation.
-			if c.NThreads() > 0 {
-				over = true
-			}
-			continue
+	if s.recountAll {
+		for id := range s.class {
+			s.recount(id)
 		}
-		if c.Idle() {
-			idle++
-		}
-		if c.Overloaded() {
-			over = true
+		s.recountAll = false
+	} else {
+		for _, id := range s.dirty {
+			s.recount(id)
 		}
 	}
-	if idle > 0 && over {
+	s.dirty = s.dirty[:0]
+	idle, over := s.nClass[classIdle], s.nClass[classOver] > 0
+	violating := idle > 0 && over
+	if violating {
 		s.emit(trace.KindViolation, -1, -1, int64(idle))
 	}
-	s.violations.Observe(s.clock, idle, over)
+	if idle != s.seenIdle || violating != s.seenViolating {
+		s.seenIdle, s.seenViolating = idle, violating
+		s.violations.Observe(s.clock, idle, over)
+	}
+}
+
+// touch marks core for recounting at the next observe.
+func (s *Simulator) touch(core int) {
+	switch {
+	case s.recountAll:
+	case len(s.dirty) == cap(s.dirty):
+		s.recountAll = true
+	default:
+		s.dirty = append(s.dirty, core)
+	}
+}
+
+// recount moves core id to the class its current state puts it in.
+func (s *Simulator) recount(id int) {
+	c := s.m.Core(id)
+	cl := classBusy
+	switch {
+	case c.Offline:
+		// An offline core is not idle capacity, but work stranded on
+		// it makes every online idle core a violation.
+		if c.NThreads() > 0 {
+			cl = classOver
+		}
+	case c.Idle():
+		cl = classIdle
+	case c.Overloaded():
+		cl = classOver
+	}
+	s.nClass[s.class[id]]--
+	s.nClass[cl]++
+	s.class[id] = cl
 }
 
 func (s *Simulator) handleSpawn(a *arrival) {
@@ -331,8 +402,10 @@ func (s *Simulator) nextAction(ts *taskState) {
 
 // startIfIdle promotes a ready task if the core runs nothing, and arms
 // its slice event. With IdleBalance, a core with nothing to promote
-// first tries one immediate steal.
+// first tries one immediate steal. Every event that changes what a
+// core holds ends here, so this is where the core is touched.
 func (s *Simulator) startIfIdle(core int) {
+	s.touch(core)
 	c := s.m.Core(core)
 	if c.Offline || c.Current != nil {
 		return
@@ -482,11 +555,13 @@ func (s *Simulator) idleBalance(core int) {
 }
 
 // account counts one steal attempt, idle or in a periodic round, traces
-// its outcome and makes the thief the home of every task it moved.
+// its outcome and makes the thief the home of every task it moved (the
+// victim, which lost them, is touched).
 func (s *Simulator) account(att *sched.Attempt) {
 	if failed := s.counters.CountAttempt(att); failed {
 		s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
 	} else if att.Succeeded() {
+		s.touch(att.Victim)
 		s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
 		for _, id := range att.MovedTasks {
 			s.state(int64(id)).lastCore = att.Thief
@@ -511,6 +586,7 @@ func (s *Simulator) handleFault(e event) {
 	if err != nil {
 		return
 	}
+	s.recountAll = true
 	s.counters.CountFault(moved)
 	if e.kind == evRevive {
 		s.emit(trace.KindRevive, failed, -1, int64(len(c.Queued())))
@@ -546,6 +622,7 @@ func (s *Simulator) handleFault(e event) {
 }
 
 func (s *Simulator) handleBalance() {
+	s.recountAll = true
 	s.counters.Rounds++
 	var rr sched.RoundResult
 	if s.cfg.Mode == RoundSequential {
