@@ -2,6 +2,7 @@ package optsched
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -81,9 +83,10 @@ var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 //   - A ctx deadline propagates to the daemon (Request.TimeoutMs), so
 //     a queued job dies server-side when its client stops caring.
 //
-// The returned Report is decoded from the daemon's deterministic JSON
-// encoding, so re-encoding it with ReportToJSON reproduces the server's
-// bytes exactly.
+// The returned Report is decoded in place with the daemon's envelope,
+// and only a report of exactly the requested obligations, in request
+// order, is a verdict. Re-encoding it with ReportToJSON reproduces the
+// bytes `schedverify -json` prints.
 type VerifyClient struct {
 	// BaseURL is the daemon's root, e.g. "http://127.0.0.1:8377".
 	BaseURL string
@@ -111,46 +114,33 @@ type VerifyClient struct {
 	openUntil time.Time
 }
 
-func (c *VerifyClient) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
+// positiveOr is v when it is positive, def otherwise: a zero or negative
+// setting takes the default.
+func positiveOr[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return http.DefaultClient
+	return def
 }
 
+func (c *VerifyClient) httpClient() *http.Client { return cmp.Or(c.HTTPClient, http.DefaultClient) }
+
 func (c *VerifyClient) pollInterval() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 25 * time.Millisecond
+	return positiveOr(c.PollInterval, 25*time.Millisecond)
 }
 
 func (c *VerifyClient) maxPollInterval() time.Duration {
-	if c.MaxPollInterval > 0 {
-		return c.MaxPollInterval
-	}
-	return 2 * time.Second
+	return positiveOr(c.MaxPollInterval, 2*time.Second)
 }
 
 func (c *VerifyClient) retryBase() time.Duration {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return 100 * time.Millisecond
+	return positiveOr(c.RetryBase, 100*time.Millisecond)
 }
 
-func (c *VerifyClient) breakerThreshold() int {
-	if c.BreakerThreshold > 0 {
-		return c.BreakerThreshold
-	}
-	return 5
-}
+func (c *VerifyClient) breakerThreshold() int { return positiveOr(c.BreakerThreshold, 5) }
 
 func (c *VerifyClient) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 10 * time.Second
+	return positiveOr(c.BreakerCooldown, 10*time.Second)
 }
 
 // backoffDelay is the attempt-th (0-based) delay of an exponential
@@ -249,26 +239,24 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 			return nil, fmt.Errorf("%w (%s)", ErrCircuitOpen, c.BaseURL)
 		}
 		resp, err := c.do(ctx, http.MethodPost, "/v1/verify", body)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
+		if err != nil && ctx.Err() != nil {
+			return nil, err
+		}
+		switch {
+		case err != nil || resp.code >= 500:
 			if c.recordFailure() {
-				return nil, fmt.Errorf("%w (last error: %v)", ErrCircuitOpen, err)
+				return nil, fmt.Errorf("%w (last %s)", ErrCircuitOpen, failure(err, resp))
 			}
 			if err := sleepCtx(ctx, backoffDelay(attempt, c.retryBase(), c.maxPollInterval())); err != nil {
 				return nil, err
 			}
 			attempt++
-			continue
-		}
-		switch {
 		case resp.code == http.StatusOK:
 			c.recordSuccess()
-			return decodeReport(resp.envelope)
+			return decodeReport(resp.envelope, req.Obligations)
 		case resp.code == http.StatusAccepted:
 			c.recordSuccess()
-			return c.poll(ctx, resp.envelope.Poll, resp.envelope.JobID)
+			return c.poll(ctx, resp.envelope.Poll, resp.envelope.JobID, req.Obligations)
 		case resp.code == http.StatusTooManyRequests:
 			// Backpressure is health, not failure: obey the server's
 			// Retry-After (plus jitter so resubmissions spread out) and
@@ -276,21 +264,20 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 			if err := sleepCtx(ctx, jitter(resp.retryAfter)); err != nil {
 				return nil, err
 			}
-			continue
-		case resp.code >= 500:
-			if c.recordFailure() {
-				return nil, fmt.Errorf("%w (last response: %s)", ErrCircuitOpen, resp.errMsg())
-			}
-			if err := sleepCtx(ctx, backoffDelay(attempt, c.retryBase(), c.maxPollInterval())); err != nil {
-				return nil, err
-			}
-			attempt++
-			continue
 		default:
 			// 4xx: the request itself is bad; retrying cannot help.
 			return nil, fmt.Errorf("optsched: verify service: %s", resp.errMsg())
 		}
 	}
+}
+
+// failure describes a failed request, a transport error or a 5xx
+// response, for the error that opens the breaker.
+func failure(err error, resp *clientResp) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return "response: " + resp.errMsg()
 }
 
 // jitter spreads d over [d/2, 3d/2).
@@ -306,7 +293,7 @@ func jitter(d time.Duration) time.Duration {
 // out what is left of the jittered exponential backoff once the time the
 // poll itself took is taken off — nothing when the daemon held the poll
 // (a long-poll), the whole backoff when it answered at once.
-func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string) (*Report, error) {
+func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string, obligations []string) (*Report, error) {
 	if pollURL == "" {
 		pollURL = "/v1/jobs/" + jobID
 	}
@@ -326,22 +313,15 @@ func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string) (*Report
 		start := time.Now()
 		resp, err := c.do(ctx, http.MethodGet, pollURL, nil)
 		took = time.Since(start)
-		if err != nil {
-			if ctx.Err() != nil {
-				c.cancelRemote(pollURL)
-				return nil, err
-			}
-			if c.recordFailure() {
-				c.cancelRemote(pollURL)
-				return nil, fmt.Errorf("%w (last error: %v)", ErrCircuitOpen, err)
-			}
-			continue
+		if err != nil && ctx.Err() != nil {
+			c.cancelRemote(pollURL)
+			return nil, err
 		}
 		switch {
-		case resp.code >= 500:
+		case err != nil || resp.code >= 500:
 			if c.recordFailure() {
 				c.cancelRemote(pollURL)
-				return nil, fmt.Errorf("%w (last response: %s)", ErrCircuitOpen, resp.errMsg())
+				return nil, fmt.Errorf("%w (last %s)", ErrCircuitOpen, failure(err, resp))
 			}
 			continue
 		case resp.code != http.StatusOK:
@@ -350,7 +330,7 @@ func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string) (*Report
 		c.recordSuccess()
 		switch resp.envelope.Status {
 		case string(service.JobDone):
-			return decodeReport(resp.envelope)
+			return decodeReport(resp.envelope, obligations)
 		case string(service.JobCancelled):
 			return nil, fmt.Errorf("optsched: verify job %s cancelled: %s", jobID, resp.envelope.Error)
 		}
@@ -387,20 +367,15 @@ func (c *VerifyClient) cancelRemote(pollURL string) {
 
 // Stats fetches the daemon's counter snapshot.
 func (c *VerifyClient) Stats(ctx context.Context) (*VerifyStats, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/stats", nil)
 	if err != nil {
 		return nil, err
 	}
-	httpResp, err := c.httpClient().Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("optsched: verify service stats: HTTP %d", httpResp.StatusCode)
+	if resp.code != http.StatusOK {
+		return nil, fmt.Errorf("optsched: verify service stats: HTTP %d", resp.code)
 	}
 	var st VerifyStats
-	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(resp.raw, &st); err != nil {
 		return nil, fmt.Errorf("optsched: decoding stats: %w", err)
 	}
 	return &st, nil
@@ -480,12 +455,28 @@ func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte)
 	return resp, nil
 }
 
-// decodeReport extracts the report from a done envelope.
-func decodeReport(env service.SubmitResponse) (*Report, error) {
-	if len(env.Report) == 0 {
+// decodeReport checks a done envelope's report: known obligations, exactly
+// the requested ones in request order (all when the request names none).
+// An empty or partial report is an error, never a PROVED verdict.
+func decodeReport(env service.SubmitResponse, obligations []string) (*Report, error) {
+	rep := env.Report
+	if rep == nil {
 		return nil, fmt.Errorf("optsched: verify service sent a done response without a report")
 	}
-	return verify.ReportFromJSON(env.Report)
+	if err := verify.CheckObligationIDs(rep); err != nil {
+		return nil, fmt.Errorf("optsched: verify service: %w", err)
+	}
+	want := verify.AllObligations()
+	if len(obligations) > 0 {
+		want = make([]verify.ObligationID, len(obligations))
+		for i, name := range obligations {
+			want[i] = verify.ObligationID(name)
+		}
+	}
+	if !slices.EqualFunc(rep.Results, want, func(r verify.Result, id verify.ObligationID) bool { return r.ID == id }) {
+		return nil, fmt.Errorf("optsched: verify service sent %d results that are not the %d requested obligations in request order", len(rep.Results), len(want))
+	}
+	return rep, nil
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

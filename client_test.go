@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,20 +28,15 @@ func newService(t *testing.T, cfg service.Config, opts ...service.Option) *servi
 }
 
 // doneEnvelope renders the daemon's 200 response for a minimal finished
-// report.
+// report of every obligation, the answer to a request that names none.
 func doneEnvelope(t *testing.T) []byte {
 	t.Helper()
-	rep := &verify.Report{
-		Policy:   "p",
-		Universe: "u",
-		Results:  []verify.Result{{ID: verify.ObLemma1, Passed: true, StatesChecked: 7}},
-	}
-	raw, err := verify.ReportJSON(rep)
-	if err != nil {
-		t.Fatal(err)
+	rep := &verify.Report{Policy: "p", Universe: "u"}
+	for _, id := range verify.AllObligations() {
+		rep.Results = append(rep.Results, verify.Result{ID: id, Passed: true, StatesChecked: 7})
 	}
 	passed := true
-	env, err := json.Marshal(service.SubmitResponse{Status: "done", Cached: true, Passed: &passed, Report: raw})
+	env, err := json.Marshal(service.SubmitResponse{Status: "done", Cached: true, Passed: &passed, Report: rep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +345,97 @@ func TestVerifyClientRejects4xxWithoutRetry(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Errorf("4xx retried: %d requests, want 1", hits.Load())
+	}
+}
+
+// A poll that fails in transport counts toward the breaker like a 5xx
+// poll: the client polls again, and once the breaker opens it abandons
+// the job, cancels it on the daemon and names the last error.
+func TestVerifyClientPollTransportErrorsOpenTheBreaker(t *testing.T) {
+	var polls, cancels atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"status":"queued","job_id":"j-1","poll":"/v1/jobs/j-1"}`))
+	})
+	mux.HandleFunc("GET /v1/jobs/j-1", func(http.ResponseWriter, *http.Request) {
+		polls.Add(1)
+		panic(http.ErrAbortHandler) // the connection drops without a response
+	})
+	mux.HandleFunc("DELETE /v1/jobs/j-1", func(http.ResponseWriter, *http.Request) { cancels.Add(1) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	c := fastClient(srv.URL)
+	_, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2"})
+	if !errors.Is(err, ErrCircuitOpen) || !strings.Contains(err.Error(), "(last error: ") {
+		t.Fatalf("Verify against dropped polls returned %v, want ErrCircuitOpen naming the last error", err)
+	}
+	// net/http may itself retry a GET whose reused connection dropped.
+	if polls.Load() < int64(c.BreakerThreshold) || cancels.Load() != 1 {
+		t.Errorf("%d polls and %d cancels, want at least %d and 1", polls.Load(), cancels.Load(), c.BreakerThreshold)
+	}
+}
+
+// reportBody renders a done envelope whose report lists ids, each
+// passed.
+func reportBody(ids ...string) string {
+	results := make([]string, len(ids))
+	for i, id := range ids {
+		results[i] = `{"id":"` + id + `","passed":true,"states_checked":1}`
+	}
+	return `{"status":"done","passed":true,"report":{"policy":"p","universe":"u","results":[` + strings.Join(results, ",") + `]}}`
+}
+
+// A done envelope is a verdict only when its report covers exactly the
+// requested obligations in request order: an absent or empty report, a
+// missing, unknown or reordered obligation is an error on the submit
+// and the poll path alike — never a PROVED report with nothing checked.
+func TestVerifyClientRejectsIncompleteReports(t *testing.T) {
+	var all []string
+	for _, id := range verify.AllObligations() {
+		all = append(all, string(id))
+	}
+	pair := []string{"lemma1", "steal-soundness"}
+	cases := []struct {
+		name string
+		req  VerifyRequest
+		body string
+		ok   bool
+	}{
+		{"null report", VerifyRequest{Policy: "delta2"}, `{"status":"done","passed":true,"report":null}`, false},
+		{"missing report", VerifyRequest{Policy: "delta2"}, `{"status":"done","passed":true}`, false},
+		{"empty results", VerifyRequest{Policy: "delta2"}, reportBody(), false},
+		{"one obligation missing", VerifyRequest{Policy: "delta2"}, reportBody(all[:len(all)-1]...), false},
+		{"unknown obligation", VerifyRequest{Policy: "delta2", Obligations: []string{"lemma99"}}, reportBody("lemma99"), false},
+		{"reordered", VerifyRequest{Policy: "delta2", Obligations: pair}, reportBody(pair[1], pair[0]), false},
+		{"every obligation", VerifyRequest{Policy: "delta2"}, reportBody(all...), true},
+		{"the requested pair", VerifyRequest{Policy: "delta2", Obligations: pair}, reportBody(pair...), true},
+	}
+	for _, c := range cases {
+		for _, queued := range []bool{false, true} {
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, _ *http.Request) {
+				if queued {
+					w.WriteHeader(http.StatusAccepted)
+					w.Write([]byte(`{"status":"queued","job_id":"j-1","poll":"/v1/jobs/j-1"}`))
+					return
+				}
+				w.Write([]byte(c.body))
+			})
+			mux.HandleFunc("GET /v1/jobs/j-1", func(w http.ResponseWriter, _ *http.Request) {
+				w.Write([]byte(c.body))
+			})
+			srv := httptest.NewServer(mux)
+			rep, err := fastClient(srv.URL).Verify(context.Background(), c.req)
+			srv.Close()
+			if c.ok && (err != nil || !rep.Passed()) {
+				t.Errorf("%s (queued %v): rep=%v err=%v, want a PROVED report", c.name, queued, rep, err)
+			}
+			if !c.ok && err == nil {
+				t.Errorf("%s (queued %v): accepted as %+v, want an error", c.name, queued, rep)
+			}
+		}
 	}
 }
 

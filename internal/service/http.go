@@ -40,11 +40,10 @@ import (
 // hit answers on the submit round trip, anything else answers 202 at
 // once.
 //
-// Submit and poll responses share the SubmitResponse envelope. The
-// embedded report is the deterministic verify.ReportJSON encoding — the
-// same bytes `schedverify -json` prints — re-compacted by the envelope
-// encoder; fetch it from the envelope's `report` field for
-// byte-comparison across requests.
+// Submit and poll responses share the SubmitResponse envelope. The report
+// rides in it as a value, encoded once: the bytes verify.ReportJSON (and
+// `schedverify -json`) prints, re-indented one level deeper. Re-encode the
+// decoded `report` with verify.ReportJSON to byte-compare requests.
 
 // maxPollWait caps the ?wait= of a job poll and is the wait the daemon
 // advertises in the poll URLs it hands out. It stays well under the idle
@@ -80,8 +79,8 @@ type SubmitResponse struct {
 	Passed *bool `json:"passed,omitempty"`
 	// Error carries the cancellation or failure message.
 	Error string `json:"error,omitempty"`
-	// Report is the verify.ReportJSON document when Status is "done".
-	Report json.RawMessage `json:"report,omitempty"`
+	// Report is the verdict when Status is "done".
+	Report *verify.Report `json:"report,omitempty"`
 	// Warnings are the DSL semantic linter's findings for source
 	// submissions (dsl.Analyze): advisory only — they never block
 	// verification, never affect the verdict or the cache key, and are
@@ -193,15 +192,16 @@ func (s *Service) handleCacheFlush(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"flushed": removed})
 }
 
+// verdicts back Passed (read-only), so wrapping a report allocates nothing.
+var verdicts = [2]bool{false, true}
+
 // doneResponse wraps a finished report in the envelope.
 func doneResponse(rep *verify.Report, cached bool, warnings []dsl.Diagnostic) SubmitResponse {
-	passed := rep.Passed()
-	data, err := verify.ReportJSON(rep)
-	if err != nil {
-		// Unreachable: Report marshals from plain structs.
-		data = []byte(fmt.Sprintf("%q", err.Error()))
+	passed := &verdicts[0]
+	if rep.Passed() {
+		passed = &verdicts[1]
 	}
-	return SubmitResponse{Status: "done", Cached: cached, Passed: &passed, Report: data, Warnings: warnings}
+	return SubmitResponse{Status: "done", Cached: cached, Passed: passed, Report: rep, Warnings: warnings}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -31,7 +31,7 @@ type goldenCase struct {
 // universes that between them reach every obligation's interesting side
 // (faults, a fourth core, weights, groups), plus the committed Listing 1
 // source under two-event fault scripts.
-func goldenCases(t *testing.T) []goldenCase {
+func goldenCases(t testing.TB) []goldenCase {
 	t.Helper()
 	universes := []statespace.Universe{
 		{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1},

@@ -21,19 +21,26 @@ func ReportJSON(r *Report) ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// ReportFromJSON decodes a report encoded by ReportJSON (or the compact
-// form embedded in schedverifyd responses). It rejects trailing garbage
-// and unknown obligation IDs, so a client cannot silently accept a
-// response from an incompatible server.
+// ReportFromJSON decodes a report encoded by ReportJSON. It rejects
+// trailing garbage and unknown obligation IDs (CheckObligationIDs).
 func ReportFromJSON(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("verify: bad report JSON: %w", err)
 	}
-	for _, res := range r.Results {
-		if !KnownObligation(res.ID) {
-			return nil, fmt.Errorf("verify: report names unknown obligation %q", res.ID)
-		}
+	if err := CheckObligationIDs(&r); err != nil {
+		return nil, err
 	}
 	return &r, nil
+}
+
+// CheckObligationIDs rejects a report naming an obligation this verifier
+// does not know: no one silently accepts an incompatible server's report.
+func CheckObligationIDs(r *Report) error {
+	for _, res := range r.Results {
+		if !KnownObligation(res.ID) {
+			return fmt.Errorf("verify: report names unknown obligation %q", res.ID)
+		}
+	}
+	return nil
 }
