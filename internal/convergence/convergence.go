@@ -21,8 +21,6 @@ type Graph struct {
 	N int
 	// Adj lists each node's neighbors, ascending, no self-loops.
 	Adj [][]int
-	// Name labels the topology in reports.
-	Name string
 }
 
 // MaxDegree returns the largest node degree.
@@ -41,7 +39,7 @@ func Ring(n int) Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("convergence: Ring(%d)", n))
 	}
-	g := Graph{N: n, Adj: make([][]int, n), Name: fmt.Sprintf("ring(%d)", n)}
+	g := Graph{N: n, Adj: make([][]int, n)}
 	for i := 0; i < n; i++ {
 		g.Adj[i] = []int{(i + n - 1) % n, (i + 1) % n}
 	}
@@ -55,7 +53,7 @@ func Hypercube(dim int) Graph {
 		panic(fmt.Sprintf("convergence: Hypercube(%d)", dim))
 	}
 	n := 1 << dim
-	g := Graph{N: n, Adj: make([][]int, n), Name: fmt.Sprintf("hypercube(%d)", dim)}
+	g := Graph{N: n, Adj: make([][]int, n)}
 	for i := 0; i < n; i++ {
 		for d := 0; d < dim; d++ {
 			g.Adj[i] = append(g.Adj[i], i^(1<<d))

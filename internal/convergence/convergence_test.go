@@ -10,14 +10,14 @@ import (
 )
 
 func TestGraphBuilders(t *testing.T) {
-	for _, g := range []Graph{Ring(5), Hypercube(3)} {
+	for name, g := range map[string]Graph{"ring(5)": Ring(5), "hypercube(3)": Hypercube(3)} {
 		if len(g.Adj) != g.N {
-			t.Errorf("%s: N=%d with %d adjacency rows", g.Name, g.N, len(g.Adj))
+			t.Errorf("%s: N=%d with %d adjacency rows", name, g.N, len(g.Adj))
 		}
 		for i, nbrs := range g.Adj {
 			for _, j := range nbrs {
 				if j == i || !slices.Contains(g.Adj[j], i) {
-					t.Errorf("%s: edge %d->%d is a self-loop or not symmetric", g.Name, i, j)
+					t.Errorf("%s: edge %d->%d is a self-loop or not symmetric", name, i, j)
 				}
 			}
 		}
@@ -56,14 +56,14 @@ func sum[T int64 | float64](load []T) T {
 }
 
 func TestDiffusionConvergesOnEveryTopology(t *testing.T) {
-	for _, g := range []Graph{Ring(8), Hypercube(3)} {
+	for name, g := range map[string]Graph{"ring(8)": Ring(8), "hypercube(3)": Hypercube(3)} {
 		load := SpikeLoadFloat(g.N, 64)
 		rounds := RoundsToFloat(func(l []float64) { DiffusionRoundFloat(g, l) }, load, 0.5, 10_000)
 		if rounds > 10_000 {
-			t.Errorf("%s: diffusion did not converge; final %v", g.Name, load)
+			t.Errorf("%s: diffusion did not converge; final %v", name, load)
 		}
 		if got := sum(load); math.Abs(got-64) > 1e-9 {
-			t.Errorf("%s: load not conserved: 64 -> %g", g.Name, got)
+			t.Errorf("%s: load not conserved: 64 -> %g", name, got)
 		}
 	}
 }

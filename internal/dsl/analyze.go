@@ -356,10 +356,10 @@ func probeCores() []*sched.Core {
 	mk := func(id, node, group, ready int, current bool, weight int64) *sched.Core {
 		c := &sched.Core{ID: id, Node: node, Group: group}
 		if current {
-			c.Current = &sched.Task{ID: sched.TaskID(100*id + 99), Weight: weight, NodeHint: -1}
+			c.Current = &sched.Task{ID: sched.TaskID(100*id + 99), Weight: weight}
 		}
 		for i := 0; i < ready; i++ {
-			c.Push(&sched.Task{ID: sched.TaskID(100*id + i), Weight: weight, NodeHint: -1})
+			c.Push(&sched.Task{ID: sched.TaskID(100*id + i), Weight: weight})
 		}
 		return c
 	}

@@ -20,10 +20,11 @@ import (
 //     may only be used as a method-call receiver or through its
 //     address; copying one by value forks the atomic state.
 
-// AtomicsDiscipline is the atomics analyzer.
+// AtomicsDiscipline is the atomics analyzer: it flags plain accesses to
+// fields accessed via sync/atomic elsewhere, and by-value copies of
+// sync/atomic values.
 var AtomicsDiscipline = &Analyzer{
 	Name: "atomicsdiscipline",
-	Doc:  "flag plain accesses to fields accessed via sync/atomic elsewhere, and by-value copies of sync/atomic values",
 	Run:  runAtomics,
 }
 

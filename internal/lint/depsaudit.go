@@ -45,11 +45,12 @@ import (
 // (filter/choose/steal/rescue), and declaring CompLoad requires Load
 // to actually be reached.
 
-// DepsAudit is the obligation-dependency analyzer. It no-ops on
-// packages without an obligationDeps table.
+// DepsAudit is the obligation-dependency analyzer: it checks the
+// obligationDeps rows against the policy components the checkers' call
+// graphs actually reach. It no-ops on packages without an
+// obligationDeps table.
 var DepsAudit = &Analyzer{
 	Name: "depsaudit",
-	Doc:  "check the obligationDeps rows against the checker call graphs' actually-reached policy components",
 	Run:  runDepsAudit,
 }
 

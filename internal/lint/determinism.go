@@ -27,10 +27,11 @@ import (
 //     declaration order, maps in sorted-key order — a map field hands
 //     part of the document's shape to the encoder.
 
-// Determinism is the determinism analyzer.
+// Determinism is the determinism analyzer: it forbids wall-clock, global
+// rand, order-sensitive map iteration and map JSON fields in
+// deterministic packages.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, order-sensitive map iteration and map JSON fields in deterministic packages",
 	Run:  runDeterminism,
 }
 

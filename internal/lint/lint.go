@@ -44,8 +44,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //schedlint:allow directives.
 	Name string
-	// Doc is a one-paragraph description.
-	Doc string
 	// Run analyzes one package, reporting findings via pass.Report.
 	Run func(*Pass) error
 }

@@ -1,10 +1,13 @@
 package lint_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -266,6 +269,160 @@ func TestNoDeadInternalExports(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("%s has no non-test reference", d)
 	}
+}
+
+// writeOnlyExemptions names the fields of internal structs that no
+// non-test code reads by selection, as fieldName names them, each with
+// the reason it stays. Keep it to five entries at most: a field nothing
+// reads is state nothing needs.
+var writeOnlyExemptions = map[string]string{
+	"sim.Stats.Preemptions": "schedsim prints a run's Stats with %v, and TestGoldenTraces " +
+		"hashes every non-pointer Stats field",
+	"sim.Stats.IdleCoreTicks": "schedsim prints a run's Stats with %v, and TestGoldenTraces " +
+		"hashes every non-pointer Stats field",
+	"lint.Package.Types": "the interface walk of TestNoDeadInternalExports reads each " +
+		"loaded package's type universe",
+}
+
+// TestNoWriteOnlyFields fails on every named field of a struct declared
+// in a repro/internal/... package that no non-test file of the module
+// reads. A read is a field selection that is not the target of an
+// assignment, an op-assignment, ++ or --; a composite-literal key is a
+// write. Embedded fields are skipped, and so are fields whose json tag
+// keeps them in an encoding (encoding/json reads those); a field tagged
+// json:"-" is still checked.
+func TestNoWriteOnlyFields(t *testing.T) {
+	prog, pkgs := loadRepo(t)
+	if len(writeOnlyExemptions) > 5 {
+		t.Errorf("%d exemptions; at most five may stay", len(writeOnlyExemptions))
+	}
+
+	// Every checked field of an internal struct, keyed by its declaring
+	// object, with the name it is reported and exempted under.
+	type field struct {
+		pos  token.Position
+		name string
+	}
+	declared := make(map[string]field)
+	for _, pkg := range pkgs {
+		if !isInternal(pkg.Path) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			owner := make(map[*ast.StructType]string) // struct type -> enclosing type name
+			ast.Inspect(file, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					ast.Inspect(ts.Type, func(n ast.Node) bool {
+						if st, ok := n.(*ast.StructType); ok && owner[st] == "" {
+							owner[st] = ts.Name.Name
+						}
+						return true
+					})
+				}
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, f := range st.Fields.List {
+					if len(f.Names) == 0 || encodedByJSON(f) {
+						continue
+					}
+					for _, id := range f.Names {
+						obj := pkg.Info.Defs[id]
+						declared[fieldKey(prog.Fset, obj)] = field{
+							prog.Fset.Position(id.Pos()),
+							fieldName(pkg.Types.Name(), owner[st], id.Name),
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// Every field selection in non-test code that is not a write target.
+	read := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			writes := make(map[ast.Expr]bool)
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range s.Lhs {
+						writes[ast.Unparen(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					writes[ast.Unparen(s.X)] = true
+				case *ast.RangeStmt:
+					if s.Tok == token.ASSIGN {
+						writes[s.Key] = true
+						writes[s.Value] = true
+					}
+				case *ast.SelectorExpr:
+					if sel := pkg.Info.Selections[s]; sel != nil && sel.Kind() == types.FieldVal && !writes[s] {
+						read[fieldKey(prog.Fset, sel.Obj())] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	names := make(map[string]bool)
+	var unread []string
+	for key, f := range declared {
+		names[f.name] = true
+		if read[key] {
+			if _, ok := writeOnlyExemptions[f.name]; ok {
+				t.Errorf("exemption %s is read by non-test code; drop it", f.name)
+			}
+			continue
+		}
+		if _, ok := writeOnlyExemptions[f.name]; !ok {
+			unread = append(unread, f.pos.String()+": "+f.name)
+		}
+	}
+	for name := range writeOnlyExemptions {
+		if !names[name] {
+			t.Errorf("exemption %s names no checked field", name)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is never read by non-test code", u)
+	}
+}
+
+// fieldKey identifies a field by its declaring object from every
+// package's view of it. A package's own fields are source objects, an
+// imported package's are export-data objects, and the two share only
+// the declaration's file, line and name — which no two fields share.
+func fieldKey(fset *token.FileSet, obj types.Object) string {
+	pos := fset.Position(obj.Pos())
+	return fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, obj.Name())
+}
+
+// fieldName is how a field is reported: package, enclosing type and
+// field name, with "struct" standing in for a type that has no name.
+func fieldName(pkg, owner, field string) string {
+	if owner == "" {
+		owner = "struct"
+	}
+	return pkg + "." + owner + "." + field
+}
+
+// encodedByJSON reports whether a field's json tag keeps it in the
+// encoding, so that encoding/json reads it.
+func encodedByJSON(f *ast.Field) bool {
+	if f.Tag == nil {
+		return false
+	}
+	tag, err := strconv.Unquote(f.Tag.Value)
+	if err != nil {
+		return false
+	}
+	name, ok := reflect.StructTag(tag).Lookup("json")
+	return ok && name != "-"
 }
 
 func isInternal(path string) bool {

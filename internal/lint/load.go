@@ -32,7 +32,6 @@ import (
 // Package is one source-loaded, type-checked package.
 type Package struct {
 	Path    string
-	Name    string
 	GoFiles []string
 	Files   []*ast.File
 	Types   *types.Package
@@ -61,7 +60,6 @@ type declSite struct {
 
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	CgoFiles   []string
@@ -80,7 +78,7 @@ func Load(dir string, patterns ...string) (*Program, []*Package, error) {
 	}
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -205,10 +203,6 @@ func (prog *Program) ensure(path string) (*Package, error) {
 		Importer: prog.imp,
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
-	name := "unknown"
-	if len(syntax) > 0 {
-		name = syntax[0].Name.Name
-	}
 	tpkg, _ := conf.Check(path, prog.Fset, syntax, info)
 	if len(terrs) > 0 {
 		msgs := make([]string, 0, len(terrs))
@@ -222,7 +216,6 @@ func (prog *Program) ensure(path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:    path,
-		Name:    name,
 		GoFiles: files,
 		Files:   syntax,
 		Types:   tpkg,

@@ -7,7 +7,6 @@ package metrics
 type ViolationTracker struct {
 	idleWhileOver TimeWeighted
 	idle          TimeWeighted
-	startT        int64
 	lastViolating bool
 	episodes      int64
 	episodeStart  int64
@@ -16,7 +15,7 @@ type ViolationTracker struct {
 
 // NewViolationTracker starts tracking at time t.
 func NewViolationTracker(t int64) *ViolationTracker {
-	v := &ViolationTracker{startT: t}
+	v := &ViolationTracker{}
 	v.idleWhileOver.Observe(t, 0)
 	v.idle.Observe(t, 0)
 	return v

@@ -94,7 +94,7 @@ func TestWeightedFiltersMatchFullScans(t *testing.T) {
 			if thiefLoad < 0 {
 				continue
 			}
-			m.Core(0).Current = &sched.Task{ID: -1, Weight: thiefLoad, NodeHint: -1}
+			m.Core(0).Current = &sched.Task{ID: -1, Weight: thiefLoad}
 			if thiefLoad == 0 {
 				m.Core(0).Current = nil
 			}

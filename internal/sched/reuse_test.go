@@ -307,7 +307,7 @@ func TestSpawnAcrossChunkBoundaryKeepsTasksValid(t *testing.T) {
 		tasks = append(tasks, m.Spawn(i%3, int64(1+i)))
 	}
 	for i, task := range tasks {
-		if task.ID != TaskID(i) || task.Weight != int64(1+i) || task.NodeHint != -1 {
+		if task.ID != TaskID(i) || task.Weight != int64(1+i) {
 			t.Fatalf("task %d reads %+v after later spawns", i, *task)
 		}
 		if q := m.Core(i % 3).Queued()[i/3]; q != task {

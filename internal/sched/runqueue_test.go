@@ -64,12 +64,12 @@ func FuzzRunqueue(f *testing.F) {
 	weights := []int64{1, 2, 3, 1024, 8192}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m, spare := NewMachine(2), new(Machine)
-		m.Core(1).Current = &Task{ID: -1, Weight: 1, NodeHint: -1} // keeps core 1 busy and online
+		m.Core(1).Current = &Task{ID: -1, Weight: 1} // keeps core 1 busy and online
 		var model []Task
 		next := TaskID(0)
 		newTask := func(b byte) *Task {
 			next++
-			return &Task{ID: next, Weight: weights[int(b)%len(weights)], NodeHint: -1}
+			return &Task{ID: next, Weight: weights[int(b)%len(weights)]}
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%8, ops[i+1]

@@ -81,34 +81,31 @@ type TaskID int64
 // balancer balances the sum of weights.
 const DefaultWeight = 1024
 
-// Task is a schedulable entity. In the verification model a task is fully
-// described by its identity and weight; the simulator (internal/sim)
-// attaches execution state separately so that the verified model stays
-// minimal.
+// Task is a schedulable entity. As in the paper's model (§3.1), a task is
+// fully described by its identity and weight: two words, nothing else.
+// The simulator (internal/sim) attaches execution state separately, and
+// placement heuristics read the topology, not the task, so that the
+// verified model stays minimal.
 type Task struct {
 	// ID identifies the task. IDs are unique within a machine.
 	ID TaskID
 	// Weight is the task's share of CPU, used by weighted policies.
 	// Must be > 0. DefaultWeight for a default task.
 	Weight int64
-	// NodeHint is the NUMA node the task prefers, or -1 for no
-	// preference. Only step-2 (Choose) heuristics look at it, so it
-	// never affects work-conservation proofs.
-	NodeHint int
 }
 
-// NewTask returns a task with the default weight and no NUMA preference.
+// NewTask returns a task with the default weight.
 func NewTask(id TaskID) *Task {
-	return &Task{ID: id, Weight: DefaultWeight, NodeHint: -1}
+	return &Task{ID: id, Weight: DefaultWeight}
 }
 
 // weightedTask returns a task with the given weight, which must be
-// positive, and no NUMA preference.
+// positive.
 func weightedTask(id TaskID, weight int64) Task {
 	if weight <= 0 {
 		panic(fmt.Sprintf("sched: task %d weight must be positive, got %d", id, weight))
 	}
-	return Task{ID: id, Weight: weight, NodeHint: -1}
+	return Task{ID: id, Weight: weight}
 }
 
 // String implements fmt.Stringer.

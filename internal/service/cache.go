@@ -10,18 +10,18 @@ import (
 // resultCache is the content-addressed memo of per-obligation verify
 // Results. Keys are content hashes (key.go), so entries never go stale
 // — a changed policy, universe, obligation or verifier version simply
-// hashes elsewhere — and the cache never evicts. Values are final
+// hashes elsewhere — and only an admin flush drops them. Values are final
 // merged Results from the deterministic sharded driver; replaying one
 // into a report is byte-identical to re-running the checker.
 type resultCache struct {
 	mu      sync.RWMutex
 	entries map[string]verify.Result
 
-	// hits/misses count lookup probes: one per obligation per executed
-	// submission (the submit fast-path peeks first so a submission's
-	// keys are never double-counted). The stats endpoint exposes them —
-	// this is how a client observes that a one-clause edit invalidated
-	// exactly the dependent obligations.
+	// hits/misses count lookup probes: one per obligation of each
+	// submission answered from the memo (lookupAll) and of each job run
+	// (lookup), so no submission's keys are counted twice. The stats
+	// endpoint exposes them — this is how a client observes that a
+	// one-clause edit invalidated exactly the dependent obligations.
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -47,17 +47,25 @@ func (c *resultCache) flush() int {
 	return n
 }
 
-// peekAll reports whether every key is cached, without touching the
-// hit/miss accounting.
-func (c *resultCache) peekAll(keys []string) bool {
+// lookupAll answers a submission from the memo when every key is
+// cached. It reads all keys under one read lock, so a concurrent flush
+// cannot answer some keys and miss others, and it counts the probes as
+// hits only when it answers: a submission it cannot answer counts
+// nothing here, and the job that runs it probes each key once.
+func (c *resultCache) lookupAll(keys []string) ([]verify.Result, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, key := range keys {
 		if _, ok := c.entries[key]; !ok {
-			return false
+			return nil, false
 		}
 	}
-	return true
+	results := make([]verify.Result, len(keys))
+	for i, key := range keys {
+		results[i] = c.entries[key]
+	}
+	c.hits.Add(int64(len(keys)))
+	return results, true
 }
 
 // lookup returns the memoized result for key, counting the probe as a

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,4 +344,68 @@ func TestFlushCacheMemoryAndDisk(t *testing.T) {
 	if got := s2.Stats().Store.RecoveredRecords; got != len(fastObligations) {
 		t.Errorf("restart after flush+reverify recovered %d records, want %d", got, len(fastObligations))
 	}
+}
+
+// A flush that lands while warm submissions are being answered costs
+// each submission one probe per obligation, never two: a submission is
+// answered from the memo whole (its keys are hits) or runs as a job
+// (whose probes are its hits and misses), so with no job cancelled and
+// none refused by backpressure every probe belongs to exactly one of
+// the two.
+func TestFlushRacingWarmSubmitsCountsEachProbeOnce(t *testing.T) {
+	s := MustNew(Config{})
+	defer s.Close()
+	req := Request{Policy: "delta2", Obligations: fastObligations}
+	submitWait(t, s, req)
+
+	const clients, rounds = 4, 1000
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.FlushCache()
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rep, job, err := s.Submit(req)
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				if rep == nil {
+					if rep, errMsg := waitDone(t, job); rep == nil {
+						t.Errorf("job %s cancelled: %s", job.ID(), errMsg)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-flushed
+
+	st := s.Stats()
+	if st.JobsCancelled != 0 || st.CacheFlushes == 0 {
+		t.Fatalf("%d jobs cancelled, %d flushes: the race under test did not run", st.JobsCancelled, st.CacheFlushes)
+	}
+	probes := st.CacheHits + st.CacheMisses
+	if want := int64(len(fastObligations)) * (st.ServedFromCache + st.JobsSubmitted); probes != want {
+		t.Errorf("%d hits + %d misses = %d probes for %d answered submissions and %d jobs, want %d",
+			st.CacheHits, st.CacheMisses, probes, st.ServedFromCache, st.JobsSubmitted, want)
+	}
+	t.Logf("%d answered from the memo, %d jobs (%d coalesced onto), %d flushes",
+		st.ServedFromCache, st.JobsSubmitted, st.JobsCoalesced, st.CacheFlushes)
 }

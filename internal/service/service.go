@@ -381,25 +381,10 @@ func (s *Service) submit(req Request) (*verify.Report, *Job, []dsl.Diagnostic, e
 		return nil, nil, nil, err
 	}
 
-	// Fast path: every obligation memoized. Peek first so the hit/miss
-	// accounting counts each submission's keys exactly once.
-	if s.cache.peekAll(sub.keys) {
-		results := make([]verify.Result, len(sub.obligations))
-		complete := true
-		for i, key := range sub.keys {
-			res, ok := s.cache.lookup(key)
-			if !ok {
-				// Unreachable: the cache never evicts. Fall through to a
-				// job rather than fabricating a result.
-				complete = false
-				break
-			}
-			results[i] = res
-		}
-		if complete {
-			s.servedFromCache.Add(1)
-			return sub.report(results), nil, sub.warnings, nil
-		}
+	// Fast path: every obligation memoized.
+	if results, ok := s.cache.lookupAll(sub.keys); ok {
+		s.servedFromCache.Add(1)
+		return sub.report(results), nil, sub.warnings, nil
 	}
 	rep, job, err := s.enqueue(sub)
 	return rep, job, sub.warnings, err
@@ -432,13 +417,12 @@ func (s *Service) enqueue(sub *submission) (*verify.Report, *Job, error) {
 		ctx, cancel = context.WithCancel(s.ctx)
 	}
 	job := &Job{
-		id:        fmt.Sprintf("j-%d", s.seq),
-		sub:       sub,
-		ctx:       ctx,
-		cancelFn:  cancel,
-		done:      make(chan struct{}),
-		state:     JobQueued,
-		submitted: time.Now(), //schedlint:allow determinism job lifecycle timestamps are operational metadata, not report content
+		id:       fmt.Sprintf("j-%d", s.seq),
+		sub:      sub,
+		ctx:      ctx,
+		cancelFn: cancel,
+		done:     make(chan struct{}),
+		state:    JobQueued,
 	}
 	select {
 	case s.queue <- job:
@@ -474,7 +458,6 @@ func (s *Service) runJob(job *Job) {
 		return
 	}
 	job.state = JobRunning
-	job.started = time.Now() //schedlint:allow determinism job lifecycle timestamps are operational metadata, not report content
 	job.mu.Unlock()
 
 	s.faults.Check(faultinject.OpWorker, "") // chaos: injected worker stall
@@ -575,7 +558,6 @@ func (s *Service) FlushCache() (int, error) {
 // wakes whoever waits on the job. Every job reaches it exactly once.
 func (s *Service) finish(job *Job, rep *verify.Report, errMsg string) {
 	job.mu.Lock()
-	job.finished = time.Now() //schedlint:allow determinism job lifecycle timestamps are operational metadata, not report content
 	if rep != nil {
 		job.state = JobDone
 		job.report = rep

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/service/store"
 	"repro/internal/statespace"
@@ -96,13 +95,10 @@ type Job struct {
 	cancelFn func()
 	done     chan struct{} // closed by finish: the job is terminal
 
-	mu        sync.Mutex
-	state     JobState
-	report    *verify.Report
-	errMsg    string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	mu     sync.Mutex
+	state  JobState
+	report *verify.Report
+	errMsg string
 }
 
 // ID returns the job's handle.

@@ -252,3 +252,56 @@ func TestGoldenCountersMatchTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestWakeLandsWhereTheTaskLastStarted replays every golden scenario's
+// event stream and holds each wake to the simulator's placement rule: a
+// task wakes on the core it last started on, or — when that core is
+// offline — on the lowest-ID online core. A task blocks only while it
+// runs, so the core of its latest start is the only home a wake can
+// need; no later event has to re-home a blocked task.
+func TestWakeLandsWhereTheTaskLastStarted(t *testing.T) {
+	var wakes, fallbacks int
+	for _, g := range goldenScenarios() {
+		const ringCap = 1 << 18
+		ring := trace.NewRing(ringCap)
+		cfg := g.cfg
+		cfg.Ring = ring
+		s := New(cfg)
+		for _, until := range g.build(s) {
+			s.Run(until)
+		}
+		if ring.Len() == ringCap {
+			t.Fatalf("%s: ring full, events may have been dropped", g.name)
+		}
+		offline := make([]bool, cfg.Cores)
+		lastStart := map[int64]int{}
+		for _, e := range ring.Events() {
+			switch e.Kind {
+			case trace.KindFail:
+				offline[e.Core] = true
+			case trace.KindRevive:
+				offline[e.Core] = false
+			case trace.KindStart:
+				lastStart[e.Task] = e.Core
+			case trace.KindWake:
+				home, ok := lastStart[e.Task]
+				if !ok {
+					t.Fatalf("%s: %v wakes a task that never started", g.name, e)
+				}
+				want := home
+				if offline[home] {
+					fallbacks++
+					want = slices.Index(offline, false)
+				}
+				if e.Core != want {
+					t.Errorf("%s: %v, want core %d (last started on %d, offline %v)", g.name, e, want, home, offline)
+				}
+				wakes++
+			}
+		}
+	}
+	if wakes == 0 || fallbacks == 0 {
+		t.Errorf("the golden scenarios wake %d tasks, %d onto a fallback core: the rule is not exercised", wakes, fallbacks)
+	}
+	t.Logf("%d wakes checked, %d onto the lowest-ID online core", wakes, fallbacks)
+}

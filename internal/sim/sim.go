@@ -158,7 +158,7 @@ type taskState struct {
 	remaining  int64
 	sliceStart int64
 	runSeq     uint64
-	lastCore   int
+	lastCore   int // where the task last started; read only to place its wake
 	arrival    int64
 	readySince int64
 }
@@ -382,7 +382,6 @@ func (s *Simulator) handleSpawn(a *arrival) {
 		task:       task,
 		behavior:   a.behavior,
 		status:     statusReady,
-		lastCore:   a.core,
 		arrival:    s.clock,
 		readySince: s.clock,
 	}
@@ -535,7 +534,6 @@ func (s *Simulator) handleWake(e event) {
 				break
 			}
 		}
-		ts.lastCore = core
 	}
 	ts.status = statusReady
 	ts.readySince = s.clock
@@ -554,18 +552,15 @@ func (s *Simulator) idleBalance(core int) {
 	s.account(&att)
 }
 
-// account counts one steal attempt, idle or in a periodic round, traces
-// its outcome and makes the thief the home of every task it moved (the
-// victim, which lost them, is touched).
+// account counts one steal attempt, idle or in a periodic round, and
+// traces its outcome (the victim of a steal, which lost tasks, is
+// touched).
 func (s *Simulator) account(att *sched.Attempt) {
 	if failed := s.counters.CountAttempt(att); failed {
 		s.emit(trace.KindStealFail, att.Thief, -1, int64(att.Victim))
 	} else if att.Succeeded() {
 		s.touch(att.Victim)
 		s.emit(trace.KindSteal, att.Thief, int64(att.MovedTasks[0]), int64(att.Victim))
-		for _, id := range att.MovedTasks {
-			s.state(int64(id)).lastCore = att.Thief
-		}
 	}
 }
 
@@ -606,18 +601,12 @@ func (s *Simulator) handleFault(e event) {
 	if moved == 0 {
 		return
 	}
+	// The rescued tasks sit on online cores now: start any that landed
+	// on an idle one.
 	for _, oc := range s.m.Cores {
-		if oc.Offline {
-			continue
+		if !oc.Offline {
+			s.startIfIdle(oc.ID)
 		}
-		// A queued task's home is the core it sits on; the ones still
-		// naming the failed core are the orphans just re-homed here.
-		for _, t := range oc.Queued() {
-			if ts := s.state(int64(t.ID)); ts.lastCore == failed {
-				ts.lastCore = oc.ID
-			}
-		}
-		s.startIfIdle(oc.ID)
 	}
 }
 

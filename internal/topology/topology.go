@@ -1,6 +1,5 @@
 // Package topology models machine topologies for scheduling: cores grouped
-// into NUMA nodes and hierarchical scheduling domains, with a distance
-// metric between cores.
+// into NUMA nodes, with a distance metric between cores.
 //
 // The paper's step-2 (Choose) heuristics and §5 hierarchical balancing are
 // the consumers: a topology never influences the step-1 filter, which is
@@ -9,61 +8,8 @@ package topology
 
 import "fmt"
 
-// Level identifies a scheduling-domain level, smallest first, mirroring
-// the Linux sched-domain hierarchy.
-type Level int
-
-const (
-	// LevelSMT groups hardware threads of one physical core.
-	LevelSMT Level = iota
-	// LevelCore groups cores sharing a last-level cache.
-	LevelCore
-	// LevelNode groups cores of one NUMA node.
-	LevelNode
-	// LevelMachine is the root domain covering every core.
-	LevelMachine
-)
-
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case LevelSMT:
-		return "smt"
-	case LevelCore:
-		return "core"
-	case LevelNode:
-		return "node"
-	case LevelMachine:
-		return "machine"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
-// Domain is one node of the scheduling-domain tree: a set of cores at some
-// level, partitioned into child domains.
-type Domain struct {
-	// Level is the domain's position in the hierarchy.
-	Level Level
-	// Cores lists the core IDs covered by this domain, ascending.
-	Cores []int
-	// Children partitions Cores at the next level down; empty for leaf
-	// domains.
-	Children []*Domain
-}
-
-// Contains reports whether the domain covers core id.
-func (d *Domain) Contains(id int) bool {
-	for _, c := range d.Cores {
-		if c == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Topology describes a machine: core count, per-core NUMA node, inter-node
-// distances and the domain tree.
+// Topology describes a machine: core count, per-core NUMA node and
+// inter-node distances.
 type Topology struct {
 	// NCores is the total number of cores.
 	NCores int
@@ -73,8 +19,6 @@ type Topology struct {
 	// Diagonal entries are the local distance (conventionally 10, as in
 	// ACPI SLIT tables); remote entries are larger.
 	NodeDistance [][]int
-	// Root is the top of the scheduling-domain tree.
-	Root *Domain
 }
 
 // NumNodes returns the number of NUMA nodes.
@@ -132,40 +76,6 @@ func (t *Topology) Validate() error {
 			}
 		}
 	}
-	if t.Root == nil {
-		return fmt.Errorf("topology: missing root domain")
-	}
-	if len(t.Root.Cores) != t.NCores {
-		return fmt.Errorf("topology: root domain covers %d of %d cores", len(t.Root.Cores), t.NCores)
-	}
-	return validateDomain(t.Root)
-}
-
-func validateDomain(d *Domain) error {
-	if len(d.Children) == 0 {
-		return nil
-	}
-	covered := make(map[int]bool)
-	for _, child := range d.Children {
-		if child.Level >= d.Level {
-			return fmt.Errorf("topology: child level %v not below parent %v", child.Level, d.Level)
-		}
-		for _, c := range child.Cores {
-			if covered[c] {
-				return fmt.Errorf("topology: core %d in two sibling domains", c)
-			}
-			covered[c] = true
-			if !d.Contains(c) {
-				return fmt.Errorf("topology: child core %d outside parent domain", c)
-			}
-		}
-		if err := validateDomain(child); err != nil {
-			return err
-		}
-	}
-	if len(covered) != len(d.Cores) {
-		return fmt.Errorf("topology: children cover %d of %d cores", len(covered), len(d.Cores))
-	}
 	return nil
 }
 
@@ -175,17 +85,7 @@ func Flat(n int) *Topology {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: Flat(%d)", n))
 	}
-	nodeOf := make([]int, n)
-	cores := make([]int, n)
-	for i := range cores {
-		cores[i] = i
-	}
-	return &Topology{
-		NCores:       n,
-		NodeOf:       nodeOf,
-		NodeDistance: [][]int{{10}},
-		Root:         &Domain{Level: LevelMachine, Cores: cores},
-	}
+	return &Topology{NCores: n, NodeOf: make([]int, n), NodeDistance: [][]int{{10}}}
 }
 
 // NUMA returns a topology with `nodes` NUMA nodes of `perNode` cores each.
@@ -199,10 +99,6 @@ func NUMA(nodes, perNode int) *Topology {
 	n := nodes * perNode
 	nodeOf := make([]int, n)
 	dist := make([][]int, nodes)
-	root := &Domain{Level: LevelMachine, Cores: make([]int, n)}
-	for i := range root.Cores {
-		root.Cores[i] = i
-	}
 	for node := 0; node < nodes; node++ {
 		dist[node] = make([]int, nodes)
 		for other := 0; other < nodes; other++ {
@@ -212,15 +108,11 @@ func NUMA(nodes, perNode int) *Topology {
 				dist[node][other] = 20
 			}
 		}
-		child := &Domain{Level: LevelNode}
 		for i := 0; i < perNode; i++ {
-			id := node*perNode + i
-			nodeOf[id] = node
-			child.Cores = append(child.Cores, id)
+			nodeOf[node*perNode+i] = node
 		}
-		root.Children = append(root.Children, child)
 	}
-	return &Topology{NCores: n, NodeOf: nodeOf, NodeDistance: dist, Root: root}
+	return &Topology{NCores: n, NodeOf: nodeOf, NodeDistance: dist}
 }
 
 // Groups returns the per-node core ID sets, in node order — the "groups of

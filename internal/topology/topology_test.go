@@ -101,25 +101,6 @@ func TestCoresOfNodeAndGroups(t *testing.T) {
 	}
 }
 
-func TestDomainContains(t *testing.T) {
-	d := &Domain{Level: LevelNode, Cores: []int{2, 3}}
-	if !d.Contains(2) || d.Contains(0) {
-		t.Error("Contains misbehaves")
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	cases := map[Level]string{
-		LevelSMT: "smt", LevelCore: "core", LevelNode: "node",
-		LevelMachine: "machine", Level(9): "Level(9)",
-	}
-	for l, want := range cases {
-		if got := l.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(l), got, want)
-		}
-	}
-}
-
 func TestValidateCatchesBrokenTopologies(t *testing.T) {
 	// Wrong NodeOf length.
 	bad := Flat(2)
@@ -133,35 +114,11 @@ func TestValidateCatchesBrokenTopologies(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Error("out-of-range node accepted")
 	}
-	// Missing root.
-	bad3 := Flat(2)
-	bad3.Root = nil
-	if bad3.Validate() == nil {
-		t.Error("nil root accepted")
-	}
-	// Root not covering all cores.
-	bad4 := Flat(3)
-	bad4.Root.Cores = bad4.Root.Cores[:2]
-	if bad4.Validate() == nil {
-		t.Error("partial root accepted")
-	}
-	// Overlapping children.
-	bad5 := NUMA(2, 2)
-	bad5.Root.Children[1].Cores = []int{0, 1}
-	if bad5.Validate() == nil {
-		t.Error("overlapping children accepted")
-	}
 	// Remote distance below local.
-	bad6 := NUMA(2, 1)
-	bad6.NodeDistance[0][1] = 5
-	if bad6.Validate() == nil {
+	bad3 := NUMA(2, 1)
+	bad3.NodeDistance[0][1] = 5
+	if bad3.Validate() == nil {
 		t.Error("remote < local distance accepted")
-	}
-	// Child at same level as parent.
-	bad7 := NUMA(2, 1)
-	bad7.Root.Children[0].Level = LevelMachine
-	if bad7.Validate() == nil {
-		t.Error("child at parent level accepted")
 	}
 }
 

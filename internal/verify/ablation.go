@@ -12,8 +12,7 @@ import (
 // AblationResult reports what breaks when the step-3 re-validation
 // (Listing 1 line 12) is removed — experiment E8's ablation.
 type AblationResult struct {
-	// StatesChecked and SchedulesChecked count the explored space.
-	StatesChecked    int
+	// SchedulesChecked counts the explored (state, order) pairs.
 	SchedulesChecked int
 	// SoundnessViolations counts (state, order) pairs where the
 	// unchecked executor emptied an overloaded victim or otherwise broke
@@ -60,7 +59,6 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 		if shards[s].Aborted && ctx.Err() == nil {
 			panic(shards[s].Witness)
 		}
-		merged.StatesChecked += shards[s].StatesChecked
 		merged.SchedulesChecked = satAdd(merged.SchedulesChecked, shards[s].SchedulesChecked)
 		merged.SoundnessViolations = satAdd(merged.SoundnessViolations, p.SoundnessViolations)
 		merged.PotentialViolations = satAdd(merged.PotentialViolations, p.PotentialViolations)

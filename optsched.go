@@ -80,7 +80,7 @@ type (
 
 // Topology types (see internal/topology).
 type (
-	// Topology describes NUMA nodes and scheduling domains.
+	// Topology describes NUMA nodes and the distances between them.
 	Topology = topology.Topology
 )
 
