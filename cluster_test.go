@@ -273,6 +273,55 @@ func TestClusterRunWithFaultsAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestBackendsPlaceAlike runs schedsim's forkjoin shape with its spawn
+// core failed at time 0, so every task is placed while its core is
+// offline: on the model as an orphan of the fault, on the simulator as a
+// spawn, on the executor as either. sched.Place decides all three, so a
+// rescue rule leaves nothing orphaned anywhere, and a rescue-less policy
+// strands every task on the model and the simulator alike.
+func TestBackendsPlaceAlike(t *testing.T) {
+	sc := ForkJoinScenario("forkjoin", 20, 16, 2000, 40_000, 0)
+	sc.Cores = 8
+	sc.Horizon = 1_500_000
+	sc.Faults = []FaultEvent{{Core: 0, At: 0}}
+	tasks := int64(sc.TotalTasks())
+	for _, tc := range []struct {
+		policy   string
+		backends []Backend
+		orphaned int64
+	}{
+		{"delta2-rescue", Backends(), 0},
+		// The executor would wait for a revive that never comes.
+		{"delta2", []Backend{BackendModel, BackendSim}, tasks},
+	} {
+		for _, backend := range tc.backends {
+			t.Run(tc.policy+"/"+backend.Name(), func(t *testing.T) {
+				c, err := New(WithPolicy(tc.policy), WithBackend(backend), WithSeed(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Orphaned != tc.orphaned {
+					t.Errorf("left %d of %d tasks orphaned, want %d: %v", res.Orphaned, tasks, tc.orphaned, res)
+				}
+				if tc.orphaned > 0 {
+					return
+				}
+				if backend != BackendModel && res.Completed != tasks {
+					t.Errorf("completed %d of %d tasks: %v", res.Completed, tasks, res)
+				}
+				// On the executor, worker 0 may run a task before the kill.
+				if backend != BackendExecutor && res.Rescued != tasks {
+					t.Errorf("rescued %d of %d tasks: %v", res.Rescued, tasks, res)
+				}
+			})
+		}
+	}
+}
+
 // TestClusterRunModelFaultSemantics pins the model backend's fault
 // accounting: a rescue-less policy strands the failed core's tasks
 // (visible as Orphaned), a scripted revival recovers them, and the

@@ -153,10 +153,12 @@ func (x *program) StealCount(thief, stealee *sched.Core) int {
 	return int(evalInt(x.ast.Steal, thief, stealee, x.load))
 }
 
+var _ sched.Rescuer = (*program)(nil)
+
 // RescueTarget implements sched.Rescuer: the rescue chooser's pick among
-// the online candidates, or nil — the orphan stays stranded — for a
+// the online candidates, or nil — the task stays stranded — for a
 // policy without a rescue clause.
-func (x *program) RescueTarget(_ *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
+func (x *program) RescueTarget(_ *sched.Core, candidates []*sched.Core) *sched.Core {
 	if x.rescue.kind == noRescue {
 		return nil
 	}

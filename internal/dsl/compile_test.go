@@ -58,7 +58,7 @@ func TestRandomInstancesKeepTheirSequences(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		chooseA = append(chooseA, a.Choose(thief, cands).ID)
 		chooseZero = append(chooseZero, zero.Choose(thief, cands).ID)
-		rescueA = append(rescueA, a.(sched.Rescuer).RescueTarget(thief, nil, cands).ID)
+		rescueA = append(rescueA, a.(sched.Rescuer).RescueTarget(thief, cands).ID)
 		if i%2 == 0 {
 			chooseB = append(chooseB, b.Choose(thief, cands).ID)
 		}
@@ -98,7 +98,7 @@ func TestCompiledFactoryIsRaceFree(t *testing.T) {
 							}
 						}
 						p.Choose(thief, m.Cores)
-						p.(sched.Rescuer).RescueTarget(thief, nil, m.Cores)
+						p.(sched.Rescuer).RescueTarget(thief, m.Cores)
 					}
 				}
 			}()

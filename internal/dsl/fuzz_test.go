@@ -74,8 +74,8 @@ func FuzzParse(f *testing.F) {
 				if got, want := compiled.Choose(thief, others), ref.Choose(thief, others); got != want {
 					t.Fatalf("%v: Choose for c%d picked c%d, closures pick c%d", m, thief.ID, got.ID, want.ID)
 				}
-				got := compiled.(sched.Rescuer).RescueTarget(thief, nil, others)
-				if want := ref.RescueTarget(thief, nil, others); got != want {
+				got := compiled.(sched.Rescuer).RescueTarget(thief, others)
+				if want := ref.RescueTarget(thief, others); got != want {
 					t.Fatalf("%v: RescueTarget for c%d is %v, closures say %v", m, thief.ID, got, want)
 				}
 			}
@@ -100,10 +100,7 @@ func referencePolicy(p *Policy) *sched.FuncPolicy {
 		},
 	}
 	if p.Rescue.Name != "" {
-		rescue := referenceChooser(p.Rescue, load)
-		fp.RescueFn = func(failed *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
-			return rescue(failed, candidates)
-		}
+		fp.RescueFn = referenceChooser(p.Rescue, load)
 	}
 	return fp
 }

@@ -16,10 +16,10 @@
 //
 // The package owns mechanism only — goroutines, locks, atomics, moving
 // closures between queues. Every decision (whom to rob, whether the
-// optimistic selection still holds and how much to take, who adopts an
-// orphan) is internal/sched's Select, DecideSteal and DecideRescue,
-// called on views built from the workers' counters: the verified code is
-// the executed code.
+// optimistic selection still holds and how much to take, where an orphan
+// of a killed worker or a task submitted to one lands) is
+// internal/sched's Select, DecideSteal and Place, called on views built
+// from the workers' counters: the verified code is the executed code.
 //
 // Views and who may touch them. The views are built once, at NewPool, and
 // overwritten in place from then on, so a balancing round allocates
@@ -173,11 +173,12 @@ func (p *Pool) Wait() { p.wg.Wait() }
 
 // Kill fail-stops a worker: it finishes its in-flight task (a real
 // goroutine cannot be preempted mid-call) and then executes nothing
-// further. Its queue is immediately offered to the policy's rescue rule
-// (sched.Rescuer); orphans the policy declines stay stranded on the
-// offline queue — and keep Wait blocked — until Revive; a task submitted
-// to a killed worker gets the same offer. Killing the last online worker
-// is refused: a pool with no lanes can never drain.
+// further. Its queue is immediately re-homed where sched.Place sends it
+// (the policy's rescue rule, sched.Rescuer); orphans the policy declines
+// stay stranded on the offline queue — and keep Wait blocked — until
+// Revive; a task submitted to a killed worker is placed the same way.
+// Killing the last online worker is refused: a pool with no lanes can
+// never drain.
 func (p *Pool) Kill(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Kill(%d) of a %d-worker pool", id, len(p.workers))
@@ -214,21 +215,21 @@ func (p *Pool) Revive(id int) error {
 	return nil
 }
 
-// rehome drains the dead worker's queue through the policy's rescue
-// rule. Each orphan's adopter is decided (sched.DecideRescue, on the
-// rescue view refreshed lock-free) before the orphan leaves the queue, so
-// a rule that breaks its contract panics with nothing lost; the orphan is
-// then popped under the dead worker's lock and appended under the
-// adopter's — never holding both, so it cannot deadlock against
-// concurrent steals. The first orphan the policy declines (or a policy
-// with no rescue rule at all) ends the drain and strands the rest.
+// rehome drains the dead worker's queue where sched.Place sends it. Each
+// orphan's adopter is decided (on the rescue view refreshed lock-free)
+// before the orphan leaves the queue, so a rule that breaks its contract
+// panics with nothing lost; the orphan is then popped under the dead
+// worker's lock and appended under the adopter's — never holding both,
+// so it cannot deadlock against concurrent steals. The first orphan
+// Place leaves where it is ends the drain and strands the rest: the
+// policy declined or has no rescue rule, or the worker is back online.
 func (w *worker) rehome() {
 	w.rescueMu.Lock()
 	defer w.rescueMu.Unlock()
 	for w.qlen.Load() > 0 {
 		w.pool.refresh(w.rescueView)
-		target := sched.DecideRescue(w.rescuePolicy, w.rescueView.Cores[w.id], placeholderTask, sched.RescueCandidates(w.rescueView))
-		if target == nil {
+		target := sched.Place(w.rescuePolicy, w.rescueView, w.id)
+		if target.ID == w.id {
 			return
 		}
 		t := w.popLocal()

@@ -266,7 +266,7 @@ func rescueOnlyFactory() sched.Policy {
 		PolicyName: "rescue-only",
 		LoadFn:     func(c *sched.Core) int64 { return int64(c.NThreads()) },
 		FilterFn:   func(_, _ *sched.Core) bool { return false },
-		RescueFn: func(_ *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
+		RescueFn: func(_ *sched.Core, candidates []*sched.Core) *sched.Core {
 			return sched.ChooseFirst(nil, candidates)
 		},
 	}
@@ -391,7 +391,7 @@ func TestKillPanicsOnOutOfContractRescuer(t *testing.T) {
 	// panic from the shared rescue decision — not re-select forever.
 	bad := func() sched.Policy {
 		p := rescueOnlyFactory().(*sched.FuncPolicy)
-		p.RescueFn = func(failed *sched.Core, _ *sched.Task, _ []*sched.Core) *sched.Core { return failed }
+		p.RescueFn = func(failed *sched.Core, _ []*sched.Core) *sched.Core { return failed }
 		return p
 	}
 	p := NewPool(2, bad, Options{})
@@ -768,12 +768,14 @@ type taggedPolicy struct {
 	began, rescued atomic.Bool
 }
 
+var _ sched.Rescuer = (*taggedPolicy)(nil)
+
 func (p *taggedPolicy) BeginRound(*sched.Machine) {
 	p.round++
 	p.began.Store(true)
 }
 
-func (p *taggedPolicy) RescueTarget(_ *sched.Core, _ *sched.Task, candidates []*sched.Core) *sched.Core {
+func (p *taggedPolicy) RescueTarget(_ *sched.Core, candidates []*sched.Core) *sched.Core {
 	p.rescued.Store(true)
 	return candidates[p.round%len(candidates)]
 }

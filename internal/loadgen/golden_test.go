@@ -12,11 +12,11 @@ import (
 	"repro/internal/policy"
 )
 
-// updateGolden regenerates testdata/golden-sweep-v1.txt from the sweep as
+// updateGolden regenerates testdata/golden-sweep-v2.txt from the sweep as
 // it stands. Only a change that bumps ReportVersion may use it.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/loadgen/testdata/golden-sweep-*.txt (only together with a ReportVersion bump)")
 
-const goldenFile = "testdata/golden-sweep-v1.txt"
+const goldenFile = "testdata/golden-sweep-v2.txt"
 
 type goldenSweep struct {
 	name string

@@ -13,7 +13,7 @@ import (
 
 // ReportVersion is bumped whenever the sweep semantics or the report
 // schema change incompatibly.
-const ReportVersion = 1
+const ReportVersion = 2
 
 // SweepConfig parameterizes one tail-latency load sweep: the registered
 // policies to compare and the workload shape shared by every (policy,

@@ -23,9 +23,6 @@ import (
 // steal from the overloaded group 1 forever: a permanent work-conservation
 // violation that Delta2 and Hierarchical resolve in one round.
 type CFSGroupBuggy struct {
-	// Chooser is the step-2 heuristic; nil means most-loaded candidate.
-	Chooser sched.ChooseFunc
-
 	stats groupStats
 }
 
@@ -71,12 +68,9 @@ func hasAdmissibleTask(stealee *sched.Core, gap int64) bool {
 	return 0 < w && w < gap
 }
 
-// Choose implements sched.Policy.
+// Choose implements sched.Policy: the most loaded candidate.
 func (p *CFSGroupBuggy) Choose(thief *sched.Core, candidates []*sched.Core) *sched.Core {
-	if p.Chooser == nil {
-		return sched.ChooseMaxLoad(p.Load)(thief, candidates)
-	}
-	return p.Chooser(thief, candidates)
+	return sched.ChooseMaxLoad(p.Load)(thief, candidates)
 }
 
 // StealCount implements sched.Policy.

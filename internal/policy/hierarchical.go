@@ -63,10 +63,6 @@ func (s *groupStats) avg(group int) int64 {
 // averaging policy (CFSGroupBuggy): it is what preserves work
 // conservation while still localizing most migrations.
 type Hierarchical struct {
-	// Chooser is the step-2 heuristic; nil prefers same-group
-	// candidates, then the most loaded.
-	Chooser sched.ChooseFunc
-
 	stats groupStats
 }
 
@@ -103,9 +99,6 @@ func (p *Hierarchical) CanSteal(thief, stealee *sched.Core) bool {
 // Choose implements sched.Policy: same-group candidates first, then the
 // most loaded, ties to the lowest ID.
 func (p *Hierarchical) Choose(thief *sched.Core, candidates []*sched.Core) *sched.Core {
-	if p.Chooser != nil {
-		return p.Chooser(thief, candidates)
-	}
 	var best *sched.Core
 	bestKey := int64(-1 << 62)
 	for _, c := range candidates {

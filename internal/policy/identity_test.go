@@ -84,15 +84,9 @@ func lockstep(goP, dslP sched.Policy, m *sched.Machine) error {
 			}
 		}
 	}
-	online := sched.RescueCandidates(m)
-	for _, failed := range m.Cores {
-		q := failed.Queued()
-		if !failed.Offline || len(q) == 0 {
-			continue
-		}
-		gr, dr := sched.DecideRescue(goP, failed, q[0], online), sched.DecideRescue(dslP, failed, q[0], online)
-		if (gr == nil) != (dr == nil) || (gr != nil && gr.ID != dr.ID) {
-			return fmt.Errorf("DecideRescue(c%d) Go=%v DSL=%v", failed.ID, gr, dr)
+	for _, c := range m.Cores {
+		if gp, dp := sched.Place(goP, m, c.ID), sched.Place(dslP, m, c.ID); gp.ID != dp.ID {
+			return fmt.Errorf("Place(c%d) Go=c%d DSL=c%d", c.ID, gp.ID, dp.ID)
 		}
 	}
 	return nil

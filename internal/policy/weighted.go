@@ -19,10 +19,7 @@ import (
 //
 // Weighted implements sched.TaskPicker to migrate the admissible task
 // closest to gap/2, shrinking the gap the most per steal.
-type Weighted struct {
-	// Chooser is the step-2 heuristic; nil means lowest-ID candidate.
-	Chooser sched.ChooseFunc
-}
+type Weighted struct{}
 
 // NewWeighted returns the weighted balancer with the deterministic
 // lowest-ID choice.
@@ -44,12 +41,9 @@ func (p *Weighted) CanSteal(thief, stealee *sched.Core) bool {
 	return hasAdmissibleTask(stealee, p.Load(stealee)-p.Load(thief))
 }
 
-// Choose implements sched.Policy (step 2).
+// Choose implements sched.Policy (step 2): the lowest-ID candidate.
 func (p *Weighted) Choose(thief *sched.Core, candidates []*sched.Core) *sched.Core {
-	if p.Chooser == nil {
-		return sched.ChooseFirst(thief, candidates)
-	}
-	return p.Chooser(thief, candidates)
+	return sched.ChooseFirst(thief, candidates)
 }
 
 // StealCount implements sched.Policy. The actual migration is driven by

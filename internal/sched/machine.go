@@ -38,7 +38,7 @@ type buffers struct {
 
 	stale   *Machine  // UnsafeConcurrentRound's round-start snapshot
 	atts    []Attempt // SelectAll's result, indexed by core ID
-	cands   []*Core   // step-1 survivors of the thief being selected for, or RescueCandidates' result
+	cands   []*Core   // step-1 survivors of the thief being selected for, or Place's online cores
 	candIDs []int     // backing of every Attempt.Candidates, NumCores per thief
 	done    []Attempt // a round's outcomes in execution order
 	moved   []TaskID  // backing of every Attempt.MovedTasks of the round (or standalone Steal)
@@ -280,10 +280,11 @@ func (m *Machine) DegradedWorkConserved() bool {
 // A failing core goes offline and its current task (if any) is demoted
 // to the head of its runqueue — the interrupted task restarts first on
 // revival and is first in line for rescue — so every thread it owned
-// becomes an orphan; the orphans are then offered to p's rescue rule
-// (Rescue; a nil or rescue-less p strands them all) and the number
-// re-homed is returned. A reviving core's stranded tasks become ordinary
-// runnable work again.
+// becomes an orphan. The orphans are then re-homed head first, each
+// where Place sends it, until the first one Place leaves on the failed
+// core (a nil or rescue-less p strands them all); the number re-homed is
+// returned. A reviving core's stranded tasks become ordinary runnable
+// work again.
 func (m *Machine) ApplyFault(p Policy, ev FaultEvent) (rescued int, err error) {
 	if ev.Core < 0 || ev.Core >= len(m.Cores) {
 		return 0, fmt.Errorf("sched: %v on a %d-core machine", ev, len(m.Cores))
@@ -305,7 +306,15 @@ func (m *Machine) ApplyFault(p Policy, ev FaultEvent) (rescued int, err error) {
 		c.pushFront(c.Current)
 		c.Current = nil
 	}
-	return Rescue(p, m, ev.Core), nil
+	for len(c.Queued()) > 0 {
+		to := Place(p, m, ev.Core)
+		if to == c {
+			break
+		}
+		to.Push(c.Pop())
+		rescued++
+	}
+	return rescued, nil
 }
 
 // OnlineCores counts the cores currently online.

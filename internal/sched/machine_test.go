@@ -304,7 +304,7 @@ func TestApplyFault(t *testing.T) {
 	m = MachineFromLoads(3, 0, 0)
 	adopt := 2
 	rescuer := delta2().(*FuncPolicy)
-	rescuer.RescueFn = func(failed *Core, _ *Task, candidates []*Core) *Core {
+	rescuer.RescueFn = func(failed *Core, candidates []*Core) *Core {
 		for _, cand := range candidates {
 			if cand.Offline || cand == failed {
 				t.Errorf("candidate %v offered for failed %v", cand, failed)
@@ -324,11 +324,46 @@ func TestApplyFault(t *testing.T) {
 	}
 
 	// A target outside the candidates breaks the contract: panic.
-	rescuer.RescueFn = func(failed *Core, _ *Task, _ []*Core) *Core { return failed }
+	rescuer.RescueFn = func(failed *Core, _ []*Core) *Core { return failed }
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-contract RescueTarget did not panic")
 		}
 	}()
 	MachineFromLoads(2, 0).ApplyFault(rescuer, FaultEvent{Core: 0})
+}
+
+// TestPlace pins the placement rule's outcomes: a task bound for an
+// online core stays there; one bound for an offline core goes to the
+// rescue rule's pick among the online cores, or stays on the offline
+// core when there is no rule, the rule declines or no core is online.
+// Place leaves the machine as it found it.
+func TestPlace(t *testing.T) {
+	pickLast := delta2().(*FuncPolicy)
+	pickLast.RescueFn = func(_ *Core, candidates []*Core) *Core { return candidates[len(candidates)-1] }
+	declines := delta2() // a FuncPolicy without a RescueFn
+	m := MachineFromLoads(2, 0, 1, 0)
+	m.Core(0).Offline, m.Core(3).Offline = true, true
+	dark := MachineFromLoads(1, 1)
+	dark.Core(0).Offline, dark.Core(1).Offline = true, true
+	for _, tc := range []struct {
+		name       string
+		p          Policy
+		m          *Machine
+		core, want int
+	}{
+		{"online", pickLast, m, 1, 1},
+		{"offline, rescued", pickLast, m, 0, 2},
+		{"offline, no rescue rule", nil, m, 0, 0},
+		{"offline, declined", declines, m, 3, 3},
+		{"offline, no core online", pickLast, dark, 1, 1},
+	} {
+		before := tc.m.Key()
+		if got := Place(tc.p, tc.m, tc.core); got != tc.m.Core(tc.want) {
+			t.Errorf("%s: Place(c%d) = c%d, want c%d", tc.name, tc.core, got.ID, tc.want)
+		}
+		if tc.m.Key() != before {
+			t.Errorf("%s: Place changed the machine: %s -> %s", tc.name, before, tc.m.Key())
+		}
+	}
 }

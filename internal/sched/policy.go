@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Policy is the paper's scheduling-policy abstraction, decomposed into the
 // three steps of Figure 1 plus a user-defined load metric (Listing 1):
@@ -65,77 +68,53 @@ type RoundObserver interface {
 }
 
 // Rescuer is an optional Policy extension for policies that react to
-// fail-stop core faults: when a core goes offline, RescueTarget picks
-// the online core that should adopt one of the orphaned tasks. It is
-// invoked once per orphan (candidates is never empty and never contains
-// the failed core); the returned core must be one of the candidates, or
-// nil to leave the task stranded until the core revives. Policies
-// without this extension ignore orphans entirely — the behavior the
-// no-task-lost obligation exists to refute.
+// fail-stop core faults: RescueTarget picks the online core that adopts
+// a task bound for the offline core failed — an orphan of the fault, or
+// a task spawned or woken there later. It is invoked once per task
+// (candidates is never empty and never contains the failed core); the
+// returned core must be one of the candidates, or nil to leave the task
+// stranded until the core revives. Policies without this extension
+// ignore orphans entirely — the behavior the no-task-lost obligation
+// exists to refute.
 type Rescuer interface {
-	RescueTarget(failed *Core, task *Task, candidates []*Core) *Core
+	RescueTarget(failed *Core, candidates []*Core) *Core
 }
 
-// RescueCandidates returns the view's online cores: the only cores an
-// orphan may be re-homed to. The slice lives in the view's buffers, valid
-// until the next RescueCandidates or selection on that view.
-func RescueCandidates(view *Machine) []*Core {
-	b := view.scratch()
+// Place is the one placement rule: the core a task bound for core lands
+// on — an orphan of a failed core, a spawn or a wake. It is core itself
+// while core is online; otherwise the online core p's rescue rule picks;
+// otherwise (p has no rescue rule or declines, or no core is online)
+// core itself again, where the task stays stranded until a revive. The
+// online cores are gathered in m's buffers, so Place allocates nothing;
+// they are valid until m's next Place or selection. A pick outside them
+// has broken the contract the no-task-lost proof relies on, and panics
+// like an escaping Choose. Place never mutates m's cores.
+func Place(p Policy, m *Machine, core int) *Core {
+	home := m.Cores[core]
+	r, ok := p.(Rescuer)
+	if !home.Offline || !ok {
+		return home
+	}
+	b := m.scratch()
 	online := b.cands[:0]
-	for _, c := range view.Cores {
+	for _, c := range m.Cores {
 		if !c.Offline {
 			online = append(online, c)
 		}
 	}
 	b.cands = online[:0] // keep what the append grew
-	return online
-}
-
-// DecideRescue is the rescue decision for one orphan of a failed core:
-// the adopter the policy's rescue rule picks among candidates (the
-// RescueCandidates of the view failed belongs to), or nil to leave the
-// task stranded — the policy has no rescue rule or declined, or no core
-// is online. A target outside the candidates has broken the contract the
-// no-task-lost proof relies on, and panics like an escaping Choose.
-func DecideRescue(p Policy, failed *Core, orphan *Task, candidates []*Core) *Core {
-	r, ok := p.(Rescuer)
-	if !ok || len(candidates) == 0 {
-		return nil
+	if len(online) == 0 {
+		return home
 	}
-	target := r.RescueTarget(failed, orphan, candidates)
-	if target == nil {
-		return nil
-	}
-	for _, c := range candidates {
-		if c == target {
-			return target
-		}
+	target := r.RescueTarget(home, online)
+	switch {
+	case target == nil:
+		return home
+	case slices.Contains(online, target):
+		return target
 	}
 	panic(fmt.Sprintf("sched: policy %q RescueTarget returned core %d, not among online candidates",
 		p.Name(), target.ID))
-}
-
-// Rescue applies a policy's rescue rule to every task stranded on the
-// given failed core: each orphan DecideRescue re-homes is appended to
-// its target's runqueue (in orphan order — interrupted task first, then
-// the queue head-first); the first one it declines ends the drain. It
-// returns the number of tasks re-homed.
-func Rescue(p Policy, m *Machine, failedCore int) int {
-	failed := m.Core(failedCore)
-	if _, ok := p.(Rescuer); !ok || !failed.Offline {
-		return 0
-	}
-	online := RescueCandidates(m)
-	moved := 0
-	for q := failed.Queued(); len(q) > 0; q = failed.Queued() {
-		target := DecideRescue(p, failed, q[0], online)
-		if target == nil {
-			break
-		}
-		target.Push(failed.Pop())
-		moved++
-	}
-	return moved
 }
 
 // TaskPicker is an optional Policy extension for policies that must steal
@@ -217,9 +196,11 @@ type FuncPolicy struct {
 	ChooseFn   ChooseFunc
 	CountFn    func(thief, stealee *Core) int
 	// RescueFn, when non-nil, makes the policy a Rescuer: it picks the
-	// online core that adopts an orphan of a failed core.
-	RescueFn func(failed *Core, task *Task, candidates []*Core) *Core
+	// online core that adopts a task bound for a failed core.
+	RescueFn func(failed *Core, candidates []*Core) *Core
 }
+
+var _ Rescuer = (*FuncPolicy)(nil)
 
 // Name implements Policy.
 func (p *FuncPolicy) Name() string { return p.PolicyName }
@@ -251,9 +232,9 @@ func (p *FuncPolicy) StealCount(thief, stealee *Core) int {
 // RescueTarget implements Rescuer. Without a RescueFn the policy leaves
 // orphans stranded (returns nil), which is the semantics of a policy
 // with no rescue rule.
-func (p *FuncPolicy) RescueTarget(failed *Core, task *Task, candidates []*Core) *Core {
+func (p *FuncPolicy) RescueTarget(failed *Core, candidates []*Core) *Core {
 	if p.RescueFn == nil {
 		return nil
 	}
-	return p.RescueFn(failed, task, candidates)
+	return p.RescueFn(failed, candidates)
 }

@@ -192,8 +192,12 @@ func TestReuseAllocatesNothing(t *testing.T) {
 	steal2.CountFn = func(_, _ *Core) int { return 2 }
 	robbed := MachineFromLoads(0, 4, 1)
 	rescuer := delta2().(*FuncPolicy)
-	rescuer.RescueFn = func(_ *Core, _ *Task, candidates []*Core) *Core { return candidates[0] }
+	rescuer.RescueFn = func(_ *Core, candidates []*Core) *Core { return candidates[0] }
 	failing := MachineFromLoads(3, 1, 0)
+	// A spawn bound for an offline core: Place gathers the online cores
+	// and asks the rescue rule.
+	stranded := MachineFromLoads(3, 1, 0)
+	stranded.Core(0).Offline = true
 	// A picked steal: the picker names the weight-2 task, not the tail.
 	weighed := MachineFromSpec(CoreSpec{}, CoreSpec{Running: 4, Queued: []int64{2, 8}})
 	// A runqueue cycling at a fixed high-water mark: pushes compact into
@@ -227,7 +231,11 @@ func TestReuseAllocatesNothing(t *testing.T) {
 				cycling.Push(cycling.Pop())
 			}
 		},
-		"RescueCandidates":  func() { RescueCandidates(src) },
+		"Place": func() {
+			if to := Place(rescuer, stranded, 0); to.ID != 1 {
+				t.Fatalf("Place(0) sent the task to c%d, want c1", to.ID)
+			}
+		},
 		"PairwiseImbalance": func() { PairwiseImbalance(steal2, src) },
 	} {
 		fn() // the first call sizes the buffers

@@ -87,9 +87,10 @@ type Counters struct {
 	// FailEmptyVictim) — the paper's failed work-stealing attempts.
 	Steals, StealFails int64
 	// Faults counts applied fault events, failures and revivals
-	// together; Rescued counts orphans the policy's rescue rule re-homed
-	// at failure time; Orphaned counts tasks stranded on offline cores
-	// when the counters were read.
+	// together; Rescued counts tasks Place moved off an offline core —
+	// orphans at failure time, and tasks spawned, woken or submitted
+	// onto an offline core later; Orphaned counts tasks stranded on
+	// offline cores when the counters were read.
 	Faults, Rescued, Orphaned int64
 }
 

@@ -24,17 +24,18 @@
 // every backend — these round executors, internal/sim, internal/engine,
 // the verifier's checkers — runs this code rather than a copy of it:
 // Select decides steps 1–2, DecideSteal decides step 3 (re-validation,
-// sizing, the failure reason), DecideRescue (over RescueCandidates)
-// decides where an orphan of a failed core goes, and Machine.ApplyFault
-// states which hotplug events are valid. The three decision functions
-// never mutate the cores they are handed, so a caller may pass the live
-// machine, a clone or a view rebuilt from its own counters. Select needs
-// no lock (its view may be stale); DecideSteal's two views must be the
-// cores as they are with both runqueues locked, which is what makes its
-// verdict final; DecideRescue runs on whatever view the backend has of
-// the online cores and the mover re-selects if the adopter died since.
-// ApplyFault and the movers (Steal, Rescue) mutate a Machine and belong
-// to whoever owns it.
+// sizing, the failure reason), Place decides where a task bound for a
+// core lands — the core itself while it is online, else the policy's
+// rescue pick — for an orphan, a spawn and a wake alike, and
+// Machine.ApplyFault states which hotplug events are valid. The three
+// decision functions never mutate the cores they are handed, so a caller
+// may pass the live machine, a clone or a view rebuilt from its own
+// counters. Select needs no lock (its view may be stale); DecideSteal's
+// two views must be the cores as they are with both runqueues locked,
+// which is what makes its verdict final; Place runs on whatever view the
+// backend has of the online cores and the mover re-places if the adopter
+// died since. ApplyFault and Steal mutate a Machine and belong to
+// whoever owns it.
 //
 // Reuse. A Machine owns its storage — its cores, their runqueue buffers,
 // the arena its tasks sit in, and the buffers its rounds fill — and one
@@ -53,9 +54,9 @@
 // one buffer instead of growing it. A single Select draws on the same
 // buffers — its Candidates are its thief's slot of SelectAll's, valid
 // until that thief next selects on that view — so it allocates nothing
-// and disturbs no other thief's attempt. RescueCandidates returns the
-// view's online cores in the same buffers, valid until the view's next
-// RescueCandidates or selection. Clone still
+// and disturbs no other thief's attempt. Place gathers the view's online
+// cores in the same buffers, valid until the view's next Place or
+// selection. Clone still
 // returns a machine that shares nothing with its source. SelectAll takes
 // no snapshot: it lets a RoundObserver observe the live machine once and
 // selects for every core on it — nothing mutates the machine between the

@@ -108,12 +108,12 @@ func TestJobCommitsItsResultsOnce(t *testing.T) {
 // still memoizes — in memory and on disk — every obligation that had
 // completed; the resubmission re-runs only the rest.
 func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
-	// A job of ~0.2 s on 2 vCPUs, ten times slowRequest's: while its
-	// verifier workers hold both CPUs, this goroutine's wake-ups wait for
-	// a scheduler quantum (~10 ms), and slowRequest's job often finished
-	// before the cancel landed.
+	// A job of ~0.1 s on 2 vCPUs: while its verifier workers hold both
+	// CPUs, this goroutine's wake-ups wait for a scheduler quantum
+	// (~10 ms), and a job of 10–30 ms often finished before the cancel
+	// landed.
 	req := slowRequest()
-	req.Universe.MaxPerCore, req.Universe.MaxTotal = 3, 7
+	req.Universe.Cores, req.Universe.MaxPerCore, req.Universe.MaxTotal = 5, 3, 7
 	// A spec with a DSL form: a Go-only one's cells never reach the disk.
 	req.Policy = "delta2"
 	// The fan-out claims shards obligation-major, so lemma1 (first, and a

@@ -349,12 +349,15 @@ func TestWarmResubmissionByteIdenticalAndFast(t *testing.T) {
 }
 
 // slowRequest occupies a worker long enough to observe queue behavior:
-// a 5-core universe's game-graph obligations take hundreds of ms, a
-// hundred times what its lemma1 takes.
+// the weighted balancer over a 6-core universe takes ~200 ms on 2 vCPUs
+// (the 5-core one, 12–29 ms, often finished before a test's next step).
+// A deadline's cancel is not instant either: when the verifier's
+// workers keep every P busy, the goroutine that fires it can wait about
+// 10 ms for Go's async preemption.
 func slowRequest() Request {
 	return Request{
 		Policy:   "weighted",
-		Universe: &UniverseSpec{Cores: 5, MaxPerCore: 2, MaxTotal: 6, IncludeUnscheduled: true},
+		Universe: &UniverseSpec{Cores: 6, MaxPerCore: 2, MaxTotal: 7, IncludeUnscheduled: true},
 	}
 }
 

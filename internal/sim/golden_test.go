@@ -42,7 +42,8 @@ func mustPolicy(name string) sched.Policy {
 // goldenScenarios is the pinned corpus. Between them the scenarios take
 // every transition (exit, block, yield, barrier), both round modes, idle
 // balancing, fail/revive with and without a rescue rule (including the
-// refused events and a wake onto an offline home core), weighted tasks
+// refused events, and spawns and wakes bound for an offline core, both
+// rescued and stranded until the revive), weighted tasks
 // under a TaskPicker, grouped machines under both RoundObservers, spawns
 // posted out of time order and bursts of equal-time events.
 func goldenScenarios() []goldenScenario {
@@ -80,7 +81,7 @@ func goldenScenarios() []goldenScenario {
 				s.SpawnAt(0, 0, 1024, RunBlockLoop(1000, 4000, 4))
 				s.SpawnAt(0, 1, 1024, RunOnce(6000))
 			}
-			s.FailAt(1500, 0) // blocked tasks wake onto the lowest online core
+			s.FailAt(1500, 0) // no task has blocked yet: the whole queue strands
 			s.FailAt(2500, 1)
 			s.FailAt(2600, 2) // the last online core: refused
 			s.ReviveAt(30_000, 0)
@@ -122,6 +123,19 @@ func goldenScenarios() []goldenScenario {
 				s.SpawnAt(int64(10-i)*100, 0, 1024, RunOnce(3000))
 			}
 			return []int64{60_000}
+		}},
+		{"wake-onto-failed-home", Config{Cores: 3, Policy: mustPolicy("delta2"), Seed: 14, BalancePeriod: 2000}, func(s *Simulator) []int64 {
+			for i := 0; i < 3; i++ {
+				s.SpawnAt(0, i, 1024, RunBlockLoop(600, 3000, 3))
+			}
+			s.SpawnAt(0, 2, 1024, RunOnce(20_000))
+			// Core 0's task is blocked when its core fails: with no rescue
+			// rule it wakes onto the offline home, and a later spawn there
+			// strands beside it, until the revive.
+			s.FailAt(1000, 0)
+			s.SpawnAt(2000, 0, 1024, RunOnce(1500))
+			s.ReviveAt(12_000, 0)
+			return []int64{8000, 40_000}
 		}},
 	}
 }
@@ -215,8 +229,9 @@ func TestGoldenTraces(t *testing.T) {
 // TestGoldenCountersMatchTraces holds every golden scenario's counters
 // to its event stream: one KindStealFail per failed steal, idle or
 // periodic; one KindRound per round; one KindFail or KindRevive per
-// applied fault event; and the rescues the KindFail events report add up
-// to Rescued.
+// applied fault event; and Rescued is the rescues the KindFail events
+// report plus one per spawn or wake that names the offline core it was
+// moved off (Aux ≥ 0).
 func TestGoldenCountersMatchTraces(t *testing.T) {
 	for _, g := range goldenScenarios() {
 		const ringCap = 1 << 18
@@ -235,8 +250,11 @@ func TestGoldenCountersMatchTraces(t *testing.T) {
 		var rescued int64
 		for _, e := range ring.Events() {
 			kinds[e.Kind]++
-			if e.Kind == trace.KindFail {
+			switch {
+			case e.Kind == trace.KindFail:
 				rescued += e.Aux
+			case (e.Kind == trace.KindSpawn || e.Kind == trace.KindWake) && e.Aux >= 0:
+				rescued++
 			}
 		}
 		got := sched.Counters{
@@ -253,19 +271,53 @@ func TestGoldenCountersMatchTraces(t *testing.T) {
 	}
 }
 
+// pickLog is a rescue-rule policy that forwards every call to the one
+// under test and logs each adopter its rule picks, in call order.
+type pickLog struct {
+	sched.Policy
+	rule  sched.Rescuer
+	picks []pick
+}
+
+// pick is one adoption: a task bound for offline core failed went to to.
+type pick struct{ failed, to int }
+
+var _ sched.Rescuer = (*pickLog)(nil)
+
+func (l *pickLog) RescueTarget(failed *sched.Core, candidates []*sched.Core) *sched.Core {
+	to := l.rule.RescueTarget(failed, candidates)
+	if to != nil {
+		l.picks = append(l.picks, pick{failed.ID, to.ID})
+	}
+	return to
+}
+
 // TestWakeLandsWhereTheTaskLastStarted replays every golden scenario's
-// event stream and holds each wake to the simulator's placement rule: a
-// task wakes on the core it last started on, or — when that core is
-// offline — on the lowest-ID online core. A task blocks only while it
+// event stream and holds each wake to sched.Place: a task wakes on the
+// core it last started on while that core is online; otherwise on the
+// core the policy's rescue rule picked, the wake's Aux naming the
+// offline home; and without a pick, on the offline home itself, where it
+// does not start before the home's revive. A task blocks only while it
 // runs, so the core of its latest start is the only home a wake can
-// need; no later event has to re-home a blocked task.
+// need. The rescue rule's picks are consumed in the order the trace
+// reports them: a fail's rescues, then one per spawn or wake with
+// Aux ≥ 0.
 func TestWakeLandsWhereTheTaskLastStarted(t *testing.T) {
-	var wakes, fallbacks int
+	var wakes, rescued, stranded, revived int
 	for _, g := range goldenScenarios() {
 		const ringCap = 1 << 18
 		ring := trace.NewRing(ringCap)
 		cfg := g.cfg
 		cfg.Ring = ring
+		log := &pickLog{Policy: cfg.Policy}
+		if rule, ok := cfg.Policy.(sched.Rescuer); ok {
+			switch cfg.Policy.(type) {
+			case sched.RoundObserver, sched.TaskPicker:
+				t.Fatalf("%s: pickLog would hide %s's other extensions", g.name, cfg.Policy.Name())
+			}
+			log.rule = rule
+			cfg.Policy = log
+		}
 		s := New(cfg)
 		for _, until := range g.build(s) {
 			s.Run(until)
@@ -275,33 +327,72 @@ func TestWakeLandsWhereTheTaskLastStarted(t *testing.T) {
 		}
 		offline := make([]bool, cfg.Cores)
 		lastStart := map[int64]int{}
+		waiting := map[int64]int{} // stranded task → its offline home
+		next := 0                  // the first pick no event has reported yet
+		takePick := func(e trace.Event, failed int) {
+			if next == len(log.picks) {
+				t.Fatalf("%s: %v reports a rescue the rule never picked", g.name, e)
+			}
+			if p := log.picks[next]; p.failed != failed || (e.Kind != trace.KindFail && p.to != e.Core) {
+				t.Errorf("%s: %v, but the rule picked c%d for offline c%d", g.name, e, p.to, p.failed)
+			}
+			next++
+		}
 		for _, e := range ring.Events() {
 			switch e.Kind {
 			case trace.KindFail:
 				offline[e.Core] = true
+				for range e.Aux {
+					takePick(e, e.Core)
+				}
 			case trace.KindRevive:
 				offline[e.Core] = false
+			case trace.KindSpawn:
+				if e.Aux >= 0 {
+					takePick(e, int(e.Aux))
+				}
 			case trace.KindStart:
+				if home, ok := waiting[e.Task]; ok {
+					if offline[home] {
+						t.Errorf("%s: %v before offline home c%d revived", g.name, e, home)
+					}
+					delete(waiting, e.Task)
+					revived++
+				}
 				lastStart[e.Task] = e.Core
 			case trace.KindWake:
 				home, ok := lastStart[e.Task]
 				if !ok {
 					t.Fatalf("%s: %v wakes a task that never started", g.name, e)
 				}
-				want := home
-				if offline[home] {
-					fallbacks++
-					want = slices.Index(offline, false)
-				}
-				if e.Core != want {
-					t.Errorf("%s: %v, want core %d (last started on %d, offline %v)", g.name, e, want, home, offline)
-				}
 				wakes++
+				switch {
+				case !offline[home]:
+					if e.Core != home || e.Aux != -1 {
+						t.Errorf("%s: %v, want core %d, aux -1 (its online home)", g.name, e, home)
+					}
+				case e.Aux >= 0:
+					rescued++
+					if e.Aux != int64(home) {
+						t.Errorf("%s: %v, want aux %d (its offline home)", g.name, e, home)
+					}
+					takePick(e, home)
+				default:
+					stranded++
+					if e.Core != home {
+						t.Errorf("%s: %v, want core %d (its offline home, no rescue picked)", g.name, e, home)
+					}
+					waiting[e.Task] = home
+				}
 			}
 		}
+		if next != len(log.picks) {
+			t.Errorf("%s: the rule picked %d adopters, the trace reports %d", g.name, len(log.picks), next)
+		}
 	}
-	if wakes == 0 || fallbacks == 0 {
-		t.Errorf("the golden scenarios wake %d tasks, %d onto a fallback core: the rule is not exercised", wakes, fallbacks)
+	if wakes == 0 || rescued == 0 || stranded == 0 || revived == 0 {
+		t.Errorf("the golden scenarios wake %d tasks, %d rescued off an offline home, %d stranded on one (%d started after its revive): the rule is not exercised",
+			wakes, rescued, stranded, revived)
 	}
-	t.Logf("%d wakes checked, %d onto the lowest-ID online core", wakes, fallbacks)
+	t.Logf("%d wakes checked: %d rescued off an offline home, %d stranded on one, %d of those started after its revive", wakes, rescued, stranded, revived)
 }

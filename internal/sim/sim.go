@@ -16,7 +16,9 @@
 // lifecycle and accounting. Balancing rounds, idle steals and fail/revive
 // events are internal/sched's round executors, Select/Steal and
 // Machine.ApplyFault run on the simulated machine, not re-implemented
-// here.
+// here; where a spawned or woken task lands is sched.Place's decision,
+// so one bound for an offline core is rescued or stranded exactly like
+// an orphan of the fault.
 //
 // Storage contract. Nothing scheduled is individually allocated. The
 // dynamic events — slice ends, wakes, balance ticks, faults, a
@@ -222,7 +224,8 @@ func (s *Simulator) Clock() int64 { return s.clock }
 func (s *Simulator) RNG() *RNG { return s.rng }
 
 // SpawnAt schedules a task arrival: at time t, a task with the given
-// weight and behavior appears on core's runqueue. Like every post, it
+// weight and behavior appears on core's runqueue — or, if core is
+// offline by then, wherever sched.Place sends it. Like every post, it
 // fires after whatever is already scheduled for time t.
 func (s *Simulator) SpawnAt(t int64, core int, weight int64, b Behavior) {
 	if core < 0 || core >= s.cfg.Cores {
@@ -370,8 +373,21 @@ func (s *Simulator) recount(id int) {
 	s.class[id] = cl
 }
 
+// place is where a task bound for home lands: sched.Place's pick. A
+// task it moves off an offline home counts as rescued, and aux — the
+// trace Aux of its spawn or wake — names that home; it is -1 otherwise.
+func (s *Simulator) place(home int) (core int, aux int64) {
+	core = sched.Place(s.cfg.Policy, s.m, home).ID
+	if core == home {
+		return core, -1
+	}
+	s.counters.Rescued++
+	return core, int64(home)
+}
+
 func (s *Simulator) handleSpawn(a *arrival) {
-	task := s.m.Spawn(a.core, a.weight)
+	core, aux := s.place(a.core)
+	task := s.m.Spawn(core, a.weight)
 	id := int64(task.ID)
 	for id >= int64(len(s.tasks))*taskChunk {
 		s.tasks = append(s.tasks, make([]taskState, taskChunk))
@@ -386,8 +402,8 @@ func (s *Simulator) handleSpawn(a *arrival) {
 		readySince: s.clock,
 	}
 	s.nextAction(ts)
-	s.emit(trace.KindSpawn, a.core, ts.id, -1)
-	s.startIfIdle(a.core)
+	s.emit(trace.KindSpawn, core, ts.id, aux)
+	s.startIfIdle(core)
 }
 
 // nextAction pulls the next action from the behavior and arms remaining.
@@ -524,22 +540,12 @@ func (s *Simulator) handleWake(e event) {
 	if ts.status != statusBlocked {
 		return
 	}
-	core := ts.lastCore // wake where the task last ran (cache locality)
-	if s.m.Core(core).Offline {
-		// The task's home core fail-stopped while it was blocked: wake
-		// on the lowest-ID online core instead of stranding it.
-		for id := 0; id < s.cfg.Cores; id++ {
-			if !s.m.Core(id).Offline {
-				core = id
-				break
-			}
-		}
-	}
+	core, aux := s.place(ts.lastCore) // wake where the task last ran (cache locality)
 	ts.status = statusReady
 	ts.readySince = s.clock
 	s.nextAction(ts)
 	s.m.Core(core).Push(ts.task)
-	s.emit(trace.KindWake, core, ts.id, -1)
+	s.emit(trace.KindWake, core, ts.id, aux)
 	s.startIfIdle(core)
 }
 
@@ -603,10 +609,8 @@ func (s *Simulator) handleFault(e event) {
 	}
 	// The rescued tasks sit on online cores now: start any that landed
 	// on an idle one.
-	for _, oc := range s.m.Cores {
-		if !oc.Offline {
-			s.startIfIdle(oc.ID)
-		}
+	for id := range s.m.Cores {
+		s.startIfIdle(id)
 	}
 }
 

@@ -18,11 +18,11 @@ type Kind string
 
 // Event kinds, all emitted by the simulator.
 const (
-	KindSpawn     Kind = "spawn"      // task created on a core
+	KindSpawn     Kind = "spawn"      // task created on a core (aux: the offline core it was rescued off, or -1)
 	KindStart     Kind = "start"      // task started running
 	KindPreempt   Kind = "preempt"    // task preempted by the tick
 	KindBlock     Kind = "block"      // task blocked (I/O, barrier)
-	KindWake      Kind = "wake"       // task became runnable again
+	KindWake      Kind = "wake"       // task became runnable again (aux: as for spawn)
 	KindExit      Kind = "exit"       // task finished
 	KindSteal     Kind = "steal"      // successful task migration
 	KindStealFail Kind = "steal-fail" // failed optimistic steal
@@ -43,8 +43,9 @@ type Event struct {
 	Core int `json:"core"`
 	// Task is the task involved, -1 if none.
 	Task int64 `json:"task"`
-	// Aux carries the event's second core (steal source) or other small
-	// payload; -1 if unused.
+	// Aux carries the event's second core (steal source; for a spawn or
+	// wake, the offline core it was rescued off) or other small payload;
+	// -1 if unused.
 	Aux int64 `json:"aux"`
 }
 
