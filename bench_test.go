@@ -110,7 +110,7 @@ func itoa(n int) string {
 }
 
 func BenchmarkE5DSLOverhead(b *testing.B) {
-	// Interpreted DSL policy vs native Go policy on the same round —
+	// Compiled DSL policy vs native Go policy on the same round —
 	// design constraint (iii): low overhead.
 	src := `policy delta2_dsl {
 	    load   = self.ready.size + self.current.size
@@ -130,7 +130,7 @@ func BenchmarkE5DSLOverhead(b *testing.B) {
 			sched.SequentialRound(p, m)
 		}
 	})
-	b.Run("dsl-interpreted", func(b *testing.B) {
+	b.Run("dsl", func(b *testing.B) {
 		m := sched.MachineFromLoads(loads...)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

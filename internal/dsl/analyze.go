@@ -72,11 +72,11 @@ func Analyze(p *Policy, opts AnalyzeOptions) []Diagnostic {
 		})
 	}
 
-	load := loadOf(p)
-	proper, identical := probePairs()
-
-	ds = append(ds, analyzeFilter(p, proper, identical, load)...)
-	ds = append(ds, analyzeSteal(p, proper, load)...)
+	// The checks run the clauses as Compile runs them, compiled into a
+	// local: the front end never publishes p's program.
+	prog := newProgram(p)
+	ds = append(ds, analyzeFilter(p, prog)...)
+	ds = append(ds, analyzeSteal(p, prog)...)
 	ds = append(ds, analyzeLoadUse(p)...)
 	ds = append(ds, analyzeAliases(p)...)
 
@@ -96,20 +96,20 @@ func Analyze(p *Policy, opts AnalyzeOptions) []Diagnostic {
 // analyzeFilter decides filter-false / self-steal for the whole
 // predicate and shadowed-clause / vacuous-conjunct for its &&/||
 // operands.
-func analyzeFilter(p *Policy, proper, identical []probePair, load func(*sched.Core) int64) []Diagnostic {
+func analyzeFilter(p *Policy, prog *program) []Diagnostic {
 	var ds []Diagnostic
 
 	acceptsProper := false
-	for _, pr := range proper {
-		if evalBool(p.Filter, pr.self, pr.stealee, load) {
+	for _, pr := range probeProper {
+		if prog.filter(pr.self, pr.stealee) {
 			acceptsProper = true
 			break
 		}
 	}
 	if !acceptsProper {
 		acceptsSelf := false
-		for _, pr := range identical {
-			if evalBool(p.Filter, pr.self, pr.stealee, load) {
+		for _, pr := range probeIdentical {
+			if prog.filter(pr.self, pr.stealee) {
 				acceptsSelf = true
 				break
 			}
@@ -138,8 +138,8 @@ func analyzeFilter(p *Policy, proper, identical []probePair, load func(*sched.Co
 		if !ok || (b.op != "&&" && b.op != "||") {
 			return
 		}
-		lv := truthVector(b.l, proper, load)
-		rv := truthVector(b.r, proper, load)
+		lv := truthVector(compileBool(b.l, prog.load))
+		rv := truthVector(compileBool(b.r, prog.load))
 		switch b.op {
 		case "||":
 			// A disjunct is shadowed when every state it accepts is
@@ -182,15 +182,15 @@ func analyzeFilter(p *Policy, proper, identical []probePair, load func(*sched.Co
 // analyzeSteal flags a steal count that is never positive on any
 // filter-accepted pair: the policy elects victims and then moves
 // nothing.
-func analyzeSteal(p *Policy, proper []probePair, load func(*sched.Core) int64) []Diagnostic {
+func analyzeSteal(p *Policy, prog *program) []Diagnostic {
 	accepted := 0
 	positive := false
-	for _, pr := range proper {
-		if !evalBool(p.Filter, pr.self, pr.stealee, load) {
+	for _, pr := range probeProper {
+		if !prog.filter(pr.self, pr.stealee) {
 			continue
 		}
 		accepted++
-		if evalInt(p.Steal, pr.self, pr.stealee, load) > 0 {
+		if prog.steal(pr.self, pr.stealee) > 0 {
 			positive = true
 			break
 		}
@@ -349,6 +349,11 @@ type probePair struct {
 	self, stealee *sched.Core
 }
 
+// probeProper and probeIdentical are the probe universe's ordered pairs,
+// built once and only ever read — Core's read methods are pure — so
+// every Analyze call shares them.
+var probeProper, probeIdentical = probePairs()
+
 // probeCores builds the probe universe's cores: every DSL-observable
 // attribute varies somewhere in the set, so a predicate that is
 // constant across all of it has no input left to depend on.
@@ -392,11 +397,12 @@ func probePairs() (proper, identical []probePair) {
 	return proper, identical
 }
 
-// truthVector evaluates a bool expression over the pairs.
-func truthVector(e expr, pairs []probePair, load func(*sched.Core) int64) []bool {
-	out := make([]bool, len(pairs))
-	for i, pr := range pairs {
-		out[i] = evalBool(e, pr.self, pr.stealee, load)
+// truthVector evaluates a compiled bool expression over the proper
+// pairs.
+func truthVector(f boolFn) []bool {
+	out := make([]bool, len(probeProper))
+	for i, pr := range probeProper {
+		out[i] = f(pr.self, pr.stealee)
 	}
 	return out
 }

@@ -11,10 +11,11 @@ import (
 // so execution and verification consume one artifact, like the paper's
 // single DSL source feeding both C and Scala.
 //
-// The executable program is built once per *Policy, on the first Compile
-// call, and cached in p: Parse, ComponentForms and Analyze never pay for
-// it, and the verifier's factories, which call Compile once per state
-// and per game node, pay for it once. p must not be modified after its
+// The executable program — each clause compiled to a tree of closures —
+// is built once per *Policy, on the first Compile call, and cached in p:
+// Parse and ComponentForms never pay for it, Analyze builds its own into
+// a local it never publishes, and the verifier's factories, which call
+// Compile once per state and per game node, pay for it once. p must not be modified after its
 // first Compile. A stateless program — one with no random chooser or
 // rescue rule — is handed out as one shared, immutable instance, so
 // Compile allocates nothing for it; a random one gets a fresh copy per
@@ -46,17 +47,25 @@ func CompileSource(src string) (sched.Policy, *Policy, error) {
 	return Compile(ast), ast, nil
 }
 
-// program is the executable form of a parsed policy: the AST, the load
-// evaluator its `x.load` references go through, and its compiled
-// choosers.
+// program is the executable form of a parsed policy: its clauses
+// compiled to closures, and its compiled choosers.
 type program struct {
-	ast            *Policy
-	load           func(*sched.Core) int64
+	name           string
+	load, steal    intFn
+	filter         boolFn
 	choose, rescue chooser
 }
 
 func newProgram(p *Policy) *program {
-	prog := &program{ast: p, load: loadOf(p), choose: newChooser(p.Choose), rescue: chooser{kind: noRescue}}
+	load := compileInt(p.Load, nil) // the load clause cannot reference load
+	prog := &program{
+		name:   p.Name,
+		load:   load,
+		filter: compileBool(p.Filter, load),
+		steal:  compileInt(p.Steal, load),
+		choose: newChooser(p.Choose),
+		rescue: chooser{kind: noRescue},
+	}
 	if p.Rescue.Name != "" {
 		// The rescue rule reuses the chooser vocabulary: the chooser
 		// picks, among the online cores, the one that adopts each orphan
@@ -104,16 +113,16 @@ func newChooser(c Chooser) chooser {
 
 // pick runs the chooser over candidates, which is never empty. Only a
 // random chooser writes c.
-func (c *chooser) pick(candidates []*sched.Core, load func(*sched.Core) int64) *sched.Core {
+func (c *chooser) pick(candidates []*sched.Core, load intFn) *sched.Core {
 	switch c.kind {
 	case chooseFirst:
 		return sched.ChooseFirst(nil, candidates)
 	case chooseMaxLoad, chooseMinLoad:
 		// Ties go to the lowest core ID either way.
 		best := candidates[0]
-		bestLoad := load(best)
+		bestLoad := load(best, nil)
 		for _, cand := range candidates[1:] {
-			l := load(cand)
+			l := load(cand, nil)
 			better := l > bestLoad
 			if c.kind == chooseMinLoad {
 				better = l < bestLoad
@@ -133,15 +142,13 @@ func (c *chooser) pick(candidates []*sched.Core, load func(*sched.Core) int64) *
 }
 
 // Name implements sched.Policy.
-func (x *program) Name() string { return x.ast.Name }
+func (x *program) Name() string { return x.name }
 
 // Load implements sched.Policy.
-func (x *program) Load(c *sched.Core) int64 { return x.load(c) }
+func (x *program) Load(c *sched.Core) int64 { return x.load(c, nil) }
 
 // CanSteal implements sched.Policy.
-func (x *program) CanSteal(thief, stealee *sched.Core) bool {
-	return evalBool(x.ast.Filter, thief, stealee, x.load)
-}
+func (x *program) CanSteal(thief, stealee *sched.Core) bool { return x.filter(thief, stealee) }
 
 // Choose implements sched.Policy.
 func (x *program) Choose(_ *sched.Core, candidates []*sched.Core) *sched.Core {
@@ -149,9 +156,7 @@ func (x *program) Choose(_ *sched.Core, candidates []*sched.Core) *sched.Core {
 }
 
 // StealCount implements sched.Policy.
-func (x *program) StealCount(thief, stealee *sched.Core) int {
-	return int(evalInt(x.ast.Steal, thief, stealee, x.load))
-}
+func (x *program) StealCount(thief, stealee *sched.Core) int { return int(x.steal(thief, stealee)) }
 
 var _ sched.Rescuer = (*program)(nil)
 
@@ -165,111 +170,186 @@ func (x *program) RescueTarget(_ *sched.Core, candidates []*sched.Core) *sched.C
 	return x.rescue.pick(candidates, x.load)
 }
 
-// loadOf returns the policy's load evaluator (used by `x.load` references
-// inside filter/steal expressions).
-func loadOf(p *Policy) func(*sched.Core) int64 {
-	return func(c *sched.Core) int64 {
-		return evalInt(p.Load, c, nil, nil) // load cannot reference load
-	}
-}
+// intFn and boolFn are compiled expressions. self is the thief, or the
+// measured core in the load clause; stealee is nil in the load clause.
+type (
+	intFn  func(self, stealee *sched.Core) int64
+	boolFn func(self, stealee *sched.Core) bool
+)
 
-// evalInt evaluates an int-typed expression. self is the thief (or the
-// measured core in load context); stealee may be nil in load context.
-func evalInt(e expr, self, stealee *sched.Core, load func(*sched.Core) int64) int64 {
+// compileInt compiles an int-typed expression into a tree of closures,
+// once: every attribute read and every operator is chosen here, so a
+// call pays for neither a node type switch nor an operator compare.
+// load is the compiled load clause, which `x.load` references call.
+func compileInt(e expr, load intFn) intFn {
 	switch n := e.(type) {
 	case *intLit:
-		return n.val
+		v := n.val
+		return func(_, _ *sched.Core) int64 { return v }
 	case *attrRef:
-		core := self
-		if n.root == rootStealee {
-			core = stealee
-		}
-		return attrValue(n.attr, core, load)
+		return compileAttr(n.root, n.attr, load)
 	case *unary: // "-"
-		return -evalInt(n.x, self, stealee, load)
+		x := compileInt(n.x, load)
+		return func(s, t *sched.Core) int64 { return -x(s, t) }
 	case *binary:
-		l := evalInt(n.l, self, stealee, load)
-		r := evalInt(n.r, self, stealee, load)
+		if root, ok := threadSum(n); ok {
+			return compileAttr(root, attrNThreads, load)
+		}
+		l, r := compileInt(n.l, load), compileInt(n.r, load)
 		switch n.op {
 		case "+":
-			return l + r
+			return func(s, t *sched.Core) int64 { return l(s, t) + r(s, t) }
 		case "-":
-			return l - r
+			return func(s, t *sched.Core) int64 { return l(s, t) - r(s, t) }
 		case "*":
-			return l * r
+			return func(s, t *sched.Core) int64 { return l(s, t) * r(s, t) }
 		case "/":
-			if r == 0 {
-				return 0 // total semantics: x/0 = 0, as in Leon/SMT practice
+			return func(s, t *sched.Core) int64 {
+				a, b := l(s, t), r(s, t)
+				if b == 0 {
+					return 0 // total semantics: x/0 = 0, as in Leon/SMT practice
+				}
+				return a / b
 			}
-			return l / r
 		case "%":
-			if r == 0 {
-				return 0
+			return func(s, t *sched.Core) int64 {
+				a, b := l(s, t), r(s, t)
+				if b == 0 {
+					return 0
+				}
+				return a % b
 			}
-			return l % r
 		}
 	}
-	panic(fmt.Sprintf("dsl: evalInt on %T", e))
+	panic(fmt.Sprintf("dsl: compileInt on %T", e))
 }
 
-// evalBool evaluates a bool-typed expression.
-func evalBool(e expr, self, stealee *sched.Core, load func(*sched.Core) int64) bool {
+// compileBool compiles a bool-typed expression; && and || short-circuit.
+func compileBool(e expr, load intFn) boolFn {
 	switch n := e.(type) {
 	case *boolLit:
-		return n.val
+		v := n.val
+		return func(_, _ *sched.Core) bool { return v }
 	case *unary: // "!"
-		return !evalBool(n.x, self, stealee, load)
+		x := compileBool(n.x, load)
+		return func(s, t *sched.Core) bool { return !x(s, t) }
 	case *binary:
 		switch n.op {
 		case "&&":
-			return evalBool(n.l, self, stealee, load) && evalBool(n.r, self, stealee, load)
+			l, r := compileBool(n.l, load), compileBool(n.r, load)
+			return func(s, t *sched.Core) bool { return l(s, t) && r(s, t) }
 		case "||":
-			return evalBool(n.l, self, stealee, load) || evalBool(n.r, self, stealee, load)
+			l, r := compileBool(n.l, load), compileBool(n.r, load)
+			return func(s, t *sched.Core) bool { return l(s, t) || r(s, t) }
 		}
-		l := evalInt(n.l, self, stealee, load)
-		r := evalInt(n.r, self, stealee, load)
+		l := compileInt(n.l, load)
+		if lit, ok := n.r.(*intLit); ok {
+			return compileCompareConst(n.op, l, lit.val)
+		}
+		r := compileInt(n.r, load)
 		switch n.op {
 		case "==":
-			return l == r
+			return func(s, t *sched.Core) bool { return l(s, t) == r(s, t) }
 		case "!=":
-			return l != r
+			return func(s, t *sched.Core) bool { return l(s, t) != r(s, t) }
 		case "<":
-			return l < r
+			return func(s, t *sched.Core) bool { return l(s, t) < r(s, t) }
 		case "<=":
-			return l <= r
+			return func(s, t *sched.Core) bool { return l(s, t) <= r(s, t) }
 		case ">":
-			return l > r
+			return func(s, t *sched.Core) bool { return l(s, t) > r(s, t) }
 		case ">=":
-			return l >= r
+			return func(s, t *sched.Core) bool { return l(s, t) >= r(s, t) }
 		}
 	}
-	panic(fmt.Sprintf("dsl: evalBool on %T", e))
+	panic(fmt.Sprintf("dsl: compileBool on %T", e))
 }
 
-func attrValue(a coreAttr, c *sched.Core, load func(*sched.Core) int64) int64 {
-	switch a {
-	case attrLoad:
-		if load == nil {
-			panic("dsl: load reference without a load function")
-		}
-		return load(c)
-	case attrNThreads:
-		return int64(c.NThreads())
-	case attrReadySize:
-		return int64(len(c.Queued()))
-	case attrCurrent:
-		if c.Current != nil {
-			return 1
-		}
-		return 0
-	case attrWeightSum:
-		return c.WeightSum()
-	case attrID:
-		return int64(c.ID)
-	case attrGroup:
-		return int64(c.Group)
-	case attrNode:
-		return int64(c.Node)
+// compileCompareConst compiles a comparison whose right operand is a
+// literal, the shape of most filters (`stealee.load - self.load >= 2`).
+func compileCompareConst(op string, l intFn, v int64) boolFn {
+	switch op {
+	case "==":
+		return func(s, t *sched.Core) bool { return l(s, t) == v }
+	case "!=":
+		return func(s, t *sched.Core) bool { return l(s, t) != v }
+	case "<":
+		return func(s, t *sched.Core) bool { return l(s, t) < v }
+	case "<=":
+		return func(s, t *sched.Core) bool { return l(s, t) <= v }
+	case ">":
+		return func(s, t *sched.Core) bool { return l(s, t) > v }
+	case ">=":
+		return func(s, t *sched.Core) bool { return l(s, t) >= v }
 	}
-	panic(fmt.Sprintf("dsl: unknown attribute %d", a))
+	panic(fmt.Sprintf("dsl: unknown comparison %q", op))
+}
+
+// threadSum reports whether b is `x.ready.size + x.current.size` (either
+// order) on one core x — Listing 1's load, which is that core's
+// NThreads.
+func threadSum(b *binary) (coreRoot, bool) {
+	l, lok := b.l.(*attrRef)
+	r, rok := b.r.(*attrRef)
+	if b.op != "+" || !lok || !rok || l.root != r.root {
+		return 0, false
+	}
+	pair := [2]coreAttr{l.attr, r.attr}
+	return l.root, pair == [2]coreAttr{attrReadySize, attrCurrent} || pair == [2]coreAttr{attrCurrent, attrReadySize}
+}
+
+// compileAttr returns the reader of one attribute of one core, self or
+// stealee.
+func compileAttr(root coreRoot, attr coreAttr, load intFn) intFn {
+	if attr == attrLoad && load == nil {
+		panic("dsl: load reference without a load function")
+	}
+	if root == rootStealee {
+		switch attr {
+		case attrLoad:
+			return func(_, c *sched.Core) int64 { return load(c, nil) }
+		case attrNThreads:
+			return func(_, c *sched.Core) int64 { return int64(c.NThreads()) }
+		case attrReadySize:
+			return func(_, c *sched.Core) int64 { return int64(len(c.Queued())) }
+		case attrCurrent:
+			return func(_, c *sched.Core) int64 { return running(c) }
+		case attrWeightSum:
+			return func(_, c *sched.Core) int64 { return c.WeightSum() }
+		case attrID:
+			return func(_, c *sched.Core) int64 { return int64(c.ID) }
+		case attrGroup:
+			return func(_, c *sched.Core) int64 { return int64(c.Group) }
+		case attrNode:
+			return func(_, c *sched.Core) int64 { return int64(c.Node) }
+		}
+	} else {
+		switch attr {
+		case attrLoad:
+			return func(c, _ *sched.Core) int64 { return load(c, nil) }
+		case attrNThreads:
+			return func(c, _ *sched.Core) int64 { return int64(c.NThreads()) }
+		case attrReadySize:
+			return func(c, _ *sched.Core) int64 { return int64(len(c.Queued())) }
+		case attrCurrent:
+			return func(c, _ *sched.Core) int64 { return running(c) }
+		case attrWeightSum:
+			return func(c, _ *sched.Core) int64 { return c.WeightSum() }
+		case attrID:
+			return func(c, _ *sched.Core) int64 { return int64(c.ID) }
+		case attrGroup:
+			return func(c, _ *sched.Core) int64 { return int64(c.Group) }
+		case attrNode:
+			return func(c, _ *sched.Core) int64 { return int64(c.Node) }
+		}
+	}
+	panic(fmt.Sprintf("dsl: unknown attribute %d", attr))
+}
+
+// running is current.size: 1 while the core runs a task, else 0.
+func running(c *sched.Core) int64 {
+	if c.Current != nil {
+		return 1
+	}
+	return 0
 }

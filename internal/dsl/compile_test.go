@@ -107,17 +107,46 @@ func TestCompiledFactoryIsRaceFree(t *testing.T) {
 	}
 }
 
+func TestCompiledProgramAllocatesNothing(t *testing.T) {
+	// The verifier calls Load, CanSteal, StealCount and Choose per core
+	// pair per state: the compiled closures, the `x.load` references
+	// among them, are built once per program, and a call allocates
+	// nothing — whatever attributes, operators and chooser it runs.
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	m := sched.MachineFromLoads(0, 1, 2, 3)
+	thief, stealee := m.Core(0), m.Core(3)
+	for _, src := range []string{
+		listing1,
+		rescueMinLoad,
+		randomBoth,
+		`policy x { load = self.weight.sum filter = stealee.load - self.load >= 2048 && stealee.ready.size >= 1 || !(self.group != stealee.node) steal = (stealee.ready.size - self.id) / 2 % -stealee.current.size choose = min_load rescue = max_load }`,
+	} {
+		p := Compile(mustParse(t, src))
+		if n := testing.AllocsPerRun(100, func() {
+			p.Load(stealee)
+			p.CanSteal(thief, stealee)
+			p.StealCount(thief, stealee)
+			p.Choose(thief, m.Cores[1:])
+		}); n != 0 {
+			t.Errorf("%s: Load + CanSteal + StealCount + Choose allocate %v objects, want 0", p.Name(), n)
+		}
+	}
+}
+
 func TestFrontEndBuildsNoProgram(t *testing.T) {
 	// Parse, ComponentForms and Analyze are the warm submit path: they
-	// never build the program, and allocate what they did before Compile
-	// cached it (the counts are go1.24's, without -race).
+	// never publish the program (Analyze compiles the clauses into a
+	// local), and the probe universe is built once per process, not per
+	// call (the counts are go1.24's, without -race).
 	for _, tc := range []struct {
 		src    string
 		allocs float64
 	}{
-		{listing1, 172},
-		{randomBoth, 132},
-		{`policy x { load = self.weight.sum filter = stealee.load - self.load >= 2048 && stealee.ready.size >= 1 steal = stealee.ready.size / 2 choose = min_load rescue = max_load }`, 184},
+		{listing1, 102},
+		{randomBoth, 60},
+		{`policy x { load = self.weight.sum filter = stealee.load - self.load >= 2048 && stealee.ready.size >= 1 steal = stealee.ready.size / 2 choose = min_load rescue = max_load }`, 117},
 	} {
 		var ast *Policy
 		n := testing.AllocsPerRun(50, func() {

@@ -8,8 +8,8 @@ import (
 // Generate emits a self-contained Go source file implementing the policy
 // as a sched.Policy — the analogue of the paper's DSL→C kernel backend.
 // The output compiles against repro/internal/sched and behaves
-// identically to Compile's interpreted policy (a property the tests
-// check by construction of the two backends from the same AST).
+// identically to the policy Compile builds (a property the tests check
+// by construction of the two backends from the same AST).
 func Generate(p *Policy, pkg string) string {
 	typeName := exportedName(p.Name)
 	var b strings.Builder

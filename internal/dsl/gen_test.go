@@ -79,7 +79,7 @@ func normalize(s string) string {
 	return strings.TrimSpace(strings.Join(lines, "\n"))
 }
 
-// TestInterpreterMatchesGeneratorSemantics drives the interpreted policy
+// TestInterpreterMatchesGeneratorSemantics drives the compiled policy
 // and a hand-translation of its generated code over random states and
 // checks decision equality — the two-backend equivalence the paper's
 // pipeline relies on.

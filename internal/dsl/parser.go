@@ -2,10 +2,22 @@ package dsl
 
 import "strconv"
 
+// maxNesting caps how deeply an expression nests: both the height of its
+// tree and how many parentheses and prefix operators enclose any point
+// of it. Every pass over a policy — the parser itself, the checker,
+// rendering, fingerprinting, compiling — recurses on that depth, so a
+// source nested past the cap is refused with an error instead of
+// exhausting the stack.
+const maxNesting = 256
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token
 	pos  int
+	// open counts the parentheses and prefix operators being parsed,
+	// height is the tree height of the expression parsed last; both stay
+	// within maxNesting.
+	open, height int
 }
 
 // Parse parses and type-checks a policy definition.
@@ -35,6 +47,38 @@ func (p *parser) expectPunct(s string) error {
 	}
 	p.bump()
 	return nil
+}
+
+// enter opens a parenthesis or prefix operator at t; the caller
+// decrements p.open once the enclosed expression is parsed.
+func (p *parser) enter(t token) error {
+	p.open++
+	if p.open > maxNesting {
+		return errNesting(t)
+	}
+	return nil
+}
+
+// grow records a node at t over a subtree of height below.
+func (p *parser) grow(t token, below int) error {
+	p.height = below + 1
+	if p.height > maxNesting {
+		return errNesting(t)
+	}
+	return nil
+}
+
+// join builds the binary node at operator t over l, whose height was
+// lh, and r, the expression parsed last.
+func (p *parser) join(t token, l expr, lh int, r expr) (expr, error) {
+	if err := p.grow(t, max(lh, p.height)); err != nil {
+		return nil, err
+	}
+	return &binary{op: t.text, l: l, r: r, line: t.line, col: t.col}, nil
+}
+
+func errNesting(t token) *Error {
+	return errf(t.line, t.col, "expression nests deeper than %d levels", maxNesting)
 }
 
 func (p *parser) expectIdent(s string) error {
@@ -172,12 +216,14 @@ func (p *parser) parseOr() (expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokPunct && p.cur().text == "||" {
-		t := p.bump()
+		t, lh := p.bump(), p.height
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
-		l = &binary{op: "||", l: l, r: r, line: t.line, col: t.col}
+		if l, err = p.join(t, l, lh, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -188,24 +234,21 @@ func (p *parser) parseAnd() (expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokPunct && p.cur().text == "&&" {
-		t := p.bump()
+		t, lh := p.bump(), p.height
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		l = &binary{op: "&&", l: l, r: r, line: t.line, col: t.col}
+		if l, err = p.join(t, l, lh, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
 
 func (p *parser) parseNot() (expr, error) {
 	if p.cur().kind == tokPunct && p.cur().text == "!" {
-		p.bump()
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unary{op: "!", x: x}, nil
+		return p.parsePrefix(p.parseNot)
 	}
 	return p.parseCmp()
 }
@@ -218,12 +261,12 @@ func (p *parser) parseCmp() (expr, error) {
 		return nil, err
 	}
 	if p.cur().kind == tokPunct && cmpOps[p.cur().text] {
-		t := p.bump()
+		t, lh := p.bump(), p.height
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &binary{op: t.text, l: l, r: r, line: t.line, col: t.col}, nil
+		return p.join(t, l, lh, r)
 	}
 	return l, nil
 }
@@ -234,12 +277,14 @@ func (p *parser) parseAdd() (expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokPunct && (p.cur().text == "+" || p.cur().text == "-") {
-		t := p.bump()
+		t, lh := p.bump(), p.height
 		r, err := p.parseMul()
 		if err != nil {
 			return nil, err
 		}
-		l = &binary{op: t.text, l: l, r: r, line: t.line, col: t.col}
+		if l, err = p.join(t, l, lh, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -250,26 +295,41 @@ func (p *parser) parseMul() (expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokPunct && (p.cur().text == "*" || p.cur().text == "/" || p.cur().text == "%") {
-		t := p.bump()
+		t, lh := p.bump(), p.height
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		l = &binary{op: t.text, l: l, r: r, line: t.line, col: t.col}
+		if l, err = p.join(t, l, lh, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
 
 func (p *parser) parseUnary() (expr, error) {
 	if p.cur().kind == tokPunct && p.cur().text == "-" {
-		p.bump()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unary{op: "-", x: x}, nil
+		return p.parsePrefix(p.parseUnary)
 	}
 	return p.parsePrimary()
+}
+
+// parsePrefix parses the prefix operator at the cursor applied to the
+// operand that operand parses.
+func (p *parser) parsePrefix(operand func() (expr, error)) (expr, error) {
+	t := p.bump()
+	if err := p.enter(t); err != nil {
+		return nil, err
+	}
+	x, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	p.open--
+	if err := p.grow(t, p.height); err != nil {
+		return nil, err
+	}
+	return &unary{op: t.text, x: x}, nil
 }
 
 func (p *parser) parsePrimary() (expr, error) {
@@ -281,21 +341,29 @@ func (p *parser) parsePrimary() (expr, error) {
 		if err != nil {
 			return nil, errf(t.line, t.col, "bad number: %v", err)
 		}
+		p.height = 1
 		return &intLit{val: v}, nil
 	case t.kind == tokIdent && t.text == "true":
 		p.bump()
+		p.height = 1
 		return &boolLit{val: true}, nil
 	case t.kind == tokIdent && t.text == "false":
 		p.bump()
+		p.height = 1
 		return &boolLit{val: false}, nil
 	case t.kind == tokIdent:
+		p.height = 1
 		return p.parsePath()
 	case t.kind == tokPunct && t.text == "(":
 		p.bump()
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		p.open--
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}

@@ -1,9 +1,10 @@
 // Package dsl implements the paper's scheduling-policy domain-specific
 // language. The paper compiles one policy source to two backends — C for
 // the Linux kernel and Scala for the Leon verifier; this package mirrors
-// the pipeline with two Go backends: an interpreted sched.Policy for
-// execution (simulator, executor, verifier) and a Go source-code
-// generator (Generate) standing in for the kernel backend.
+// the pipeline with two Go backends: a sched.Policy whose clauses are
+// compiled once to closures (Compile), for execution (simulator,
+// executor, verifier), and a Go source-code generator (Generate)
+// standing in for the kernel backend.
 //
 // A policy file looks like Listing 1:
 //

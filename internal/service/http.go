@@ -14,8 +14,9 @@ import (
 // HTTP/JSON surface of the daemon:
 //
 //	POST   /v1/verify     submit a Request; 200 done (cache), 202 queued,
-//	                      400 bad request, 429 queue full (+ Retry-After),
-//	                      503 draining or closed
+//	                      400 bad request, 413 body over maxRequestBytes,
+//	                      429 queue full (+ Retry-After), 503 draining or
+//	                      closed
 //	GET    /v1/jobs/{id}  poll a job; includes the report when done.
 //	                      With ?wait=<duration> (e.g. 30s, 250ms) the
 //	                      answer is held until the job is terminal, the
@@ -50,6 +51,11 @@ import (
 // timeouts of common proxies; an http.Server in front of Handler must
 // not set a WriteTimeout below it.
 const maxPollWait = 30 * time.Second
+
+// maxRequestBytes caps a submission's body. A policy source is a few
+// hundred bytes; the cap keeps one request from making the daemon
+// buffer, lex and parse an unbounded input.
+const maxRequestBytes = 1 << 20
 
 // pollURL is the URL a client should poll a live job at.
 func pollURL(id string) string {
@@ -111,10 +117,15 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	rep, job, warnings, err := s.submit(req)

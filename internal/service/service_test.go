@@ -469,6 +469,51 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// A hostile submission is the client's error, never the daemon's end: a
+// source nested far past the parser's cap is a 400, a body over
+// maxRequestBytes a 413, and the daemon answers on as before.
+func TestHostileSubmissionsLeaveTheDaemonUp(t *testing.T) {
+	s := MustNew(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	const deep = 100_000
+	nested := `{"source":"policy deep { filter = ` + strings.Repeat("(", deep) + "true" + strings.Repeat(")", deep) + ` }"}`
+	huge := `{"source":"` + strings.Repeat(" ", maxRequestBytes) + `"}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		frag       string
+	}{
+		{"nested source", nested, http.StatusBadRequest, "nests deeper than"},
+		{"oversized body", huge, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || !strings.Contains(string(raw), tc.frag) {
+			t.Errorf("%s: %d %s, want %d naming %q", tc.name, resp.StatusCode, raw, tc.status, tc.frag)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/stats after the hostile submissions: %d, want 200", resp.StatusCode)
+	}
+	if st := s.Stats(); st.CacheMisses != 0 {
+		t.Errorf("rejected submissions still cost %d memo misses", st.CacheMisses)
+	}
+}
+
 // A universe too wide for the schedule counter is the client's error: a
 // 400 that says why, before any key is hashed or job queued.
 func TestSubmitRejectsUniverseWiderThanTheScheduleCounterHTTP(t *testing.T) {
