@@ -32,11 +32,11 @@ func (b executorBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, c
 	start := time.Now()
 	pool := engine.NewPool(cores, func() sched.Policy { return c.NewPolicy() },
 		engine.Options{Groups: groups})
-	if faults := c.faultSchedule(sc); len(faults) > 0 {
+	if len(sc.Faults) > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			for _, ev := range faults {
+			for _, ev := range sc.Faults {
 				if d := time.Duration(ev.At)*time.Microsecond - time.Since(start); d > 0 {
 					select {
 					case <-time.After(d):
@@ -44,9 +44,9 @@ func (b executorBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, c
 						return
 					}
 				}
-				// The schedule was validated against an online-state replay,
-				// but wall time may interleave events with chaos self-kills;
-				// a refused kill/revive is a no-op, like a failed steal.
+				// The schedule was validated against an online-state replay
+				// and this goroutine alone applies it, in order, so Kill and
+				// Revive refuse none of its events.
 				if ev.Revive {
 					pool.Revive(ev.Core % cores)
 				} else {

@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // modelBackend runs the scenario on the bare scheduler model: tasks are
 // placed on their cores' runqueues and balancing rounds execute until
-// the machine is work-conserved (or the round cap strikes). This is the
-// substrate the proof obligations quantify over, so a verified policy
-// converging here is exactly what the verifier promised.
+// the machine is work-conserved (or verify.DefaultMaxRounds rounds have
+// run). This is the substrate the proof obligations quantify over, so a
+// verified policy converging here is exactly what the verifier promised.
 type modelBackend struct{}
 
 // Name implements Backend.
@@ -39,10 +40,10 @@ func (b modelBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, core
 	}
 	p := c.NewPolicy()
 	rng := sim.NewRNG(c.Seed())
-	faults := c.faultSchedule(sc)
+	faults := sc.Faults
 
 	res := newResult(b, c, sc, cores)
-	for res.Rounds < int64(c.maxRounds) {
+	for res.Rounds < verify.DefaultMaxRounds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -15,9 +15,9 @@ type simBackend struct{}
 // Name implements Backend.
 func (simBackend) Name() string { return "sim" }
 
-// Execute implements Backend. The horizon comes from the scenario, then
-// the cluster (WithHorizon). Cancellation is cooperative inside the
-// simulator's event loop (every 256 events).
+// Execute implements Backend. The horizon comes from the scenario, else
+// 1,000,000 ticks (one simulated second). Cancellation is cooperative
+// inside the simulator's event loop (every 256 events).
 func (b simBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores int, groups []int) (*Result, error) {
 	start := time.Now()
 	mode := sim.RoundConcurrent
@@ -41,7 +41,7 @@ func (b simBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores 
 			}
 		}
 	}
-	for _, ev := range c.faultSchedule(sc) {
+	for _, ev := range sc.Faults {
 		if ev.Revive {
 			s.ReviveAt(ev.At, ev.Core%cores)
 		} else {
@@ -51,7 +51,7 @@ func (b simBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores 
 
 	horizon := sc.Horizon
 	if horizon <= 0 {
-		horizon = c.horizon
+		horizon = 1_000_000
 	}
 	st, err := s.RunContext(ctx, horizon)
 	if err != nil {

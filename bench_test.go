@@ -1,7 +1,8 @@
 package optsched
 
-// The benchmark harness: one benchmark per experiment in EXPERIMENTS.md
-// (regenerating the paper-shaped numbers under testing.B), plus
+// The benchmark harness: one benchmark per experiment of
+// internal/experiment (the paper-shaped tables `go run ./cmd/schedbench`
+// prints, regenerated under testing.B), plus
 // micro-benchmarks of the protocol's building blocks. Run with
 //
 //	go test -bench=. -benchmem

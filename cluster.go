@@ -41,19 +41,15 @@ type Cluster struct {
 	policyTop    *topology.Topology // the topology the policy was built over (NeedsTopology specs)
 	top          *topology.Topology
 	backend      Backend
-	cores        int
 	seed         uint64
 	sequential   bool
-	horizon      int64
-	maxRounds    int
 	parallelism  int
 	universe     statespace.Universe
 	hasUniverse  bool
 	obligations  []verify.ObligationID
 	ring         *trace.Ring
-	faults       []FaultEvent // WithFaults: default fault schedule
-	dslSource    string       // set when the policy came from WithDSL
-	verifyURL    string       // set by WithVerifyService: Verify delegates here
+	dslSource    string // set when the policy came from WithDSL
+	verifyURL    string // set by WithVerifyService: Verify delegates here
 	verifyClient *VerifyClient
 	fallbacks    int64 // verifyRemote→verifyLocal circuit-open fallbacks (atomic)
 }
@@ -141,18 +137,6 @@ func WithBackend(b Backend) Option {
 	}
 }
 
-// WithCores sets the default machine width used when neither the
-// scenario nor a topology specifies one.
-func WithCores(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.fail(fmt.Errorf("optsched: WithCores(%d)", n))
-			return
-		}
-		o.cluster.cores = n
-	}
-}
-
 // WithSeed fixes the deterministic RNG driving concurrent-round steal
 // orders and the simulator. Zero selects the default seed 1 (the
 // simulator's own convention), so seeds 0 and 1 are the same run.
@@ -165,31 +149,6 @@ func WithSeed(seed uint64) Option {
 // concurrent mode.
 func WithSequentialRounds() Option {
 	return func(o *options) { o.cluster.sequential = true }
-}
-
-// WithHorizon sets the simulator backend's default virtual-time horizon
-// in ticks (default 1,000,000 — one simulated second).
-func WithHorizon(ticks int64) Option {
-	return func(o *options) {
-		if ticks <= 0 {
-			o.fail(fmt.Errorf("optsched: WithHorizon(%d)", ticks))
-			return
-		}
-		o.cluster.horizon = ticks
-	}
-}
-
-// WithMaxRounds caps the model backend's convergence loop and the
-// verifier's sequential work-conservation search (default
-// verify.DefaultMaxRounds).
-func WithMaxRounds(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.fail(fmt.Errorf("optsched: WithMaxRounds(%d)", n))
-			return
-		}
-		o.cluster.maxRounds = n
-	}
 }
 
 // WithParallelism bounds the worker pool Verify's sharded driver uses:
@@ -238,9 +197,9 @@ func WithTrace(ring *TraceRing) Option {
 // combination is rejected by New. Registry policies are resolved
 // against the daemon's registry by name, topology-needing ones over the
 // daemon's default topology. The daemon's own -maxrounds setting
-// governs the sequential work-conservation bound, so WithMaxRounds is
-// rejected too; WithParallelism is ignored (the daemon's worker pool
-// applies, and parallelism never changes verdicts).
+// governs the sequential work-conservation bound; WithParallelism is
+// ignored (the daemon's worker pool applies, and parallelism never
+// changes verdicts).
 func WithVerifyService(baseURL string) Option {
 	return func(o *options) {
 		if baseURL == "" {
@@ -257,21 +216,6 @@ func WithUniverse(u Universe) Option {
 	return func(o *options) {
 		o.cluster.universe = u
 		o.cluster.hasUniverse = true
-	}
-}
-
-// WithFaults installs the cluster's default fault schedule: every
-// scenario that does not carry its own Faults runs under these events,
-// on whichever backend (see FaultEvent for how each backend interprets
-// At). The schedule is validated against the resolved machine width at
-// Run time, like the scenario's own fields.
-func WithFaults(events ...FaultEvent) Option {
-	return func(o *options) {
-		if len(events) == 0 {
-			o.fail(fmt.Errorf("optsched: WithFaults needs at least one event (omit the option for a healthy machine)"))
-			return
-		}
-		o.cluster.faults = append([]FaultEvent(nil), events...)
 	}
 }
 
@@ -355,13 +299,6 @@ func New(opts ...Option) (*Cluster, error) {
 		c.factory = func() sched.Policy { return spec.New(top) }
 	}
 
-	// A topology fixes the machine width; an explicit conflicting
-	// WithCores would silently run the policy on a machine it was not
-	// built for, so reject the combination outright.
-	if c.cores > 0 && c.top != nil && c.top.NCores != c.cores {
-		return nil, fmt.Errorf("optsched: WithCores(%d) conflicts with the %d-core topology",
-			c.cores, c.top.NCores)
-	}
 	if c.hasUniverse {
 		if c.universe.Cores <= 0 {
 			return nil, fmt.Errorf("optsched: WithUniverse needs Cores > 0 (the verifier would silently substitute its default universe)")
@@ -376,13 +313,8 @@ func New(opts ...Option) (*Cluster, error) {
 				id, verify.AllObligations())
 		}
 	}
-	if c.verifyURL != "" {
-		if o.factory != nil {
-			return nil, fmt.Errorf("optsched: WithVerifyService cannot ship a WithPolicyFactory closure; use WithPolicy or WithDSL")
-		}
-		if c.maxRounds != 0 && c.maxRounds != verify.DefaultMaxRounds {
-			return nil, fmt.Errorf("optsched: WithMaxRounds conflicts with WithVerifyService (the daemon's -maxrounds setting governs)")
-		}
+	if c.verifyURL != "" && o.factory != nil {
+		return nil, fmt.Errorf("optsched: WithVerifyService cannot ship a WithPolicyFactory closure; use WithPolicy or WithDSL")
 	}
 
 	if c.backend == nil {
@@ -390,12 +322,6 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if c.seed == 0 {
 		c.seed = 1
-	}
-	if c.horizon == 0 {
-		c.horizon = 1_000_000
-	}
-	if c.maxRounds == 0 {
-		c.maxRounds = verify.DefaultMaxRounds
 	}
 	if c.verifyURL != "" {
 		c.verifyClient = &VerifyClient{BaseURL: c.verifyURL}
@@ -452,17 +378,13 @@ func (c *Cluster) Run(ctx context.Context, sc Scenario) (*Result, error) {
 
 // layout resolves the machine width and group assignment for a
 // scenario: the scenario's own values win, then the cluster topology,
-// then WithCores, then an 8-core flat default.
+// then an 8-core flat default.
 func (c *Cluster) layout(sc Scenario) (int, []int, error) {
 	cores := sc.Cores
 	if cores <= 0 {
-		switch {
-		case c.top != nil:
+		cores = 8
+		if c.top != nil {
 			cores = c.top.NCores
-		case c.cores > 0:
-			cores = c.cores
-		default:
-			cores = 8
 		}
 	}
 	// A topology-built policy consults per-core distances; a machine
@@ -479,24 +401,7 @@ func (c *Cluster) layout(sc Scenario) (int, []int, error) {
 	if err := sc.validate(cores); err != nil {
 		return 0, nil, err
 	}
-	// The cluster-default schedule only applies when the scenario has
-	// none of its own, and only then needs to fit this machine width.
-	if len(sc.Faults) == 0 && len(c.faults) > 0 {
-		if err := validateFaults(c.faults, cores); err != nil {
-			return 0, nil, fmt.Errorf("optsched: cluster fault schedule: %w", err)
-		}
-	}
 	return cores, groups, nil
-}
-
-// faultSchedule resolves the fault schedule a backend applies: the
-// scenario's own Faults win, then the cluster default (WithFaults),
-// then none.
-func (c *Cluster) faultSchedule(sc Scenario) []FaultEvent {
-	if len(sc.Faults) > 0 {
-		return sc.Faults
-	}
-	return c.faults
 }
 
 // Verify discharges the paper's proof obligations for the cluster's
@@ -516,7 +421,7 @@ func (c *Cluster) Verify(ctx context.Context) (*Report, error) {
 // verifyLocal is the in-process verification path — the default, and
 // the fallback when the verify-service circuit breaker is open.
 func (c *Cluster) verifyLocal(ctx context.Context) (*Report, error) {
-	cfg := verify.Config{MaxRounds: c.maxRounds, Obligations: c.obligations, Parallelism: c.parallelism}
+	cfg := verify.Config{Obligations: c.obligations, Parallelism: c.parallelism}
 	if c.hasUniverse {
 		cfg.Universe = c.universe
 	}

@@ -130,8 +130,9 @@ func TestForkJoinAndBurstyScenariosOnTheSimulator(t *testing.T) {
 // time order, not in the order they were posted.
 func TestSimBatchOrderDoesNotMatter(t *testing.T) {
 	listed := Scenario{
-		Name:  "unsorted",
-		Cores: 4,
+		Name:    "unsorted",
+		Cores:   4,
+		Horizon: 200_000,
 		Batches: []Batch{
 			{At: 30_000, Core: 2, Tasks: 5, Work: 3_000},
 			{At: 12_000, Core: 0, Tasks: 6, Work: 2_500, Weight: 2048},
@@ -152,7 +153,7 @@ func TestSimBatchOrderDoesNotMatter(t *testing.T) {
 	run := func(sc Scenario) (*Result, []trace.Event) {
 		t.Helper()
 		ring := NewTraceRing(1 << 14)
-		c, err := New(WithPolicy("delta2-rescue"), WithBackend(BackendSim), WithSeed(11), WithTrace(ring), WithHorizon(200_000))
+		c, err := New(WithPolicy("delta2-rescue"), WithBackend(BackendSim), WithSeed(11), WithTrace(ring))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,38 +374,6 @@ func TestClusterRunModelFaultSemantics(t *testing.T) {
 	}
 }
 
-// TestClusterWithFaultsDefault checks the cluster-level fault schedule:
-// it applies when the scenario carries none and yields to a scenario
-// schedule when both are set.
-func TestClusterWithFaultsDefault(t *testing.T) {
-	c, err := New(
-		WithPolicy("delta2-rescue"),
-		WithBackend(BackendModel),
-		WithFaults(FaultEvent{At: 0, Core: 1}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := SkewedScenario("plain", 8, 100)
-	sc.Cores = 3
-	res, err := c.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults != 1 {
-		t.Errorf("cluster-default schedule not applied: %d fault events", res.Faults)
-	}
-
-	sc.Faults = []FaultEvent{{At: 0, Core: 1}, {At: 1, Core: 1, Revive: true}}
-	res, err = c.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults != 2 {
-		t.Errorf("scenario schedule did not override cluster default: %d fault events", res.Faults)
-	}
-}
-
 // TestClusterRunRejectsBadFaultSchedule checks schedule validation at
 // Run time: out-of-order events, reviving an online core, and failing
 // the last online core are all structural errors.
@@ -609,15 +578,11 @@ func TestClusterOptionValidation(t *testing.T) {
 		"unknown policy":      {WithPolicy("nope")},
 		"nil backend":         {WithBackend(nil)},
 		"nil topology":        {WithTopology(nil)},
-		"bad cores":           {WithCores(-1)},
-		"bad horizon":         {WithHorizon(0)},
-		"bad max rounds":      {WithMaxRounds(0)},
 		"broken DSL":          {WithDSL("policy x {}")},
 		"conflicting sources": {WithPolicy("delta2"), WithDSL(`policy y { filter = stealee.load - thief.load >= 2 }`)},
 		"policy + factory": {WithPolicyFactory("mine", func() Policy { return NewDelta2() }),
 			WithPolicy("delta2")},
 		"nil factory":        {WithPolicyFactory("x", nil)},
-		"cores vs topology":  {WithTopology(NUMATopology(2, 4)), WithCores(16)},
 		"unknown obligation": {WithObligations("lemma1typo")},
 		"zero parallelism":   {WithParallelism(0)},
 		"neg parallelism":    {WithParallelism(-2)},
@@ -625,7 +590,6 @@ func TestClusterOptionValidation(t *testing.T) {
 		"empty service URL":  {WithVerifyService("")},
 		"service + factory": {WithVerifyService("http://127.0.0.1:1"),
 			WithPolicyFactory("mine", func() Policy { return NewDelta2() })},
-		"service + max rounds": {WithVerifyService("http://127.0.0.1:1"), WithMaxRounds(50)},
 	}
 	for name, opts := range cases {
 		if _, err := New(opts...); err == nil {

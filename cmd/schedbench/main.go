@@ -1,8 +1,9 @@
-// Command schedbench regenerates the paper-shaped outputs: the
-// EXPERIMENTS.md tables (default mode) and the open-loop service
-// tail-latency sweeps (-workload service). Interrupting (Ctrl-C)
-// cancels the run wherever it is — mid-state-space for the verification
-// experiments, mid-event-loop for a sweep point — and exits non-zero.
+// Command schedbench regenerates the paper-shaped outputs: the E1–E10
+// experiment tables of internal/experiment (default mode) and the
+// open-loop service tail-latency sweeps (-workload service).
+// Interrupting (Ctrl-C) cancels the run wherever it is — mid-state-space
+// for the verification experiments, mid-event-loop for a sweep point —
+// and exits non-zero.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -73,7 +75,8 @@ func run() int {
 	return code
 }
 
-// runExperiments is the original mode: regenerate EXPERIMENTS.md tables.
+// runExperiments is the original mode: print the internal/experiment
+// tables.
 func runExperiments(ctx context.Context, only string) int {
 	runners := map[string]func(context.Context) experiment.Result{
 		"E1":  experiment.E1Lemma1,
@@ -164,7 +167,7 @@ func parseLoads(s string) ([]float64, error) {
 		}
 		var v [3]float64
 		for i, p := range parts {
-			f, err := strconv.ParseFloat(p, 64)
+			f, err := parseFinite(p)
 			if err != nil {
 				return nil, fmt.Errorf("load range %q: %v", s, err)
 			}
@@ -173,6 +176,9 @@ func parseLoads(s string) ([]float64, error) {
 		lo, hi, step := v[0], v[1], v[2]
 		if step <= 0 || hi < lo {
 			return nil, fmt.Errorf("load range %q: want lo ≤ hi and step > 0", s)
+		}
+		if n := math.Floor((hi-lo)/step+0.5) + 1; n > maxLoadPoints {
+			return nil, fmt.Errorf("load range %q: %.0f points, at most %d", s, n, maxLoadPoints)
 		}
 		var grid []float64
 		// Walk in integer steps to dodge float accumulation drift.
@@ -187,7 +193,7 @@ func parseLoads(s string) ([]float64, error) {
 	}
 	var grid []float64
 	for _, p := range splitNonEmpty(s) {
-		f, err := strconv.ParseFloat(p, 64)
+		f, err := parseFinite(p)
 		if err != nil {
 			return nil, fmt.Errorf("load %q: %v", p, err)
 		}
@@ -197,6 +203,19 @@ func parseLoads(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no load points in %q", s)
 	}
 	return grid, nil
+}
+
+// maxLoadPoints is the most points a load grid holds: every 4-decimal
+// load in (0, 0.99].
+const maxLoadPoints = 9900
+
+// parseFinite parses a load, lo, hi or step, rejecting NaN and ±Inf.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%s is not finite", s)
+	}
+	return f, err
 }
 
 // roundLoad snaps a grid point to 4 decimals so "0.60:0.95:0.05" yields

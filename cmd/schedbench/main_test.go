@@ -41,6 +41,36 @@ func TestParseLoads(t *testing.T) {
 	}
 }
 
+// A range whose walk would never end, or would outgrow any load grid,
+// is refused before the walk starts; the widest 4-decimal grid passes.
+func TestParseLoadsBoundsRanges(t *testing.T) {
+	for _, c := range []struct {
+		in     string
+		points int // 0: rejected
+	}{
+		{"NaN:0.9:0.05", 0},
+		{"0.6:NaN:0.05", 0},
+		{"0.6:0.9:NaN", 0},
+		{"0.6:Inf:0.05", 0},
+		{"-Inf:0.9:0.05", 0},
+		{"0.6:0.9:Inf", 0},
+		{"0.6:0.9:1e999", 0},
+		{"0.6:0.9:1e-300", 0},
+		{"0:0.99:0.0001", 0},
+		{"0.0001:0.99:0.0001", 9900},
+		{"NaN", 0},
+		{"0.6,Inf", 0},
+	} {
+		got, err := parseLoads(c.in)
+		switch {
+		case c.points == 0 && err == nil:
+			t.Errorf("parseLoads(%q) accepted %d points", c.in, len(got))
+		case c.points > 0 && (err != nil || len(got) != c.points):
+			t.Errorf("parseLoads(%q) = %d points, %v; want %d points", c.in, len(got), err, c.points)
+		}
+	}
+}
+
 // The default flag set must sweep at least three registered policies —
 // the acceptance bar for comparing policies per report.
 func TestDefaultPoliciesAreRegistered(t *testing.T) {

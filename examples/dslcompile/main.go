@@ -40,7 +40,6 @@ func main() {
 	cluster, err := optsched.New(
 		optsched.WithDSL(source),
 		optsched.WithBackend(optsched.BackendExecutor),
-		optsched.WithCores(4),
 	)
 	if err != nil {
 		panic(err)
@@ -55,7 +54,9 @@ func main() {
 
 	// Backend 2 (execution): drive the work-stealing executor with the
 	// compiled policy; submit everything to worker 0 and watch steals.
-	res, err := cluster.Run(ctx, optsched.SkewedScenario("dsl-burst", 800, 50))
+	sc := optsched.SkewedScenario("dsl-burst", 800, 50)
+	sc.Cores = 4
+	res, err := cluster.Run(ctx, sc)
 	if err != nil {
 		panic(err)
 	}

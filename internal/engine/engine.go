@@ -35,13 +35,11 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/service/faultinject"
 )
 
 // Task is a unit of work.
@@ -60,7 +58,6 @@ type Pool struct {
 	closed  atomic.Bool
 	inflt   atomic.Int64 // submitted but not finished tasks
 	wg      sync.WaitGroup
-	faults  *faultinject.Set
 
 	executed   atomic.Int64
 	steals     atomic.Int64
@@ -72,10 +69,9 @@ type Pool struct {
 
 // worker is one executor lane.
 type worker struct {
-	id      int
-	group   int
-	pool    *Pool
-	killArg string // the core-kill fault point's argument: the worker ID
+	id    int
+	group int
+	pool  *Pool
 
 	mu      sync.Mutex
 	queue   taskQueue
@@ -100,12 +96,6 @@ type worker struct {
 type Options struct {
 	// Groups assigns workers to scheduling groups (defaults to all 0).
 	Groups []int
-	// Faults optionally arms chaos fault injection: each worker consults
-	// the set at the core-kill fault point (arg: its worker ID) once per
-	// loop turn, and a fail directive fail-stops it exactly like Kill.
-	// Probabilistic rules (op:kind%p@seed) make this a seeded chaos
-	// monkey. Nil is inert.
-	Faults *faultinject.Set
 }
 
 // NewPool starts n workers using policies from factory.
@@ -129,14 +119,14 @@ func newPool(n int, factory Factory, opts Options) *Pool {
 	if opts.Groups != nil && len(opts.Groups) != n {
 		panic(fmt.Sprintf("engine: %d groups for %d workers", len(opts.Groups), n))
 	}
-	p := &Pool{workers: make([]*worker, n), faults: opts.Faults}
+	p := &Pool{workers: make([]*worker, n)}
 	for i := range p.workers {
 		g := 0
 		if opts.Groups != nil {
 			g = opts.Groups[i]
 		}
 		p.workers[i] = &worker{
-			id: i, group: g, pool: p, killArg: strconv.Itoa(i),
+			id: i, group: g, pool: p,
 			policy: factory(), view: sched.NewMachine(n),
 			rescuePolicy: factory(), rescueView: sched.NewMachine(n),
 		}
@@ -311,12 +301,6 @@ func (w *worker) run() {
 				return
 			}
 			time.Sleep(idleSleep)
-			continue
-		}
-		if d := w.pool.faults.Check(faultinject.OpCoreKill, w.killArg); d.Err != nil {
-			// Chaos self-kill; Kill refuses the last online worker, so an
-			// aggressive probabilistic rule cannot wedge the pool.
-			w.pool.Kill(w.id)
 			continue
 		}
 		t := w.popLocal()

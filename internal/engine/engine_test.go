@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/sched"
-	"repro/internal/service/faultinject"
 )
 
 func delta2Factory() sched.Policy { return policy.NewDelta2() }
@@ -424,14 +423,13 @@ func TestKillPanicsOnOutOfContractRescuer(t *testing.T) {
 }
 
 func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
-	// A probabilistic core-kill chaos rule self-kills workers mid-run;
-	// the rescue rule keeps every task accounted for. The last-online
-	// guard means the pool can never wedge no matter how often it fires.
-	faults := faultinject.New(faultinject.Rule{
-		Op: faultinject.OpCoreKill, Kind: faultinject.KindFail, Prob: 0.05, Seed: 9,
-	})
-	p := NewPool(4, rescueFactory, Options{Faults: faults})
+	// A seeded chaos goroutine kills random workers mid-run; the rescue
+	// rule keeps every task accounted for. The last-online guard means
+	// the pool can never wedge no matter how often it strikes.
+	p := NewPool(4, rescueFactory, Options{})
 	defer p.Close()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-stopped }()
 	var count atomic.Int64
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -440,6 +438,18 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		})
 	}
+	go func() {
+		defer close(stopped)
+		rng := rand.New(rand.NewPCG(9, 0))
+		for {
+			p.Kill(rng.IntN(4)) // refused when offline already or the last online
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Duration(rng.IntN(400)) * time.Microsecond):
+			}
+		}
+	}()
 	p.Wait()
 	if got := count.Load(); got != n {
 		t.Fatalf("executed %d of %d under chaos kills", got, n)
@@ -447,7 +457,7 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 	st := p.Stats()
 	t.Logf("chaos: kills=%d rescued=%d steals=%d", st.Kills, st.Rescued, st.Steals)
 	if st.Kills == 0 {
-		t.Error("p=0.05 chaos rule never fired over the run")
+		t.Error("the chaos goroutine never killed a worker over the run")
 	}
 	if st.Orphaned != 0 {
 		t.Errorf("Orphaned = %d after a drained run, want 0", st.Orphaned)
@@ -502,8 +512,8 @@ func TestStealPathAllocatesNothing(t *testing.T) {
 }
 
 func TestIdlePoolAllocatesNothing(t *testing.T) {
-	// An idle worker still runs the lock-free phase every turn. 128
-	// workers also cover the three-digit IDs of the core-kill fault point.
+	// An idle worker still runs the lock-free phase every turn, on a
+	// small pool and on a wide one.
 	for _, workers := range []int{8, 128} {
 		p := NewPool(workers, delta2Factory, Options{})
 		// The first turn of each worker sizes its view's buffers: let every

@@ -1,5 +1,5 @@
-// Package experiment regenerates every experiment in EXPERIMENTS.md:
-// each E* function reproduces one of the paper's artifacts (listings,
+// Package experiment regenerates every paper-shaped experiment, E1–E10,
+// that `go run ./cmd/schedbench` prints: each E* function reproduces one of the paper's artifacts (listings,
 // figure, counterexample, motivation claims) and returns a formatted
 // table plus notes. cmd/schedbench prints them all; the root bench suite
 // wraps each in a testing.B benchmark.

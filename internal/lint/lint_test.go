@@ -393,6 +393,182 @@ func TestNoWriteOnlyFields(t *testing.T) {
 	}
 }
 
+// knobExemptions names the knobs that no non-test caller outside their
+// package turns, as TestEveryKnobHasACaller reports them, each with the
+// reason it stays. Keep it to seven entries at most: a setting nothing
+// sets is a configuration nothing needs.
+var knobExemptions = map[string]string{
+	"sim.Config.BalancePeriod": "TestGoldenTraces' stranded-until-revive, greedy-contention " +
+		"and wake-onto-failed-home cases set it; the pinned trace hashes must not move",
+	"sim.Config.Quantum": "TestGoldenTraces' stranded-until-revive case sets it; " +
+		"the pinned trace hashes must not move",
+	"loadgen.SweepConfig.Groups": "TestGoldenSweeps' map-exp-idle-4groups and " +
+		"sequential-flat-4cores cases set it; the pinned sweep hashes must not move",
+	"loadgen.SweepConfig.Malleable": "TestGoldenSweeps' sequential-flat-4cores case sets it; " +
+		"the pinned sweep hashes must not move",
+	"loadgen.SweepConfig.IdleBalance": "TestGoldenSweeps' map-pareto-idle, map-exp-idle-4groups " +
+		"and all-policies-idle cases set it; the pinned sweep hashes must not move",
+	"loadgen.SweepConfig.ArrivalCores": "TestGoldenSweeps' sequential-flat-4cores case sets it; " +
+		"the pinned sweep hashes must not move",
+	"optsched.WithTopology": "the package doc's example of New calls it",
+}
+
+// TestEveryKnobHasACaller fails on every settable value no caller sets:
+// an exported field of a struct named *Config or *Options declared in a
+// repro/internal/... package that no non-test file of another package
+// writes, and an exported With* function of the root package returning
+// its Option that no non-test file outside the root references. A write
+// is a composite-literal element, the target of an assignment, an
+// op-assignment, ++ or --, or an operand of & (a flag bound to the
+// field).
+func TestEveryKnobHasACaller(t *testing.T) {
+	prog, pkgs := loadRepo(t)
+	if len(knobExemptions) > 7 {
+		t.Errorf("%d exemptions; at most seven may stay", len(knobExemptions))
+	}
+
+	// Every knob, keyed by its declaring object, with the package that
+	// declares it and the name it is reported and exempted under.
+	type knob struct {
+		pos  token.Position
+		pkg  string
+		name string
+	}
+	knobs := make(map[string]knob)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if pkg.Path == rootPath && fd.Recv == nil && fd.Name.IsExported() &&
+						strings.HasPrefix(fd.Name.Name, "With") && returnsOption(pkg, fd) {
+						knobs[funcKey(pkg.Info.Defs[fd.Name])] = knob{
+							prog.Fset.Position(fd.Name.Pos()), pkg.Path, pkg.Types.Name() + "." + fd.Name.Name,
+						}
+					}
+					continue
+				}
+				if !isInternal(pkg.Path) {
+					continue
+				}
+				for _, spec := range d.(*ast.GenDecl).Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if id.IsExported() {
+								knobs[fieldKey(prog.Fset, pkg.Info.Defs[id])] = knob{
+									prog.Fset.Position(id.Pos()), pkg.Path,
+									fieldName(pkg.Types.Name(), ts.Name.Name, id.Name),
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every knob turned by non-test code of another package.
+	turned := make(map[string]bool)
+	for _, pkg := range pkgs {
+		turn := func(key string) {
+			if k, ok := knobs[key]; ok && k.pkg != pkg.Path {
+				turned[key] = true
+			}
+		}
+		field := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					turn(fieldKey(prog.Fset, s.Obj()))
+				}
+			}
+		}
+		for _, obj := range pkg.Info.Uses {
+			if _, ok := obj.(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == rootPath {
+				turn(funcKey(obj))
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := pkg.Info.TypeOf(s).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range s.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if obj := pkg.Info.Uses[kv.Key.(*ast.Ident)]; obj != nil {
+								turn(fieldKey(prog.Fset, obj))
+							}
+						} else {
+							turn(fieldKey(prog.Fset, st.Field(i)))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range s.Lhs {
+						field(lhs)
+					}
+				case *ast.IncDecStmt:
+					field(s.X)
+				case *ast.UnaryExpr:
+					if s.Op == token.AND {
+						field(s.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	names := make(map[string]bool)
+	var idle []string
+	for key, k := range knobs {
+		names[k.name] = true
+		_, exempt := knobExemptions[k.name]
+		switch {
+		case turned[key] && exempt:
+			t.Errorf("exemption %s has a caller; drop it", k.name)
+		case !turned[key] && !exempt:
+			idle = append(idle, k.pos.String()+": "+k.name)
+		}
+	}
+	for name := range knobExemptions {
+		if !names[name] {
+			t.Errorf("exemption %s names no knob", name)
+		}
+	}
+	sort.Strings(idle)
+	for _, k := range idle {
+		t.Errorf("%s has no non-test caller outside its package", k)
+	}
+}
+
+// rootPath is the module's root package, the optsched facade.
+const rootPath = "repro"
+
+// returnsOption reports whether fd returns exactly its package's Option.
+func returnsOption(pkg *lint.Package, fd *ast.FuncDecl) bool {
+	res := pkg.Info.Defs[fd.Name].Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return false
+	}
+	named, ok := res.At(0).Type().(*types.Named)
+	return ok && named.Obj().Pkg() == pkg.Types && named.Obj().Name() == "Option"
+}
+
+// funcKey names a package-level function the same way from source and
+// from export data.
+func funcKey(obj types.Object) string {
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
 // fieldKey identifies a field by its declaring object from every
 // package's view of it. A package's own fields are source objects, an
 // imported package's are export-data objects, and the two share only

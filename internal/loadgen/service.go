@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -30,10 +31,9 @@ type Service struct {
 	// Required.
 	Horizon int64
 	// ArrivalCores lists the cores job tasks are born on, round-robin
-	// across tasks. Empty means core 0 — the fully skewed case.
+	// across tasks. Empty means core 0 — the fully skewed case. Every
+	// task weighs sched.DefaultWeight.
 	ArrivalCores []int
-	// Weight is the task load weight (default 1024).
-	Weight int64
 
 	arrived   int64
 	completed int64
@@ -70,10 +70,6 @@ func (w *Service) Setup(s *sim.Simulator) {
 	cores := w.ArrivalCores
 	if len(cores) == 0 {
 		cores = []int{0}
-	}
-	weight := w.Weight
-	if weight <= 0 {
-		weight = 1024
 	}
 	if w.latency == nil {
 		w.latency = metrics.NewHistogram(32)
@@ -115,7 +111,7 @@ func (w *Service) Setup(s *sim.Simulator) {
 				tasks = make([]jobTask, 0, slabChunk)
 			}
 			tasks = append(tasks, jobTask{w: w, j: j, run: perTask})
-			s.SpawnAt(t, cores[rr%len(cores)], weight, &tasks[len(tasks)-1])
+			s.SpawnAt(t, cores[rr%len(cores)], sched.DefaultWeight, &tasks[len(tasks)-1])
 			rr++
 		}
 	}

@@ -19,7 +19,10 @@ const ReportVersion = 2
 // policies to compare and the workload shape shared by every (policy,
 // load) point. The zero value of every field selects a documented
 // default, so SweepConfig{Policies: ..., Loads: ...} is a complete
-// experiment.
+// experiment. The laws' own parameters are fixed: "map" bursts at
+// burstiness× the calm rate with burstDwell-tick sojourns, "pareto"
+// draws from a bounded Pareto of shape paretoAlpha over [minWork,
+// maxWork], and "exp" has mean meanWork.
 type SweepConfig struct {
 	// Policies names registered policies, compared in the given order.
 	Policies []string
@@ -40,20 +43,8 @@ type SweepConfig struct {
 	Seed uint64
 	// Arrival picks the arrival process: "poisson" (default) or "map".
 	Arrival string
-	// Burstiness is the burst/calm rate ratio for "map" (default 8).
-	Burstiness float64
-	// BurstDwell is the expected sojourn per MAP state in ticks
-	// (default 50,000).
-	BurstDwell float64
 	// Dist picks the service law: "pareto" (default) or "exp".
 	Dist string
-	// Alpha is the bounded-Pareto shape (default 1.5).
-	Alpha float64
-	// MinWork/MaxWork bound the Pareto work range in ticks (defaults
-	// 1,000 and 1,000,000).
-	MinWork, MaxWork int64
-	// MeanWork is the exponential mean for "exp" (default 3,000).
-	MeanWork float64
 	// Malleable shapes the parallel-job mixture (default: 25% parallel,
 	// widths 2–4, speedup exponent 0.85; MaxWidth 1 forces sequential).
 	Malleable MalleableSpec
@@ -63,6 +54,16 @@ type SweepConfig struct {
 	// IdleBalance enables the simulator's idle balancing.
 	IdleBalance bool
 }
+
+// The fixed parameters of the arrival processes and service laws.
+const (
+	burstiness  = 8         // "map": burst/calm rate ratio
+	burstDwell  = 50_000    // "map": expected sojourn per state, ticks
+	paretoAlpha = 1.5       // "pareto": shape
+	minWork     = 1_000     // "pareto": smallest job, ticks
+	maxWork     = 1_000_000 // "pareto": largest job, ticks
+	meanWork    = 3_000     // "exp": mean job, ticks
+)
 
 // withDefaults returns cfg with every zero field resolved.
 func (cfg SweepConfig) withDefaults() SweepConfig {
@@ -81,26 +82,8 @@ func (cfg SweepConfig) withDefaults() SweepConfig {
 	if cfg.Arrival == "" {
 		cfg.Arrival = "poisson"
 	}
-	if cfg.Burstiness == 0 {
-		cfg.Burstiness = 8
-	}
-	if cfg.BurstDwell == 0 {
-		cfg.BurstDwell = 50_000
-	}
 	if cfg.Dist == "" {
 		cfg.Dist = "pareto"
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1.5
-	}
-	if cfg.MinWork == 0 {
-		cfg.MinWork = 1_000
-	}
-	if cfg.MaxWork == 0 {
-		cfg.MaxWork = 1_000_000
-	}
-	if cfg.MeanWork == 0 {
-		cfg.MeanWork = 3_000
 	}
 	if cfg.Malleable == (MalleableSpec{}) {
 		cfg.Malleable = MalleableSpec{ParallelFraction: 0.25, MaxWidth: 4, SpeedupExponent: 0.85}
@@ -163,15 +146,15 @@ func (cfg SweepConfig) validate() error {
 // serviceDist builds a fresh service distribution per the config.
 func (cfg SweepConfig) serviceDist() ServiceDist {
 	if cfg.Dist == "exp" {
-		return NewExponential(cfg.MeanWork)
+		return NewExponential(meanWork)
 	}
-	return NewBoundedPareto(cfg.Alpha, cfg.MinWork, cfg.MaxWork)
+	return NewBoundedPareto(paretoAlpha, minWork, maxWork)
 }
 
 // arrivalProcess builds a fresh arrival process with the given mean gap.
 func (cfg SweepConfig) arrivalProcess(meanGap float64) ArrivalProcess {
 	if cfg.Arrival == "map" {
-		return NewBurstyMAP(meanGap, cfg.Burstiness, cfg.BurstDwell)
+		return NewBurstyMAP(meanGap, burstiness, burstDwell)
 	}
 	return NewPoisson(meanGap)
 }

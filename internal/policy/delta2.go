@@ -11,8 +11,8 @@
 // greedy-buggy, null, delta1-aggressive, random-choice and delta2-rescue
 // — are registered as DSL source only (Spec.DSL), compiled by Register;
 // the rest are Go. internal/verify checks each against the paper's proof
-// obligations — see EXPERIMENTS.md for which pass and which fail, and
-// with what witnesses.
+// obligations — `go run ./cmd/schedbench` prints the internal/experiment
+// tables of which pass and which fail, and with what witnesses.
 package policy
 
 import (

@@ -1,9 +1,8 @@
 // Package faultinject is the chaos-testing harness behind schedverifyd's
 // hidden -faults flag and the service's WithFaults option: a rule set
 // that injects failures at named fault points — disk write errors and
-// torn (partial) WAL writes in the durable store, checker panics and
-// artificial stalls in the verification workers, and fail-stop core
-// kills in the work-stealing executor (internal/engine).
+// torn (partial) WAL writes in the durable store, and checker panics and
+// artificial stalls in the verification workers.
 //
 // Production code consults a *Set at each fault point via Check; a nil
 // Set is inert and costs one nil comparison, so the hooks stay in the
@@ -39,11 +38,6 @@ const (
 	OpChecker Op = "checker"
 	// OpWorker fires when a job worker picks up a job.
 	OpWorker Op = "worker"
-	// OpCoreKill fires in each executor worker's run loop (see
-	// internal/engine); its arg is the worker ID. A fail directive
-	// fail-stops that worker, so probabilistic rules drive chaos-style
-	// core kills.
-	OpCoreKill Op = "core-kill"
 )
 
 // Kind is what happens when a rule fires.
@@ -201,7 +195,7 @@ func (s *Set) Fired() map[string]int64 {
 	return out
 }
 
-var knownOps = []Op{OpWALAppend, OpWALTruncate, OpSnapshotWrite, OpSnapshotRename, OpChecker, OpWorker, OpCoreKill}
+var knownOps = []Op{OpWALAppend, OpWALTruncate, OpSnapshotWrite, OpSnapshotRename, OpChecker, OpWorker}
 
 // Parse builds a Set from the -faults flag's comma-separated spec.
 // Each element is op:kind[=arg][@n] or, probabilistically,
@@ -212,7 +206,7 @@ var knownOps = []Op{OpWALAppend, OpWALTruncate, OpSnapshotWrite, OpSnapshotRenam
 //	checker:panic=lemma1       panic every lemma1 checker run
 //	worker:stall=200ms         stall every job pickup 200ms
 //	snapshot-rename:fail       fail every snapshot rename
-//	core-kill:fail%0.01@42     kill ~1% of worker loop turns, seed 42
+//	wal-append:fail%0.01@42    fail ~1% of WAL appends, seed 42
 //
 // The kind argument is the torn byte count (torn), the stall duration
 // (stall), or the fault point's match filter (fail, panic). With %p
@@ -245,7 +239,7 @@ func parseRule(elem string) (Rule, error) {
 	}
 	if pct := strings.LastIndex(body, "%"); pct >= 0 {
 		p, err := strconv.ParseFloat(body[pct+1:], 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // NaN fails both
 			return r, fmt.Errorf("faultinject: bad probability in %q (want %%p with 0 < p <= 1)", elem)
 		}
 		r.Prob = p

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +124,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"wal-append:fail%0",      // probability must be in (0,1]
 		"wal-append:fail%1.5",    // probability above 1
 		"wal-append:fail%-0.1",   // negative probability
+		"checker:fail%NaN",       // not a probability
 		"wal-append:fail%banana", // non-numeric probability
 		"wal-append:fail%0.5@x",  // non-numeric seed
 	} {
@@ -133,12 +135,12 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 }
 
 func TestParseProbabilisticGrammar(t *testing.T) {
-	s, err := Parse("core-kill:fail%0.01@42, worker:stall=5ms%0.5, checker:fail=lemma1%1")
+	s, err := Parse("worker:fail%0.01@42, worker:stall=5ms%0.5, checker:fail=lemma1%1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Rule{
-		{Op: OpCoreKill, Kind: KindFail, Prob: 0.01, Seed: 42},
+		{Op: OpWorker, Kind: KindFail, Prob: 0.01, Seed: 42},
 		{Op: OpWorker, Kind: KindStall, Delay: 5 * time.Millisecond, Prob: 0.5},
 		{Op: OpChecker, Kind: KindFail, Match: "lemma1", Prob: 1},
 	}
@@ -208,13 +210,53 @@ func TestProbabilisticRateRoughlyHonored(t *testing.T) {
 }
 
 func TestProbabilisticAlwaysFiresAtOne(t *testing.T) {
-	s := New(Rule{Op: OpCoreKill, Kind: KindFail, Prob: 1})
+	s := New(Rule{Op: OpWorker, Kind: KindFail, Prob: 1})
 	for i := 0; i < 50; i++ {
-		if d := s.Check(OpCoreKill, "3"); !errors.Is(d.Err, ErrInjected) {
+		if d := s.Check(OpWorker, "3"); !errors.Is(d.Err, ErrInjected) {
 			t.Fatalf("p=1 rule did not fire on check %d", i)
 		}
 	}
-	if s.Fired()["core-kill:fail"] != 50 {
-		t.Errorf("Fired() = %v, want 50 core-kill:fail", s.Fired())
+	if s.Fired()["worker:fail"] != 50 {
+		t.Errorf("Fired() = %v, want 50 worker:fail", s.Fired())
 	}
+}
+
+// FuzzFaultSpec holds Parse to its grammar on any input: it never
+// panics, and every rule it accepts names a known fault point and kind,
+// fires with probability zero (counted mode) or in (0, 1], and carries
+// no negative occurrence, byte count or stall.
+func FuzzFaultSpec(f *testing.F) {
+	for _, spec := range []string{
+		"wal-append:fail@3",
+		"wal-append:torn=5@2",
+		"checker:panic=lemma1",
+		"worker:stall=200ms",
+		"snapshot-rename:fail",
+		"wal-append:fail%0.01@42",
+		"checker:fail%NaN",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range s.rules {
+			if !slices.Contains(knownOps, r.Op) {
+				t.Errorf("%q: accepted unknown fault point %q", spec, r.Op)
+			}
+			switch r.Kind {
+			case KindFail, KindTorn, KindPanic, KindStall:
+			default:
+				t.Errorf("%q: accepted unknown kind %q", spec, r.Kind)
+			}
+			if r.Prob != 0 && !(r.Prob > 0 && r.Prob <= 1) {
+				t.Errorf("%q: accepted probability %v", spec, r.Prob)
+			}
+			if r.On < 0 || r.Bytes < 0 || r.Delay < 0 {
+				t.Errorf("%q: accepted a negative field in %+v", spec, r.Rule)
+			}
+		}
+	})
 }

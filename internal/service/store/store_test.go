@@ -192,6 +192,63 @@ func TestCompactionSnapshotsAndTruncatesWAL(t *testing.T) {
 	}
 }
 
+// A compaction that fails at either step costs nothing committed: the
+// batch that triggered it stands, the failure is counted, no temporary
+// snapshot is left behind, a reopen recovers every entry, and the next
+// compaction succeeds.
+func TestFailedCompactionKeepsTheBatch(t *testing.T) {
+	for _, op := range []faultinject.Op{faultinject.OpSnapshotWrite, faultinject.OpSnapshotRename} {
+		t.Run(string(op), func(t *testing.T) {
+			dir := t.TempDir()
+			faults := faultinject.New(faultinject.Rule{Op: op, Kind: faultinject.KindFail, On: 1})
+			opts := Options{CompactEvery: 3, Faults: faults}
+			noTemp := func() {
+				t.Helper()
+				if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
+					t.Errorf("a temporary snapshot remains (stat: %v)", err)
+				}
+			}
+			batch := sampleBatch()
+			s, _ := mustOpen(t, dir, opts)
+			if err := s.AppendBatch(batch[:3]); err != nil {
+				t.Fatalf("the batch failed with its compaction: %v", err)
+			}
+			if n := faults.Fired()[string(op)+":fail"]; n != 1 {
+				t.Fatalf("the %s fault fired %d times, want 1", op, n)
+			}
+			if st := s.Stats(); st.WALRecords != 3 || st.Commits != 1 || st.AppendErrors != 0 ||
+				st.CompactErrors != 1 || st.SnapshotEntries != 0 || st.LastCompaction != "" {
+				t.Errorf("stats %+v, want the batch committed to the WAL and one failed compaction", st)
+			}
+			noTemp()
+			s.Close()
+
+			s, got := mustOpen(t, dir, opts)
+			if len(got) != 3 {
+				t.Errorf("reopen recovered %d entries, want 3", len(got))
+			}
+			if err := s.Append(batch[3].Key, batch[3].Result); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.WALRecords != 0 || st.SnapshotEntries != 4 || st.CompactErrors != 0 {
+				t.Errorf("stats %+v, want the next compaction to snapshot all 4 entries", st)
+			}
+			noTemp()
+			s.Close()
+
+			s, got = mustOpen(t, dir, Options{})
+			defer s.Close()
+			want := make(map[string]verify.Result)
+			for _, e := range batch {
+				want[e.Key] = e.Result
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered %+v, want every committed entry %+v", got, want)
+			}
+		})
+	}
+}
+
 func TestVerifierVersionMismatchDiscardsWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})

@@ -61,8 +61,8 @@ type (
 	// shared part of every backend's Result.
 	Counters = sched.Counters
 	// Rescuer is the optional Policy extension that re-homes tasks
-	// orphaned by fail-stop core faults (see FaultEvent, WithFaults and
-	// the DSL's rescue clause).
+	// orphaned by fail-stop core faults (see FaultEvent, Scenario.Faults
+	// and the DSL's rescue clause).
 	Rescuer = sched.Rescuer
 )
 

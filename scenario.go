@@ -107,7 +107,8 @@ type FaultEvent struct {
 type Scenario struct {
 	// Name identifies the scenario in results.
 	Name string
-	// Cores overrides the cluster's machine width when positive.
+	// Cores is the machine width when positive; otherwise the cluster
+	// topology's width, else 8.
 	Cores int
 	// Groups assigns cores to scheduling groups (NUMA nodes); nil means
 	// the cluster topology's assignment (when widths match) or a flat
@@ -115,17 +116,16 @@ type Scenario struct {
 	Groups []int
 	// Batches lists the scenario's work, the portable representation.
 	Batches []Batch
-	// Horizon bounds the simulator's virtual time when positive
-	// (BackendSim only; the model runs to convergence, the executor to
-	// completion).
+	// Horizon bounds the simulator's virtual time when positive, else
+	// 1,000,000 ticks (BackendSim only; the model runs to convergence,
+	// the executor to completion).
 	Horizon int64
 	// Workload optionally carries a simulator-native generator instead
 	// of Batches. Scenarios with a Workload run only on BackendSim;
 	// Cluster.Run rejects them on the other backends.
 	Workload Workload
 	// Faults is the scenario's fault schedule, applied in order on every
-	// backend. Empty means the cluster default (WithFaults), which in
-	// turn defaults to a healthy machine.
+	// backend. Empty means a healthy machine.
 	Faults []FaultEvent
 }
 
