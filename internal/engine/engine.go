@@ -29,8 +29,16 @@
 // instance: only that worker's goroutine, inside stealWork, reads or
 // writes them. Orphans are re-homed from other goroutines (the killer's,
 // a submitter's) while the dead worker's goroutine may still be inside
-// stealWork, so each worker also has a rescue view and a second policy
-// instance that only the holder of its rescueMu touches.
+// stealWork, so the pool has one rescue view and one more policy
+// instance, touched only by the holder of faultMu, which serialises
+// Kill, Revive and re-homing.
+//
+// One rule moves a task between two queues. A steal and an orphan's
+// re-homing alike decide lock-free, lock both runqueues in ID order
+// (lockPair), re-check the decision under the locks, then move. A
+// worker's offline flag changes only with its runqueue lock held, so a
+// Kill waits out a steal in flight on that worker's queue and then
+// drains whatever the steal published.
 package engine
 
 import (
@@ -45,8 +53,8 @@ import (
 // Task is a unit of work.
 type Task func()
 
-// Factory builds the policy instances of a pool, two per worker (one for
-// the worker's own balancing rounds, one for re-homing its orphans);
+// Factory builds the policy instances of a pool: n+1 for n workers, one
+// for each worker's own balancing rounds and one for re-homing orphans;
 // instances of a stateful policy must not be shared because it may carry
 // per-round caches. A stateless one — a DSL-compiled policy without a
 // random chooser — may be one shared instance.
@@ -59,11 +67,17 @@ type Pool struct {
 	inflt   atomic.Int64 // submitted but not finished tasks
 	wg      sync.WaitGroup
 
+	// Guarded by faultMu, which serializes Kill, Revive and rehome: one
+	// caller of the policy's rescue rule at a time, on a view and an
+	// instance the workers' own rounds never see.
+	faultMu      sync.Mutex
+	rescuePolicy sched.Policy
+	rescueView   *sched.Machine
+
 	executed   atomic.Int64
 	steals     atomic.Int64
 	stealFails atomic.Int64
-	kills      atomic.Int64
-	revives    atomic.Int64
+	faults     atomic.Int64
 	rescued    atomic.Int64
 }
 
@@ -77,19 +91,12 @@ type worker struct {
 	queue   taskQueue
 	running atomic.Bool
 	qlen    atomic.Int64 // published queue length for lock-free selection
-	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing
+	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing; stored only with mu held
 
 	// Owned by the worker's goroutine and touched only inside stealWork.
 	policy                sched.Policy
 	view                  *sched.Machine // lock-free selection view, one core per worker
 	liveThief, liveVictim sched.Core     // step 3's views of the two locked runqueues
-
-	// Guarded by rescueMu, which serializes rehome: one caller of the
-	// policy's rescue rule at a time, on a view and an instance the
-	// worker's own rounds never see.
-	rescueMu     sync.Mutex
-	rescuePolicy sched.Policy
-	rescueView   *sched.Machine
 }
 
 // Options configures optional pool behaviour.
@@ -128,9 +135,9 @@ func newPool(n int, factory Factory, opts Options) *Pool {
 		p.workers[i] = &worker{
 			id: i, group: g, pool: p,
 			policy: factory(), view: sched.NewMachine(n),
-			rescuePolicy: factory(), rescueView: sched.NewMachine(n),
 		}
 	}
+	p.rescuePolicy, p.rescueView = factory(), sched.NewMachine(n)
 	return p
 }
 
@@ -149,12 +156,16 @@ func (p *Pool) SubmitTo(id int, t Task) {
 	w.mu.Lock()
 	w.queue.pushBack(t)
 	w.qlen.Store(int64(w.queue.n))
+	offline := w.offline.Load()
 	w.mu.Unlock()
-	if w.offline.Load() {
+	if offline {
 		// Landed on a killed worker: the task is an orphan like the ones
-		// the kill found, so it gets the same offer. Kill sets offline
-		// before it drains, so whichever of the two runs last sees it.
-		w.rehome()
+		// the kill found, so it gets the same offer. The flag changes
+		// only under w.mu, so either this read sees the kill or the
+		// kill's drain sees the task.
+		p.faultMu.Lock()
+		defer p.faultMu.Unlock()
+		p.rehome(w)
 	}
 }
 
@@ -163,18 +174,20 @@ func (p *Pool) Wait() { p.wg.Wait() }
 
 // Kill fail-stops a worker: it finishes its in-flight task (a real
 // goroutine cannot be preempted mid-call) and then executes nothing
-// further. Its queue is immediately re-homed where sched.Place sends it
-// (the policy's rescue rule, sched.Rescuer); orphans the policy declines
-// stay stranded on the offline queue — and keep Wait blocked — until
-// Revive; a task submitted to a killed worker is placed the same way.
-// Killing the last online worker is refused: a pool with no lanes can
-// never drain.
+// further. A steal in flight on its queue completes first; then the
+// queue is re-homed where sched.Place sends it (the policy's rescue
+// rule, sched.Rescuer); orphans the policy declines stay stranded on
+// the offline queue — and keep Wait blocked — until Revive; a task
+// submitted to a killed worker is placed the same way. Killing the last
+// online worker is refused: a pool with no lanes can never drain.
 func (p *Pool) Kill(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Kill(%d) of a %d-worker pool", id, len(p.workers))
 	}
+	p.faultMu.Lock()
+	defer p.faultMu.Unlock()
 	w := p.workers[id]
-	if !w.offline.CompareAndSwap(false, true) {
+	if w.offline.Load() {
 		return fmt.Errorf("engine: worker %d is already offline", id)
 	}
 	online := 0
@@ -183,12 +196,12 @@ func (p *Pool) Kill(id int) error {
 			online++
 		}
 	}
-	if online == 0 {
-		w.offline.Store(false)
+	if online == 1 {
 		return fmt.Errorf("engine: refusing to kill worker %d, the last online worker", id)
 	}
-	p.kills.Add(1)
-	w.rehome()
+	w.setOffline(true)
+	p.faults.Add(1)
+	p.rehome(w)
 	return nil
 }
 
@@ -198,55 +211,53 @@ func (p *Pool) Revive(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Revive(%d) of a %d-worker pool", id, len(p.workers))
 	}
-	if !p.workers[id].offline.CompareAndSwap(true, false) {
+	p.faultMu.Lock()
+	defer p.faultMu.Unlock()
+	w := p.workers[id]
+	if !w.offline.Load() {
 		return fmt.Errorf("engine: worker %d is not offline", id)
 	}
-	p.revives.Add(1)
+	w.setOffline(false)
+	p.faults.Add(1)
 	return nil
 }
 
-// rehome drains the dead worker's queue where sched.Place sends it. Each
-// orphan's adopter is decided (on the rescue view refreshed lock-free)
-// before the orphan leaves the queue, so a rule that breaks its contract
-// panics with nothing lost; the orphan is then popped under the dead
-// worker's lock and appended under the adopter's — never holding both,
-// so it cannot deadlock against concurrent steals. The first orphan
-// Place leaves where it is ends the drain and strands the rest: the
-// policy declined or has no rescue rule, or the worker is back online.
-func (w *worker) rehome() {
-	w.rescueMu.Lock()
-	defer w.rescueMu.Unlock()
+// setOffline flips w's fault state under its runqueue lock: a steal in
+// flight on w's queue finishes, and publishes what it moved, before the
+// flip, and one that locks the queue after it sees the flip when it
+// re-validates. The caller holds faultMu.
+func (w *worker) setOffline(offline bool) {
+	w.mu.Lock()
+	w.offline.Store(offline)
+	w.mu.Unlock()
+}
+
+// rehome drains the dead worker w's queue where sched.Place sends it,
+// one orphan at a time and the way stealWork moves a batch: decide the
+// adopter lock-free on the rescue view (so a rule that breaks its
+// contract panics with nothing moved), lock both runqueues, re-check
+// that w is still offline with a task queued and that the adopter is
+// online, then move w's head task. The first orphan Place leaves where
+// it is ends the drain and strands the rest: the policy declined or has
+// no rescue rule. The caller holds faultMu.
+func (p *Pool) rehome(w *worker) {
 	for w.qlen.Load() > 0 {
-		w.pool.refresh(w.rescueView)
-		target := sched.Place(w.rescuePolicy, w.rescueView, w.id)
+		p.refresh(p.rescueView)
+		target := sched.Place(p.rescuePolicy, p.rescueView, w.id)
 		if target.ID == w.id {
 			return
 		}
-		t := w.popLocal()
-		if t == nil {
+		tw := p.workers[target.ID]
+		lockPair(w, tw)
+		if !w.offline.Load() || w.queue.n == 0 || tw.offline.Load() {
+			unlockPair(w, tw)
 			return
 		}
-		tw := w.pool.workers[target.ID]
-		tw.mu.Lock()
-		// Publish the orphan before checking the adopter, as SubmitTo
-		// does: a kill that lands after the check drains it, and one that
-		// landed before is seen here.
-		tw.queue.pushBack(t)
+		tw.queue.pushBack(w.queue.popFront())
+		w.qlen.Store(int64(w.queue.n))
 		tw.qlen.Store(int64(tw.queue.n))
-		if tw.offline.Load() {
-			// The adopter was itself killed in between: take the orphan
-			// back and re-select.
-			tw.queue.truncate(tw.queue.n - 1)
-			tw.qlen.Store(int64(tw.queue.n))
-			tw.mu.Unlock()
-			w.mu.Lock()
-			w.queue.pushFront(t)
-			w.qlen.Store(int64(w.queue.n))
-			w.mu.Unlock()
-			continue
-		}
-		tw.mu.Unlock()
-		w.pool.rescued.Add(1)
+		unlockPair(w, tw)
+		p.rescued.Add(1)
 	}
 }
 
@@ -258,13 +269,12 @@ func (p *Pool) Close() {
 
 // Stats is a snapshot of the pool's counters.
 type Stats struct {
-	// Counters tallies steals and faults (Faults = Kills + Revives);
-	// the pool balances on idle, not in rounds, so Rounds stays zero.
+	// Counters tallies steals and faults (Faults counts the Kill and
+	// Revive calls that succeeded); the pool balances on idle, not in
+	// rounds, so Rounds stays zero.
 	sched.Counters
 	// Executed counts completed tasks.
 	Executed int64
-	// Kills and Revives count the applied fault events by kind.
-	Kills, Revives int64
 }
 
 // Stats returns the current counters.
@@ -273,13 +283,11 @@ func (p *Pool) Stats() Stats {
 		Counters: sched.Counters{
 			Steals:     p.steals.Load(),
 			StealFails: p.stealFails.Load(),
+			Faults:     p.faults.Load(),
 			Rescued:    p.rescued.Load(),
 		},
 		Executed: p.executed.Load(),
-		Kills:    p.kills.Load(),
-		Revives:  p.revives.Load(),
 	}
-	st.Faults = st.Kills + st.Revives
 	for _, w := range p.workers {
 		if w.offline.Load() {
 			st.Orphaned += w.qlen.Load()
@@ -345,16 +353,10 @@ func (w *worker) stealWork() Task {
 	}
 	victim := w.pool.workers[att.Victim]
 
-	// Step 3: lock both runqueues in ID order (deadlock freedom), then
-	// re-validate the optimistic decision against live state.
-	first, second := w, victim
-	if victim.id < w.id {
-		first, second = victim, w
-	}
-	first.mu.Lock()
-	second.mu.Lock()
-	defer second.mu.Unlock()
-	defer first.mu.Unlock()
+	// Step 3: lock both runqueues, then re-validate the optimistic
+	// decision against live state.
+	lockPair(w, victim)
+	defer unlockPair(w, victim)
 
 	// Either side may have been killed, robbed or fed since selection;
 	// the shared step-3 decision re-validates on the live views. The
@@ -379,6 +381,22 @@ func (w *worker) stealWork() Task {
 	w.qlen.Store(int64(w.queue.n))
 	w.pool.steals.Add(int64(n))
 	return t
+}
+
+// lockPair locks two workers' runqueues in ID order: the one order every
+// two-queue move takes them in, so no two moves deadlock.
+func lockPair(a, b *worker) {
+	if b.id < a.id {
+		a, b = b, a
+	}
+	a.mu.Lock()
+	b.mu.Lock()
+}
+
+// unlockPair releases what lockPair took.
+func unlockPair(a, b *worker) {
+	a.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // refresh overwrites view — a machine of one model core per worker that
@@ -438,13 +456,13 @@ func placeholders(n int) []*sched.Task {
 }
 
 // taskQueue is a worker's runqueue: a ring over a power-of-two buffer.
-// Taking the head, cutting off a stolen tail and putting an orphan back
-// at the head move indices, never the buffer, so a busy worker allocates
-// only when its backlog outgrows the buffer. A queue that drains after
-// holding a burst — more than keptSlots tasks since its buffer was
-// allocated — returns the buffer and remembers its size: an idle worker
-// does not pin a burst's memory, and the next burst allocates the buffer
-// the last one needed in one step instead of regrowing it by doublings.
+// Taking the head and cutting off a stolen tail move indices, never the
+// buffer, so a busy worker allocates only when its backlog outgrows the
+// buffer. A queue that drains after holding a burst — more than
+// keptSlots tasks since its buffer was allocated — returns the buffer
+// and remembers its size: an idle worker does not pin a burst's memory,
+// and the next burst allocates the buffer the last one needed in one
+// step instead of regrowing it by doublings.
 type taskQueue struct {
 	buf  []Task
 	head int // buf index of the head (oldest) task
@@ -478,14 +496,6 @@ func (q *taskQueue) makeRoom() {
 func (q *taskQueue) pushBack(t Task) {
 	q.makeRoom()
 	q.buf[q.slot(q.n)] = t
-	q.n++
-	q.peak = max(q.peak, q.n)
-}
-
-func (q *taskQueue) pushFront(t Task) {
-	q.makeRoom()
-	q.head = q.slot(len(q.buf) - 1)
-	q.buf[q.head] = t
 	q.n++
 	q.peak = max(q.peak, q.n)
 }

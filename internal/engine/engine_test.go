@@ -295,8 +295,8 @@ func TestKillRescuesQueuedTasks(t *testing.T) {
 		t.Fatalf("executed %d of %d after the kill", got, n)
 	}
 	st := p.Stats()
-	if st.Kills != 1 {
-		t.Errorf("Kills = %d, want 1", st.Kills)
+	if st.Faults != 1 {
+		t.Errorf("Faults = %d after one kill, want 1", st.Faults)
 	}
 	if st.Rescued != n {
 		t.Errorf("Rescued = %d, want %d", st.Rescued, n)
@@ -350,8 +350,8 @@ func TestKillWithoutRescueStrandsUntilRevive(t *testing.T) {
 	if st.Orphaned != 0 {
 		t.Errorf("Orphaned = %d after revival, want 0", st.Orphaned)
 	}
-	if st.Kills != 1 || st.Revives != 1 {
-		t.Errorf("Kills/Revives = %d/%d, want 1/1", st.Kills, st.Revives)
+	if st.Faults != 2 {
+		t.Errorf("Faults = %d after a kill and a revive, want 2", st.Faults)
 	}
 }
 
@@ -429,8 +429,7 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 	p := NewPool(4, rescueFactory, Options{})
 	defer p.Close()
 	stop, stopped := make(chan struct{}), make(chan struct{})
-	defer func() { close(stop); <-stopped }()
-	var count atomic.Int64
+	var count, kills atomic.Int64
 	const n = 400
 	for i := 0; i < n; i++ {
 		p.SubmitTo(i%2, func() {
@@ -442,7 +441,9 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 		defer close(stopped)
 		rng := rand.New(rand.NewPCG(9, 0))
 		for {
-			p.Kill(rng.IntN(4)) // refused when offline already or the last online
+			if p.Kill(rng.IntN(4)) == nil { // refused when offline already or the last online
+				kills.Add(1)
+			}
 			select {
 			case <-stop:
 				return
@@ -451,13 +452,18 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 		}
 	}()
 	p.Wait()
+	close(stop)
+	<-stopped
 	if got := count.Load(); got != n {
 		t.Fatalf("executed %d of %d under chaos kills", got, n)
 	}
 	st := p.Stats()
-	t.Logf("chaos: kills=%d rescued=%d steals=%d", st.Kills, st.Rescued, st.Steals)
-	if st.Kills == 0 {
+	t.Logf("chaos: kills=%d rescued=%d steals=%d", kills.Load(), st.Rescued, st.Steals)
+	if kills.Load() == 0 {
 		t.Error("the chaos goroutine never killed a worker over the run")
+	}
+	if st.Faults != kills.Load() {
+		t.Errorf("Faults = %d after %d kills", st.Faults, kills.Load())
 	}
 	if st.Orphaned != 0 {
 		t.Errorf("Orphaned = %d after a drained run, want 0", st.Orphaned)
@@ -564,7 +570,7 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			}
 			w.qlen.Store(int64(st.qlen))
 			w.running.Store(st.running)
-			w.offline.Store(st.offline)
+			w.setOffline(st.offline)
 			want[i] = &sched.Core{ID: i, Group: groups[i], Node: groups[i], Offline: st.offline}
 			want[i].ShareDefaultQueue(placeholders(st.qlen))
 			if st.running {
@@ -581,9 +587,9 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			if !reflect.DeepEqual(w.view.Cores, want) {
 				t.Errorf("step %d: worker %d's selection view is %v, want %v", step, i, w.view.Cores, want)
 			}
-			p.refresh(w.rescueView)
-			if !reflect.DeepEqual(w.rescueView.Cores, want) {
-				t.Errorf("step %d: worker %d's rescue view is %v, want %v", step, i, w.rescueView.Cores, want)
+			p.refresh(p.rescueView)
+			if !reflect.DeepEqual(p.rescueView.Cores, want) {
+				t.Errorf("step %d: the rescue view is %v, want %v", step, p.rescueView.Cores, want)
 			}
 			victim := p.workers[(i+1)%len(p.workers)]
 			w.fill(&w.liveThief, w.queue.n)
@@ -689,7 +695,7 @@ func TestStealMovesVictimTailInOrder(t *testing.T) {
 }
 
 func TestTaskQueueMatchesASlice(t *testing.T) {
-	// Random pushes at both ends, pops and truncations against a slice,
+	// Random pushes, pops and truncations against a slice,
 	// with bursts past keptSlots: the ring keeps the order, clears what it
 	// drops, reallocates only when full, and returns its buffer when it
 	// drains after a burst.
@@ -705,12 +711,9 @@ func TestTaskQueueMatchesASlice(t *testing.T) {
 		case op%5000 < 1500:
 			q.pushBack(task(op)) // a burst
 			model = append(model, op)
-		case k < 4:
+		case k < 5:
 			q.pushBack(task(op))
 			model = append(model, op)
-		case k < 5:
-			q.pushFront(task(op))
-			model = append([]int{op}, model...)
 		case k < 9:
 			got := q.popFront()
 			if len(model) == 0 {
@@ -813,6 +816,9 @@ func TestKillRescueUsesItsOwnPolicyInstance(t *testing.T) {
 	}
 	close(gate)
 	p.Wait()
+	if len(instances) != 3 {
+		t.Errorf("a 2-worker pool built %d policy instances, want 3: one per worker and one for re-homing", len(instances))
+	}
 	if p.Stats().Rescued == 0 {
 		t.Fatal("nothing was rescued: the test did not exercise the rescue rule")
 	}
@@ -823,9 +829,42 @@ func TestKillRescueUsesItsOwnPolicyInstance(t *testing.T) {
 	}
 }
 
+func TestKillWaitsForAStealInFlight(t *testing.T) {
+	// A steal in flight holds its thief's runqueue lock while it decides
+	// and moves, publishing the batch before it lets go. A kill of the
+	// thief that lands meanwhile must wait for the batch and drain it,
+	// not return first and strand it.
+	batch := func() sched.Policy {
+		return &sched.FuncPolicy{
+			PolicyName: "batch-rescue",
+			LoadFn:     func(c *sched.Core) int64 { return int64(c.NThreads()) },
+			FilterFn:   func(thief, stealee *sched.Core) bool { return stealee.NThreads()-thief.NThreads() >= 2 },
+			CountFn:    func(_, _ *sched.Core) int { return 3 },
+			RescueFn:   func(_ *sched.Core, candidates []*sched.Core) *sched.Core { return candidates[0] },
+		}
+	}
+	p := newPool(2, batch, Options{}) // no goroutines: the test is the thief
+	w := p.workers[0]
+	w.mu.Lock() // the steal is under way
+	killed := make(chan error, 1)
+	go func() { killed <- p.Kill(0) }()
+	time.Sleep(20 * time.Millisecond)
+	for range 2 { // the stolen batch lands on the thief's queue
+		w.queue.pushBack(spin)
+	}
+	w.qlen.Store(int64(w.queue.n))
+	w.mu.Unlock()
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Orphaned != 0 || st.Rescued != 2 {
+		t.Errorf("after the kill: Orphaned = %d, Rescued = %d, want 0 and 2", st.Orphaned, st.Rescued)
+	}
+}
+
 func TestKillReviveLoopRunsEveryTaskOnce(t *testing.T) {
 	// Faults land on both workers while a skewed batch drains: the views,
-	// the rescue views and the policy instances are all in use at once.
+	// the rescue view and the policy instances are all in use at once.
 	p := NewPool(2, rescueFactory, Options{})
 	defer p.Close()
 	const n = 5000
@@ -838,7 +877,9 @@ func TestKillReviveLoopRunsEveryTaskOnce(t *testing.T) {
 			spin()
 		})
 	}
+	faults := int64(0)
 	for id := 0; p.Stats().Executed < n/2; id = 1 - id {
+		faults += 2 // a kill and a revive, or the test fails
 		if err := p.Kill(id); err != nil {
 			t.Fatal(err)
 		}
@@ -858,8 +899,8 @@ func TestKillReviveLoopRunsEveryTaskOnce(t *testing.T) {
 		t.Errorf("checksum %d, want %d", sum.Load(), want)
 	}
 	st := p.Stats()
-	t.Logf("kills=%d rescued=%d steals=%d fails=%d", st.Kills, st.Rescued, st.Steals, st.StealFails)
-	if st.Executed != n || st.Orphaned != 0 || st.Kills != st.Revives || st.Kills == 0 {
-		t.Errorf("Executed = %d, Orphaned = %d, Kills/Revives = %d/%d, want %d, 0 and equal non-zero", st.Executed, st.Orphaned, st.Kills, st.Revives, n)
+	t.Logf("faults=%d rescued=%d steals=%d fails=%d", st.Faults, st.Rescued, st.Steals, st.StealFails)
+	if st.Executed != n || st.Orphaned != 0 || st.Faults != faults || faults == 0 {
+		t.Errorf("Executed = %d, Orphaned = %d, Faults = %d, want %d, 0 and %d (non-zero)", st.Executed, st.Orphaned, st.Faults, n, faults)
 	}
 }

@@ -36,7 +36,6 @@ type buffers struct {
 	tasks   []Task // arena behind the cores' task pointers
 	spawned []Task // the chunk Spawn is filling; full ones belong to their tasks
 
-	stale   *Machine  // UnsafeConcurrentRound's round-start snapshot
 	atts    []Attempt // SelectAll's result, indexed by core ID
 	cands   []*Core   // step-1 survivors of the thief being selected for, or Place's online cores
 	candIDs []int     // backing of every Attempt.Candidates, NumCores per thief

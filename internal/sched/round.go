@@ -413,57 +413,6 @@ func ConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
 	return ExecuteSteals(p, m, SelectAll(p, m), order)
 }
 
-// UnsafeConcurrentRound is ConcurrentRound with the step-3 re-validation
-// removed (Listing 1 line 12 deleted): each core steals based purely on
-// its stale selection. It exists only for the E8 ablation, demonstrating
-// why the re-check is load-bearing — without it a steal can empty an
-// overloaded victim or even drain a core another thief already drained,
-// violating steal soundness. The executor still refuses to move a task
-// that no longer exists (that would corrupt the machine rather than model
-// a scheduler bug), reporting FailEmptyVictim instead.
-func UnsafeConcurrentRound(p Policy, m *Machine, order []int) RoundResult {
-	b := m.roundBuffers()
-	if err := checkOrder(order, b.seen[:m.NumCores()]); err != nil {
-		panic(err)
-	}
-	atts := SelectAll(p, m)
-	// This executor alone reads the round-start state after steals have
-	// begun (a picker's stale pick below), so it alone snapshots it.
-	picker, _ := p.(TaskPicker)
-	var stale *Machine
-	if picker != nil {
-		if b.stale == nil {
-			b.stale = new(Machine)
-		}
-		stale = b.stale.CopyFrom(m)
-	}
-	for _, id := range order {
-		att := atts[id]
-		if att.Victim >= 0 {
-			thief, victim := m.Core(att.Thief), m.Core(att.Victim)
-			// No re-validation: honor the stale decision blindly — a
-			// picker's stale pick is sized against the snapshot too.
-			var n int
-			if picker != nil {
-				if picker.PickTask(stale.Core(att.Thief), stale.Core(att.Victim)) != nil {
-					n = 1
-				}
-			} else {
-				n = p.StealCount(thief, victim)
-			}
-			if q := victim.Queued(); n > len(q) {
-				n = len(q)
-			}
-			att.Reason = FailEmptyVictim
-			if n > 0 {
-				migrate(thief, victim, n, nil, b, &att)
-			}
-		}
-		b.done = append(b.done, att)
-	}
-	return RoundResult{Attempts: b.done}
-}
-
 // priorSuccessTouched reports whether any already-executed successful
 // steal involved core victim or core thief (as either side). Only steals
 // mutate runqueues during a round, so a failed re-validation must be

@@ -329,6 +329,12 @@ func TestRoundResultCounters(t *testing.T) {
 	}
 }
 
+// admitAll is a policy whose filter admits every steal: its rounds
+// reach victims with nothing queued, which a sound filter never passes.
+type admitAll struct{ Policy }
+
+func (admitAll) CanSteal(_, _ *Core) bool { return true }
+
 // TestCountersMatchAttemptReasons pins the one failed-steal rule: over
 // random machines and orders, counting a round of any executor gives one
 // round, the attempts' moved tasks as steals and their FailRevalidation
@@ -338,7 +344,9 @@ func TestCountersMatchAttemptReasons(t *testing.T) {
 	executors := map[string]func(Policy, *Machine, []int) RoundResult{
 		"sequential": func(p Policy, m *Machine, _ []int) RoundResult { return SequentialRound(p, m) },
 		"concurrent": ConcurrentRound,
-		"unsafe":     UnsafeConcurrentRound,
+		"admit-all": func(p Policy, m *Machine, order []int) RoundResult {
+			return ConcurrentRound(admitAll{p}, m, order)
+		},
 	}
 	seen := map[FailureReason]int{}
 	for i := 0; i < 300; i++ {

@@ -15,7 +15,7 @@ type AblationResult struct {
 	// SchedulesChecked counts the explored (state, order) pairs.
 	SchedulesChecked int
 	// SoundnessViolations counts (state, order) pairs where the
-	// unchecked executor emptied an overloaded victim or otherwise broke
+	// unchecked round emptied an overloaded victim or otherwise broke
 	// steal soundness.
 	SoundnessViolations int
 	// PotentialViolations counts (state, order) pairs where a round of
@@ -34,14 +34,32 @@ type AblationResult struct {
 	order int
 }
 
+// unchecked is a policy with the step-3 re-validation (Listing 1 line
+// 12) deleted: its filter admits every steal, so the stealing phase
+// honours each stale selection blindly. Selection still runs the
+// policy's own filter and nothing else changes. The wrapper also hides a
+// TaskPicker's pick, so every steal takes StealCount tasks from the
+// victim's tail; a registered picker's StealCount is the one task its
+// pick moves from any victim that passed its filter.
+type unchecked struct{ sched.Policy }
+
+// CanSteal implements sched.Policy: every steal is admitted.
+func (unchecked) CanSteal(_, _ *sched.Core) bool { return true }
+
+// uncheckedRound is the ablation's round: p's lock-free selection, then
+// the real stealing phase without the re-check.
+func uncheckedRound(p sched.Policy, m *sched.Machine, order []int) {
+	sched.ExecuteSteals(unchecked{p}, m, sched.SelectAll(p, m), order)
+}
+
 // CheckRevalidationAblation runs every state of the universe through
 // every adversarial order twice — once with the safe ConcurrentRound,
-// once with UnsafeConcurrentRound — and records the violations only the
-// unsafe variant commits; an order walked stands for its class
-// (stealOrders), so its violations count by the class's weight. A sound policy must show zero violations in the
-// safe half (that is asserted, not counted) and the unsafe half
-// demonstrates why the paper's model requires atomic, re-validated
-// steals. It is a steady-state sweep under the obligations' own shard
+// once with the re-check deleted (uncheckedRound) — and records the
+// violations only the unchecked round commits; an order walked stands
+// for its class (stealOrders), so its violations count by the class's
+// weight. A sound policy must show zero violations in the safe half
+// (that is asserted, not counted) and the unchecked half demonstrates
+// why the paper's model requires atomic, re-validated steals. It is a steady-state sweep under the obligations' own shard
 // loop: the universe's fault dimension is ignored, the shards run on a
 // pool of GOMAXPROCS workers (f must be safe for concurrent calls), and
 // a panicking shard is contained and re-raised on the caller.
@@ -87,9 +105,9 @@ func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result
 	walked := 0 // the shard's walked orders, the cancellation poll's stride
 	return func(rank int, m *sched.Machine) bool {
 		// One selection per state gives the attempting set: each round
-		// below selects the same way on a copy of m, and both executors
-		// pass over a core with no victim without calling the policy, so
-		// every order of a class commits the same violations.
+		// below selects the same way on a copy of m, and the stealing
+		// phase passes over a core with no victim without calling the
+		// policy, so every order of a class commits the same violations.
 		return sc.perms.stealOrders(sched.SelectAll(f(), m), func(order []int, weight int) bool {
 			// Poll per walked order, not just per state: each state fans
 			// out to k! orders and each order runs two full rounds.
@@ -104,7 +122,7 @@ func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result
 				panic(fmt.Sprintf("verify: safe executor violated soundness: %s", v))
 			}
 
-			sched.UnsafeConcurrentRound(f(), trial.CopyFrom(m), order)
+			uncheckedRound(f(), trial.CopyFrom(m), order)
 			if v := roundViolation(f(), m, trial); v != "" {
 				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
 				out.SoundnessViolations = satAdd(out.SoundnessViolations, weight)

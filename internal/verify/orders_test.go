@@ -133,7 +133,7 @@ func assertAblationMatches(t *testing.T, name string, f Factory, u statespace.Un
 	u.Enumerate(func(m *sched.Machine) bool {
 		return fullOrders(m.NumCores(), func(order []int) bool {
 			want.SchedulesChecked++
-			sched.UnsafeConcurrentRound(f(), trial.CopyFrom(m), order)
+			uncheckedRound(f(), trial.CopyFrom(m), order)
 			if roundViolation(f(), m, trial) != "" {
 				want.SoundnessViolations++
 			}

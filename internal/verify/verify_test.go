@@ -569,31 +569,40 @@ func TestDegradedWastedCoresProvesRescue(t *testing.T) {
 func TestShardedDeterminismAcrossParallelismWithFaults(t *testing.T) {
 	// The PR 2 determinism contract extended to the fault dimension:
 	// sequential and every parallel level must produce byte-identical
-	// reports over a fault-extended universe, for the proved
-	// (delta2-rescue) and refuted (delta2, stranded orphans) sides alike.
+	// reports over fault-extended universes, one- and two-event scripts,
+	// for the proved (delta2-rescue, every obligation) and refuted
+	// (delta2, stranded orphans) sides alike.
 	for _, tc := range []struct {
-		name string
-		f    Factory
+		name   string
+		f      Factory
+		proved bool
 	}{
-		{"delta2", delta2Factory},
-		{"delta2-rescue", rescueFactory},
+		{"delta2", delta2Factory, false},
+		{"delta2-rescue", rescueFactory, true},
 	} {
-		base, err := PolicyContext(context.Background(), tc.name, tc.f,
-			Config{Universe: faultUniverse(), Sequential: true})
-		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
-		}
-		assertRunObligationMatches(t, base, tc.f, Config{Universe: faultUniverse(), Sequential: true})
-		assertRunObligationMatches(t, base, tc.f, Config{Universe: faultUniverse(), Parallelism: 3})
-		for _, par := range []int{1, 2, 4, 8} {
-			rep, err := PolicyContext(context.Background(), tc.name, tc.f,
-				Config{Universe: faultUniverse(), Parallelism: par})
+		for _, faults := range []int{1, 2} {
+			u := faultUniverse()
+			u.MaxFaults = faults
+			base, err := PolicyContext(context.Background(), tc.name, tc.f,
+				Config{Universe: u, Sequential: true})
 			if err != nil {
-				t.Fatalf("%s parallel=%d: %v", tc.name, par, err)
+				t.Fatalf("%s sequential: %v", tc.name, err)
 			}
-			if !reflect.DeepEqual(rep.Results, base.Results) {
-				t.Errorf("%s parallel=%d: results diverged from sequential:\n%s\nvs\n%s",
-					tc.name, par, rep, base)
+			if base.Passed() != tc.proved {
+				t.Errorf("%s over %v: passed=%v, want %v:\n%s", tc.name, u, base.Passed(), tc.proved, base)
+			}
+			assertRunObligationMatches(t, base, tc.f, Config{Universe: u, Sequential: true})
+			assertRunObligationMatches(t, base, tc.f, Config{Universe: u, Parallelism: 3})
+			for _, par := range []int{1, 2, 4, 8} {
+				rep, err := PolicyContext(context.Background(), tc.name, tc.f,
+					Config{Universe: u, Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s parallel=%d: %v", tc.name, par, err)
+				}
+				if !reflect.DeepEqual(rep.Results, base.Results) {
+					t.Errorf("%s over %v parallel=%d: results diverged from sequential:\n%s\nvs\n%s",
+						tc.name, u, par, rep, base)
+				}
 			}
 		}
 	}

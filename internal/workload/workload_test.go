@@ -137,10 +137,14 @@ func TestDatabaseTrapShape(t *testing.T) {
 		s := newSim(trap.Cores(), pname, trap.Groups())
 		trap.Setup(s)
 		st := s.Run(1_500_000)
+		if st.Rounds == 0 {
+			t.Errorf("%s ran no balancing rounds", pname)
+		}
 		return trap.Server.Requests(), st
 	}
 	good, goodStats := run("weighted")
 	bad, badStats := run("cfs-group-buggy")
+	run("null") // balancing rounds run whether or not the policy ever steals
 	loss := 100 * float64(good-bad) / float64(good)
 	t.Logf("db-trap: good=%d bad=%d loss=%.1f%% (paper: up to 25%%)", good, bad, loss)
 	if loss < 15 || loss > 45 {
