@@ -20,33 +20,11 @@ import (
 	"repro/internal/verify"
 )
 
-// Incremental verification service types (see internal/service). The
-// daemon itself is cmd/schedverifyd; NewVerifyService embeds the same
-// engine in-process.
-type (
-	// VerifyRequest is one submission to the verification service: a
-	// policy by registered name or as DSL source, an optional universe
-	// and an optional obligation subset.
-	VerifyRequest = service.Request
-	// VerifyUniverse is the wire form of a bounded universe.
-	VerifyUniverse = service.UniverseSpec
-	// VerifyStats is the service's /v1/stats snapshot: cache hit/miss
-	// counters, queue depth, per-obligation checker latency and — when
-	// the daemon runs with -data-dir — the durable store's counters.
-	VerifyStats = service.Stats
-	// VerifyService is the embeddable incremental verifier behind
-	// cmd/schedverifyd.
-	VerifyService = service.Service
-	// VerifyServiceConfig parameterizes a VerifyService.
-	VerifyServiceConfig = service.Config
-)
-
-// NewVerifyService starts an in-process incremental verifier — the
-// engine cmd/schedverifyd serves over HTTP. Close it when done. It
-// returns an error only when VerifyServiceConfig.DataDir names an
-// unusable durable-store directory (corruption there recovers, it never
-// errors).
-var NewVerifyService = service.New
+// VerifyRequest is one submission to the verification service (see
+// internal/service; the daemon is cmd/schedverifyd): a policy by
+// registered name or as DSL source, an optional universe and an
+// optional obligation subset.
+type VerifyRequest = service.Request
 
 // VerifyServiceUniverse converts a Universe to its wire form.
 var VerifyServiceUniverse = service.UniverseSpecOf
@@ -181,35 +159,6 @@ func (c *VerifyClient) recordFailure() bool {
 		return true
 	}
 	return false
-}
-
-// BreakerState is a point-in-time snapshot of a VerifyClient's circuit
-// breaker, for dashboards and tests (see Cluster.VerifyServiceStatus).
-type BreakerState struct {
-	// State is "closed" (requests flow), "open" (calls fail fast with
-	// ErrCircuitOpen) or "half-open" (the cooldown elapsed; the next
-	// call is a probe that fully closes or re-opens the breaker).
-	State string
-	// ConsecutiveFailures is the current run of failed requests; it
-	// resets to zero on any success.
-	ConsecutiveFailures int
-}
-
-// Breaker returns the circuit breaker's current state. The snapshot is
-// advisory — the breaker may transition immediately after.
-func (c *VerifyClient) Breaker() BreakerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := BreakerState{ConsecutiveFailures: c.fails}
-	switch {
-	case c.fails < c.breakerThreshold():
-		st.State = "closed"
-	case time.Now().Before(c.openUntil):
-		st.State = "open"
-	default:
-		st.State = "half-open"
-	}
-	return st
 }
 
 func (c *VerifyClient) recordSuccess() {
@@ -365,22 +314,6 @@ func (c *VerifyClient) cancelRemote(pollURL string) {
 	cancel()
 }
 
-// Stats fetches the daemon's counter snapshot.
-func (c *VerifyClient) Stats(ctx context.Context) (*VerifyStats, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	if resp.code != http.StatusOK {
-		return nil, fmt.Errorf("optsched: verify service stats: HTTP %d", resp.code)
-	}
-	var st VerifyStats
-	if err := json.Unmarshal(resp.raw, &st); err != nil {
-		return nil, fmt.Errorf("optsched: decoding stats: %w", err)
-	}
-	return &st, nil
-}
-
 // FlushCache performs the daemon's admin cache flush (DELETE /v1/cache)
 // and returns how many memoized results were dropped.
 func (c *VerifyClient) FlushCache(ctx context.Context) (int, error) {
@@ -493,12 +426,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Report JSON codec: the deterministic encoding shared by the daemon,
-// the client and `schedverify -json`.
-var (
-	// ReportToJSON renders a report in the service's canonical JSON form;
-	// equal reports always produce byte-identical documents.
-	ReportToJSON = verify.ReportJSON
-	// ReportFromJSON is its inverse.
-	ReportFromJSON = verify.ReportFromJSON
-)
+// ReportToJSON renders a report in the canonical JSON form shared by
+// the daemon, the client and `schedverify -json`; equal reports always
+// produce byte-identical documents.
+var ReportToJSON = verify.ReportJSON

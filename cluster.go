@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dsl"
 	"repro/internal/policy"
@@ -37,7 +36,6 @@ import (
 type Cluster struct {
 	policyName   string
 	factory      func() sched.Policy
-	spec         *policy.Spec       // set when the policy came from the registry
 	policyTop    *topology.Topology // the topology the policy was built over (NeedsTopology specs)
 	top          *topology.Topology
 	backend      Backend
@@ -51,7 +49,6 @@ type Cluster struct {
 	dslSource    string // set when the policy came from WithDSL
 	verifyURL    string // set by WithVerifyService: Verify delegates here
 	verifyClient *VerifyClient
-	fallbacks    int64 // verifyRemote→verifyLocal circuit-open fallbacks (atomic)
 }
 
 // options accumulates the functional options before validation.
@@ -189,8 +186,7 @@ func WithTrace(ring *TraceRing) Option {
 // the daemon is down or persistently failing — Verify transparently
 // falls back to local in-process verification. Reports are
 // byte-identical either way, so the fallback is observable only through
-// latency and the daemon's stats. Tune the resilience knobs through
-// VerifyServiceClient before the first Verify.
+// latency and the daemon's stats.
 //
 // Only registry policies (WithPolicy) and DSL policies (WithDSL) can be
 // shipped over the wire; WithPolicyFactory closures cannot, and the
@@ -295,7 +291,6 @@ func New(opts ...Option) (*Cluster, error) {
 			c.policyTop = top
 		}
 		c.policyName = name
-		c.spec = &spec
 		c.factory = func() sched.Policy { return spec.New(top) }
 	}
 
@@ -337,21 +332,6 @@ func (c *Cluster) PolicyName() string { return c.policyName }
 // must not be shared across machines or workers, possibly a shared one
 // if it carries none.
 func (c *Cluster) NewPolicy() Policy { return c.factory() }
-
-// PolicySpec returns the registry metadata of the cluster's policy, or
-// false for custom-factory and DSL policies.
-func (c *Cluster) PolicySpec() (PolicySpec, bool) {
-	if c.spec == nil {
-		return PolicySpec{}, false
-	}
-	return *c.spec, true
-}
-
-// Topology returns the cluster's topology, or nil when none was set.
-func (c *Cluster) Topology() *Topology { return c.top }
-
-// Backend returns the cluster's execution backend.
-func (c *Cluster) Backend() Backend { return c.backend }
 
 // Seed returns the deterministic RNG seed (never zero).
 func (c *Cluster) Seed() uint64 { return c.seed }
@@ -440,16 +420,10 @@ func (c *Cluster) verifyLocal(ctx context.Context) (*Report, error) {
 // verifyRemote discharges the obligations through the schedverifyd
 // daemon configured by WithVerifyService (see VerifyClient).
 func (c *Cluster) verifyRemote(ctx context.Context) (*Report, error) {
-	req := service.Request{}
-	switch {
-	case c.spec != nil:
-		req.Policy = c.spec.Name
-	case c.dslSource != "":
-		req.Source = c.dslSource
-	default:
-		// New rejects WithPolicyFactory+WithVerifyService, and the default
-		// policy is the registry's delta2; policyName is always a registry
-		// name here.
+	// New rejects WithPolicyFactory+WithVerifyService, so a policy that
+	// is not DSL source is a registry policy, named by policyName.
+	req := service.Request{Source: c.dslSource}
+	if c.dslSource == "" {
 		req.Policy = c.policyName
 	}
 	if c.hasUniverse {
@@ -464,40 +438,7 @@ func (c *Cluster) verifyRemote(ctx context.Context) (*Report, error) {
 		// The daemon is down or persistently failing: the session still
 		// owes its caller a verdict, and the local driver produces the
 		// byte-identical report (only slower, with no memoization).
-		atomic.AddInt64(&c.fallbacks, 1)
 		return c.verifyLocal(ctx)
 	}
 	return rep, err
 }
-
-// VerifyServiceStatus is the cluster-level health view of the
-// WithVerifyService delegation: the resilient client's circuit-breaker
-// snapshot plus how many Verify calls the breaker diverted to local
-// in-process verification.
-type VerifyServiceStatus struct {
-	// Breaker is the shared VerifyClient's breaker snapshot.
-	Breaker BreakerState
-	// LocalFallbacks counts Verify calls that returned a locally
-	// computed report because the breaker was open.
-	LocalFallbacks int64
-}
-
-// VerifyServiceStatus reports the verify-service delegation's health.
-// The second return is false when the cluster was built without
-// WithVerifyService (there is no delegation to report on).
-func (c *Cluster) VerifyServiceStatus() (VerifyServiceStatus, bool) {
-	if c.verifyClient == nil {
-		return VerifyServiceStatus{}, false
-	}
-	return VerifyServiceStatus{
-		Breaker:        c.verifyClient.Breaker(),
-		LocalFallbacks: atomic.LoadInt64(&c.fallbacks),
-	}, true
-}
-
-// VerifyServiceClient returns the shared resilient client behind
-// WithVerifyService (nil without that option). Its backoff and breaker
-// knobs may be tuned before the first Verify; the client must be reused
-// as-is afterwards, since the circuit breaker accumulates state across
-// calls.
-func (c *Cluster) VerifyServiceClient() *VerifyClient { return c.verifyClient }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
@@ -102,7 +103,7 @@ func TestForkJoinAndBurstyScenariosOnTheSimulator(t *testing.T) {
 		tasks int64
 	}{
 		{ForkJoinScenario("forkjoin", 3, 8, 2000, 50_000, 0), 24},
-		{BurstyScenario("bursty", 5, 6, 1500, 30_000, 0), 30},
+		{ForkJoinScenario("bursty", 5, 6, 1500, 30_000, 0), 30},
 	} {
 		sc := tc.sc
 		sc.Cores = 4
@@ -460,7 +461,7 @@ func TestClusterRunModelHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx, ScenarioFromLoads("cancelled", 0, 1, 2)); !errors.Is(err, context.Canceled) {
+	if _, err := c.Run(ctx, Scenario{Name: "cancelled", Cores: 3, Batches: []Batch{{Core: 1, Tasks: 1}, {Core: 2, Tasks: 2}}}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -564,7 +565,7 @@ func TestClusterDSLPolicy(t *testing.T) {
 	if c.PolicyName() != "quick" {
 		t.Errorf("PolicyName = %q", c.PolicyName())
 	}
-	res, err := c.Run(context.Background(), ScenarioFromLoads("dsl", 0, 3))
+	res, err := c.Run(context.Background(), Scenario{Name: "dsl", Cores: 2, Batches: []Batch{{Core: 1, Tasks: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +609,7 @@ func TestClusterRunValidation(t *testing.T) {
 		t.Error("nameless scenario accepted")
 	}
 	// An all-idle machine is legitimate: trivially converged, no rounds.
-	if res, err := c.Run(ctx, ScenarioFromLoads("idle", 0, 0, 0)); err != nil || !res.Converged || res.Rounds != 0 {
+	if res, err := c.Run(ctx, Scenario{Name: "idle", Cores: 3}); err != nil || !res.Converged || res.Rounds != 0 {
 		t.Errorf("idle machine: res=%v err=%v", res, err)
 	}
 	if _, err := c.Run(ctx, Scenario{Name: "x", Batches: []Batch{{Core: 0, Tasks: 0}}}); err == nil {
@@ -627,8 +628,8 @@ func TestClusterRunValidation(t *testing.T) {
 
 type dummyWorkload struct{}
 
-func (dummyWorkload) Name() string       { return "dummy" }
-func (dummyWorkload) Setup(s *Simulator) {}
+func (dummyWorkload) Name() string           { return "dummy" }
+func (dummyWorkload) Setup(s *sim.Simulator) {}
 
 // TestBackendByName pins the CLI-facing backend names.
 func TestBackendByName(t *testing.T) {
@@ -700,7 +701,7 @@ func TestClusterVerifyServiceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := c.VerifyServiceClient()
+	vc := c.verifyClient
 	if vc == nil {
 		t.Fatal("WithVerifyService did not install a client")
 	}
@@ -724,66 +725,5 @@ func TestClusterVerifyServiceFallback(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("open-breaker fallback took %v, want fail-fast", took)
-	}
-}
-
-// TestClusterVerifyServiceStatus pins the observability contract that
-// rides on the fallback path: VerifyServiceStatus exposes the circuit
-// breaker's state and counts the Verify calls diverted to local
-// verification, so operators can see a degraded daemon instead of
-// inferring it from latency.
-func TestClusterVerifyServiceStatus(t *testing.T) {
-	c, err := New(WithPolicy("delta2"), WithObligations("lemma1"),
-		WithVerifyService("http://127.0.0.1:1")) // nothing listens here
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := c.VerifyServiceStatus()
-	if !ok {
-		t.Fatal("VerifyServiceStatus reported no delegation despite WithVerifyService")
-	}
-	if st.Breaker.State != "closed" || st.Breaker.ConsecutiveFailures != 0 || st.LocalFallbacks != 0 {
-		t.Errorf("pristine status = %+v, want closed/0/0", st)
-	}
-
-	vc := c.VerifyServiceClient()
-	vc.BreakerThreshold = 2
-	vc.RetryBase = time.Millisecond
-	vc.MaxPollInterval = 4 * time.Millisecond
-	vc.BreakerCooldown = time.Hour
-
-	for i := 1; i <= 2; i++ {
-		if _, err := c.Verify(context.Background()); err != nil {
-			t.Fatalf("fallback Verify %d: %v", i, err)
-		}
-		st, _ = c.VerifyServiceStatus()
-		if st.LocalFallbacks != int64(i) {
-			t.Errorf("after Verify %d: LocalFallbacks = %d, want %d", i, st.LocalFallbacks, i)
-		}
-	}
-	if st.Breaker.State != "open" {
-		t.Errorf("breaker state %q after repeated failures, want open", st.Breaker.State)
-	}
-	if st.Breaker.ConsecutiveFailures < 2 {
-		t.Errorf("ConsecutiveFailures = %d, want >= threshold 2", st.Breaker.ConsecutiveFailures)
-	}
-
-	// Once the cooldown elapses the breaker half-opens: the next Verify
-	// would probe the daemon again.
-	vc.mu.Lock()
-	vc.openUntil = time.Now().Add(-time.Millisecond)
-	vc.mu.Unlock()
-	st, _ = c.VerifyServiceStatus()
-	if st.Breaker.State != "half-open" {
-		t.Errorf("breaker state %q after cooldown, want half-open", st.Breaker.State)
-	}
-
-	// Without WithVerifyService there is no delegation to report on.
-	plain, err := New(WithPolicy("delta2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.VerifyServiceStatus(); ok {
-		t.Error("VerifyServiceStatus reported a delegation on a local-only cluster")
 	}
 }

@@ -1,11 +1,11 @@
 // Command scheddsl compiles a scheduling-policy DSL file: it
-// type-checks the source, optionally verifies it against the proof
-// obligations, and emits the generated Go backend — the repository's
-// analogue of the paper's DSL→{C, Scala} compiler.
+// type-checks the source and emits the generated Go backend — the
+// repository's analogue of the paper's DSL→{C, Scala} compiler. To run
+// the proof obligations on a DSL policy, use `schedverify -dsl`.
 //
 // Usage:
 //
-//	scheddsl -in policy.pol [-gen out.go] [-pkg policies] [-verify] [-print]
+//	scheddsl -in policy.pol [-gen out.go] [-pkg policies] [-print]
 //	scheddsl -lint [-max-faults n] -in policy.pol
 //
 // With no -in, scheddsl reads standard input.
@@ -19,14 +19,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 
-	optsched "repro"
 	"repro/internal/dsl"
 )
 
@@ -35,7 +32,6 @@ func main() {
 		in        = flag.String("in", "", "DSL source file (default: stdin)")
 		gen       = flag.String("gen", "", "write generated Go code to this file")
 		pkg       = flag.String("pkg", "policies", "package name for generated code")
-		check     = flag.Bool("verify", false, "run the proof obligations on the compiled policy")
 		pretty    = flag.Bool("print", false, "print the canonicalized policy")
 		lint      = flag.Bool("lint", false, "run the semantic linter and exit (0 clean, 1 findings, 2 parse error)")
 		maxFaults = flag.Int("max-faults", 0, "fault budget of the target universe (with -lint: makes a missing rescue clause a finding)")
@@ -62,26 +58,6 @@ func main() {
 	fmt.Printf("parsed policy %q: ok\n", ast.Name)
 	if *pretty {
 		fmt.Print(ast)
-	}
-
-	if *check {
-		cluster, err := optsched.New(optsched.WithDSL(src))
-		if err != nil {
-			fatal(err)
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		rep, err := cluster.Verify(ctx)
-		if err != nil {
-			if rep != nil {
-				fmt.Println(rep) // the partial report of a cancelled run
-			}
-			fatal(err)
-		}
-		fmt.Println(rep)
-		if !rep.Passed() {
-			os.Exit(1)
-		}
 	}
 
 	if *gen != "" {

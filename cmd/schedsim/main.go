@@ -179,7 +179,7 @@ func buildScenario(name string) (optsched.Scenario, func() (string, int64)) {
 		return sc, nil
 	case "bursty":
 		// 30 bursts of 12 tasks landing on core 0, 25ms apart.
-		sc := optsched.BurstyScenario(name, 30, 12, 1500, 25_000, 0)
+		sc := optsched.ForkJoinScenario(name, 30, 12, 1500, 25_000, 0)
 		sc.Cores = 8
 		return sc, nil
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -56,10 +58,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Resubmission is served from the memo, byte-identical.
-	before, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := stats(t, d.Addr())
 	warm, err := client.Verify(ctx, optsched.VerifyRequest{Policy: "delta2"})
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +70,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !bytes.Equal(coldJSON, warmJSON) {
 		t.Errorf("warm report differs from cold:\n%s\nvs\n%s", coldJSON, warmJSON)
 	}
-	after, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := stats(t, d.Addr())
 	if after.ServedFromCache != before.ServedFromCache+1 {
 		t.Errorf("ServedFromCache %d -> %d, want +1", before.ServedFromCache, after.ServedFromCache)
 	}
@@ -101,6 +97,24 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !bytes.Equal(coldJSON, clusterJSON) {
 		t.Error("Cluster.Verify via daemon differs from direct client report")
 	}
+}
+
+// stats fetches the daemon's /v1/stats counter snapshot.
+func stats(t *testing.T, addr string) *service.Stats {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: HTTP %d", resp.StatusCode)
+	}
+	var st service.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	return &st
 }
 
 func TestRunFlagErrors(t *testing.T) {
@@ -156,10 +170,7 @@ func TestChaosDaemonWarmRestart(t *testing.T) {
 		d2.Shutdown(ctx)
 	}()
 	client := &optsched.VerifyClient{BaseURL: "http://" + d2.Addr(), PollInterval: 5 * time.Millisecond}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := stats(t, d2.Addr())
 	if st.Store == nil || st.Store.RecoveredRecords != 2 {
 		t.Fatalf("restarted daemon recovered %+v, want 2 records", st.Store)
 	}
@@ -174,10 +185,7 @@ func TestChaosDaemonWarmRestart(t *testing.T) {
 	if !bytes.Equal(coldJSON, warmJSON) {
 		t.Errorf("report across restart differs:\npre:\n%s\npost:\n%s", coldJSON, warmJSON)
 	}
-	st2, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := stats(t, d2.Addr())
 	if st2.CacheMisses != 0 {
 		t.Errorf("warm restart re-ran %d obligations, want 0", st2.CacheMisses)
 	}

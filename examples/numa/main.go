@@ -41,10 +41,11 @@ func main() {
 	// topology (NeedsTopology in its spec).
 	fmt.Println("\nsteal locality on a skewed machine (one overloaded core per node):")
 	for _, name := range []string{"delta2", "numa-aware"} {
-		p, err := optsched.NewPolicyWithTopology(name, top)
+		c, err := optsched.New(optsched.WithPolicy(name), optsched.WithTopology(top))
 		if err != nil {
 			panic(err)
 		}
+		p := c.NewPolicy()
 		intra, total := 0, 0
 		m := optsched.MachineFromLoads(6, 0, 0, 0, 6, 0, 0, 0)
 		optsched.AssignGroups(m, top)

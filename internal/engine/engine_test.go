@@ -488,6 +488,9 @@ func mallocs() uint64 {
 }
 
 func TestStealPathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the steal path; the pin runs without -race")
+	}
 	// The executor-skew shape: everything lands on worker 0 and worker 1
 	// lives on optimistic steals. The first batch sizes the views' buffers
 	// and the workers' sleep timers; the second, submission included, may

@@ -145,8 +145,8 @@ func loadRepo(t *testing.T) (*lint.Program, []*lint.Package) {
 	return repo.prog, repo.targets
 }
 
-// deadExportExemptions names the exported objects of internal packages
-// that stay without a non-test reference, keyed as exportKey keys them,
+// deadExportExemptions names the exported objects of the root and
+// internal packages that stay without a non-test reference, keyed as exportKey keys them,
 // each with the reason it stays. Keep it to five entries at most: an
 // export that only tests use belongs in those tests' files.
 var deadExportExemptions = map[string]string{
@@ -159,20 +159,22 @@ var deadExportExemptions = map[string]string{
 }
 
 // TestNoDeadInternalExports fails on every exported func, type, var,
-// const, method or interface method of a repro/internal/... package that
-// no non-test file of the module references. A reference from inside
-// the object's own declaration (recursion, a receiver naming its type)
-// does not count. A method that satisfies an interface — one declared
-// in the module or in a package the module imports — is exempt, since
-// it may be called through that interface.
+// const, method or interface method of the root optsched package or of
+// a repro/internal/... package that no non-test file of the module
+// references: the root exports only what a command, an example or the
+// benchmark calls. A reference from inside the object's own declaration
+// (recursion, a receiver naming its type) does not count. A method that
+// satisfies an interface — one declared in the module or in a package
+// the module imports — is exempt, since it may be called through that
+// interface.
 func TestNoDeadInternalExports(t *testing.T) {
 	prog, pkgs := loadRepo(t)
 	if len(deadExportExemptions) > 5 {
 		t.Errorf("%d exemptions; at most five may stay", len(deadExportExemptions))
 	}
 
-	// Every exported object of an internal package, with the extent of
-	// its declaration.
+	// Every exported object of a checked package, with the extent of its
+	// declaration.
 	type decl struct {
 		pos      token.Position
 		from, to token.Pos
@@ -395,7 +397,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 
 // knobExemptions names the knobs that no non-test caller outside their
 // package turns, as TestEveryKnobHasACaller reports them, each with the
-// reason it stays. Keep it to seven entries at most: a setting nothing
+// reason it stays. Keep it to six entries at most: a setting nothing
 // sets is a configuration nothing needs.
 var knobExemptions = map[string]string{
 	"sim.Config.BalancePeriod": "TestGoldenTraces' stranded-until-revive, greedy-contention " +
@@ -410,7 +412,6 @@ var knobExemptions = map[string]string{
 		"and all-policies-idle cases set it; the pinned sweep hashes must not move",
 	"loadgen.SweepConfig.ArrivalCores": "TestGoldenSweeps' sequential-flat-4cores case sets it; " +
 		"the pinned sweep hashes must not move",
-	"optsched.WithTopology": "the package doc's example of New calls it",
 }
 
 // TestEveryKnobHasACaller fails on every settable value no caller sets:
@@ -423,8 +424,8 @@ var knobExemptions = map[string]string{
 // field).
 func TestEveryKnobHasACaller(t *testing.T) {
 	prog, pkgs := loadRepo(t)
-	if len(knobExemptions) > 7 {
-		t.Errorf("%d exemptions; at most seven may stay", len(knobExemptions))
+	if len(knobExemptions) > 6 {
+		t.Errorf("%d exemptions; at most six may stay", len(knobExemptions))
 	}
 
 	// Every knob, keyed by its declaring object, with the package that
@@ -605,12 +606,19 @@ func isInternal(path string) bool {
 	return strings.HasPrefix(path, "repro/internal/")
 }
 
-// exportKey names an exported object of an internal package the same
-// way from source and from export data: package path plus name for
-// package-level objects, types.Func.FullName for methods and interface
-// methods. Anything else — locals, fields, other modules — keys to "".
+// isChecked reports whether TestNoDeadInternalExports checks the
+// exports of the package at path: the root package and every internal one.
+func isChecked(path string) bool {
+	return path == rootPath || isInternal(path)
+}
+
+// exportKey names an exported object of a checked package (isChecked)
+// the same way from source and from export data: package path plus name
+// for package-level objects, types.Func.FullName for methods and
+// interface methods. Anything else — locals, fields, other modules —
+// keys to "".
 func exportKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil || !obj.Exported() || !isInternal(obj.Pkg().Path()) {
+	if obj == nil || obj.Pkg() == nil || !obj.Exported() || !isChecked(obj.Pkg().Path()) {
 		return ""
 	}
 	if f, ok := obj.(*types.Func); ok {
@@ -625,8 +633,8 @@ func exportKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// interfaceMethods returns the keys of the internal methods that pkg's
-// view shows satisfying an interface of that view: every named
+// interfaceMethods returns the keys of the checked packages' methods
+// that pkg's view shows satisfying an interface of that view: every named
 // interface of pkg and of its transitive imports, standard library
 // included, and every interface literal pkg spells.
 func interfaceMethods(pkg *lint.Package) []string {
@@ -662,7 +670,7 @@ func interfaceMethods(pkg *lint.Package) []string {
 				if it.NumMethods() > 0 {
 					ifaces = append(ifaces, it)
 				}
-			} else if tn.Pkg() != nil && isInternal(tn.Pkg().Path()) {
+			} else if tn.Pkg() != nil && isChecked(tn.Pkg().Path()) {
 				named = append(named, n)
 			}
 		}

@@ -79,15 +79,6 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Flat returns a single-node topology with n cores — the machine model of
-// the paper's examples.
-func Flat(n int) *Topology {
-	if n <= 0 {
-		panic(fmt.Sprintf("topology: Flat(%d)", n))
-	}
-	return &Topology{NCores: n, NodeOf: make([]int, n), NodeDistance: [][]int{{10}}}
-}
-
 // NUMA returns a topology with `nodes` NUMA nodes of `perNode` cores each.
 // Cores are numbered node-major: node 0 holds cores [0, perNode), node 1
 // holds [perNode, 2*perNode), and so on. Local distance is 10, remote 20,

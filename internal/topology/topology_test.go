@@ -5,8 +5,10 @@ import (
 	"testing/quick"
 )
 
+// TestFlat checks the single-node shape, the machine model of the
+// paper's examples.
 func TestFlat(t *testing.T) {
-	top := Flat(4)
+	top := NUMA(1, 4)
 	if err := top.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -24,15 +26,6 @@ func TestFlat(t *testing.T) {
 	if top.Distance(0, 3) != 10 {
 		t.Errorf("Distance(0,3) = %d, want 10", top.Distance(0, 3))
 	}
-}
-
-func TestFlatPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Flat(0) did not panic")
-		}
-	}()
-	Flat(0)
 }
 
 func TestNUMA(t *testing.T) {
@@ -103,13 +96,13 @@ func TestCoresOfNodeAndGroups(t *testing.T) {
 
 func TestValidateCatchesBrokenTopologies(t *testing.T) {
 	// Wrong NodeOf length.
-	bad := Flat(2)
+	bad := NUMA(1, 2)
 	bad.NodeOf = []int{0}
 	if bad.Validate() == nil {
 		t.Error("short NodeOf accepted")
 	}
 	// Invalid node index.
-	bad2 := Flat(2)
+	bad2 := NUMA(1, 2)
 	bad2.NodeOf[1] = 5
 	if bad2.Validate() == nil {
 		t.Error("out-of-range node accepted")

@@ -37,29 +37,22 @@ func TestFacadeVerify(t *testing.T) {
 }
 
 func TestFacadeDSL(t *testing.T) {
-	p, ast, err := CompilePolicy(`policy quick { filter = stealee.load - thief.load >= 2 }`)
+	const src = `policy quick { filter = stealee.load - thief.load >= 2 }`
+	c, err := New(WithDSL(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := MachineFromLoads(0, 3)
-	att := Select(p, m, 0)
-	Steal(p, m, &att)
-	if !att.Succeeded() {
-		t.Fatalf("DSL policy did not steal: %+v", att)
+	if rr := SequentialRound(c.NewPolicy(), m); rr.Successes() == 0 {
+		t.Fatalf("DSL policy did not steal: %v", m.Loads())
+	}
+	ast, err := ParsePolicy(src)
+	if err != nil {
+		t.Fatal(err)
 	}
 	code := GeneratePolicyGo(ast, "mypolicies")
 	if !strings.Contains(code, "func (p *Quick) CanSteal") {
 		t.Errorf("generated code unexpected:\n%s", code)
-	}
-}
-
-func TestFacadeSimulator(t *testing.T) {
-	s := NewSimulator(SimConfig{Cores: 2, Policy: NewDelta2(), Seed: 5})
-	// The facade exposes the simulator; behaviors come from
-	// internal/sim via the examples. Here just check the empty run.
-	st := s.Run(10_000)
-	if st.Completed != 0 || st.Duration != 10_000 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -68,17 +61,20 @@ func TestFacadeTopologyAndPolicies(t *testing.T) {
 	if top.NumNodes() != 2 {
 		t.Errorf("NumNodes = %d", top.NumNodes())
 	}
-	numa := NewNUMAAware(top)
-	if numa.Name() == "" {
+	numa, err := New(WithPolicy("numa-aware"), WithTopology(top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if numa.NewPolicy().Name() == "" {
 		t.Error("empty policy name")
 	}
-	names := PolicyNames()
-	if len(names) < 6 {
-		t.Errorf("PolicyNames = %v", names)
+	specs := PolicySpecs()
+	if len(specs) < 6 {
+		t.Errorf("PolicySpecs = %v", specs)
 	}
-	for _, n := range names {
-		if _, err := NewPolicy(n); err != nil {
-			t.Errorf("NewPolicy(%q): %v", n, err)
+	for _, spec := range specs {
+		if _, err := NewPolicy(spec.Name); err != nil {
+			t.Errorf("NewPolicy(%q): %v", spec.Name, err)
 		}
 	}
 }

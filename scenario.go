@@ -198,19 +198,6 @@ func validateFaults(events []FaultEvent, cores int) error {
 	return nil
 }
 
-// ScenarioFromLoads builds the model-checker-style scenario: loads[i]
-// unit tasks born on core i, the shape of the paper's 0/1/2
-// counterexample machines.
-func ScenarioFromLoads(name string, loads ...int) Scenario {
-	sc := Scenario{Name: name, Cores: len(loads)}
-	for core, n := range loads {
-		if n > 0 {
-			sc.Batches = append(sc.Batches, Batch{Core: core, Tasks: n})
-		}
-	}
-	return sc
-}
-
 // SkewedScenario builds the canonical balancing stress: every task born
 // on core 0, as if one connection produced all the work. The balancer
 // must spread it.
@@ -228,12 +215,4 @@ func ForkJoinScenario(name string, waves, width int, work, gap int64, core int) 
 			Batch{At: int64(wave) * gap, Core: core, Tasks: width, Work: work})
 	}
 	return sc
-}
-
-// BurstyScenario builds square-wave load: bursts of tasks arriving
-// together on one core, separated by quiet periods — the pattern that
-// exposes slow rebalancing as latency spikes. It is the same batch
-// shape as ForkJoinScenario under workload-specific parameter names.
-func BurstyScenario(name string, bursts, tasksPerBurst int, work, period int64, core int) Scenario {
-	return ForkJoinScenario(name, bursts, tasksPerBurst, work, period, core)
 }
