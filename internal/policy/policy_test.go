@@ -576,8 +576,8 @@ func TestRegistryNUMAAware(t *testing.T) {
 		t.Error("empty name")
 	}
 	// …and with an explicit one.
-	if _, err := NewWithTopology("numa-aware", topology.NUMA(4, 2)); err != nil {
-		t.Fatal(err)
+	if p := s.New(topology.NUMA(4, 2)); p == nil || p.Name() == "" {
+		t.Errorf("numa-aware over an explicit topology: %v", p)
 	}
 }
 

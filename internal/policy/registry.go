@@ -182,18 +182,11 @@ func Names() []string {
 // stateful, possibly shared if it is not (see Factory) — constructing
 // topology-needing policies over DefaultTopology.
 func New(name string) (sched.Policy, error) {
-	return NewWithTopology(name, nil)
-}
-
-// NewWithTopology returns an instance of the named policy, under New's
-// rule, built for the given topology (nil = DefaultTopology for policies
-// that need one; topology-free policies ignore it).
-func NewWithTopology(name string, top *topology.Topology) (sched.Policy, error) {
 	s, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (known: %v)", name, Names())
 	}
-	return s.New(top), nil
+	return s.New(nil), nil
 }
 
 func init() {

@@ -33,10 +33,18 @@ type keyEntry struct {
 	val  int32
 }
 
-// Reset empties the table and keeps its storage.
+// Reset empties the table and keeps its storage in O(entries), not
+// O(index): it clears each entry's slot, re-probed from its cached hash.
 func (t *KeyTable) Reset() {
+	mask := len(t.index) - 1
+	for i := range t.entries {
+		s := int(t.entries[i].hash) & mask
+		for t.index[s] != int32(i)+1 {
+			s = (s + 1) & mask
+		}
+		t.index[s] = 0
+	}
 	t.arena, t.entries = t.arena[:0], t.entries[:0]
-	clear(t.index)
 }
 
 // Lookup returns key's entry and reports whether the key was already

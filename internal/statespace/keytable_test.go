@@ -3,6 +3,7 @@ package statespace
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -206,5 +207,46 @@ func TestKeyTableAllocatesNothingOnceSized(t *testing.T) {
 	fill()
 	if n := testing.AllocsPerRun(20, fill); n != 0 {
 		t.Errorf("refilling a sized table with %d keys allocates %.0f objects, want 0", len(keys), n)
+	}
+}
+
+// Reset clears only the slots its entries hold, so it must find every
+// one of them: after growth past 4 096 entries a reset table is empty —
+// every index slot zero, no earlier key found — and it then refills, a
+// few keys at a time and Reset after Reset, in step with the model.
+func TestKeyTableResetAfterGrowth(t *testing.T) {
+	m := newKeyTableModel(t)
+	emptied := func() {
+		t.Helper()
+		for s, v := range m.table.index {
+			if v != 0 {
+				t.Fatalf("slot %d of %d still holds entry %d after Reset", s, len(m.table.index), v-1)
+			}
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		m.lookup([]byte(strconv.Itoa(i)), int32(i))
+	}
+	m.reset()
+	emptied()
+	for i := 0; i < 5000; i += 7 {
+		m.find([]byte(strconv.Itoa(i)))
+	}
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 100; round++ {
+		for op := 0; op < 1+rng.Intn(40); op++ {
+			key := []byte(strconv.Itoa(rng.Intn(64)))
+			switch rng.Intn(3) {
+			case 0:
+				m.lookup(key, int32(op))
+			case 1:
+				m.find(key)
+			case 2:
+				m.set(key, int32(round))
+			}
+		}
+		m.checkAll()
+		m.reset()
+		emptied()
 	}
 }

@@ -150,7 +150,6 @@ var unitWeights = []int64{sched.DefaultWeight}
 type Enumerator struct {
 	u            Universe
 	shard, total int
-	fn           func(int, *sched.Machine) bool
 	maxTotal     int
 	weights      []int64
 
@@ -180,7 +179,7 @@ func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(ra
 	if u.Groups != nil && len(u.Groups) != u.Cores {
 		panic(fmt.Sprintf("statespace: %d group assignments for %d cores", len(u.Groups), u.Cores))
 	}
-	e.u, e.shard, e.total, e.fn = u, shard, total, fn
+	e.u, e.shard, e.total = u, shard, total
 	e.maxTotal, e.weights = u.MaxTotal, u.Weights
 	if e.maxTotal == 0 {
 		e.maxTotal = u.Cores * u.MaxPerCore
@@ -195,9 +194,7 @@ func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(ra
 	e.offline = resize(e.offline, u.Cores)
 	clear(e.offline)
 	e.script = e.script[:0]
-	ok := e.expandCounts(0, 0)
-	e.fn = nil
-	return ok
+	return e.expandCounts(0, 0, fn)
 }
 
 // resize returns s with length n, reallocated only if it is too short.
@@ -211,9 +208,9 @@ func resize[T any](s []T, n int) []T {
 }
 
 // expandCounts gives cores core.. every thread count that fits beside
-// the used threads before them, and expands each complete count vector
-// the shard owns.
-func (e *Enumerator) expandCounts(core, used int) bool {
+// the used threads before them and expands each count vector the shard
+// owns; fn rides down the recursion, not in e, so it can stay on the stack.
+func (e *Enumerator) expandCounts(core, used int, fn func(int, *sched.Machine) bool) bool {
 	if core == e.u.Cores {
 		r := e.next
 		e.next++
@@ -221,11 +218,11 @@ func (e *Enumerator) expandCounts(core, used int) bool {
 			return true
 		}
 		e.rank = r
-		return e.expandSchedBits()
+		return e.expandSchedBits(fn)
 	}
 	for n := 0; n <= e.u.MaxPerCore && used+n <= e.maxTotal; n++ {
 		e.counts[core] = n
-		if !e.expandCounts(core+1, used+n) {
+		if !e.expandCounts(core+1, used+n, fn) {
 			return false
 		}
 	}
@@ -235,7 +232,7 @@ func (e *Enumerator) expandCounts(core, used int) bool {
 // expandSchedBits expands one thread-count vector into scheduling
 // variants: for each loaded core, either the first thread is running
 // (always) or — when IncludeUnscheduled — all threads are queued.
-func (e *Enumerator) expandSchedBits() bool {
+func (e *Enumerator) expandSchedBits(fn func(int, *sched.Machine) bool) bool {
 	loaded := 0
 	for _, n := range e.counts {
 		if n > 0 {
@@ -248,7 +245,7 @@ func (e *Enumerator) expandSchedBits() bool {
 	}
 	for v := 0; v < variants; v++ {
 		e.bits = v
-		if !e.expandCores(0, 0) {
+		if !e.expandCores(0, 0, fn) {
 			return false
 		}
 	}
@@ -257,18 +254,18 @@ func (e *Enumerator) expandSchedBits() bool {
 
 // expandCores builds the specs of cores core.. over all weight
 // assignments; loaded counts the loaded cores before core.
-func (e *Enumerator) expandCores(core, loaded int) bool {
+func (e *Enumerator) expandCores(core, loaded int, fn func(int, *sched.Machine) bool) bool {
 	if core == e.u.Cores {
 		if e.u.MaxFaults <= 0 {
-			return e.build(nil)
+			return e.build(nil, fn)
 		}
-		return e.expandFaults()
+		return e.expandFaults(fn)
 	}
 	if e.counts[core] == 0 {
 		e.specs[core] = sched.CoreSpec{Queued: e.specs[core].Queued[:0]}
-		return e.expandCores(core+1, loaded)
+		return e.expandCores(core+1, loaded, fn)
 	}
-	return e.expandCoreWeights(core, loaded, 0, 0)
+	return e.expandCoreWeights(core, loaded, 0, 0, fn)
 }
 
 // expandCoreWeights yields every non-decreasing weight vector for core,
@@ -276,7 +273,7 @@ func (e *Enumerator) expandCores(core, loaded int) bool {
 // from index minIdx on. Keeping each queue's weights sorted keeps the
 // space canonical: queue order is irrelevant to policies that pick tasks
 // by weight.
-func (e *Enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
+func (e *Enumerator) expandCoreWeights(core, loaded, i, minIdx int, fn func(int, *sched.Machine) bool) bool {
 	ws := e.ws[core*e.u.MaxPerCore:][:e.counts[core]]
 	if i == len(ws) {
 		queued := e.specs[core].Queued[:0]
@@ -285,11 +282,11 @@ func (e *Enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
 		} else {
 			e.specs[core] = sched.CoreSpec{Running: ws[0], Queued: append(queued, ws[1:]...)}
 		}
-		return e.expandCores(core+1, loaded+1)
+		return e.expandCores(core+1, loaded+1, fn)
 	}
 	for w := minIdx; w < len(e.weights); w++ {
 		ws[i] = e.weights[w]
-		if !e.expandCoreWeights(core, loaded, i+1, w) {
+		if !e.expandCoreWeights(core, loaded, i+1, w, fn) {
 			return false
 		}
 	}
@@ -304,24 +301,24 @@ func (e *Enumerator) expandCoreWeights(core, loaded, i, minIdx int) bool {
 // checkers treat "bounded recovery after the last event" as covering
 // recovery after *any* event. The machine's Faults is the script buffer
 // itself (nil for the empty script).
-func (e *Enumerator) expandFaults() bool {
+func (e *Enumerator) expandFaults(fn func(int, *sched.Machine) bool) bool {
 	faults := e.script
 	if len(faults) == 0 {
 		faults = nil
 	}
-	if !e.build(faults) {
+	if !e.build(faults, fn) {
 		return false
 	}
 	if len(e.script) == e.u.MaxFaults {
 		return true
 	}
 	for c := 0; c < e.u.Cores; c++ {
-		if !e.offline[c] && e.online > 1 && !e.extend(sched.FaultEvent{Core: c}) {
+		if !e.offline[c] && e.online > 1 && !e.extend(sched.FaultEvent{Core: c}, fn) {
 			return false
 		}
 	}
 	for c := 0; c < e.u.Cores; c++ {
-		if e.offline[c] && !e.extend(sched.FaultEvent{Core: c, Revive: true}) {
+		if e.offline[c] && !e.extend(sched.FaultEvent{Core: c, Revive: true}, fn) {
 			return false
 		}
 	}
@@ -329,10 +326,10 @@ func (e *Enumerator) expandFaults() bool {
 }
 
 // extend expands the scripts that continue the current one with ev.
-func (e *Enumerator) extend(ev sched.FaultEvent) bool {
+func (e *Enumerator) extend(ev sched.FaultEvent, fn func(int, *sched.Machine) bool) bool {
 	e.setOffline(ev.Core, !ev.Revive)
 	e.script = append(e.script, ev)
-	ok := e.expandFaults()
+	ok := e.expandFaults(fn)
 	e.script = e.script[:len(e.script)-1]
 	e.setOffline(ev.Core, ev.Revive)
 	return ok
@@ -349,14 +346,14 @@ func (e *Enumerator) setOffline(core int, off bool) {
 
 // build rebuilds the machine as the specs describe, under the given
 // fault script, and hands it to fn.
-func (e *Enumerator) build(faults []sched.FaultEvent) bool {
+func (e *Enumerator) build(faults []sched.FaultEvent, fn func(int, *sched.Machine) bool) bool {
 	e.m.SetFromSpec(e.specs)
 	for id, g := range e.u.Groups {
 		c := e.m.Core(id)
 		c.Group, c.Node = g, g
 	}
 	e.m.Faults = faults
-	return e.fn(e.rank, &e.m)
+	return fn(e.rank, &e.m)
 }
 
 // Permutations calls fn with every permutation of [0, len(perm)), laid

@@ -370,9 +370,6 @@ func TestReusedEnumeratorMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if reused.fn != nil {
-		t.Error("the enumerator kept the last walk's fn")
-	}
 }
 
 func TestEnumerateShardBadArgsPanic(t *testing.T) {

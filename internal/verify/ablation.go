@@ -67,10 +67,9 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 	shards := make([]Result, shardCount)
 	parts := make([]AblationResult, shardCount)
 	workers := runtime.GOMAXPROCS(0)
-	scratch := make([]shardScratch, min(workers, shardCount))
-	forEachTask(shardCount, workers, func(w, s int) {
+	forEachPooledTask(shardCount, workers, func(sc *shardScratch, s int) {
 		parts[s].order = -1
-		runShard(ctx, "revalidation-ablation", u, s, &scratch[w], &shards[s], ablationCheck(ctx, f, &scratch[w], &shards[s], &parts[s]))
+		runShard(ctx, "revalidation-ablation", u, s, sc, &shards[s], ablationCheck(ctx, f, sc, &shards[s], &parts[s]))
 	})
 	merged := AblationResult{order: -1}
 	for s, p := range parts {

@@ -33,24 +33,26 @@ import (
 //     first. Shards never cancel each other: each runs to its own first
 //     witness or to exhaustion, so the merged counters are equal at
 //     every parallelism level (including Sequential) at the price of a
-//     fuller sweep on refuted policies.
+//     fuller sweep on refuted policies. Only a shard whose rank can still
+//     win renders its witness (canWin); the others leave Witness empty.
 
 // shardCount is the per-obligation shard count. Changing it changes the
 // schedule counters of the game obligations, so it bumps Version.
 const shardCount = 8
 
 // shardScratch is what one worker's shard tasks run on, kept from task to
-// task for the length of one fan-out (PolicyContext makes one per worker,
-// Sequential exactly one): the enumerator, the game explorer with its
-// memo and free lists, the cycle set, and every buffer a per-state check
-// reuses. A check takes what it needs from the scratch when it is built and
-// resets it as its own per-state code always has, so a shard's Result
-// never depends on the tasks the scratch ran before — in particular the
-// explorer's memo is cleared per shard, never shared across shards.
+// task and, in scratchPool, from fan-out to fan-out (a fan-out takes one
+// per worker, Sequential exactly one): the enumerator, the game explorer
+// with its memo and free lists, the cycle set, and every buffer a
+// per-state check reuses. A check takes what it needs from the scratch
+// when it is built and resets it as its own per-state code always has, so
+// a shard's Result never depends on the tasks the scratch ran before — in
+// particular the explorer's memo is cleared per shard, never shared.
 type shardScratch struct {
 	enum     statespace.Enumerator
 	explorer concExplorer
 	trial    sched.Machine // the copy a single steal or one whole order runs on
+	att      sched.Attempt // the single steal's attempt (a local one would escape)
 	perms    permScratch
 	seen     statespace.Visited // the sequential checks' cycle set
 	start    []int              // the start state's loads, for the witness
@@ -59,6 +61,24 @@ type shardScratch struct {
 	// holding it.
 	orphanedAt map[sched.TaskID]int
 	orphanCore map[sched.TaskID]int
+	best       *atomic.Int64 // the running task's obligation's lowest refuted rank (canWin)
+}
+
+// scratchPool keeps worker scratches between fan-outs.
+var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
+
+// forEachPooledTask is forEachTask with each worker on a scratch from
+// scratchPool, put back (minus its references into the call) when done.
+func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
+	scratch := make([]*shardScratch, min(workers, n))
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*shardScratch)
+	}
+	forEachTask(n, workers, func(w, i int) { fn(scratch[w], i) })
+	for _, sc := range scratch {
+		sc.best, sc.explorer.ctx, sc.explorer.f, sc.explorer.res, sc.explorer.best = nil, nil, nil, nil, nil
+		scratchPool.Put(sc)
+	}
 }
 
 // stateCheck examines one enumerated machine for one obligation. It is
@@ -118,7 +138,7 @@ func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int
 func newStateCheck(ctx context.Context, id ObligationID, f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
 	switch id {
 	case ObLemma1:
-		return lemma1Check(f, res)
+		return lemma1Check(f, sc, res)
 	case ObStealSoundness:
 		return admittedSteals(f, sc, res, stealViolation)
 	case ObPotentialDecrease:
@@ -149,6 +169,30 @@ func (r *Result) refute(rank int, witness string) {
 	r.Passed = false
 	r.Witness = witness
 	r.order = rank
+}
+
+// refute records in res a refutation at rank, rendering its witness only
+// if the refutation can still win the merge (canWin).
+func (sc *shardScratch) refute(res *Result, rank int, witness func() string) {
+	res.refute(rank, "")
+	if canWin(sc.best, rank) {
+		res.Witness = witness()
+	}
+}
+
+// canWin reports whether rank is below best, the lowest rank any shard of
+// the obligation has refuted at so far, and if so lowers best to it. A
+// nil best (a shard run on its own) always wins.
+func canWin(best *atomic.Int64, rank int) bool {
+	if best == nil {
+		return true
+	}
+	for low := best.Load(); int64(rank) < low; low = best.Load() {
+		if best.CompareAndSwap(low, int64(rank)) {
+			return true
+		}
+	}
+	return false
 }
 
 // abort marks r as cut short: not passed, nothing refuted, witness

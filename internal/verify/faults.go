@@ -67,9 +67,10 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 					}
 					delay := i - orphanedAt[t.ID]
 					if delay > maxRounds {
-						res.refute(rank, fmt.Sprintf(
-							"state %v script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
-							start, m.Faults, t.ID, core, orphanedAt[t.ID], i, maxRounds))
+						sc.refute(res, rank, func() string {
+							return fmt.Sprintf("state %v script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
+								start, m.Faults, t.ID, core, orphanedAt[t.ID], i, maxRounds)
+						})
 						return false
 					}
 					res.raiseBound(delay)
@@ -89,9 +90,10 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 		// machine (not the map) for a deterministic first witness.
 		for _, t := range m.Orphans() {
 			if core, ok := orphanCore[t.ID]; ok {
-				res.refute(rank, fmt.Sprintf(
-					"state %v script %v: task %d stranded on failed core %d at round %d is never re-homed (no rescue, no revival)",
-					start, m.Faults, t.ID, core, orphanedAt[t.ID]))
+				sc.refute(res, rank, func() string {
+					return fmt.Sprintf("state %v script %v: task %d stranded on failed core %d at round %d is never re-homed (no rescue, no revival)",
+						start, m.Faults, t.ID, core, orphanedAt[t.ID])
+				})
 				return false
 			}
 		}
@@ -126,16 +128,18 @@ func degradedWastedCoresCheck(f Factory, maxRounds int, sc *shardScratch, res *R
 		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).DegradedWorkConserved)
 		switch end {
 		case exhausted:
-			res.refute(rank, fmt.Sprintf(
-				"state %v script %v: degraded invariant not restored after %d rounds", start, m.Faults, maxRounds))
+			sc.refute(res, rank, func() string {
+				return fmt.Sprintf("state %v script %v: degraded invariant not restored after %d rounds", start, m.Faults, maxRounds)
+			})
 		case stuck:
-			res.refute(rank, fmt.Sprintf(
-				"state %v script %v: stuck at %v with an idle online core and unclaimed work (no steal possible)",
-				start, m.Faults, m.Loads()))
+			sc.refute(res, rank, func() string {
+				return fmt.Sprintf("state %v script %v: stuck at %v with an idle online core and unclaimed work (no steal possible)",
+					start, m.Faults, m.Loads())
+			})
 		case cycled:
-			res.refute(rank, fmt.Sprintf(
-				"state %v script %v: rounds cycle through %v without restoring the degraded invariant",
-				start, m.Faults, m.Loads()))
+			sc.refute(res, rank, func() string {
+				return fmt.Sprintf("state %v script %v: rounds cycle through %v without restoring the degraded invariant", start, m.Faults, m.Loads())
+			})
 		default:
 			res.raiseBound(rounds)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dsl"
@@ -99,6 +100,13 @@ func TestGoldenReports(t *testing.T) {
 		}
 		return
 	}
+	checkGolden(t, cases, Config{Parallelism: 3})
+}
+
+// checkGolden recomputes every case's golden line, Sequential and under
+// cfg, against the pinned file.
+func checkGolden(t *testing.T, cases []goldenCase, cfg Config) {
+	t.Helper()
 	data, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +121,7 @@ func TestGoldenReports(t *testing.T) {
 			cfg  Config
 		}{
 			{"sequential", Config{Sequential: true}},
-			{"pooled", Config{Parallelism: 3}},
+			{fmt.Sprintf("parallelism %d", cfg.Parallelism), cfg},
 		} {
 			if got := goldenLine(t, c, mode.cfg); got != want[i] {
 				t.Errorf("%s: report bytes changed: bump verify.Version and regenerate (-update-golden)\n got %s\nwant %s",
@@ -121,4 +129,41 @@ func TestGoldenReports(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The scratch pool carries nothing a report can see from one report to
+// the next. A cancelled 5-core report, a report whose policy panics
+// mid-game and a refuted 4-core report leave their scratches in the
+// pool first — grown wide, mid-search, witnesses rendered and skipped —
+// and then every golden case still reports its pinned bytes.
+func TestPooledScratchIsInvisible(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	cancelling := func() sched.Policy {
+		if calls.Add(1) == 5000 {
+			cancel()
+		}
+		return policy.NewDelta2()
+	}
+	five := statespace.Universe{Cores: 5, MaxPerCore: 2, MaxTotal: 6, IncludeUnscheduled: true}
+	if _, err := PolicyContext(ctx, "delta2", cancelling, Config{Universe: five, Parallelism: 2}); err == nil {
+		t.Fatal("the 5-core report was not cut short")
+	}
+	calls.Store(0)
+	panicking := func() sched.Policy {
+		if calls.Add(1) == 40 {
+			panic("mid-game")
+		}
+		return policy.NewDelta2()
+	}
+	games := Config{Obligations: []ObligationID{ObWorkConservConc, ObChoiceIndependence}, Parallelism: 2}
+	if rep, _ := PolicyContext(context.Background(), "delta2", panicking, games); len(rep.Aborted()) == 0 {
+		t.Fatalf("no game panicked:\n%s", rep)
+	}
+	four := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 5, IncludeUnscheduled: true}
+	if rep, _ := PolicyContext(context.Background(), "greedy-buggy", greedyFactory, Config{Universe: four, Parallelism: 2}); rep.Passed() {
+		t.Fatal("greedy-buggy proved on 4 cores")
+	}
+	checkGolden(t, goldenCases(t), Config{Parallelism: 2})
 }

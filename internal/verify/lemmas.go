@@ -35,7 +35,7 @@ func beginRound(p sched.Policy, view *sched.Machine) {
 //
 // The paper proves this with Leon for the sequential setting; here it is
 // established by exhaustion up to the universe bound.
-func lemma1Check(f Factory, res *Result) stateCheck {
+func lemma1Check(f Factory, sc *shardScratch, res *Result) stateCheck {
 	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
@@ -54,17 +54,17 @@ func lemma1Check(f Factory, res *Result) stateCheck {
 				if p.CanSteal(thief, c) {
 					hasCandidate = true
 					if !c.Overloaded() {
-						res.refute(rank, fmt.Sprintf(
-							"state %v: idle thief c%d may steal from non-overloaded c%d",
-							m.Loads(), thief.ID, c.ID))
+						sc.refute(res, rank, func() string {
+							return fmt.Sprintf("state %v: idle thief c%d may steal from non-overloaded c%d", m.Loads(), thief.ID, c.ID)
+						})
 						return false
 					}
 				}
 			}
 			if hasOverloaded && !hasCandidate {
-				res.refute(rank, fmt.Sprintf(
-					"state %v (key %s): idle thief c%d has no candidate despite an overloaded core",
-					m.Loads(), m.Key(), thief.ID))
+				sc.refute(res, rank, func() string {
+					return fmt.Sprintf("state %v (key %s): idle thief c%d has no candidate despite an overloaded core", m.Loads(), m.Key(), thief.ID)
+				})
 				return false
 			}
 		}
@@ -77,13 +77,11 @@ func lemma1Check(f Factory, res *Result) stateCheck {
 // admits in the state is stolen in isolation — on a copy, under a fresh
 // policy whose round began on that copy, with no concurrent steal to
 // interfere — and the outcome is handed to violation, which names what
-// the steal broke ("" for nothing). before is the untouched state, after
-// the copy the steal ran on, p the policy that ran it.
+// the steal broke ("" for nothing; the check prefixes the state). before
+// is the untouched state, after the copy the steal ran on, p the policy
+// that ran it.
 func admittedSteals(f Factory, sc *shardScratch, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
-	// One Attempt per shard, not per pair: handing its address to a func
-	// value would otherwise move a fresh one to the heap for every pair.
-	var att sched.Attempt
-	trial := &sc.trial // the worker's, overwritten per pair
+	att, trial := &sc.att, &sc.trial // the worker's, overwritten per pair
 	return func(rank int, m *sched.Machine) bool {
 		p := f()
 		beginRound(p, m)
@@ -95,10 +93,10 @@ func admittedSteals(f Factory, sc *shardScratch, res *Result, violation func(bef
 				trial.CopyFrom(m)
 				pt := f()
 				beginRound(pt, trial)
-				att = sched.Attempt{Thief: ti, Victim: si}
-				sched.Steal(pt, trial, &att)
-				if bad := violation(m, trial, pt, &att); bad != "" {
-					res.refute(rank, bad)
+				*att = sched.Attempt{Thief: ti, Victim: si}
+				sched.Steal(pt, trial, att)
+				if bad := violation(m, trial, pt, att); bad != "" {
+					sc.refute(res, rank, func() string { return fmt.Sprintf("state %v: %s", m.Loads(), bad) })
 					return false
 				}
 			}
@@ -117,20 +115,17 @@ func admittedSteals(f Factory, sc *shardScratch, res *Result, violation func(bef
 func stealViolation(before, after *sched.Machine, _ sched.Policy, att *sched.Attempt) string {
 	ti, si := att.Thief, att.Victim
 	if !att.Succeeded() {
-		return fmt.Sprintf("state %v: admitted steal c%d<-c%d failed in isolation (%v)",
-			before.Loads(), ti, si, att.Reason)
+		return fmt.Sprintf("admitted steal c%d<-c%d failed in isolation (%v)", ti, si, att.Reason)
 	}
 	if after.Core(si).Idle() {
-		return fmt.Sprintf("state %v: steal c%d<-c%d emptied the stealee",
-			before.Loads(), ti, si)
+		return fmt.Sprintf("steal c%d<-c%d emptied the stealee", ti, si)
 	}
 	if after.TotalThreads() != before.TotalThreads() {
-		return fmt.Sprintf("state %v: steal c%d<-c%d changed thread population %d->%d",
-			before.Loads(), ti, si, before.TotalThreads(), after.TotalThreads())
+		return fmt.Sprintf("steal c%d<-c%d changed thread population %d->%d",
+			ti, si, before.TotalThreads(), after.TotalThreads())
 	}
 	if err := after.Validate(); err != nil {
-		return fmt.Sprintf("state %v: steal c%d<-c%d corrupted the machine: %v",
-			before.Loads(), ti, si, err)
+		return fmt.Sprintf("steal c%d<-c%d corrupted the machine: %v", ti, si, err)
 	}
 	return ""
 }
@@ -150,8 +145,7 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 	if d1 < d0 {
 		return ""
 	}
-	return fmt.Sprintf("state %v: steal c%d<-c%d left potential %d -> %d (no strict decrease)",
-		before.Loads(), att.Thief, att.Victim, d0, d1)
+	return fmt.Sprintf("steal c%d<-c%d left potential %d -> %d (no strict decrease)", att.Thief, att.Victim, d0, d1)
 }
 
 // failureImpliesSuccessCheck checks the first §4.3 concurrency
@@ -181,9 +175,10 @@ func failureImpliesSuccessCheck(ctx context.Context, f Factory, sc *shardScratch
 			rr := sched.ExecuteSteals(p, trial.CopyFrom(m), atts, order)
 			for _, att := range rr.Attempts {
 				if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
-					res.refute(rank, fmt.Sprintf(
-						"state %v order %v: c%d's failed steal from c%d has no predecessor success",
-						m.Loads(), order, att.Thief, att.Victim))
+					sc.refute(res, rank, func() string {
+						return fmt.Sprintf("state %v order %v: c%d's failed steal from c%d has no predecessor success",
+							m.Loads(), order, att.Thief, att.Victim)
+					})
 					return false
 				}
 			}

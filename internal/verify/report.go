@@ -43,9 +43,10 @@
 // or policy becomes an "aborted: checker panic" shard, never a dead
 // process). A check is handed a machine that is its own: it may mutate
 // it but must not retain it. It reports a violation through
-// Result.refute(rank, witness) with the rank it was handed — the merge
-// keeps the lowest-ranked witness, the one a sequential scan finds first
-// — and returns false to end its shard, true to go on. Checks that fan a
+// shardScratch.refute(res, rank, witness) with the rank it was handed —
+// the merge keeps the lowest-ranked witness, the one a sequential scan
+// finds first, and witness renders it only if it can still win — and
+// returns false to end its shard, true to go on. Checks that fan a
 // single state out to many steal orders poll cancellation themselves,
 // every 64 walked orders, through aborted.
 //

@@ -3,7 +3,9 @@ package verify
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/statespace"
@@ -130,9 +132,13 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 			workers = runtime.GOMAXPROCS(0)
 		}
 	}
-	scratch := make([]shardScratch, min(workers, len(parts)))
-	forEachTask(len(parts), workers, func(w, i int) {
-		id, sc, res := obligations[i/shardCount], &scratch[w], &parts[i]
+	best := make([]atomic.Int64, len(obligations))
+	for i := range best {
+		best[i].Store(math.MaxInt64)
+	}
+	forEachPooledTask(len(parts), workers, func(sc *shardScratch, i int) {
+		id, res := obligations[i/shardCount], &parts[i]
+		sc.best = &best[i/shardCount]
 		took[i] = runShard(ctx, id, u, i%shardCount, sc, res, newStateCheck(ctx, id, f, maxRounds, sc, res))
 	})
 	rep := &Report{

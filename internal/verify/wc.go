@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sched"
 	"repro/internal/statespace"
@@ -57,13 +58,15 @@ func workConservationSequentialCheck(f Factory, maxRounds int, sc *shardScratch,
 		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).WorkConserved)
 		switch end {
 		case exhausted:
-			res.refute(rank, fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds))
+			sc.refute(res, rank, func() string { return fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds) })
 		case stuck:
-			res.refute(rank, fmt.Sprintf(
-				"state %v: stuck at non-conserved %v (no steal possible)", start, m.Loads()))
+			sc.refute(res, rank, func() string {
+				return fmt.Sprintf("state %v: stuck at non-conserved %v (no steal possible)", start, m.Loads())
+			})
 		case cycled:
-			res.refute(rank, fmt.Sprintf(
-				"state %v: sequential rounds cycle through %v without conserving", start, m.Loads()))
+			sc.refute(res, rank, func() string {
+				return fmt.Sprintf("state %v: sequential rounds cycle through %v without conserving", start, m.Loads())
+			})
 		default:
 			res.raiseBound(rounds)
 		}
@@ -241,6 +244,8 @@ type concExplorer struct {
 	succ successorFunc
 	done func(*sched.Machine) bool // terminal predicate of the game
 	res  *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
+	best *atomic.Int64             // the shard's obligation's lowest refuted rank (canWin)
+	rank int                       // the rank of the start state being explored
 	// memo maps every state key the game has reached to its worst rounds
 	// to terminal (≥ 0), or to onPath or gone; key is the AppendKey
 	// scratch a lookup renders into.
@@ -268,8 +273,8 @@ const (
 // arm readies e for one shard's games: what the shard plays, and where it
 // reports, are set; the search state — memo, path, verdict, poll count —
 // starts empty, as a fresh explorer's would; the free lists are kept.
-func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result) *concExplorer {
-	e.ctx, e.f, e.succ, e.done, e.res = ctx, f, succ, done, res
+func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result, best *atomic.Int64) *concExplorer {
+	e.ctx, e.f, e.succ, e.done, e.res, e.best = ctx, f, succ, done, res, best
 	e.path, e.violation, e.aborted, e.polls = e.path[:0], "", false, 0
 	if e.visitNext == nil {
 		e.visitNext = e.visit
@@ -279,9 +284,10 @@ func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, d
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
-// if the adversary can prevent conservation (violation is filled in).
-// One memo lookup per node serves the memo, the cycle check and the
-// insert; the node's entry, not its key, is what the search holds.
+// if the adversary can prevent conservation (violation is filled in, by
+// a cycle only if the start rank can win: canWin). One memo lookup per node
+// serves the memo, the cycle check and the insert; the node's entry, not
+// its key, is what the search holds.
 func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	e.polls++
 	if e.polls&63 == 0 && e.ctx.Err() != nil {
@@ -294,7 +300,9 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	if found {
 		switch n := e.memo.Value(node); n {
 		case onPath:
-			e.violation = e.describeCycle(m, node)
+			if canWin(e.best, e.rank) {
+				e.violation = e.describeCycle(m, node)
+			}
 			return 0, false
 		case gone:
 			e.memo.Set(node, onPath)
@@ -380,13 +388,16 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
 // lost folds a failed exploration into the shard's Result, which ends
 // the shard: explore's violation is an abort when cancellation cut the
 // search short — worded like every other checker's — and, introduced by
-// from (which names the start state), a refutation at the start state's
-// rank when the adversary won.
-func (e *concExplorer) lost(rank int, from string) bool {
-	if e.aborted {
+// from (which names the start state), a refutation at the start rank
+// when the adversary won; empty if explore rendered no cycle.
+func (e *concExplorer) lost(from func() string) bool {
+	switch {
+	case e.aborted:
 		e.res.abort(e.violation)
-	} else {
-		e.res.refute(rank, from+e.violation)
+	case e.violation == "":
+		e.res.refute(e.rank, "")
+	default:
+		e.res.refute(e.rank, from()+e.violation)
 	}
 	return false
 }
@@ -410,11 +421,12 @@ func (e *concExplorer) lost(rank int, from string) bool {
 // memoized subtrees are violation-free by construction — so the merged
 // witness is the one a whole-universe sequential scan finds first.
 func gameCheck(ctx context.Context, f Factory, succ successorFunc, sc *shardScratch, res *Result) stateCheck {
-	e := sc.explorer.arm(ctx, f, succ, (*sched.Machine).WorkConserved, res)
+	e := sc.explorer.arm(ctx, f, succ, (*sched.Machine).WorkConserved, res, sc.best)
 	return func(rank int, m *sched.Machine) bool {
+		e.rank = rank
 		n, ok := e.explore(m)
 		if !ok {
-			return e.lost(rank, fmt.Sprintf("from %v: ", m.Loads()))
+			return e.lost(func() string { return fmt.Sprintf("from %v: ", m.Loads()) })
 		}
 		res.raiseBound(n)
 		return true
@@ -434,8 +446,9 @@ func reactivityCheck(ctx context.Context, f Factory, sc *shardScratch, res *Resu
 	target := 0 // the idle core the current game is about
 	e := sc.explorer.arm(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
 		return !s.Core(target).Idle() || !hasOverloaded(s)
-	}, res)
+	}, res, sc.best)
 	return func(rank int, m *sched.Machine) bool {
+		e.rank = rank
 		for _, c := range m.Cores {
 			if !c.Idle() {
 				continue
@@ -446,7 +459,7 @@ func reactivityCheck(ctx context.Context, f Factory, sc *shardScratch, res *Resu
 			e.memo.Reset()
 			n, ok := e.explore(m)
 			if !ok {
-				return e.lost(rank, fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()))
+				return e.lost(func() string { return fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()) })
 			}
 			res.raiseBound(n)
 		}
