@@ -66,7 +66,7 @@ func TestAnalyzersForTestVariant(t *testing.T) {
 	if got := analyzersFor("repro/internal/sched", []*lint.Analyzer{atomics}); len(got) != 0 {
 		t.Errorf("atomicsdiscipline selected for internal/sched: %v", got)
 	}
-	// depsaudit runs everywhere (it no-ops without an obligationDeps
+	// depsaudit runs everywhere (it no-ops without an obligations
 	// table), so the same selection keeps it.
 	dep, _ := lint.ByName("depsaudit")
 	if got := analyzersFor("repro/internal/sched", []*lint.Analyzer{dep}); len(got) != 1 || got[0] != dep {

@@ -5,50 +5,50 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
-// The depsaudit analyzer machine-checks the obligationDeps table in
-// internal/verify — the row set that tells schedverifyd which policy
-// components each obligation's cache key must cover. The table used to
-// be "audited against the checker implementations, not guessed" by
-// hand; this pass re-derives it from the code on every run:
+// The depsaudit analyzer machine-checks the obligations table in
+// internal/verify — the rows that tell schedverifyd which policy
+// components each obligation's cache key must cover. The rows used to be
+// "audited against the checker implementations, not guessed" by hand;
+// this pass re-derives them from the code on every run:
 //
-//  1. find the package-level `var obligationDeps map[K][]C` literal and
-//     read its rows (obligation -> declared component values);
-//  2. find the dispatch switches on K (verify.newStateCheck) and map
-//     each obligation constant to the checker functions its case body
-//     references — including successor functions passed as values;
-//  3. walk the call graph from those entries, across packages (the
+//  1. find the package-level `var obligations` table, a slice or array
+//     literal of structs, and read each row's `id` (a constant), `check`
+//     (a reference to a function or method: the row's per-state check)
+//     and `deps` (a literal of constant components);
+//  2. walk the call graph from each row's check, across packages (the
 //     sched helpers), down to references of the policy interface
 //     methods: Load→load, CanSteal→filter, Choose→choose,
 //     StealCount→steal, PickTask→steal on Policy/TaskPicker, and
-//     RescueTarget→rescue on Rescuer — method calls and method values
-//     alike;
-//  4. fail on any disagreement between the reached set and the row.
+//     RescueTarget→rescue on Rescuer — method calls, method values and
+//     functions passed as values alike;
+//  3. fail on any disagreement between the reached set and the row.
 //
 // An undeclared-but-reached component means cache keys miss edits that
 // can change the verdict (stale memoized results — unsound); a
 // declared-but-unreached component means spurious invalidation (sound
 // but wasteful). Both directions break, in both directions the fix is
-// a reviewed edit: either the row or the checker, or a
+// a reviewed edit: either the row or the check, or a
 // //schedlint:allow depsaudit directive on the row when the reach is
-// intentional (choice-independence calls Choose and discards it).
+// intentional (choice-independence calls Choose and discards it). A
+// row the pass cannot read — a check that is not a function reference,
+// a non-constant ID or component — is reported, never skipped: a check
+// the audit cannot follow is a check nobody audits.
 //
 // One reach is legal without a row entry: Load. DSL component hashing
 // is closed over load references (dsl.ComponentForm embeds the load
 // clause into every component form that mentions `x.load`), so a
-// checker that observes load only through another declared component
-// is already covered — the row needs CompLoad only when the checker
+// check that observes load only through another declared component
+// is already covered — the row needs CompLoad only when the check
 // calls p.Load directly (potential-decrease). Concretely: reaching
 // Load is accepted iff the row declares at least one closure component
 // (filter/choose/steal/rescue), and declaring CompLoad requires Load
 // to actually be reached.
 
-// DepsAudit is the obligation-dependency analyzer: it checks the
-// obligationDeps rows against the policy components the checkers' call
-// graphs actually reach. It no-ops on packages without an
-// obligationDeps table.
+// DepsAudit is the obligation-dependency analyzer: it checks each row of
+// the obligations table against the policy components its check's call
+// graph actually reaches. It no-ops on packages without that table.
 var DepsAudit = &Analyzer{
 	Name: "depsaudit",
 	Run:  runDepsAudit,
@@ -77,46 +77,12 @@ var policyInterfaces = map[string]bool{
 var knownComponents = []string{"load", "filter", "choose", "steal", "rescue"}
 
 func runDepsAudit(pass *Pass) error {
-	table := findDepsTable(pass)
-	if table == nil {
-		return nil
-	}
-	dispatch := findDispatch(pass, table.keyType)
-
-	ids := make([]string, 0, len(table.rows)+len(dispatch))
-	seen := map[string]bool{}
-	for id := range table.rows {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	for id := range dispatch {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-
-	for _, id := range ids {
-		row, hasRow := table.rows[id]
-		entry, hasDispatch := dispatch[id]
-		switch {
-		case !hasRow:
-			pass.Reportf(entry.pos,
-				"obligation %q is dispatched to a checker but has no obligationDeps row: the memoizer cannot key its results", id)
-			continue
-		case !hasDispatch:
-			pass.Reportf(row.pos,
-				"obligationDeps row %q matches no checker dispatch case: stale row?", id)
-			continue
-		}
+	for _, row := range findTable(pass) {
 		declared := map[string]bool{}
 		for _, c := range row.components {
 			declared[c] = true
 		}
-		reached := reachComponents(pass, entry.funcs)
+		reached := reachComponents(pass, row.check)
 		closure := declared["filter"] || declared["choose"] || declared["steal"] || declared["rescue"]
 		for _, c := range knownComponents {
 			path, isReached := reached[c]
@@ -126,31 +92,28 @@ func runDepsAudit(pass *Pass) error {
 					continue // load closure: a declared component's form embeds the load clause
 				}
 				pass.Reportf(row.pos,
-					"checker for %q reaches policy component %q (via %s) but its obligationDeps row does not declare it: memoized results would survive edits that can change the verdict", id, c, path)
+					"check for %q reaches policy component %q (via %s) but its row does not declare it: memoized results would survive edits that can change the verdict", row.id, c, path)
 			case !isReached && declared[c]:
 				pass.Reportf(row.pos,
-					"obligationDeps row for %q declares component %q but the checker never reaches it: edits there would invalidate cached results for nothing", id, c)
+					"row for %q declares component %q but its check never reaches it: edits there would invalidate cached results for nothing", row.id, c)
 			}
 		}
 	}
 	return nil
 }
 
-// depsTable is the parsed obligationDeps literal.
-type depsTable struct {
-	keyType types.Type
-	rows    map[string]depsRow
-}
-
-type depsRow struct {
+// tableRow is one readable row of the obligations table.
+type tableRow struct {
+	id         string
+	check      *types.Func
 	components []string
-	pos        token.Pos
+	pos        token.Pos // the row's deps
 }
 
-// findDepsTable locates a package-level `var obligationDeps = map…{…}`
-// and parses its rows. Non-constant keys or components are reported and
-// skipped.
-func findDepsTable(pass *Pass) *depsTable {
+// findTable locates the package-level `var obligations = …{…}` table
+// and reads its rows, keyed or positional. A row it cannot read is
+// reported and left out.
+func findTable(pass *Pass) []tableRow {
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -159,59 +122,32 @@ func findDepsTable(pass *Pass) *depsTable {
 				continue
 			}
 			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
+				vs := spec.(*ast.ValueSpec)
 				for i, name := range vs.Names {
-					if name.Name != "obligationDeps" || i >= len(vs.Values) {
+					if name.Name != "obligations" || i >= len(vs.Values) {
 						continue
 					}
 					lit, ok := vs.Values[i].(*ast.CompositeLit)
 					if !ok {
 						continue
 					}
-					mt, ok := info.TypeOf(lit).Underlying().(*types.Map)
-					if !ok {
+					var st *types.Struct
+					switch t := info.TypeOf(lit).Underlying().(type) {
+					case *types.Slice:
+						st, _ = t.Elem().Underlying().(*types.Struct)
+					case *types.Array:
+						st, _ = t.Elem().Underlying().(*types.Struct)
+					}
+					if st == nil {
 						continue
 					}
-					table := &depsTable{keyType: mt.Key(), rows: map[string]depsRow{}}
+					var rows []tableRow
 					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						key, ok := constString(info, kv.Key)
-						if !ok {
-							pass.Reportf(kv.Key.Pos(), "obligationDeps key is not a constant; the audit cannot read this row")
-							continue
-						}
-						row := depsRow{pos: kv.Key.Pos()}
-						val, ok := kv.Value.(*ast.CompositeLit)
-						if !ok {
-							pass.Reportf(kv.Value.Pos(), "obligationDeps row %q is not a component list literal; the audit cannot read it", key)
-							continue
-						}
-						bad := false
-						for _, ce := range val.Elts {
-							comp, ok := constString(info, ce)
-							if !ok {
-								pass.Reportf(ce.Pos(), "obligationDeps row %q holds a non-constant component; the audit cannot read it", key)
-								bad = true
-								break
-							}
-							if !isKnownComponent(comp) {
-								pass.Reportf(ce.Pos(), "obligationDeps row %q names unknown component %q (known: %v)", key, comp, knownComponents)
-								bad = true
-								break
-							}
-							row.components = append(row.components, comp)
-						}
-						if !bad {
-							table.rows[key] = row
+						if row, ok := readRow(pass, st, elt); ok {
+							rows = append(rows, row)
 						}
 					}
-					return table
+					return rows
 				}
 			}
 		}
@@ -219,56 +155,72 @@ func findDepsTable(pass *Pass) *depsTable {
 	return nil
 }
 
-// dispatchEntry is one obligation's checker entry points.
-type dispatchEntry struct {
-	funcs []*types.Func
-	pos   token.Pos
-}
-
-// findDispatch scans every switch on the deps-map key type and maps
-// each case constant to the functions the case body references — the
-// checker plus any successor/helper functions passed as values.
-func findDispatch(pass *Pass, keyType types.Type) map[string]*dispatchEntry {
+// readRow reads one element of the table, reporting what makes it
+// unreadable.
+func readRow(pass *Pass, st *types.Struct, elt ast.Expr) (tableRow, bool) {
 	info := pass.Pkg.Info
-	out := map[string]*dispatchEntry{}
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
-				return true
-			}
-			tagType := info.TypeOf(sw.Tag)
-			if tagType == nil || !types.Identical(tagType, keyType) {
-				return true
-			}
-			for _, stmt := range sw.Body.List {
-				cc, ok := stmt.(*ast.CaseClause)
-				if !ok || len(cc.List) == 0 {
-					continue // default clause
-				}
-				funcs := referencedFuncs(info, cc.Body)
-				for _, caseExpr := range cc.List {
-					id, ok := constString(info, caseExpr)
-					if !ok {
-						continue
-					}
-					e := out[id]
-					if e == nil {
-						e = &dispatchEntry{pos: caseExpr.Pos()}
-						out[id] = e
-					}
-					e.funcs = append(e.funcs, funcs...)
-				}
-			}
-			return true
-		})
+	lit, ok := elt.(*ast.CompositeLit)
+	if !ok {
+		pass.Reportf(elt.Pos(), "obligations row is not a struct literal; the audit cannot read it")
+		return tableRow{}, false
 	}
-	return out
+	fields := map[string]ast.Expr{}
+	for i, e := range lit.Elts {
+		if kv, keyed := e.(*ast.KeyValueExpr); keyed {
+			fields[kv.Key.(*ast.Ident).Name] = kv.Value
+		} else if i < st.NumFields() {
+			fields[st.Field(i).Name()] = e
+		}
+	}
+	var row tableRow
+	row.id, ok = constString(info, fields["id"])
+	if !ok {
+		pass.Reportf(lit.Pos(), "obligations row has no constant id; the audit cannot read it")
+		return tableRow{}, false
+	}
+	row.check = funcRef(info, fields["check"])
+	if row.check == nil {
+		pass.Reportf(lit.Pos(), "obligations row %q: check is not a function reference; the audit cannot follow it", row.id)
+		return tableRow{}, false
+	}
+	deps, ok := fields["deps"].(*ast.CompositeLit)
+	if !ok {
+		pass.Reportf(lit.Pos(), "obligations row %q: deps is not a component list literal; the audit cannot read it", row.id)
+		return tableRow{}, false
+	}
+	row.pos = deps.Pos()
+	for _, ce := range deps.Elts {
+		comp, ok := constString(info, ce)
+		if !ok {
+			pass.Reportf(ce.Pos(), "obligations row %q holds a non-constant component; the audit cannot read it", row.id)
+			return tableRow{}, false
+		}
+		if !isKnownComponent(comp) {
+			pass.Reportf(ce.Pos(), "obligations row %q names unknown component %q (known: %v)", row.id, comp, knownComponents)
+			return tableRow{}, false
+		}
+		row.components = append(row.components, comp)
+	}
+	return row, true
 }
 
-// reachComponents walks the call graph from the entry functions and
+// funcRef resolves e to the function or method it names — an
+// identifier, a qualified identifier or a method expression — or nil.
+func funcRef(info *types.Info, e ast.Expr) *types.Func {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[x].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[x.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
+// reachComponents walks the call graph from the entry function and
 // returns each reached policy component with one witness path.
-func reachComponents(pass *Pass, entries []*types.Func) map[string]string {
+func reachComponents(pass *Pass, entry *types.Func) map[string]string {
 	reached := map[string]string{}
 	visited := map[string]bool{}
 	type item struct {
@@ -284,15 +236,7 @@ func reachComponents(pass *Pass, entries []*types.Func) map[string]string {
 		visited[key] = true
 		queue = append(queue, item{f, path})
 	}
-	for _, f := range entries {
-		if comp, iface, ok := policyComponentOf(f); ok {
-			if _, dup := reached[comp]; !dup {
-				reached[comp] = iface + "." + f.Name()
-			}
-			continue
-		}
-		push(f, f.Name())
-	}
+	push(entry, entry.Name())
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]

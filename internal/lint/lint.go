@@ -2,10 +2,11 @@
 // checks for the meta-level invariants the verifier's soundness rests
 // on. The paper replaces "we believe the scheduler is work-conserving"
 // with a checked proof; this package applies the same move to the
-// verifier itself — the hand-audited obligationDeps table (what makes
-// schedverifyd memoization sound), the byte-identical-report
-// determinism discipline, and the atomics discipline of the lock-free
-// executor are enforced by analyzers instead of comments.
+// verifier itself — the policy components each row of the obligations
+// table declares (what makes schedverifyd memoization sound), the
+// byte-identical-report determinism discipline, and the atomics
+// discipline of the lock-free executor are enforced by analyzers instead
+// of comments.
 //
 // The design mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is self-contained: the repository builds with the
@@ -14,10 +15,10 @@
 //
 // Three analyzers ship:
 //
-//   - depsaudit: walks the call graph from every obligation checker in
-//     internal/verify down to the sched.Policy interface methods and
-//     fails when the reached component set disagrees with the
-//     obligationDeps row the memoizer trusts.
+//   - depsaudit: reads internal/verify's obligations table, walks the
+//     call graph from each row's check down to the sched.Policy
+//     interface methods, and fails when the reached component set
+//     disagrees with the row's deps, which the memoizer trusts.
 //   - determinism: forbids wall-clock reads, global math/rand, map
 //     iteration feeding order-sensitive code, and map-typed fields in
 //     JSON structs inside the deterministic packages.
@@ -130,7 +131,7 @@ func pathIn(importPath string, prefixes []string) bool {
 }
 
 // AnalyzersFor selects the suite's analyzers that apply to a package:
-// depsaudit everywhere (it no-ops without an obligationDeps table), the
+// depsaudit everywhere (it no-ops without an obligations table), the
 // guarded analyzers only inside their package sets.
 func AnalyzersFor(importPath string) []*Analyzer {
 	out := []*Analyzer{DepsAudit}

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 
@@ -22,14 +23,14 @@ func TestDepsAuditOK(t *testing.T) {
 	}
 }
 
-// TestDepsAuditBad pins the issue's negative case: a checker calling
-// Choose without CompChoose in its row draws exactly one diagnostic on
-// that row (plus the unreached-steal and undeclared-pick diagnostics
-// the fixture also carries).
+// TestDepsAuditBad pins the negative case: a check calling Choose
+// without CompChoose in its row draws exactly one diagnostic on that
+// row, beside the unreached-steal, undeclared-pick and unreadable-check
+// diagnostics the fixture also carries.
 func TestDepsAuditBad(t *testing.T) {
 	diags := runFixture(t, "./testdata/src/depsaudit_bad", lint.DepsAudit)
-	if len(diags) != 3 {
-		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
+	if len(diags) != 4 {
+		t.Fatalf("got %d diagnostics, want 4: %v", len(diags), diags)
 	}
 	undeclared := 0
 	for _, d := range diags {
@@ -42,18 +43,19 @@ func TestDepsAuditBad(t *testing.T) {
 	}
 }
 
-func TestDepsAuditNoRow(t *testing.T) {
-	runFixture(t, "./testdata/src/depsaudit_norow", lint.DepsAudit)
-}
-
 // TestDepsAuditRealTable runs the audit over the real internal/verify
-// package: the shipped table must agree with the shipped checkers, with
+// package: the shipped table must agree with the shipped checks, with
 // the one reviewed exception (choice-independence's discarded Choose)
 // suppressed by its row annotation.
 func TestDepsAuditRealTable(t *testing.T) {
 	prog, targets, err := lint.Load("../..", "./internal/verify")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
+	}
+	// The audit finds the table by name, and a package without one passes
+	// unread: a renamed table must fail here, not go unaudited.
+	if _, ok := targets[0].Types.Scope().Lookup("obligations").(*types.Var); !ok {
+		t.Fatal("internal/verify declares no obligations table: depsaudit would audit nothing")
 	}
 	diags, err := lint.RunPackage(prog, targets[0], []*lint.Analyzer{lint.DepsAudit})
 	if err != nil {

@@ -1,8 +1,9 @@
-// Package fixture is the negative depsaudit case from the issue: a
-// checker that calls Choose without declaring CompChoose must draw
-// exactly one diagnostic, on the row. A second obligation declares a
-// component its checker never reaches, and a third picks its steal
-// through a TaskPicker without declaring CompSteal.
+// Package fixture is the negative depsaudit case: a check that calls
+// Choose without declaring CompChoose must draw exactly one diagnostic,
+// on its row. A second row declares a component its check never
+// reaches, a third picks its steal through a TaskPicker without
+// declaring CompSteal, and a fourth's check is not a function reference,
+// which the audit must report as unreadable rather than skip.
 package fixture
 
 type Core struct{ ID int }
@@ -24,6 +25,7 @@ const (
 	ObUndeclared ObligationID = "undeclared-choose"
 	ObUnreached  ObligationID = "unreached-steal"
 	ObPicked     ObligationID = "undeclared-pick"
+	ObUnreadable ObligationID = "unreadable-check"
 )
 
 const (
@@ -32,21 +34,21 @@ const (
 	CompSteal  = "steal"
 )
 
-var obligationDeps = map[ObligationID][]string{
-	ObUndeclared: {CompFilter},            // want "reaches policy component .choose. .via checkUndeclared -> Policy.Choose. but its obligationDeps row does not declare it"
-	ObUnreached:  {CompFilter, CompSteal}, // want "declares component .steal. but the checker never reaches it"
-	ObPicked:     {CompFilter},            // want "reaches policy component .steal. .via checkPicked -> TaskPicker.PickTask. but its obligationDeps row does not declare it"
+type obligation struct {
+	id    ObligationID
+	check func(p Policy)
+	deps  []string
 }
 
-func dispatch(id ObligationID, p Policy) {
-	switch id {
-	case ObUndeclared:
-		checkUndeclared(p)
-	case ObUnreached:
-		checkUnreached(p)
-	case ObPicked:
-		checkPicked(p)
-	}
+// inline is a check held in a variable, not named: the audit cannot
+// follow it.
+var inline = func(p Policy) { checkUndeclared(p) }
+
+var obligations = [...]obligation{
+	{id: ObUndeclared, check: checkUndeclared, deps: []string{CompFilter}},          // want "reaches policy component .choose. .via checkUndeclared -> Policy.Choose. but its row does not declare it"
+	{id: ObUnreached, check: checkUnreached, deps: []string{CompFilter, CompSteal}}, // want "declares component .steal. but its check never reaches it"
+	{id: ObPicked, check: checkPicked, deps: []string{CompFilter}},                  // want "reaches policy component .steal. .via checkPicked -> TaskPicker.PickTask. but its row does not declare it"
+	{id: ObUnreadable, check: inline, deps: []string{CompFilter, CompChoose}},       // want "row .unreadable-check.: check is not a function reference"
 }
 
 func checkUndeclared(p Policy) {

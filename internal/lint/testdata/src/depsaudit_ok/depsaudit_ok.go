@@ -1,9 +1,10 @@
 // Package fixture is a self-contained miniature of internal/verify's
-// obligation machinery on which depsaudit must stay silent: rows that
-// match their checkers' reach exactly, a load-closure case (Load
-// reached, CompLoad undeclared, another component declared), and an
-// allow-annotated discarded-Choose row, and a steal sized by a
-// TaskPicker's PickTask.
+// obligations table on which depsaudit must stay silent: rows that match
+// their checks' reach exactly, a load-closure case (Load reached,
+// CompLoad undeclared, another component declared), an allow-annotated
+// discarded-Choose row, a positional row, a steal sized by a
+// TaskPicker's PickTask, and checks named both by method expression and
+// by plain function.
 package fixture
 
 type Core struct{ ID int }
@@ -46,34 +47,38 @@ const (
 	CompRescue = "rescue"
 )
 
-var obligationDeps = map[ObligationID][]string{
-	ObExact:    {CompFilter, CompSteal},
-	ObDirect:   {CompLoad, CompChoose},
-	ObClosure:  {CompFilter},
-	ObDiscard:  {CompFilter}, //schedlint:allow depsaudit fixture: Choose is called and discarded on purpose
-	ObIndirect: {CompFilter, CompChoose},
-	ObRescue:   {CompRescue},
-	ObPicked:   {CompFilter, CompSteal},
+// scratch stands in for verify's shardScratch: the table's checks are
+// its methods, named by method expression.
+type scratch struct {
+	p Policy
+	r Rescuer
 }
 
-func dispatch(id ObligationID, p Policy, r Rescuer) {
-	switch id {
-	case ObExact:
-		checkExact(p)
-	case ObDirect:
-		checkDirect(p)
-	case ObClosure:
-		checkClosure(p)
-	case ObDiscard:
-		checkDiscard(p)
-	case ObIndirect:
-		checkIndirect(p)
-	case ObRescue:
-		checkRescue(r)
-	case ObPicked:
-		checkPicked(p)
-	}
+type obligation struct {
+	id    ObligationID
+	check func(s *scratch)
+	deps  []string
 }
+
+var obligations = []obligation{
+	{id: ObExact, check: (*scratch).exact, deps: []string{CompFilter, CompSteal}},
+	{id: ObDirect, check: (*scratch).direct, deps: []string{CompLoad, CompChoose}},
+	{id: ObClosure, check: (*scratch).closure, deps: []string{CompFilter}},
+	{id: ObDiscard, check: (*scratch).discard, deps: []string{CompFilter}}, //schedlint:allow depsaudit fixture: Choose is called and discarded on purpose
+	{ObIndirect, (*scratch).indirect, []string{CompFilter, CompChoose}},
+	{id: ObRescue, check: (*scratch).rescue, deps: []string{CompRescue}},
+	{id: ObPicked, check: picked, deps: []string{CompFilter, CompSteal}},
+}
+
+func (s *scratch) exact()    { checkExact(s.p) }
+func (s *scratch) direct()   { checkDirect(s.p) }
+func (s *scratch) closure()  { checkClosure(s.p) }
+func (s *scratch) discard()  { checkDiscard(s.p) }
+func (s *scratch) indirect() { checkIndirect(s.p) }
+func (s *scratch) rescue()   { checkRescue(s.r) }
+
+// picked is a plain function, not a method: a row's check may be either.
+func picked(s *scratch) { checkPicked(s.p) }
 
 func checkExact(p Policy) {
 	var a, b Core

@@ -19,7 +19,10 @@ import (
 //   - the canonical compiled form of exactly the policy components the
 //     obligation's checker consults (verify.ObligationDeps), each
 //     closed over the load clause where referenced (dsl.ComponentForm);
-//   - MaxRounds, for the one obligation whose verdict depends on it.
+//   - MaxRounds, for the obligations whose verdict depends on it
+//     (verify.ReadsMaxRounds: the sequential work-conservation search
+//     gives up after MaxRounds rounds, and the fault obligations use
+//     the same bound as the re-home and recovery deadline).
 //
 // Parallelism and worker pools are deliberately absent: the shard
 // partition is a constant of the verifier (a change to it bumps
@@ -47,12 +50,7 @@ func appendObligationFields(dst []byte, forms map[string]string, canon string, i
 		dst = appendField(dst, string(comp))
 		dst = appendField(dst, forms[string(comp)])
 	}
-	if id == verify.ObWorkConservSeq || id == verify.ObNoTaskLost || id == verify.ObDegradedWastedCores {
-		// The sequential work-conservation search gives up (REFUTED)
-		// after MaxRounds rounds, and the fault obligations use the same
-		// bound as the re-home/recovery deadline, so for these three the
-		// bound is part of the verdict's identity. The other checkers
-		// never read it.
+	if verify.ReadsMaxRounds(id) {
 		if maxRounds <= 0 {
 			maxRounds = verify.DefaultMaxRounds
 		}

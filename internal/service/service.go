@@ -54,9 +54,11 @@ type Config struct {
 	// verify.Config.Parallelism). Zero means GOMAXPROCS. The level never
 	// changes results, so it is not part of any cache key.
 	Parallelism int
-	// MaxRounds caps the sequential work-conservation search (see
-	// verify.Config.MaxRounds). Zero means 1000. It can change that
-	// obligation's verdict, so it is part of that obligation's cache key.
+	// MaxRounds caps the sequential convergence loops (see
+	// verify.Config.MaxRounds). Zero means verify.DefaultMaxRounds. It
+	// can change the verdict of every obligation that reads it
+	// (verify.ReadsMaxRounds), so it is part of those obligations' cache
+	// keys.
 	MaxRounds int
 	// RetryAfter is the backoff advertised to clients when the queue is
 	// full. Zero means 1s.

@@ -163,12 +163,24 @@ func TestObligationKeyDistinctions(t *testing.T) {
 	if obligationKey(forms, u3, verify.ObLemma1, 1000) != obligationKey(forms, u4, verify.ObLemma1, 1000) {
 		t.Error("MaxTotal shorthand hashes differently from its expansion")
 	}
-	// MaxRounds is identity only for the sequential WC search.
-	if obligationKey(forms, u, verify.ObWorkConservSeq, 1000) == obligationKey(forms, u, verify.ObWorkConservSeq, 2000) {
-		t.Error("maxRounds ignored for work-conservation-sequential")
+	// MaxRounds is identity exactly for the obligations whose row says
+	// their check reads it, and zero means the default.
+	bounded := 0
+	for _, id := range verify.AllObligations() {
+		moved := obligationKey(forms, u, id, 1000) != obligationKey(forms, u, id, 2000)
+		switch {
+		case moved != verify.ReadsMaxRounds(id):
+			t.Errorf("%s: maxRounds moved the key: %v, want %v", id, moved, verify.ReadsMaxRounds(id))
+		case obligationKey(forms, u, id, 0) != obligationKey(forms, u, id, verify.DefaultMaxRounds):
+			t.Errorf("%s: maxRounds 0 keys apart from the default", id)
+		}
+		if moved {
+			bounded++
+		}
 	}
-	if obligationKey(forms, u, verify.ObLemma1, 1000) != obligationKey(forms, u, verify.ObLemma1, 2000) {
-		t.Error("maxRounds leaked into a maxRounds-free obligation")
+	// work-conservation-sequential, no-task-lost, degraded-wasted-cores.
+	if bounded != 3 {
+		t.Errorf("maxRounds moves %d obligations' keys, want 3", bounded)
 	}
 	// Components outside the obligation's dependency set don't matter.
 	forms2 := map[string]string{"load": "L", "filter": "F", "choose": "OTHER", "steal": "S"}

@@ -106,30 +106,7 @@ func (u Universe) Canonical() string {
 // beyond the call (Clone what must outlive it). Enumeration stops early
 // if fn returns false; Enumerate reports whether it ran to completion.
 func (u Universe) Enumerate(fn func(*sched.Machine) bool) bool {
-	return u.EnumerateShard(0, 1, fn)
-}
-
-// EnumerateShard calls fn for every machine in one shard of a total-way
-// partition of the universe, under Enumerate's contract (one machine,
-// reused: mutate freely, do not retain). The partition splits the search
-// at the top-level per-core thread-count recursion: complete thread-count
-// vectors are dealt round-robin to shards in enumeration order, so the
-// shards are pairwise disjoint, their union is exactly Enumerate's
-// output, and concurrent shards need no coordination. EnumerateShard(0, 1, fn)
-// is Enumerate(fn). Like Enumerate, it stops early when fn returns false
-// and reports whether it ran to completion.
-func (u Universe) EnumerateShard(shard, total int, fn func(*sched.Machine) bool) bool {
-	return u.EnumerateShardRank(shard, total, func(_ int, m *sched.Machine) bool { return fn(m) })
-}
-
-// EnumerateShardRank is EnumerateShard with provenance: fn also receives
-// the rank — the zero-based index of the machine's thread-count vector in
-// the full Enumerate order. Ranks are disjoint across the shards of one
-// partition (shard s owns exactly the ranks ≡ s mod total), so a caller
-// fanning shards out in parallel can merge per-shard findings back into
-// the deterministic sequential order by comparing ranks.
-func (u Universe) EnumerateShardRank(shard, total int, fn func(rank int, m *sched.Machine) bool) bool {
-	return new(Enumerator).EnumerateShardRank(u, shard, total, fn)
+	return new(Enumerator).EnumerateShardRank(u, 0, 1, func(_ int, m *sched.Machine) bool { return fn(m) })
 }
 
 // unitWeights is the weight set of a universe that names none: the
@@ -166,9 +143,20 @@ type Enumerator struct {
 	script  []sched.FaultEvent // the fault script being extended
 }
 
-// EnumerateShardRank is Universe.EnumerateShardRank on e's buffers. The
-// machine fn is handed is e's, so the contract is Enumerate's and one
-// more: it is rebuilt by the next walk on e, too.
+// EnumerateShardRank calls fn for every machine in one shard of a
+// total-way partition of u, under Enumerate's contract and one more: the
+// machine is e's, so it is rebuilt by the next walk on e, too. The
+// partition splits the search at the top-level per-core thread-count
+// recursion: complete thread-count vectors are dealt round-robin to
+// shards in enumeration order, so the shards are pairwise disjoint,
+// their union is exactly Enumerate's output, and concurrent shards (on
+// distinct Enumerators) need no coordination; shard 0 of 1 is Enumerate.
+// fn also receives the rank — the zero-based index of the machine's
+// thread-count vector in the full Enumerate order. Shard s owns exactly
+// the ranks ≡ s mod total, so a caller fanning shards out in parallel
+// can merge per-shard findings back into the deterministic sequential
+// order by comparing ranks. Like Enumerate, it stops early when fn
+// returns false and reports whether it ran to completion.
 func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(rank int, m *sched.Machine) bool) bool {
 	if u.Cores <= 0 {
 		panic(fmt.Sprintf("statespace: universe with %d cores", u.Cores))

@@ -239,7 +239,7 @@ func TestEnumerateShardPartition(t *testing.T) {
 			union := make(map[string]int)
 			n := 0
 			for shard := 0; shard < total; shard++ {
-				complete := u.EnumerateShard(shard, total, func(m *sched.Machine) bool {
+				complete := new(Enumerator).EnumerateShardRank(u, shard, total, func(_ int, m *sched.Machine) bool {
 					union[m.Key()]++
 					n++
 					return true
@@ -269,7 +269,7 @@ func TestEnumerateShardSingleIsEnumerate(t *testing.T) {
 	u := Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true}
 	var seq, shard []string
 	u.Enumerate(func(m *sched.Machine) bool { seq = append(seq, m.Key()); return true })
-	u.EnumerateShard(0, 1, func(m *sched.Machine) bool { shard = append(shard, m.Key()); return true })
+	new(Enumerator).EnumerateShardRank(u, 0, 1, func(_ int, m *sched.Machine) bool { shard = append(shard, m.Key()); return true })
 	if len(seq) != len(shard) {
 		t.Fatalf("lengths differ: %d vs %d", len(seq), len(shard))
 	}
@@ -290,7 +290,7 @@ func TestEnumerateShardRank(t *testing.T) {
 	owner := make(map[int]int)
 	for shard := 0; shard < total; shard++ {
 		last := -1
-		u.EnumerateShardRank(shard, total, func(rank int, m *sched.Machine) bool {
+		new(Enumerator).EnumerateShardRank(u, shard, total, func(rank int, m *sched.Machine) bool {
 			if rank%total != shard {
 				t.Fatalf("shard %d saw rank %d", shard, rank)
 			}
@@ -310,7 +310,7 @@ func TestEnumerateShardRank(t *testing.T) {
 func TestEnumerateShardEarlyStop(t *testing.T) {
 	u := Universe{Cores: 2, MaxPerCore: 2}
 	n := 0
-	complete := u.EnumerateShard(0, 2, func(*sched.Machine) bool {
+	complete := new(Enumerator).EnumerateShardRank(u, 0, 2, func(int, *sched.Machine) bool {
 		n++
 		return false
 	})
@@ -375,9 +375,9 @@ func TestReusedEnumeratorMatchesFresh(t *testing.T) {
 func TestEnumerateShardBadArgsPanic(t *testing.T) {
 	u := Universe{Cores: 2, MaxPerCore: 1}
 	for name, call := range map[string]func(){
-		"total=0":      func() { u.EnumerateShard(0, 0, func(*sched.Machine) bool { return true }) },
-		"shard<0":      func() { u.EnumerateShard(-1, 2, func(*sched.Machine) bool { return true }) },
-		"shard==total": func() { u.EnumerateShard(2, 2, func(*sched.Machine) bool { return true }) },
+		"total=0":      func() { new(Enumerator).EnumerateShardRank(u, 0, 0, func(int, *sched.Machine) bool { return true }) },
+		"shard<0":      func() { new(Enumerator).EnumerateShardRank(u, -1, 2, func(int, *sched.Machine) bool { return true }) },
+		"shard==total": func() { new(Enumerator).EnumerateShardRank(u, 2, 2, func(int, *sched.Machine) bool { return true }) },
 	} {
 		func() {
 			defer func() {
@@ -545,7 +545,7 @@ func TestEnumerateShardPartitionWithFaults(t *testing.T) {
 			union := make(map[string]int)
 			n := 0
 			for shard := 0; shard < total; shard++ {
-				complete := u.EnumerateShard(shard, total, func(m *sched.Machine) bool {
+				complete := new(Enumerator).EnumerateShardRank(u, shard, total, func(_ int, m *sched.Machine) bool {
 					union[faultKey(m)]++
 					n++
 					return true

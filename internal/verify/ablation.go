@@ -69,7 +69,8 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 	workers := runtime.GOMAXPROCS(0)
 	forEachPooledTask(shardCount, workers, func(sc *shardScratch, s int) {
 		parts[s].order = -1
-		runShard(ctx, "revalidation-ablation", u, s, sc, &shards[s], ablationCheck(ctx, f, sc, &shards[s], &parts[s]))
+		sc.ctx, sc.f, sc.ablation = ctx, f, &parts[s]
+		sc.runShard(&ablationRow, u, s, &shards[s])
 	})
 	merged := AblationResult{order: -1}
 	for s, p := range parts {
@@ -88,56 +89,62 @@ func CheckRevalidationAblation(ctx context.Context, f Factory, u statespace.Univ
 	return merged
 }
 
-// ablationCheck is the sweep's per-state check. The shard's Result
+// ablationRow runs the sweep under the obligations' shard loop. It is
+// not an obligation: nothing memoizes it, so it is not in the table.
+var ablationRow = obligation{id: "revalidation-ablation", check: (*shardScratch).ablationState}
+
+// ablationState is the sweep's per-state check. The shard's Result
 // carries the state and schedule counters and the abort flag; the
-// violations — counted, never a reason to stop — go into out.
-func ablationCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result, out *AblationResult) stateCheck {
-	witness := func(rank int, w string) {
-		if out.FirstWitness == "" {
-			out.FirstWitness = w
-			out.order = rank
+// violations — counted, never a reason to stop — go into the task's
+// AblationResult.
+func (sc *shardScratch) ablationState(rank int, m *sched.Machine) bool {
+	out := sc.ablation
+	// One selection per state gives the attempting set: each round below
+	// selects the same way on a copy of m, and the stealing phase passes
+	// over a core with no victim without calling the policy, so every
+	// order of a class commits the same violations.
+	return sc.perms.stealOrders(sched.SelectAll(sc.f(), m), func(order []int, weight int) bool {
+		// Poll per walked order, not just per state: each state fans out
+		// to k! orders and each order runs two full rounds.
+		if sc.walked&63 == 0 && aborted(sc.ctx, sc.res) {
+			return false
 		}
-	}
-	// The safe round's copy is checked before the unsafe round runs, so
-	// both rounds run on the worker's one trial machine.
-	trial := &sc.trial
-	walked := 0 // the shard's walked orders, the cancellation poll's stride
-	return func(rank int, m *sched.Machine) bool {
-		// One selection per state gives the attempting set: each round
-		// below selects the same way on a copy of m, and the stealing
-		// phase passes over a core with no victim without calling the
-		// policy, so every order of a class commits the same violations.
-		return sc.perms.stealOrders(sched.SelectAll(f(), m), func(order []int, weight int) bool {
-			// Poll per walked order, not just per state: each state fans
-			// out to k! orders and each order runs two full rounds.
-			if walked&63 == 0 && aborted(ctx, res) {
-				return false
-			}
-			walked++
-			res.SchedulesChecked = satAdd(res.SchedulesChecked, weight)
+		sc.walked++
+		sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, weight)
 
-			sched.ConcurrentRound(f(), trial.CopyFrom(m), order)
-			if v := roundViolation(f(), m, trial); v != "" {
-				panic(fmt.Sprintf("verify: safe executor violated soundness: %s", v))
-			}
+		// The safe round's copy is checked before the unsafe round runs,
+		// so both rounds run on the worker's one trial machine.
+		trial := &sc.trial
+		sched.ConcurrentRound(sc.f(), trial.CopyFrom(m), order)
+		if v := roundViolation(sc.f(), m, trial); v != "" {
+			panic(fmt.Sprintf("verify: safe executor violated soundness: %s", v))
+		}
 
-			uncheckedRound(f(), trial.CopyFrom(m), order)
-			if v := roundViolation(f(), m, trial); v != "" {
-				witness(rank, fmt.Sprintf("state %v order %v: %s", m.Loads(), order, v))
-				out.SoundnessViolations = satAdd(out.SoundnessViolations, weight)
-			}
-			p := f()
-			beginRound(p, m)
-			before := sched.PairwiseImbalance(p, m)
-			after := sched.PairwiseImbalance(p, trial)
-			if after > before {
-				witness(rank, fmt.Sprintf(
-					"state %v order %v: unchecked round raised potential %d -> %d",
-					m.Loads(), order, before, after))
-				out.PotentialViolations = satAdd(out.PotentialViolations, weight)
-			}
-			return true
-		})
+		uncheckedRound(sc.f(), trial.CopyFrom(m), order)
+		if v := roundViolation(sc.f(), m, trial); v != "" {
+			out.witness(rank, func() string { return "state " + ints(m.Loads()) + " order " + ints(order) + ": " + v })
+			out.SoundnessViolations = satAdd(out.SoundnessViolations, weight)
+		}
+		p := sc.f()
+		beginRound(p, m)
+		before := sched.PairwiseImbalance(p, m)
+		after := sched.PairwiseImbalance(p, trial)
+		if after > before {
+			out.witness(rank, func() string {
+				return fmt.Sprintf("state %s order %s: unchecked round raised potential %d -> %d",
+					ints(m.Loads()), ints(order), before, after)
+			})
+			out.PotentialViolations = satAdd(out.PotentialViolations, weight)
+		}
+		return true
+	})
+}
+
+// witness keeps the shard's first violation, rendered only then.
+func (r *AblationResult) witness(rank int, w func() string) {
+	if r.FirstWitness == "" {
+		r.FirstWitness = w()
+		r.order = rank
 	}
 }
 

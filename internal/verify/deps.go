@@ -1,5 +1,11 @@
 package verify
 
+import (
+	"fmt"
+
+	"repro/internal/sched"
+)
+
 // PolicyComponent names one of the four parts of the paper's policy
 // abstraction (sched.Policy): the load metric, the step-1 filter, the
 // step-2 choice and the step-3 steal sizing. The incremental
@@ -18,9 +24,29 @@ const (
 	CompRescue PolicyComponent = "rescue"
 )
 
-// obligationDeps records which policy components each checker reads.
-// The table is audited against the checker implementations, not
-// guessed; when a checker changes what it calls, update both.
+// obligation is one row of the verifier's one table of static checks:
+// everything the driver, the memoizer and the depsaudit analyzer know
+// about a proof obligation.
+type obligation struct {
+	id ObligationID
+	// check examines one enumerated machine, on the running task's
+	// scratch (see the package doc's checker contract).
+	check func(sc *shardScratch, rank int, m *sched.Machine) bool
+	// deps are the policy components check reads, in canonical order:
+	// the components the obligation's cache key covers.
+	deps []PolicyComponent
+	// faults: check quantifies over the universe's fault dimension;
+	// runShard zeroes MaxFaults for every other row.
+	faults bool
+	// rounds: check reads Config.MaxRounds, so the bound is part of the
+	// verdict's identity (ReadsMaxRounds).
+	rounds bool
+}
+
+// obligations is the table, in report order. The deps are audited
+// against the checks, not guessed: the depsaudit analyzer walks each
+// row's check down to the policy methods it reaches and fails on any
+// disagreement.
 //
 //   - lemma1 evaluates only CanSteal (Overloaded/Idle are machine-state
 //     predicates, not policy calls).
@@ -44,29 +70,60 @@ const (
 // the load clause in its own canonical form (see dsl.ComponentForm), so
 // a load edit flows into every component that can observe it — and only
 // those. potential-decrease names CompLoad explicitly because its
-// checker calls p.Load directly, whatever the filter references.
-var obligationDeps = map[ObligationID][]PolicyComponent{
-	ObLemma1:              {CompFilter},
-	ObStealSoundness:      {CompFilter, CompSteal},
-	ObPotentialDecrease:   {CompLoad, CompFilter, CompSteal},
-	ObFailureImpliesSucc:  {CompFilter, CompChoose, CompSteal},
-	ObWorkConservSeq:      {CompFilter, CompChoose, CompSteal},
-	ObWorkConservConc:     {CompFilter, CompChoose, CompSteal},
-	ObChoiceIndependence:  {CompFilter, CompSteal}, //schedlint:allow depsaudit the checker calls Choose only to discard it: the verdict quantifies over all choices, so choose edits cannot change it
-	ObReactivity:          {CompFilter, CompChoose, CompSteal},
-	ObNoTaskLost:          {CompFilter, CompChoose, CompSteal, CompRescue},
-	ObDegradedWastedCores: {CompFilter, CompChoose, CompSteal, CompRescue},
+// check calls p.Load directly, whatever the filter references.
+var obligations = [...]obligation{
+	{id: ObLemma1, check: (*shardScratch).lemma1, deps: []PolicyComponent{CompFilter}},
+	{id: ObStealSoundness, check: (*shardScratch).stealSoundness, deps: []PolicyComponent{CompFilter, CompSteal}},
+	{id: ObPotentialDecrease, check: (*shardScratch).potentialDecrease, deps: []PolicyComponent{CompLoad, CompFilter, CompSteal}},
+	{id: ObFailureImpliesSucc, check: (*shardScratch).failureImpliesSuccess, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
+	{id: ObWorkConservSeq, check: (*shardScratch).workConservationSequential, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}, rounds: true},
+	{id: ObWorkConservConc, check: (*shardScratch).workConservationConcurrent, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
+	{id: ObChoiceIndependence, check: (*shardScratch).choiceIndependence, deps: []PolicyComponent{CompFilter, CompSteal}}, //schedlint:allow depsaudit the check calls Choose only to discard it: the verdict quantifies over all choices, so choose edits cannot change it
+	{id: ObReactivity, check: (*shardScratch).reactivity, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
+	{id: ObNoTaskLost, check: (*shardScratch).noTaskLost, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal, CompRescue}, faults: true, rounds: true},
+	{id: ObDegradedWastedCores, check: (*shardScratch).degradedWastedCores, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal, CompRescue}, faults: true, rounds: true},
 }
 
-// ObligationDeps returns the policy components obligation id's checker
+// row returns id's row, or nil for an unknown obligation.
+func row(id ObligationID) *obligation {
+	for i := range obligations {
+		if obligations[i].id == id {
+			return &obligations[i]
+		}
+	}
+	return nil
+}
+
+// mustRow is row, panicking on an unknown obligation.
+func mustRow(id ObligationID) *obligation {
+	ob := row(id)
+	if ob == nil {
+		panic(fmt.Sprintf("verify: unknown obligation %q", id))
+	}
+	return ob
+}
+
+// AllObligations lists every obligation in report order.
+func AllObligations() []ObligationID {
+	ids := make([]ObligationID, len(obligations))
+	for i := range obligations {
+		ids[i] = obligations[i].id
+	}
+	return ids
+}
+
+// KnownObligation reports whether id names a checkable obligation.
+func KnownObligation(id ObligationID) bool { return row(id) != nil }
+
+// ObligationDeps returns the policy components obligation id's check
 // consults, in a fixed order suitable for hashing. Panics on unknown
 // obligations, like the checkers themselves.
 func ObligationDeps(id ObligationID) []PolicyComponent {
-	deps, ok := obligationDeps[id]
-	if !ok {
-		panic("verify: unknown obligation " + string(id))
-	}
-	out := make([]PolicyComponent, len(deps))
-	copy(out, deps)
-	return out
+	return append([]PolicyComponent(nil), mustRow(id).deps...)
 }
+
+// ReadsMaxRounds reports whether obligation id's verdict depends on
+// Config.MaxRounds — the sequential convergence search's give-up bound,
+// and the fault obligations' re-home and recovery deadline — so the
+// bound is part of its identity. Panics on unknown obligations.
+func ReadsMaxRounds(id ObligationID) bool { return mustRow(id).rounds }

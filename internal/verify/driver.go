@@ -13,12 +13,11 @@ import (
 )
 
 // This file is the verifier's skeleton: the one shard loop every
-// obligation runs under (runShard), the dispatch from an obligation to
-// its per-state check (newStateCheck), the deterministic merge of
-// per-shard Results, and the worker pool. Every obligation's quantifier
-// ("for all machines in the universe") is split into shardCount disjoint
-// slices via statespace.Universe.EnumerateShardRank; PolicyContext fans
-// the slices out and merges them back into one Result.
+// obligation runs under (runShard), the deterministic merge of per-shard
+// Results, and the worker pool. Every obligation's quantifier ("for all
+// machines in the universe") is split into shardCount disjoint slices
+// via statespace.Enumerator.EnumerateShardRank; PolicyContext fans the
+// slices out and merges them back into one Result.
 //
 // Two properties make the reports byte-identical run to run, across
 // parallelism levels and across hosts:
@@ -42,13 +41,25 @@ const shardCount = 8
 
 // shardScratch is what one worker's shard tasks run on, kept from task to
 // task and, in scratchPool, from fan-out to fan-out (a fan-out takes one
-// per worker, Sequential exactly one): the enumerator, the game explorer
-// with its memo and free lists, the cycle set, and every buffer a
-// per-state check reuses. A check takes what it needs from the scratch
-// when it is built and resets it as its own per-state code always has, so
-// a shard's Result never depends on the tasks the scratch ran before — in
-// particular the explorer's memo is cleared per shard, never shared.
+// per worker, Sequential exactly one). Its first fields are the running
+// task's: set once per task by the fan-out and runShard, read by the
+// per-state checks, and their references cleared on return to the pool.
+// The rest is the worker's: the enumerator, the game explorer with its
+// memo and free lists, the cycle set, and every buffer a per-state check
+// reuses. A check resets what it takes as its own per-state code always
+// has, and runShard resets the explorer's search, so a shard's Result
+// never depends on the tasks the scratch ran before — in particular the
+// explorer's memo is cleared per shard, never shared.
 type shardScratch struct {
+	ctx       context.Context
+	f         Factory
+	res       *Result       // the shard's Result, which the check reports into
+	best      *atomic.Int64 // the task's obligation's lowest refuted rank (canWin)
+	maxRounds int           // Config.MaxRounds, defaulted
+	target    int           // the idle core a reactivity game is about; -1 in a work-conservation game
+	walked    int           // the shard's walked steal orders, the cancellation poll's stride
+	ablation  *AblationResult
+
 	enum     statespace.Enumerator
 	explorer concExplorer
 	trial    sched.Machine // the copy a single steal or one whole order runs on
@@ -56,12 +67,11 @@ type shardScratch struct {
 	perms    permScratch
 	seen     statespace.Visited // the sequential checks' cycle set
 	start    []int              // the start state's loads, for the witness
-	// noTaskLostCheck's orphan maps: orphanedAt[id] is the round at
-	// which task id became an orphan, orphanCore[id] the offline core
-	// holding it.
+	// noTaskLost's orphan maps: orphanedAt[id] is the round at which
+	// task id became an orphan, orphanCore[id] the offline core holding
+	// it.
 	orphanedAt map[sched.TaskID]int
 	orphanCore map[sched.TaskID]int
-	best       *atomic.Int64 // the running task's obligation's lowest refuted rank (canWin)
 }
 
 // scratchPool keeps worker scratches between fan-outs.
@@ -76,24 +86,18 @@ func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 	}
 	forEachTask(n, workers, func(w, i int) { fn(scratch[w], i) })
 	for _, sc := range scratch {
-		sc.best, sc.explorer.ctx, sc.explorer.f, sc.explorer.res, sc.explorer.best = nil, nil, nil, nil, nil
+		sc.ctx, sc.f, sc.res, sc.best, sc.ablation = nil, nil, nil, nil, nil
 		scratchPool.Put(sc)
 	}
 }
 
-// stateCheck examines one enumerated machine for one obligation. It is
-// built once per (obligation, shard) around that shard's Result: it may
-// mutate m but not retain it, reports a violation through
-// Result.refute with the rank it was handed, and returns false to end
-// the shard (refuted or aborted), true to go on.
-type stateCheck func(rank int, m *sched.Machine) bool
-
-// runShard is the one shard loop: it walks shard s of u on sc's
-// enumerator, and for every machine polls cancellation (every 64 states),
-// counts the state in
-// res, and hands it to check. res is reset to a passing Result for id
-// first and is what check reports into. The fault obligations are the
-// only consumers of the universe's fault dimension; for everything else
+// runShard is the one shard loop: it walks shard s of u on the scratch's
+// enumerator, and for every machine polls cancellation (every 64
+// states), counts the state in res, and hands it to ob's check. res is
+// reset to a passing Result for ob first and is what the check reports
+// into; the task's context, factory, round bound and rank minimum are
+// the caller's to set. Only an obligation whose row quantifies over
+// faults sees the universe's fault dimension; for everything else
 // MaxFaults is zeroed, so verdicts, counters and witnesses on a
 // fault-extended universe stay byte-identical to the healthy universe's.
 //
@@ -108,58 +112,31 @@ type stateCheck func(rank int, m *sched.Machine) bool
 // shard) task passes through here, so this is the one place shard time
 // is stamped; it travels beside the Results (Report.Elapsed), never in
 // them.
-func runShard(ctx context.Context, id ObligationID, u statespace.Universe, s int, sc *shardScratch, res *Result, check stateCheck) (took time.Duration) {
+func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, res *Result) (took time.Duration) {
 	defer func(start time.Time) { took = time.Since(start) }(time.Now()) //schedlint:allow determinism shard timing is telemetry beside the report (Report.Elapsed, json:"-"), never in a Result, a memo key or a WAL frame
 	defer func() {
 		if p := recover(); p != nil {
 			*res = Result{
-				ID:      id,
+				ID:      ob.id,
 				Aborted: true,
 				Witness: fmt.Sprintf("aborted: checker panic: %v", p),
 			}
 		}
 	}()
-	*res = Result{ID: id, Passed: true}
-	if id != ObNoTaskLost && id != ObDegradedWastedCores {
+	*res = Result{ID: ob.id, Passed: true}
+	if !ob.faults {
 		u.MaxFaults = 0
 	}
+	sc.res, sc.walked = res, 0
+	sc.explorer.reset(sc)
 	sc.enum.EnumerateShardRank(u, s, shardCount, func(rank int, m *sched.Machine) bool {
-		if res.StatesChecked&63 == 0 && aborted(ctx, res) {
+		if res.StatesChecked&63 == 0 && aborted(sc.ctx, res) {
 			return false
 		}
 		res.StatesChecked++
-		return check(rank, m)
+		return ob.check(sc, rank, m)
 	})
 	return // took is stamped by the deferred call above
-}
-
-// newStateCheck dispatches an obligation to its per-state check, on sc
-// and reporting into res. maxRounds is already defaulted.
-func newStateCheck(ctx context.Context, id ObligationID, f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
-	switch id {
-	case ObLemma1:
-		return lemma1Check(f, sc, res)
-	case ObStealSoundness:
-		return admittedSteals(f, sc, res, stealViolation)
-	case ObPotentialDecrease:
-		return admittedSteals(f, sc, res, potentialViolation)
-	case ObFailureImpliesSucc:
-		return failureImpliesSuccessCheck(ctx, f, sc, res)
-	case ObWorkConservSeq:
-		return workConservationSequentialCheck(f, maxRounds, sc, res)
-	case ObWorkConservConc:
-		return gameCheck(ctx, f, orderSuccessors, sc, res)
-	case ObChoiceIndependence:
-		return gameCheck(ctx, f, choiceSuccessors, sc, res)
-	case ObReactivity:
-		return reactivityCheck(ctx, f, sc, res)
-	case ObNoTaskLost:
-		return noTaskLostCheck(f, maxRounds, sc, res)
-	case ObDegradedWastedCores:
-		return degradedWastedCoresCheck(f, maxRounds, sc, res)
-	default:
-		panic(fmt.Sprintf("verify: unknown obligation %q", id))
-	}
 }
 
 // refute records a refutation found at the given global enumeration
@@ -171,13 +148,14 @@ func (r *Result) refute(rank int, witness string) {
 	r.order = rank
 }
 
-// refute records in res a refutation at rank, rendering its witness only
-// if the refutation can still win the merge (canWin).
-func (sc *shardScratch) refute(res *Result, rank int, witness func() string) {
-	res.refute(rank, "")
+// refute records in the task's Result a refutation at rank, rendering
+// its witness only if the refutation can still win the merge (canWin).
+func (sc *shardScratch) refute(rank int, witness func() string) bool {
+	sc.res.refute(rank, "")
 	if canWin(sc.best, rank) {
-		res.Witness = witness()
+		sc.res.Witness = witness()
 	}
+	return false
 }
 
 // canWin reports whether rank is below best, the lowest rank any shard of

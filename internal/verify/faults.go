@@ -32,13 +32,16 @@ func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
 	}
 }
 
-// noTaskLostCheck checks on one (state, fault script) pair that no task
-// is ever lost to a core failure: every task orphaned by a fail-stop
-// event is back on an online core — re-homed by the policy's rescue rule
-// or recovered by the core's scripted revival — within maxRounds rounds
-// of the failure. A policy with no rescue rule fails this on any script
+// noTaskLost checks on one (state, fault script) pair that no task is
+// ever lost to a core failure: every task orphaned by a fail-stop event
+// is back on an online core — re-homed by the policy's rescue rule or
+// recovered by the core's scripted revival — within MaxRounds rounds of
+// the failure. A policy with no rescue rule fails this on any script
 // that fails a non-empty core and never revives it.
-func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
+func (sc *shardScratch) noTaskLost(rank int, m *sched.Machine) bool {
+	if len(m.Faults) == 0 {
+		return true // no faults, no orphans: vacuously safe
+	}
 	// In the model a task leaves an offline core only through rescue (at
 	// fail time) or revival, so the orphan maps are maintained exactly at
 	// fault events. Both are the worker's, emptied per state.
@@ -46,103 +49,93 @@ func noTaskLostCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) st
 		sc.orphanedAt, sc.orphanCore = map[sched.TaskID]int{}, map[sched.TaskID]int{}
 	}
 	orphanedAt, orphanCore := sc.orphanedAt, sc.orphanCore
-	return func(rank int, m *sched.Machine) bool {
-		if len(m.Faults) == 0 {
-			return true // no faults, no orphans: vacuously safe
-		}
-		start := appendLoads(sc.start[:0], m)
-		sc.start = start
-		clear(orphanedAt)
-		clear(orphanCore)
-		for i, ev := range m.Faults {
-			replayFault(m, f, ev)
-			if ev.Revive {
-				// Walk the revived core's queue (not the map) for a
-				// deterministic first witness: the stranded orphans are
-				// exactly the tasks still sitting in its runqueue.
-				for _, t := range m.Core(ev.Core).Queued() {
-					core, ok := orphanCore[t.ID]
-					if !ok || core != ev.Core {
-						continue
-					}
-					delay := i - orphanedAt[t.ID]
-					if delay > maxRounds {
-						sc.refute(res, rank, func() string {
-							return fmt.Sprintf("state %v script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
-								start, m.Faults, t.ID, core, orphanedAt[t.ID], i, maxRounds)
-						})
-						return false
-					}
-					res.raiseBound(delay)
-					delete(orphanedAt, t.ID)
-					delete(orphanCore, t.ID)
+	start := appendLoads(sc.start[:0], m)
+	sc.start = start
+	clear(orphanedAt)
+	clear(orphanCore)
+	for i, ev := range m.Faults {
+		replayFault(m, sc.f, ev)
+		if ev.Revive {
+			// Walk the revived core's queue (not the map) for a
+			// deterministic first witness: the stranded orphans are
+			// exactly the tasks still sitting in its runqueue.
+			for _, t := range m.Core(ev.Core).Queued() {
+				core, ok := orphanCore[t.ID]
+				if !ok || core != ev.Core {
+					continue
 				}
-			} else {
-				for _, t := range m.Core(ev.Core).Queued() {
-					orphanedAt[t.ID] = i
-					orphanCore[t.ID] = ev.Core
+				delay := i - orphanedAt[t.ID]
+				if delay > sc.maxRounds {
+					return sc.refute(rank, func() string {
+						return fmt.Sprintf("state %s script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
+							ints(start), m.Faults, t.ID, core, orphanedAt[t.ID], i, sc.maxRounds)
+					})
 				}
+				sc.res.raiseBound(delay)
+				delete(orphanedAt, t.ID)
+				delete(orphanCore, t.ID)
 			}
-			sched.SequentialRound(f(), m)
-		}
-		// The script is over: nothing can re-home a still-stranded task,
-		// so any survivor is lost for good, not merely late. Walk the
-		// machine (not the map) for a deterministic first witness.
-		for _, t := range m.Orphans() {
-			if core, ok := orphanCore[t.ID]; ok {
-				sc.refute(res, rank, func() string {
-					return fmt.Sprintf("state %v script %v: task %d stranded on failed core %d at round %d is never re-homed (no rescue, no revival)",
-						start, m.Faults, t.ID, core, orphanedAt[t.ID])
-				})
-				return false
+		} else {
+			for _, t := range m.Core(ev.Core).Queued() {
+				orphanedAt[t.ID] = i
+				orphanCore[t.ID] = ev.Core
 			}
 		}
-		return true
+		sched.SequentialRound(sc.f(), m)
 	}
+	// The script is over: nothing can re-home a still-stranded task, so
+	// any survivor is lost for good, not merely late. Walk the machine
+	// (not the map) for a deterministic first witness.
+	for _, t := range m.Orphans() {
+		if core, ok := orphanCore[t.ID]; ok {
+			return sc.refute(rank, func() string {
+				return fmt.Sprintf("state %s script %v: task %d stranded on failed core %d at round %d is never re-homed (no rescue, no revival)",
+					ints(start), m.Faults, t.ID, core, orphanedAt[t.ID])
+			})
+		}
+	}
+	return true
 }
 
-// degradedWastedCoresCheck checks on one (state, fault script) pair the
+// degradedWastedCores checks on one (state, fault script) pair the
 // wasted-cores invariant of §3.2 restated over a degraded machine's
 // online cores: after the fault script's last event, iterating
 // sequential rounds restores Machine.DegradedWorkConserved — no online
 // core idle while an online core is overloaded or orphan work sits
-// stranded offline — within maxRounds rounds. Counting stranded orphans
+// stranded offline — within MaxRounds rounds. Counting stranded orphans
 // as waiting work is what refutes rescue-less policies here: the
 // survivors may balance perfectly among themselves while an idle core
 // ignores work it could adopt.
-func degradedWastedCoresCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
-	return func(rank int, m *sched.Machine) bool {
-		if len(m.Faults) == 0 {
-			// The healthy invariant is work-conservation-sequential's
-			// job; this obligation owns the degraded states only.
-			return true
-		}
-		start := appendLoads(sc.start[:0], m)
-		sc.start = start
-		for _, ev := range m.Faults {
-			replayFault(m, f, ev)
-			sched.SequentialRound(f(), m)
-		}
-		// Recovery phase: from the post-script state, sequential rounds
-		// must reach the degraded invariant.
-		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).DegradedWorkConserved)
-		switch end {
-		case exhausted:
-			sc.refute(res, rank, func() string {
-				return fmt.Sprintf("state %v script %v: degraded invariant not restored after %d rounds", start, m.Faults, maxRounds)
-			})
-		case stuck:
-			sc.refute(res, rank, func() string {
-				return fmt.Sprintf("state %v script %v: stuck at %v with an idle online core and unclaimed work (no steal possible)",
-					start, m.Faults, m.Loads())
-			})
-		case cycled:
-			sc.refute(res, rank, func() string {
-				return fmt.Sprintf("state %v script %v: rounds cycle through %v without restoring the degraded invariant", start, m.Faults, m.Loads())
-			})
-		default:
-			res.raiseBound(rounds)
-		}
-		return end == converged
+func (sc *shardScratch) degradedWastedCores(rank int, m *sched.Machine) bool {
+	if len(m.Faults) == 0 {
+		// The healthy invariant is work-conservation-sequential's job;
+		// this obligation owns the degraded states only.
+		return true
 	}
+	start := appendLoads(sc.start[:0], m)
+	sc.start = start
+	for _, ev := range m.Faults {
+		replayFault(m, sc.f, ev)
+		sched.SequentialRound(sc.f(), m)
+	}
+	// Recovery phase: from the post-script state, sequential rounds must
+	// reach the degraded invariant.
+	rounds, end := converge(sc.f, m, sc.maxRounds, &sc.seen, (*sched.Machine).DegradedWorkConserved)
+	switch end {
+	case exhausted:
+		return sc.refute(rank, func() string {
+			return fmt.Sprintf("state %s script %v: degraded invariant not restored after %d rounds", ints(start), m.Faults, sc.maxRounds)
+		})
+	case stuck:
+		return sc.refute(rank, func() string {
+			return fmt.Sprintf("state %s script %v: stuck at %s with an idle online core and unclaimed work (no steal possible)",
+				ints(start), m.Faults, ints(m.Loads()))
+		})
+	case cycled:
+		return sc.refute(rank, func() string {
+			return fmt.Sprintf("state %s script %v: rounds cycle through %s without restoring the degraded invariant", ints(start), m.Faults, ints(m.Loads()))
+		})
+	}
+	sc.res.raiseBound(rounds)
+	return true
 }

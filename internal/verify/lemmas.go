@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/sched"
@@ -28,48 +27,56 @@ func beginRound(p sched.Policy, view *sched.Machine) {
 	}
 }
 
-// lemma1Check checks Listing 2 on one state, for every idle thief:
+// lemma1 checks Listing 2 on one state, for every idle thief:
 //
 //	(∃ overloaded core  ⇒  ∃ core the thief can steal from)  ∧
 //	(∀ cores c: thief.canSteal(c) ⇒ overloaded(c))
 //
 // The paper proves this with Leon for the sequential setting; here it is
 // established by exhaustion up to the universe bound.
-func lemma1Check(f Factory, sc *shardScratch, res *Result) stateCheck {
-	return func(rank int, m *sched.Machine) bool {
-		p := f()
-		beginRound(p, m)
-		for _, thief := range m.Cores {
-			if !thief.Idle() {
-				continue // Lemma 1's @require: the thief is idle
+func (sc *shardScratch) lemma1(rank int, m *sched.Machine) bool {
+	p := sc.f()
+	beginRound(p, m)
+	for _, thief := range m.Cores {
+		if !thief.Idle() {
+			continue // Lemma 1's @require: the thief is idle
+		}
+		hasOverloaded, hasCandidate := false, false
+		for _, c := range m.Cores {
+			if c.ID == thief.ID {
+				continue
 			}
-			hasOverloaded, hasCandidate := false, false
-			for _, c := range m.Cores {
-				if c.ID == thief.ID {
-					continue
-				}
-				if c.Overloaded() {
-					hasOverloaded = true
-				}
-				if p.CanSteal(thief, c) {
-					hasCandidate = true
-					if !c.Overloaded() {
-						sc.refute(res, rank, func() string {
-							return fmt.Sprintf("state %v: idle thief c%d may steal from non-overloaded c%d", m.Loads(), thief.ID, c.ID)
-						})
-						return false
-					}
-				}
+			if c.Overloaded() {
+				hasOverloaded = true
 			}
-			if hasOverloaded && !hasCandidate {
-				sc.refute(res, rank, func() string {
-					return fmt.Sprintf("state %v (key %s): idle thief c%d has no candidate despite an overloaded core", m.Loads(), m.Key(), thief.ID)
-				})
-				return false
+			if p.CanSteal(thief, c) {
+				hasCandidate = true
+				if !c.Overloaded() {
+					return sc.refute(rank, func() string {
+						return fmt.Sprintf("state %s: idle thief c%d may steal from non-overloaded c%d", ints(m.Loads()), thief.ID, c.ID)
+					})
+				}
 			}
 		}
-		return true
+		if hasOverloaded && !hasCandidate {
+			return sc.refute(rank, func() string {
+				return fmt.Sprintf("state %s (key %s): idle thief c%d has no candidate despite an overloaded core", ints(m.Loads()), m.Key(), thief.ID)
+			})
+		}
 	}
+	return true
+}
+
+// stealSoundness checks the §4.2 stealing-phase obligations on one state
+// (stealViolation).
+func (sc *shardScratch) stealSoundness(rank int, m *sched.Machine) bool {
+	return sc.admittedSteals(rank, m, stealViolation)
+}
+
+// potentialDecrease checks the §4.3 bounded-successes obligation on one
+// state (potentialViolation).
+func (sc *shardScratch) potentialDecrease(rank int, m *sched.Machine) bool {
+	return sc.admittedSteals(rank, m, potentialViolation)
 }
 
 // admittedSteals is the state check steal-soundness and
@@ -80,29 +87,26 @@ func lemma1Check(f Factory, sc *shardScratch, res *Result) stateCheck {
 // the steal broke ("" for nothing; the check prefixes the state). before
 // is the untouched state, after the copy the steal ran on, p the policy
 // that ran it.
-func admittedSteals(f Factory, sc *shardScratch, res *Result, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) stateCheck {
+func (sc *shardScratch) admittedSteals(rank int, m *sched.Machine, violation func(before, after *sched.Machine, p sched.Policy, att *sched.Attempt) string) bool {
 	att, trial := &sc.att, &sc.trial // the worker's, overwritten per pair
-	return func(rank int, m *sched.Machine) bool {
-		p := f()
-		beginRound(p, m)
-		for ti := range m.Cores {
-			for si := range m.Cores {
-				if ti == si || !p.CanSteal(m.Core(ti), m.Core(si)) {
-					continue
-				}
-				trial.CopyFrom(m)
-				pt := f()
-				beginRound(pt, trial)
-				*att = sched.Attempt{Thief: ti, Victim: si}
-				sched.Steal(pt, trial, att)
-				if bad := violation(m, trial, pt, att); bad != "" {
-					sc.refute(res, rank, func() string { return fmt.Sprintf("state %v: %s", m.Loads(), bad) })
-					return false
-				}
+	p := sc.f()
+	beginRound(p, m)
+	for ti := range m.Cores {
+		for si := range m.Cores {
+			if ti == si || !p.CanSteal(m.Core(ti), m.Core(si)) {
+				continue
+			}
+			trial.CopyFrom(m)
+			pt := sc.f()
+			beginRound(pt, trial)
+			*att = sched.Attempt{Thief: ti, Victim: si}
+			sched.Steal(pt, trial, att)
+			if bad := violation(m, trial, pt, att); bad != "" {
+				return sc.refute(rank, func() string { return "state " + ints(m.Loads()) + ": " + bad })
 			}
 		}
-		return true
 	}
+	return true
 }
 
 // stealViolation states the §4.2 obligations on the stealing phase, for
@@ -148,41 +152,36 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 	return fmt.Sprintf("steal c%d<-c%d left potential %d -> %d (no strict decrease)", att.Thief, att.Victim, d0, d1)
 }
 
-// failureImpliesSuccessCheck checks the first §4.3 concurrency
-// obligation on one state: in every concurrent round, under every
-// adversarial steal order, every re-validation failure is explained by
-// an earlier successful steal involving the failed attempt's thief or
-// victim. The argument in the paper: only the stealing phase mutates
-// runqueues, so a filter that flipped between selection and steal must
-// have been flipped by a completed steal.
-func failureImpliesSuccessCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result) stateCheck {
-	trial, perms := &sc.trial, &sc.perms
-	walked := 0 // the shard's walked orders, the cancellation poll's stride
-	return func(rank int, m *sched.Machine) bool {
-		// One selection per state: it reads only the round-start
-		// snapshot, which is the same under every order.
-		p := f()
-		atts := sched.SelectAll(p, m)
-		return perms.stealOrders(atts, func(order []int, weight int) bool {
-			// A state fans out to k! walked orders, so polling only per
-			// state would stretch cancellation latency by that factor on
-			// wide universes; poll per walked order at the same stride.
-			if walked&63 == 0 && aborted(ctx, res) {
-				return false
+// failureImpliesSuccess checks the first §4.3 concurrency obligation on
+// one state: in every concurrent round, under every adversarial steal
+// order, every re-validation failure is explained by an earlier
+// successful steal involving the failed attempt's thief or victim. The
+// argument in the paper: only the stealing phase mutates runqueues, so a
+// filter that flipped between selection and steal must have been
+// flipped by a completed steal.
+func (sc *shardScratch) failureImpliesSuccess(rank int, m *sched.Machine) bool {
+	// One selection per state: it reads only the round-start snapshot,
+	// which is the same under every order.
+	p := sc.f()
+	atts := sched.SelectAll(p, m)
+	return sc.perms.stealOrders(atts, func(order []int, weight int) bool {
+		// A state fans out to k! walked orders, so polling only per
+		// state would stretch cancellation latency by that factor on
+		// wide universes; poll per walked order at the same stride.
+		if sc.walked&63 == 0 && aborted(sc.ctx, sc.res) {
+			return false
+		}
+		sc.walked++
+		sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, weight)
+		rr := sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
+		for _, att := range rr.Attempts {
+			if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
+				return sc.refute(rank, func() string {
+					return fmt.Sprintf("state %s order %s: c%d's failed steal from c%d has no predecessor success",
+						ints(m.Loads()), ints(order), att.Thief, att.Victim)
+				})
 			}
-			walked++
-			res.SchedulesChecked = satAdd(res.SchedulesChecked, weight)
-			rr := sched.ExecuteSteals(p, trial.CopyFrom(m), atts, order)
-			for _, att := range rr.Attempts {
-				if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
-					sc.refute(res, rank, func() string {
-						return fmt.Sprintf("state %v order %v: c%d's failed steal from c%d has no predecessor success",
-							m.Loads(), order, att.Thief, att.Victim)
-					})
-					return false
-				}
-			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 }

@@ -36,19 +36,25 @@
 //
 // # Checker contract
 //
-// An obligation is a per-state check (stateCheck), built once per
-// (obligation, shard) by newStateCheck and driven by the one shard loop,
-// runShard. The loop owns the shard's Result, counts the states, polls
-// cancellation every 64 states and contains panics (a crashing checker
-// or policy becomes an "aborted: checker panic" shard, never a dead
-// process). A check is handed a machine that is its own: it may mutate
-// it but must not retain it. It reports a violation through
-// shardScratch.refute(res, rank, witness) with the rank it was handed —
-// the merge keeps the lowest-ranked witness, the one a sequential scan
-// finds first, and witness renders it only if it can still win — and
-// returns false to end its shard, true to go on. Checks that fan a
-// single state out to many steal orders poll cancellation themselves,
-// every 64 walked orders, through aborted.
+// An obligation is one row of the obligations table (deps.go): its ID,
+// its per-state check — a method of the worker's shardScratch, never a
+// closure built per task — the policy components the check reads, and
+// whether it quantifies over the fault dimension or reads MaxRounds.
+// The report order, the memoizer's keys and the depsaudit analyzer all
+// read the same rows, so adding an obligation is one constant and one
+// row. Every check is driven by the one shard loop, runShard, which owns
+// the shard's Result, sets the task's state on the scratch (context,
+// factory, Result, round bound; the check's own counters start at
+// zero), counts the states, polls cancellation every 64 states and
+// contains panics (a crashing checker or policy becomes an "aborted:
+// checker panic" shard, never a dead process). A check is handed a
+// machine that is its own: it may mutate it but must not retain it. It
+// reports a violation through shardScratch.refute(rank, witness) with
+// the rank it was handed — the merge keeps the lowest-ranked witness,
+// the one a sequential scan finds first, and witness renders it only if
+// it can still win — and returns false to end its shard, true to go on.
+// Checks that fan a single state out to many steal orders poll
+// cancellation themselves, every 64 walked orders, through aborted.
 //
 // # Steal orders
 //

@@ -15,7 +15,8 @@ import (
 // the given scratch.
 func runTask(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) Result {
 	var res Result
-	runShard(ctx, id, u, s, sc, &res, newStateCheck(ctx, id, f, DefaultMaxRounds, sc, &res))
+	sc.ctx, sc.f, sc.maxRounds, sc.best = ctx, f, DefaultMaxRounds, nil
+	sc.runShard(row(id), u, s, &res)
 	return res
 }
 
@@ -82,8 +83,7 @@ func TestReusedShardScratchIsInvisible(t *testing.T) {
 
 // Shard setup is the worker's, not the task's: once one obligation's
 // tasks have grown a Sequential run's one scratch, the tasks of further
-// obligations that allocate nothing per state add only their check's
-// closure.
+// obligations that allocate nothing per state add nothing.
 func TestShardSetupAllocatesOncePerWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what escapes to the heap")
@@ -102,23 +102,24 @@ func TestShardSetupAllocatesOncePerWorker(t *testing.T) {
 	}
 	one := measure(ObLemma1)
 	three := measure(ObLemma1, ObStealSoundness, ObPotentialDecrease)
-	// A task's one closure, the check's: the Attempt and trial machine
-	// are the scratch's, and the shard loop's enumeration callback stays
-	// on the stack (it read 4 objects while both escaped). Growing a
+	// A task's check is its row's static method and its state is the
+	// scratch's, so a task allocates nothing (it read 1 object, the
+	// check's closure, while the checks were built per task, and 4 while
+	// the Attempt and the enumeration callback escaped too). Growing a
 	// machine and an enumerator per task, as shard setup once did, costs ~43.
-	const perTask = 2
+	const perTask = 0.5
 	extra := three - one
 	t.Logf("lemma1 alone %.0f objects, with steal-soundness and potential-decrease %.0f: %.1f per added shard task", one, three, extra/(2*shardCount))
 	if extra > 2*shardCount*perTask {
-		t.Errorf("two more obligations cost %.0f objects, want at most %d per shard task (%d)", extra, perTask, 2*shardCount*perTask)
+		t.Errorf("two more obligations cost %.0f objects, want at most %.1f per shard task (%.0f)", extra, perTask, 2*shardCount*perTask)
 	}
 }
 
 // The game explorer allocates per shard task, not per node: its memo is
 // one key table whose arena and index the worker's scratch keeps, so a
 // second identical work-conservation-concurrent shard on the same scratch
-// allocates the task's closures and nothing that grows with the nodes it
-// explores.
+// allocates only runTask's Result and nothing that grows with the nodes
+// it explores.
 func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what escapes to the heap")
@@ -137,7 +138,7 @@ func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
 			t.Fatalf("%v: delta2 refuted: %s", u, r.Witness)
 		}
 		t.Logf("%v: %.0f objects for a shard of %d states, %d schedules", u, allocs, r.StatesChecked, r.SchedulesChecked)
-		const perTask = 4
+		const perTask = 1 // it read 2 while the task built its check's closure
 		if allocs > perTask {
 			t.Errorf("%v: a warmed shard allocates %.0f objects, want at most %d whatever its node count", u, allocs, perTask)
 		}
@@ -187,9 +188,11 @@ func TestPooledReportAllocatesPerReport(t *testing.T) {
 		t.Fatalf("greedy-buggy refuted %d obligations, want 6:\n%s", refuted, rep)
 	}
 	t.Logf("%.0f objects per report", allocs)
-	// It read 570–584 on go1.24 (1 391–1 396 before the pool, the witness
-	// gate and the stack-held enumeration callback).
-	const bound = 600
+	// It reads 136–150 on go1.24: 570–584 while every task built its
+	// check's closure and witnesses went through fmt's reflection, 1 391–
+	// 1 396 before the pool, the witness gate and the stack-held
+	// enumeration callback.
+	const bound = 200
 	if allocs > bound {
 		t.Errorf("a second report allocates %.0f objects, want at most %d", allocs, bound)
 	}

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -62,28 +61,12 @@ func DefaultUniverse() statespace.Universe {
 	}
 }
 
-// AllObligations lists every obligation in report order.
-func AllObligations() []ObligationID {
-	return []ObligationID{
-		ObLemma1,
-		ObStealSoundness,
-		ObPotentialDecrease,
-		ObFailureImpliesSucc,
-		ObWorkConservSeq,
-		ObWorkConservConc,
-		ObChoiceIndependence,
-		ObReactivity,
-		ObNoTaskLost,
-		ObDegradedWastedCores,
-	}
-}
-
 // PolicyContext verifies the policy produced by f against the paper's
 // proof obligations over the configured bounded universe and returns the
 // full report — the library's analogue of running the paper's Leon
 // pipeline on a DSL policy. It is the verifier's one fan-out: each
 // selected obligation's universe is partitioned into shardCount disjoint
-// slices (statespace.Universe.EnumerateShard), and all (obligation,
+// slices (statespace.Enumerator.EnumerateShardRank), and all (obligation,
 // shard) tasks drain through one worker pool of cfg.Parallelism
 // goroutines — so a single expensive obligation saturates every worker
 // instead of hogging one goroutine while the others finish early — or,
@@ -107,14 +90,12 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 	if u.Cores == 0 {
 		u = DefaultUniverse()
 	}
-	obligations := cfg.Obligations
-	if obligations == nil {
-		obligations = AllObligations()
+	ids := cfg.Obligations
+	if ids == nil {
+		ids = AllObligations()
 	}
-	for _, id := range obligations {
-		if !KnownObligation(id) {
-			panic(fmt.Sprintf("verify: unknown obligation %q", id))
-		}
+	for _, id := range ids {
+		mustRow(id)
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
@@ -123,7 +104,7 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 	// All (obligation, shard) tasks flattened obligation-major onto one
 	// task list; each task owns its slot of parts, and runs on the
 	// scratch of the worker that claimed it.
-	parts := make([]Result, len(obligations)*shardCount)
+	parts := make([]Result, len(ids)*shardCount)
 	took := make([]time.Duration, len(parts))
 	workers := 1
 	if !cfg.Sequential {
@@ -132,22 +113,21 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 			workers = runtime.GOMAXPROCS(0)
 		}
 	}
-	best := make([]atomic.Int64, len(obligations))
+	best := make([]atomic.Int64, len(ids))
 	for i := range best {
 		best[i].Store(math.MaxInt64)
 	}
 	forEachPooledTask(len(parts), workers, func(sc *shardScratch, i int) {
-		id, res := obligations[i/shardCount], &parts[i]
-		sc.best = &best[i/shardCount]
-		took[i] = runShard(ctx, id, u, i%shardCount, sc, res, newStateCheck(ctx, id, f, maxRounds, sc, res))
+		sc.ctx, sc.f, sc.maxRounds, sc.best = ctx, f, maxRounds, &best[i/shardCount]
+		took[i] = sc.runShard(row(ids[i/shardCount]), u, i%shardCount, &parts[i])
 	})
 	rep := &Report{
 		Policy:   name,
 		Universe: u.String(),
-		Results:  make([]Result, len(obligations)),
-		Elapsed:  make([]time.Duration, len(obligations)),
+		Results:  make([]Result, len(ids)),
+		Elapsed:  make([]time.Duration, len(ids)),
 	}
-	for i, id := range obligations {
+	for i, id := range ids {
 		lo, hi := i*shardCount, (i+1)*shardCount
 		rep.Results[i], rep.Elapsed[i] = mergeResults(id, parts[lo:hi], took[lo:hi])
 	}
@@ -175,14 +155,4 @@ func (r *Report) abortErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// KnownObligation reports whether id names a checkable obligation.
-func KnownObligation(id ObligationID) bool {
-	for _, known := range AllObligations() {
-		if id == known {
-			return true
-		}
-	}
-	return false
 }

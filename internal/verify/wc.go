@@ -1,10 +1,8 @@
 package verify
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync/atomic"
+	"strconv"
 
 	"repro/internal/sched"
 	"repro/internal/statespace"
@@ -46,32 +44,31 @@ func converge(f Factory, m *sched.Machine, maxRounds int, seen *statespace.Visit
 	}
 }
 
-// workConservationSequentialCheck checks the §3.2 definition in the
-// §4.2 sequential setting on one state: iterating sequential rounds from
-// it reaches a work-conserved state within a finite number of rounds.
-// The result's Bound is the worst-case N observed — the existential
-// witness of the paper's definition.
-func workConservationSequentialCheck(f Factory, maxRounds int, sc *shardScratch, res *Result) stateCheck {
-	return func(rank int, m *sched.Machine) bool {
-		start := appendLoads(sc.start[:0], m)
-		sc.start = start
-		rounds, end := converge(f, m, maxRounds, &sc.seen, (*sched.Machine).WorkConserved)
-		switch end {
-		case exhausted:
-			sc.refute(res, rank, func() string { return fmt.Sprintf("state %v: no convergence after %d rounds", start, maxRounds) })
-		case stuck:
-			sc.refute(res, rank, func() string {
-				return fmt.Sprintf("state %v: stuck at non-conserved %v (no steal possible)", start, m.Loads())
-			})
-		case cycled:
-			sc.refute(res, rank, func() string {
-				return fmt.Sprintf("state %v: sequential rounds cycle through %v without conserving", start, m.Loads())
-			})
-		default:
-			res.raiseBound(rounds)
-		}
-		return end == converged
+// workConservationSequential checks the §3.2 definition in the §4.2
+// sequential setting on one state: iterating sequential rounds from it
+// reaches a work-conserved state within a finite number of rounds. The
+// result's Bound is the worst-case N observed — the existential witness
+// of the paper's definition.
+func (sc *shardScratch) workConservationSequential(rank int, m *sched.Machine) bool {
+	start := appendLoads(sc.start[:0], m)
+	sc.start = start
+	rounds, end := converge(sc.f, m, sc.maxRounds, &sc.seen, (*sched.Machine).WorkConserved)
+	switch end {
+	case exhausted:
+		return sc.refute(rank, func() string {
+			return fmt.Sprintf("state %s: no convergence after %d rounds", ints(start), sc.maxRounds)
+		})
+	case stuck:
+		return sc.refute(rank, func() string {
+			return "state " + ints(start) + ": stuck at non-conserved " + ints(m.Loads()) + " (no steal possible)"
+		})
+	case cycled:
+		return sc.refute(rank, func() string {
+			return "state " + ints(start) + ": sequential rounds cycle through " + ints(m.Loads()) + " without conserving"
+		})
 	}
+	sc.res.raiseBound(rounds)
+	return true
 }
 
 // successorFunc enumerates the adversary's one-round successors of a
@@ -91,7 +88,7 @@ type successorFunc func(e *concExplorer, m *sched.Machine, visit func(next *sche
 // order only — the §4.3 model where the policy's own Choose picks
 // victims.
 func orderSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	p := e.f()
+	p := e.sc.f()
 	return e.permuteSteals(p, m, sched.SelectAll(p, m), nil, visit)
 }
 
@@ -101,12 +98,12 @@ func orderSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machin
 // the correctness proof". The candidate sets come from the policy's own
 // filter against the round-start snapshot.
 func choiceSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	base := sched.SelectAll(e.f(), m)
+	base := sched.SelectAll(e.sc.f(), m)
 	// The steals re-validate under a second instance, one that has not
 	// seen BeginRound, never the selecting one: sharing it flips
 	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
 	// item 3(a) records the open question).
-	p := e.f()
+	p := e.sc.f()
 	// The adversary's attempts are borrowed per search depth, like the
 	// order-walk scratch: they stay on the search path while visited.
 	var atts []sched.Attempt
@@ -158,7 +155,7 @@ func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, cho
 			next = new(sched.Machine)
 		}
 		sched.ExecuteSteals(p, next.CopyFrom(m), atts, order)
-		e.res.SchedulesChecked = satAdd(e.res.SchedulesChecked, weight)
+		e.sc.res.SchedulesChecked = satAdd(e.sc.res.SchedulesChecked, weight)
 		ok := visit(next, chosen, order)
 		e.free = append(e.free, next)
 		return ok
@@ -223,6 +220,23 @@ func appendLoads(dst []int, m *sched.Machine) []int {
 	return dst
 }
 
+// appendInts appends xs to dst as fmt's %v renders an []int — "[1 2 3]"
+// — without the reflection that boxes every element. Witnesses render
+// loads, steal orders and victims through it.
+func appendInts(dst []byte, xs []int) []byte {
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
+}
+
+// ints is appendInts as a string.
+func ints(xs []int) string { return string(appendInts(nil, xs)) }
+
 // concExplorer performs the adversarial game-graph search: states are
 // nodes, with one edge per adversarial decision produced by succ. The
 // adversary wins — the policy is not work-conserving — iff it can reach
@@ -233,19 +247,15 @@ func appendLoads(dst []int, m *sched.Machine) []int {
 // An explorer's memo is shard-local: sharing it across shards would need
 // locking on the hottest table, and the per-shard memo still collapses
 // the game graph under each shard's start states. The explorer itself is
-// the worker's (shardScratch), re-armed per shard: its memo is reset and
-// its free lists kept. Cancellation is polled per explored node (every
+// the worker's (shardScratch), reset per shard task: its memo is cleared
+// and its free lists kept. Cancellation is polled per explored node (every
 // 64, matching the enumeration stride); the steal orders walked under a
 // node need no extra polling because every successor edge immediately
 // re-enters explore, which polls.
 type concExplorer struct {
-	ctx  context.Context
-	f    Factory
-	succ successorFunc
-	done func(*sched.Machine) bool // terminal predicate of the game
-	res  *Result                   // the shard's Result: schedules are counted, and verdicts folded, into it
-	best *atomic.Int64             // the shard's obligation's lowest refuted rank (canWin)
-	rank int                       // the rank of the start state being explored
+	sc   *shardScratch // the scratch e is part of: the running task's context, factory, Result and game target
+	succ successorFunc // the adversary of the game being played
+	rank int           // the rank of the start state being explored
 	// memo maps every state key the game has reached to its worst rounds
 	// to terminal (≥ 0), or to onPath or gone; key is the AppendKey
 	// scratch a lookup renders into.
@@ -270,17 +280,26 @@ const (
 	gone   int32 = -2 // a search from the node failed: it is neither memoized nor on the path
 )
 
-// arm readies e for one shard's games: what the shard plays, and where it
-// reports, are set; the search state — memo, path, verdict, poll count —
-// starts empty, as a fresh explorer's would; the free lists are kept.
-func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, done func(*sched.Machine) bool, res *Result, best *atomic.Int64) *concExplorer {
-	e.ctx, e.f, e.succ, e.done, e.res, e.best = ctx, f, succ, done, res, best
+// reset readies e, the explorer of sc, for a new shard task: the search
+// state — memo, path, verdict, poll count — starts empty, as a fresh
+// explorer's would; the free lists are kept.
+func (e *concExplorer) reset(sc *shardScratch) {
+	e.sc = sc
 	e.path, e.violation, e.aborted, e.polls = e.path[:0], "", false, 0
 	if e.visitNext == nil {
 		e.visitNext = e.visit
 	}
 	e.memo.Reset()
-	return e
+}
+
+// terminal reports whether the game is over at m: m is work-conserved,
+// or, in a reactivity game, the target core has work or there is no
+// overloaded core left to take it from.
+func (e *concExplorer) terminal(m *sched.Machine) bool {
+	if t := e.sc.target; t >= 0 {
+		return !m.Core(t).Idle() || !hasOverloaded(m)
+	}
+	return m.WorkConserved()
 }
 
 // explore returns the worst-case rounds-to-conservation from m, or false
@@ -290,8 +309,8 @@ func (e *concExplorer) arm(ctx context.Context, f Factory, succ successorFunc, d
 // its key, is what the search holds.
 func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	e.polls++
-	if e.polls&63 == 0 && e.ctx.Err() != nil {
-		e.violation = "aborted: " + e.ctx.Err().Error()
+	if e.polls&63 == 0 && e.sc.ctx.Err() != nil {
+		e.violation = "aborted: " + e.sc.ctx.Err().Error()
 		e.aborted = true
 		return 0, false
 	}
@@ -300,7 +319,7 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 	if found {
 		switch n := e.memo.Value(node); n {
 		case onPath:
-			if canWin(e.best, e.rank) {
+			if canWin(e.sc.best, e.rank) {
 				e.violation = e.describeCycle(m, node)
 			}
 			return 0, false
@@ -310,7 +329,7 @@ func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
 			return int(n), true
 		}
 	}
-	if e.done(m) {
+	if e.terminal(m) {
 		e.memo.Set(node, 0)
 		return 0, true
 	}
@@ -358,8 +377,9 @@ func (e *concExplorer) visit(next *sched.Machine, atts []sched.Attempt, order []
 // describeCycle renders the witness of a cycle closed by reaching
 // repeat, whose memo entry is node, again.
 func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "adversarial livelock: state %v recurs without conserving; schedule:", repeat.Loads())
+	xs := appendLoads(make([]int, 0, len(repeat.Cores)), repeat) // each step's loads or victims, rendered in turn
+	b := appendInts(append(make([]byte, 0, 512), "adversarial livelock: state "...), xs)
+	b = append(b, " recurs without conserving; schedule:"...)
 	// Print the path suffix forming the cycle: from the first occurrence
 	// of the repeated state — the path node with the same memo entry, so
 	// the same key — to the top of the exploration stack.
@@ -371,18 +391,19 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
 		}
 	}
 	for _, step := range e.path[start:] {
-		fmt.Fprintf(&b, " %v --", step.m.Loads())
+		xs = appendLoads(xs[:0], step.m)
+		b = append(appendInts(append(b, ' '), xs), " --"...)
 		if step.atts != nil {
-			victims := make([]int, len(step.atts))
+			xs = xs[:0]
 			for i := range step.atts {
-				victims[i] = step.atts[i].Victim
+				xs = append(xs, step.atts[i].Victim)
 			}
-			fmt.Fprintf(&b, "victims %v ", victims)
+			b = append(appendInts(append(b, "victims "...), xs), ' ')
 		}
-		fmt.Fprintf(&b, "steal-order %v-->", step.order)
+		b = append(appendInts(append(b, "steal-order "...), step.order), "-->"...)
 	}
-	fmt.Fprintf(&b, " %v", repeat.Loads())
-	return b.String()
+	b = appendInts(append(b, ' '), appendLoads(xs[:0], repeat))
+	return string(b)
 }
 
 // lost folds a failed exploration into the shard's Result, which ends
@@ -393,78 +414,80 @@ func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
 func (e *concExplorer) lost(from func() string) bool {
 	switch {
 	case e.aborted:
-		e.res.abort(e.violation)
+		e.sc.res.abort(e.violation)
 	case e.violation == "":
-		e.res.refute(e.rank, "")
+		e.sc.res.refute(e.rank, "")
 	default:
-		e.res.refute(e.rank, from()+e.violation)
+		e.sc.res.refute(e.rank, from()+e.violation)
 	}
 	return false
 }
 
-// gameCheck checks work conservation in the full optimistic-concurrency
-// setting of §4.3 on one start state, against the adversary succ models.
-// With orderSuccessors it is work-conservation-concurrent — the §3.2
+// workConservationConcurrent checks work conservation in the full
+// optimistic-concurrency setting of §4.3 on one start state: the §3.2
 // definition under *every* adversarial serialization of every round's
-// steals; this is the obligation greedy-buggy fails: on the 0/1/2 machine
-// the adversary ping-pongs the spare thread between the two non-idle
-// cores forever, and the explorer returns that cycle as the witness.
-// With choiceSuccessors it is choice-independence — the paper's central
-// structural claim (§3.1), "the exact choice of the core does not matter
-// for the correctness proof": the adversary controls the step-2 choice
-// (any filter-passing candidate) *and* the steal order, so a policy
-// whose proofs secretly rely on its Choose heuristic fails here even if
-// it passes work-conservation-concurrent.
-//
-// The explorer's memo is private to the shard; the refutation found from
-// a shard's start state is independent of the memo's contents —
-// memoized subtrees are violation-free by construction — so the merged
-// witness is the one a whole-universe sequential scan finds first.
-func gameCheck(ctx context.Context, f Factory, succ successorFunc, sc *shardScratch, res *Result) stateCheck {
-	e := sc.explorer.arm(ctx, f, succ, (*sched.Machine).WorkConserved, res, sc.best)
-	return func(rank int, m *sched.Machine) bool {
-		e.rank = rank
-		n, ok := e.explore(m)
-		if !ok {
-			return e.lost(func() string { return fmt.Sprintf("from %v: ", m.Loads()) })
-		}
-		res.raiseBound(n)
-		return true
-	}
+// steals (orderSuccessors). This is the obligation greedy-buggy fails:
+// on the 0/1/2 machine the adversary ping-pongs the spare thread between
+// the two non-idle cores forever, and the explorer returns that cycle as
+// the witness.
+func (sc *shardScratch) workConservationConcurrent(rank int, m *sched.Machine) bool {
+	return sc.conserves(rank, m, orderSuccessors)
 }
 
-// reactivityCheck checks, on one state, the third performance property
-// the paper's introduction lists as unproven in real systems:
-// reactivity, "a bound on the delay to schedule ready threads".
-// Formalized per core: for every core idle in the state and every
-// adversarial schedule, the core stops being idle (or the machine runs
-// out of overloaded cores to take from) within a bounded number of
-// rounds. The result's Bound is that worst-case delay in rounds — the
-// paper's missing latency limit, made concrete over the bounded
-// universe.
-func reactivityCheck(ctx context.Context, f Factory, sc *shardScratch, res *Result) stateCheck {
-	target := 0 // the idle core the current game is about
-	e := sc.explorer.arm(ctx, f, orderSuccessors, func(s *sched.Machine) bool {
-		return !s.Core(target).Idle() || !hasOverloaded(s)
-	}, res, sc.best)
-	return func(rank int, m *sched.Machine) bool {
-		e.rank = rank
-		for _, c := range m.Cores {
-			if !c.Idle() {
-				continue
-			}
-			// A fresh game per target: the terminal predicate (and thus
-			// the memo) depends on the target core.
-			target = c.ID
-			e.memo.Reset()
-			n, ok := e.explore(m)
-			if !ok {
-				return e.lost(func() string { return fmt.Sprintf("core %d can starve from %v: ", target, m.Loads()) })
-			}
-			res.raiseBound(n)
-		}
-		return true
+// choiceIndependence checks the paper's central structural claim (§3.1),
+// "the exact choice of the core does not matter for the correctness
+// proof", on one start state: the adversary controls the step-2 choice
+// (any filter-passing candidate) *and* the steal order
+// (choiceSuccessors), so a policy whose proofs secretly rely on its
+// Choose heuristic fails here even if it passes
+// work-conservation-concurrent.
+func (sc *shardScratch) choiceIndependence(rank int, m *sched.Machine) bool {
+	return sc.conserves(rank, m, choiceSuccessors)
+}
+
+// conserves plays the work-conservation game from m against the
+// adversary succ models. The explorer's memo is private to the shard; the
+// refutation found from a shard's start state is independent of the
+// memo's contents — memoized subtrees are violation-free by construction
+// — so the merged witness is the one a whole-universe sequential scan
+// finds first.
+func (sc *shardScratch) conserves(rank int, m *sched.Machine, succ successorFunc) bool {
+	e := &sc.explorer
+	e.succ, e.rank, sc.target = succ, rank, -1
+	n, ok := e.explore(m)
+	if !ok {
+		return e.lost(func() string { return "from " + ints(m.Loads()) + ": " })
 	}
+	sc.res.raiseBound(n)
+	return true
+}
+
+// reactivity checks, on one state, the third performance property the
+// paper's introduction lists as unproven in real systems: reactivity, "a
+// bound on the delay to schedule ready threads". Formalized per core:
+// for every core idle in the state and every adversarial schedule, the
+// core stops being idle (or the machine runs out of overloaded cores to
+// take from) within a bounded number of rounds. The result's Bound is
+// that worst-case delay in rounds — the paper's missing latency limit,
+// made concrete over the bounded universe.
+func (sc *shardScratch) reactivity(rank int, m *sched.Machine) bool {
+	e := &sc.explorer
+	e.succ, e.rank = orderSuccessors, rank
+	for _, c := range m.Cores {
+		if !c.Idle() {
+			continue
+		}
+		// A fresh game per target: the terminal predicate (and thus the
+		// memo) depends on the target core.
+		sc.target = c.ID
+		e.memo.Reset()
+		n, ok := e.explore(m)
+		if !ok {
+			return e.lost(func() string { return fmt.Sprintf("core %d can starve from %s: ", c.ID, ints(m.Loads())) })
+		}
+		sc.res.raiseBound(n)
+	}
+	return true
 }
 
 // hasOverloaded reports whether m has an overloaded core.
