@@ -5,9 +5,9 @@ package service
 // wake-up (done channel, long-poll) of whoever waits for it.
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -54,7 +54,7 @@ func goldenRequests(t *testing.T) []Request {
 
 // The report a job assembles from one whole-job fan-out is, for every
 // row of the verifier's golden table, byte-equal to the sequential
-// driver's — checked against the hashes verify's TestGoldenReports pins
+// driver's — checked against the compacted reports verify's TestGoldenReports pins
 // (generated by PolicyContext{Sequential: true}), so the two tables
 // cannot drift apart either.
 func TestFanOutReportsMatchSequentialDriver(t *testing.T) {
@@ -78,9 +78,12 @@ func TestFanOutReportsMatchSequentialDriver(t *testing.T) {
 		if rep == nil {
 			t.Fatalf("row %d cancelled: %s", i, errMsg)
 		}
-		line := fmt.Sprintf("%x  %s  %s", sha256.Sum256(reportJSON(t, rep)), rep.Policy, rep.Universe)
-		if line != golden[i] {
-			t.Errorf("row %d: daemon-assembled report differs from the sequential driver's\n got %s\nwant %s", i, line, golden[i])
+		var line bytes.Buffer
+		if err := json.Compact(&line, reportJSON(t, rep)); err != nil {
+			t.Fatal(err)
+		}
+		if line.String() != golden[i] {
+			t.Errorf("row %d: daemon-assembled report differs from the sequential driver's\n got %s\nwant %s", i, line.String(), golden[i])
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package verify
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -77,13 +78,20 @@ func goldenLine(t *testing.T, c goldenCase, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x  %s  %s", sha256.Sum256(data), c.name, c.u)
+	// Compacting ReportJSON's indentation loses no byte of content: the
+	// pinned line is the whole report, so a Version bump's diff of the
+	// golden file shows exactly which fields moved.
+	var line bytes.Buffer
+	if err := json.Compact(&line, data); err != nil {
+		t.Fatal(err)
+	}
+	return line.String()
 }
 
 // TestGoldenReports pins the bytes of ReportJSON under the current
-// Version: the schedverifyd memo replays reports keyed by Version, so a
-// change that moves a verdict, a counter, a bound or a witness without
-// bumping it would serve stale bytes.
+// Version, one compacted report per line: the schedverifyd memo replays
+// reports keyed by Version, so a change that moves a verdict, a counter,
+// a bound or a witness without bumping it would serve stale bytes.
 func TestGoldenReports(t *testing.T) {
 	if !strings.HasSuffix(goldenFile, "-v"+Version[strings.LastIndex(Version, "/")+1:]+".txt") {
 		t.Fatalf("golden file %s does not belong to Version %s: regenerate it under the new name", goldenFile, Version)
