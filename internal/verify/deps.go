@@ -116,10 +116,13 @@ func AllObligations() []ObligationID {
 func KnownObligation(id ObligationID) bool { return row(id) != nil }
 
 // ObligationDeps returns the policy components obligation id's check
-// consults, in a fixed order suitable for hashing. Panics on unknown
-// obligations, like the checkers themselves.
+// consults, in a fixed order suitable for hashing. The slice is the
+// table's own and read-only; its capacity ends at its length, so an
+// append to it copies rather than writing into the table. Panics on
+// unknown obligations, like the checkers themselves.
 func ObligationDeps(id ObligationID) []PolicyComponent {
-	return append([]PolicyComponent(nil), mustRow(id).deps...)
+	deps := mustRow(id).deps
+	return deps[:len(deps):len(deps)]
 }
 
 // ReadsMaxRounds reports whether obligation id's verdict depends on

@@ -35,7 +35,8 @@ func TestObligationDepsComplete(t *testing.T) {
 }
 
 // TestObligationDepsAccessors checks the exported accessors agree with
-// the table and defend their copies.
+// the table, and that an append to ObligationDeps' read-only result
+// leaves the table unchanged.
 func TestObligationDepsAccessors(t *testing.T) {
 	for i, id := range AllObligations() {
 		ob := &obligations[i]
@@ -46,9 +47,9 @@ func TestObligationDepsAccessors(t *testing.T) {
 		if len(deps) != len(ob.deps) {
 			t.Fatalf("ObligationDeps(%q) length mismatch", id)
 		}
-		deps[0] = "mutated"
-		if ob.deps[0] == "mutated" {
-			t.Fatalf("ObligationDeps(%q) returns the table's own slice", id)
+		grown := append(deps, "appended")
+		if &grown[0] == &ob.deps[0] || len(ob.deps) != len(deps) || cap(deps) != len(deps) {
+			t.Fatalf("ObligationDeps(%q): an append to the result can reach the table", id)
 		}
 		if ReadsMaxRounds(id) != ob.rounds {
 			t.Errorf("ReadsMaxRounds(%q) = %v, want the row's %v", id, !ob.rounds, ob.rounds)

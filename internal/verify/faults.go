@@ -1,7 +1,7 @@
 package verify
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/sched"
 )
@@ -28,7 +28,7 @@ func replayFault(m *sched.Machine, f Factory, ev sched.FaultEvent) {
 		p = f()
 	}
 	if _, err := m.ApplyFault(p, ev); err != nil {
-		panic(fmt.Sprintf("verify: enumerated script %v: %v", m.Faults, err))
+		panic("verify: enumerated script " + faults(m.Faults) + ": " + err.Error())
 	}
 }
 
@@ -67,8 +67,8 @@ func (sc *shardScratch) noTaskLost(rank int, m *sched.Machine) bool {
 				delay := i - orphanedAt[t.ID]
 				if delay > sc.maxRounds {
 					return sc.refute(rank, func() string {
-						return fmt.Sprintf("state %s script %v: task %d orphaned on core %d at round %d not re-homed until round %d (bound %d)",
-							ints(start), m.Faults, t.ID, core, orphanedAt[t.ID], i, sc.maxRounds)
+						return "state " + ints(start) + " script " + faults(m.Faults) + ": task " + strconv.Itoa(int(t.ID)) + " orphaned on core " + strconv.Itoa(core) +
+							" at round " + strconv.Itoa(orphanedAt[t.ID]) + " not re-homed until round " + strconv.Itoa(i) + " (bound " + strconv.Itoa(sc.maxRounds) + ")"
 					})
 				}
 				sc.res.raiseBound(delay)
@@ -89,8 +89,8 @@ func (sc *shardScratch) noTaskLost(rank int, m *sched.Machine) bool {
 	for _, t := range m.Orphans() {
 		if core, ok := orphanCore[t.ID]; ok {
 			return sc.refute(rank, func() string {
-				return fmt.Sprintf("state %s script %v: task %d stranded on failed core %d at round %d is never re-homed (no rescue, no revival)",
-					ints(start), m.Faults, t.ID, core, orphanedAt[t.ID])
+				return "state " + ints(start) + " script " + faults(m.Faults) + ": task " + strconv.Itoa(int(t.ID)) + " stranded on failed core " + strconv.Itoa(core) +
+					" at round " + strconv.Itoa(orphanedAt[t.ID]) + " is never re-homed (no rescue, no revival)"
 			})
 		}
 	}
@@ -124,16 +124,16 @@ func (sc *shardScratch) degradedWastedCores(rank int, m *sched.Machine) bool {
 	switch end {
 	case exhausted:
 		return sc.refute(rank, func() string {
-			return fmt.Sprintf("state %s script %v: degraded invariant not restored after %d rounds", ints(start), m.Faults, sc.maxRounds)
+			return "state " + ints(start) + " script " + faults(m.Faults) + ": degraded invariant not restored after " + strconv.Itoa(sc.maxRounds) + " rounds"
 		})
 	case stuck:
 		return sc.refute(rank, func() string {
-			return fmt.Sprintf("state %s script %v: stuck at %s with an idle online core and unclaimed work (no steal possible)",
-				ints(start), m.Faults, ints(m.Loads()))
+			return "state " + ints(start) + " script " + faults(m.Faults) + ": stuck at " + ints(m.Loads()) +
+				" with an idle online core and unclaimed work (no steal possible)"
 		})
 	case cycled:
 		return sc.refute(rank, func() string {
-			return fmt.Sprintf("state %s script %v: rounds cycle through %s without restoring the degraded invariant", ints(start), m.Faults, ints(m.Loads()))
+			return "state " + ints(start) + " script " + faults(m.Faults) + ": rounds cycle through " + ints(m.Loads()) + " without restoring the degraded invariant"
 		})
 	}
 	sc.res.raiseBound(rounds)

@@ -912,3 +912,24 @@ func TestElapsedIsNotPartOfTheReport(t *testing.T) {
 		t.Errorf("report bytes depend on Elapsed:\n%s\nvs\n%s", timed, bare)
 	}
 }
+
+// A fault witness renders its script as fmt's %v does, without fmt: a
+// late revival under a zero round bound, pinned whole.
+func TestFaultWitnessRendersItsScript(t *testing.T) {
+	for _, script := range [][]sched.FaultEvent{nil, {{Core: 2}}, {{Core: 1}, {Core: 1, Revive: true}, {Core: 0}}} {
+		if got, want := faults(script), fmt.Sprint(script); got != want {
+			t.Errorf("faults(%v) = %q, want %q", script, got, want)
+		}
+	}
+	var res Result
+	sc := &shardScratch{ctx: context.Background(), f: delta2Factory, res: &res}
+	m := sched.MachineFromLoads(0, 2, 0)
+	m.Faults = []sched.FaultEvent{{Core: 1}, {Core: 1, Revive: true}}
+	if sc.noTaskLost(0, m) {
+		t.Fatal("a revival one round late passed under a zero round bound")
+	}
+	const want = "state [0 2 0] script [fail(1) revive(1)]: task 0 orphaned on core 1 at round 0 not re-homed until round 1 (bound 0)"
+	if res.Witness != want {
+		t.Errorf("witness\n got %s\nwant %s", res.Witness, want)
+	}
+}

@@ -237,6 +237,28 @@ func appendInts(dst []byte, xs []int) []byte {
 // ints is appendInts as a string.
 func ints(xs []int) string { return string(appendInts(nil, xs)) }
 
+// appendFaults appends a fault script to dst as fmt's %v renders it —
+// "[fail(1) revive(1)]" — without the reflection that boxes every event.
+// Fault witnesses render their scripts through it.
+func appendFaults(dst []byte, evs []sched.FaultEvent) []byte {
+	dst = append(dst, '[')
+	for i, ev := range evs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		if ev.Revive {
+			dst = append(dst, "revive("...)
+		} else {
+			dst = append(dst, "fail("...)
+		}
+		dst = append(strconv.AppendInt(dst, int64(ev.Core), 10), ')')
+	}
+	return append(dst, ']')
+}
+
+// faults is appendFaults as a string.
+func faults(evs []sched.FaultEvent) string { return string(appendFaults(nil, evs)) }
+
 // concExplorer performs the adversarial game-graph search: states are
 // nodes, with one edge per adversarial decision produced by succ. The
 // adversary wins — the policy is not work-conserving — iff it can reach
