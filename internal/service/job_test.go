@@ -58,7 +58,7 @@ func goldenRequests(t *testing.T) []Request {
 // (generated by PolicyContext{Sequential: true}), so the two tables
 // cannot drift apart either.
 func TestFanOutReportsMatchSequentialDriver(t *testing.T) {
-	data, err := os.ReadFile("../verify/testdata/golden-v6.txt")
+	data, err := os.ReadFile("../verify/testdata/golden-v7.txt")
 	if err != nil {
 		t.Fatal(err)
 	}

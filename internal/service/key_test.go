@@ -32,9 +32,9 @@ func TestObligationKeysArePinned(t *testing.T) {
 	forms := delta2Forms(t)
 	u := verify.DefaultUniverse()
 	for id, want := range map[verify.ObligationID]string{
-		verify.ObLemma1:         "7a99775b5d8b6367ba26416f11bd0dec5f01c97bda01582c1500e2af80be93e7",
-		verify.ObWorkConservSeq: "8611977546278355a0f225f6e6f3044b8630bc2bcfbef8ecce8d0a36a65c25b9",
-		verify.ObNoTaskLost:     "f809e4434d7b4a3f83e24f49950950126a0d37785d9940542314d3ee481d698e",
+		verify.ObLemma1:         "ded683a33457b3ce90f5135b6fd245e65ec7db40768271a8936ccc3527f1a00a",
+		verify.ObWorkConservSeq: "ad569084963c465abbcc83acfe9a088219ec6c5da1a99c93e12a9a80796b8818",
+		verify.ObNoTaskLost:     "985a9e255e3cdcc47c0cc21c8276d834d14a685edf74b048d1383c22261a57b0",
 	} {
 		if got := obligationKey(forms, u, id, 0); got != want {
 			t.Errorf("%s: key %s, pinned %s", id, got, want)
@@ -47,7 +47,7 @@ func TestObligationKeysArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "c553f9cef2574474d6c17ca7932a880784a786f687c01ad29ba0bac095d5f434"; sub.jobKey != want {
+	if want := "b92ce44746f14c8a2a00f8c49dc2845feb9228bc5f3858d2d1653f850e058e1a"; sub.jobKey != want {
 		t.Errorf("job key %s, pinned %s", sub.jobKey, want)
 	}
 	// A submission's keys are obligationKey's, cell for cell.

@@ -104,13 +104,9 @@ func (sc *shardScratch) ablationState(rank int, m *sched.Machine) bool {
 	// over a core with no victim without calling the policy, so every
 	// order of a class commits the same violations.
 	return sc.perms.stealOrders(sched.SelectAll(sc.f(), m), func(order []int, weight int) bool {
-		// Poll per walked order, not just per state: each state fans out
-		// to k! orders and each order runs two full rounds.
-		if sc.walked&63 == 0 && aborted(sc.ctx, sc.res) {
+		if !sc.walk(weight) {
 			return false
 		}
-		sc.walked++
-		sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, weight)
 
 		// The safe round's copy is checked before the unsafe round runs,
 		// so both rounds run on the worker's one trial machine.

@@ -62,7 +62,7 @@ func certify(id ObligationID, f Factory, u statespace.Universe, bound int) error
 				}
 			}
 			for _, target := range targets {
-				rank := ranks(m, target)
+				rank := ranks(target)
 				r, ok := rank(m)
 				if !ok {
 					return fmt.Errorf("start state %v (target %d) is not ranked", m.Loads(), target)
@@ -212,25 +212,25 @@ func certificateOrders(atts []sched.Attempt) [][]int {
 }
 
 // verifierRanks runs shard s of obligation id on sc and returns the
-// ranks the verifier's proof of it rests on, by start state and target:
-// the game explorer's memo. Reactivity's memo holds one target's game
-// at a time, so its ranks are read back per start state and target.
-func verifierRanks(id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) (func(start *sched.Machine, target int) ranker, error) {
+// ranks the verifier's proof of it rests on, by target: the layers of
+// the shard's game graph, work conservation's or the target core's.
+func verifierRanks(id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) (func(target int) ranker, error) {
 	if r := runTask(context.Background(), id, f, u, s, sc); !r.Passed {
 		return nil, fmt.Errorf("shard %d is not proved: %s", s, r.Witness)
 	}
-	e := &sc.explorer
-	rank := func(m *sched.Machine) (int, bool) {
-		node, found := e.memo.Lookup(m.AppendKey(nil), gone)
-		return int(e.memo.Value(node)), found && e.memo.Value(node) >= 0
-	}
-	return func(start *sched.Machine, target int) ranker {
-		if id == ObReactivity {
-			e.reset(sc)
-			e.succ, sc.target = orderSuccessors, target
-			e.explore(start.Clone())
+	g := &sc.graph
+	return func(target int) ranker {
+		var layers []int32
+		if target+1 < len(g.layers) {
+			layers = g.layers[target+1]
 		}
-		return rank
+		return func(m *sched.Machine) (int, bool) {
+			i, found := g.table.Lookup(m.AppendKey(nil), 0)
+			if !found || i >= len(layers) || layers[i] == unsolved {
+				return 0, false
+			}
+			return int(layers[i]), true
+		}
 	}, nil
 }
 

@@ -24,7 +24,7 @@ import (
 //
 //   - The shard count is a constant, independent of the configured
 //     worker count and of the machine, so every run checks exactly the
-//     same slices (the game explorers' memo is shard-local, so their
+//     same slices (the game graph is shard-local, so the game rows'
 //     schedule counters depend on the partition).
 //   - A refuted shard records the global enumeration rank of its
 //     witness, and the merge keeps the lowest-ranked one — the same
@@ -44,29 +44,30 @@ const shardCount = 8
 // per worker, Sequential exactly one). Its first fields are the running
 // task's: set once per task by the fan-out and runShard, read by the
 // per-state checks, and their references cleared on return to the pool.
-// The rest is the worker's: the enumerator, the game explorer with its
-// memo and free lists, the cycle set, and every buffer a per-state check
-// reuses. A check resets what it takes as its own per-state code always
-// has, and runShard resets the explorer's search, so a shard's Result
-// never depends on the tasks the scratch ran before — in particular the
-// explorer's memo is cleared per shard, never shared.
+// The rest is the worker's: the enumerator, the game graph, the cycle
+// set, and every buffer a per-state check reuses. A check resets what it
+// takes as its own per-state code always has, and runShard resets the
+// game graph, so a shard's Result never depends on the tasks the scratch
+// ran before — in particular the graph is emptied per shard, never
+// shared.
 type shardScratch struct {
 	ctx       context.Context
 	f         Factory
 	res       *Result       // the shard's Result, which the check reports into
 	best      *atomic.Int64 // the task's obligation's lowest refuted rank (canWin)
 	maxRounds int           // Config.MaxRounds, defaulted
-	target    int           // the idle core a reactivity game is about; -1 in a work-conservation game
 	walked    int           // the shard's walked steal orders, the cancellation poll's stride
 	ablation  *AblationResult
 
-	enum     statespace.Enumerator
-	explorer concExplorer
-	trial    sched.Machine // the copy a single steal or one whole order runs on
-	att      sched.Attempt // the single steal's attempt (a local one would escape)
-	perms    permScratch
-	seen     statespace.Visited // the sequential checks' cycle set
-	start    []int              // the start state's loads, for the witness
+	enum  statespace.Enumerator
+	graph gameGraph
+	link  visitFunc       // linkSuccessor, bound once
+	trial sched.Machine   // the copy a single steal or one whole order runs on
+	att   sched.Attempt   // the single steal's attempt (a local one would escape)
+	atts  []sched.Attempt // choiceSuccessors' victim assignment
+	perms permScratch
+	seen  statespace.Visited // the sequential checks' cycle set
+	start []int              // the start state's loads, for the witness
 	// noTaskLost's orphan maps: orphanedAt[id] is the round at which
 	// task id became an orphan, orphanCore[id] the offline core holding
 	// it.
@@ -128,7 +129,7 @@ func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, r
 		u.MaxFaults = 0
 	}
 	sc.res, sc.walked = res, 0
-	sc.explorer.reset(sc)
+	sc.graph.reset()
 	sc.enum.EnumerateShardRank(u, s, shardCount, func(rank int, m *sched.Machine) bool {
 		if res.StatesChecked&63 == 0 && aborted(sc.ctx, res) {
 			return false
@@ -201,18 +202,27 @@ func satAdd(a, b int) int {
 
 // aborted reports whether ctx is done and, if so, marks res as aborted
 // with the cancellation as the witness. runShard polls it every 64
-// enumerated states, and checks that fan one state out to its steal
-// orders poll it every 64 walked orders (ctx.Err takes a mutex, and
-// concurrent shard checks would otherwise contend on it in their
-// hottest loops) — without the order-level poll that fan-out would
-// multiply cancellation latency by up to k!. The poll counts walked
-// orders, never the weighted schedule count: that jumps by n!/k! per
-// order and could step over every multiple of 64.
+// enumerated states, and walk every 64 walked steal orders (ctx.Err
+// takes a mutex, and concurrent shard checks would otherwise contend on
+// it in their hottest loops).
 func aborted(ctx context.Context, res *Result) bool {
 	if ctx.Err() == nil {
 		return false
 	}
 	res.abort("aborted: " + ctx.Err().Error())
+	return true
+}
+
+// walk counts one walked steal order, standing for weight schedules, and
+// reports whether the shard goes on. Polling every 64 walked orders keeps
+// a state's k! fan-out from multiplying cancellation latency; the weighted
+// count could step over every multiple of 64.
+func (sc *shardScratch) walk(weight int) bool {
+	if sc.walked&63 == 0 && aborted(sc.ctx, sc.res) {
+		return false
+	}
+	sc.walked++
+	sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, weight)
 	return true
 }
 

@@ -165,14 +165,9 @@ func (sc *shardScratch) failureImpliesSuccess(rank int, m *sched.Machine) bool {
 	p := sc.f()
 	atts := sched.SelectAll(p, m)
 	return sc.perms.stealOrders(atts, func(order []int, weight int) bool {
-		// A state fans out to k! walked orders, so polling only per
-		// state would stretch cancellation latency by that factor on
-		// wide universes; poll per walked order at the same stride.
-		if sc.walked&63 == 0 && aborted(sc.ctx, sc.res) {
+		if !sc.walk(weight) {
 			return false
 		}
-		sc.walked++
-		sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, weight)
 		rr := sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
 		for _, att := range rr.Attempts {
 			if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {

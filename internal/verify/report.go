@@ -21,9 +21,8 @@
 //     every state, iterating sequential rounds reaches a state with no
 //     idle core while an overloaded core exists; Bound is the worst N.
 //   - Work conservation, concurrent (§3.2 in the §4.3 setting): the same
-//     under every adversarial steal order — checked by exhaustive
-//     game-graph exploration with cycle detection, which finds the §4.3
-//     greedy-buggy ping-pong automatically.
+//     under every adversarial steal order — a game (see Game obligations)
+//     whose solver finds the §4.3 greedy-buggy ping-pong automatically.
 //   - Choice independence (§3.1): work conservation survives when the
 //     adversary also picks the step-2 victim among the filtered cores.
 //   - Reactivity (§1): every idle core gets work within a bounded number
@@ -53,8 +52,8 @@
 // the rank it was handed — the merge keeps the lowest-ranked witness,
 // the one a sequential scan finds first, and witness renders it only if
 // it can still win — and returns false to end its shard, true to go on.
-// Checks that fan a single state out to many steal orders poll
-// cancellation themselves, every 64 walked orders, through aborted.
+// Checks that fan a single state out to many steal orders count each
+// walked order through walk, which polls cancellation every 64 of them.
 //
 // # Steal orders
 //
@@ -73,6 +72,33 @@
 // cores in ascending ID, and counts it as the n!/k! schedules it stands
 // for, so SchedulesChecked and the ablation's violation counts are the
 // full walk's.
+//
+// # Game obligations
+//
+// Work-conservation-concurrent, choice-independence and reactivity are
+// reachability games — from every start state, every schedule the
+// adversary picks reaches the goal — solved on one graph per shard task
+// (gameGraph), with no recursion.
+//
+//   - Graph: the states the shard's start states reach, numbered in
+//     discovery order by key (sched.Machine.AppendKey). A flat loop
+//     expands each node once per shard, rebuilt from its key, keeping the
+//     distinct successors of its walked orders; work-conserved nodes end
+//     every game and are not expanded.
+//   - Goals: work conservation, or per reactivity target core, the core
+//     has work or no core is overloaded.
+//   - Solver: one backward pass per goal (solve) gives a node meeting the
+//     goal layer 0 and any other, once its successors are solved, 1 +
+//     their largest layer — its worst-case rounds, the Bound. A node never
+//     solved is refuted. Each pass covers only the nodes the graph gained
+//     since the goal's last one, so a goal is solved once per shard.
+//   - Lasso: a refuted start state's witness walks the first unsolved
+//     successor in enumeration order until a node repeats, and prints the
+//     cycle.
+//
+// SchedulesChecked counts each expanded node's walked orders once per
+// shard: a refuted shard counts all its start states reach, and
+// reactivity's targets share one count.
 package verify
 
 import (

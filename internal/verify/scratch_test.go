@@ -23,8 +23,8 @@ func runTask(ctx context.Context, id ObligationID, f Factory, u statespace.Unive
 // A worker's scratch carries nothing from one shard task to the next
 // that a Result can see: every task run on one reused scratch yields the
 // Result the same task yields on a fresh one. The sequence opens with a
-// game cancelled mid-search, a game whose policy panics mid-path and a
-// refuted game, each of which leaves the explorer mid-search, then
+// game cancelled mid-expansion, a game whose policy panics mid-expansion
+// and a refuted game, each of which leaves the game graph half built, then
 // changes the obligation, the policy and the universe's cores and fault
 // dimension under the same scratch.
 func TestReusedShardScratchIsInvisible(t *testing.T) {
@@ -77,7 +77,7 @@ func TestReusedShardScratchIsInvisible(t *testing.T) {
 		}
 	}
 	if refuted == 0 {
-		t.Fatal("greedy-buggy refuted no shard: the sequence never left the explorer mid-search")
+		t.Fatal("greedy-buggy refuted no shard: the sequence never left a refuted game graph behind")
 	}
 }
 
@@ -115,11 +115,11 @@ func TestShardSetupAllocatesOncePerWorker(t *testing.T) {
 	}
 }
 
-// The game explorer allocates per shard task, not per node: its memo is
-// one key table whose arena and index the worker's scratch keeps, so a
-// second identical work-conservation-concurrent shard on the same scratch
-// allocates only runTask's Result and nothing that grows with the nodes
-// it explores.
+// A game allocates per shard task, not per node: its graph — a key table
+// numbering the nodes, their keys, successors and layers — is storage the
+// worker's scratch keeps, so a second identical
+// work-conservation-concurrent shard on the same scratch allocates only
+// runTask's Result and nothing that grows with the nodes it expands.
 func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what escapes to the heap")
@@ -145,19 +145,27 @@ func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
 	}
 }
 
-// A livelock witness prints the cycle only: from the path node whose memo
-// entry the repeated state has, not from the root of the search.
-func TestDescribeCyclePrintsFromTheRepeatedNode(t *testing.T) {
-	a, b, c := sched.MachineFromLoads(0, 0, 3), sched.MachineFromLoads(0, 1, 2), sched.MachineFromLoads(0, 2, 1)
-	e := &concExplorer{path: []pathNode{
-		{m: a, node: 0, order: []int{0, 1, 2}},
-		{m: b, node: 1, order: []int{1, 0, 2}},
-		{m: c, node: 2, order: []int{2, 1, 0}},
-	}}
-	const want = "adversarial livelock: state [0 1 2] recurs without conserving; schedule:" +
-		" [0 1 2] --steal-order [1 0 2]--> [0 2 1] --steal-order [2 1 0]--> [0 1 2]"
-	if got := e.describeCycle(b, 1); got != want {
-		t.Errorf("witness\n got %s\nwant %s", got, want)
+// A livelock witness prints the lasso's cycle only: from the first node
+// the walk from the start state revisits, back to it. greedy-buggy's
+// [0 1 2] lies on its cycle; [0 0 1 3] reaches one a round later.
+func TestLassoPrintsTheCycleOnly(t *testing.T) {
+	for _, c := range []struct {
+		loads []int
+		want  string
+	}{
+		{[]int{0, 1, 2}, "from [0 1 2]: adversarial livelock: state [0 1 2] recurs without conserving; schedule:" +
+			" [0 1 2] --steal-order [1 0 2]--> [0 2 1] --steal-order [2 0 1]--> [0 1 2]"},
+		{[]int{0, 0, 1, 3}, "from [0 0 1 3]: adversarial livelock: state [1 0 2 1] recurs without conserving; schedule:" +
+			" [1 0 2 1] --steal-order [0 1 3 2]--> [2 0 1 1] --steal-order [2 1 3 0]--> [1 0 2 1]"},
+	} {
+		var res Result
+		sc := &shardScratch{ctx: context.Background(), f: greedyFactory, res: &res}
+		if sc.workConservationConcurrent(0, sched.MachineFromLoads(c.loads...)) {
+			t.Fatalf("greedy-buggy conserves work from %v", c.loads)
+		}
+		if res.Witness != c.want {
+			t.Errorf("witness\n got %s\nwant %s", res.Witness, c.want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // Bump it whenever any obligation's verdicts, counters, bounds or
 // witness text can change — shard-merge changes included, since reports
 // are defined to be byte-identical across parallelism levels.
-const Version = "optsched-verify/6"
+const Version = "optsched-verify/7"
 
 // DefaultMaxRounds is the cap on sequential convergence loops that a
 // zero Config.MaxRounds selects — the one statement of that default for

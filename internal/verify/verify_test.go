@@ -220,7 +220,7 @@ func TestWorkConservationConcurrentDelta2(t *testing.T) {
 }
 
 func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
-	// The headline result: the explorer must automatically find the
+	// The headline result: the game solver must automatically find the
 	// §4.3 ping-pong livelock for the greedy filter.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
 	r := check(ObWorkConservConc, greedyFactory, u)
@@ -701,11 +701,15 @@ func TestFailureImpliesSuccessCancelsMidState(t *testing.T) {
 }
 
 func TestGameCheckersAbortLikeEveryChecker(t *testing.T) {
-	// A cancellation that lands inside a game's exploration must read
+	// A cancellation that lands inside a game's expansion must read
 	// exactly as one caught by the shard loop: no start state in front
 	// of "aborted:". The factory cancels once the game is under way, so
-	// the explorer's own poll is the one that fires.
+	// the game expansion's own poll is the one that fires: the first
+	// shard stops short of its last state, where the shard loop would
+	// next poll.
 	u := statespace.Universe{Cores: 4, MaxPerCore: 3}
+	first := 0
+	new(statespace.Enumerator).EnumerateShardRank(u, 0, shardCount, func(int, *sched.Machine) bool { first++; return true })
 	for _, id := range []ObligationID{ObWorkConservConc, ObChoiceIndependence, ObReactivity} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
@@ -718,6 +722,9 @@ func TestGameCheckersAbortLikeEveryChecker(t *testing.T) {
 		r := RunObligation(ctx, id, f, Config{Universe: u, Sequential: true})
 		if !r.Aborted || r.Witness != "aborted: context canceled" {
 			t.Errorf("%s: aborted=%v witness %q, want %q", id, r.Aborted, r.Witness, "aborted: context canceled")
+		}
+		if r.StatesChecked >= first {
+			t.Errorf("%s: the cancellation was noticed after %d states, not inside the first shard's %d", id, r.StatesChecked, first)
 		}
 	}
 }
@@ -786,7 +793,7 @@ func TestEveryObligationContainsCheckerPanics(t *testing.T) {
 
 func TestReportBytesIndependentOfGOMAXPROCS(t *testing.T) {
 	// The shard partition is a constant, not a function of the host: the
-	// game explorers' memo is shard-local, so a partition that followed
+	// game graph is shard-local, so a partition that followed
 	// GOMAXPROCS made schedules_checked (7584 vs 7632 on this universe)
 	// differ between a laptop and a 12-CPU server — and a memo written
 	// on one replay bytes the other would never print.

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/sched"
@@ -71,102 +73,82 @@ func (sc *shardScratch) workConservationSequential(rank int, m *sched.Machine) b
 	return true
 }
 
+// visitFunc is handed each one-round successor of a state, the
+// adversary's decisions that led to it — the attempts carrying the
+// victims it chose (nil when Choose picked them) and the steal order —
+// and the full orders that order stands for. All three are reused after
+// the call; returning false stops the enumeration.
+type visitFunc func(next *sched.Machine, atts []sched.Attempt, order []int, weight int) bool
+
 // successorFunc enumerates the adversary's one-round successors of a
-// machine state for an explorer, invoking visit with each resulting
-// state and the adversarial decisions that led to it: the steal order
-// and, when the adversary also chose the victims, the attempts carrying
-// them (nil otherwise). next, atts and order are the enumeration's own
-// storage — unchanged for the duration of the visit, reused after it.
-// Enumeration stops early when visit returns false; the function reports
-// whether it ran to completion.
-//
+// state, in a fixed order, and reports whether it ran to completion.
 // The selection phase runs once per state, not once per order: it reads
 // only the round-start snapshot, which no order can change.
-type successorFunc func(e *concExplorer, m *sched.Machine, visit func(next *sched.Machine, atts []sched.Attempt, order []int) bool) bool
+type successorFunc func(sc *shardScratch, m *sched.Machine, visit visitFunc) bool
 
 // orderSuccessors gives the adversary control of the steal serialization
 // order only — the §4.3 model where the policy's own Choose picks
 // victims.
-func orderSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	p := e.sc.f()
-	return e.permuteSteals(p, m, sched.SelectAll(p, m), nil, visit)
+func orderSuccessors(sc *shardScratch, m *sched.Machine, visit visitFunc) bool {
+	p := sc.f()
+	return sc.permuteSteals(p, m, sched.SelectAll(p, m), nil, visit)
 }
 
 // choiceSuccessors gives the adversary control of both the victim chosen
 // in step 2 (any core that passed the filter) and the steal order —
 // checking the paper's claim that the exact choice "does not matter for
 // the correctness proof". The candidate sets come from the policy's own
-// filter against the round-start snapshot.
-func choiceSuccessors(e *concExplorer, m *sched.Machine, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	base := sched.SelectAll(e.sc.f(), m)
+// filter against the round-start snapshot; the victim assignments are
+// walked as an odometer, the last attempting core's choice turning
+// fastest.
+func choiceSuccessors(sc *shardScratch, m *sched.Machine, visit visitFunc) bool {
+	base := sched.SelectAll(sc.f(), m)
 	// The steals re-validate under a second instance, one that has not
 	// seen BeginRound, never the selecting one: sharing it flips
 	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
 	// item 3(a) records the open question).
-	p := e.sc.f()
-	// The adversary's attempts are borrowed per search depth, like the
-	// order-walk scratch: they stay on the search path while visited.
-	var atts []sched.Attempt
-	if n := len(e.atts); n > 0 {
-		atts, e.atts = e.atts[n-1], e.atts[:n-1]
-	}
-	atts = append(atts[:0], base...)
-	ok := e.chooseVictims(p, m, base, atts, 0, visit)
-	e.atts = append(e.atts, atts)
-	return ok
-}
-
-// chooseVictims gives the attempts of cores core.. every victim their
-// filter admitted, and permutes the steals of each assignment.
-func (e *concExplorer) chooseVictims(p sched.Policy, m *sched.Machine, base, atts []sched.Attempt, core int, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	if core == len(base) {
-		return e.permuteSteals(p, m, atts, atts, visit)
-	}
-	if base[core].Victim < 0 {
-		return e.chooseVictims(p, m, base, atts, core+1, visit)
-	}
-	for _, victim := range base[core].Candidates {
-		atts[core].Victim = victim
-		if !e.chooseVictims(p, m, base, atts, core+1, visit) {
-			return false
+	p := sc.f()
+	atts := append(sc.atts[:0], base...)
+	sc.atts = atts
+	for i := range atts {
+		if base[i].Victim >= 0 {
+			atts[i].Victim = base[i].Candidates[0]
 		}
 	}
-	return true
+	for {
+		if !sc.permuteSteals(p, m, atts, atts, visit) {
+			return false
+		}
+		i := len(atts) - 1
+		for ; i >= 0; i-- {
+			if cs := base[i].Candidates; base[i].Victim >= 0 {
+				next := (slices.Index(cs, atts[i].Victim) + 1) % len(cs)
+				if atts[i].Victim = cs[next]; next > 0 {
+					break
+				}
+			}
+		}
+		if i < 0 {
+			return true
+		}
+	}
 }
 
 // permuteSteals visits the state every steal order makes of m under the
 // selected attempts — one order per class of orders that differ only in
-// where the no-op cores sit (stealOrders), counted by the schedules it
-// stands for — each on a machine borrowed from the explorer's free list
-// for the duration of the visit. chosen is what visit is told the
-// adversary picked besides the order. The orders are walked on scratch
-// borrowed the same way: the walk one search depth down must not disturb
-// this one, whose order stays on the search path while it is visited.
-func (e *concExplorer) permuteSteals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, visit func(*sched.Machine, []sched.Attempt, []int) bool) bool {
-	var perms permScratch
-	if n := len(e.perms); n > 0 {
-		perms, e.perms = e.perms[n-1], e.perms[:n-1]
-	}
-	ok := perms.stealOrders(atts, func(order []int, weight int) bool {
-		var next *sched.Machine
-		if n := len(e.free); n > 0 {
-			next, e.free = e.free[n-1], e.free[:n-1]
-		} else {
-			next = new(sched.Machine)
-		}
-		sched.ExecuteSteals(p, next.CopyFrom(m), atts, order)
-		e.sc.res.SchedulesChecked = satAdd(e.sc.res.SchedulesChecked, weight)
-		ok := visit(next, chosen, order)
-		e.free = append(e.free, next)
-		return ok
+// where the no-op cores sit (stealOrders) — each on the scratch's trial
+// machine. chosen is what visit is told the adversary picked besides the
+// order.
+func (sc *shardScratch) permuteSteals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, visit visitFunc) bool {
+	return sc.perms.stealOrders(atts, func(order []int, weight int) bool {
+		sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
+		return visit(&sc.trial, chosen, order, weight)
 	})
-	e.perms = append(e.perms, perms)
-	return ok
 }
 
-// permScratch is what a steal-order walk runs on. Each shard keeps its
-// own — the game explorer one per search depth — so walking the steal
-// orders of a state allocates nothing once it is sized.
+// permScratch is what a steal-order walk runs on. Each worker keeps one,
+// so walking the steal orders of a state allocates nothing once it is
+// sized.
 type permScratch []int
 
 // stealOrders is the verifier's one steal-order walk, over the attempts
@@ -239,19 +221,17 @@ func ints(xs []int) string { return string(appendInts(nil, xs)) }
 
 // appendFaults appends a fault script to dst as fmt's %v renders it —
 // "[fail(1) revive(1)]" — without the reflection that boxes every event.
-// Fault witnesses render their scripts through it.
 func appendFaults(dst []byte, evs []sched.FaultEvent) []byte {
 	dst = append(dst, '[')
 	for i, ev := range evs {
 		if i > 0 {
 			dst = append(dst, ' ')
 		}
+		kind := "fail("
 		if ev.Revive {
-			dst = append(dst, "revive("...)
-		} else {
-			dst = append(dst, "fail("...)
+			kind = "revive("
 		}
-		dst = append(strconv.AppendInt(dst, int64(ev.Core), 10), ')')
+		dst = append(strconv.AppendInt(append(dst, kind...), int64(ev.Core), 10), ')')
 	}
 	return append(dst, ']')
 }
@@ -259,190 +239,254 @@ func appendFaults(dst []byte, evs []sched.FaultEvent) []byte {
 // faults is appendFaults as a string.
 func faults(evs []sched.FaultEvent) string { return string(appendFaults(nil, evs)) }
 
-// concExplorer performs the adversarial game-graph search: states are
-// nodes, with one edge per adversarial decision produced by succ. The
-// adversary wins — the policy is not work-conserving — iff it can reach
-// a cycle of non-conserved states (including self-loops: rounds that
-// change nothing). Otherwise every path reaches conservation and the
-// longest path is the worst-case N.
-//
-// An explorer's memo is shard-local: sharing it across shards would need
-// locking on the hottest table, and the per-shard memo still collapses
-// the game graph under each shard's start states. The explorer itself is
-// the worker's (shardScratch), reset per shard task: its memo is cleared
-// and its free lists kept. Cancellation is polled per explored node (every
-// 64, matching the enumeration stride); the steal orders walked under a
-// node need no extra polling because every successor edge immediately
-// re-enters explore, which polls.
-type concExplorer struct {
-	sc   *shardScratch // the scratch e is part of: the running task's context, factory, Result and game target
-	succ successorFunc // the adversary of the game being played
-	rank int           // the rank of the start state being explored
-	// memo maps every state key the game has reached to its worst rounds
-	// to terminal (≥ 0), or to onPath or gone; key is the AppendKey
-	// scratch a lookup renders into.
-	memo statespace.KeyTable
-	key  []byte
-	// path holds the nodes whose successors are being explored, root
-	// first; visitNext is visit, bound once.
-	path      []pathNode
-	visitNext func(*sched.Machine, []sched.Attempt, []int) bool
-	free      []*sched.Machine  // successor machines not on the current path, for reuse
-	perms     []permScratch     // order-walk scratch not in use by a search depth, for reuse
-	atts      [][]sched.Attempt // choiceSuccessors' attempts not in use by a search depth, for reuse
-	violation string
-	aborted   bool // violation is a cancellation, not a refutation
-	polls     int  // amortizes the ctx check to every 64 explored nodes
+// gameGraph is a shard task's game graph (see the package doc's game
+// obligations), on storage the worker keeps: a node is numbered by its
+// key's entry in table, and each edge is threaded onto the list of edges
+// into its target.
+type gameGraph struct {
+	table     statespace.KeyTable // an entry's value is 1 + the node that last linked it
+	key, keys []byte              // the AppendKey scratch; the nodes' keys, end to end
+	nodes     []gameNode
+	succ      []int32 // per edge, node by node: its target
+	src, next []int32 // per edge: its source, and the previous edge into its target (-1: none)
+	expanded  int     // nodes [0, expanded) have their edges
+	// layers[goal] holds the layers solve has given the goal, by node;
+	// goal 0 is work conservation, goal 1+c reactivity's target core c.
+	layers      [][]int32
+	left, queue []int32 // solve's
+	m           sched.Machine
+	specs       []sched.CoreSpec // rebuild's, with the weights in ws
+	ws          []int64
 }
 
-// The memo's two sentinel values; every other value is a node's worst
-// rounds to terminal.
-const (
-	onPath int32 = -1 // the node is on the search path: reaching it again closes a cycle
-	gone   int32 = -2 // a search from the node failed: it is neither memoized nor on the path
-)
-
-// reset readies e, the explorer of sc, for a new shard task: the search
-// state — memo, path, verdict, poll count — starts empty, as a fresh
-// explorer's would; the free lists are kept.
-func (e *concExplorer) reset(sc *shardScratch) {
-	e.sc = sc
-	e.path, e.violation, e.aborted, e.polls = e.path[:0], "", false, 0
-	if e.visitNext == nil {
-		e.visitNext = e.visit
-	}
-	e.memo.Reset()
+// gameNode is where a node's key and edges lie in keys and succ, its
+// last incoming edge, and the goals met at it: bit 0 when the state is
+// work-conserved — that ends every game, so the node is not expanded —
+// and bit 1+c when core c has work or no core is overloaded.
+type gameNode struct {
+	key, succ [2]int32
+	into      int32
+	met       uint32
 }
 
-// terminal reports whether the game is over at m: m is work-conserved,
-// or, in a reactivity game, the target core has work or there is no
-// overloaded core left to take it from.
-func (e *concExplorer) terminal(m *sched.Machine) bool {
-	if t := e.sc.target; t >= 0 {
-		return !m.Core(t).Idle() || !hasOverloaded(m)
+// unsolved is the layer of a node from which the adversary can keep the
+// game from its goal forever.
+const unsolved = -1
+
+// reset empties g for a new shard task and keeps its storage.
+func (g *gameGraph) reset() {
+	g.table.Reset()
+	g.keys, g.nodes, g.succ, g.src, g.next, g.expanded = g.keys[:0], g.nodes[:0], g.succ[:0], g.src[:0], g.next[:0], 0
+	for i := range g.layers {
+		g.layers[i] = g.layers[i][:0]
 	}
-	return m.WorkConserved()
 }
 
-// explore returns the worst-case rounds-to-conservation from m, or false
-// if the adversary can prevent conservation (violation is filled in, by
-// a cycle only if the start rank can win: canWin). One memo lookup per node
-// serves the memo, the cycle check and the insert; the node's entry, not
-// its key, is what the search holds.
-func (e *concExplorer) explore(m *sched.Machine) (int, bool) {
-	e.polls++
-	if e.polls&63 == 0 && e.sc.ctx.Err() != nil {
-		e.violation = "aborted: " + e.sc.ctx.Err().Error()
-		e.aborted = true
-		return 0, false
-	}
-	e.key = m.AppendKey(e.key[:0])
-	node, found := e.memo.Lookup(e.key, onPath)
+// node returns m's node, adding it when the graph has not reached m yet.
+func (g *gameGraph) node(m *sched.Machine) int {
+	g.key = m.AppendKey(g.key[:0])
+	i, found := g.table.Lookup(g.key, 0)
 	if found {
-		switch n := e.memo.Value(node); n {
-		case onPath:
-			if canWin(e.sc.best, e.rank) {
-				e.violation = e.describeCycle(m, node)
-			}
-			return 0, false
-		case gone:
-			e.memo.Set(node, onPath)
-		default:
-			return int(n), true
+		return i
+	}
+	n := gameNode{key: [2]int32{int32(len(g.keys)), int32(len(g.keys) + len(g.key))}, into: -1}
+	g.keys = append(g.keys, g.key...)
+	if m.WorkConserved() {
+		n.met = 1
+	}
+	over := slices.ContainsFunc(m.Cores, (*sched.Core).Overloaded)
+	for _, c := range m.Cores {
+		if !c.Idle() || !over {
+			n.met |= 2 << c.ID
 		}
 	}
-	if e.terminal(m) {
-		e.memo.Set(node, 0)
-		return 0, true
-	}
-	e.path = append(e.path, pathNode{m: m, node: node})
-	ok := e.succ(e, m, e.visitNext)
-	worst := e.path[len(e.path)-1].worst
-	e.path = e.path[:len(e.path)-1]
-	if !ok {
-		e.memo.Set(node, gone)
-		return 0, false
-	}
-	e.memo.Set(node, int32(worst))
-	return worst, true
+	g.nodes = append(g.nodes, n)
+	return i
 }
 
-// pathNode is a node on the search path: its state and memo entry, the
-// edge out of it being explored — the adversary's decisions — and the
-// worst rounds to terminal found among its successors so far. The state
-// and the decisions are live and unchanged while the node is on the
-// path, so nothing is copied or rendered unless describeCycle prints it.
-type pathNode struct {
-	m     *sched.Machine
-	node  int             // the state's memo entry
-	atts  []sched.Attempt // the adversary's victims, nil when it only picks the order
-	order []int
-	worst int
+// rebuild returns node i's state, g's machine until the next call, built
+// from its key on topo's cores (no round changes a core's topology or
+// whether it is online): queued tasks in ascending weight, task IDs
+// afresh, however the game reached the node.
+func (g *gameGraph) rebuild(i int, topo *sched.Machine) *sched.Machine {
+	key := g.keys[g.nodes[i].key[0]:g.nodes[i].key[1]]
+	// A weight takes at least a byte of the key, so ws never moves while
+	// the specs' Queued slices point into it.
+	ws, specs := slices.Grow(g.ws[:0], len(key)), g.specs[:0]
+	for more := true; more; {
+		var core, running, queued, w []byte
+		core, key, more = bytes.Cut(key, []byte{'|'})
+		running, queued, _ = bytes.Cut(bytes.TrimPrefix(core, []byte{'!'}), []byte{':'})
+		start := len(ws)
+		for len(queued) > 0 {
+			w, queued, _ = bytes.Cut(queued, []byte{','})
+			ws = append(ws, atoi(w))
+		}
+		specs = append(specs, sched.CoreSpec{Running: atoi(running), Queued: ws[start:len(ws):len(ws)]})
+	}
+	g.ws, g.specs = ws, specs
+	g.m.SetFromSpec(specs)
+	for id, c := range g.m.Cores {
+		t := topo.Cores[id]
+		c.Node, c.Group, c.Offline = t.Node, t.Group, t.Offline
+	}
+	return &g.m
 }
 
-// visit is the successor callback of the node on top of the search path
-// (bound once, as visitNext): it explores next, the state the adversary's
-// atts and order make of the node, and folds its rounds into the node's.
-func (e *concExplorer) visit(next *sched.Machine, atts []sched.Attempt, order []int) bool {
-	top := len(e.path) - 1
-	e.path[top].atts, e.path[top].order = atts, order
-	n, ok := e.explore(next)
-	if !ok {
+// atoi is the value of a key's decimal weight.
+func atoi(digits []byte) int64 {
+	var n int64
+	for _, d := range digits {
+		n = 10*n + int64(d-'0')
+	}
+	return n
+}
+
+// grow adds start state m's node to the graph and expands, in one flat
+// loop, every node not yet expanded, including those the loop discovers.
+// It reports false if cancellation cut the expansion short.
+func (sc *shardScratch) grow(m *sched.Machine, succ successorFunc) (start int, ok bool) {
+	g := &sc.graph
+	start = g.node(m)
+	if sc.link == nil {
+		sc.link = sc.linkSuccessor
+	}
+	for ; g.expanded < len(g.nodes); g.expanded++ {
+		n := &g.nodes[g.expanded]
+		n.succ[0] = int32(len(g.succ))
+		if n.met&1 == 0 && !succ(sc, g.rebuild(g.expanded, m), sc.link) {
+			return start, false
+		}
+		g.nodes[g.expanded].succ[1] = int32(len(g.succ))
+	}
+	return start, true
+}
+
+// linkSuccessor is grow's visit (bound once, as link): it counts the
+// walked order and links next's node to the node being expanded, once.
+func (sc *shardScratch) linkSuccessor(next *sched.Machine, _ []sched.Attempt, _ []int, weight int) bool {
+	if !sc.walk(weight) {
 		return false
 	}
-	if n+1 > e.path[top].worst {
-		e.path[top].worst = n + 1
+	g := &sc.graph
+	j, from := g.node(next), int32(g.expanded)
+	if g.table.Value(j) != from+1 {
+		g.table.Set(j, from+1)
+		g.succ, g.src, g.next = append(g.succ, int32(j)), append(g.src, from), append(g.next, g.nodes[j].into)
+		g.nodes[j].into = int32(len(g.succ) - 1)
 	}
 	return true
 }
 
-// describeCycle renders the witness of a cycle closed by reaching
-// repeat, whose memo entry is node, again.
-func (e *concExplorer) describeCycle(repeat *sched.Machine, node int) string {
-	xs := appendLoads(make([]int, 0, len(repeat.Cores)), repeat) // each step's loads or victims, rendered in turn
-	b := appendInts(append(make([]byte, 0, 512), "adversarial livelock: state "...), xs)
-	b = append(b, " recurs without conserving; schedule:"...)
-	// Print the path suffix forming the cycle: from the first occurrence
-	// of the repeated state — the path node with the same memo entry, so
-	// the same key — to the top of the exploration stack.
-	start := 0
-	for i := range e.path {
-		if e.path[i].node == node {
-			start = i
-			break
-		}
+// solve gives goal's layers to the nodes that lack them (a node's edges
+// never change, so the others keep theirs) and returns them: one
+// backward pass in Kahn's order, each node counting its unsolved
+// successors and solved when the count reaches zero.
+func (g *gameGraph) solve(goal int) []int32 {
+	for len(g.layers) <= goal {
+		g.layers = append(g.layers, nil)
 	}
-	for _, step := range e.path[start:] {
-		xs = appendLoads(xs[:0], step.m)
-		b = append(appendInts(append(b, ' '), xs), " --"...)
-		if step.atts != nil {
-			xs = xs[:0]
-			for i := range step.atts {
-				xs = append(xs, step.atts[i].Victim)
+	layers, lo := g.layers[goal], len(g.layers[goal])
+	left, queue := g.left[:0], g.queue[:0]
+	for i := lo; i < len(g.nodes); i++ {
+		layers = append(layers, unsolved)
+		n, succ := int32(0), g.successors(i, goal)
+		for _, j := range succ {
+			if int(j) >= lo || layers[j] == unsolved { // an old unsolved one never counts down
+				n++
 			}
-			b = append(appendInts(append(b, "victims "...), xs), ' ')
 		}
-		b = append(appendInts(append(b, "steal-order "...), step.order), "-->"...)
+		if left = append(left, n); n == 0 {
+			queue = append(queue, int32(i))
+		}
 	}
-	b = appendInts(append(b, ' '), appendLoads(xs[:0], repeat))
-	return string(b)
+	// The graph is expanded to closure before every pass, so every edge
+	// into a node the pass solves comes from a node it solves too.
+	for q := 0; q < len(queue); q++ {
+		i := queue[q]
+		layers[i] = 0
+		for _, j := range g.successors(int(i), goal) {
+			layers[i] = max(layers[i], layers[j]+1)
+		}
+		for e := g.nodes[i].into; e >= 0; e = g.next[e] {
+			if p := int(g.src[e]) - lo; left[p] > 0 {
+				if left[p]--; left[p] == 0 {
+					queue = append(queue, g.src[e])
+				}
+			}
+		}
+	}
+	g.layers[goal], g.left, g.queue = layers, left, queue
+	return layers
 }
 
-// lost folds a failed exploration into the shard's Result, which ends
-// the shard: explore's violation is an abort when cancellation cut the
-// search short — worded like every other checker's — and, introduced by
-// from (which names the start state), a refutation at the start rank
-// when the adversary won; empty if explore rendered no cycle.
-func (e *concExplorer) lost(from func() string) bool {
-	switch {
-	case e.aborted:
-		e.sc.res.abort(e.violation)
-	case e.violation == "":
-		e.sc.res.refute(e.rank, "")
-	default:
-		e.sc.res.refute(e.rank, from()+e.violation)
+// successors returns node i's successors in goal's game: none where the
+// goal is met.
+func (g *gameGraph) successors(i, goal int) []int32 {
+	if n := &g.nodes[i]; n.met&(1<<goal) == 0 {
+		return g.succ[n.succ[0]:n.succ[1]]
 	}
-	return false
+	return nil
+}
+
+// lasso renders the adversary's win from node start, unsolved in layers:
+// the cycle the walk through first unsolved successors ends in (every
+// unsolved node has one). topo is the start state.
+func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc, topo *sched.Machine) string {
+	walk, marks := make([]int, 0, 16), make([]int, 0, 16) // the nodes walked, and where each one's step starts in w.b
+	w := struct {
+		next int    // the node the walk takes next
+		b    []byte // the steps rendered so far
+		xs   []int  // a step's loads or victims
+	}{start, make([]byte, 0, 512), make([]int, 0, len(topo.Cores))}
+	visit := func(m *sched.Machine, atts []sched.Attempt, order []int, _ int) bool {
+		j := sc.graph.node(m)
+		if layers[j] != unsolved {
+			return true
+		}
+		if atts != nil {
+			w.xs = w.xs[:0]
+			for _, att := range atts {
+				w.xs = append(w.xs, att.Victim)
+			}
+			w.b = append(appendInts(append(w.b, "victims "...), w.xs), ' ')
+		}
+		w.b, w.next = append(appendInts(append(w.b, "steal-order "...), order), "-->"...), j
+		return false
+	}
+	for !slices.Contains(walk, w.next) {
+		walk, marks = append(walk, w.next), append(marks, len(w.b))
+		m := sc.graph.rebuild(w.next, topo)
+		w.xs = appendLoads(w.xs[:0], m)
+		w.b = append(appendInts(append(w.b, ' '), w.xs), " --"...)
+		succ(sc, m, visit)
+	}
+	cycle := w.b[marks[slices.Index(walk, w.next)]:]
+	repeat, _, _ := bytes.Cut(cycle[1:], []byte(" --"))
+	return "adversarial livelock: state " + string(repeat) + " recurs without conserving; schedule:" + string(cycle) + " " + string(repeat)
+}
+
+// play holds start state m to goal in the game succ's adversary plays.
+// m's layer and lasso depend only on the states m reaches, not on what
+// else the shard's graph holds, so the merged witness is the one a
+// whole-universe sequential scan finds first.
+func (sc *shardScratch) play(rank int, m *sched.Machine, succ successorFunc, goal int) bool {
+	start, ok := sc.grow(m, succ)
+	if !ok {
+		return false
+	}
+	layers := sc.graph.solve(goal)
+	if layers[start] != unsolved {
+		sc.res.raiseBound(int(layers[start]))
+		return true
+	}
+	return sc.refute(rank, func() string {
+		from := "from "
+		if goal > 0 {
+			from = "core " + strconv.Itoa(goal-1) + " can starve from "
+		}
+		return from + ints(m.Loads()) + ": " + sc.lasso(start, layers, succ, m)
+	})
 }
 
 // workConservationConcurrent checks work conservation in the full
@@ -450,10 +494,9 @@ func (e *concExplorer) lost(from func() string) bool {
 // definition under *every* adversarial serialization of every round's
 // steals (orderSuccessors). This is the obligation greedy-buggy fails:
 // on the 0/1/2 machine the adversary ping-pongs the spare thread between
-// the two non-idle cores forever, and the explorer returns that cycle as
-// the witness.
+// the two non-idle cores forever, and the lasso is that cycle.
 func (sc *shardScratch) workConservationConcurrent(rank int, m *sched.Machine) bool {
-	return sc.conserves(rank, m, orderSuccessors)
+	return sc.play(rank, m, orderSuccessors, 0)
 }
 
 // choiceIndependence checks the paper's central structural claim (§3.1),
@@ -464,24 +507,7 @@ func (sc *shardScratch) workConservationConcurrent(rank int, m *sched.Machine) b
 // Choose heuristic fails here even if it passes
 // work-conservation-concurrent.
 func (sc *shardScratch) choiceIndependence(rank int, m *sched.Machine) bool {
-	return sc.conserves(rank, m, choiceSuccessors)
-}
-
-// conserves plays the work-conservation game from m against the
-// adversary succ models. The explorer's memo is private to the shard; the
-// refutation found from a shard's start state is independent of the
-// memo's contents — memoized subtrees are violation-free by construction
-// — so the merged witness is the one a whole-universe sequential scan
-// finds first.
-func (sc *shardScratch) conserves(rank int, m *sched.Machine, succ successorFunc) bool {
-	e := &sc.explorer
-	e.succ, e.rank, sc.target = succ, rank, -1
-	n, ok := e.explore(m)
-	if !ok {
-		return e.lost(func() string { return "from " + ints(m.Loads()) + ": " })
-	}
-	sc.res.raiseBound(n)
-	return true
+	return sc.play(rank, m, choiceSuccessors, 0)
 }
 
 // reactivity checks, on one state, the third performance property the
@@ -493,31 +519,10 @@ func (sc *shardScratch) conserves(rank int, m *sched.Machine, succ successorFunc
 // that worst-case delay in rounds — the paper's missing latency limit,
 // made concrete over the bounded universe.
 func (sc *shardScratch) reactivity(rank int, m *sched.Machine) bool {
-	e := &sc.explorer
-	e.succ, e.rank = orderSuccessors, rank
 	for _, c := range m.Cores {
-		if !c.Idle() {
-			continue
+		if c.Idle() && !sc.play(rank, m, orderSuccessors, 1+c.ID) {
+			return false
 		}
-		// A fresh game per target: the terminal predicate (and thus the
-		// memo) depends on the target core.
-		sc.target = c.ID
-		e.memo.Reset()
-		n, ok := e.explore(m)
-		if !ok {
-			return e.lost(func() string { return fmt.Sprintf("core %d can starve from %s: ", c.ID, ints(m.Loads())) })
-		}
-		sc.res.raiseBound(n)
 	}
 	return true
-}
-
-// hasOverloaded reports whether m has an overloaded core.
-func hasOverloaded(m *sched.Machine) bool {
-	for _, c := range m.Cores {
-		if c.Overloaded() {
-			return true
-		}
-	}
-	return false
 }
