@@ -313,16 +313,23 @@ func (g *gameGraph) rebuild(i int, topo *sched.Machine) *sched.Machine {
 	// A weight takes at least a byte of the key, so ws never moves while
 	// the specs' Queued slices point into it.
 	ws, specs := slices.Grow(g.ws[:0], len(key)), g.specs[:0]
-	for more := true; more; {
-		var core, running, queued, w []byte
-		core, key, more = bytes.Cut(key, []byte{'|'})
-		running, queued, _ = bytes.Cut(bytes.TrimPrefix(core, []byte{'!'}), []byte{':'})
-		start := len(ws)
-		for len(queued) > 0 {
-			w, queued, _ = bytes.Cut(queued, []byte{','})
-			ws = append(ws, atoi(w))
+	var spec sched.CoreSpec
+	w, start := int64(0), 0 // the weight being read; where the core's queue starts in ws
+	for p := 0; p <= len(key); p++ {
+		switch {
+		case p == len(key) || key[p] == '|':
+			if key[p-1] != ':' {
+				ws = append(ws, w) // the queue's last weight
+			}
+			spec.Queued = ws[start:len(ws):len(ws)]
+			specs, w = append(specs, spec), 0
+		case key[p] == ':':
+			spec.Running, w, start = w, 0, len(ws)
+		case key[p] == ',':
+			ws, w = append(ws, w), 0
+		case key[p] != '!':
+			w = 10*w + int64(key[p]-'0')
 		}
-		specs = append(specs, sched.CoreSpec{Running: atoi(running), Queued: ws[start:len(ws):len(ws)]})
 	}
 	g.ws, g.specs = ws, specs
 	g.m.SetFromSpec(specs)
@@ -331,15 +338,6 @@ func (g *gameGraph) rebuild(i int, topo *sched.Machine) *sched.Machine {
 		c.Node, c.Group, c.Offline = t.Node, t.Group, t.Offline
 	}
 	return &g.m
-}
-
-// atoi is the value of a key's decimal weight.
-func atoi(digits []byte) int64 {
-	var n int64
-	for _, d := range digits {
-		n = 10*n + int64(d-'0')
-	}
-	return n
 }
 
 // grow adds start state m's node to the graph and expands, in one flat
