@@ -355,7 +355,7 @@ func (sc *shardScratch) grow(m *sched.Machine, succ successorFunc) (start int, o
 		if n.met&1 == 0 && !succ(sc, g.rebuild(g.expanded, m), sc.link) {
 			return start, false
 		}
-		g.nodes[g.expanded].succ[1] = int32(len(g.succ))
+		g.nodes[g.expanded].succ[1] = int32(len(g.succ)) // not n: the expansion may have moved g.nodes
 	}
 	return start, true
 }
@@ -388,8 +388,8 @@ func (g *gameGraph) solve(goal int) []int32 {
 	left, queue := g.left[:0], g.queue[:0]
 	for i := lo; i < len(g.nodes); i++ {
 		layers = append(layers, unsolved)
-		n, succ := int32(0), g.successors(i, goal)
-		for _, j := range succ {
+		n := int32(0)
+		for _, j := range g.successors(i, goal) {
 			if int(j) >= lo || layers[j] == unsolved { // an old unsolved one never counts down
 				n++
 			}
@@ -407,7 +407,7 @@ func (g *gameGraph) solve(goal int) []int32 {
 			layers[i] = max(layers[i], layers[j]+1)
 		}
 		for e := g.nodes[i].into; e >= 0; e = g.next[e] {
-			if p := int(g.src[e]) - lo; left[p] > 0 {
+			if p := int(g.src[e]) - lo; left[p] > 0 { // a node meeting the goal was queued at 0
 				if left[p]--; left[p] == 0 {
 					queue = append(queue, g.src[e])
 				}
