@@ -32,9 +32,10 @@ var VerifyServiceUniverse = service.UniverseSpecOf
 // ErrCircuitOpen is returned by VerifyClient when its circuit breaker
 // is open: enough consecutive request failures (transport errors or
 // 5xx responses) that the daemon is presumed down, so calls fail fast
-// instead of hammering it. The breaker half-opens after
-// BreakerCooldown; a Cluster built with WithVerifyService falls back to
-// local in-process verification while the breaker is open.
+// instead of hammering it. The breaker opens after 5 consecutive
+// failures and half-opens after a 10s cooldown; a Cluster built with
+// WithVerifyService falls back to local in-process verification while
+// the breaker is open.
 var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 
 // VerifyClient talks to a running schedverifyd daemon — the third way
@@ -55,9 +56,10 @@ var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 //     itself took, so neither kind of daemon needs detecting.
 //   - 429 backpressure honors the server's Retry-After (jittered).
 //   - Transport errors and 5xx responses retry with jittered backoff
-//     until the circuit breaker opens (BreakerThreshold consecutive
+//     from 100ms, doubling per consecutive failure up to
+//     MaxPollInterval, until the circuit breaker opens (5 consecutive
 //     failures), after which calls return ErrCircuitOpen immediately
-//     until BreakerCooldown elapses and a half-open probe succeeds.
+//     until a 10s cooldown elapses and a half-open probe succeeds.
 //   - A ctx deadline propagates to the daemon (Request.TimeoutMs), so
 //     a queued job dies server-side when its client stops caring.
 //
@@ -74,18 +76,15 @@ type VerifyClient struct {
 	// back non-terminal (default 25ms); each subsequent one backs off
 	// exponentially with full jitter. The first poll is never delayed.
 	PollInterval time.Duration
-	// MaxPollInterval caps the poll backoff (default 2s).
+	// MaxPollInterval caps the poll backoff and the retry backoff
+	// (default 2s).
 	MaxPollInterval time.Duration
-	// RetryBase is the initial backoff after a failed request
-	// (default 100ms); it doubles per consecutive failure, jittered,
-	// capped at MaxPollInterval.
-	RetryBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open probe (default 10s).
-	BreakerCooldown time.Duration
+
+	// The retry and breaker settings; zero takes the default. Only
+	// tests shorten them.
+	retryBase        time.Duration // the first backoff after a failed request (100ms)
+	breakerThreshold int           // the consecutive failures that open the breaker (5)
+	breakerCooldown  time.Duration // how long the breaker stays open before a half-open probe (10s)
 
 	mu        sync.Mutex
 	fails     int
@@ -111,14 +110,14 @@ func (c *VerifyClient) maxPollInterval() time.Duration {
 	return positiveOr(c.MaxPollInterval, 2*time.Second)
 }
 
-func (c *VerifyClient) retryBase() time.Duration {
-	return positiveOr(c.RetryBase, 100*time.Millisecond)
+func (c *VerifyClient) firstRetry() time.Duration {
+	return positiveOr(c.retryBase, 100*time.Millisecond)
 }
 
-func (c *VerifyClient) breakerThreshold() int { return positiveOr(c.BreakerThreshold, 5) }
+func (c *VerifyClient) tripAfter() int { return positiveOr(c.breakerThreshold, 5) }
 
-func (c *VerifyClient) breakerCooldown() time.Duration {
-	return positiveOr(c.BreakerCooldown, 10*time.Second)
+func (c *VerifyClient) cooldown() time.Duration {
+	return positiveOr(c.breakerCooldown, 10*time.Second)
 }
 
 // backoffDelay is the attempt-th (0-based) delay of an exponential
@@ -145,7 +144,7 @@ func backoffDelay(attempt int, base, cap time.Duration) time.Duration {
 func (c *VerifyClient) breakerOpen() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.fails >= c.breakerThreshold() && time.Now().Before(c.openUntil)
+	return c.fails >= c.tripAfter() && time.Now().Before(c.openUntil)
 }
 
 // recordFailure counts one failed request and reports whether the
@@ -154,8 +153,8 @@ func (c *VerifyClient) recordFailure() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.fails++
-	if c.fails >= c.breakerThreshold() {
-		c.openUntil = time.Now().Add(c.breakerCooldown())
+	if c.fails >= c.tripAfter() {
+		c.openUntil = time.Now().Add(c.cooldown())
 		return true
 	}
 	return false
@@ -196,7 +195,7 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 			if c.recordFailure() {
 				return nil, fmt.Errorf("%w (last %s)", ErrCircuitOpen, failure(err, resp))
 			}
-			if err := sleepCtx(ctx, backoffDelay(attempt, c.retryBase(), c.maxPollInterval())); err != nil {
+			if err := sleepCtx(ctx, backoffDelay(attempt, c.firstRetry(), c.maxPollInterval())); err != nil {
 				return nil, err
 			}
 			attempt++

@@ -50,9 +50,9 @@ func fastClient(baseURL string) *VerifyClient {
 		BaseURL:          baseURL,
 		PollInterval:     time.Millisecond,
 		MaxPollInterval:  4 * time.Millisecond,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
+		retryBase:        time.Millisecond,
+		breakerThreshold: 3,
+		breakerCooldown:  time.Hour,
 	}
 }
 
@@ -69,14 +69,14 @@ func TestVerifyClientBreakerOpensAndFailsFast(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("Verify against a failing daemon returned %v, want ErrCircuitOpen", err)
 	}
-	if got := hits.Load(); got != int64(c.BreakerThreshold) {
-		t.Errorf("breaker opened after %d requests, want %d", got, c.BreakerThreshold)
+	if got := hits.Load(); got != int64(c.breakerThreshold) {
+		t.Errorf("breaker opened after %d requests, want %d", got, c.breakerThreshold)
 	}
 	// While open, calls fail fast without touching the daemon.
 	if _, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2"}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker returned %v", err)
 	}
-	if got := hits.Load(); got != int64(c.BreakerThreshold) {
+	if got := hits.Load(); got != int64(c.breakerThreshold) {
 		t.Errorf("open breaker still sent a request (%d total)", got)
 	}
 }
@@ -94,8 +94,8 @@ func TestVerifyClientBreakerHalfOpenRecovery(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(srv.URL)
-	c.BreakerThreshold = 2
-	c.BreakerCooldown = 20 * time.Millisecond
+	c.breakerThreshold = 2
+	c.breakerCooldown = 20 * time.Millisecond
 	if _, err := c.Verify(context.Background(), VerifyRequest{Policy: "delta2"}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("first Verify returned %v, want ErrCircuitOpen", err)
 	}
@@ -372,8 +372,8 @@ func TestVerifyClientPollTransportErrorsOpenTheBreaker(t *testing.T) {
 		t.Fatalf("Verify against dropped polls returned %v, want ErrCircuitOpen naming the last error", err)
 	}
 	// net/http may itself retry a GET whose reused connection dropped.
-	if polls.Load() < int64(c.BreakerThreshold) || cancels.Load() != 1 {
-		t.Errorf("%d polls and %d cancels, want at least %d and 1", polls.Load(), cancels.Load(), c.BreakerThreshold)
+	if polls.Load() < int64(c.breakerThreshold) || cancels.Load() != 1 {
+		t.Errorf("%d polls and %d cancels, want at least %d and 1", polls.Load(), cancels.Load(), c.breakerThreshold)
 	}
 }
 

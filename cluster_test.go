@@ -705,10 +705,10 @@ func TestClusterVerifyServiceFallback(t *testing.T) {
 	if vc == nil {
 		t.Fatal("WithVerifyService did not install a client")
 	}
-	vc.BreakerThreshold = 2
-	vc.RetryBase = time.Millisecond
+	vc.breakerThreshold = 2
+	vc.retryBase = time.Millisecond
 	vc.MaxPollInterval = 4 * time.Millisecond
-	vc.BreakerCooldown = time.Hour
+	vc.breakerCooldown = time.Hour
 
 	rep, err := c.Verify(context.Background())
 	if err != nil {

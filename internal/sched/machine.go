@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -42,6 +43,9 @@ type buffers struct {
 	done    []Attempt // a round's outcomes in execution order
 	moved   []TaskID  // backing of every Attempt.MovedTasks of the round (or standalone Steal)
 	seen    []bool    // checkOrder's duplicate detector
+
+	specs []CoreSpec // SetFromKey's, with the weights in ws
+	ws    []int64
 }
 
 func (m *Machine) scratch() *buffers {
@@ -178,6 +182,49 @@ func (m *Machine) SetFromSpec(specs []CoreSpec) {
 		for _, w := range s.Queued {
 			c.Push(m.buf.add(weightedTask(m.nextID, w)))
 			m.nextID++
+		}
+	}
+}
+
+// SetFromKey rebuilds m in place as the machine whose AppendKey encoding
+// key is: AppendKey's inverse up to what a key keeps. Each core gets its
+// running task's weight, its queued weights in ascending order and its
+// offline mark; the rest is as SetFromSpec leaves it (node and group 0,
+// task IDs from 0 in core order, no fault script). key must be an
+// AppendKey encoding and is only read. Once m's buffers have grown to
+// the key, the call allocates nothing.
+func (m *Machine) SetFromKey(key []byte) {
+	b := m.scratch()
+	// A weight takes at least a byte of the key, so ws never moves while
+	// the specs' Queued slices point into it.
+	ws, specs := slices.Grow(b.ws[:0], len(key)), b.specs[:0]
+	var spec CoreSpec
+	w, start := int64(0), 0 // the weight being read; where the core's queue starts in ws
+	for p := 0; p <= len(key); p++ {
+		switch {
+		case p == len(key) || key[p] == '|':
+			if key[p-1] != ':' {
+				ws = append(ws, w) // the queue's last weight
+			}
+			spec.Queued = ws[start:len(ws):len(ws)]
+			specs, w = append(specs, spec), 0
+		case key[p] == ':':
+			spec.Running, w, start = w, 0, len(ws)
+		case key[p] == ',':
+			ws, w = append(ws, w), 0
+		case key[p] != '!':
+			w = 10*w + int64(key[p]-'0')
+		}
+	}
+	b.ws, b.specs = ws, specs
+	m.SetFromSpec(specs)
+	core := 0
+	for _, ch := range key {
+		switch ch {
+		case '|':
+			core++
+		case '!':
+			m.Cores[core].Offline = true
 		}
 	}
 }

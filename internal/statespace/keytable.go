@@ -64,7 +64,7 @@ func (t *KeyTable) Lookup(key []byte, v int32) (entry int, found bool) {
 			t.arena = append(t.arena, key...)
 			return len(t.entries) - 1, false
 		}
-		if t.entries[i].hash == h && bytes.Equal(t.key(i), key) {
+		if t.entries[i].hash == h && bytes.Equal(t.Key(i), key) {
 			return i, true
 		}
 	}
@@ -76,7 +76,9 @@ func (t *KeyTable) Value(entry int) int32 { return t.entries[entry].val }
 // Set replaces the value of an entry Lookup returned.
 func (t *KeyTable) Set(entry int, v int32) { t.entries[entry].val = v }
 
-func (t *KeyTable) key(entry int) []byte {
+// Key returns the key of an entry Lookup returned: a read-only view of
+// the table's copy, valid until the next Reset.
+func (t *KeyTable) Key(entry int) []byte {
 	e := &t.entries[entry]
 	return t.arena[e.off:][:e.n]
 }

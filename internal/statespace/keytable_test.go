@@ -21,7 +21,7 @@ func (t *KeyTable) Find(key []byte) int {
 		if i < 0 {
 			return -1
 		}
-		if t.entries[i].hash == h && bytes.Equal(t.key(i), key) {
+		if t.entries[i].hash == h && bytes.Equal(t.Key(i), key) {
 			return i
 		}
 	}
@@ -59,6 +59,9 @@ func (m *keyTableModel) lookup(key []byte, v int32) {
 	}
 	if got := m.table.Value(entry); got != want {
 		m.t.Fatalf("Lookup(%q): value %d, model %d", key, got, want)
+	}
+	if got := m.table.Key(entry); !bytes.Equal(got, key) {
+		m.t.Fatalf("Lookup(%q): entry %d holds key %q", key, entry, got)
 	}
 }
 

@@ -686,3 +686,54 @@ func TestUniverseCoversDocumentedStates(t *testing.T) {
 		t.Error("universe misses the 0/1/2 counterexample state")
 	}
 }
+
+// A machine key round-trips: sched.Machine.SetFromKey rebuilds, from
+// every state of the golden weighted, grouped and one-fault universes
+// (its fault script applied, so failed cores are offline and hold
+// stranded tasks) and of a universe with multi-digit weights, a machine
+// that re-keys to the same bytes with the same cores offline. One machine
+// is rebuilt throughout, and once grown it allocates nothing.
+func TestSetFromKeyInvertsAppendKey(t *testing.T) {
+	var rebuilt sched.Machine
+	var key, again []byte
+	for _, u := range []Universe{
+		{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true, Weights: []int64{1, 3}},
+		{Cores: 4, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true, Groups: []int{0, 0, 1, 1}},
+		{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1},
+		{Cores: 2, MaxPerCore: 3, IncludeUnscheduled: true, Weights: []int64{1, 12, 300}},
+	} {
+		states, offline := 0, 0
+		u.Enumerate(func(m *sched.Machine) bool {
+			for _, ev := range m.Faults {
+				if _, err := m.ApplyFault(nil, ev); err != nil {
+					t.Fatalf("%v: %v", u, err)
+				}
+			}
+			key = m.AppendKey(key[:0])
+			rebuilt.SetFromKey(key)
+			if again = rebuilt.AppendKey(again[:0]); string(again) != string(key) {
+				t.Fatalf("%v: key %s rebuilt as %s", u, key, again)
+			}
+			for i, c := range m.Cores {
+				if rebuilt.Cores[i].Offline != c.Offline {
+					t.Fatalf("%v: key %s rebuilt core %d offline=%v", u, key, i, rebuilt.Cores[i].Offline)
+				}
+				if c.Offline {
+					offline++
+				}
+			}
+			if err := rebuilt.Validate(); err != nil {
+				t.Fatalf("%v: key %s rebuilt an invalid machine: %v", u, key, err)
+			}
+			states++
+			return true
+		})
+		if allocs := testing.AllocsPerRun(10, func() { rebuilt.SetFromKey(key) }); allocs != 0 {
+			t.Errorf("%v: a grown machine allocates %.0f objects per SetFromKey", u, allocs)
+		}
+		t.Logf("%v: %d states round-trip, %d offline cores among them", u, states, offline)
+		if u.MaxFaults > 0 && offline == 0 {
+			t.Errorf("%v: no state had an offline core", u)
+		}
+	}
+}

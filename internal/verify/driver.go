@@ -14,7 +14,7 @@ import (
 
 // This file is the verifier's skeleton: the one shard loop every
 // obligation runs under (runShard), the deterministic merge of per-shard
-// Results, and the worker pool. Every obligation's quantifier ("for all
+// Results and its one witness render (explain), and the worker pool. Every obligation's quantifier ("for all
 // machines in the universe") is split into shardCount disjoint slices
 // via statespace.Enumerator.EnumerateShardRank; PolicyContext fans the
 // slices out and merges them back into one Result.
@@ -26,14 +26,18 @@ import (
 //     worker count and of the machine, so every run checks exactly the
 //     same slices (the game graph is shard-local, so the game rows'
 //     schedule counters depend on the partition).
-//   - A refuted shard records the global enumeration rank of its
-//     witness, and the merge keeps the lowest-ranked one — the same
-//     witness a sequential scan of the whole universe would have found
-//     first. Shards never cancel each other: each runs to its own first
-//     witness or to exhaustion, so the merged counters are equal at
+//   - A refuted shard records only the global enumeration rank of its
+//     refutation, and the merge keeps the lowest — the refutation a
+//     sequential scan of the whole universe would have found first.
+//     Shards never cancel each other: each runs to its own first
+//     refutation or to exhaustion, so the merged counters are equal at
 //     every parallelism level (including Sequential) at the price of a
-//     fuller sweep on refuted policies. Only a shard whose rank can still
-//     win renders its witness (canWin); the others leave Witness empty.
+//     fuller sweep on refuted policies.
+//
+// Shards decide and the merge explains: no shard renders a witness, and
+// for each refuted obligation the merge renders the winning one once,
+// on the calling goroutine (explain). No state is shared between
+// concurrently running shard tasks but the task counter.
 
 // shardCount is the per-obligation shard count. Changing it changes the
 // schedule counters of the game obligations, so it bumps Version.
@@ -53,10 +57,10 @@ const shardCount = 8
 type shardScratch struct {
 	ctx       context.Context
 	f         Factory
-	res       *Result       // the shard's Result, which the check reports into
-	best      *atomic.Int64 // the task's obligation's lowest refuted rank (canWin)
-	maxRounds int           // Config.MaxRounds, defaulted
-	walked    int           // the shard's walked steal orders, the cancellation poll's stride
+	res       *Result // the shard's Result, which the check reports into
+	render    bool    // refute renders the witness: set only by explain
+	maxRounds int     // Config.MaxRounds, defaulted
+	walked    int     // the shard's walked steal orders, the cancellation poll's stride
 	ablation  *AblationResult
 
 	enum  statespace.Enumerator
@@ -87,17 +91,23 @@ func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 	}
 	forEachTask(n, workers, func(w, i int) { fn(scratch[w], i) })
 	for _, sc := range scratch {
-		sc.ctx, sc.f, sc.res, sc.best, sc.ablation = nil, nil, nil, nil, nil
-		scratchPool.Put(sc)
+		putScratch(sc)
 	}
+}
+
+// putScratch puts sc back into scratchPool, minus its references into
+// the call and with rendering off.
+func putScratch(sc *shardScratch) {
+	sc.ctx, sc.f, sc.res, sc.ablation, sc.render = nil, nil, nil, nil, false
+	scratchPool.Put(sc)
 }
 
 // runShard is the one shard loop: it walks shard s of u on the scratch's
 // enumerator, and for every machine polls cancellation (every 64
 // states), counts the state in res, and hands it to ob's check. res is
 // reset to a passing Result for ob first and is what the check reports
-// into; the task's context, factory, round bound and rank minimum are
-// the caller's to set. Only an obligation whose row quantifies over
+// into; the task's context, factory and round bound are the caller's to
+// set. Only an obligation whose row quantifies over
 // faults sees the universe's fault dimension; for everything else
 // MaxFaults is zeroed, so verdicts, counters and witnesses on a
 // fault-extended universe stay byte-identical to the healthy universe's.
@@ -107,7 +117,7 @@ func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 // process — in the daemon, taking every other job with it. A panicking
 // shard instead becomes an aborted shard result, which the merge
 // propagates as an ABORTED obligation (never cached, so the next
-// submission re-runs it).
+// submission re-runs it); see contain.
 //
 // The returned duration is how long the shard took. Every (obligation,
 // shard) task passes through here, so this is the one place shard time
@@ -115,21 +125,8 @@ func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 // them.
 func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, res *Result) (took time.Duration) {
 	defer func(start time.Time) { took = time.Since(start) }(time.Now()) //schedlint:allow determinism shard timing is telemetry beside the report (Report.Elapsed, json:"-"), never in a Result, a memo key or a WAL frame
-	defer func() {
-		if p := recover(); p != nil {
-			*res = Result{
-				ID:      ob.id,
-				Aborted: true,
-				Witness: fmt.Sprintf("aborted: checker panic: %v", p),
-			}
-		}
-	}()
-	*res = Result{ID: ob.id, Passed: true}
-	if !ob.faults {
-		u.MaxFaults = 0
-	}
-	sc.res, sc.walked = res, 0
-	sc.graph.reset()
+	defer contain(ob.id, res)
+	u = sc.arm(ob, u, res)
 	sc.enum.EnumerateShardRank(u, s, shardCount, func(rank int, m *sched.Machine) bool {
 		if res.StatesChecked&63 == 0 && aborted(sc.ctx, res) {
 			return false
@@ -140,36 +137,69 @@ func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, r
 	return // took is stamped by the deferred call above
 }
 
+// arm readies the scratch for a task of ob that reports into res: res
+// passes until the check says otherwise, the game graph is empty, and
+// the returned universe is u as ob quantifies over it.
+func (sc *shardScratch) arm(ob *obligation, u statespace.Universe, res *Result) statespace.Universe {
+	*res = Result{ID: ob.id, Passed: true}
+	if !ob.faults {
+		u.MaxFaults = 0
+	}
+	sc.res, sc.walked = res, 0
+	sc.graph.reset()
+	return u
+}
+
+// contain, deferred, turns a panic of the task reporting into res into
+// an aborted res: a crashing checker or policy becomes an ABORTED
+// obligation, never a dead process.
+func contain(id ObligationID, res *Result) {
+	if p := recover(); p != nil {
+		*res = Result{ID: id, Aborted: true, Witness: fmt.Sprintf("aborted: checker panic: %v", p)}
+	}
+}
+
+// explain renders the witness of merged, ob's refutation at the lowest
+// rank any shard reached. Shards record only a refutation's rank, so
+// explain re-runs ob's check with rendering on, over the states of
+// thread-count vector merged.order up to the first one the check
+// refutes, and copies that witness. A rank names a count vector, not a
+// machine, and a check's verdict on a machine depends on that machine
+// alone, so the first refuted machine of the vector is the one the
+// winning shard refuted. The vector is re-enumerated on the shard that
+// owns it (rank mod shardCount: shard s owns exactly the ranks ≡ s), and
+// the re-check reports into res, a Result whose counters are thrown away.
+// The context, factory and round bound are the caller's to set, as for
+// runShard. A panic is contained as runShard contains one: merged
+// becomes aborted.
+func (sc *shardScratch) explain(ob *obligation, u statespace.Universe, merged, res *Result) {
+	defer contain(ob.id, merged)
+	want := merged.order
+	u = sc.arm(ob, u, res)
+	sc.render = true
+	sc.enum.EnumerateShardRank(u, want%shardCount, shardCount, func(rank int, m *sched.Machine) bool {
+		return rank < want || rank == want && ob.check(sc, rank, m)
+	})
+	if res.Passed {
+		panic(fmt.Sprintf("verify: the re-check of %s at rank %d refuted nothing: is the policy deterministic?", ob.id, want))
+	}
+	merged.Witness = res.Witness
+}
+
 // refute records a refutation found at the given global enumeration
-// rank. The merge keeps the witness with the lowest rank, i.e. the
-// first one in Enumerate order.
-func (r *Result) refute(rank int, witness string) {
+// rank. The merge keeps the lowest rank, i.e. the first refutation in
+// Enumerate order, and explain renders its witness.
+func (r *Result) refute(rank int) {
 	r.Passed = false
-	r.Witness = witness
 	r.order = rank
 }
 
 // refute records in the task's Result a refutation at rank, rendering
-// its witness only if the refutation can still win the merge (canWin).
+// its witness only when the scratch renders (explain).
 func (sc *shardScratch) refute(rank int, witness func() string) bool {
-	sc.res.refute(rank, "")
-	if canWin(sc.best, rank) {
+	sc.res.refute(rank)
+	if sc.render {
 		sc.res.Witness = witness()
-	}
-	return false
-}
-
-// canWin reports whether rank is below best, the lowest rank any shard of
-// the obligation has refuted at so far, and if so lowers best to it. A
-// nil best (a shard run on its own) always wins.
-func canWin(best *atomic.Int64, rank int) bool {
-	if best == nil {
-		return true
-	}
-	for low := best.Load(); int64(rank) < low; low = best.Load() {
-		if best.CompareAndSwap(low, int64(rank)) {
-			return true
-		}
 	}
 	return false
 }
@@ -254,7 +284,7 @@ func mergeResults(id ObligationID, parts []Result, took []time.Duration) (Result
 	}
 	switch {
 	case refuted != nil:
-		merged.refute(refuted.order, refuted.Witness)
+		merged.refute(refuted.order)
 	case cut != nil:
 		merged.abort(cut.Witness)
 	}

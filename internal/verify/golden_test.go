@@ -142,7 +142,7 @@ func checkGolden(t *testing.T, cases []goldenCase, cfg Config) {
 // The scratch pool carries nothing a report can see from one report to
 // the next. A cancelled 5-core report, a report whose policy panics
 // mid-game and a refuted 4-core report leave their scratches in the
-// pool first — grown wide, mid-search, witnesses rendered and skipped —
+// pool first — grown wide, mid-search, a witness rendered by the merge —
 // and then every golden case still reports its pinned bytes.
 func TestPooledScratchIsInvisible(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

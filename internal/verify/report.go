@@ -49,11 +49,17 @@
 // checker panic" shard, never a dead process). A check is handed a
 // machine that is its own: it may mutate it but must not retain it. It
 // reports a violation through shardScratch.refute(rank, witness) with
-// the rank it was handed — the merge keeps the lowest-ranked witness,
-// the one a sequential scan finds first, and witness renders it only if
-// it can still win — and returns false to end its shard, true to go on.
-// Checks that fan a single state out to many steal orders count each
-// walked order through walk, which polls cancellation every 64 of them.
+// the rank it was handed, and returns false to end its shard, true to go
+// on. Shards decide and the merge explains: a shard records only that it
+// refuted and at which rank, the merge keeps the lowest rank — the
+// refutation a sequential scan finds first — and then re-runs the check
+// once with rendering on, over that rank's states up to the first
+// refuted one, so only then is witness called (explain: on the calling
+// goroutine, under a context that is never cancelled, containing panics
+// as runShard does). A check's verdict on a machine must therefore
+// depend on that machine alone. Checks that fan a single state out to
+// many steal orders count each walked order through walk, which polls
+// cancellation every 64 of them.
 //
 // # Steal orders
 //
@@ -166,12 +172,12 @@ type Result struct {
 	// zero otherwise.
 	Bound int `json:"bound,omitempty"`
 
-	// order is the witness's global enumeration rank (the index of its
-	// thread-count vector in statespace.Universe.Enumerate order). The
-	// sharded driver merges per-shard refutations by keeping the lowest
-	// order, so parallel runs report the same witness a sequential scan
-	// finds first. Meaningful only when Passed is false and Aborted is
-	// false.
+	// order is the refutation's global enumeration rank (the index of
+	// its thread-count vector in statespace.Universe.Enumerate order).
+	// The sharded driver merges per-shard refutations by keeping the
+	// lowest order and renders the witness at it, so parallel runs report
+	// the same witness a sequential scan finds first. Meaningful only
+	// when Passed is false and Aborted is false.
 	order int
 }
 

@@ -12,10 +12,10 @@ import (
 )
 
 // runTask is one (obligation, shard) task of PolicyContext's fan-out, on
-// the given scratch.
+// the given scratch, with its witness rendered.
 func runTask(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) Result {
 	var res Result
-	sc.ctx, sc.f, sc.maxRounds, sc.best = ctx, f, DefaultMaxRounds, nil
+	sc.ctx, sc.f, sc.maxRounds, sc.render = ctx, f, DefaultMaxRounds, true
 	sc.runShard(row(id), u, s, &res)
 	return res
 }
@@ -159,7 +159,7 @@ func TestLassoPrintsTheCycleOnly(t *testing.T) {
 			" [1 0 2 1] --steal-order [0 1 3 2]--> [2 0 1 1] --steal-order [2 1 3 0]--> [1 0 2 1]"},
 	} {
 		var res Result
-		sc := &shardScratch{ctx: context.Background(), f: greedyFactory, res: &res}
+		sc := &shardScratch{ctx: context.Background(), f: greedyFactory, res: &res, render: true}
 		if sc.workConservationConcurrent(0, sched.MachineFromLoads(c.loads...)) {
 			t.Fatalf("greedy-buggy conserves work from %v", c.loads)
 		}
@@ -170,9 +170,9 @@ func TestLassoPrintsTheCycleOnly(t *testing.T) {
 }
 
 // A report allocates per report, not per shard: its workers' scratches
-// come from the pool a first report grew, only a shard that can still
-// win its obligation's merge renders a witness, and the shard loop's
-// enumeration callback stays on the stack. greedy-buggy on the
+// come from the pool a first report grew, no shard renders a witness —
+// the merge renders each refuted obligation's once — and the shard
+// loop's enumeration callback stays on the stack. greedy-buggy on the
 // benchmark's one-fault universe refutes six of its ten obligations: if
 // every refuting shard rendered its witness, a report would render up to
 // 48 to keep 6.
@@ -196,12 +196,114 @@ func TestPooledReportAllocatesPerReport(t *testing.T) {
 		t.Fatalf("greedy-buggy refuted %d obligations, want 6:\n%s", refuted, rep)
 	}
 	t.Logf("%.0f objects per report", allocs)
-	// It reads 136–150 on go1.24: 570–584 while every task built its
-	// check's closure and witnesses went through fmt's reflection, 1 391–
-	// 1 396 before the pool, the witness gate and the stack-held
-	// enumeration callback.
-	const bound = 200
+	// It reads 69–86 on go1.24: 136–150 while the shards that could still
+	// win the merge rendered their witnesses (2.3–2.7 renders per refuted
+	// obligation), 570–584 while every task built its check's closure and
+	// witnesses went through fmt's reflection, 1 391–1 396 before the
+	// pool, the witness gate and the stack-held enumeration callback.
+	const bound = 120
 	if allocs > bound {
 		t.Errorf("a second report allocates %.0f objects, want at most %d", allocs, bound)
+	}
+}
+
+// The merge's render is the shard's: for every refuted obligation of the
+// golden corpus, at Parallelism 1, 2 and 8, the report's witness is the
+// one the winning shard (rank mod shardCount) renders when it runs on its
+// own with rendering on.
+func TestMergedWitnessIsTheWinningShards(t *testing.T) {
+	refuted := 0
+	for _, c := range goldenCases(t) {
+		for _, par := range []int{1, 2, 8} {
+			rep, err := PolicyContext(context.Background(), c.name, c.f, Config{Universe: c.u, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rep.Results {
+				if r.Aborted {
+					t.Errorf("%s %v %s at parallelism %d: %s", c.name, c.u, r.ID, par, r.Witness)
+				}
+				if r.Passed || r.Aborted {
+					continue
+				}
+				refuted++
+				s := r.order % shardCount
+				shard := runTask(context.Background(), r.ID, c.f, c.u, s, new(shardScratch))
+				if shard.Passed || shard.order != r.order || shard.Witness != r.Witness || r.Witness == "" {
+					t.Errorf("%s %v %s at parallelism %d: merged rank %d witness %q\nshard %d: rank %d witness %q",
+						c.name, c.u, r.ID, par, r.order, r.Witness, s, shard.order, shard.Witness)
+				}
+			}
+		}
+	}
+	if refuted == 0 {
+		t.Fatal("the golden corpus refuted nothing")
+	}
+}
+
+// fanOutCalls counts the factory calls greedy-buggy's Sequential report
+// on u makes before its merge renders: its shard tasks', which render
+// nothing.
+func fanOutCalls(u statespace.Universe) int64 {
+	var calls atomic.Int64
+	counting := func() sched.Policy { calls.Add(1); return greedyFactory() }
+	ids := AllObligations()
+	forEachPooledTask(len(ids)*shardCount, 1, func(sc *shardScratch, i int) {
+		sc.ctx, sc.f, sc.maxRounds = context.Background(), counting, DefaultMaxRounds
+		var res Result
+		sc.runShard(row(ids[i/shardCount]), u, i%shardCount, &res)
+	})
+	return calls.Load()
+}
+
+// The merge's render polls no cancellation and contains a panic: a
+// report whose fan-out finished carries every witness even when ctx is
+// cancelled at the render's first factory call, and a policy that panics
+// there aborts only the obligation being rendered — the renders of the
+// obligations after it still run, and no goroutine dies.
+func TestRenderIgnoresCancellationAndContainsPanics(t *testing.T) {
+	cfg := Config{Universe: statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 5, IncludeUnscheduled: true, MaxFaults: 1}, Sequential: true}
+	want, err := PolicyContext(context.Background(), "greedy-buggy", greedyFactory, cfg)
+	if err != nil || want.Passed() {
+		t.Fatalf("greedy-buggy: err %v, passed %v", err, want.Passed())
+	}
+	fanOut := fanOutCalls(cfg.Universe)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	cancelling := func() sched.Policy {
+		if calls.Add(1) == fanOut+1 {
+			cancel()
+		}
+		return greedyFactory()
+	}
+	got, err := PolicyContext(ctx, "greedy-buggy", cancelling, cfg)
+	if ctx.Err() == nil {
+		t.Fatal("the render never called the factory")
+	}
+	if err != nil || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("cancelled during the render: err %v, report\n%s\nwant\n%s", err, got, want)
+	}
+
+	calls.Store(0)
+	panicking := func() sched.Policy {
+		if calls.Add(1) == fanOut+1 {
+			panic("mid-render")
+		}
+		return greedyFactory()
+	}
+	got, _ = PolicyContext(context.Background(), "greedy-buggy", panicking, cfg)
+	first := -1
+	for i, r := range want.Results {
+		switch {
+		case first < 0 && !r.Passed:
+			first = i
+			if g := got.Results[i]; !g.Aborted || g.Witness != "aborted: checker panic: mid-render" {
+				t.Errorf("%s: the render's panic left %+v", r.ID, g)
+			}
+		case !reflect.DeepEqual(got.Results[i], r):
+			t.Errorf("%s after the panicking render:\n got %+v\nwant %+v", r.ID, got.Results[i], r)
+		}
 	}
 }

@@ -2,9 +2,7 @@ package verify
 
 import (
 	"context"
-	"math"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/statespace"
@@ -76,8 +74,9 @@ func DefaultUniverse() statespace.Universe {
 //
 // Neither the parallelism level nor the host changes the report: the
 // shard partition is a constant, every shard runs to its own first
-// witness or to exhaustion, and merging keeps the witness a sequential
-// whole-universe scan would find first. Verdicts, counters and witnesses
+// refutation or to exhaustion, merging keeps the refutation a sequential
+// whole-universe scan would find first, and only then, on the calling
+// goroutine, is its witness rendered. Verdicts, counters and witnesses
 // are byte-identical from Sequential through any Parallelism, at any
 // GOMAXPROCS.
 //
@@ -113,12 +112,8 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 			workers = runtime.GOMAXPROCS(0)
 		}
 	}
-	best := make([]atomic.Int64, len(ids))
-	for i := range best {
-		best[i].Store(math.MaxInt64)
-	}
 	forEachPooledTask(len(parts), workers, func(sc *shardScratch, i int) {
-		sc.ctx, sc.f, sc.maxRounds, sc.best = ctx, f, maxRounds, &best[i/shardCount]
+		sc.ctx, sc.f, sc.maxRounds = ctx, f, maxRounds
 		took[i] = sc.runShard(row(ids[i/shardCount]), u, i%shardCount, &parts[i])
 	})
 	rep := &Report{
@@ -127,9 +122,25 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 		Results:  make([]Result, len(ids)),
 		Elapsed:  make([]time.Duration, len(ids)),
 	}
+	var sc *shardScratch // the merge's, taken for the first refutation
 	for i, id := range ids {
 		lo, hi := i*shardCount, (i+1)*shardCount
-		rep.Results[i], rep.Elapsed[i] = mergeResults(id, parts[lo:hi], took[lo:hi])
+		res := &rep.Results[i]
+		*res, rep.Elapsed[i] = mergeResults(id, parts[lo:hi], took[lo:hi])
+		if res.Passed || res.Aborted {
+			continue
+		}
+		if sc == nil {
+			// The fan-out finished, so the report carries every witness
+			// even if ctx is cancelled now: the render polls a context
+			// that is never cancelled.
+			sc = scratchPool.Get().(*shardScratch)
+			sc.ctx, sc.f, sc.maxRounds = context.WithoutCancel(ctx), f, maxRounds
+		}
+		sc.explain(row(id), u, res, &parts[lo]) // the merged shards' slots are spent
+	}
+	if sc != nil {
+		putScratch(sc)
 	}
 	return rep, rep.abortErr(ctx)
 }

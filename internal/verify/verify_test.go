@@ -929,7 +929,7 @@ func TestFaultWitnessRendersItsScript(t *testing.T) {
 		}
 	}
 	var res Result
-	sc := &shardScratch{ctx: context.Background(), f: delta2Factory, res: &res}
+	sc := &shardScratch{ctx: context.Background(), f: delta2Factory, res: &res, render: true}
 	m := sched.MachineFromLoads(0, 2, 0)
 	m.Faults = []sched.FaultEvent{{Core: 1}, {Core: 1, Revive: true}}
 	if sc.noTaskLost(0, m) {

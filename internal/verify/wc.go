@@ -241,11 +241,11 @@ func faults(evs []sched.FaultEvent) string { return string(appendFaults(nil, evs
 
 // gameGraph is a shard task's game graph (see the package doc's game
 // obligations), on storage the worker keeps: a node is numbered by its
-// key's entry in table, and each edge is threaded onto the list of edges
-// into its target.
+// key's entry in table, which keeps the key, and each edge is threaded
+// onto the list of edges into its target.
 type gameGraph struct {
 	table     statespace.KeyTable // an entry's value is 1 + the node that last linked it
-	key, keys []byte              // the AppendKey scratch; the nodes' keys, end to end
+	key       []byte              // the AppendKey scratch
 	nodes     []gameNode
 	succ      []int32 // per edge, node by node: its target
 	src, next []int32 // per edge: its source, and the previous edge into its target (-1: none)
@@ -255,18 +255,16 @@ type gameGraph struct {
 	layers      [][]int32
 	left, queue []int32 // solve's
 	m           sched.Machine
-	specs       []sched.CoreSpec // rebuild's, with the weights in ws
-	ws          []int64
 }
 
-// gameNode is where a node's key and edges lie in keys and succ, its
-// last incoming edge, and the goals met at it: bit 0 when the state is
-// work-conserved — that ends every game, so the node is not expanded —
-// and bit 1+c when core c has work or no core is overloaded.
+// gameNode is where a node's edges lie in succ, its last incoming edge,
+// and the goals met at it: bit 0 when the state is work-conserved — that
+// ends every game, so the node is not expanded — and bit 1+c when core c
+// has work or no core is overloaded.
 type gameNode struct {
-	key, succ [2]int32
-	into      int32
-	met       uint32
+	succ [2]int32
+	into int32
+	met  uint32
 }
 
 // unsolved is the layer of a node from which the adversary can keep the
@@ -276,21 +274,21 @@ const unsolved = -1
 // reset empties g for a new shard task and keeps its storage.
 func (g *gameGraph) reset() {
 	g.table.Reset()
-	g.keys, g.nodes, g.succ, g.src, g.next, g.expanded = g.keys[:0], g.nodes[:0], g.succ[:0], g.src[:0], g.next[:0], 0
+	g.nodes, g.succ, g.src, g.next, g.expanded = g.nodes[:0], g.succ[:0], g.src[:0], g.next[:0], 0
 	for i := range g.layers {
 		g.layers[i] = g.layers[i][:0]
 	}
 }
 
-// node returns m's node, adding it when the graph has not reached m yet.
+// node returns m's node, adding it when the graph has not reached m yet:
+// node i is the table's entry i.
 func (g *gameGraph) node(m *sched.Machine) int {
 	g.key = m.AppendKey(g.key[:0])
 	i, found := g.table.Lookup(g.key, 0)
 	if found {
 		return i
 	}
-	n := gameNode{key: [2]int32{int32(len(g.keys)), int32(len(g.keys) + len(g.key))}, into: -1}
-	g.keys = append(g.keys, g.key...)
+	n := gameNode{into: -1}
 	if m.WorkConserved() {
 		n.met = 1
 	}
@@ -305,37 +303,13 @@ func (g *gameGraph) node(m *sched.Machine) int {
 }
 
 // rebuild returns node i's state, g's machine until the next call, built
-// from its key on topo's cores (no round changes a core's topology or
-// whether it is online): queued tasks in ascending weight, task IDs
-// afresh, however the game reached the node.
+// from its key (sched.Machine.SetFromKey) on topo's nodes and groups (no
+// round changes a core's topology): queued tasks in ascending weight,
+// task IDs afresh, however the game reached the node.
 func (g *gameGraph) rebuild(i int, topo *sched.Machine) *sched.Machine {
-	key := g.keys[g.nodes[i].key[0]:g.nodes[i].key[1]]
-	// A weight takes at least a byte of the key, so ws never moves while
-	// the specs' Queued slices point into it.
-	ws, specs := slices.Grow(g.ws[:0], len(key)), g.specs[:0]
-	var spec sched.CoreSpec
-	w, start := int64(0), 0 // the weight being read; where the core's queue starts in ws
-	for p := 0; p <= len(key); p++ {
-		switch {
-		case p == len(key) || key[p] == '|':
-			if key[p-1] != ':' {
-				ws = append(ws, w) // the queue's last weight
-			}
-			spec.Queued = ws[start:len(ws):len(ws)]
-			specs, w = append(specs, spec), 0
-		case key[p] == ':':
-			spec.Running, w, start = w, 0, len(ws)
-		case key[p] == ',':
-			ws, w = append(ws, w), 0
-		case key[p] != '!':
-			w = 10*w + int64(key[p]-'0')
-		}
-	}
-	g.ws, g.specs = ws, specs
-	g.m.SetFromSpec(specs)
+	g.m.SetFromKey(g.table.Key(i))
 	for id, c := range g.m.Cores {
-		t := topo.Cores[id]
-		c.Node, c.Group, c.Offline = t.Node, t.Group, t.Offline
+		c.Node, c.Group = topo.Cores[id].Node, topo.Cores[id].Group
 	}
 	return &g.m
 }
@@ -466,7 +440,8 @@ func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc, top
 
 // play holds start state m to goal in the game succ's adversary plays.
 // m's layer and lasso depend only on the states m reaches, not on what
-// else the shard's graph holds, so the merged witness is the one a
+// else the shard's graph holds, so the merge's re-check (explain), on a
+// graph grown from the winning rank's states alone, renders the lasso a
 // whole-universe sequential scan finds first.
 func (sc *shardScratch) play(rank int, m *sched.Machine, succ successorFunc, goal int) bool {
 	start, ok := sc.grow(m, succ)
