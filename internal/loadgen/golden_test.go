@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,17 +93,43 @@ func TestGoldenSweeps(t *testing.T) {
 		}
 		return
 	}
+	want := goldenLines(t, len(cases))
+	for i, g := range cases {
+		if got := goldenSweepLine(t, g); got != want[i] {
+			t.Errorf("sweep report bytes changed: bump ReportVersion and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+		}
+	}
+}
+
+// goldenLines reads the committed golden file, one line per case.
+func goldenLines(t *testing.T, cases int) []string {
+	t.Helper()
 	data, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(want) != len(cases) {
-		t.Fatalf("%s has %d lines for %d cases", goldenFile, len(want), len(cases))
+	if len(want) != cases {
+		t.Fatalf("%s has %d lines for %d cases", goldenFile, len(want), cases)
 	}
-	for i, g := range cases {
-		if got := goldenSweepLine(t, g); got != want[i] {
-			t.Errorf("sweep report bytes changed: bump ReportVersion and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+	return want
+}
+
+// TestSweepBytesIndependentOfGOMAXPROCS: RunSweep spreads its points
+// over up to GOMAXPROCS workers, which claim them in whatever order the
+// scheduler lets them and run each on a simulator recycled from another
+// point. None of that may reach the report: one worker, two and eight
+// give the committed bytes.
+func TestSweepBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	cases := goldenSweeps()
+	want := goldenLines(t, len(cases))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, g := range cases {
+			if got := goldenSweepLine(t, g); got != want[i] {
+				t.Errorf("GOMAXPROCS=%d: sweep report bytes differ from the golden file\n got %s\nwant %s", procs, got, want[i])
+			}
 		}
 	}
 }

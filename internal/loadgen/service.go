@@ -39,6 +39,8 @@ type Service struct {
 	completed int64
 	offered   int64
 	latency   *metrics.Histogram
+	jobs      slab[job]
+	tasks     slab[jobTask]
 }
 
 // job tracks one (possibly parallel) job's completion.
@@ -51,6 +53,33 @@ type job struct {
 // Chunks are never grown in place, so the pointers the simulator holds
 // stay valid; a small chunk keeps each run's unused tail small.
 const slabChunk = 64
+
+// slab hands out values from chunks of slabChunk that never move. Setup
+// carves from where the last Setup stopped; rewound starts over on the
+// same chunks, which only a caller that has reset every simulator
+// holding pointers into them may do (the sweep's runner).
+type slab[T any] struct {
+	chunks [][]T
+	n      int // values handed out
+}
+
+// next returns the slab's next value, adding a chunk when all are used.
+// The value is not zeroed.
+func (b *slab[T]) next() *T {
+	c := b.n / slabChunk
+	if c == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]T, slabChunk))
+	}
+	v := &b.chunks[c][b.n%slabChunk]
+	b.n++
+	return v
+}
+
+// rewound returns b with every chunk free for reuse.
+func (b slab[T]) rewound() slab[T] {
+	b.n = 0
+	return b
+}
 
 // Name implements the zoo's Workload interface.
 func (w *Service) Name() string {
@@ -83,8 +112,6 @@ func (w *Service) Setup(s *sim.Simulator) {
 	rng := s.RNG()
 	t := s.Clock()
 	rr := 0
-	var jobs []job
-	var tasks []jobTask
 	for {
 		t += w.Arrivals.Next(rng)
 		if t >= w.Horizon {
@@ -99,19 +126,14 @@ func (w *Service) Setup(s *sim.Simulator) {
 		if perTask < 1 {
 			perTask = 1
 		}
-		if len(jobs) == cap(jobs) {
-			jobs = make([]job, 0, slabChunk)
-		}
-		jobs = append(jobs, job{arrival: t, remaining: k})
-		j := &jobs[len(jobs)-1]
+		j := w.jobs.next()
+		*j = job{arrival: t, remaining: k}
 		w.arrived++
 		w.offered += int64(k) * (perTask + 1)
 		for i := 0; i < k; i++ {
-			if len(tasks) == cap(tasks) {
-				tasks = make([]jobTask, 0, slabChunk)
-			}
-			tasks = append(tasks, jobTask{w: w, j: j, run: perTask})
-			s.SpawnAt(t, cores[rr%len(cores)], sched.DefaultWeight, &tasks[len(tasks)-1])
+			jt := w.tasks.next()
+			*jt = jobTask{w: w, j: j, run: perTask}
+			s.SpawnAt(t, cores[rr%len(cores)], sched.DefaultWeight, jt)
 			rr++
 		}
 	}

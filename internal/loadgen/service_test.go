@@ -132,9 +132,10 @@ func TestServiceSetupPanicsOnBadConfig(t *testing.T) {
 }
 
 // Setup carves jobs and their tasks from 64-entry slabs: on a fixed seed
-// it allocates one chunk per 64 jobs and per 64 tasks, plus a constant
-// for the speedup table, the latency histogram and the simulator's
-// spawn list and event queue growing to hold every arrival.
+// a new Service allocates one chunk per 64 jobs and per 64 tasks, plus a
+// constant for the speedup table, the latency histogram, the two slabs'
+// chunk lists and the simulator's arrival chunks growing to hold every
+// arrival.
 func TestServiceSetupAllocatesPerChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes what escapes to the heap")

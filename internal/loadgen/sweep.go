@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -272,9 +275,17 @@ func ReportFromJSON(data []byte) (*Report, error) {
 }
 
 // RunSweep measures every (policy, load) point of the configured sweep.
-// Cancellation propagates into the event loop of the running simulation
-// (not just between points); on cancellation the partial report built so
-// far is returned alongside ctx's error.
+// The points are independent, so they run side by side on up to
+// GOMAXPROCS goroutines, the caller's among them, each on a simulator
+// recycled from an earlier point; every point fills its own grid slot,
+// and the curves are assembled in grid order afterwards, so the report's
+// bytes do not depend on GOMAXPROCS. Cancellation propagates into the
+// event loop of every running simulation (not just between points); on
+// cancellation, or any other error, RunSweep returns — once every point
+// it started has stopped — the curves whose points all finished before
+// the first failed one in grid order, alongside that point's error. A
+// point that panics stops the sweep the same way, and the panic is
+// raised again on the caller's goroutine.
 func RunSweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -294,16 +305,43 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 		Malleable:    cfg.Malleable.String(),
 		Loads:        cfg.Loads,
 	}
+	// slots is the grid, policy-major: point (pi, li) is slot
+	// pi*len(Loads)+li, filled by whichever worker claims it.
+	type slot struct {
+		pt       Point
+		latency  *metrics.Histogram
+		err      error
+		panicked any
+	}
+	nl := len(cfg.Loads)
+	slots := make([]slot, len(cfg.Policies)*nl)
+	forEachPoint(len(slots), func(i int) (ok bool) {
+		sl := &slots[i]
+		defer func() {
+			if v := recover(); v != nil {
+				sl.panicked, ok = v, false
+			}
+		}()
+		pi, li := i/nl, i%nl
+		sl.pt, sl.latency, sl.err = cfg.runPoint(ctx, cfg.Policies[pi], cfg.Loads[li], pointSeed(cfg.Seed, uint64(pi), uint64(li)))
+		return sl.err == nil
+	})
+	for _, sl := range slots {
+		if sl.panicked != nil {
+			panic(sl.panicked)
+		}
+	}
+	// Claims go in grid order and stop after a failure, so every slot
+	// before the first failed one holds a finished point.
 	for pi, name := range cfg.Policies {
 		curve := PolicyCurve{Policy: name}
 		overall := newLatencyHistogram()
-		for li, load := range cfg.Loads {
-			pt, svc, err := cfg.runPoint(ctx, name, load, pointSeed(cfg.Seed, uint64(pi), uint64(li)))
-			if err != nil {
-				return rep, err
+		for _, sl := range slots[pi*nl : (pi+1)*nl] {
+			if sl.err != nil {
+				return rep, sl.err
 			}
-			overall.Merge(svc.Latency())
-			curve.Points = append(curve.Points, pt)
+			overall.Merge(sl.latency)
+			curve.Points = append(curve.Points, sl.pt)
 		}
 		curve.Overall = quantilesOf(overall)
 		rep.Policies = append(rep.Policies, curve)
@@ -311,12 +349,54 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 	return rep, nil
 }
 
+// forEachPoint calls fn(i) for every i in [0, n) on up to
+// min(GOMAXPROCS, n) goroutines, the caller's among them, and returns
+// once all have stopped. Workers claim indices from one counter, so in
+// ascending order; after a call returns false, none claims another.
+func forEachPoint(n int, fn func(i int) bool) {
+	var next atomic.Int64
+	var failed atomic.Bool
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < n && !failed.Load(); i = int(next.Add(1)) - 1 {
+			if !fn(i) {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
+}
+
+// runner is what a sweep point runs on: a simulator and a Service whose
+// job and task slabs outlive the point. runPoint takes one from runners
+// and puts it back when the point is done, so a sweep, and every sweep
+// after it, grows slabs only past the largest point run so far.
+type runner struct {
+	sim sim.Simulator
+	svc Service
+}
+
+var runners = sync.Pool{New: func() any { return new(runner) }}
+
+// newPolicy builds a point's policy. It is a variable so that tests can
+// make one point's construction fail or panic.
+var newPolicy = policy.New
+
 // runPoint runs one (policy, load) simulation: a loaded window of
 // Horizon ticks, then a half-horizon drain so jobs in flight at the cut
 // can finish (uncensored tails). Wasted-core accounting is snapshotted
-// at the cut.
-func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, seed uint64) (Point, *Service, error) {
-	p, err := policy.New(name)
+// at the cut. It returns the point and its job-latency histogram, which
+// is the point's own: the runner it ran on is reused.
+func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, seed uint64) (Point, *metrics.Histogram, error) {
+	p, err := newPolicy(name)
 	if err != nil {
 		return Point{}, nil, err
 	}
@@ -326,29 +406,36 @@ func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, 
 	for i := range arrivalCores {
 		arrivalCores[i] = i
 	}
-	svc := &Service{
-		Arrivals:     cfg.arrivalProcess(meanGap),
-		Work:         dist,
-		Malleable:    cfg.Malleable,
-		Horizon:      cfg.Horizon,
-		ArrivalCores: arrivalCores,
-	}
-	s := sim.New(sim.Config{
+	r := runners.Get().(*runner)
+	s, svc := &r.sim, &r.svc
+	// The Reset drops every pointer the simulator held into the slabs,
+	// so the new Service may carve its jobs from the start of them.
+	s.Reset(sim.Config{
 		Cores:       cfg.Cores,
 		Policy:      p,
 		Groups:      cfg.groups(),
 		Seed:        seed,
 		IdleBalance: cfg.IdleBalance,
 	})
+	*svc = Service{
+		Arrivals:     cfg.arrivalProcess(meanGap),
+		Work:         dist,
+		Malleable:    cfg.Malleable,
+		Horizon:      cfg.Horizon,
+		ArrivalCores: arrivalCores,
+		jobs:         svc.jobs.rewound(),
+		tasks:        svc.tasks.rewound(),
+	}
 	svc.Setup(s)
 	loaded, err := s.RunContext(ctx, cfg.Horizon)
+	if err == nil {
+		_, err = s.RunContext(ctx, cfg.Horizon+cfg.Horizon/2)
+	}
 	if err != nil {
+		runners.Put(r)
 		return Point{}, nil, err
 	}
-	if _, err := s.RunContext(ctx, cfg.Horizon+cfg.Horizon/2); err != nil {
-		return Point{}, nil, err
-	}
-	return Point{
+	pt := Point{
 		Load:              load,
 		OfferedUtil:       svc.OfferedUtilization(cfg.Cores),
 		JobsArrived:       svc.Arrived(),
@@ -361,7 +448,10 @@ func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, 
 		WastedPct:         loaded.WastedPct,
 		ViolationEpisodes: loaded.ViolationEpisodes,
 		LongestViolation:  loaded.LongestViolationTicks,
-	}, svc, nil
+	}
+	latency := svc.Latency()
+	runners.Put(r)
+	return pt, latency, nil
 }
 
 // newLatencyHistogram matches the resolution the Service workload

@@ -3,12 +3,19 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -303,4 +310,125 @@ func TestWaitP99StillIncludesTheDrain(t *testing.T) {
 			"if the snapshot aliasing was fixed, this is the ReportVersion bump the comment above describes",
 			pt.WaitP99, afterDrain, atCut)
 	}
+}
+
+// TestRunSweepCancelledAfterTheFirstPoint cancels a sweep once its first
+// point has finished, while the workers are at the next ones: RunSweep
+// returns the first policy's curve, exactly as an uncancelled sweep has
+// it, and ctx's error, and only after every point it started has
+// stopped. The points after the first block in their policy
+// construction until the cancel, which the first point claimed after a
+// finished one makes; with one worker per blocked point plus one, that
+// claim comes only once point 0 is done, at any GOMAXPROCS.
+func TestRunSweepCancelledAfterTheFirstPoint(t *testing.T) {
+	cfg := smallSweep()
+	cfg.Policies = []string{"delta2", "weighted", "cfs-group-buggy", "null", "hierarchical"}
+	cfg.Loads = []float64{0.9}
+	full, err := RunSweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCurve, _ := json.Marshal(full.Policies[0])
+
+	defer func(f func(string) (sched.Policy, error)) { newPolicy = f }(newPolicy)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		release := make(chan struct{})
+		var entered, exited atomic.Int64
+		newPolicy = func(name string) (sched.Policy, error) {
+			entered.Add(1)
+			defer exited.Add(1)
+			switch i := slices.Index(cfg.Policies, name); {
+			case i == procs:
+				cancel()
+				close(release)
+			case i > 0 && i < procs:
+				<-release
+				time.Sleep(10 * time.Millisecond) // a RunSweep that did not wait would return now
+			}
+			return policy.New(name)
+		}
+		rep, err := RunSweep(ctx, cfg)
+		if n, x := entered.Load(), exited.Load(); n != x {
+			t.Errorf("GOMAXPROCS=%d: RunSweep returned with %d of %d started points still in their policy construction", procs, n-x, n)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
+		}
+		if rep == nil || len(rep.Policies) != 1 {
+			t.Fatalf("GOMAXPROCS=%d: want exactly the first policy's curve, got %+v", procs, rep)
+		}
+		if got, _ := json.Marshal(rep.Policies[0]); !bytes.Equal(got, wantCurve) {
+			t.Errorf("GOMAXPROCS=%d: the cancelled sweep's curve differs from the full sweep's:\n%s\n%s", procs, got, wantCurve)
+		}
+		cancel()
+	}
+}
+
+// TestRunSweepRaisesAPointsPanic: a point that panics on a worker
+// goroutine must not kill the process from there; RunSweep re-raises
+// the panic on its caller's goroutine, where it can be recovered.
+func TestRunSweepRaisesAPointsPanic(t *testing.T) {
+	defer func(f func(string) (sched.Policy, error)) { newPolicy = f }(newPolicy)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const boom = "policy construction blew up"
+	cfg := smallSweep()
+	newPolicy = func(name string) (sched.Policy, error) {
+		if name == cfg.Policies[1] {
+			panic(boom)
+		}
+		return policy.New(name)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		func() {
+			defer func() {
+				if v := recover(); v != boom {
+					t.Errorf("GOMAXPROCS=%d: recovered %v, want the point's panic %q", procs, v, boom)
+				}
+			}()
+			RunSweep(context.Background(), cfg)
+		}()
+	}
+}
+
+// TestRecycledSweepAllocatesPerPoint pins what the runner pool saves:
+// after one warm-up sweep, the simulator's task slab and arrival
+// chunks, the event heap and the Service's job and task slabs are all
+// recycled, so a second sweep allocates a constant per point — the
+// machine and its runqueue rings, the histograms, the RNG, the policy,
+// the laws (~59 here) — and, growing with the jobs, only the simulated
+// machine's spawn chunks of 64 tasks. The jobs are sequential, so
+// tasks = jobs arrived. Each slab left unrecycled would add about as
+// many objects as the spawn chunks (the arrival chunks a quarter as
+// many), well past the slack.
+func TestRecycledSweepAllocatesPerPoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes what escapes to the heap")
+	}
+	const perPoint = 64
+	cfg := smallSweep()
+	cfg.Cores, cfg.ArrivalCores, cfg.Horizon = 8, 2, 1_000_000
+	cfg.Malleable = MalleableSpec{MaxWidth: 1}
+	var rep *Report
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { rep, err = RunSweep(context.Background(), cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points, jobs, spawnChunks int64
+	for _, c := range rep.Policies {
+		for _, pt := range c.Points {
+			points++
+			jobs += pt.JobsArrived
+			spawnChunks += (pt.JobsArrived + 63) / 64
+		}
+	}
+	if limit := float64(spawnChunks + perPoint*points); allocs > limit {
+		t.Errorf("a recycled sweep of %d points and %d jobs allocated %.0f objects, want <= %.0f (%d per point, %d spawn chunks)",
+			points, jobs, allocs, limit, perPoint, spawnChunks)
+	}
+	t.Logf("%d points, %d jobs: a recycled sweep allocated %.0f objects (%d of them the machine's spawn chunks at most)", points, jobs, allocs, spawnChunks)
 }

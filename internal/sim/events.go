@@ -85,6 +85,17 @@ func (q *eventQueue) arrivalAt(i int) *arrival {
 	return &q.arrivals[uint(i)/arrivalChunk][uint(i)%arrivalChunk]
 }
 
+// reset empties the queue for a new run, keeping the heap's array and
+// the arrival chunks. Fired records are zeroed already; the pending ones
+// are zeroed here, so the queue holds no behavior of the last run.
+func (q *eventQueue) reset() {
+	q.heap = q.heap[:0]
+	for i := q.head; i < q.tail; i++ {
+		*q.arrivalAt(i) = arrival{}
+	}
+	q.head, q.tail = 0, 0
+}
+
 // push schedules e on the heap.
 func (q *eventQueue) push(e event) {
 	h := append(q.heap, e)

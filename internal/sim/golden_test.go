@@ -168,15 +168,16 @@ func statsLine(st Stats) string {
 	return strings.Join(fields, " ")
 }
 
-// goldenTraceLine hashes what one scenario emits: every trace event in
-// order, the Stats of every Run, and the machine it leaves behind.
-func goldenTraceLine(t *testing.T, g goldenScenario) string {
+// goldenTraceLine hashes what one scenario emits on the simulator
+// start returns for its config: every trace event in order, the Stats
+// of every Run, and the machine it leaves behind.
+func goldenTraceLine(t *testing.T, g goldenScenario, start func(Config) *Simulator) string {
 	t.Helper()
 	const ringCap = 1 << 18
 	ring := trace.NewRing(ringCap)
 	cfg := g.cfg
 	cfg.Ring = ring
-	s := New(cfg)
+	s := start(cfg)
 	h := sha256.New()
 	for _, until := range g.build(s) {
 		st := s.Run(until)
@@ -203,7 +204,7 @@ func TestGoldenTraces(t *testing.T) {
 	if *updateGolden {
 		var b strings.Builder
 		for _, g := range cases {
-			b.WriteString(goldenTraceLine(t, g))
+			b.WriteString(goldenTraceLine(t, g, New))
 			b.WriteByte('\n')
 		}
 		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
@@ -211,17 +212,77 @@ func TestGoldenTraces(t *testing.T) {
 		}
 		return
 	}
+	want := goldenLines(t, len(cases))
+	for i, g := range cases {
+		if got := goldenTraceLine(t, g, New); got != want[i] {
+			t.Errorf("simulator event stream changed: bump ReportVersion in internal/loadgen and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+		}
+	}
+}
+
+// goldenLines reads the committed golden file, one line per case.
+func goldenLines(t *testing.T, cases int) []string {
+	t.Helper()
 	data, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(want) != len(cases) {
-		t.Fatalf("%s has %d lines for %d cases", goldenFile, len(want), len(cases))
+	if len(want) != cases {
+		t.Fatalf("%s has %d lines for %d cases", goldenFile, len(want), cases)
 	}
-	for i, g := range cases {
-		if got := goldenTraceLine(t, g); got != want[i] {
-			t.Errorf("simulator event stream changed: bump ReportVersion in internal/loadgen and regenerate (-update-golden)\n got %s\nwant %s", got, want[i])
+	return want
+}
+
+// TestResetMatchesNew runs every golden scenario on one simulator,
+// Reset between them, so each runs on the slabs, heap and per-core
+// slices of a different scenario before it — another core count,
+// another task count, tasks left running, arrivals left pending at its
+// last horizon. Each must emit exactly what it emits on a new
+// simulator: the same events, Stats counters, histograms and final
+// machine. The last scenario runs first as well, so the first one
+// follows it too.
+func TestResetMatchesNew(t *testing.T) {
+	cases := goldenScenarios()
+	want := goldenLines(t, len(cases))
+	s := new(Simulator)
+	reset := func(cfg Config) *Simulator {
+		s.Reset(cfg)
+		return s
+	}
+	order := []int{len(cases) - 1}
+	for i := range cases {
+		order = append(order, i)
+	}
+	for _, i := range order {
+		if got := goldenTraceLine(t, cases[i], reset); got != want[i] {
+			t.Errorf("%s after a Reset differs from a new simulator's run\n got %s\nwant %s", cases[i].name, got, want[i])
+		}
+	}
+}
+
+// TestResetLeavesEarlierStatsAlone: a Stats is a snapshot, and its
+// Latency and WaitTime histograms are the simulator's own. A Reset must
+// give the next run new ones, so a Stats kept from the run before it
+// reads the same after the simulator has run again.
+func TestResetLeavesEarlierStatsAlone(t *testing.T) {
+	cases := goldenScenarios()
+	render := func(st Stats) string {
+		return fmt.Sprintf("%s\nlatency %s\nwait %s", statsLine(st), histLine(st.Latency), histLine(st.WaitTime))
+	}
+	s := New(cases[0].cfg)
+	var kept Stats
+	for _, until := range cases[0].build(s) {
+		kept = s.Run(until)
+	}
+	before := render(kept)
+	for _, g := range []goldenScenario{cases[0], cases[3]} {
+		s.Reset(g.cfg)
+		for _, until := range g.build(s) {
+			s.Run(until)
+		}
+		if after := render(kept); after != before {
+			t.Fatalf("a Stats kept from the first run changed when the simulator ran %s:\n%s\nwas\n%s", g.name, after, before)
 		}
 	}
 }

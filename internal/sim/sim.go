@@ -30,10 +30,11 @@
 // the task alone holds its behavior. Task state lives in a chunked
 // slab indexed by task ID — the simulated machine hands out IDs 0, 1,
 // 2, … and nothing else spawns on it — so a *taskState stays valid
-// for the simulator's lifetime and an exited task is a status, not a
-// deletion. Each state keeps its *sched.Task, which is equally
-// stable: the simulated machine is never the target of a CopyFrom or
-// SetFromSpec, the only calls that invalidate a machine's tasks.
+// until the next Reset, which hands the slab, cleared, to the next run;
+// an exited task is a status, not a deletion. Each state keeps its
+// *sched.Task, which is equally stable: the simulated machine is never
+// the target of a CopyFrom or SetFromSpec, the only calls that
+// invalidate a machine's tasks.
 // Occupancy — how many cores are idle and how many overloaded, the
 // input of the wasted-cores tracker — is kept as counts over a class
 // per core, and after an event only the cores it touched are
@@ -88,8 +89,8 @@ type Config struct {
 	IdleBalance bool
 }
 
-// Simulator is the discrete-event engine. Create with New, populate with
-// SpawnAt, drive with Run.
+// Simulator is the discrete-event engine. Create with New (or Reset a
+// used one), populate with SpawnAt, drive with Run.
 type Simulator struct {
 	cfg   Config
 	m     *sched.Machine
@@ -98,7 +99,10 @@ type Simulator struct {
 	seq   uint64
 	q     eventQueue
 	tasks [][]taskState // slab of taskChunk-sized chunks, indexed by task ID
-	order []int         // handleBalance's steal order, redrawn every round
+	// spawned counts the tasks spawned so far: the run has used slab
+	// entries [0, spawned), and Reset clears only those.
+	spawned int64
+	order   []int // handleBalance's steal order, redrawn every round
 
 	// measurement
 	counters    sched.Counters // Orphaned is read off the machine at snapshot
@@ -168,6 +172,21 @@ type taskState struct {
 // New builds a simulator. Panics on invalid configuration — a config is
 // code, not input.
 func New(cfg Config) *Simulator {
+	s := new(Simulator)
+	s.Reset(cfg)
+	return s
+}
+
+// Reset readies s for a new run under cfg, exactly as New(cfg) would
+// build it, but on the storage its last run grew: the task slab, the
+// arrival chunks, the live-event heap and the per-core order, class and
+// dirty slices survive a Reset. Only the slab entries the last run used
+// are cleared, so a simulator that once ran a long workload costs a
+// short one nothing extra. Everything else is new — the machine, the
+// RNG, the violation tracker and the histograms — so a Stats taken
+// before the Reset, its Latency and WaitTime included, keeps describing
+// the run it came from. Panics on invalid configuration, as New does.
+func (s *Simulator) Reset(cfg Config) {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("sim: %d cores", cfg.Cores))
 	}
@@ -186,25 +205,40 @@ func New(cfg Config) *Simulator {
 	if cfg.Groups != nil && len(cfg.Groups) != cfg.Cores {
 		panic(fmt.Sprintf("sim: %d group assignments for %d cores", len(cfg.Groups), cfg.Cores))
 	}
-	s := &Simulator{
+	for i := int64(0); i < s.spawned; i += taskChunk {
+		clear(s.tasks[i/taskChunk][:min(taskChunk, s.spawned-i)])
+	}
+	s.q.reset()
+	*s = Simulator{
 		cfg:        cfg,
 		m:          sched.NewMachine(cfg.Cores),
 		rng:        NewRNG(cfg.Seed),
-		order:      make([]int, cfg.Cores),
+		q:          s.q,
+		tasks:      s.tasks,
+		order:      resize(s.order, cfg.Cores),
 		latency:    metrics.NewHistogram(32),
 		waitTime:   metrics.NewHistogram(32),
 		violations: metrics.NewViolationTracker(0),
-		class:      make([]coreClass, cfg.Cores),
-		dirty:      make([]int, 0, dirtyCap),
+		class:      resize(s.class, cfg.Cores),
+		dirty:      resize(s.dirty, dirtyCap)[:0],
 		recountAll: true,
 	}
+	clear(s.class)
 	s.nClass[classBusy] = cfg.Cores
 	for id, g := range cfg.Groups {
 		s.m.Core(id).Group = g
 		s.m.Core(id).Node = g
 	}
 	s.post(event{time: cfg.BalancePeriod, kind: evBalance})
-	return s
+}
+
+// resize returns a slice of n elements, on b's array when it is large
+// enough. The elements' values are left for the caller to overwrite.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // state returns the slab entry of task id, which must have been spawned.
@@ -392,6 +426,7 @@ func (s *Simulator) handleSpawn(a *arrival) {
 	for id >= int64(len(s.tasks))*taskChunk {
 		s.tasks = append(s.tasks, make([]taskState, taskChunk))
 	}
+	s.spawned = id + 1
 	ts := s.state(id)
 	*ts = taskState{
 		id:         id,
