@@ -6,11 +6,12 @@
 //
 //	schedverifyd -addr :8377 -workers 2 -queue 64 -data-dir /var/lib/schedverifyd
 //
-// With -data-dir the memo is durable: every result is WAL-appended and
-// fsynced before it is served, periodically compacted into a snapshot,
-// and recovered at startup — a crashed or restarted daemon serves warm
-// verdicts byte-identically with zero obligation re-runs, truncating
-// (never replaying) any torn final write.
+// With -data-dir the memo is durable: every result is appended to the
+// directory's one file, wal.log, and fsynced before it is served; the
+// WAL is periodically rewritten to one frame per result and recovered at
+// startup — a crashed or restarted daemon serves warm verdicts
+// byte-identically with zero obligation re-runs, truncating (never
+// replaying) any torn final write.
 //
 // API (see internal/service):
 //
@@ -62,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	maxRounds := fs.Int("maxrounds", verify.DefaultMaxRounds, "sequential work-conservation round bound")
 	retryAfter := fs.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	dataDir := fs.String("data-dir", "", "durable memo store directory (empty = in-memory only)")
-	compactEvery := fs.Int("compact-every", 0, "WAL records between snapshot compactions (0 = 256)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "in-flight job drain budget on SIGTERM before cancellation")
 	faultSpec := fs.String("faults", "", "hidden: fault-injection spec for chaos testing, e.g. 'wal-append:torn=5@2,checker:panic=lemma1' (see internal/service/faultinject)")
 	if err := fs.Parse(args); err != nil {
@@ -79,21 +79,20 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	d, err := startDaemon(*addr, service.Config{
-		QueueDepth:   *queue,
-		Workers:      *workers,
-		Parallelism:  *parallel,
-		MaxRounds:    *maxRounds,
-		RetryAfter:   *retryAfter,
-		DataDir:      *dataDir,
-		CompactEvery: *compactEvery,
+		QueueDepth:  *queue,
+		Workers:     *workers,
+		Parallelism: *parallel,
+		MaxRounds:   *maxRounds,
+		RetryAfter:  *retryAfter,
+		DataDir:     *dataDir,
 	}, service.WithFaults(faults))
 	if err != nil {
 		fmt.Fprintf(stderr, "schedverifyd: %v\n", err)
 		return 1
 	}
-	if st := d.svc.Stats().Store; st != nil {
-		fmt.Fprintf(stdout, "schedverifyd: durable memo at %s: %d results recovered (%d from snapshot, %d WAL records; %d bytes truncated as torn/corrupt)\n",
-			*dataDir, st.Entries, st.SnapshotEntries, st.WALRecords, st.TruncatedBytes)
+	if st := d.svc.Stats(); st.Store != nil {
+		fmt.Fprintf(stdout, "schedverifyd: durable memo at %s: %d results recovered from %d WAL records (%d bytes truncated as torn/corrupt)\n",
+			*dataDir, st.CacheEntries, st.Store.RecoveredRecords, st.Store.TruncatedBytes)
 	}
 	fmt.Fprintf(stdout, "schedverifyd listening on http://%s\n", d.Addr())
 	if ready != nil {

@@ -26,15 +26,14 @@ type resultCache struct {
 	misses atomic.Int64
 }
 
-// newResultCache builds the cache, pre-populated with seed — the
-// entries the durable store recovered at startup (nil for a cold or
-// memory-only service).
+// newResultCache builds the cache on seed — the map of entries the
+// durable store recovered at startup, which the cache adopts rather than
+// copies (nil for a cold or memory-only service).
 func newResultCache(seed map[string]verify.Result) *resultCache {
-	entries := make(map[string]verify.Result, len(seed))
-	for k, v := range seed {
-		entries[k] = v
+	if seed == nil {
+		seed = make(map[string]verify.Result)
 	}
-	return &resultCache{entries: entries}
+	return &resultCache{entries: seed}
 }
 
 // flush drops every entry and returns how many there were. The hit/miss

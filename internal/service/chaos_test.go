@@ -100,8 +100,8 @@ func TestCrashRestartForgetsOpaqueCells(t *testing.T) {
 	if !cached(s1, delta2) || !cached(s1, weighted) || !cached(s1, greedy) {
 		t.Fatal("the live daemon does not serve all three policies from its memo")
 	}
-	if got := s1.Stats().Store.Entries; got != 2*len(fastObligations) {
-		t.Errorf("the store holds %d entries, want delta2's and greedy-buggy's %d", got, 2*len(fastObligations))
+	if got := s1.Stats().Store.WALRecords; got != 2*len(fastObligations) {
+		t.Errorf("the WAL holds %d records, want delta2's and greedy-buggy's %d", got, 2*len(fastObligations))
 	}
 	s1.Close()
 
@@ -151,8 +151,8 @@ func TestTornAppendHealedAcrossRestart(t *testing.T) {
 		t.Errorf("recovery re-ran %d obligations (hits=%d), want exactly the lost one",
 			st2.CacheMisses, st2.CacheHits)
 	}
-	if got := st2.Store.Entries; got != len(fastObligations) {
-		t.Errorf("store holds %d entries after the healing re-run, want %d", got, len(fastObligations))
+	if got := st2.Store.WALRecords; got != len(fastObligations) {
+		t.Errorf("the WAL holds %d records after the healing re-run, want %d", got, len(fastObligations))
 	}
 }
 
@@ -329,9 +329,9 @@ func TestFlushCacheMemoryAndDisk(t *testing.T) {
 		t.Fatalf("DELETE /v1/cache = %d", resp.StatusCode)
 	}
 	st := s.Stats()
-	if st.CacheEntries != 0 || st.CacheFlushes != 1 || st.Store.Entries != 0 {
+	if st.CacheEntries != 0 || st.CacheFlushes != 1 || st.Store.WALRecords != 0 {
 		t.Fatalf("flush left state behind: %d entries, %d flushes, %d on disk",
-			st.CacheEntries, st.CacheFlushes, st.Store.Entries)
+			st.CacheEntries, st.CacheFlushes, st.Store.WALRecords)
 	}
 
 	// Re-verification repopulates memory and disk with the same verdicts.

@@ -29,10 +29,11 @@ const (
 	// OpWALTruncate fires around the WAL heal-truncate after a failed
 	// append; failing it drives the store into memory-only degraded mode.
 	OpWALTruncate Op = "wal-truncate"
-	// OpSnapshotWrite / OpSnapshotRename fire around the two compaction
-	// steps.
-	OpSnapshotWrite  Op = "snapshot-write"
-	OpSnapshotRename Op = "snapshot-rename"
+	// OpCompactWrite / OpCompactRename fire around the two compaction
+	// steps: writing the rewritten WAL to its temporary file and renaming
+	// it over the live one.
+	OpCompactWrite  Op = "compact-write"
+	OpCompactRename Op = "compact-rename"
 	// OpChecker fires before each obligation checker run; its arg is the
 	// obligation ID, so a rule can target one checker.
 	OpChecker Op = "checker"
@@ -195,7 +196,7 @@ func (s *Set) Fired() map[string]int64 {
 	return out
 }
 
-var knownOps = []Op{OpWALAppend, OpWALTruncate, OpSnapshotWrite, OpSnapshotRename, OpChecker, OpWorker}
+var knownOps = []Op{OpWALAppend, OpWALTruncate, OpCompactWrite, OpCompactRename, OpChecker, OpWorker}
 
 // Parse builds a Set from the -faults flag's comma-separated spec.
 // Each element is op:kind[=arg][@n] or, probabilistically,
@@ -205,7 +206,7 @@ var knownOps = []Op{OpWALAppend, OpWALTruncate, OpSnapshotWrite, OpSnapshotRenam
 //	wal-append:torn=5@2        2nd append persists 5 bytes, then fails
 //	checker:panic=lemma1       panic every lemma1 checker run
 //	worker:stall=200ms         stall every job pickup 200ms
-//	snapshot-rename:fail       fail every snapshot rename
+//	compact-rename:fail        fail every compaction rename
 //	wal-append:fail%0.01@42    fail ~1% of WAL appends, seed 42
 //
 // The kind argument is the torn byte count (torn), the stall duration

@@ -78,7 +78,7 @@ func TestStallKindSleeps(t *testing.T) {
 }
 
 func TestParseGrammar(t *testing.T) {
-	s, err := Parse(" wal-append:fail@3, wal-append:torn=5@2 ,checker:panic=lemma1,worker:stall=200ms,snapshot-rename:fail")
+	s, err := Parse(" wal-append:fail@3, wal-append:torn=5@2 ,checker:panic=lemma1,worker:stall=200ms,compact-rename:fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestParseGrammar(t *testing.T) {
 		{Op: OpWALAppend, Kind: KindTorn, Bytes: 5, On: 2},
 		{Op: OpChecker, Kind: KindPanic, Match: "lemma1"},
 		{Op: OpWorker, Kind: KindStall, Delay: 200 * time.Millisecond},
-		{Op: OpSnapshotRename, Kind: KindFail},
+		{Op: OpCompactRename, Kind: KindFail},
 	}
 	if len(s.rules) != len(want) {
 		t.Fatalf("parsed %d rules, want %d", len(s.rules), len(want))
@@ -231,7 +231,7 @@ func FuzzFaultSpec(f *testing.F) {
 		"wal-append:torn=5@2",
 		"checker:panic=lemma1",
 		"worker:stall=200ms",
-		"snapshot-rename:fail",
+		"compact-rename:fail",
 		"wal-append:fail%0.01@42",
 		"checker:fail%NaN",
 	} {

@@ -25,8 +25,8 @@ func delta2Forms(t *testing.T) map[string]string {
 // data directory is looked up by. A change to these bytes orphans every
 // durable memo — an upgraded daemon would miss on all of it. The one
 // sanctioned change is a verify.Version bump, a key field: it moves every
-// key on purpose, and the store's version check discards the old
-// snapshot and WAL (TestVerifierVersionMismatchDiscardsWAL). Any other
+// key on purpose, and the store's version check discards the old WAL
+// (TestVerifierVersionMismatchDiscardsWAL). Any other
 // key change needs a migration, not a regenerated pin.
 func TestObligationKeysArePinned(t *testing.T) {
 	forms := delta2Forms(t)

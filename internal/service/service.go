@@ -69,9 +69,6 @@ type Config struct {
 	// re-runs (see internal/service/store). Empty keeps the memo
 	// in-memory only.
 	DataDir string
-	// CompactEvery is the WAL record count between snapshot compactions
-	// (only meaningful with DataDir). Zero means 256.
-	CompactEvery int
 }
 
 // Option tunes a Service beyond Config — the knobs that carry live
@@ -180,10 +177,7 @@ func New(cfg Config, opts ...Option) (*Service, error) {
 	}
 	var seed map[string]verify.Result
 	if cfg.DataDir != "" {
-		st, entries, err := store.Open(cfg.DataDir, store.Options{
-			CompactEvery: cfg.CompactEvery,
-			Faults:       s.faults,
-		})
+		st, entries, err := store.Open(cfg.DataDir, store.Options{Faults: s.faults})
 		if err != nil {
 			cancel()
 			return nil, err

@@ -46,7 +46,10 @@ func recoverable(tail []byte) (map[string]verify.Result, int, int) {
 // wal.log and opens the store on it, twice. Open must neither panic nor
 // fail, must recover exactly the longest prefix of intact frames and
 // truncate the file to it, and the second Open must find that prefix
-// again, unchanged.
+// again, unchanged. Then Compact must rewrite the file as the header and
+// one frame per recovered entry in key order, a third Open must recover
+// the same entries from it, one frame each, and a second Compact must
+// leave its bytes as they are.
 func FuzzWALRecovery(f *testing.F) {
 	seedDir := f.TempDir()
 	s, _, err := Open(seedDir, Options{})
@@ -79,29 +82,54 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, frames, end := recoverable(tail)
-		wantDisk := append(hdr, tail[:end]...)
-		for _, pass := range []string{"first", "second"} {
-			s, got, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatalf("%s Open: %v", pass, err)
-			}
-			records := s.Stats().WALRecords
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s Open recovered %v, want %v", pass, got, want)
-			}
-			if records != frames {
-				t.Errorf("%s Open replayed %d frames, want %d", pass, records, frames)
-			}
+		prefix := append(bytes.Clone(hdr), tail[:end]...)
+		onDisk := func(what string, wantDisk []byte) {
+			t.Helper()
 			disk, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(disk, wantDisk) {
-				t.Fatalf("%s Open left a %d-byte wal.log, want the %d-byte header and intact prefix", pass, len(disk), len(wantDisk))
+				t.Fatalf("%s left a %d-byte wal.log, want %d bytes", what, len(disk), len(wantDisk))
 			}
 		}
+		open := func(what string, wantFrames int) *Store {
+			t.Helper()
+			s, got, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s recovered %v, want %v", what, got, want)
+			}
+			if records := s.Stats().WALRecords; records != wantFrames {
+				t.Errorf("%s replayed %d frames, want %d", what, records, wantFrames)
+			}
+			return s
+		}
+		closeStore := func(s *Store) {
+			t.Helper()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compact := func(what string, s *Store) {
+			t.Helper()
+			if err := s.Compact(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			// The header and one frame per recovered entry, in key order.
+			onDisk(what, compacted(t, want))
+		}
+
+		closeStore(open("first Open", frames))
+		onDisk("first Open", prefix)
+		s := open("second Open", frames)
+		onDisk("second Open", prefix)
+		compact("Compact", s)
+		closeStore(s)
+		s = open("Open after Compact", len(want))
+		compact("second Compact", s)
+		closeStore(s)
 	})
 }

@@ -1,16 +1,11 @@
-// Package store is the schedverifyd daemon's durable memo: a
-// disk-backed copy of the content-addressed (cache-key -> verify.Result)
-// map that survives crashes and restarts, so a warm daemon replays
+// Package store is the schedverifyd daemon's durable memo: the
+// content-addressed (cache-key -> verify.Result) map written to disk so
+// that it survives crashes and restarts, and a warm daemon replays
 // byte-identical verdicts with zero obligation re-runs.
 //
-// Layout under the data directory:
-//
-//	wal.log        append-only log of committed results. A fixed header
-//	               (magic + verifier version) followed by CRC-framed
-//	               records; every batch of appends is fsynced before any
-//	               record of it counts.
-//	snapshot.json  periodic compaction of the full entry map, written to
-//	               a temp file and atomically renamed into place.
+// The data directory holds one file, wal.log: a fixed header (magic +
+// verifier version) followed by CRC-framed records, each one committed
+// entry. It is the only on-disk format and decodeFrame its only decoder.
 //
 // The batch is the unit of durability and the frame is the unit of
 // recovery. AppendBatch encodes a job's results as frames back to back
@@ -22,13 +17,25 @@
 // the frames that made it, as a prefix.
 //
 // Crash safety is truncation-based: a record is committed iff its full
-// frame (length, CRC, payload) is on disk. Recovery loads the snapshot,
-// replays WAL frames until the first bad one (short frame, CRC
-// mismatch, undecodable payload) and truncates the file there — a torn
-// final write costs exactly the uncommitted record, never the store.
-// A WAL or snapshot written by a different verifier version is
-// discarded wholesale: its content-hash keys can never match current
-// submissions, so replaying it would only leak dead entries.
+// frame (length, CRC, payload) is on disk. Recovery replays frames until
+// the first bad one (short frame, CRC mismatch, undecodable payload) and
+// truncates the file there — a torn final write costs exactly the
+// uncommitted record, never the store. A WAL written by a different
+// verifier version is discarded wholesale: its content-hash keys can
+// never match current submissions, so replaying it would only leak dead
+// entries.
+//
+// Compaction rewrites the WAL: the committed frames are replayed, the
+// last frame of each key is written in key order to wal.log.tmp, which
+// is fsynced and renamed over wal.log. A crash before the rename leaves
+// the old WAL authoritative (Open never reads wal.log.tmp, and the next
+// compaction overwrites it); after it, the new one is.
+// Open reads nothing else either: the JSON snapshot an older daemon
+// compacted into beside its WAL is ignored (the entries it held are
+// re-verified on their first miss) and may be deleted.
+//
+// The store keeps no copy of the memo: Open hands the replayed map to
+// its caller, and a compaction reads the entries back from the file.
 package store
 
 import (
@@ -39,9 +46,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,10 +65,9 @@ const magic = "SVWAL001"
 // corrupted length bytes cannot make replay attempt a gigabyte read.
 const maxRecordLen = 16 << 20
 
-const (
-	walName      = "wal.log"
-	snapshotName = "snapshot.json"
-)
+// walName is the store's one file; a compaction writes its successor as
+// walName+".tmp".
+const walName = "wal.log"
 
 // defaultCompactEvery is the WAL record count that triggers a
 // compaction when Options.CompactEvery is zero.
@@ -74,8 +81,9 @@ var ErrDisabled = errors.New("store: WAL disabled after unrecoverable write erro
 
 // Options parameterizes Open.
 type Options struct {
-	// CompactEvery is the number of WAL appends between snapshot
-	// compactions. Zero means 256.
+	// CompactEvery is the number of frames appended to the WAL, counting
+	// from its last rewrite or reset (recovered frames included), that
+	// triggers a compaction. Zero means 256.
 	CompactEvery int
 	// Faults optionally injects disk failures at the store's write
 	// points (chaos testing). Nil injects nothing.
@@ -84,23 +92,18 @@ type Options struct {
 
 // Stats is a snapshot of the store's durability counters.
 type Stats struct {
-	// Entries is the number of live memoized results.
-	Entries int `json:"entries"`
-	// WALRecords / WALBytes describe the live WAL tail (records since
-	// the last compaction; bytes include the header).
+	// WALRecords / WALBytes describe the WAL file: the frames in it
+	// (one per entry after a compaction) and its length, header
+	// included.
 	WALRecords int   `json:"wal_records"`
 	WALBytes   int64 `json:"wal_bytes"`
 	// Commits counts the batches committed since Open: one write and one
 	// fsync each, however many records the batch carried.
 	Commits int64 `json:"commits"`
-	// SnapshotEntries is the entry count of the last written or loaded
-	// snapshot.
-	SnapshotEntries int `json:"snapshot_entries"`
 	// LastCompaction is the wall-clock time of the last successful
 	// compaction in this process, RFC3339; empty before the first.
 	LastCompaction string `json:"last_compaction,omitempty"`
-	// RecoveredRecords counts entries restored at Open (snapshot entries
-	// plus replayed WAL records).
+	// RecoveredRecords counts the WAL frames replayed at Open.
 	RecoveredRecords int `json:"recovered_records"`
 	// TruncatedRecords counts discarded records: corrupt tails dropped
 	// at Open (one per corruption event — the garbage region's own
@@ -113,28 +116,19 @@ type Stats struct {
 	// AppendErrors counts Append calls that failed to reach disk (the
 	// in-memory cache still served them).
 	AppendErrors int64 `json:"append_errors"`
-	// CompactErrors counts failed compactions (the WAL keeps growing;
-	// durability is unaffected).
+	// CompactErrors counts failed compactions (the old WAL stays in
+	// place and keeps growing; durability is unaffected).
 	CompactErrors int64 `json:"compact_errors,omitempty"`
-	// Flushes counts administrative cache flushes.
-	Flushes int64 `json:"flushes,omitempty"`
 	// Disabled reports that the WAL hit an unrecoverable error and the
 	// store degraded to memory-only mode.
 	Disabled bool `json:"disabled,omitempty"`
 }
 
 // Entry is one memo entry: the element of an AppendBatch and, through
-// its json tags, the WAL/snapshot wire form.
+// its json tags, the payload of a WAL frame.
 type Entry struct {
 	Key    string        `json:"key"`
 	Result verify.Result `json:"result"`
-}
-
-// snapshotFile is the compacted on-disk form of the whole map.
-type snapshotFile struct {
-	Magic           string  `json:"magic"`
-	VerifierVersion string  `json:"verifier_version"`
-	Entries         []Entry `json:"entries"`
 }
 
 // Store is the durable memo. All methods are safe for concurrent use.
@@ -143,20 +137,19 @@ type Store struct {
 	compactEvery int
 	faults       *faultinject.Set
 
-	mu       sync.Mutex
-	wal      *os.File
-	walOff   int64  // committed end of the WAL (frames below are intact)
-	buf      []byte // the frames AppendBatch has encoded but not yet written; reused
-	entries  map[string]verify.Result
-	disabled bool
-	stats    Stats
-	lastComp time.Time
+	mu           sync.Mutex
+	wal          *os.File
+	walOff       int64  // committed end of the WAL (frames below are intact)
+	buf          []byte // the frames AppendBatch has encoded but not yet written; reused
+	sinceRewrite int    // frames committed since the WAL was last rewritten or reset, recovered ones included
+	stats        Stats
 }
 
 // Open recovers the store in dir (created if missing) and returns it
-// together with a copy of the recovered entries. Corruption never makes
-// Open fail — bad tails are truncated, incompatible files discarded —
-// only real I/O errors (unwritable directory, unreadable files) do.
+// together with the recovered entries, a map the caller owns from then
+// on. Corruption never makes Open fail — a bad tail is truncated, an
+// incompatible file discarded — only real I/O errors (unwritable
+// directory, unreadable WAL) do.
 func Open(dir string, opts Options) (*Store, map[string]verify.Result, error) {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = defaultCompactEvery
@@ -164,44 +157,13 @@ func Open(dir string, opts Options) (*Store, map[string]verify.Result, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:          dir,
-		compactEvery: opts.CompactEvery,
-		faults:       opts.Faults,
-		entries:      make(map[string]verify.Result),
-	}
-	s.loadSnapshot()
-	if err := s.openWAL(); err != nil {
+	s := &Store{dir: dir, compactEvery: opts.CompactEvery, faults: opts.Faults}
+	entries, err := s.openWAL()
+	if err != nil {
 		return nil, nil, err
 	}
-	s.stats.RecoveredRecords = s.stats.SnapshotEntries + s.stats.WALRecords
-	out := make(map[string]verify.Result, len(s.entries))
-	for k, v := range s.entries {
-		out[k] = v
-	}
-	return s, out, nil
-}
-
-// loadSnapshot merges the snapshot file into the entry map, ignoring a
-// missing, undecodable or version-mismatched snapshot (counted as a
-// truncation event — the entries it held are gone).
-func (s *Store) loadSnapshot() {
-	path := filepath.Join(s.dir, snapshotName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // no snapshot yet (or unreadable: the WAL is still authoritative)
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil ||
-		snap.Magic != magic || snap.VerifierVersion != verify.Version {
-		s.stats.TruncatedRecords++
-		s.stats.TruncatedBytes += int64(len(data))
-		return
-	}
-	for _, rec := range snap.Entries {
-		s.entries[rec.Key] = rec.Result
-	}
-	s.stats.SnapshotEntries = len(snap.Entries)
+	s.stats.RecoveredRecords = s.stats.WALRecords
+	return s, entries, nil
 }
 
 // header renders the WAL file header: magic, then the verifier version
@@ -216,22 +178,20 @@ func header() []byte {
 	return b.Bytes()
 }
 
-// openWAL opens (or creates) the WAL, replays its committed frames into
-// the entry map, and truncates at the first bad one.
-func (s *Store) openWAL() error {
-	path := filepath.Join(s.dir, walName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// openWAL opens (or creates) the WAL, replays its committed frames and
+// truncates at the first bad one.
+func (s *Store) openWAL() (map[string]verify.Result, error) {
+	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.wal = f
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("store: reading WAL: %w", err)
+		return nil, fmt.Errorf("store: reading WAL: %w", err)
 	}
-	hdr := header()
-	if !bytes.HasPrefix(data, hdr) {
+	if !bytes.HasPrefix(data, header()) {
 		// Empty file: initialize. Anything else (corrupt header or a
 		// different verifier version) is undecodable or unreachable by
 		// current keys — discard it wholesale.
@@ -241,32 +201,43 @@ func (s *Store) openWAL() error {
 		}
 		if err := s.resetWAL(); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
-		return nil
+		return make(map[string]verify.Result), nil
 	}
-	off := int64(len(hdr))
-	for {
-		key, res, next, ok := decodeFrame(data, off)
-		if !ok {
-			break
-		}
-		s.entries[key] = res
-		s.stats.WALRecords++
-		off = next
-	}
+	entries, frames, off := replay(data)
 	if off < int64(len(data)) {
 		// Torn or corrupt tail: keep the committed prefix only.
 		s.stats.TruncatedRecords++
 		s.stats.TruncatedBytes += int64(len(data)) - off
 		if err := f.Truncate(off); err != nil {
 			f.Close()
-			return fmt.Errorf("store: truncating corrupt WAL tail: %w", err)
+			return nil, fmt.Errorf("store: truncating corrupt WAL tail: %w", err)
 		}
 	}
 	s.walOff = off
+	s.sinceRewrite = frames
 	s.stats.WALBytes = off
-	return nil
+	s.stats.WALRecords = frames
+	return entries, nil
+}
+
+// replay decodes the frames after data's header up to the first bad one
+// — a later frame of a key overwrites an earlier one — and returns the
+// entries, the number of frames and the offset where the intact prefix
+// ends.
+func replay(data []byte) (map[string]verify.Result, int, int64) {
+	entries := make(map[string]verify.Result)
+	frames, off := 0, int64(len(header()))
+	for {
+		key, res, next, ok := decodeFrame(data, off)
+		if !ok {
+			return entries, frames, off
+		}
+		entries[key] = res
+		frames++
+		off = next
+	}
 }
 
 // resetWAL rewrites the WAL as just a header.
@@ -282,6 +253,7 @@ func (s *Store) resetWAL() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.walOff = int64(len(hdr))
+	s.sinceRewrite = 0
 	s.stats.WALBytes = s.walOff
 	s.stats.WALRecords = 0
 	return nil
@@ -342,8 +314,8 @@ func (s *Store) AppendBatch(batch []Entry) error {
 	// s.buf holds the frames of batch[start:i], the run encoded since the
 	// last commit. A run ends where a frame fails (so a failed frame costs
 	// only itself) and where the WAL reaches the compaction threshold (so
-	// the snapshot and the WAL after it are the ones per-entry appends
-	// leave).
+	// the rewritten WAL and the frames after it are the ones per-entry
+	// appends leave).
 	s.buf = s.buf[:0]
 	start := 0
 	var first error
@@ -354,7 +326,7 @@ func (s *Store) AppendBatch(batch []Entry) error {
 		}
 	}
 	flush := func(end int) {
-		if err := s.commit(batch[start:end]); err != nil {
+		if err := s.commit(end - start); err != nil {
 			fail(end-start, fmt.Errorf("store: appending record: %w", err))
 		}
 		start = end
@@ -366,7 +338,7 @@ func (s *Store) AppendBatch(batch []Entry) error {
 		start = i + 1
 	}
 	for i, e := range batch {
-		if s.disabled {
+		if s.stats.Disabled {
 			drop(i, ErrDisabled)
 			continue
 		}
@@ -383,7 +355,7 @@ func (s *Store) AppendBatch(batch []Entry) error {
 			frame := s.buf[mark:]
 			s.buf = s.buf[:mark]
 			drop(i, fmt.Errorf("store: appending record: %w", d.Err))
-			if !s.disabled {
+			if !s.stats.Disabled {
 				if n := min(d.TornBytes, len(frame)); n > 0 {
 					s.wal.WriteAt(frame[:n], s.walOff)
 					s.wal.Sync()
@@ -392,9 +364,9 @@ func (s *Store) AppendBatch(batch []Entry) error {
 			}
 			continue
 		}
-		if s.stats.WALRecords+(i+1-start) >= s.compactEvery {
+		if s.sinceRewrite+(i+1-start) >= s.compactEvery {
 			flush(i + 1)
-			if s.stats.WALRecords >= s.compactEvery {
+			if s.sinceRewrite >= s.compactEvery {
 				if err := s.compactLocked(); err != nil {
 					s.stats.CompactErrors++
 				}
@@ -405,13 +377,13 @@ func (s *Store) AppendBatch(batch []Entry) error {
 	return first
 }
 
-// commit writes the frames in s.buf — run's, back to back — at the
+// commit writes the frames in s.buf — n of them, back to back — at the
 // committed offset, fsyncs once and only then counts them; a failed
 // write heals the WAL and commits none of them. It empties s.buf.
-func (s *Store) commit(run []Entry) error {
+func (s *Store) commit(n int) error {
 	frames := s.buf
 	s.buf = s.buf[:0]
-	if len(run) == 0 {
+	if n == 0 {
 		return nil
 	}
 	_, err := s.wal.WriteAt(frames, s.walOff)
@@ -419,16 +391,14 @@ func (s *Store) commit(run []Entry) error {
 		err = s.wal.Sync()
 	}
 	if err != nil {
-		s.heal(len(run))
+		s.heal(n)
 		return err
 	}
 	s.walOff += int64(len(frames))
+	s.sinceRewrite += n
 	s.stats.WALBytes = s.walOff
-	s.stats.WALRecords += len(run)
+	s.stats.WALRecords += n
 	s.stats.Commits++
-	for _, e := range run {
-		s.entries[e.Key] = e.Result
-	}
 	return nil
 }
 
@@ -436,86 +406,85 @@ func (s *Store) commit(run []Entry) error {
 // frames failed to reach it; an unhealable WAL disables the write path.
 func (s *Store) heal(n int) {
 	s.stats.TruncatedRecords += n
-	if d := s.faults.Check(faultinject.OpWALTruncate, ""); d.Err != nil {
-		s.disabled = true
-		s.stats.Disabled = true
-		return
-	}
-	if err := s.wal.Truncate(s.walOff); err != nil {
-		s.disabled = true
+	if d := s.faults.Check(faultinject.OpWALTruncate, ""); d.Err != nil || s.wal.Truncate(s.walOff) != nil {
 		s.stats.Disabled = true
 		return
 	}
 	s.wal.Sync()
 }
 
-// Compact snapshots the full entry map and truncates the WAL.
+// Compact rewrites the WAL as the last committed frame of each key, in
+// key order.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.compactLocked()
 }
 
+// compactLocked replays the committed frames, writes the header and the
+// surviving entries to wal.log.tmp, fsyncs it, renames it over wal.log
+// and appends to the new file from then on. Until the rename the old WAL
+// is the store; a failure at any step leaves it in place and removes the
+// temporary file.
 func (s *Store) compactLocked() error {
-	snap := snapshotFile{
-		Magic:           magic,
-		VerifierVersion: verify.Version,
-		Entries:         make([]Entry, 0, len(s.entries)),
+	if s.stats.Disabled {
+		return ErrDisabled
 	}
-	//schedlint:allow determinism the collected entries are sorted by key on the next line, so iteration order never reaches the snapshot bytes
-	for k, v := range s.entries {
-		snap.Entries = append(snap.Entries, Entry{Key: k, Result: v})
+	data := make([]byte, s.walOff)
+	if _, err := s.wal.ReadAt(data, 0); err != nil {
+		return fmt.Errorf("store: reading WAL: %w", err)
 	}
-	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].Key < snap.Entries[j].Key })
-	data, err := json.MarshalIndent(&snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	final := filepath.Join(s.dir, snapshotName)
-	if d := s.faults.Check(faultinject.OpSnapshotWrite, ""); d.Err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", d.Err)
-	}
-	if err := writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if d := s.faults.Check(faultinject.OpSnapshotRename, ""); d.Err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: renaming snapshot: %w", d.Err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: renaming snapshot: %w", err)
-	}
-	syncDir(s.dir)
-	// The snapshot now holds everything; a crash between the rename and
-	// this truncate only replays WAL records that overwrite identical
-	// snapshot entries.
-	if !s.disabled {
-		if err := s.resetWAL(); err != nil {
-			s.stats.CompactErrors++
+	entries, _, _ := replay(data)
+	out := header()
+	for _, key := range slices.Sorted(maps.Keys(entries)) {
+		var err error
+		if out, err = appendFrame(out, Entry{Key: key, Result: entries[key]}); err != nil {
+			return fmt.Errorf("store: encoding record: %w", err)
 		}
 	}
-	s.stats.SnapshotEntries = len(snap.Entries)
-	s.lastComp = time.Now() //schedlint:allow determinism compaction timestamp is operational telemetry, never part of a cached verdict
-	s.stats.LastCompaction = s.lastComp.UTC().Format(time.RFC3339)
+	if d := s.faults.Check(faultinject.OpCompactWrite, ""); d.Err != nil {
+		return fmt.Errorf("store: writing compacted WAL: %w", d.Err)
+	}
+	path := filepath.Join(s.dir, walName)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: writing compacted WAL: %w", err)
+	}
+	// The fsync comes before the rename, so the rename never publishes
+	// bytes still in flight.
+	if _, err = f.Write(out); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		if d := s.faults.Check(faultinject.OpCompactRename, ""); d.Err != nil {
+			err = d.Err
+		} else {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("store: compacting WAL: %w", err)
+	}
+	syncDir(s.dir)
+	s.wal.Close()
+	s.wal = f
+	s.walOff = int64(len(out))
+	s.sinceRewrite = 0
+	s.stats.WALBytes = s.walOff
+	s.stats.WALRecords = len(entries)
+	s.stats.LastCompaction = time.Now().UTC().Format(time.RFC3339) //schedlint:allow determinism compaction timestamp is operational telemetry, never part of a cached verdict
 	return nil
 }
 
-// Flush drops every entry, on disk and in the store's own map: the WAL
-// resets to a bare header and the snapshot is removed. The admin cache
-// flush (DELETE /v1/cache) lands here.
+// Flush drops every entry on disk: the WAL resets to a bare header. The
+// admin cache flush (DELETE /v1/cache) lands here.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = make(map[string]verify.Result)
-	s.stats.Flushes++
-	s.stats.SnapshotEntries = 0
-	if err := os.Remove(filepath.Join(s.dir, snapshotName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: removing snapshot: %w", err)
-	}
-	if s.disabled {
+	if s.stats.Disabled {
 		return nil
 	}
 	return s.resetWAL()
@@ -539,27 +508,7 @@ func (s *Store) Close() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = len(s.entries)
-	return st
-}
-
-// writeFileSync writes data and fsyncs before closing, so a rename
-// never publishes a file whose bytes are still in flight.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return s.stats
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a power

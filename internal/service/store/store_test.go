@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/service/faultinject"
@@ -162,52 +164,103 @@ func TestCrashRecoveryPrefixProperty(t *testing.T) {
 	}
 }
 
-func TestCompactionSnapshotsAndTruncatesWAL(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{CompactEvery: 3})
-	for _, rec := range sampleResults()[:3] {
-		if err := s.Append(rec.key, rec.res); err != nil {
+// compacted renders what a compaction leaves of entries: the header and
+// one frame per key, in key order.
+func compacted(t *testing.T, entries map[string]verify.Result) []byte {
+	t.Helper()
+	out := header()
+	for _, key := range slices.Sorted(maps.Keys(entries)) {
+		var err error
+		if out, err = appendFrame(out, Entry{Key: key, Result: entries[key]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.WALRecords != 0 || st.SnapshotEntries != 3 || st.LastCompaction == "" {
-		t.Fatalf("after threshold: %+v, want compacted snapshot of 3 and empty WAL", st)
-	}
-	// One more append lands in the fresh WAL tail.
-	last := sampleResults()[3]
-	if err := s.Append(last.key, last.res); err != nil {
+	return out
+}
+
+// onlyWAL fails the test unless wal.log is the one file in dir.
+func onlyWAL(t *testing.T, dir string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if len(names) != 1 || names[0] != walName {
+		t.Errorf("data directory holds %v, want only %s", names, walName)
+	}
+}
+
+// A compaction rewrites the WAL: the last frame of each key, in
+// key order, with nothing beside it; appends go on into the rewritten
+// file, and the threshold counts from the rewrite.
+func TestCompactionRewritesWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{CompactEvery: 3})
+	recs := sampleResults()
+	// Two frames of k-pass: the compaction keeps the later one.
+	stale := verify.Result{ID: verify.ObLemma1, Passed: false, Witness: "stale"}
+	for _, e := range []Entry{{Key: recs[0].key, Result: stale}, {Key: recs[1].key, Result: recs[1].res}, {Key: recs[0].key, Result: recs[0].res}} {
+		if err := s.Append(e.Key, e.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]verify.Result{recs[0].key: recs[0].res, recs[1].key: recs[1].res}
+	st := s.Stats()
+	if st.WALRecords != 2 || st.LastCompaction == "" || st.Commits != 3 {
+		t.Fatalf("after threshold: %+v, want a compacted WAL of 2 frames", st)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wal, compacted(t, want)) || st.WALBytes != int64(len(wal)) {
+		t.Fatalf("compacted WAL is %d bytes (stats say %d), want the header and 2 frames in key order", len(wal), st.WALBytes)
+	}
+	onlyWAL(t, dir)
+	// Two more appends land after the rewritten frames, in append order:
+	// the threshold counts from the rewrite, so they do not reach it.
+	for _, rec := range recs[2:] {
+		if err := s.Append(rec.key, rec.res); err != nil {
+			t.Fatal(err)
+		}
+		want[rec.key] = rec.res
+		if wal, err = appendFrame(wal, Entry{Key: rec.key, Result: rec.res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.WALRecords != 4 || st.CompactErrors != 0 {
+		t.Fatalf("after two appends: %+v, want 4 WAL records", st)
+	}
+	if disk, _ := os.ReadFile(filepath.Join(dir, walName)); !bytes.Equal(disk, wal) {
+		t.Fatal("the appends after the compaction did not land after its frames")
 	}
 	s.Close()
 
 	s2, got := mustOpen(t, dir, Options{CompactEvery: 3})
 	defer s2.Close()
-	if len(got) != 4 {
-		t.Fatalf("recovered %d entries from snapshot+WAL, want 4", len(got))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
 	}
-	st2 := s2.Stats()
-	if st2.SnapshotEntries != 3 || st2.WALRecords != 1 || st2.RecoveredRecords != 4 {
-		t.Errorf("reopen stats %+v, want 3 snapshot + 1 WAL", st2)
+	if st2 := s2.Stats(); st2.WALRecords != 4 || st2.RecoveredRecords != 4 || st2.TruncatedRecords != 0 {
+		t.Errorf("reopen stats %+v, want 4 recovered WAL records", st2)
 	}
+	onlyWAL(t, dir)
 }
 
 // A compaction that fails at either step costs nothing committed: the
 // batch that triggered it stands, the failure is counted, no temporary
-// snapshot is left behind, a reopen recovers every entry, and the next
+// file is left behind, a reopen recovers every entry, and the next
 // compaction succeeds.
 func TestFailedCompactionKeepsTheBatch(t *testing.T) {
-	for _, op := range []faultinject.Op{faultinject.OpSnapshotWrite, faultinject.OpSnapshotRename} {
+	for _, op := range []faultinject.Op{faultinject.OpCompactWrite, faultinject.OpCompactRename} {
 		t.Run(string(op), func(t *testing.T) {
 			dir := t.TempDir()
 			faults := faultinject.New(faultinject.Rule{Op: op, Kind: faultinject.KindFail, On: 1})
 			opts := Options{CompactEvery: 3, Faults: faults}
-			noTemp := func() {
-				t.Helper()
-				if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
-					t.Errorf("a temporary snapshot remains (stat: %v)", err)
-				}
-			}
 			batch := sampleBatch()
 			s, _ := mustOpen(t, dir, opts)
 			if err := s.AppendBatch(batch[:3]); err != nil {
@@ -217,10 +270,10 @@ func TestFailedCompactionKeepsTheBatch(t *testing.T) {
 				t.Fatalf("the %s fault fired %d times, want 1", op, n)
 			}
 			if st := s.Stats(); st.WALRecords != 3 || st.Commits != 1 || st.AppendErrors != 0 ||
-				st.CompactErrors != 1 || st.SnapshotEntries != 0 || st.LastCompaction != "" {
+				st.CompactErrors != 1 || st.LastCompaction != "" {
 				t.Errorf("stats %+v, want the batch committed to the WAL and one failed compaction", st)
 			}
-			noTemp()
+			onlyWAL(t, dir)
 			s.Close()
 
 			s, got := mustOpen(t, dir, opts)
@@ -230,10 +283,10 @@ func TestFailedCompactionKeepsTheBatch(t *testing.T) {
 			if err := s.Append(batch[3].Key, batch[3].Result); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.Stats(); st.WALRecords != 0 || st.SnapshotEntries != 4 || st.CompactErrors != 0 {
-				t.Errorf("stats %+v, want the next compaction to snapshot all 4 entries", st)
+			if st := s.Stats(); st.WALRecords != 4 || st.CompactErrors != 0 || st.LastCompaction == "" {
+				t.Errorf("stats %+v, want the next compaction to rewrite all 4 entries", st)
 			}
-			noTemp()
+			onlyWAL(t, dir)
 			s.Close()
 
 			s, got = mustOpen(t, dir, Options{})
@@ -246,6 +299,49 @@ func TestFailedCompactionKeepsTheBatch(t *testing.T) {
 				t.Errorf("recovered %+v, want every committed entry %+v", got, want)
 			}
 		})
+	}
+}
+
+// A kill -9 between the compacted file's fsync and its rename leaves a
+// wal.log.tmp beside the WAL. Open ignores it — the old WAL is the store
+// and nothing counts as truncated — and the next compaction overwrites it.
+func TestCompactionCrashBeforeRenameKeepsTheOldWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	if err := s.AppendBatch(sampleBatch()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, walName+".tmp")
+	if err := os.WriteFile(tmp, append(header(), "torn garbage"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, got := mustOpen(t, dir, Options{})
+	defer s.Close()
+	want := make(map[string]verify.Result)
+	for _, e := range sampleBatch() {
+		want[e.Key] = e.Result
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want the old WAL's %+v", got, want)
+	}
+	if st := s.Stats(); st.RecoveredRecords != len(want) || st.TruncatedRecords != 0 || st.TruncatedBytes != 0 {
+		t.Errorf("stats %+v: the temporary file was read", st)
+	}
+	if disk, _ := os.ReadFile(filepath.Join(dir, walName)); !bytes.Equal(disk, wal) {
+		t.Error("Open changed the old WAL")
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	onlyWAL(t, dir)
+	if disk, _ := os.ReadFile(filepath.Join(dir, walName)); !bytes.Equal(disk, compacted(t, want)) {
+		t.Error("the compaction after the crash did not rewrite the WAL")
 	}
 }
 
@@ -282,30 +378,6 @@ func TestVerifierVersionMismatchDiscardsWAL(t *testing.T) {
 	}
 }
 
-func TestSnapshotCorruptionTolerated(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{CompactEvery: 2})
-	for _, rec := range sampleResults()[:2] {
-		s.Append(rec.key, rec.res)
-	}
-	s.Append(sampleResults()[2].key, sampleResults()[2].res) // WAL tail
-	s.Close()
-	snap := filepath.Join(dir, snapshotName)
-	if err := os.WriteFile(snap, []byte(`{"magic":"svsnap","entr`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, got := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	// The snapshot's 2 entries are gone (corrupt), the WAL-tail entry
-	// survives; recovery is clean either way.
-	if len(got) != 1 {
-		t.Fatalf("recovered %d entries, want 1 (WAL tail only)", len(got))
-	}
-	if s2.Stats().TruncatedRecords == 0 {
-		t.Error("snapshot corruption not accounted as truncation")
-	}
-}
-
 func TestFlushDropsDiskState(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{CompactEvery: 2})
@@ -315,12 +387,10 @@ func TestFlushDropsDiskState(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Entries != 0 || st.WALRecords != 0 || st.Flushes != 1 {
+	if st := s.Stats(); st.WALRecords != 0 || st.WALBytes != int64(len(header())) {
 		t.Errorf("post-flush stats %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); !os.IsNotExist(err) {
-		t.Error("snapshot survived the flush")
-	}
+	onlyWAL(t, dir)
 	s.Close()
 	s2, got := mustOpen(t, dir, Options{})
 	defer s2.Close()
@@ -403,7 +473,7 @@ func TestFrameCRCGuardsPayload(t *testing.T) {
 
 // A batch is invisible on disk: committing entries one Append at a time
 // and committing them as one AppendBatch leave the same WAL bytes, the
-// same snapshot, the same counters (but for the number of commits) and
+// same counters (but for the number of commits) and
 // the same recovered entries — on the plain path, across a compaction
 // threshold in the middle of the batch, and when an injected fault fails
 // or tears one frame of it (the frame before it persists, it alone is
@@ -421,7 +491,7 @@ func TestBatchLeavesTheBytesAppendsLeave(t *testing.T) {
 	}{
 		{name: "plain", size: 4, wantRecords: 4, wantCommits: 1},
 		{name: "batch of one", size: 1, wantRecords: 1, wantCommits: 1},
-		{name: "compaction mid-batch", size: 4, opts: Options{CompactEvery: 3}, wantRecords: 1, wantCommits: 2},
+		{name: "compaction mid-batch", size: 4, opts: Options{CompactEvery: 3}, wantRecords: 4, wantCommits: 2},
 		{name: "torn frame 2", size: 4, faults: "wal-append:torn=5@2", lost: 1, wantRecords: 3, wantErrors: 1, wantCommits: 2},
 		{name: "failed frame 1", size: 4, faults: "wal-append:fail@1", lost: 0, wantRecords: 3, wantErrors: 1, wantCommits: 1},
 		{name: "failed last frame", size: 4, faults: "wal-append:fail@4", lost: 3, wantRecords: 3, wantErrors: 1, wantCommits: 1},
@@ -429,9 +499,9 @@ func TestBatchLeavesTheBytesAppendsLeave(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			batch := sampleBatch()[:tc.size]
 			type outcome struct {
-				wal, snap []byte
-				stats     Stats
-				entries   map[string]verify.Result
+				wal     []byte
+				stats   Stats
+				entries map[string]verify.Result
 			}
 			run := func(write func(*Store) error) outcome {
 				t.Helper()
@@ -451,7 +521,6 @@ func TestBatchLeavesTheBytesAppendsLeave(t *testing.T) {
 				if out.wal, err = os.ReadFile(filepath.Join(dir, walName)); err != nil {
 					t.Fatal(err)
 				}
-				out.snap, _ = os.ReadFile(filepath.Join(dir, snapshotName)) // absent without a compaction
 				s2, entries := mustOpen(t, dir, Options{})
 				defer s2.Close()
 				if st := s2.Stats(); st.TruncatedRecords != 0 {
@@ -473,9 +542,6 @@ func TestBatchLeavesTheBytesAppendsLeave(t *testing.T) {
 
 			if !bytes.Equal(single.wal, batched.wal) {
 				t.Errorf("WAL bytes differ: %d bytes by Append, %d by AppendBatch", len(single.wal), len(batched.wal))
-			}
-			if !bytes.Equal(single.snap, batched.snap) {
-				t.Errorf("snapshot bytes differ:\n%s\nvs\n%s", single.snap, batched.snap)
 			}
 			if !reflect.DeepEqual(single.entries, batched.entries) {
 				t.Errorf("recovered entries differ:\n%+v\nvs\n%+v", single.entries, batched.entries)

@@ -137,9 +137,10 @@ type Stats struct {
 	// Draining reports the graceful-shutdown window: submissions are
 	// rejected while finished jobs stay pollable.
 	Draining bool `json:"draining,omitempty"`
-	// Store carries the durable memo store's counters (WAL length,
-	// snapshot size, recovery/truncation/append-error counts); nil when
-	// the service runs memory-only.
+	// Store carries the durable memo store's counters (the WAL's frames
+	// and bytes, commits, compactions, recovery/truncation/append-error
+	// counts); nil when the service runs memory-only. The number of
+	// memoized results is CacheEntries.
 	Store *store.Stats `json:"store,omitempty"`
 	// Obligations maps obligation ID to verification latency over cache
 	// misses (hits never run the checker).
