@@ -28,11 +28,7 @@ func (modelBackend) Name() string { return "model" }
 // runs, exactly the semantics the fault obligations quantify over.
 func (b modelBackend) Execute(ctx context.Context, c *Cluster, sc Scenario, cores int, groups []int) (*Result, error) {
 	start := time.Now()
-	m := sched.NewMachine(cores)
-	for id, g := range groups {
-		m.Core(id).Group = g
-		m.Core(id).Node = g
-	}
+	m := new(sched.Machine).Reset(cores, groups)
 	for _, batch := range sc.Batches {
 		for i := 0; i < batch.Tasks; i++ {
 			m.Spawn(batch.Core%cores, batch.weight())

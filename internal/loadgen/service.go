@@ -39,46 +39,14 @@ type Service struct {
 	completed int64
 	offered   int64
 	latency   *metrics.Histogram
-	jobs      slab[job]
-	tasks     slab[jobTask]
+	jobs      sched.Slab[job]
+	tasks     sched.Slab[jobTask]
 }
 
 // job tracks one (possibly parallel) job's completion.
 type job struct {
 	arrival   int64
 	remaining int
-}
-
-// slabChunk is how many jobs, or job tasks, Setup allocates at a time.
-// Chunks are never grown in place, so the pointers the simulator holds
-// stay valid; a small chunk keeps each run's unused tail small.
-const slabChunk = 64
-
-// slab hands out values from chunks of slabChunk that never move. Setup
-// carves from where the last Setup stopped; rewound starts over on the
-// same chunks, which only a caller that has reset every simulator
-// holding pointers into them may do (the sweep's runner).
-type slab[T any] struct {
-	chunks [][]T
-	n      int // values handed out
-}
-
-// next returns the slab's next value, adding a chunk when all are used.
-// The value is not zeroed.
-func (b *slab[T]) next() *T {
-	c := b.n / slabChunk
-	if c == len(b.chunks) {
-		b.chunks = append(b.chunks, make([]T, slabChunk))
-	}
-	v := &b.chunks[c][b.n%slabChunk]
-	b.n++
-	return v
-}
-
-// rewound returns b with every chunk free for reuse.
-func (b slab[T]) rewound() slab[T] {
-	b.n = 0
-	return b
 }
 
 // Name implements the zoo's Workload interface.
@@ -126,12 +94,12 @@ func (w *Service) Setup(s *sim.Simulator) {
 		if perTask < 1 {
 			perTask = 1
 		}
-		j := w.jobs.next()
+		j := w.jobs.Next()
 		*j = job{arrival: t, remaining: k}
 		w.arrived++
 		w.offered += int64(k) * (perTask + 1)
 		for i := 0; i < k; i++ {
-			jt := w.tasks.next()
+			jt := w.tasks.Next()
 			*jt = jobTask{w: w, j: j, run: perTask}
 			s.SpawnAt(t, cores[rr%len(cores)], sched.DefaultWeight, jt)
 			rr++

@@ -131,7 +131,8 @@ func TestServiceSetupPanicsOnBadConfig(t *testing.T) {
 	}
 }
 
-// Setup carves jobs and their tasks from 64-entry slabs: on a fixed seed
+// Setup takes jobs and their tasks from sched.Slabs, whose chunks hold
+// 64 values each: on a fixed seed
 // a new Service allocates one chunk per 64 jobs and per 64 tasks, plus a
 // constant for the speedup table, the latency histogram, the two slabs'
 // chunk lists and the simulator's arrival chunks growing to hold every
@@ -154,7 +155,7 @@ func TestServiceSetupAllocatesPerChunk(t *testing.T) {
 	if svc.Completed() != jobs || jobs < 500 || tasks <= jobs {
 		t.Fatalf("fixture broken: %d of %d jobs completed, %d tasks", svc.Completed(), jobs, tasks)
 	}
-	chunks := func(n int64) uint64 { return uint64((n + slabChunk - 1) / slabChunk) }
+	chunks := func(n int64) uint64 { return uint64((n + 63) / 64) }
 	if limit := chunks(jobs) + chunks(tasks) + slack; allocs > limit {
 		t.Errorf("Setup of %d jobs / %d tasks allocated %d objects, want <= %d", jobs, tasks, allocs, limit)
 	}

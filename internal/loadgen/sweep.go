@@ -375,10 +375,10 @@ func forEachPoint(n int, fn func(i int) bool) {
 	wg.Wait()
 }
 
-// runner is what a sweep point runs on: a simulator and a Service whose
-// job and task slabs outlive the point. runPoint takes one from runners
-// and puts it back when the point is done, so a sweep, and every sweep
-// after it, grows slabs only past the largest point run so far.
+// runner is what a sweep point runs on: a simulator, whose machine and
+// task slab outlive the point, and a Service, whose job and task slabs
+// do too. runPoint takes one from runners and puts it back after the
+// point, so sweeps grow storage only past the largest point run so far.
 type runner struct {
 	sim sim.Simulator
 	svc Service
@@ -409,7 +409,7 @@ func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, 
 	r := runners.Get().(*runner)
 	s, svc := &r.sim, &r.svc
 	// The Reset drops every pointer the simulator held into the slabs,
-	// so the new Service may carve its jobs from the start of them.
+	// so the new Service may take its jobs from the start of them.
 	s.Reset(sim.Config{
 		Cores:       cfg.Cores,
 		Policy:      p,
@@ -417,14 +417,16 @@ func (cfg SweepConfig) runPoint(ctx context.Context, name string, load float64, 
 		Seed:        seed,
 		IdleBalance: cfg.IdleBalance,
 	})
+	svc.jobs.Reset()
+	svc.tasks.Reset()
 	*svc = Service{
 		Arrivals:     cfg.arrivalProcess(meanGap),
 		Work:         dist,
 		Malleable:    cfg.Malleable,
 		Horizon:      cfg.Horizon,
 		ArrivalCores: arrivalCores,
-		jobs:         svc.jobs.rewound(),
-		tasks:        svc.tasks.rewound(),
+		jobs:         svc.jobs,
+		tasks:        svc.tasks,
 	}
 	svc.Setup(s)
 	loaded, err := s.RunContext(ctx, cfg.Horizon)

@@ -29,13 +29,13 @@ type Machine struct {
 
 // buffers is what a machine owns beyond its cores and would otherwise
 // allocate again on every call: the arena CopyFrom and SetFromSpec lay
-// tasks out in, the chunk Spawn carves tasks from, and the round
+// tasks out in, the slab Spawn takes tasks from, and the round
 // executors' per-round slices (see round.go). It is per machine, never
 // shared: a caller may still be reading one machine's round results
 // while it runs rounds on another.
 type buffers struct {
-	tasks   []Task // arena behind the cores' task pointers
-	spawned []Task // the chunk Spawn is filling; full ones belong to their tasks
+	tasks   []Task     // arena behind the cores' task pointers
+	spawned Slab[Task] // Spawn's tasks since the machine was last rebuilt
 
 	atts    []Attempt // SelectAll's result, indexed by core ID
 	cands   []*Core   // step-1 survivors of the thief being selected for, or Place's online cores
@@ -62,16 +62,17 @@ func (b *buffers) add(t Task) *Task {
 	return &b.tasks[len(b.tasks)-1]
 }
 
-// reset gives m exactly `cores` cores and an empty arena with room for
-// `tasks` tasks, keeping the cores it already has (and with them their
-// runqueue buffers) and the arena when it is large enough; a new arena at
-// least doubles the old one, so a machine copied from a growing source
-// reallocates O(log n) times. The cores' fields are left for the caller
-// to overwrite.
+// reset gives m exactly `cores` cores, an empty spawn slab and an empty
+// arena with room for `tasks` tasks, keeping the cores it has (with their
+// runqueue buffers and layout) and the arena when it is large enough; a
+// new arena at least doubles the old one, so a machine copied from a
+// growing source reallocates O(log n) times. A core m lacked is flat; the
+// caller overwrites the rest of every core.
 func (m *Machine) reset(cores, tasks int) {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: machine needs at least one core, got %d", cores))
 	}
+	had := len(m.Cores)
 	if cores > cap(m.Cores) {
 		grown := make([]*Core, cores)
 		copy(grown, m.Cores[:cap(m.Cores)])
@@ -79,14 +80,18 @@ func (m *Machine) reset(cores, tasks int) {
 	}
 	m.Cores = m.Cores[:cores]
 	var fresh []Core // one block for all the cores m lacks
-	for i, c := range m.Cores {
-		if c != nil {
-			continue
+	for i := had; i < cores; i++ {
+		if m.Cores[i] == nil {
+			if len(fresh) == 0 {
+				fresh = make([]Core, cores-i)
+			}
+			m.Cores[i], fresh = &fresh[0], fresh[1:]
 		}
-		if len(fresh) == 0 {
-			fresh = make([]Core, cores-i)
-		}
-		m.Cores[i], fresh = &fresh[0], fresh[1:]
+		c := m.Cores[i]
+		*c = Core{ID: i, ring: c.ring[:0]}
+	}
+	if m.buf != nil {
+		m.buf.spawned.Reset()
 	}
 	if tasks > 0 {
 		b := m.scratch()
@@ -95,6 +100,26 @@ func (m *Machine) reset(cores, tasks int) {
 		}
 		b.tasks = b.tasks[:0]
 	}
+}
+
+// Reset empties m into `cores` online cores, core i on node and group
+// groups[i] (0 when groups is nil), with task IDs from 0 and no fault
+// script, and returns m. It keeps m's cores, their runqueue buffers and
+// its spawn storage; every *Core and *Task obtained from m before the
+// call is invalidated. groups is only read.
+func (m *Machine) Reset(cores int, groups []int) *Machine {
+	if groups != nil && len(groups) != cores {
+		panic(fmt.Sprintf("sched: %d group assignments for %d cores", len(groups), cores))
+	}
+	m.reset(cores, 0)
+	m.Faults, m.nextID = nil, 0
+	for i, c := range m.Cores {
+		*c = Core{ID: i, ring: c.ring[:0]}
+		if groups != nil {
+			c.Node, c.Group = groups[i], groups[i]
+		}
+	}
+	return m
 }
 
 // FaultEvent is one fail-stop hotplug event: core Core goes offline
@@ -113,14 +138,7 @@ func (e FaultEvent) String() string {
 }
 
 // NewMachine returns a machine with n empty cores on a flat topology.
-func NewMachine(n int) *Machine {
-	m := new(Machine)
-	m.reset(n, 0)
-	for i, c := range m.Cores {
-		c.ID = i
-	}
-	return m
-}
+func NewMachine(n int) *Machine { return new(Machine).Reset(n, nil) }
 
 // MachineFromLoads builds a machine where core i owns loads[i] unit-weight
 // threads. If a core owns at least one thread, one of them is its current
@@ -158,10 +176,11 @@ type CoreSpec struct {
 }
 
 // SetFromSpec rebuilds m in place as the machine specs describe — online
-// cores on node and group 0, task IDs from 0 in core order (current task
-// first), no fault script — reusing m's cores, runqueue buffers and task
-// arena. Every *Core and *Task obtained from m before the call is
-// invalidated. specs is only read.
+// cores, task IDs from 0 in core order (current task first), no fault
+// script — reusing m's cores, runqueue buffers and task arena. Each core
+// keeps the node and group Reset gave it; a core m lacked is flat. Every
+// *Core and *Task obtained from m before the call is invalidated. specs
+// is only read.
 func (m *Machine) SetFromSpec(specs []CoreSpec) {
 	tasks := 0
 	for _, s := range specs {
@@ -174,7 +193,9 @@ func (m *Machine) SetFromSpec(specs []CoreSpec) {
 	m.Faults, m.nextID = nil, 0
 	for i, s := range specs {
 		c := m.Cores[i]
+		node, group := c.Node, c.Group // the layout stays
 		*c = Core{ID: i, ring: c.ring[:0]}
+		c.Node, c.Group = node, group
 		if s.Running > 0 {
 			c.Current = m.buf.add(weightedTask(m.nextID, s.Running))
 			m.nextID++
@@ -189,7 +210,7 @@ func (m *Machine) SetFromSpec(specs []CoreSpec) {
 // SetFromKey rebuilds m in place as the machine whose AppendKey encoding
 // key is: AppendKey's inverse up to what a key keeps. Each core gets its
 // running task's weight, its queued weights in ascending order and its
-// offline mark; the rest is as SetFromSpec leaves it (node and group 0,
+// offline mark; the rest is as SetFromSpec leaves it (the layout kept,
 // task IDs from 0 in core order, no fault script). key must be an
 // AppendKey encoding and is only read. Once m's buffers have grown to
 // the key, the call allocates nothing.
@@ -235,20 +256,13 @@ func (m *Machine) NumCores() int { return len(m.Cores) }
 // Core returns the core with the given ID.
 func (m *Machine) Core(id int) *Core { return m.Cores[id] }
 
-// spawnChunk is how many tasks Spawn allocates at a time.
-const spawnChunk = 64
-
 // Spawn creates a fresh task with the given weight and pushes it on core
-// id's runqueue, returning the task. Tasks are carved from chunks of
-// spawnChunk, which never move: the pointer stays valid until a CopyFrom
-// or SetFromSpec overwrites m.
+// id's runqueue, returning the task. Tasks come from a Slab, so the
+// pointer stays valid until a Reset, CopyFrom or SetFromSpec rebuilds m;
+// a rebuilt machine spawns into the same storage again.
 func (m *Machine) Spawn(id int, weight int64) *Task {
-	b := m.scratch()
-	if len(b.spawned) == cap(b.spawned) {
-		b.spawned = make([]Task, 0, spawnChunk)
-	}
-	b.spawned = append(b.spawned, weightedTask(m.nextID, weight))
-	t := &b.spawned[len(b.spawned)-1]
+	t := m.scratch().spawned.Next()
+	*t = weightedTask(m.nextID, weight)
 	m.nextID++
 	m.Cores[id].Push(t)
 	return t

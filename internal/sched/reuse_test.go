@@ -154,7 +154,7 @@ func TestSetFromSpecIsMachineFromSpec(t *testing.T) {
 	specs := []CoreSpec{{Running: 3, Queued: []int64{1024, 7}}, {}, {Queued: []int64{5}}}
 	want := MachineFromSpec(specs...)
 	// A receiver in the worst shape: more cores, more tasks, offline
-	// cores, topology labels, a fault script, a spent ID counter.
+	// cores, a layout, a fault script, a spent ID counter.
 	m := randomMachine(rand.New(rand.NewSource(1)))
 	m.CopyFrom(MachineFromLoads(3, 3, 3, 3, 3))
 	for _, c := range m.Cores {
@@ -165,9 +165,10 @@ func TestSetFromSpecIsMachineFromSpec(t *testing.T) {
 	if m.Key() != want.Key() || !reflect.DeepEqual(taskIDs(m), taskIDs(want)) || m.Validate() != nil {
 		t.Errorf("SetFromSpec built %s with IDs %v, MachineFromSpec %s with %v", m.Key(), taskIDs(m), want.Key(), taskIDs(want))
 	}
+	// The cores SetFromSpec keeps keep the layout they had.
 	for i, c := range m.Cores {
-		if c.ID != i || c.Offline || c.Group != 0 || c.Node != 0 {
-			t.Errorf("core %d not reset: %+v", i, c)
+		if c.ID != i || c.Offline || c.Group != 2 || c.Node != 1 {
+			t.Errorf("core %d not reset, or its layout lost: %+v", i, c)
 		}
 	}
 	if m.Faults != nil || m.Spawn(0, 1).ID != want.Spawn(0, 1).ID {
@@ -311,7 +312,7 @@ func TestMovedTasksArePerMachine(t *testing.T) {
 func TestSpawnAcrossChunkBoundaryKeepsTasksValid(t *testing.T) {
 	m := NewMachine(3)
 	var tasks []*Task
-	for i := 0; i < 3*spawnChunk+5; i++ {
+	for i := 0; i < 3*slabChunk+5; i++ {
 		tasks = append(tasks, m.Spawn(i%3, int64(1+i)))
 	}
 	for i, task := range tasks {
@@ -336,5 +337,64 @@ func TestSpawnAcrossChunkBoundaryKeepsTasksValid(t *testing.T) {
 	}
 	if got := c.Spawn(1, 7).ID; got != TaskID(len(tasks)) {
 		t.Errorf("clone's next ID = %d, want %d", got, len(tasks))
+	}
+}
+
+// Reset is where a machine's layout is set, and the rebuilds keep it:
+// SetFromSpec and SetFromKey leave every core on the node and group
+// Reset put it, while the ID counter, fault script and offline marks
+// start over. Once a machine has grown, resetting it and spawning as
+// much again allocates nothing.
+func TestResetSetsTheLayoutRebuildsKeep(t *testing.T) {
+	groups := []int{0, 0, 1, 1}
+	m := MachineFromLoads(1, 2, 0)
+	m.Core(1).Offline = true
+	m.Faults = []FaultEvent{{Core: 1}}
+	m.Spawn(0, 5)
+	if m.Reset(len(groups), groups) != m {
+		t.Fatal("Reset did not return its receiver")
+	}
+	layout := func(how string) {
+		t.Helper()
+		for i, c := range m.Cores {
+			if c.ID != i || c.Group != groups[i] || c.Node != groups[i] || c.Offline {
+				t.Errorf("after %s core %d reads %+v, want ID %d, node and group %d, online", how, i, *c, i, groups[i])
+			}
+		}
+	}
+	layout("Reset")
+	if m.TotalThreads() != 0 || m.Faults != nil || m.Spawn(2, 1).ID != 0 {
+		t.Error("Reset left tasks, a fault script or a spent ID counter")
+	}
+	m.Core(3).Offline = true
+	m.SetFromSpec([]CoreSpec{{Running: 1}, {}, {Queued: []int64{2, 3}}, {Running: 4}})
+	layout("SetFromSpec")
+	m.SetFromKey([]byte("1:2|!0:|0:|3:1"))
+	if m.Core(1).Offline = false; m.Key() != "1:2|0:|0:|3:1" {
+		t.Errorf("SetFromKey built %s", m.Key())
+	}
+	layout("SetFromKey")
+	// A flat reset clears the layout; a wider one adds flat cores.
+	m.Reset(4, nil)
+	m.SetFromSpec(make([]CoreSpec, 6))
+	for i, c := range m.Cores {
+		if c.ID != i || c.Group != 0 || c.Node != 0 {
+			t.Errorf("core %d of a flat machine reads %+v", i, *c)
+		}
+	}
+
+	spawn := func() {
+		m.Reset(len(groups), groups)
+		for i := range 3*slabChunk + 5 {
+			m.Spawn(i%len(groups), 1)
+		}
+	}
+	spawn() // grow the rings and the spawn slab
+	if allocs := testing.AllocsPerRun(10, spawn); allocs != 0 {
+		t.Errorf("a grown machine's reset and respawn allocates %.0f objects", allocs)
+	}
+	layout("a reset and respawn")
+	if err := m.Validate(); err != nil {
+		t.Error(err)
 	}
 }

@@ -41,7 +41,9 @@ type replayReach struct {
 // replayEventOrder drives a queue with the operations ops encodes and
 // checks every pop against the specification: the first of a stable sort
 // on (time, seq) of everything still pending, which ref keeps by sorted
-// insertion (stamps are unique). Each op byte picks one step — a pop, a
+// insertion (stamps are unique) of each item's index in posts; arrs does
+// the same for the pending arrivals alone, so how many of them a post
+// shifts is a binary search. Each op byte picks one step — a pop, a
 // heap post, an arrival at a time drawn from the next byte, an arrival
 // at the time just popped (a mid-run SpawnAt(Clock(), …)), a burst of
 // up to 256 arrivals out of time order (op%16 == 14, sized and strided
@@ -52,7 +54,8 @@ type replayReach struct {
 func replayEventOrder(tb testing.TB, ops []byte) replayReach {
 	tb.Helper()
 	var q eventQueue
-	var ref []posted
+	var posts []posted    // every item posted, in posting order
+	var ref, arrs []int32 // indices into posts, pending, in (time, seq) order
 	var seq uint64
 	var now int64
 	var reach replayReach
@@ -64,13 +67,20 @@ func replayEventOrder(tb testing.TB, ops []byte) replayReach {
 		ops = ops[1:]
 		return b
 	}
-	post := func(p posted) {
+	// insert adds p's index to sorted, where a stable sort puts it, and
+	// returns how many pending items sort after it.
+	insert := func(sorted *[]int32, p posted) int {
 		t, sq := p.stamp()
-		i := sort.Search(len(ref), func(i int) bool {
-			ti, si := ref[i].stamp()
+		i := sort.Search(len(*sorted), func(i int) bool {
+			ti, si := posts[(*sorted)[i]].stamp()
 			return earlier(t, sq, ti, si)
 		})
-		ref = slices.Insert(ref, i, p)
+		*sorted = slices.Insert(*sorted, i, int32(len(posts)-1))
+		return len(*sorted) - 1 - i
+	}
+	post := func(p posted) {
+		posts = append(posts, p)
+		insert(&ref, p)
 		if !p.isArrival {
 			q.push(p.ev)
 			return
@@ -78,12 +88,7 @@ func replayEventOrder(tb testing.TB, ops []byte) replayReach {
 		if q.tail == 0 && len(q.arrivals) > 0 {
 			reach.restarts++
 		}
-		shifted := 0 // pending arrivals that sort after p
-		for _, r := range ref[i+1:] {
-			if r.isArrival {
-				shifted++
-			}
-		}
+		shifted := insert(&arrs, p) // pending arrivals that sort after p
 		if last := q.tail; shifted > 0 && (last-shifted)/arrivalChunk != last/arrivalChunk {
 			reach.crossings++
 		}
@@ -91,7 +96,7 @@ func replayEventOrder(tb testing.TB, ops []byte) replayReach {
 		reach.chunks = max(reach.chunks, len(q.arrivals))
 	}
 	pop := func() {
-		want := ref[0]
+		want := posts[ref[0]]
 		wantTime, _ := want.stamp()
 		if got := q.peekTime(); got != wantTime {
 			tb.Fatalf("peekTime = %d, want %d", got, wantTime)
@@ -109,7 +114,9 @@ func replayEventOrder(tb testing.TB, ops []byte) replayReach {
 		if isArrival && *q.arrivalAt(head) != (arrival{}) {
 			tb.Fatalf("the fired arrival still holds %+v", *q.arrivalAt(head))
 		}
-		ref = ref[1:]
+		if ref = ref[1:]; isArrival {
+			arrs = arrs[1:]
+		}
 		now = wantTime
 	}
 	newArrival := func(t int64, op byte) posted {
@@ -176,10 +183,16 @@ func chunkedOps() []byte {
 // pending items would put first — earliest time, and among equal times
 // the one posted first. The replays between them fill more than three
 // arrival chunks, shift records across chunk boundaries and restart
-// drained streams.
+// drained streams. Under -race, which makes the queue's record shifts
+// about ten times slower, the first ten of the fifty seeds reach all
+// three already.
 func TestEventQueueMatchesSortedReference(t *testing.T) {
+	seeds := int64(50)
+	if raceEnabled {
+		seeds = 10
+	}
 	var reach replayReach
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(1); seed <= seeds; seed++ {
 		ops := make([]byte, 800)
 		rand.New(rand.NewSource(seed)).Read(ops)
 		r := replayEventOrder(t, ops)

@@ -27,14 +27,15 @@
 // front by the thousand, are values in fixed-size chunks kept in
 // (time, seq) order and merged with the heap as they come due; a
 // record never moves to a new array, and a fired one is zeroed, so
-// the task alone holds its behavior. Task state lives in a chunked
-// slab indexed by task ID — the simulated machine hands out IDs 0, 1,
-// 2, … and nothing else spawns on it — so a *taskState stays valid
-// until the next Reset, which hands the slab, cleared, to the next run;
-// an exited task is a status, not a deletion. Each state keeps its
-// *sched.Task, which is equally stable: the simulated machine is never
-// the target of a CopyFrom or SetFromSpec, the only calls that
-// invalidate a machine's tasks.
+// the task alone holds its behavior. Task state lives in a
+// sched.Slab indexed by task ID — the simulated machine hands out IDs
+// 0, 1, 2, … and nothing else spawns on it — so a *taskState stays
+// valid until the next Reset, which hands the slab, zeroed, to the next
+// run; an exited task is a status, not a deletion. Each state keeps its
+// *sched.Task, which is equally stable: the simulated machine is kept
+// across runs and rebuilt only by Reset (sched.Machine.Reset, which
+// reuses its cores, runqueues and spawn slab), never by a CopyFrom or
+// SetFromSpec.
 // Occupancy — how many cores are idle and how many overloaded, the
 // input of the wasted-cores tracker — is kept as counts over a class
 // per core, and after an event only the cores it touched are
@@ -98,11 +99,8 @@ type Simulator struct {
 	clock int64
 	seq   uint64
 	q     eventQueue
-	tasks [][]taskState // slab of taskChunk-sized chunks, indexed by task ID
-	// spawned counts the tasks spawned so far: the run has used slab
-	// entries [0, spawned), and Reset clears only those.
-	spawned int64
-	order   []int // handleBalance's steal order, redrawn every round
+	tasks sched.Slab[taskState] // indexed by task ID
+	order []int                 // handleBalance's steal order, redrawn every round
 
 	// measurement
 	counters    sched.Counters // Orphaned is read off the machine at snapshot
@@ -152,9 +150,6 @@ const (
 	statusExited
 )
 
-// taskChunk is the slab's growth unit: states never move once handed out.
-const taskChunk = 64
-
 type taskState struct {
 	id         int64
 	task       *sched.Task // the model's task: on a runqueue, current, or parked here while blocked
@@ -178,14 +173,16 @@ func New(cfg Config) *Simulator {
 }
 
 // Reset readies s for a new run under cfg, exactly as New(cfg) would
-// build it, but on the storage its last run grew: the task slab, the
-// arrival chunks, the live-event heap and the per-core order, class and
-// dirty slices survive a Reset. Only the slab entries the last run used
-// are cleared, so a simulator that once ran a long workload costs a
-// short one nothing extra. Everything else is new — the machine, the
-// RNG, the violation tracker and the histograms — so a Stats taken
-// before the Reset, its Latency and WaitTime included, keeps describing
-// the run it came from. Panics on invalid configuration, as New does.
+// build it, but on the storage its last run grew: the machine (reset to
+// cfg's cores and groups, keeping its cores, runqueues and spawned
+// tasks' storage), the task slab, the arrival chunks, the live-event
+// heap and the per-core order, class and dirty slices survive a Reset.
+// Only the slab entries the last run used are cleared, so a simulator
+// that once ran a long workload costs a short one nothing extra.
+// Everything else is new — the RNG, the violation tracker and the
+// histograms — so a Stats taken before the Reset, its Latency and
+// WaitTime included, keeps describing the run it came from. Panics on
+// invalid configuration, as New does.
 func (s *Simulator) Reset(cfg Config) {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("sim: %d cores", cfg.Cores))
@@ -202,16 +199,16 @@ func (s *Simulator) Reset(cfg Config) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Groups != nil && len(cfg.Groups) != cfg.Cores {
-		panic(fmt.Sprintf("sim: %d group assignments for %d cores", len(cfg.Groups), cfg.Cores))
+	m := s.m
+	if m == nil {
+		m = new(sched.Machine)
 	}
-	for i := int64(0); i < s.spawned; i += taskChunk {
-		clear(s.tasks[i/taskChunk][:min(taskChunk, s.spawned-i)])
-	}
+	m.Reset(cfg.Cores, cfg.Groups) // panics unless Groups is nil or one per core
+	s.tasks.Reset()
 	s.q.reset()
 	*s = Simulator{
 		cfg:        cfg,
-		m:          sched.NewMachine(cfg.Cores),
+		m:          m,
 		rng:        NewRNG(cfg.Seed),
 		q:          s.q,
 		tasks:      s.tasks,
@@ -225,10 +222,6 @@ func (s *Simulator) Reset(cfg Config) {
 	}
 	clear(s.class)
 	s.nClass[classBusy] = cfg.Cores
-	for id, g := range cfg.Groups {
-		s.m.Core(id).Group = g
-		s.m.Core(id).Node = g
-	}
 	s.post(event{time: cfg.BalancePeriod, kind: evBalance})
 }
 
@@ -242,12 +235,10 @@ func resize[T any](b []T, n int) []T {
 }
 
 // state returns the slab entry of task id, which must have been spawned.
-func (s *Simulator) state(id int64) *taskState {
-	return &s.tasks[id/taskChunk][id%taskChunk]
-}
+func (s *Simulator) state(id int64) *taskState { return s.tasks.At(int(id)) }
 
 // Machine exposes the simulated machine for inspection (tests, metrics).
-// Callers must not mutate it.
+// Callers must not mutate it; a Reset rebuilds it in place.
 func (s *Simulator) Machine() *sched.Machine { return s.m }
 
 // Clock returns the current virtual time.
@@ -422,14 +413,9 @@ func (s *Simulator) place(home int) (core int, aux int64) {
 func (s *Simulator) handleSpawn(a *arrival) {
 	core, aux := s.place(a.core)
 	task := s.m.Spawn(core, a.weight)
-	id := int64(task.ID)
-	for id >= int64(len(s.tasks))*taskChunk {
-		s.tasks = append(s.tasks, make([]taskState, taskChunk))
-	}
-	s.spawned = id + 1
-	ts := s.state(id)
+	ts := s.tasks.Next() // entry task.ID: the machine numbers tasks as the slab does
 	*ts = taskState{
-		id:         id,
+		id:         int64(task.ID),
 		task:       task,
 		behavior:   a.behavior,
 		status:     statusReady,

@@ -182,6 +182,7 @@ func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(ra
 	e.offline = resize(e.offline, u.Cores)
 	clear(e.offline)
 	e.script = e.script[:0]
+	e.m.Reset(u.Cores, u.Groups) // every state's layout: SetFromSpec keeps it
 	return e.expandCounts(0, 0, fn)
 }
 
@@ -332,14 +333,10 @@ func (e *Enumerator) setOffline(core int, off bool) {
 	}
 }
 
-// build rebuilds the machine as the specs describe, under the given
-// fault script, and hands it to fn.
+// build rebuilds the machine as the specs describe, on the universe's
+// layout and under the given fault script, and hands it to fn.
 func (e *Enumerator) build(faults []sched.FaultEvent, fn func(int, *sched.Machine) bool) bool {
 	e.m.SetFromSpec(e.specs)
-	for id, g := range e.u.Groups {
-		c := e.m.Core(id)
-		c.Group, c.Node = g, g
-	}
 	e.m.Faults = faults
 	return fn(e.rank, &e.m)
 }

@@ -324,17 +324,24 @@ func TestReusedEnumeratorMatchesFresh(t *testing.T) {
 	// without faults and weights, must yield exactly what a fresh one
 	// yields: a stale offline flag would drop or add fault scripts, and a
 	// stale specs[i].Queued would leak an earlier universe's tasks into
-	// the next one's machines. The opening walk panics in the middle of a
-	// two-event script — as a checker may, under verify's recover — so
-	// nothing unwinds its failed cores or its script.
+	// the next one's machines, as a stale layout would a grouped
+	// universe's groups into the flat one after it. The opening walk
+	// panics in the middle of a two-event script — as a checker may,
+	// under verify's recover — so nothing unwinds its failed cores or its
+	// script.
 	type state struct {
-		rank int
-		key  string
+		rank   int
+		key    string
+		layout string
 	}
 	walk := func(e *Enumerator, u Universe, shard, total int) []state {
 		var got []state
 		e.EnumerateShardRank(u, shard, total, func(rank int, m *sched.Machine) bool {
-			got = append(got, state{rank, faultKey(m)})
+			layout := ""
+			for _, c := range m.Cores {
+				layout += fmt.Sprintf("%d/%d ", c.Node, c.Group)
+			}
+			got = append(got, state{rank, faultKey(m), layout})
 			return true
 		})
 		return got
@@ -357,6 +364,7 @@ func TestReusedEnumeratorMatchesFresh(t *testing.T) {
 	const total = 3
 	for _, u := range []Universe{
 		faults,
+		{Cores: 4, MaxPerCore: 2, MaxTotal: 3, Groups: []int{0, 0, 1, 1}},
 		{Cores: 3, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true},
 		{Cores: 2, MaxPerCore: 2, Weights: []int64{1, 3}},
 	} {

@@ -146,7 +146,7 @@ func (sc *shardScratch) arm(ob *obligation, u statespace.Universe, res *Result) 
 		u.MaxFaults = 0
 	}
 	sc.res, sc.walked = res, 0
-	sc.graph.reset()
+	sc.graph.reset(u)
 	return u
 }
 

@@ -25,8 +25,9 @@ func runTask(ctx context.Context, id ObligationID, f Factory, u statespace.Unive
 // Result the same task yields on a fresh one. The sequence opens with a
 // game cancelled mid-expansion, a game whose policy panics mid-expansion
 // and a refuted game, each of which leaves the game graph half built, then
-// changes the obligation, the policy and the universe's cores and fault
-// dimension under the same scratch.
+// changes the obligation, the policy and the universe's cores, fault
+// dimension and layout under the same scratch: a grouped universe's
+// layout must not leak into the ungrouped one after it.
 func TestReusedShardScratchIsInvisible(t *testing.T) {
 	var reused shardScratch
 	ctx, cancel := context.WithCancel(context.Background())
@@ -50,6 +51,10 @@ func TestReusedShardScratchIsInvisible(t *testing.T) {
 		t.Fatalf("the second game did not panic: %+v", r)
 	}
 	fourCores := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 3}
+	grouped := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 4, IncludeUnscheduled: true, Groups: []int{0, 0, 1, 1}}
+	flat := grouped
+	flat.Groups = nil
+	cfsGroupBuggy := func() sched.Policy { return registered("cfs-group-buggy") }
 	steps := []struct {
 		name string
 		f    Factory
@@ -58,6 +63,8 @@ func TestReusedShardScratchIsInvisible(t *testing.T) {
 	}{
 		{"greedy-buggy", greedyFactory, DefaultUniverse(), []ObligationID{ObWorkConservConc}},
 		{"delta2-rescue", rescueFactory, faultUniverse(), []ObligationID{ObNoTaskLost, ObDegradedWastedCores}},
+		{"cfs-group-buggy", cfsGroupBuggy, grouped, AllObligations()},
+		{"cfs-group-buggy", cfsGroupBuggy, flat, AllObligations()},
 		{"delta2", delta2Factory, fourCores, AllObligations()},
 		{"delta2", delta2Factory, DefaultUniverse(), []ObligationID{ObReactivity}},
 	}

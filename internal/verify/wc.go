@@ -271,8 +271,11 @@ type gameNode struct {
 // game from its goal forever.
 const unsolved = -1
 
-// reset empties g for a new shard task and keeps its storage.
-func (g *gameGraph) reset() {
+// reset empties g for a shard task over u and keeps its storage; its
+// machine takes u's layout, which every node's state shares (no round
+// changes a core's node or group).
+func (g *gameGraph) reset(u statespace.Universe) {
+	g.m.Reset(u.Cores, u.Groups)
 	g.table.Reset()
 	g.nodes, g.succ, g.src, g.next, g.expanded = g.nodes[:0], g.succ[:0], g.src[:0], g.next[:0], 0
 	for i := range g.layers {
@@ -303,14 +306,11 @@ func (g *gameGraph) node(m *sched.Machine) int {
 }
 
 // rebuild returns node i's state, g's machine until the next call, built
-// from its key (sched.Machine.SetFromKey) on topo's nodes and groups (no
-// round changes a core's topology): queued tasks in ascending weight,
-// task IDs afresh, however the game reached the node.
-func (g *gameGraph) rebuild(i int, topo *sched.Machine) *sched.Machine {
+// from its key (sched.Machine.SetFromKey) on the layout reset gave it:
+// queued tasks in ascending weight, task IDs afresh, however the game
+// reached the node.
+func (g *gameGraph) rebuild(i int) *sched.Machine {
 	g.m.SetFromKey(g.table.Key(i))
-	for id, c := range g.m.Cores {
-		c.Node, c.Group = topo.Cores[id].Node, topo.Cores[id].Group
-	}
 	return &g.m
 }
 
@@ -326,7 +326,7 @@ func (sc *shardScratch) grow(m *sched.Machine, succ successorFunc) (start int, o
 	for ; g.expanded < len(g.nodes); g.expanded++ {
 		n := &g.nodes[g.expanded]
 		n.succ[0] = int32(len(g.succ))
-		if n.met&1 == 0 && !succ(sc, g.rebuild(g.expanded, m), sc.link) {
+		if n.met&1 == 0 && !succ(sc, g.rebuild(g.expanded), sc.link) {
 			return start, false
 		}
 		g.nodes[g.expanded].succ[1] = int32(len(g.succ)) // not n: the expansion may have moved g.nodes
@@ -403,14 +403,14 @@ func (g *gameGraph) successors(i, goal int) []int32 {
 
 // lasso renders the adversary's win from node start, unsolved in layers:
 // the cycle the walk through first unsolved successors ends in (every
-// unsolved node has one). topo is the start state.
-func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc, topo *sched.Machine) string {
+// unsolved node has one).
+func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc) string {
 	walk, marks := make([]int, 0, 16), make([]int, 0, 16) // the nodes walked, and where each one's step starts in w.b
 	w := struct {
 		next int    // the node the walk takes next
 		b    []byte // the steps rendered so far
 		xs   []int  // a step's loads or victims
-	}{start, make([]byte, 0, 512), make([]int, 0, len(topo.Cores))}
+	}{start, make([]byte, 0, 512), make([]int, 0, len(sc.graph.m.Cores))}
 	visit := func(m *sched.Machine, atts []sched.Attempt, order []int, _ int) bool {
 		j := sc.graph.node(m)
 		if layers[j] != unsolved {
@@ -428,7 +428,7 @@ func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc, top
 	}
 	for !slices.Contains(walk, w.next) {
 		walk, marks = append(walk, w.next), append(marks, len(w.b))
-		m := sc.graph.rebuild(w.next, topo)
+		m := sc.graph.rebuild(w.next)
 		w.xs = appendLoads(w.xs[:0], m)
 		w.b = append(appendInts(append(w.b, ' '), w.xs), " --"...)
 		succ(sc, m, visit)
@@ -458,7 +458,7 @@ func (sc *shardScratch) play(rank int, m *sched.Machine, succ successorFunc, goa
 		if goal > 0 {
 			from = "core " + strconv.Itoa(goal-1) + " can starve from "
 		}
-		return from + ints(m.Loads()) + ": " + sc.lasso(start, layers, succ, m)
+		return from + ints(m.Loads()) + ": " + sc.lasso(start, layers, succ)
 	})
 }
 
