@@ -15,18 +15,22 @@ import (
 	"repro/internal/verify"
 )
 
-// Cluster is the session facade: one configured (policy, topology,
-// backend) triple that can execute scenarios on any backend via Run and
-// discharge the paper's proof obligations via Verify. Build one with New
-// and functional options:
+// Cluster is the session facade: one configured (policy, backend) pair
+// that can execute scenarios on any backend via Run and discharge the
+// paper's proof obligations via Verify. Build one with New and
+// functional options:
 //
 //	c, err := optsched.New(
 //	    optsched.WithPolicy("delta2"),
-//	    optsched.WithTopology(optsched.NUMATopology(2, 4)),
 //	    optsched.WithBackend(optsched.BackendSim),
 //	)
-//	res, err := c.Run(ctx, optsched.SkewedScenario("burst", 400, 1500))
+//	res, err := c.Run(ctx, optsched.Scenario{Name: "burst", // 400 tasks born on core 0
+//	    Batches: []optsched.Batch{{Core: 0, Tasks: 400, Work: 1500}}})
 //	rep, err := c.Verify(ctx)
+//
+// Its options are what a command or the benchmark sets; a policy
+// written as Go outside the registry is verified through
+// internal/verify directly (see Example_verifyPolicy).
 //
 // A Cluster is immutable after New and safe for concurrent use — each
 // Run and Verify constructs fresh policy instances through the
@@ -37,7 +41,6 @@ type Cluster struct {
 	policyName   string
 	factory      func() sched.Policy
 	policyTop    *topology.Topology // the topology the policy was built over (NeedsTopology specs)
-	top          *topology.Topology
 	backend      Backend
 	seed         uint64
 	sequential   bool
@@ -55,8 +58,6 @@ type Cluster struct {
 type options struct {
 	cluster     Cluster
 	namedPolicy string // WithPolicy
-	factoryName string // WithPolicyFactory
-	factory     func() sched.Policy
 	dslSource   string // WithDSL
 	err         error
 }
@@ -65,8 +66,8 @@ type options struct {
 type Option func(*options)
 
 // WithPolicy selects a registered policy by name (see PolicySpecs).
-// Topology-needing policies (numa-aware) are built over the cluster's
-// topology, or the registry's default 2×4 NUMA machine when none is set.
+// Topology-needing policies (numa-aware) are built over the registry's
+// default 2×4 NUMA machine.
 func WithPolicy(name string) Option {
 	return func(o *options) {
 		if name == "" {
@@ -74,22 +75,6 @@ func WithPolicy(name string) Option {
 			return
 		}
 		o.namedPolicy = name
-	}
-}
-
-// WithPolicyFactory installs a custom policy under the given name — the
-// escape hatch for policies written as plain Go outside the registry.
-// The factory must return a fresh instance per call and be safe for
-// concurrent calls (Verify fans sharded obligation checks out over a
-// worker pool).
-func WithPolicyFactory(name string, factory func() Policy) Option {
-	return func(o *options) {
-		if name == "" || factory == nil {
-			o.fail(fmt.Errorf("optsched: WithPolicyFactory needs a name and a factory"))
-			return
-		}
-		o.factoryName = name
-		o.factory = func() sched.Policy { return factory() }
 	}
 }
 
@@ -102,23 +87,6 @@ func WithDSL(source string) Option {
 			return
 		}
 		o.dslSource = source
-	}
-}
-
-// WithTopology sets the machine topology: the default machine width, the
-// group assignment scenarios inherit, and the distance metric
-// NUMA-aware policies consult.
-func WithTopology(top *Topology) Option {
-	return func(o *options) {
-		if top == nil {
-			o.fail(fmt.Errorf("optsched: WithTopology(nil)"))
-			return
-		}
-		if err := top.Validate(); err != nil {
-			o.fail(err)
-			return
-		}
-		o.cluster.top = top
 	}
 }
 
@@ -188,14 +156,12 @@ func WithTrace(ring *TraceRing) Option {
 // byte-identical either way, so the fallback is observable only through
 // latency and the daemon's stats.
 //
-// Only registry policies (WithPolicy) and DSL policies (WithDSL) can be
-// shipped over the wire; WithPolicyFactory closures cannot, and the
-// combination is rejected by New. Registry policies are resolved
-// against the daemon's registry by name, topology-needing ones over the
-// daemon's default topology. The daemon's own -maxrounds setting
-// governs the sequential work-conservation bound; WithParallelism is
-// ignored (the daemon's worker pool applies, and parallelism never
-// changes verdicts).
+// Registry policies (WithPolicy) are resolved against the daemon's
+// registry by name, topology-needing ones over the daemon's default
+// topology; DSL policies (WithDSL) ship their source. The daemon's own
+// -maxrounds setting governs the sequential work-conservation bound;
+// WithParallelism is ignored (the daemon's worker pool applies, and
+// parallelism never changes verdicts).
 func WithVerifyService(baseURL string) Option {
 	return func(o *options) {
 		if baseURL == "" {
@@ -236,8 +202,8 @@ func (o *options) fail(err error) {
 
 // New builds a Cluster from functional options. Every option is
 // validated here — an invalid combination (unknown policy, broken DSL,
-// conflicting policy sources, malformed topology) returns an error
-// rather than surfacing later in Run.
+// conflicting policy sources) returns an error rather than surfacing
+// later in Run.
 func New(opts ...Option) (*Cluster, error) {
 	o := &options{}
 	for _, opt := range opts {
@@ -248,24 +214,11 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	c := o.cluster
 
-	// Resolve the policy source: registry name, custom factory, or DSL.
-	sources := 0
-	if o.factory != nil {
-		sources++
-	}
-	if o.dslSource != "" {
-		sources++
-	}
-	if o.namedPolicy != "" {
-		sources++
-	}
-	if sources > 1 {
-		return nil, fmt.Errorf("optsched: WithPolicy, WithPolicyFactory and WithDSL are mutually exclusive")
+	// Resolve the policy source: registry name or DSL.
+	if o.namedPolicy != "" && o.dslSource != "" {
+		return nil, fmt.Errorf("optsched: WithPolicy and WithDSL are mutually exclusive")
 	}
 	switch {
-	case o.factory != nil:
-		c.policyName = o.factoryName
-		c.factory = o.factory
 	case o.dslSource != "":
 		ast, err := dsl.Parse(o.dslSource)
 		if err != nil {
@@ -283,13 +236,10 @@ func New(opts ...Option) (*Cluster, error) {
 		if !ok {
 			return nil, fmt.Errorf("optsched: unknown policy %q (known: %v)", name, policy.Names())
 		}
-		top := c.top
 		if spec.NeedsTopology() {
-			if top == nil {
-				top = policy.DefaultTopology()
-			}
-			c.policyTop = top
+			c.policyTop = policy.DefaultTopology()
 		}
+		top := c.policyTop
 		c.policyName = name
 		c.factory = func() sched.Policy { return spec.New(top) }
 	}
@@ -307,9 +257,6 @@ func New(opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("optsched: unknown obligation %q (known: %v)",
 				id, verify.AllObligations())
 		}
-	}
-	if c.verifyURL != "" && o.factory != nil {
-		return nil, fmt.Errorf("optsched: WithVerifyService cannot ship a WithPolicyFactory closure; use WithPolicy or WithDSL")
 	}
 
 	if c.backend == nil {
@@ -357,31 +304,23 @@ func (c *Cluster) Run(ctx context.Context, sc Scenario) (*Result, error) {
 }
 
 // layout resolves the machine width and group assignment for a
-// scenario: the scenario's own values win, then the cluster topology,
-// then an 8-core flat default.
+// scenario: the scenario's own values, else an 8-core flat machine.
 func (c *Cluster) layout(sc Scenario) (int, []int, error) {
 	cores := sc.Cores
 	if cores <= 0 {
 		cores = 8
-		if c.top != nil {
-			cores = c.top.NCores
-		}
 	}
 	// A topology-built policy consults per-core distances; a machine
 	// wider than its topology would index past NodeOf.
 	if c.policyTop != nil && cores > c.policyTop.NCores {
 		return 0, nil, fmt.Errorf(
-			"optsched: policy %q is built over a %d-core topology but the scenario needs %d cores (set WithTopology)",
+			"optsched: policy %q is built over the registry's default %d-core topology but the scenario needs %d cores",
 			c.policyName, c.policyTop.NCores, cores)
-	}
-	groups := sc.Groups
-	if groups == nil && c.top != nil && c.top.NCores == cores {
-		groups = append([]int(nil), c.top.NodeOf...)
 	}
 	if err := sc.validate(cores); err != nil {
 		return 0, nil, err
 	}
-	return cores, groups, nil
+	return cores, sc.Groups, nil
 }
 
 // Verify discharges the paper's proof obligations for the cluster's
@@ -411,7 +350,7 @@ func (c *Cluster) verifyLocal(ctx context.Context) (*Report, error) {
 	}
 	if c.policyTop != nil && uCores > c.policyTop.NCores {
 		return nil, fmt.Errorf(
-			"optsched: policy %q is built over a %d-core topology but the universe has %d cores (set WithTopology)",
+			"optsched: policy %q is built over the registry's default %d-core topology but the universe has %d cores",
 			c.policyName, c.policyTop.NCores, uCores)
 	}
 	return verify.PolicyContext(ctx, c.policyName, c.factory, cfg)
@@ -420,8 +359,8 @@ func (c *Cluster) verifyLocal(ctx context.Context) (*Report, error) {
 // verifyRemote discharges the obligations through the schedverifyd
 // daemon configured by WithVerifyService (see VerifyClient).
 func (c *Cluster) verifyRemote(ctx context.Context) (*Report, error) {
-	// New rejects WithPolicyFactory+WithVerifyService, so a policy that
-	// is not DSL source is a registry policy, named by policyName.
+	// A policy that is not DSL source is a registry policy, named by
+	// policyName.
 	req := service.Request{Source: c.dslSource}
 	if c.dslSource == "" {
 		req.Policy = c.policyName

@@ -18,6 +18,12 @@ import (
 	"repro/internal/verify"
 )
 
+// skewed is the canonical balancing stress: every task born on core 0
+// of a cores-wide machine, as if one connection produced all the work.
+func skewed(name string, cores, tasks int, work int64) Scenario {
+	return Scenario{Name: name, Cores: cores, Batches: []Batch{{Core: 0, Tasks: tasks, Work: work}}}
+}
+
 // TestClusterRunAcrossBackends is the API's core promise: one fixed
 // scenario runs through all three backends via the same Cluster.Run
 // call and every backend returns a non-empty, internally consistent
@@ -25,8 +31,7 @@ import (
 func TestClusterRunAcrossBackends(t *testing.T) {
 	// A skewed burst: 24 tasks born on core 0 of a 4-core machine. Every
 	// backend must spread the work (steals > 0 under delta2).
-	scenario := SkewedScenario("skew", 24, 200)
-	scenario.Cores = 4
+	scenario := skewed("skew", 4, 24, 200)
 
 	for _, backend := range Backends() {
 		t.Run(backend.Name(), func(t *testing.T) {
@@ -221,8 +226,7 @@ func TestClusterRunWithFaultsAcrossBackends(t *testing.T) {
 					continue
 				}
 				t.Run(tc.name, func(t *testing.T) {
-					scenario := SkewedScenario("skew-faults", tasks, 200)
-					scenario.Cores = 4
+					scenario := skewed("skew-faults", 4, tasks, 200)
 					scenario.Faults = tc.faults
 					c, err := New(
 						WithPolicy(tc.policy),
@@ -329,8 +333,7 @@ func TestBackendsPlaceAlike(t *testing.T) {
 // (visible as Orphaned), a scripted revival recovers them, and the
 // rescue rule re-homes them immediately.
 func TestClusterRunModelFaultSemantics(t *testing.T) {
-	base := SkewedScenario("strand", 6, 100)
-	base.Cores = 3
+	base := skewed("strand", 3, 6, 100)
 
 	run := func(t *testing.T, policy string, faults []FaultEvent) *Result {
 		t.Helper()
@@ -391,8 +394,7 @@ func TestClusterRunRejectsBadFaultSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := SkewedScenario("bad", 4, 100)
-		sc.Cores = 2
+		sc := skewed("bad", 2, 4, 100)
 		sc.Faults = faults
 		if _, err := c.Run(context.Background(), sc); err == nil {
 			t.Errorf("%s: Run accepted invalid fault schedule %v", name, faults)
@@ -400,12 +402,12 @@ func TestClusterRunRejectsBadFaultSchedule(t *testing.T) {
 	}
 }
 
-// TestClusterRunSharesScenarioAcrossTopologies checks that the cluster
-// topology supplies width and groups when the scenario leaves them open.
+// TestClusterTopologyDefaults checks that a scenario leaving the width
+// open runs a topology-built policy on the default 8-core machine, which
+// the registry's default 2×4 topology covers.
 func TestClusterTopologyDefaults(t *testing.T) {
 	c, err := New(
 		WithPolicy("numa-aware"),
-		WithTopology(NUMATopology(2, 2)),
 		WithBackend(BackendModel),
 	)
 	if err != nil {
@@ -418,8 +420,8 @@ func TestClusterTopologyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cores != 4 {
-		t.Errorf("cores = %d, want the topology's 4", res.Cores)
+	if res.Cores != 8 {
+		t.Errorf("cores = %d, want the default 8", res.Cores)
 	}
 	if !res.Converged {
 		t.Errorf("not converged: %v", res)
@@ -434,8 +436,7 @@ func TestClusterTopologyCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := SkewedScenario("wide", 8, 100)
-	sc.Cores = 16
+	sc := skewed("wide", 16, 8, 100)
 	if _, err := c.Run(context.Background(), sc); err == nil {
 		t.Error("16-core scenario accepted by a policy built over 8 cores")
 	}
@@ -578,19 +579,13 @@ func TestClusterOptionValidation(t *testing.T) {
 	cases := map[string][]Option{
 		"unknown policy":      {WithPolicy("nope")},
 		"nil backend":         {WithBackend(nil)},
-		"nil topology":        {WithTopology(nil)},
 		"broken DSL":          {WithDSL("policy x {}")},
 		"conflicting sources": {WithPolicy("delta2"), WithDSL(`policy y { filter = stealee.load - thief.load >= 2 }`)},
-		"policy + factory": {WithPolicyFactory("mine", func() Policy { return NewDelta2() }),
-			WithPolicy("delta2")},
-		"nil factory":        {WithPolicyFactory("x", nil)},
-		"unknown obligation": {WithObligations("lemma1typo")},
-		"zero parallelism":   {WithParallelism(0)},
-		"neg parallelism":    {WithParallelism(-2)},
-		"zero-core universe": {WithUniverse(Universe{Groups: []int{0, 1}})},
-		"empty service URL":  {WithVerifyService("")},
-		"service + factory": {WithVerifyService("http://127.0.0.1:1"),
-			WithPolicyFactory("mine", func() Policy { return NewDelta2() })},
+		"unknown obligation":  {WithObligations("lemma1typo")},
+		"zero parallelism":    {WithParallelism(0)},
+		"neg parallelism":     {WithParallelism(-2)},
+		"zero-core universe":  {WithUniverse(Universe{Groups: []int{0, 1}})},
+		"empty service URL":   {WithVerifyService("")},
 	}
 	for name, opts := range cases {
 		if _, err := New(opts...); err == nil {

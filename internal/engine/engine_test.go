@@ -493,8 +493,10 @@ func TestStealPathAllocatesNothing(t *testing.T) {
 	}
 	// The executor-skew shape: everything lands on worker 0 and worker 1
 	// lives on optimistic steals. The first batch sizes the views' buffers
-	// and the workers' sleep timers; the second, submission included, may
-	// allocate only worker 0's ring, in one step.
+	// and the workers' sleep timers; every later one, submission included,
+	// may allocate only worker 0's ring, in one step. How many tasks
+	// worker 1 steals depends on thread timing, so up to five warmed
+	// batches run until one of them has exercised the steal path.
 	p := NewPool(2, delta2Factory, Options{})
 	defer p.Close()
 	tasks := make([]Task, 4000)
@@ -510,13 +512,17 @@ func TestStealPathAllocatesNothing(t *testing.T) {
 		return p.Stats().Steals - s0, mallocs() - m0
 	}
 	batch()
-	steals, allocated := batch()
-	t.Logf("%d steals, %d objects allocated", steals, allocated)
-	if steals <= 1000 {
-		t.Fatalf("only %d steals of %d tasks: the batch did not exercise the steal path", steals, len(tasks))
+	var most int64
+	for try := 0; try < 5 && most <= 1000; try++ {
+		steals, allocated := batch()
+		t.Logf("%d steals, %d objects allocated", steals, allocated)
+		most = max(most, steals)
+		if allocated > 5 {
+			t.Errorf("a warmed batch of %d tasks and %d steals allocated %d objects, want at most 5", len(tasks), steals, allocated)
+		}
 	}
-	if allocated > 5 {
-		t.Errorf("a warmed batch of %d tasks and %d steals allocated %d objects, want at most 5", len(tasks), steals, allocated)
+	if most <= 1000 {
+		t.Fatalf("at most %d steals of %d tasks in five batches: none exercised the steal path", most, len(tasks))
 	}
 }
 

@@ -8,6 +8,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -380,9 +381,10 @@ func localitySample(variant string) (intra, total int) {
 		p = policy.NewDelta2()
 	}
 	// Overload one core per node; let everyone balance for some rounds.
+	six := sched.CoreSpec{Running: sched.DefaultWeight, Queued: slices.Repeat([]int64{sched.DefaultWeight}, 5)}
+	m := new(sched.Machine).Reset(top.NCores, top.NodeOf)
 	for trial := 0; trial < 20; trial++ {
-		m := sched.MachineFromLoads(6, 0, 0, 0, 6, 0, 0, 0)
-		policy.AssignGroups(m, top)
+		m.SetFromSpec([]sched.CoreSpec{six, {}, {}, {}, six, {}, {}, {}}) // the layout stays
 		for round := 0; round < 6; round++ {
 			rr := sched.SequentialRound(p, m)
 			for _, att := range rr.Attempts {

@@ -161,8 +161,8 @@ var deadExportExemptions = map[string]string{
 // TestNoDeadInternalExports fails on every exported func, type, var,
 // const, method or interface method of the root optsched package or of
 // a repro/internal/... package that no non-test file of the module
-// references: the root exports only what a command, an example or the
-// benchmark calls. A reference from inside the object's own declaration
+// references: the root exports only what a command or the benchmark
+// calls. A reference from inside the object's own declaration
 // (recursion, a receiver naming its type) does not count. A method that
 // satisfies an interface — one declared in the module or in a package
 // the module imports — is exempt, since it may be called through that

@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"repro/internal/sched"
-	"repro/internal/topology"
-)
+import "repro/internal/sched"
 
 // groupStats caches per-group aggregate loads for one balancing round.
 // Policies that compare groups implement sched.RoundObserver and refresh
@@ -115,15 +112,6 @@ func (p *Hierarchical) Choose(thief *sched.Core, candidates []*sched.Core) *sche
 
 // StealCount implements sched.Policy.
 func (p *Hierarchical) StealCount(_, _ *sched.Core) int { return 1 }
-
-// AssignGroups sets each core's Group from the topology's NUMA nodes.
-// Call it once on a machine before balancing with a hierarchical policy.
-func AssignGroups(m *sched.Machine, top *topology.Topology) {
-	for _, c := range m.Cores {
-		c.Node = top.Node(c.ID)
-		c.Group = top.Node(c.ID)
-	}
-}
 
 var (
 	_ sched.Policy        = (*Hierarchical)(nil)

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,31 @@ func machineFromSpec(specs ...sched.CoreSpec) *sched.Machine {
 	m := new(sched.Machine)
 	m.SetFromSpec(specs)
 	return m
+}
+
+// twoNodes is topology.NUMA(2, 2)'s layout: cores 0 and 1 on node 0,
+// cores 2 and 3 on node 1.
+var twoNodes = []int{0, 0, 1, 1}
+
+// onTwoNodes builds the 4-core machine specs describes, its cores
+// grouped by twoNodes.
+func onTwoNodes(specs ...sched.CoreSpec) *sched.Machine {
+	m := new(sched.Machine).Reset(len(specs), twoNodes)
+	m.SetFromSpec(specs)
+	return m
+}
+
+// loadsOnTwoNodes is onTwoNodes for core i owning loads[i] unit-weight
+// threads, as sched.MachineFromLoads gives them.
+func loadsOnTwoNodes(loads ...int) *sched.Machine {
+	specs := make([]sched.CoreSpec, len(loads))
+	for i, n := range loads {
+		if n > 0 {
+			specs[i] = sched.CoreSpec{Running: sched.DefaultWeight,
+				Queued: slices.Repeat([]int64{sched.DefaultWeight}, n-1)}
+		}
+	}
+	return onTwoNodes(specs...)
 }
 
 func TestDelta2Filter(t *testing.T) {
@@ -211,14 +237,12 @@ func TestCFSGroupBuggyWitness(t *testing.T) {
 	// The E6 witness: group 0 = {idle, one heavy thread}, group 1 = {two
 	// overloaded cores}. The buggy filter must refuse the cross-group
 	// steal; Delta2 must accept it.
-	m := machineFromSpec(
+	m := onTwoNodes(
 		sched.CoreSpec{},                                     // core 0: idle (group 0)
 		sched.CoreSpec{Running: 8192},                        // core 1: one heavy thread (group 0)
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}}, // core 2 (group 1)
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}}, // core 3 (group 1)
 	)
-	top := topology.NUMA(2, 2)
-	AssignGroups(m, top)
 
 	buggy := NewCFSGroupBuggy()
 	buggy.BeginRound(m)
@@ -238,13 +262,12 @@ func TestCFSGroupBuggyWitness(t *testing.T) {
 }
 
 func TestCFSGroupBuggyIntraGroupStillWorks(t *testing.T) {
-	m := machineFromSpec(
+	m := onTwoNodes(
 		sched.CoreSpec{}, // idle, group 0
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024, 1024}}, // group 0
 		sched.CoreSpec{Running: 1024},                              // group 1
 		sched.CoreSpec{Running: 1024},                              // group 1
 	)
-	AssignGroups(m, topology.NUMA(2, 2))
 	p := NewCFSGroupBuggy()
 	res := sched.SequentialRound(p, m)
 	if res.TasksMoved() == 0 {
@@ -258,13 +281,12 @@ func TestCFSGroupBuggyIntraGroupStillWorks(t *testing.T) {
 func TestHierarchicalIdleEscape(t *testing.T) {
 	// Same witness as the buggy test: the sound hierarchical policy must
 	// let the idle core escape its heavy-looking group.
-	m := machineFromSpec(
+	m := onTwoNodes(
 		sched.CoreSpec{},
 		sched.CoreSpec{Running: 8192},
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}},
 		sched.CoreSpec{Running: 1024, Queued: []int64{1024}},
 	)
-	AssignGroups(m, topology.NUMA(2, 2))
 	p := NewHierarchical()
 	p.BeginRound(m)
 	if !p.CanSteal(m.Core(0), m.Core(2)) {
@@ -279,8 +301,7 @@ func TestHierarchicalIdleEscape(t *testing.T) {
 func TestHierarchicalPrefersOwnGroup(t *testing.T) {
 	// Loads: thief idle in group 0; both a same-group and a cross-group
 	// core are overloaded. Choose must prefer the same-group one.
-	m := sched.MachineFromLoads(0, 3, 3, 0)
-	AssignGroups(m, topology.NUMA(2, 2))
+	m := loadsOnTwoNodes(0, 3, 3, 0)
 	p := NewHierarchical()
 	att := sched.Select(p, m, 0)
 	if att.Victim != 1 {
@@ -290,8 +311,7 @@ func TestHierarchicalPrefersOwnGroup(t *testing.T) {
 
 func TestHierarchicalRestrictsNonIdleCrossGroup(t *testing.T) {
 	// A non-idle thief in the heavier group must not steal cross-group.
-	m := sched.MachineFromLoads(1, 4, 3, 0)
-	AssignGroups(m, topology.NUMA(2, 2))
+	m := loadsOnTwoNodes(1, 4, 3, 0)
 	p := NewHierarchical()
 	p.BeginRound(m)
 	// Thief core 3 (load 0, idle) may take from group 0.
@@ -307,8 +327,7 @@ func TestHierarchicalRestrictsNonIdleCrossGroup(t *testing.T) {
 	// wait, group 0 sum=7 > group 1 sum=3, so core 2 (load 3) stealing
 	// from core 1 (load 6) is allowed (stealee group heavier). Invert:
 	// thief in heavy group, stealee lighter group with local gap >= 2.
-	m2 := sched.MachineFromLoads(9, 1, 3, 0)
-	AssignGroups(m2, topology.NUMA(2, 2))
+	m2 := loadsOnTwoNodes(9, 1, 3, 0)
 	p2 := NewHierarchical()
 	p2.BeginRound(m2)
 	// Core 1 (load 1, group 0 sum 10) vs core 2 (load 3, group 1 sum 3):
@@ -324,8 +343,7 @@ func TestNUMAAwareChoosesLocalVictim(t *testing.T) {
 	p := NewNUMAAware(top)
 	// Core 0 idle; overloaded cores on both nodes; the remote one is more
 	// loaded. NUMA-aware choice must still pick the local one.
-	m := sched.MachineFromLoads(0, 3, 5, 1)
-	AssignGroups(m, top)
+	m := loadsOnTwoNodes(0, 3, 5, 1)
 	att := sched.Select(p, m, 0)
 	if att.Victim != 1 {
 		t.Errorf("Victim = %d, want local core 1", att.Victim)
@@ -475,17 +493,6 @@ func TestDSLBackedFactoryOnlyCompiles(t *testing.T) {
 		compile := testing.AllocsPerRun(100, func() { dsl.Compile(ast) })
 		if got := testing.AllocsPerRun(100, func() { spec.New(nil) }); got != compile {
 			t.Errorf("%s: spec.New allocates %v times per call, dsl.Compile %v: the factory re-parses its source", name, got, compile)
-		}
-	}
-}
-
-func TestAssignGroups(t *testing.T) {
-	m := sched.MachineFromLoads(1, 1, 1, 1, 1, 1)
-	top := topology.NUMA(3, 2)
-	AssignGroups(m, top)
-	for i, c := range m.Cores {
-		if c.Group != i/2 || c.Node != i/2 {
-			t.Errorf("core %d: group=%d node=%d", i, c.Group, c.Node)
 		}
 	}
 }

@@ -46,6 +46,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -212,26 +213,17 @@ func (s *Simulator) Reset(cfg Config) {
 		rng:        NewRNG(cfg.Seed),
 		q:          s.q,
 		tasks:      s.tasks,
-		order:      resize(s.order, cfg.Cores),
+		order:      slices.Grow(s.order[:0], cfg.Cores)[:cfg.Cores],
 		latency:    metrics.NewHistogram(32),
 		waitTime:   metrics.NewHistogram(32),
 		violations: metrics.NewViolationTracker(0),
-		class:      resize(s.class, cfg.Cores),
-		dirty:      resize(s.dirty, dirtyCap)[:0],
+		class:      slices.Grow(s.class[:0], cfg.Cores)[:cfg.Cores],
+		dirty:      slices.Grow(s.dirty[:0], dirtyCap),
 		recountAll: true,
 	}
 	clear(s.class)
 	s.nClass[classBusy] = cfg.Cores
 	s.post(event{time: cfg.BalancePeriod, kind: evBalance})
-}
-
-// resize returns a slice of n elements, on b's array when it is large
-// enough. The elements' values are left for the caller to overwrite.
-func resize[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
 }
 
 // state returns the slab entry of task id, which must have been spawned.

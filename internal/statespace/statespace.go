@@ -8,6 +8,7 @@ package statespace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -175,25 +176,17 @@ func (e *Enumerator) EnumerateShardRank(u Universe, shard, total int, fn func(ra
 	if len(e.weights) == 0 {
 		e.weights = unitWeights
 	}
-	e.counts = resize(e.counts, u.Cores)
-	e.ws = resize(e.ws, u.Cores*u.MaxPerCore)
-	e.specs = resize(e.specs, u.Cores)
+	// The contents are the walk's to overwrite: it rewrites counts, ws
+	// and specs before reading them, and offline is cleared here.
+	e.counts = slices.Grow(e.counts[:0], u.Cores)[:u.Cores]
+	e.ws = slices.Grow(e.ws[:0], u.Cores*u.MaxPerCore)[:u.Cores*u.MaxPerCore]
+	e.specs = slices.Grow(e.specs[:0], u.Cores)[:u.Cores]
 	e.next, e.online = 0, u.Cores
-	e.offline = resize(e.offline, u.Cores)
+	e.offline = slices.Grow(e.offline[:0], u.Cores)[:u.Cores]
 	clear(e.offline)
 	e.script = e.script[:0]
 	e.m.Reset(u.Cores, u.Groups) // every state's layout: SetFromSpec keeps it
 	return e.expandCounts(0, 0, fn)
-}
-
-// resize returns s with length n, reallocated only if it is too short.
-// The contents are the caller's to overwrite: every walk rewrites counts,
-// ws and specs before reading them, and clears offline.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // expandCounts gives cores core.. every thread count that fits beside

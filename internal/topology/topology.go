@@ -21,12 +21,6 @@ type Topology struct {
 	NodeDistance [][]int
 }
 
-// NumNodes returns the number of NUMA nodes.
-func (t *Topology) NumNodes() int { return len(t.NodeDistance) }
-
-// Node returns the NUMA node of core id.
-func (t *Topology) Node(id int) int { return t.NodeOf[id] }
-
 // Distance returns the topological distance between two cores: 0 for the
 // same core, the local node distance for two cores of one node, and the
 // inter-node distance otherwise.
@@ -35,48 +29,6 @@ func (t *Topology) Distance(a, b int) int {
 		return 0
 	}
 	return t.NodeDistance[t.NodeOf[a]][t.NodeOf[b]]
-}
-
-// CoresOfNode returns the IDs of the cores on the given node, ascending.
-func (t *Topology) CoresOfNode(node int) []int {
-	var ids []int
-	for id, n := range t.NodeOf {
-		if n == node {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// Validate checks structural consistency and returns the first problem
-// found, or nil.
-func (t *Topology) Validate() error {
-	if t.NCores <= 0 {
-		return fmt.Errorf("topology: NCores = %d", t.NCores)
-	}
-	if len(t.NodeOf) != t.NCores {
-		return fmt.Errorf("topology: NodeOf has %d entries for %d cores", len(t.NodeOf), t.NCores)
-	}
-	n := t.NumNodes()
-	for id, node := range t.NodeOf {
-		if node < 0 || node >= n {
-			return fmt.Errorf("topology: core %d on invalid node %d", id, node)
-		}
-	}
-	for i, row := range t.NodeDistance {
-		if len(row) != n {
-			return fmt.Errorf("topology: distance row %d has %d entries for %d nodes", i, len(row), n)
-		}
-		for j, d := range row {
-			if d <= 0 {
-				return fmt.Errorf("topology: distance[%d][%d] = %d", i, j, d)
-			}
-			if i != j && d < row[i] {
-				return fmt.Errorf("topology: remote distance[%d][%d]=%d below local %d", i, j, d, row[i])
-			}
-		}
-	}
-	return nil
 }
 
 // NUMA returns a topology with `nodes` NUMA nodes of `perNode` cores each.
@@ -104,14 +56,4 @@ func NUMA(nodes, perNode int) *Topology {
 		}
 	}
 	return &Topology{NCores: n, NodeOf: nodeOf, NodeDistance: dist}
-}
-
-// Groups returns the per-node core ID sets, in node order — the "groups of
-// cores" of §5's hierarchical balancing.
-func (t *Topology) Groups() [][]int {
-	groups := make([][]int, t.NumNodes())
-	for node := range groups {
-		groups[node] = t.CoresOfNode(node)
-	}
-	return groups
 }

@@ -8,16 +8,16 @@
 // the verified protocol.
 //
 // This top-level package is the curated public surface. The session API
-// is the Cluster facade: configure one (policy, topology, backend)
-// triple with functional options, then run any scenario on any
-// execution substrate and verify the policy's proof obligations —
+// is the Cluster facade: configure one (policy, backend) pair with
+// functional options, then run any scenario on any execution substrate
+// and verify the policy's proof obligations —
 //
 //	c, err := optsched.New(
 //	    optsched.WithPolicy("delta2"),
-//	    optsched.WithTopology(optsched.NUMATopology(2, 4)),
 //	    optsched.WithBackend(optsched.BackendSim),
 //	)
-//	res, err := c.Run(ctx, optsched.SkewedScenario("burst", 400, 1500))
+//	res, err := c.Run(ctx, optsched.Scenario{Name: "burst", // 400 tasks born on core 0
+//	    Batches: []optsched.Batch{{Core: 0, Tasks: 400, Work: 1500}}})
 //	rep, err := c.Verify(ctx)
 //
 // The same Cluster.Run call executes the scenario on the bare model
@@ -25,21 +25,18 @@
 // work-stealing executor (BackendExecutor), returning one common Result
 // type — the paper's "prove once, run anywhere" claim as an API.
 //
-// Beside the Cluster, the package exports only what the commands,
-// examples and benchmarks call: the round primitives a machine is
-// stepped with, the policy registry's listing, the DSL front end and
-// the verify-service client. The full surface (simulator behaviors,
-// workloads, verifier, executor) lives in the internal packages,
-// documented in README.md.
+// Beside the Cluster, the package exports only what a command or the
+// benchmark calls: the policy registry's listing, the verify-service
+// client and the trace ring. The full surface (model rounds, simulator
+// behaviors, workloads, verifier, DSL, executor) lives in the internal
+// packages, documented in README.md; example_test.go drives it.
 package optsched
 
 import (
-	"repro/internal/dsl"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/statespace"
-	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
@@ -48,8 +45,6 @@ import (
 type (
 	// Policy is the paper's three-step policy abstraction.
 	Policy = sched.Policy
-	// FuncPolicy assembles a Policy from closures.
-	FuncPolicy = sched.FuncPolicy
 	// Counters tallies rounds, steals, failed steals and faults: the
 	// shared part of every backend's Result.
 	Counters = sched.Counters
@@ -65,53 +60,9 @@ type (
 	Universe = statespace.Universe
 )
 
-// Topology types (see internal/topology).
-type (
-	// Topology describes NUMA nodes and the distances between them.
-	Topology = topology.Topology
-)
-
-// MachineFromLoads builds a machine from per-core thread counts.
-var MachineFromLoads = sched.MachineFromLoads
-
-// Round execution: the three steps of Figure 1.
-var (
-	// SequentialRound executes a §4.2 non-overlapping round.
-	SequentialRound = sched.SequentialRound
-	// ConcurrentRound executes a §3.1 optimistic round with the given
-	// adversarial steal order.
-	ConcurrentRound = sched.ConcurrentRound
-	// PairwiseImbalance computes the §4.3 potential function d.
-	PairwiseImbalance = sched.PairwiseImbalance
-)
-
-// Built-in policies.
-var (
-	// NewDelta2 is Listing 1's simple balancer (proved work-conserving).
-	NewDelta2 = policy.NewDelta2
-	// NewPolicy looks up a built-in policy by name.
-	NewPolicy = policy.New
-	// PolicySpecs lists the built-in policies with their registry
-	// metadata (provenance, topology needs, one-line docs), sorted.
-	PolicySpecs = policy.Specs
-)
-
-// Topologies.
-var (
-	// NUMATopology builds nodes × perNode cores.
-	NUMATopology = topology.NUMA
-	// AssignGroups stamps a machine's cores with the topology's node
-	// assignment (Group and Node per core).
-	AssignGroups = policy.AssignGroups
-)
-
-// DSL entry points.
-var (
-	// ParsePolicy parses and type-checks DSL source.
-	ParsePolicy = dsl.Parse
-	// GeneratePolicyGo emits Go source for a parsed DSL policy.
-	GeneratePolicyGo = dsl.Generate
-)
+// PolicySpecs lists the built-in policies with their registry metadata
+// (provenance, topology needs, one-line docs), sorted.
+var PolicySpecs = policy.Specs
 
 // SimStats is the simulator's measurement snapshot of a run (see
 // internal/sim for the full workload API).

@@ -2,21 +2,32 @@ package optsched
 
 import (
 	"context"
+	"go/doc"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // The facade tests double as the library's quickstart documentation:
 // each exercises the README's advertised three-line workflows.
 
 func TestFacadeModelRoundTrip(t *testing.T) {
-	m := MachineFromLoads(0, 1, 2)
-	p := NewDelta2()
-	for i := 0; i < 4 && !m.WorkConserved(); i++ {
-		SequentialRound(p, m)
+	// The §4.3 machine [0 1 2] balances to work conservation in one move.
+	c, err := New(WithPolicy("delta2"), WithSequentialRounds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !m.WorkConserved() {
-		t.Fatalf("no convergence: %v", m.Loads())
+	res, err := c.Run(context.Background(), Scenario{Name: "paper", Cores: 3,
+		Batches: []Batch{{Core: 1, Tasks: 1}, {Core: 2, Tasks: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Steals != 1 {
+		t.Fatalf("no one-steal convergence: %v", res)
 	}
 }
 
@@ -42,49 +53,54 @@ func TestFacadeDSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := MachineFromLoads(0, 3)
-	if rr := SequentialRound(c.NewPolicy(), m); rr.Successes() == 0 {
+	m := sched.MachineFromLoads(0, 3)
+	if rr := sched.SequentialRound(c.NewPolicy(), m); rr.Successes() == 0 {
 		t.Fatalf("DSL policy did not steal: %v", m.Loads())
-	}
-	ast, err := ParsePolicy(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code := GeneratePolicyGo(ast, "mypolicies")
-	if !strings.Contains(code, "func (p *Quick) CanSteal") {
-		t.Errorf("generated code unexpected:\n%s", code)
 	}
 }
 
 func TestFacadeTopologyAndPolicies(t *testing.T) {
-	top := NUMATopology(2, 2)
-	if top.NumNodes() != 2 {
-		t.Errorf("NumNodes = %d", top.NumNodes())
-	}
-	numa, err := New(WithPolicy("numa-aware"), WithTopology(top))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if numa.NewPolicy().Name() == "" {
-		t.Error("empty policy name")
-	}
 	specs := PolicySpecs()
 	if len(specs) < 6 {
 		t.Errorf("PolicySpecs = %v", specs)
 	}
+	// Every registered policy builds a cluster, numa-aware over the
+	// registry's default topology.
 	for _, spec := range specs {
-		if _, err := NewPolicy(spec.Name); err != nil {
-			t.Errorf("NewPolicy(%q): %v", spec.Name, err)
+		c, err := New(WithPolicy(spec.Name))
+		if err != nil {
+			t.Errorf("New(WithPolicy(%q)): %v", spec.Name, err)
+			continue
+		}
+		if c.NewPolicy().Name() == "" {
+			t.Errorf("WithPolicy(%q) built a policy with an empty name", spec.Name)
 		}
 	}
 }
 
-func TestFacadePotential(t *testing.T) {
-	m := MachineFromLoads(0, 4)
-	p := NewDelta2()
-	before := PairwiseImbalance(p, m)
-	SequentialRound(p, m)
-	if after := PairwiseImbalance(p, m); after >= before {
-		t.Errorf("potential %d -> %d", before, after)
+// TestEveryExampleChecksItsOutput fails on an Example function of the
+// root package without a non-empty "// Output:" block: go test compiles
+// such an example but never runs it, so what it prints is unchecked.
+func TestEveryExampleChecksItsOutput(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	examples := 0
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range doc.Examples(f) {
+			examples++
+			if strings.TrimSpace(ex.Output) == "" {
+				t.Errorf("%s: Example%s has no // Output: block to check", name, ex.Name)
+			}
+		}
+	}
+	if examples == 0 {
+		t.Error("no Example functions found")
 	}
 }

@@ -107,12 +107,10 @@ type FaultEvent struct {
 type Scenario struct {
 	// Name identifies the scenario in results.
 	Name string
-	// Cores is the machine width when positive; otherwise the cluster
-	// topology's width, else 8.
+	// Cores is the machine width when positive, else 8.
 	Cores int
 	// Groups assigns cores to scheduling groups (NUMA nodes); nil means
-	// the cluster topology's assignment (when widths match) or a flat
-	// machine.
+	// a flat machine.
 	Groups []int
 	// Batches lists the scenario's work, the portable representation.
 	Batches []Batch
@@ -196,13 +194,6 @@ func validateFaults(events []FaultEvent, cores int) error {
 		}
 	}
 	return nil
-}
-
-// SkewedScenario builds the canonical balancing stress: every task born
-// on core 0, as if one connection produced all the work. The balancer
-// must spread it.
-func SkewedScenario(name string, tasks int, work int64) Scenario {
-	return Scenario{Name: name, Batches: []Batch{{Core: 0, Tasks: tasks, Work: work}}}
 }
 
 // ForkJoinScenario builds `make -j`-style build bursts: waves batches
