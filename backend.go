@@ -34,7 +34,10 @@ var (
 	// simulator — the substrate the wasted-cores experiments run on.
 	BackendSim Backend = simBackend{}
 	// BackendExecutor executes the scenario on the real work-stealing
-	// goroutine pool — the protocol under actual concurrency.
+	// goroutine pool — the protocol under actual concurrency. A task
+	// holds its worker by sleeping Work microseconds, and on Linux a
+	// sleep under ~1 ms takes ~1.1 ms: a sub-millisecond Work measures
+	// the timer, not the work.
 	BackendExecutor Backend = executorBackend{}
 )
 

@@ -310,12 +310,8 @@ func (c *Cluster) layout(sc Scenario) (int, []int, error) {
 	if cores <= 0 {
 		cores = 8
 	}
-	// A topology-built policy consults per-core distances; a machine
-	// wider than its topology would index past NodeOf.
-	if c.policyTop != nil && cores > c.policyTop.NCores {
-		return 0, nil, fmt.Errorf(
-			"optsched: policy %q is built over the registry's default %d-core topology but the scenario needs %d cores",
-			c.policyName, c.policyTop.NCores, cores)
+	if err := c.fitsTopology(cores, "the scenario needs"); err != nil {
+		return 0, nil, err
 	}
 	if err := sc.validate(cores); err != nil {
 		return 0, nil, err
@@ -348,12 +344,21 @@ func (c *Cluster) verifyLocal(ctx context.Context) (*Report, error) {
 	if uCores == 0 {
 		uCores = verify.DefaultUniverse().Cores
 	}
-	if c.policyTop != nil && uCores > c.policyTop.NCores {
-		return nil, fmt.Errorf(
-			"optsched: policy %q is built over the registry's default %d-core topology but the universe has %d cores",
-			c.policyName, c.policyTop.NCores, uCores)
+	if err := c.fitsTopology(uCores, "the universe has"); err != nil {
+		return nil, err
 	}
 	return verify.PolicyContext(ctx, c.policyName, c.factory, cfg)
+}
+
+// fitsTopology rejects a machine of the given width (what names it in
+// the error) when the policy was built over a narrower topology: its
+// per-core distances would index past NodeOf.
+func (c *Cluster) fitsTopology(cores int, what string) error {
+	if c.policyTop == nil || cores <= c.policyTop.NCores {
+		return nil
+	}
+	return fmt.Errorf("optsched: policy %q is built over the registry's default %d-core topology but %s %d cores",
+		c.policyName, c.policyTop.NCores, what, cores)
 }
 
 // verifyRemote discharges the obligations through the schedverifyd

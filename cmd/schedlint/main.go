@@ -3,7 +3,7 @@
 // machine-checked versions of the invariants the verifier's soundness
 // rests on.
 //
-// Standalone:
+// Usage:
 //
 //	schedlint [-passes depsaudit,determinism,atomicsdiscipline] [packages]
 //
@@ -11,30 +11,15 @@
 // file:line:col: pass: message. Exit status: 0 clean, 1 findings,
 // 2 load or internal error.
 //
-// Vet tool:
-//
-//	go vet -vettool=$(command -v schedlint) ./...
-//
-// schedlint also speaks cmd/go's unit-checker protocol (-V=full
-// handshake, a JSON *.cfg naming one package's files and export data),
-// so the same checks run under go vet. In that mode depsaudit resolves
-// module-local dependency sources via the enclosing go.mod. The
-// standalone mode is what CI gates on.
-//
 // Findings are suppressed per line with `//schedlint:allow <pass>
 // <reason>`; the reason is mandatory.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"runtime"
 	"strings"
 
 	"repro/internal/lint"
@@ -45,17 +30,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// cmd/go probes vet tools before use: -V=full asks for a version
-	// line it hashes into build IDs, -flags for the supported flag set.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full") {
-		fmt.Fprintf(stdout, "schedlint version %s\n", runtime.Version())
-		return 0
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-
 	fs := flag.NewFlagSet("schedlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	passes := fs.String("passes", "", "comma-separated analyzer subset (default: all, gated per package)")
@@ -67,55 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0], *passes, selected, stderr)
-	}
-	return runStandalone(rest, *passes, selected, stdout, stderr)
-}
-
-// selectAnalyzers parses -passes; nil means "all, gated per package by
-// lint.AnalyzersFor".
-func selectAnalyzers(passes string) ([]*lint.Analyzer, error) {
-	if passes == "" {
-		return nil, nil
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(passes, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := lint.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("schedlint: unknown pass %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func analyzersFor(importPath string, selected []*lint.Analyzer) []*lint.Analyzer {
-	// Test variants are named like "repro/internal/verify
-	// [repro/internal/verify.test]"; the base path decides the gates.
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-	}
-	gated := lint.AnalyzersFor(importPath)
-	if selected == nil {
-		return gated
-	}
-	var out []*lint.Analyzer
-	for _, a := range selected {
-		for _, g := range gated {
-			if a == g {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
-func runStandalone(patterns []string, passes string, selected []*lint.Analyzer, stdout, stderr io.Writer) int {
-	prog, targets, err := lint.Load(".", patterns...)
+	prog, targets, err := lint.Load(".", fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -139,146 +65,38 @@ func runStandalone(patterns []string, passes string, selected []*lint.Analyzer, 
 	return 0
 }
 
-// vetConfig is the JSON cmd/go writes for each vet unit (a subset of
-// cmd/go/internal/work's vetConfig; unknown fields are ignored).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runUnit(cfgPath, passes string, selected []*lint.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+// selectAnalyzers parses -passes; nil means "all, gated per package by
+// lint.AnalyzersFor".
+func selectAnalyzers(passes string) ([]*lint.Analyzer, error) {
+	if passes == "" {
+		return nil, nil
 	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "schedlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// cmd/go requires the facts file to exist even though schedlint
-	// exports no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0 // dependency unit: facts only, no diagnostics wanted
-	}
-	// The unit config names export data only for the unit's direct
-	// imports. depsaudit's source descent into module-local dependencies
-	// type-checks those from scratch, which needs export data for THEIR
-	// imports too — resolve anything missing through the build cache
-	// with `go list -export`, memoized per process.
-	extraExports := make(map[string]string)
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		if file, ok := cfg.PackageFile[path]; ok {
-			return os.Open(file)
-		}
-		file, ok := extraExports[path]
+	var out []*lint.Analyzer
+	for _, name := range strings.Split(passes, ",") {
+		name = strings.TrimSpace(name)
+		a, ok := lint.ByName(name)
 		if !ok {
-			cmd := exec.Command("go", "list", "-export", "-f", "{{.Export}}", path)
-			cmd.Dir = cfg.Dir
-			out, err := cmd.Output()
-			if err != nil {
-				return nil, fmt.Errorf("schedlint: no export data for %q", path)
-			}
-			file = strings.TrimSpace(string(out))
-			extraExports[path] = file
+			return nil, fmt.Errorf("schedlint: unknown pass %q", name)
 		}
-		if file == "" {
-			return nil, fmt.Errorf("schedlint: no export data for %q", path)
-		}
-		return os.Open(file)
+		out = append(out, a)
 	}
-	files := make([]string, len(cfg.GoFiles))
-	for i, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		files[i] = f
-	}
-	prog, pkg, err := lint.LoadFiles(cfg.ImportPath, files, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	// Let depsaudit descend into module-local dependencies: map every
-	// in-module import path under the enclosing module root.
-	if root, modPath, ok := findModule(cfg.Dir); ok {
-		for path := range cfg.PackageFile {
-			if path == cfg.ImportPath {
-				continue
-			}
-			if rel, in := moduleRel(path, modPath); in {
-				prog.AddSourceDir(path, filepath.Join(root, filepath.FromSlash(rel)))
-			}
-		}
-	}
-	diags, err := lint.RunPackage(prog, pkg, analyzersFor(cfg.ImportPath, selected))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2 // vet's "diagnostics reported" status
-	}
-	return 0
+	return out, nil
 }
 
-// findModule walks up from dir to the enclosing go.mod and returns the
-// module root and module path.
-func findModule(dir string) (root, modPath string, ok bool) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", false
+// analyzersFor narrows the package's gated analyzers to the -passes
+// selection: a selected pass that does not guard the package stays off.
+func analyzersFor(importPath string, selected []*lint.Analyzer) []*lint.Analyzer {
+	gated := lint.AnalyzersFor(importPath)
+	if selected == nil {
+		return gated
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			if m := moduleLine.FindSubmatch(data); m != nil {
-				return dir, string(m[1]), true
+	var out []*lint.Analyzer
+	for _, a := range selected {
+		for _, g := range gated {
+			if a == g {
+				out = append(out, a)
 			}
-			return "", "", false
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", false
-		}
-		dir = parent
 	}
-}
-
-var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
-
-// moduleRel returns path's directory relative to the module path.
-func moduleRel(path, modPath string) (string, bool) {
-	if path == modPath {
-		return ".", true
-	}
-	if strings.HasPrefix(path, modPath+"/") {
-		return path[len(modPath)+1:], true
-	}
-	return "", false
+	return out
 }

@@ -21,17 +21,25 @@
 // internal/sched's Select, DecideSteal and Place, called on views built
 // from the workers' counters: the verified code is the executed code.
 //
-// Views and who may touch them. The views are built once, at NewPool, and
-// overwritten in place from then on, so a balancing round allocates
-// nothing — the lock-free phase shares no state but the published
-// counters, not even the allocator. Each worker owns a selection view
-// (one model core per worker), the two live views of step 3 and a policy
-// instance: only that worker's goroutine, inside stealWork, reads or
-// writes them. Orphans are re-homed from other goroutines (the killer's,
-// a submitter's) while the dead worker's goroutine may still be inside
-// stealWork, so the pool has one rescue view and one more policy
-// instance, touched only by the holder of faultMu, which serialises
-// Kill, Revive and re-homing.
+// Views and who may touch them. A view is a sched.Machine of one model
+// core per worker, laid out once at NewPool by Machine.Reset (IDs,
+// nodes, groups); from then on fill overwrites only what changes — the
+// offline flag, the queue and the running task — so a balancing round
+// allocates nothing: the lock-free phase shares no state but the
+// published counters, not even the allocator. Each worker owns a view
+// and a policy instance: only that worker's goroutine, inside stealWork,
+// reads or writes them. Step 3 re-fills the view's thief and victim
+// cores from the locked runqueues and re-validates on them. Orphans are
+// re-homed from other goroutines (the killer's, a submitter's) while the
+// dead worker's goroutine may still be inside stealWork, so the pool has
+// one rescue view and one more policy instance, touched only by the
+// holder of faultMu, which serialises Kill, Revive and re-homing.
+//
+// The queue publishes itself. A worker's runqueue changes only through
+// its mutators — push, pop and stealTail, each called with the queue's
+// lock held — and each stores the new length in qlen once per call, so
+// every length the lock-free phase reads is one some mutator published
+// under that lock.
 //
 // One rule moves a task between two queues. A steal and an orphan's
 // re-homing alike decide lock-free, lock both runqueues in ID order
@@ -83,25 +91,24 @@ type Pool struct {
 
 // worker is one executor lane.
 type worker struct {
-	id    int
-	group int
-	pool  *Pool
+	id   int
+	pool *Pool
 
 	mu      sync.Mutex
-	queue   taskQueue
+	queue   taskQueue // changed only by push, pop and stealTail
 	running atomic.Bool
-	qlen    atomic.Int64 // published queue length for lock-free selection
+	qlen    atomic.Int64 // queue.n as the last mutator left it, for lock-free selection
 	offline atomic.Bool  // fail-stopped (Kill); executes and steals nothing; stored only with mu held
 
 	// Owned by the worker's goroutine and touched only inside stealWork.
-	policy                sched.Policy
-	view                  *sched.Machine // lock-free selection view, one core per worker
-	liveThief, liveVictim sched.Core     // step 3's views of the two locked runqueues
+	policy sched.Policy
+	view   *sched.Machine // selection view, one core per worker
 }
 
 // Options configures optional pool behaviour.
 type Options struct {
-	// Groups assigns workers to scheduling groups (defaults to all 0).
+	// Groups assigns workers to scheduling groups (defaults to all 0);
+	// NewPool panics unless it is nil or has one entry per worker.
 	Groups []int
 }
 
@@ -123,21 +130,14 @@ func newPool(n int, factory Factory, opts Options) *Pool {
 	if factory == nil {
 		panic("engine: nil policy factory")
 	}
-	if opts.Groups != nil && len(opts.Groups) != n {
-		panic(fmt.Sprintf("engine: %d groups for %d workers", len(opts.Groups), n))
-	}
 	p := &Pool{workers: make([]*worker, n)}
 	for i := range p.workers {
-		g := 0
-		if opts.Groups != nil {
-			g = opts.Groups[i]
-		}
 		p.workers[i] = &worker{
-			id: i, group: g, pool: p,
-			policy: factory(), view: sched.NewMachine(n),
+			id: i, pool: p,
+			policy: factory(), view: new(sched.Machine).Reset(n, opts.Groups),
 		}
 	}
-	p.rescuePolicy, p.rescueView = factory(), sched.NewMachine(n)
+	p.rescuePolicy, p.rescueView = factory(), new(sched.Machine).Reset(n, opts.Groups)
 	return p
 }
 
@@ -154,8 +154,7 @@ func (p *Pool) SubmitTo(id int, t Task) {
 	p.inflt.Add(1)
 	p.wg.Add(1)
 	w.mu.Lock()
-	w.queue.pushBack(t)
-	w.qlen.Store(int64(w.queue.n))
+	w.push(t)
 	offline := w.offline.Load()
 	w.mu.Unlock()
 	if offline {
@@ -253,9 +252,7 @@ func (p *Pool) rehome(w *worker) {
 			unlockPair(w, tw)
 			return
 		}
-		tw.queue.pushBack(w.queue.popFront())
-		w.qlen.Store(int64(w.queue.n))
-		tw.qlen.Store(int64(tw.queue.n))
+		tw.push(w.pop())
 		unlockPair(w, tw)
 		p.rescued.Add(1)
 	}
@@ -335,7 +332,37 @@ func (w *worker) run() {
 func (w *worker) popLocal() Task {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.pop()
+}
+
+// push appends t to w's runqueue and publishes the new length. The
+// caller holds w.mu.
+func (w *worker) push(t Task) {
+	w.queue.pushBack(t)
+	w.qlen.Store(int64(w.queue.n))
+}
+
+// pop removes and returns the head of w's runqueue, nil if it is empty,
+// and publishes the new length. The caller holds w.mu.
+func (w *worker) pop() Task {
 	t := w.queue.popFront()
+	w.qlen.Store(int64(w.queue.n))
+	return t
+}
+
+// stealTail moves the last n of victim's tasks, 1 <= n <= its queue
+// length, to w and publishes both lengths once. The first moved task is
+// returned to run now; the rest queue behind w's own, in order, so the
+// victim keeps its head (oldest) tasks. The caller holds both runqueue
+// locks (lockPair).
+func (w *worker) stealTail(victim *worker, n int) Task {
+	cut := victim.queue.n - n
+	t := victim.queue.at(cut)
+	for i := cut + 1; i < victim.queue.n; i++ {
+		w.queue.pushBack(victim.queue.at(i))
+	}
+	victim.queue.truncate(cut)
+	victim.qlen.Store(int64(cut))
 	w.qlen.Store(int64(w.queue.n))
 	return t
 }
@@ -359,28 +386,20 @@ func (w *worker) stealWork() Task {
 	defer unlockPair(w, victim)
 
 	// Either side may have been killed, robbed or fed since selection;
-	// the shared step-3 decision re-validates on the live views. The
-	// views carry placeholders, so a picked task is just one from the
-	// tail, and n never exceeds the victim's queue.
-	w.fill(&w.liveThief, w.queue.n)
-	victim.fill(&w.liveVictim, victim.queue.n)
-	n, _, reason := sched.DecideSteal(w.policy, &w.liveThief, &w.liveVictim)
+	// the shared step-3 decision re-validates on the pair re-filled from
+	// the locked runqueues. The view carries placeholders, so a picked
+	// task is just one from the tail, and n never exceeds the victim's
+	// queue.
+	thief, stealee := w.view.Cores[w.id], w.view.Cores[victim.id]
+	w.fill(thief, w.queue.n)
+	victim.fill(stealee, victim.queue.n)
+	n, _, reason := sched.DecideSteal(w.policy, thief, stealee)
 	if reason != sched.FailNone {
 		w.pool.stealFails.Add(1)
 		return nil
 	}
-	// Transfer from the victim's tail, keeping its head (oldest) local:
-	// the first stolen task runs now, the rest queue behind the thief's.
-	cut := victim.queue.n - n
-	t := victim.queue.at(cut)
-	for i := cut + 1; i < victim.queue.n; i++ {
-		w.queue.pushBack(victim.queue.at(i))
-	}
-	victim.queue.truncate(cut)
-	victim.qlen.Store(int64(cut))
-	w.qlen.Store(int64(w.queue.n))
 	w.pool.steals.Add(int64(n))
-	return t
+	return w.stealTail(victim, n)
 }
 
 // lockPair locks two workers' runqueues in ID order: the one order every
@@ -408,15 +427,17 @@ func (p *Pool) refresh(view *sched.Machine) {
 	}
 }
 
-// fill overwrites c, wholesale, with the model's view of w holding qlen
-// queued tasks: nothing of what c showed before survives. The runqueue
-// aliases a shared immutable array of placeholder tasks, so the policy
-// sees correct lengths and default weights without copying queues or
-// scanning them. qlen is the published counter for a lock-free view, or
-// w.queue.n with w.mu held for a live one.
+// fill overwrites everything of w's core c that changes at run time
+// with the model's view of w holding qlen queued tasks — its offline
+// flag, queue and running task — leaving the layout Reset gave it. The
+// runqueue aliases a shared immutable array of placeholder tasks, so
+// the policy sees correct lengths and default weights without copying
+// queues or scanning them. qlen is the published counter for a
+// lock-free view, or w.queue.n with w.mu held for step 3's pair.
 func (w *worker) fill(c *sched.Core, qlen int) {
-	*c = sched.Core{ID: w.id, Group: w.group, Node: w.group, Offline: w.offline.Load()}
+	c.Offline = w.offline.Load()
 	c.ShareDefaultQueue(placeholders(qlen))
+	c.Current = nil
 	if w.running.Load() {
 		c.Current = placeholderTask
 	}

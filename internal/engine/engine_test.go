@@ -554,14 +554,18 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 	// The views are overwritten in place: after every transition each of
 	// them must equal a view built from nothing, so no field of an earlier
 	// refresh (a Current, an Offline, a longer runqueue or its totals)
-	// survives. The want cores go through the same installer as fill, so
-	// each view's totals are also recomputed from its queue.
+	// survives, and the layout Reset gave it does. Step 3's re-fill of the
+	// thief and victim cores, made on a view that still shows the previous
+	// transition, must rewrite those two cores exactly and no other. The
+	// want cores go through the same installer as fill, so each view's
+	// totals are also recomputed from its queue.
 	type state struct {
 		qlen             int
 		running, offline bool
 	}
 	groups := []int{0, 1, 1}
 	p := newPool(len(groups), delta2Factory, Options{Groups: groups})
+	var prev []*sched.Core // the cores the last transition's refresh left
 	for step, states := range [][]state{
 		{{5, true, false}, {0, false, false}, {2, true, false}},
 		{{0, false, false}, {0, false, false}, {2, false, false}},  // busy -> idle
@@ -573,11 +577,11 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 		want := make([]*sched.Core, len(states))
 		for i, st := range states {
 			w := p.workers[i]
-			w.queue = taskQueue{}
-			for range st.qlen {
-				w.queue.pushBack(spin)
+			for w.pop() != nil {
 			}
-			w.qlen.Store(int64(st.qlen))
+			for range st.qlen {
+				w.push(spin)
+			}
 			w.running.Store(st.running)
 			w.setOffline(st.offline)
 			want[i] = &sched.Core{ID: i, Group: groups[i], Node: groups[i], Offline: st.offline}
@@ -587,6 +591,21 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			}
 		}
 		for i, w := range p.workers {
+			victim := p.workers[(i+1)%len(p.workers)]
+			if prev != nil {
+				w.fill(w.view.Cores[w.id], w.queue.n)
+				victim.fill(w.view.Cores[victim.id], victim.queue.n)
+				for j, c := range w.view.Cores {
+					exp := prev[j]
+					if j == w.id || j == victim.id {
+						exp = want[j]
+					}
+					if !reflect.DeepEqual(c, exp) {
+						t.Errorf("step %d: worker %d re-filled against worker %d, and its view's core %d is %v, want %v",
+							step, i, victim.id, j, c, exp)
+					}
+				}
+			}
 			p.refresh(w.view)
 			for _, c := range w.view.Cores {
 				if err := queueTotalsErr(c); err != nil {
@@ -600,14 +619,8 @@ func TestStealViewRefreshIsComplete(t *testing.T) {
 			if !reflect.DeepEqual(p.rescueView.Cores, want) {
 				t.Errorf("step %d: the rescue view is %v, want %v", step, p.rescueView.Cores, want)
 			}
-			victim := p.workers[(i+1)%len(p.workers)]
-			w.fill(&w.liveThief, w.queue.n)
-			victim.fill(&w.liveVictim, victim.queue.n)
-			if !reflect.DeepEqual(&w.liveThief, want[w.id]) || !reflect.DeepEqual(&w.liveVictim, want[victim.id]) {
-				t.Errorf("step %d: worker %d's live views are %v and %v, want %v and %v",
-					step, i, &w.liveThief, &w.liveVictim, want[w.id], want[victim.id])
-			}
 		}
+		prev = want
 	}
 }
 
@@ -660,10 +673,7 @@ func TestStealMovesVictimTailInOrder(t *testing.T) {
 			p := newPool(2, steal3, Options{}) // no goroutines: the test is the thief
 			thief, victim := p.workers[1], p.workers[0]
 			var ran []int
-			submit := func(w *worker, id int) {
-				w.queue.pushBack(func() { ran = append(ran, id) })
-				w.qlen.Store(int64(w.queue.n))
-			}
+			submit := func(w *worker, id int) { w.push(func() { ran = append(ran, id) }) }
 			for w, drained := range map[*worker]int{thief: tc.thiefDrained, victim: tc.victimDrained} {
 				for range drained {
 					submit(w, -1)
@@ -704,12 +714,15 @@ func TestStealMovesVictimTailInOrder(t *testing.T) {
 }
 
 func TestTaskQueueMatchesASlice(t *testing.T) {
-	// Random pushes, pops and truncations against a slice,
-	// with bursts past keptSlots: the ring keeps the order, clears what it
+	// A worker's pushes, pops and stolen tails against a slice, with
+	// bursts past keptSlots: the ring keeps the order, clears what it
 	// drops, reallocates only when full, and returns its buffer when it
-	// drains after a burst.
+	// drains after a burst; and after every mutator both sides publish
+	// the model's length.
 	rng := rand.New(rand.NewPCG(1, 2))
-	var q taskQueue
+	p := newPool(2, delta2Factory, Options{}) // no goroutines: the test is both workers
+	w, thief := p.workers[0], p.workers[1]
+	q := &w.queue
 	var model []int
 	ran := -1
 	task := func(id int) Task { return func() { ran = id } }
@@ -718,30 +731,43 @@ func TestTaskQueueMatchesASlice(t *testing.T) {
 		before, burst := len(q.buf), q.peak > keptSlots
 		switch k := rng.IntN(10); {
 		case op%5000 < 1500:
-			q.pushBack(task(op)) // a burst
+			w.push(task(op)) // a burst
 			model = append(model, op)
 		case k < 5:
-			q.pushBack(task(op))
+			w.push(task(op))
 			model = append(model, op)
 		case k < 9:
-			got := q.popFront()
+			got := w.pop()
 			if len(model) == 0 {
 				if got != nil {
-					t.Fatalf("op %d: popFront of an empty queue returned a task", op)
+					t.Fatalf("op %d: pop of an empty queue returned a task", op)
 				}
 				continue
 			}
 			if id := idOf(got); id != model[0] {
-				t.Fatalf("op %d: popFront = %d, want %d", op, id, model[0])
+				t.Fatalf("op %d: pop = %d, want %d", op, id, model[0])
 			}
 			model = model[1:]
 		default:
 			keep := rng.IntN(len(model) + 1)
-			q.truncate(keep)
+			if keep < len(model) {
+				if id := idOf(thief.stealTail(w, len(model)-keep)); id != model[keep] {
+					t.Fatalf("op %d: the steal's first task is %d, want %d", op, id, model[keep])
+				}
+				rest := model[keep+1:]
+				if got := thief.qlen.Load(); got != int64(len(rest)) || thief.queue.n != len(rest) {
+					t.Fatalf("op %d: the thief publishes %d tasks and queues %d, want %d", op, got, thief.queue.n, len(rest))
+				}
+				for _, want := range rest {
+					if id := idOf(thief.pop()); id != want {
+						t.Fatalf("op %d: the thief queued %d, want %d", op, id, want)
+					}
+				}
+			}
 			model = model[:keep]
 		}
-		if q.n != len(model) {
-			t.Fatalf("op %d: %d tasks queued, want %d", op, q.n, len(model))
+		if got := w.qlen.Load(); q.n != len(model) || got != int64(len(model)) {
+			t.Fatalf("op %d: %d tasks queued and %d published, want %d", op, q.n, got, len(model))
 		}
 		switch grown, returned := q.n-1 == before, q.n == 0 && burst; {
 		case returned && (len(q.buf) != 0 || q.next != before):
@@ -769,9 +795,8 @@ func TestStealClearsVictimTail(t *testing.T) {
 	p := newPool(2, delta2Factory, Options{})
 	victim := p.workers[0]
 	for i := 0; i < 4; i++ {
-		victim.queue.pushBack(func() {})
+		victim.push(func() {})
 	}
-	victim.qlen.Store(4)
 	if p.workers[1].stealWork() == nil {
 		t.Fatal("the steal failed")
 	}
@@ -858,10 +883,8 @@ func TestKillWaitsForAStealInFlight(t *testing.T) {
 	killed := make(chan error, 1)
 	go func() { killed <- p.Kill(0) }()
 	time.Sleep(20 * time.Millisecond)
-	for range 2 { // the stolen batch lands on the thief's queue
-		w.queue.pushBack(spin)
-	}
-	w.qlen.Store(int64(w.queue.n))
+	w.push(spin) // the stolen batch lands on the thief's queue
+	w.push(spin)
 	w.mu.Unlock()
 	if err := <-killed; err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ import (
 // verification reports, canonical component forms, histograms and
 // simulation traces must not depend on the wall clock, on the global
 // math/rand source, on map iteration order, or on encoding/json's
-// key-sorted map rendering. Four checks, all per-file and skipping
-// _test.go files (tests may time things):
+// key-sorted map rendering. Four checks, all per-file over the
+// package's non-test files (the loader never loads _test.go files, and
+// tests may time things):
 //
 //   - calls to (or references of) time.Now, time.Since, time.Until;
 //   - references to math/rand (and math/rand/v2) package-level
@@ -46,10 +47,7 @@ var randConstructors = map[string]bool{
 
 func runDeterminism(pass *Pass) error {
 	info := pass.Pkg.Info
-	for i, file := range pass.Pkg.Files {
-		if strings.HasSuffix(pass.Pkg.GoFiles[i], "_test.go") {
-			continue
-		}
+	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -31,23 +30,18 @@ import (
 
 // Package is one source-loaded, type-checked package.
 type Package struct {
-	Path    string
-	GoFiles []string
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	Path  string
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
-// Program is a loaded program: the type-checked source packages plus
-// the machinery to resolve more of them on demand.
+// Program is a loaded program: every module-local package of the
+// closure, type-checked from source.
 type Program struct {
 	Fset *token.FileSet
 
-	pkgs map[string]*Package
-	// goFiles maps import path -> source files, for packages known but
-	// not yet type-checked (lazy loading in vettool mode).
-	goFiles map[string][]string
-	imp     types.Importer
+	imp types.Importer
 	// decls indexes every loaded function/method declaration by its
 	// types.Func FullName.
 	decls map[string]declSite
@@ -107,13 +101,18 @@ func Load(dir string, patterns ...string) (*Program, []*Package, error) {
 			exports[m.ImportPath] = m.Export
 		}
 	}
-	prog := newProgram(func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
+	fset := token.NewFileSet()
+	prog := &Program{
+		Fset: fset,
+		imp: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("lint: no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
+		decls: make(map[string]declSite),
+	}
 
 	var targets []*Package
 	for _, m := range metas {
@@ -127,8 +126,7 @@ func Load(dir string, patterns ...string) (*Program, []*Package, error) {
 		for i, f := range m.GoFiles {
 			files[i] = filepath.Join(m.Dir, f)
 		}
-		prog.goFiles[m.ImportPath] = files
-		pkg, err := prog.ensure(m.ImportPath)
+		pkg, err := prog.check(m.ImportPath, files)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -139,49 +137,9 @@ func Load(dir string, patterns ...string) (*Program, []*Package, error) {
 	return prog, targets, nil
 }
 
-func newProgram(lookup func(path string) (io.ReadCloser, error)) *Program {
-	fset := token.NewFileSet()
-	return &Program{
-		Fset:    fset,
-		pkgs:    make(map[string]*Package),
-		goFiles: make(map[string][]string),
-		imp:     importer.ForCompiler(fset, "gc", lookup),
-		decls:   make(map[string]declSite),
-	}
-}
-
-// AddSourceDir registers a directory's build-selected Go files under an
-// import path without type-checking it yet — the vettool unit mode uses
-// this to let depsaudit descend into module-local dependencies it only
-// has export data for.
-func (prog *Program) AddSourceDir(importPath, dir string) error {
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		return fmt.Errorf("lint: listing %s: %v", dir, err)
-	}
-	files := make([]string, len(bp.GoFiles))
-	for i, f := range bp.GoFiles {
-		files[i] = filepath.Join(dir, f)
-	}
-	prog.goFiles[importPath] = files
-	return nil
-}
-
-// AddFiles registers explicit source files under an import path.
-func (prog *Program) AddFiles(importPath string, files []string) {
-	prog.goFiles[importPath] = files
-}
-
-// ensure parses and type-checks the package registered for path,
-// memoized.
-func (prog *Program) ensure(path string) (*Package, error) {
-	if p, ok := prog.pkgs[path]; ok {
-		return p, nil
-	}
-	files, ok := prog.goFiles[path]
-	if !ok {
-		return nil, fmt.Errorf("lint: no source registered for package %q", path)
-	}
+// check parses and type-checks the package at path from its source
+// files and indexes its function declarations.
+func (prog *Program) check(path string, files []string) (*Package, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(prog.Fset, f, nil, parser.ParseComments)
@@ -215,13 +173,11 @@ func (prog *Program) ensure(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s:\n  %s", path, strings.Join(msgs, "\n  "))
 	}
 	pkg := &Package{
-		Path:    path,
-		GoFiles: files,
-		Files:   syntax,
-		Types:   tpkg,
-		Info:    info,
+		Path:  path,
+		Files: syntax,
+		Types: tpkg,
+		Info:  info,
 	}
-	prog.pkgs[path] = pkg
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -237,41 +193,12 @@ func (prog *Program) ensure(path string) (*Package, error) {
 }
 
 // FuncDecl resolves a function object — possibly one materialized from
-// export data — to its source declaration, lazily loading the package
-// that declares it when its sources are registered. Returns nil when no
-// source is available (standard library, interface methods, func-typed
-// variables).
+// export data — to its source declaration. Returns nil when no source is
+// loaded (standard library, interface methods, func-typed variables).
 func (prog *Program) FuncDecl(obj *types.Func) (*ast.FuncDecl, *Package) {
 	if obj == nil || obj.Pkg() == nil {
 		return nil, nil
 	}
-	key := obj.FullName()
-	if site, ok := prog.decls[key]; ok {
-		return site.decl, site.pkg
-	}
-	path := obj.Pkg().Path()
-	if _, loaded := prog.pkgs[path]; !loaded {
-		if _, ok := prog.goFiles[path]; ok {
-			if _, err := prog.ensure(path); err == nil {
-				if site, ok := prog.decls[key]; ok {
-					return site.decl, site.pkg
-				}
-			}
-		}
-	}
-	return nil, nil
-}
-
-// LoadFiles type-checks one package given explicit file names and an
-// export-data lookup — the vettool unit-checker entry: cmd/go hands the
-// tool a config naming the package's files and an export file for each
-// import.
-func LoadFiles(importPath string, files []string, lookup func(path string) (io.ReadCloser, error)) (*Program, *Package, error) {
-	prog := newProgram(lookup)
-	prog.AddFiles(importPath, files)
-	pkg, err := prog.ensure(importPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, pkg, nil
+	site := prog.decls[obj.FullName()]
+	return site.decl, site.pkg
 }

@@ -7,10 +7,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -315,7 +315,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 	}
 	nl := len(cfg.Loads)
 	slots := make([]slot, len(cfg.Policies)*nl)
-	forEachPoint(len(slots), func(i int) (ok bool) {
+	sched.ForEach(len(slots), runtime.GOMAXPROCS(0), func(_, i int) (ok bool) {
 		sl := &slots[i]
 		defer func() {
 			if v := recover(); v != nil {
@@ -347,32 +347,6 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 		rep.Policies = append(rep.Policies, curve)
 	}
 	return rep, nil
-}
-
-// forEachPoint calls fn(i) for every i in [0, n) on up to
-// min(GOMAXPROCS, n) goroutines, the caller's among them, and returns
-// once all have stopped. Workers claim indices from one counter, so in
-// ascending order; after a call returns false, none claims another.
-func forEachPoint(n int, fn func(i int) bool) {
-	var next atomic.Int64
-	var failed atomic.Bool
-	drain := func() {
-		for i := int(next.Add(1)) - 1; i < n && !failed.Load(); i = int(next.Add(1)) - 1 {
-			if !fn(i) {
-				failed.Store(true)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
 }
 
 // runner is what a sweep point runs on: a simulator, whose machine and

@@ -33,6 +33,8 @@ type Delta2 struct {
 	// Chooser is the step-2 heuristic; nil means lowest-ID candidate.
 	// Swapping it never affects the proofs — the paper's core claim.
 	Chooser sched.ChooseFunc
+
+	name string // the registry name of a variant; "" is delta2
 }
 
 // NewDelta2 returns the Listing 1 balancer with the deterministic
@@ -40,7 +42,12 @@ type Delta2 struct {
 func NewDelta2() *Delta2 { return &Delta2{} }
 
 // Name implements sched.Policy.
-func (p *Delta2) Name() string { return "delta2" }
+func (p *Delta2) Name() string {
+	if p.name == "" {
+		return "delta2"
+	}
+	return p.name
+}
 
 // Load implements sched.Policy: the thread count, as in Listing 1.
 func (p *Delta2) Load(c *sched.Core) int64 { return int64(c.NThreads()) }

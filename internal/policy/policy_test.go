@@ -569,6 +569,21 @@ func TestRegistrySpecs(t *testing.T) {
 	}
 }
 
+// Every spec builds a policy that calls itself by its registry name, as
+// sched's panics name it: a Go native by the name itself, a spec with DSL
+// by the name its source declares, the registry name with '-' -> '_'.
+func TestSpecsBuildTheirRegistryName(t *testing.T) {
+	for _, s := range Specs() {
+		want := s.Name
+		if s.DSL != "" {
+			want = strings.ReplaceAll(s.Name, "-", "_")
+		}
+		if got := s.New(nil).Name(); got != want {
+			t.Errorf("spec %q builds a policy named %q, want %q", s.Name, got, want)
+		}
+	}
+}
+
 func TestRegistryNUMAAware(t *testing.T) {
 	s, ok := Lookup("numa-aware")
 	if !ok || !s.NeedsTopology() {

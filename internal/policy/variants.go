@@ -14,7 +14,7 @@ import (
 func NewNUMAAware(top *topology.Topology) *Delta2 {
 	load := func(c *sched.Core) int64 { return int64(c.NThreads()) }
 	distance := func(a, b *sched.Core) int { return top.Distance(a.ID, b.ID) }
-	return &Delta2{Chooser: sched.ChooseNearest(distance, load)}
+	return &Delta2{Chooser: sched.ChooseNearest(distance, load), name: "numa-aware"}
 }
 
 // NewNull returns the registry's "null" policy, the no-balancing

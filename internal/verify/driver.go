@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
@@ -82,14 +81,17 @@ type shardScratch struct {
 // scratchPool keeps worker scratches between fan-outs.
 var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
-// forEachPooledTask is forEachTask with each worker on a scratch from
+// forEachPooledTask is sched.ForEach with each worker on a scratch from
 // scratchPool, put back (minus its references into the call) when done.
 func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 	scratch := make([]*shardScratch, min(workers, n))
 	for w := range scratch {
 		scratch[w] = scratchPool.Get().(*shardScratch)
 	}
-	forEachTask(n, workers, func(w, i int) { fn(scratch[w], i) })
+	sched.ForEach(n, workers, func(w, i int) bool {
+		fn(scratch[w], i)
+		return true
+	})
 	for _, sc := range scratch {
 		putScratch(sc)
 	}
@@ -289,32 +291,4 @@ func mergeResults(id ObligationID, parts []Result, took []time.Duration) (Result
 		merged.abort(cut.Witness)
 	}
 	return merged, elapsed
-}
-
-// forEachTask runs fn(w, i) for every i in [0, n) on min(workers, n)
-// goroutines — the caller is one of them — that claim indices from one
-// atomic counter: no goroutine is ever parked waiting for a slot, and a
-// fast worker simply claims more. It is the one worker pool every
-// parallel driver path shares. w is the index of the goroutine running
-// the call, in [0, min(workers, n)), and no two concurrent calls share
-// one, so fn may index per-worker scratch by w; each i is claimed exactly
-// once, so fn needs no locking for per-index state either. workers=1
-// runs every call inline on the caller, as worker 0.
-func forEachTask(n, workers int, fn func(w, i int)) {
-	var next atomic.Int64
-	drain := func(w int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(w, i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers && w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(w)
-		}()
-	}
-	drain(0)
-	wg.Wait()
 }

@@ -836,40 +836,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestForEachTaskRunsEachIndexOnce(t *testing.T) {
-	const n = 37
-	for _, workers := range []int{1, 2, n, n + 3} {
-		ran := make([]atomic.Int32, n)
-		held := make([]atomic.Int32, min(workers, n)) // calls running as each worker
-		var running, peak atomic.Int32
-		forEachTask(n, workers, func(w, i int) {
-			if w < 0 || w >= len(held) {
-				t.Errorf("workers=%d: index %d ran as worker %d, want [0, %d)", workers, i, w, len(held))
-				return
-			}
-			if held[w].Add(1) != 1 {
-				t.Errorf("workers=%d: two concurrent calls ran as worker %d", workers, w)
-			}
-			now := running.Add(1)
-			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-			}
-			ran[i].Add(1)
-			runtime.Gosched() // let the other claimants at the counter
-			running.Add(-1)
-			held[w].Add(-1)
-		})
-		for i := range ran {
-			if got := ran[i].Load(); got != 1 {
-				t.Errorf("workers=%d: index %d ran %d times, want once", workers, i, got)
-			}
-		}
-		if got := int(peak.Load()); got > min(workers, n) {
-			t.Errorf("workers=%d: %d calls ran at once", workers, got)
-		}
-	}
-	forEachTask(0, 4, func(int, int) { t.Error("ran a task of an empty list") })
-}
-
 // One fan-out over any set of obligations yields, per obligation, the
 // Result that obligation yields alone — what lets the daemon run a job's
 // memo misses together and splice memoized Results between them.

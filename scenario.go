@@ -36,8 +36,9 @@ type Batch struct {
 	Tasks int
 	// Work is each task's CPU demand: virtual ticks in the simulator,
 	// microseconds of wall time holding a worker in the executor
-	// (sleeping, not spinning), ignored by the model. Zero means
-	// DefaultWork.
+	// (sleeping, not spinning, so no less than the host timer's
+	// resolution: ~1.1 ms on Linux for any sleep under ~1 ms), ignored by
+	// the model. Zero means DefaultWork.
 	Work int64
 	// Weight is each task's load weight (zero = DefaultWeight), the input
 	// to weight-aware policies on the model and simulator backends. The
@@ -53,7 +54,7 @@ const DefaultWork int64 = 1000
 
 // DefaultWeight is the per-task load weight used when a Batch leaves
 // Weight zero — the unit weight of a default-niceness thread.
-const DefaultWeight int64 = 1024
+const DefaultWeight int64 = sched.DefaultWeight
 
 // work returns the batch's effective per-task CPU demand.
 func (b Batch) work() int64 {
