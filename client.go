@@ -45,15 +45,16 @@ var ErrCircuitOpen = errors.New("optsched: verify service circuit breaker open")
 //
 // Verify submits and blocks until a verdict, resiliently:
 //
-//   - A queued job is polled at once, at the poll URL the daemon handed
-//     out. A daemon that long-polls (the URL carries ?wait=) holds each
-//     poll until the verdict, so there is one poll per job and no timer
-//     between the verdict and the caller; the client only lowers that
-//     wait to half its HTTPClient.Timeout when the timeout is shorter.
-//     Against a daemon that answers polls at once, polls are spaced by
-//     jittered exponential backoff from PollInterval up to
-//     MaxPollInterval — each sleep net of the time the previous poll
-//     itself took, so neither kind of daemon needs detecting.
+//   - The submit asks the daemon to hold it until the job's verdict
+//     (?wait=30s), so a cold verdict is one round trip: the submit's 200
+//     carries it. Only a job that outlasts the wait answers 202, and is
+//     then polled at once, at the poll URL the daemon handed out, which
+//     long-polls the same way. The client lowers either wait to half its
+//     HTTPClient.Timeout when the timeout is shorter. Against a daemon
+//     that answers polls at once, polls are spaced by jittered
+//     exponential backoff from PollInterval up to MaxPollInterval — each
+//     sleep net of the time the previous poll itself took, so neither
+//     kind of daemon needs detecting.
 //   - 429 backpressure honors the server's Retry-After (jittered).
 //   - Transport errors and 5xx responses retry with jittered backoff
 //     from 100ms, doubling per consecutive failure up to
@@ -168,8 +169,8 @@ func (c *VerifyClient) recordSuccess() {
 }
 
 // Verify submits req and blocks until the daemon produces a report,
-// honoring ctx throughout (a cancelled poll loop also cancels the
-// remote job — queued work is not left behind). See the type comment
+// honoring ctx throughout (a cancelled wait or poll loop also cancels
+// the remote job — queued work is not left behind). See the type comment
 // for the retry, backoff and circuit-breaker behavior.
 func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, error) {
 	if deadline, ok := ctx.Deadline(); ok && req.TimeoutMs == 0 {
@@ -181,12 +182,13 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 	if err != nil {
 		return nil, fmt.Errorf("optsched: encoding verify request: %w", err)
 	}
+	submitURL := c.fitWait(submitPath)
 	attempt := 0
 	for {
 		if c.breakerOpen() {
 			return nil, fmt.Errorf("%w (%s)", ErrCircuitOpen, c.BaseURL)
 		}
-		resp, err := c.do(ctx, http.MethodPost, "/v1/verify", body)
+		resp, err := c.do(ctx, http.MethodPost, submitURL, body, nil)
 		if err != nil && ctx.Err() != nil {
 			return nil, err
 		}
@@ -201,7 +203,8 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 			attempt++
 		case resp.code == http.StatusOK:
 			c.recordSuccess()
-			return decodeReport(resp.envelope, req.Obligations)
+			rep, _, err := settle(&resp.envelope, req.Obligations)
+			return rep, err
 		case resp.code == http.StatusAccepted:
 			c.recordSuccess()
 			return c.poll(ctx, resp.envelope.Poll, resp.envelope.JobID, req.Obligations)
@@ -218,6 +221,10 @@ func (c *VerifyClient) Verify(ctx context.Context, req VerifyRequest) (*Report, 
 		}
 	}
 }
+
+// submitPath is where a submission goes: it asks the daemon to hold the
+// answer until the verdict, for as long as the daemon holds a poll.
+const submitPath = "/v1/verify?wait=30s"
 
 // failure describes a failed request, a transport error or a 5xx
 // response, for the error that opens the breaker.
@@ -259,7 +266,7 @@ func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string, obligati
 			return nil, fmt.Errorf("%w (abandoning job %s)", ErrCircuitOpen, jobID)
 		}
 		start := time.Now()
-		resp, err := c.do(ctx, http.MethodGet, pollURL, nil)
+		resp, err := c.do(ctx, http.MethodGet, pollURL, nil, nil)
 		took = time.Since(start)
 		if err != nil && ctx.Err() != nil {
 			c.cancelRemote(pollURL)
@@ -276,24 +283,40 @@ func (c *VerifyClient) poll(ctx context.Context, pollURL, jobID string, obligati
 			return nil, fmt.Errorf("optsched: verify service: %s", resp.errMsg())
 		}
 		c.recordSuccess()
-		switch resp.envelope.Status {
-		case string(service.JobDone):
-			return decodeReport(resp.envelope, obligations)
-		case string(service.JobCancelled):
-			return nil, fmt.Errorf("optsched: verify job %s cancelled: %s", jobID, resp.envelope.Error)
+		if rep, settled, err := settle(&resp.envelope, obligations); settled {
+			return rep, err
 		}
 	}
 }
 
-// fitWait lowers the wait a poll URL asks the daemon for to half the
-// HTTP client's own timeout when it is longer than that — the one thing
-// the client knows and the daemon does not — so a long job is a series
-// of unanswered long-polls, never a series of transport timeouts that
-// trip the breaker. A URL without a wait parameter is left as it is.
+// settle reads a 200 envelope, the submit's or a poll's: a done job's
+// report is the verdict and a cancelled job is an error. Anything else
+// (a job still queued or running) is not settled, and err says so for a
+// caller that expected a verdict.
+func settle(env *service.SubmitResponse, obligations []string) (rep *Report, settled bool, err error) {
+	switch env.Status {
+	case string(service.JobDone):
+		rep, err = decodeReport(env, obligations)
+		return rep, true, err
+	case string(service.JobCancelled):
+		return nil, true, fmt.Errorf("optsched: verify job %s cancelled: %s", env.JobID, env.Error)
+	}
+	return nil, false, fmt.Errorf("optsched: verify service answered %q without a verdict", env.Status)
+}
+
+// fitWait lowers the wait a submit or poll URL asks the daemon for to
+// half the HTTP client's own timeout when it is longer than that — the
+// one thing the client knows and the daemon does not — so a long job is
+// a series of unanswered long-polls, never a series of transport
+// timeouts that trip the breaker. A URL without a wait parameter is left
+// as it is.
 func (c *VerifyClient) fitWait(pollURL string) string {
 	timeout := c.httpClient().Timeout
+	if timeout <= 0 {
+		return pollURL
+	}
 	u, err := url.Parse(pollURL)
-	if timeout <= 0 || err != nil {
+	if err != nil {
 		return pollURL
 	}
 	q := u.Query()
@@ -309,23 +332,23 @@ func (c *VerifyClient) fitWait(pollURL string) string {
 // not left behind.
 func (c *VerifyClient) cancelRemote(pollURL string) {
 	cancelCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	c.do(cancelCtx, http.MethodDelete, pollURL, nil)
+	c.do(cancelCtx, http.MethodDelete, pollURL, nil, nil)
 	cancel()
 }
 
 // FlushCache performs the daemon's admin cache flush (DELETE /v1/cache)
 // and returns how many memoized results were dropped.
 func (c *VerifyClient) FlushCache(ctx context.Context) (int, error) {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/cache", nil)
-	if err != nil {
-		return 0, err
-	}
 	var out struct {
 		Flushed int    `json:"flushed"`
 		Error   string `json:"error"`
 	}
-	if err := json.Unmarshal(resp.raw, &out); err != nil || resp.code != http.StatusOK {
-		return out.Flushed, fmt.Errorf("optsched: cache flush: %s", resp.errMsg())
+	resp, err := c.do(ctx, http.MethodDelete, "/v1/cache", nil, &out)
+	if err != nil {
+		return 0, err
+	}
+	if resp.rawError != "" || resp.code != http.StatusOK {
+		return out.Flushed, fmt.Errorf("optsched: cache flush: %s", cmp.Or(out.Error, resp.errMsg()))
 	}
 	return out.Flushed, nil
 }
@@ -335,7 +358,6 @@ type clientResp struct {
 	code       int
 	envelope   service.SubmitResponse
 	retryAfter time.Duration
-	raw        []byte
 	rawError   string
 }
 
@@ -349,7 +371,13 @@ func (r *clientResp) errMsg() string {
 	return fmt.Sprintf("HTTP %d", r.code)
 }
 
-func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte) (*clientResp, error) {
+// bodies recycles the buffers do reads response bodies into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// do sends one request and decodes its response's JSON body into dst, or
+// into the envelope when dst is nil. The body is read into a recycled
+// buffer; what decoding keeps of it is copied out.
+func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte, dst any) (*clientResp, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -366,11 +394,13 @@ func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte)
 		return nil, fmt.Errorf("optsched: verify service unreachable: %w", err)
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
-	if err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(httpResp.Body); err != nil {
 		return nil, err
 	}
-	resp := &clientResp{code: httpResp.StatusCode, raw: data}
+	resp := &clientResp{code: httpResp.StatusCode}
 	if ra := httpResp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 			resp.retryAfter = time.Duration(secs) * time.Second
@@ -379,10 +409,13 @@ func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte)
 	if resp.retryAfter == 0 {
 		resp.retryAfter = time.Second
 	}
-	if err := json.Unmarshal(data, &resp.envelope); err != nil {
+	if dst == nil {
+		dst = &resp.envelope
+	}
+	if err := json.Unmarshal(buf.Bytes(), dst); err != nil {
 		// Error responses are {"error": "..."} maps, which also land in
 		// envelope.Error; anything else is reported raw.
-		resp.rawError = string(data)
+		resp.rawError = buf.String()
 	}
 	return resp, nil
 }
@@ -390,7 +423,7 @@ func (c *VerifyClient) do(ctx context.Context, method, path string, body []byte)
 // decodeReport checks a done envelope's report: known obligations, exactly
 // the requested ones in request order (all when the request names none).
 // An empty or partial report is an error, never a PROVED verdict.
-func decodeReport(env service.SubmitResponse, obligations []string) (*Report, error) {
+func decodeReport(env *service.SubmitResponse, obligations []string) (*Report, error) {
 	rep := env.Report
 	if rep == nil {
 		return nil, fmt.Errorf("optsched: verify service sent a done response without a report")

@@ -226,20 +226,25 @@ func TestVerifyClientBacksOffAgainstAnImmediateDaemon(t *testing.T) {
 	}
 }
 
-// Against the daemon's real handler the advertised poll URL long-polls:
-// one poll per verdict with the client's DEFAULT intervals, answered when
-// the job finishes — not a poll interval later.
-func TestVerifyClientLongPollsTheRealDaemon(t *testing.T) {
+// Against the daemon's real handler a cold verdict is one round trip:
+// the submit asks for the wait and the daemon holds it until the job
+// ends, so with the client's DEFAULT intervals there is one POST, no
+// poll, and the verdict arrives when the job finishes — not a poll
+// interval later.
+func TestVerifyClientGetsAColdVerdictInOneRoundTrip(t *testing.T) {
 	const stall = 60 * time.Millisecond
 	svc := newService(t, service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: stall,
 	})))
 	defer svc.Close()
-	var polls atomic.Int64
+	var posts, gets atomic.Int64
 	handler := svc.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			polls.Add(1)
+		switch r.Method {
+		case http.MethodPost:
+			posts.Add(1)
+		case http.MethodGet:
+			gets.Add(1)
 		}
 		handler.ServeHTTP(w, r)
 	}))
@@ -252,11 +257,39 @@ func TestVerifyClientLongPollsTheRealDaemon(t *testing.T) {
 	if err != nil || !rep.Passed() {
 		t.Fatalf("Verify: rep=%v err=%v", rep, err)
 	}
-	if polls.Load() != 1 {
-		t.Errorf("cold Verify made %d polls, want exactly 1", polls.Load())
+	if posts.Load() != 1 || gets.Load() != 0 {
+		t.Errorf("cold Verify made %d POSTs and %d GETs, want 1 and 0", posts.Load(), gets.Load())
 	}
 	if took < stall || took > stall+c.pollInterval() {
 		t.Errorf("verdict of a job stalled %v arrived after %v, want within one default poll interval (%v) of it", stall, took, c.pollInterval())
+	}
+}
+
+// A job cancelled on the daemon while the client's submit waits on it is
+// an error from Verify, naming the cancellation.
+func TestVerifyClientReportsACancelledWait(t *testing.T) {
+	svc := newService(t, service.Config{}, service.WithFaults(faultinject.New(faultinject.Rule{
+		Op: faultinject.OpWorker, Kind: faultinject.KindStall, Delay: 200 * time.Millisecond,
+	})))
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	verdict := make(chan error, 1)
+	go func() {
+		_, err := fastClient(srv.URL).Verify(context.Background(), VerifyRequest{Policy: "delta2", Obligations: []string{"lemma1"}})
+		verdict <- err
+	}()
+	for svc.Stats().JobsSubmitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	job, ok := svc.Job("j-1")
+	if !ok {
+		t.Fatal("no job j-1")
+	}
+	job.Cancel()
+	if err := <-verdict; err == nil || !strings.Contains(err.Error(), "verify job j-1 cancelled: ") {
+		t.Errorf("Verify of a job cancelled mid-wait returned %v, want the cancellation", err)
 	}
 }
 
@@ -271,14 +304,17 @@ func TestVerifyClientFitsTheWaitToItsTimeout(t *testing.T) {
 	})))
 	defer svc.Close()
 	var mu sync.Mutex
-	var waits []string
+	var waits, submitWaits []string
 	handler := svc.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			mu.Lock()
+		mu.Lock()
+		switch r.Method {
+		case http.MethodGet:
 			waits = append(waits, r.URL.Query().Get("wait"))
-			mu.Unlock()
+		case http.MethodPost:
+			submitWaits = append(submitWaits, r.URL.Query().Get("wait"))
 		}
+		mu.Unlock()
 		handler.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
@@ -291,7 +327,11 @@ func TestVerifyClientFitsTheWaitToItsTimeout(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(waits) < 2 || len(waits) > 1+int(stall/(timeout/2)) {
+	if len(submitWaits) != 1 || submitWaits[0] != (timeout/2).String() {
+		t.Errorf("submits asked the daemon to wait %q, want one at half the client's timeout (%v)", submitWaits, timeout/2)
+	}
+	// The submit's own wait is the first of the job's long waits.
+	if len(waits) < 2 || len(waits) > int(stall/(timeout/2)) {
 		t.Errorf("%d polls for a %v job at wait=%v", len(waits), stall, timeout/2)
 	}
 	for _, w := range waits {
@@ -306,8 +346,10 @@ func TestVerifyClientFitsTheWaitToItsTimeout(t *testing.T) {
 	// followed verbatim.
 	for _, hc := range []*http.Client{nil, {Timeout: 2 * time.Minute}} {
 		c := &VerifyClient{BaseURL: srv.URL, HTTPClient: hc}
-		if got := c.fitWait("/v1/jobs/j-1?wait=30s"); got != "/v1/jobs/j-1?wait=30s" {
-			t.Errorf("fitWait rewrote the daemon's URL to %q", got)
+		for _, u := range []string{"/v1/jobs/j-1?wait=30s", submitPath} {
+			if got := c.fitWait(u); got != u {
+				t.Errorf("fitWait rewrote %q to %q", u, got)
+			}
 		}
 	}
 }

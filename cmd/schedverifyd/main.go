@@ -15,7 +15,9 @@
 //
 // API (see internal/service):
 //
-//	POST   /v1/verify     submit {"policy": "delta2"} or {"source": "policy ..."}
+//	POST   /v1/verify     submit {"policy": "delta2"} or {"source": "policy ..."};
+//	                      ?wait=30s holds the answer until the verdict (200),
+//	                      answering 202 only for a job that outlasts it
 //	GET    /v1/jobs/{id}  poll a queued job; ?wait=30s holds the answer until
 //	                      the verdict (the poll URL in a 202 asks for that)
 //	DELETE /v1/jobs/{id}  cancel a job

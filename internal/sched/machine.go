@@ -420,12 +420,16 @@ func (m *Machine) CopyFrom(src *Machine) *Machine {
 	m.reset(len(src.Cores), src.TotalThreads())
 	m.Faults, m.nextID = src.Faults, src.nextID
 	for i, sc := range src.Cores {
+		// Field by field: a composite literal here builds the core in a
+		// zeroed stack temporary and block-copies it in, per core.
 		c := m.Cores[i]
-		*c = Core{ID: sc.ID, Node: sc.Node, Group: sc.Group, Offline: sc.Offline,
-			ring: c.ring[:0], n: sc.n, minN: sc.minN, sum: sc.sum, min: sc.min}
+		c.ID, c.Node, c.Group, c.Offline = sc.ID, sc.Node, sc.Group, sc.Offline
+		c.n, c.minN, c.sum, c.min = sc.n, sc.minN, sc.sum, sc.min
+		c.Current = nil
 		if sc.Current != nil {
 			c.Current = m.buf.add(*sc.Current)
 		}
+		c.ring = c.ring[:0]
 		for _, t := range sc.Queued() {
 			c.ring = append(c.ring, m.buf.add(*t))
 		}

@@ -150,6 +150,52 @@ func TestCopyFromProperty(t *testing.T) {
 	}
 }
 
+// CopyFrom overwrites every field of every core it keeps: a machine that
+// held another state — more cores, more tasks, offline marks, a layout,
+// a runqueue with slack at its front, a fault script, a spent ID counter
+// — becomes equal to a fresh Clone of the source, unexported fields
+// included.
+func TestCopyFromIntoAUsedMachineIsAClone(t *testing.T) {
+	p := greedyBuggy()
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src := randomMachine(r)
+		src.Faults = []FaultEvent{{Core: 0}}
+		dst := randomMachine(r)
+		for len(dst.Cores) <= len(src.Cores) {
+			dst.CopyFrom(MachineFromLoads(append(make([]int, len(dst.Cores)), 4, 4)...))
+			for _, c := range dst.Cores {
+				c.Offline, c.Group, c.Node = r.Intn(2) == 0, 1+r.Intn(3), 1
+			}
+		}
+		dst.Faults = []FaultEvent{{Core: 1, Revive: true}, {Core: 0}}
+		for _, c := range dst.Cores {
+			c.Offline = false
+		}
+		ConcurrentRound(p, dst, r.Perm(dst.NumCores())) // pops and steals leave slack
+		dst.Cores[0].Offline = true
+		dst.Spawn(1, 3)
+		want := src.Clone()
+		dst.CopyFrom(src)
+		if dst.Validate() != nil {
+			return false
+		}
+		// A kept core's empty ring is its old array emptied, a fresh
+		// core's is nil; DeepEqual tells the two apart, a runqueue does not.
+		for _, m := range []*Machine{dst, want} {
+			for _, c := range m.Cores {
+				if len(c.ring) == 0 {
+					c.ring = nil
+				}
+			}
+		}
+		return reflect.DeepEqual(dst.Cores, want.Cores) && reflect.DeepEqual(dst.Faults, want.Faults) && dst.nextID == want.nextID
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSetFromSpecIsMachineFromSpec(t *testing.T) {
 	specs := []CoreSpec{{Running: 3, Queued: []int64{1024, 7}}, {}, {Queued: []int64{5}}}
 	want := MachineFromSpec(specs...)

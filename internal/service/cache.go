@@ -15,7 +15,7 @@ import (
 // into a report is byte-identical to re-running the checker.
 type resultCache struct {
 	mu      sync.RWMutex
-	entries map[string]verify.Result
+	entries map[contentKey]verify.Result
 
 	// hits/misses count lookup probes: one per obligation of each
 	// submission answered from the memo (lookupAll) and of each job run
@@ -26,14 +26,18 @@ type resultCache struct {
 	misses atomic.Int64
 }
 
-// newResultCache builds the cache on seed — the map of entries the
-// durable store recovered at startup, which the cache adopts rather than
-// copies (nil for a cold or memory-only service).
-func newResultCache(seed map[string]verify.Result) *resultCache {
-	if seed == nil {
-		seed = make(map[string]verify.Result)
+// newResultCache builds the cache on recovered, the entries the durable
+// store replayed at startup under their hex keys (nil for a cold or
+// memory-only service). Each key is decoded here, once; one that is not
+// a key's hex form could never be looked up and is dropped.
+func newResultCache(recovered map[string]verify.Result) *resultCache {
+	entries := make(map[contentKey]verify.Result, len(recovered))
+	for hx, res := range recovered {
+		if key, ok := parseContentKey(hx); ok {
+			entries[key] = res
+		}
 	}
-	return &resultCache{entries: seed}
+	return &resultCache{entries: entries}
 }
 
 // flush drops every entry and returns how many there were. The hit/miss
@@ -42,7 +46,7 @@ func (c *resultCache) flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.entries)
-	c.entries = make(map[string]verify.Result)
+	c.entries = make(map[contentKey]verify.Result)
 	return n
 }
 
@@ -51,7 +55,7 @@ func (c *resultCache) flush() int {
 // cannot answer some keys and miss others, and it counts the probes as
 // hits only when it answers: a submission it cannot answer counts
 // nothing here, and the job that runs it probes each key once.
-func (c *resultCache) lookupAll(keys []string) ([]verify.Result, bool) {
+func (c *resultCache) lookupAll(keys []contentKey) ([]verify.Result, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, key := range keys {
@@ -69,7 +73,7 @@ func (c *resultCache) lookupAll(keys []string) ([]verify.Result, bool) {
 
 // lookup returns the memoized result for key, counting the probe as a
 // hit or miss.
-func (c *resultCache) lookup(key string) (verify.Result, bool) {
+func (c *resultCache) lookup(key contentKey) (verify.Result, bool) {
 	c.mu.RLock()
 	res, ok := c.entries[key]
 	c.mu.RUnlock()
@@ -83,7 +87,7 @@ func (c *resultCache) lookup(key string) (verify.Result, bool) {
 
 // store memoizes a completed result. Aborted results are conclusions
 // about the cancellation, not the policy — never memoize them.
-func (c *resultCache) store(key string, res verify.Result) {
+func (c *resultCache) store(key contentKey, res verify.Result) {
 	if res.Aborted {
 		return
 	}

@@ -53,7 +53,7 @@ func FuzzVerifyRequest(f *testing.F) {
 			t.Fatalf("accepted %q with %d keys for %d obligations", body, len(sub.keys), len(sub.obligations))
 		}
 		for i, id := range sub.obligations {
-			if !verify.KnownObligation(id) || sub.keys[i] == "" {
+			if !verify.KnownObligation(id) || sub.keys[i] == (contentKey{}) {
 				t.Fatalf("accepted %q: obligation %q has key %q", body, id, sub.keys[i])
 			}
 		}

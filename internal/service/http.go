@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/dsl"
@@ -13,10 +16,15 @@ import (
 
 // HTTP/JSON surface of the daemon:
 //
-//	POST   /v1/verify     submit a Request; 200 done (cache), 202 queued,
-//	                      400 bad request, 413 body over maxRequestBytes,
-//	                      429 queue full (+ Retry-After), 503 draining or
-//	                      closed
+//	POST   /v1/verify     submit a Request; 200 done (cache, or a job
+//	                      that ended within the wait), 202 queued, 400 bad
+//	                      request, 413 body over maxRequestBytes, 429
+//	                      queue full (+ Retry-After), 503 draining or
+//	                      closed. With ?wait=<duration> a queued job's
+//	                      answer is held as a poll's is (below): 200 with
+//	                      the job's done or cancelled envelope if it ends
+//	                      in time, else 202. A client that goes away
+//	                      mid-wait cancels the job.
 //	GET    /v1/jobs/{id}  poll a job; includes the report when done.
 //	                      With ?wait=<duration> (e.g. 30s, 250ms) the
 //	                      answer is held until the job is terminal, the
@@ -37,9 +45,11 @@ import (
 // ?wait=30s (maxPollWait), so a client that follows `poll` verbatim
 // long-polls and needs no timer of its own. (A client whose own HTTP
 // timeout is shorter lowers the value it sends — that is the one thing
-// it knows and the daemon does not.) POST /v1/verify never waits: a memo
-// hit answers on the submit round trip, anything else answers 202 at
-// once.
+// it knows and the daemon does not.) A memo hit answers on the submit
+// round trip whatever the wait. A submit without ?wait= answers anything
+// else 202 at once; one with it is a submit and a long-poll in one round
+// trip, the way `Prefer: wait` asks for it (RFC 7240 §4.3), so a cold
+// verdict costs one exchange instead of two.
 //
 // Submit and poll responses share the SubmitResponse envelope. The report
 // rides in it as a value, encoded once: the bytes verify.ReportJSON (and
@@ -62,7 +72,7 @@ func pollURL(id string) string {
 	return "/v1/jobs/" + id + "?wait=" + maxPollWait.String()
 }
 
-// pollWait reads a poll request's wait parameter.
+// pollWait reads a submit's or a poll's wait parameter.
 func pollWait(r *http.Request) time.Duration {
 	wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
 	if err != nil || wait < 0 {
@@ -140,6 +150,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case rep != nil:
 		writeJSON(w, http.StatusOK, doneResponse(rep, true, warnings))
 	default:
+		if wait := pollWait(r); wait > 0 {
+			if !awaitJob(r, job, wait) {
+				// The client gave up on the job, as a client that
+				// abandons a poll does with DELETE.
+				job.Cancel()
+			}
+			if resp, terminal := jobResponse(job); terminal {
+				writeJSON(w, http.StatusOK, resp)
+				return
+			}
+		}
 		state, _, _ := job.Snapshot()
 		writeJSON(w, http.StatusAccepted, SubmitResponse{
 			Status:   string(state),
@@ -157,23 +178,40 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wait := pollWait(r); wait > 0 {
-		timer := time.NewTimer(wait)
-		select {
-		case <-job.done:
-		case <-timer.C:
-		case <-r.Context().Done():
-		}
-		timer.Stop()
+		awaitJob(r, job, wait)
 	}
-	state, rep, errMsg := job.Snapshot()
-	resp := SubmitResponse{Status: string(state), JobID: job.ID(), Error: errMsg, Warnings: job.sub.warnings}
-	if state == JobDone {
-		resp = doneResponse(rep, false, job.sub.warnings)
-		resp.JobID = job.ID()
-	} else if state != JobCancelled {
-		resp.Poll = pollURL(job.ID())
-	}
+	resp, _ := jobResponse(job)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// awaitJob holds r until job is terminal, wait elapses or r's client
+// goes away, and reports whether the client is still there.
+func awaitJob(r *http.Request, job *Job, wait time.Duration) bool {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-job.done:
+	case <-timer.C:
+	case <-r.Context().Done():
+		return false
+	}
+	return true
+}
+
+// jobResponse is the envelope of job's current state, and whether that
+// state is terminal: a done job's report, a cancelled job's error, or a
+// live job's poll URL.
+func jobResponse(job *Job) (SubmitResponse, bool) {
+	state, rep, errMsg := job.Snapshot()
+	switch state {
+	case JobDone:
+		resp := doneResponse(rep, false, job.sub.warnings)
+		resp.JobID = job.ID()
+		return resp, true
+	case JobCancelled:
+		return SubmitResponse{Status: string(state), JobID: job.ID(), Error: errMsg, Warnings: job.sub.warnings}, true
+	}
+	return SubmitResponse{Status: string(state), JobID: job.ID(), Poll: pollURL(job.ID()), Warnings: job.sub.warnings}, false
 }
 
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -215,12 +253,32 @@ func doneResponse(rep *verify.Report, cached bool, warnings []dsl.Diagnostic) Su
 	return SubmitResponse{Status: "done", Cached: cached, Passed: passed, Report: rep, Warnings: warnings}
 }
 
+// jsonWriter is writeJSON's reusable state: an encoder that indents into
+// buf and keeps its indent buffer from one response to the next.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// writeJSON answers v as JSON: marshalled, indented by two spaces and
+// ended by a newline, with its Content-Length.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	jw.enc.Encode(v) // writes to a bytes.Buffer cannot fail; a marshal error leaves it empty
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(jw.buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(jw.buf.Bytes())
+	jsonWriters.Put(jw)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

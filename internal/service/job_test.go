@@ -122,11 +122,7 @@ func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
 	// The fan-out claims shards obligation-major, so lemma1 (first, and a
 	// hundredth of the job) finishes first: cancel once the job has run
 	// several times as long as lemma1 alone takes on this machine.
-	spec, _ := policy.Lookup(req.Policy)
-	start := time.Now()
-	verify.RunObligation(context.Background(), verify.ObLemma1,
-		func() sched.Policy { return spec.New(nil) }, verify.Config{Universe: req.universe()})
-	lemma1 := time.Since(start)
+	lemma1 := lemma1Time(req)
 
 	s := newDurable(t, t.TempDir())
 	defer s.Close()
@@ -163,6 +159,16 @@ func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
 	if hits := s.Stats().CacheHits - st.CacheHits; int(hits) != st.CacheEntries {
 		t.Errorf("resubmission found %d memoized obligations, the cancelled job completed %d", hits, st.CacheEntries)
 	}
+}
+
+// lemma1Time is how long lemma1 alone takes on req's registered policy
+// and universe on this machine.
+func lemma1Time(req Request) time.Duration {
+	spec, _ := policy.Lookup(req.Policy)
+	start := time.Now()
+	verify.RunObligation(context.Background(), verify.ObLemma1,
+		func() sched.Policy { return spec.New(nil) }, verify.Config{Universe: req.universe()})
+	return time.Since(start)
 }
 
 // stalledService is a one-worker service whose worker sleeps stall before
@@ -313,5 +319,153 @@ func TestDrainPastBudgetThenCloseReleasesLongPolls(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll still held after Close")
+	}
+}
+
+// A submit without a wait answers 202 at once, however long the job; one
+// whose wait is shorter than the job answers 202 when the wait elapses,
+// with the URL to poll, and that poll brings the verdict.
+func TestWaitedSubmitShorterThanTheJobAnswers202(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	s, srv := stalledService(t, stall)
+	start := time.Now()
+	code, env, _ := postVerify(t, srv.URL, quickRequest)
+	if took := time.Since(start); code != http.StatusAccepted || took > stall/4 {
+		t.Fatalf("submit without a wait: %d %+v after %v, want 202 at once", code, env, took)
+	}
+	waitDone(t, mustJob(t, s, env.JobID))
+
+	req := Request{Policy: "delta2", Obligations: []string{"steal-soundness"}}
+	start = time.Now()
+	code, env, _ = postTo(t, srv.URL+"/v1/verify?wait=30ms", req)
+	took := time.Since(start)
+	if code != http.StatusAccepted || env.Status == "done" || env.Poll != pollURL(env.JobID) {
+		t.Fatalf("wait=30ms on a %v job: %d %+v, want 202 with the poll URL", stall, code, env)
+	}
+	if took < 30*time.Millisecond || took > stall/2 {
+		t.Errorf("wait=30ms on a %v job answered after %v", stall, took)
+	}
+	if got := pollJSON(t, srv.URL+env.Poll); got.Status != "done" || got.Passed == nil || !*got.Passed {
+		t.Errorf("the poll after a 202 answered %+v, want the verdict", got)
+	}
+}
+
+// mustJob looks a job up by id.
+func mustJob(t *testing.T, s *Service, id string) *Job {
+	t.Helper()
+	job, ok := s.Job(id)
+	if !ok {
+		t.Fatalf("no job %q", id)
+	}
+	return job
+}
+
+// Two identical waited submits share one job, and both are answered with
+// its verdict: the same bytes, job_id included.
+func TestCoalescedWaitedSubmitsShareTheVerdict(t *testing.T) {
+	s, srv := stalledService(t, 150*time.Millisecond)
+	type answer struct {
+		code int
+		body []byte
+	}
+	answers := make(chan answer, 2)
+	submit := func() {
+		code, _, body := postTo(t, srv.URL+"/v1/verify?wait=30s", quickRequest)
+		answers <- answer{code, body}
+	}
+	go submit()
+	for s.Stats().JobsSubmitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go submit()
+	a, b := <-answers, <-answers
+	if a.code != http.StatusOK || b.code != http.StatusOK || !bytes.Equal(a.body, b.body) {
+		t.Errorf("coalesced waited submits answered %d and %d:\n%s\n%s", a.code, b.code, a.body, b.body)
+	}
+	var env SubmitResponse
+	if err := json.Unmarshal(a.body, &env); err != nil || env.Status != "done" || env.JobID == "" {
+		t.Errorf("coalesced answer %+v (%v), want a job's done envelope", env, err)
+	}
+	if st := s.Stats(); st.JobsSubmitted != 1 || st.JobsCoalesced != 1 {
+		t.Errorf("%d jobs submitted and %d coalesced, want 1 and 1", st.JobsSubmitted, st.JobsCoalesced)
+	}
+}
+
+// A job cancelled while a submit waits on it answers that submit with the
+// cancelled envelope the poll sends.
+func TestWaitedSubmitAnswersTheCancellation(t *testing.T) {
+	s, srv := stalledService(t, 200*time.Millisecond)
+	type answer struct {
+		code int
+		env  SubmitResponse
+		body []byte
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		code, env, body := postTo(t, srv.URL+"/v1/verify?wait=30s", quickRequest)
+		answered <- answer{code, env, body}
+	}()
+	for s.Stats().JobsSubmitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	job := mustJob(t, s, "j-1")
+	job.Cancel()
+	got := <-answered
+	if got.code != http.StatusOK || got.env.Status != string(JobCancelled) || got.env.Error == "" || got.env.JobID != job.ID() {
+		t.Fatalf("submit waiting on a cancelled job answered %d %+v, want 200 with the cancelled envelope", got.code, got.env)
+	}
+	if polled := getRaw(t, srv.URL+"/v1/jobs/"+job.ID()); !bytes.Equal(got.body, polled) {
+		t.Errorf("waited submit and cancelled poll differ:\nsubmit %s\n  poll %s", got.body, polled)
+	}
+}
+
+// A client that goes away while its submit waits cancels the job, as a
+// DELETE would; the obligations the job completed stay memoized.
+func TestClientGoneMidWaitCancelsTheJob(t *testing.T) {
+	req := slowRequest()
+	req.Universe.Cores, req.Universe.MaxPerCore, req.Universe.MaxTotal = 5, 3, 7
+	lemma1 := lemma1Time(req)
+
+	s := MustNew(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/verify?wait=30s", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(httpReq)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	for s.Stats().JobsSubmitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	job := mustJob(t, s, "j-1")
+	waitState(t, job, JobRunning)
+	time.Sleep(5 * lemma1)
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("the abandoned submit was answered")
+	}
+	rep, errMsg := waitDone(t, job)
+	if rep != nil || !strings.HasPrefix(errMsg, "cancelled: aborted") {
+		t.Fatalf("job of a client gone mid-wait finished with report=%v err=%q, want cancelled", rep, errMsg)
+	}
+	s.cache.mu.RLock()
+	_, lemma1Memoized := s.cache.entries[job.sub.keys[0]]
+	s.cache.mu.RUnlock()
+	if n := s.Stats().CacheEntries; !lemma1Memoized || n >= len(job.sub.keys) {
+		t.Errorf("%d of %d obligations memoized (lemma1: %v), want lemma1 and not all", n, len(job.sub.keys), lemma1Memoized)
 	}
 }

@@ -30,14 +30,32 @@ import (
 // every parallelism level and on every host — the invariant that makes
 // memoization sound at all.
 //
-// A key is the hex SHA-256 of its fields, each NUL-terminated (every
-// field is NUL-free), laid out in one buffer. These bytes are what the
-// durable memo's WAL stores: changing them orphans every data directory
+// A key is the SHA-256 of its fields, each NUL-terminated (every field
+// is NUL-free), laid out in one buffer. The memo and the coalescing map
+// hold the 32-byte digest; its hex form is what the durable memo's WAL
+// stores, written when a result goes into a frame and read back once when
+// the store opens. Changing those bytes orphans every data directory
 // (TestObligationKeysArePinned).
 
+// contentKey is a content hash: the SHA-256 of a key's fields.
+type contentKey [sha256.Size]byte
+
+// String is the key's hex form, as the WAL stores it.
+func (k contentKey) String() string { return hex.EncodeToString(k[:]) }
+
+// parseContentKey reads a key's hex form back.
+func parseContentKey(s string) (contentKey, bool) {
+	var k contentKey
+	if len(s) != hex.EncodedLen(len(k)) {
+		return k, false
+	}
+	_, err := hex.Decode(k[:], []byte(s))
+	return k, err == nil
+}
+
 // obligationKey hashes one (policy, universe, obligation) cell.
-func obligationKey(forms map[string]string, u statespace.Universe, id verify.ObligationID, maxRounds int) string {
-	return hexKey(appendObligationFields(nil, forms, u.Canonical(), id, maxRounds))
+func obligationKey(forms map[string]string, u statespace.Universe, id verify.ObligationID, maxRounds int) contentKey {
+	return sha256.Sum256(appendObligationFields(nil, forms, u.Canonical(), id, maxRounds))
 }
 
 // appendObligationFields appends the hashed fields of one cell to dst;
@@ -65,25 +83,18 @@ func appendObligationFields(dst []byte, forms map[string]string, canon string, i
 // concurrent identical submissions share one job; submissions that
 // differ only in display name share cache cells but not jobs, so each
 // poller still receives a report headed by its own submission's name.
-// buf is scratch the fields are laid out in.
-func jobKeyOf(buf []byte, display string, keys []string) string {
+// Each cell's field is its key's hex form. buf is scratch the fields are
+// laid out in.
+func jobKeyOf(buf []byte, display string, keys []contentKey) contentKey {
 	buf = appendField(buf[:0], display)
 	for _, k := range keys {
-		buf = appendField(buf, k)
+		buf = append(hex.AppendEncode(buf, k[:]), 0)
 	}
-	return hexKey(buf)
+	return sha256.Sum256(buf)
 }
 
 // appendField appends a length-unambiguous field (NUL-terminated; every
 // hashed string here is NUL-free).
 func appendField(dst []byte, s string) []byte {
 	return append(append(dst, s...), 0)
-}
-
-// hexKey returns the hex SHA-256 of fields: the key's one allocation.
-func hexKey(fields []byte) string {
-	sum := sha256.Sum256(fields)
-	var hx [2 * sha256.Size]byte
-	hex.Encode(hx[:], sum[:])
-	return string(hx[:])
 }

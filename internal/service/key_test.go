@@ -36,7 +36,7 @@ func TestObligationKeysArePinned(t *testing.T) {
 		verify.ObWorkConservSeq: "ad569084963c465abbcc83acfe9a088219ec6c5da1a99c93e12a9a80796b8818",
 		verify.ObNoTaskLost:     "985a9e255e3cdcc47c0cc21c8276d834d14a685edf74b048d1383c22261a57b0",
 	} {
-		if got := obligationKey(forms, u, id, 0); got != want {
+		if got := obligationKey(forms, u, id, 0).String(); got != want {
 			t.Errorf("%s: key %s, pinned %s", id, got, want)
 		}
 	}
@@ -47,7 +47,7 @@ func TestObligationKeysArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "b92ce44746f14c8a2a00f8c49dc2845feb9228bc5f3858d2d1653f850e058e1a"; sub.jobKey != want {
+	if want := "b92ce44746f14c8a2a00f8c49dc2845feb9228bc5f3858d2d1653f850e058e1a"; sub.jobKey.String() != want {
 		t.Errorf("job key %s, pinned %s", sub.jobKey, want)
 	}
 	// A submission's keys are obligationKey's, cell for cell.
@@ -58,12 +58,12 @@ func TestObligationKeysArePinned(t *testing.T) {
 	}
 }
 
-// Resolving a submission's content keys allocates each key's one string
-// and nothing per field: the fields are laid out in one buffer and
-// hashed on the stack. What else keysFor allocates is per call — the
-// key and obligation slices, the universe's canonical form — or the
-// copy verify.ObligationDeps documents, one per key.
-func TestObligationKeysAllocateOneStringEach(t *testing.T) {
+// Resolving a submission's content keys allocates nothing per key: the
+// fields are laid out in one buffer and hashed on the stack into the key
+// slice, and verify.ObligationDeps hands out its table's own row. What
+// keysFor allocates is per call — the key and obligation slices and the
+// universe's canonical form.
+func TestObligationKeysAllocateNothingPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what escapes to the heap")
 	}
@@ -79,10 +79,9 @@ func TestObligationKeysAllocateOneStringEach(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per key: its string (ObligationDeps hands out the table's own
-	// slice; it cost one more per key while it copied). Per call: the
-	// two slices and the canonical universe.
-	limit := float64(n+2) + canon
+	// Per call: the two slices and the canonical universe. Each key cost
+	// one more, its hex string, while the memo was keyed on hex.
+	limit := 2 + canon
 	t.Logf("keysFor on %d obligations: %.0f objects (limit %.0f, of which %.0f the canonical universe)", n, got, limit, canon)
 	if got > limit {
 		t.Errorf("keysFor on %d obligations allocates %.0f objects, want at most %.0f", n, got, limit)

@@ -25,6 +25,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -131,8 +132,8 @@ type Service struct {
 	closed    bool
 	seq       int64
 	jobs      map[string]*Job
-	byKey     map[string]*Job // jobKey -> live (queued/running) job, for coalescing
-	doneOrder []string        // finished job ids, oldest first (retention ring)
+	byKey     map[contentKey]*Job // jobKey -> live (queued/running) job, for coalescing
+	doneOrder []string            // finished job ids, oldest first (retention ring)
 
 	draining atomic.Bool
 
@@ -169,7 +170,7 @@ func New(cfg Config, opts ...Option) (*Service, error) {
 		cancel:  cancel,
 		queue:   make(chan *Job, cfg.QueueDepth),
 		jobs:    make(map[string]*Job),
-		byKey:   make(map[string]*Job),
+		byKey:   make(map[contentKey]*Job),
 		obStats: make(map[verify.ObligationID]*obAgg),
 	}
 	for _, opt := range opts {
@@ -265,8 +266,8 @@ type submission struct {
 	factory     verify.Factory
 	universe    statespace.Universe
 	obligations []verify.ObligationID
-	keys        []string // parallel to obligations
-	jobKey      string
+	keys        []contentKey // parallel to obligations
+	jobKey      contentKey
 	timeout     time.Duration // client-propagated deadline; 0 = none
 	// memoryOnly keeps the submission's cells out of the durable store:
 	// a Go-only spec's component forms are the opaque "go:<name>", which
@@ -329,7 +330,7 @@ func (s *Service) resolve(req Request) (*submission, error) {
 
 // keysFor resolves the requested obligations and their content keys,
 // laying each key's fields out in buf.
-func (s *Service) keysFor(req Request, forms map[string]string, buf []byte) ([]string, []verify.ObligationID, error) {
+func (s *Service) keysFor(req Request, forms map[string]string, buf []byte) ([]contentKey, []verify.ObligationID, error) {
 	obligations := verify.AllObligations()
 	if len(req.Obligations) > 0 {
 		obligations = make([]verify.ObligationID, len(req.Obligations))
@@ -351,10 +352,10 @@ func (s *Service) keysFor(req Request, forms map[string]string, buf []byte) ([]s
 		return nil, nil, err
 	}
 	canon := u.Canonical()
-	keys := make([]string, len(obligations))
+	keys := make([]contentKey, len(obligations))
 	for i, id := range obligations {
 		buf = appendObligationFields(buf[:0], forms, canon, id, s.cfg.MaxRounds)
-		keys[i] = hexKey(buf)
+		keys[i] = sha256.Sum256(buf)
 	}
 	return keys, obligations, nil
 }
@@ -491,7 +492,7 @@ func (s *Service) runJob(job *Job) {
 			s.recordLatency(res.ID, rep.Elapsed[k])
 			s.cache.store(sub.keys[i], res)
 			if s.store != nil && !sub.memoryOnly {
-				fresh = append(fresh, store.Entry{Key: sub.keys[i], Result: res})
+				fresh = append(fresh, store.Entry{Key: sub.keys[i].String(), Result: res})
 			}
 		case job.ctx.Err() == nil:
 			// Aborted without cancellation means a shard panicked: the

@@ -21,16 +21,22 @@ const shadowedSource = `policy shadowed {
     choose = first
 }`
 
-// postVerify submits a request to the HTTP surface, returning the
-// status code, the decoded envelope, and the raw body bytes for
-// byte-comparison across requests.
+// postVerify submits a request to the HTTP surface without a wait,
+// returning the status code, the decoded envelope, and the raw body
+// bytes for byte-comparison across requests.
 func postVerify(t *testing.T, url string, req Request) (int, SubmitResponse, []byte) {
+	t.Helper()
+	return postTo(t, url+"/v1/verify", req)
+}
+
+// postTo is postVerify at a submit URL of the caller's, query included.
+func postTo(t *testing.T, url string, req Request) (int, SubmitResponse, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/verify", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
