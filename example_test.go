@@ -159,9 +159,9 @@ func Example_numa() {
 	//   [PASS] potential-decrease           states=257
 	//   [PASS] failure-implies-success      states=257 schedules=6168
 	//   [PASS] work-conservation-sequential states=257 worst-N=1
-	//   [PASS] work-conservation-concurrent states=257 schedules=4608 worst-N=2
-	//   [PASS] choice-independence          states=257 schedules=8160 worst-N=2
-	//   [PASS] reactivity                   states=257 schedules=4608 worst-N=2
+	//   [PASS] work-conservation-concurrent states=257 schedules=4224 worst-N=2
+	//   [PASS] choice-independence          states=257 schedules=5952 worst-N=2
+	//   [PASS] reactivity                   states=257 schedules=4224 worst-N=2
 	//   [PASS] no-task-lost                 states=257
 	//   [PASS] degraded-wasted-cores        states=257
 	//   verdict: WORK-CONSERVING (all obligations hold over the bounded universe)
@@ -280,11 +280,11 @@ func Example_verifyPolicy() {
 	//     witness: state [0 1 2]: steal c1<-c2 left potential 8 -> 8 (no strict decrease)
 	//   [PASS] failure-implies-success      states=195 schedules=1170
 	//   [PASS] work-conservation-sequential states=195 worst-N=1
-	//   [FAIL] work-conservation-concurrent states=88 schedules=204 worst-N=1
+	//   [FAIL] work-conservation-concurrent states=88 schedules=180 worst-N=1
 	//     witness: from [0 1 2]: adversarial livelock: state [0 1 2] recurs without conserving; schedule: [0 1 2] --steal-order [1 0 2]--> [0 2 1] --steal-order [2 0 1]--> [0 1 2]
-	//   [FAIL] choice-independence          states=72 schedules=192 worst-N=1
+	//   [FAIL] choice-independence          states=72 schedules=168 worst-N=1
 	//     witness: from [0 1 2]: adversarial livelock: state [0 1 2] recurs without conserving; schedule: [0 1 2] --victims [2 2 -1] steal-order [1 0 2]--> [0 2 1] --victims [1 -1 1] steal-order [2 0 1]--> [0 1 2]
-	//   [FAIL] reactivity                   states=88 schedules=204 worst-N=1
+	//   [FAIL] reactivity                   states=88 schedules=180 worst-N=1
 	//     witness: core 0 can starve from [0 1 2]: adversarial livelock: state [0 1 2] recurs without conserving; schedule: [0 1 2] --steal-order [1 0 2]--> [0 2 1] --steal-order [2 0 1]--> [0 1 2]
 	//   [PASS] no-task-lost                 states=195
 	//   [PASS] degraded-wasted-cores        states=195

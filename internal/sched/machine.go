@@ -463,7 +463,7 @@ func (m *Machine) AppendKey(dst []byte) []byte {
 			dst = append(dst, '!')
 		}
 		if c.Current != nil {
-			dst = strconv.AppendInt(dst, c.Current.Weight, 10)
+			dst = appendWeight(dst, c.Current.Weight)
 		} else {
 			dst = append(dst, '0')
 		}
@@ -480,10 +480,22 @@ func (m *Machine) AppendKey(dst []byte) []byte {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendInt(dst, w, 10)
+			dst = appendWeight(dst, w)
 		}
 	}
 	return dst
+}
+
+// defaultWeightKey is DefaultWeight as a key encodes it.
+var defaultWeightKey = strconv.Itoa(DefaultWeight)
+
+// appendWeight appends w to a key in decimal, the default weight — which
+// nearly every key is made of — without converting it each time.
+func appendWeight(dst []byte, w int64) []byte {
+	if w == DefaultWeight {
+		return append(dst, defaultWeightKey...)
+	}
+	return strconv.AppendInt(dst, w, 10)
 }
 
 // Loads returns the per-core thread counts, mostly for tests and

@@ -58,7 +58,7 @@ func goldenRequests(t *testing.T) []Request {
 // (generated by PolicyContext{Sequential: true}), so the two tables
 // cannot drift apart either.
 func TestFanOutReportsMatchSequentialDriver(t *testing.T) {
-	data, err := os.ReadFile("../verify/testdata/golden-v7.txt")
+	data, err := os.ReadFile("../verify/testdata/golden-v8.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +158,37 @@ func TestCancelMidJobKeepsCompletedObligations(t *testing.T) {
 	waitDone(t, again)
 	if hits := s.Stats().CacheHits - st.CacheHits; int(hits) != st.CacheEntries {
 		t.Errorf("resubmission found %d memoized obligations, the cancelled job completed %d", hits, st.CacheEntries)
+	}
+}
+
+// A submission that lands while a cancelled job winds down does not
+// inherit the cancellation: it gets a job of its own, which runs to a
+// verdict, and the cancelled job's end leaves the new job's key alone.
+func TestResubmitAfterCancelGetsAFreshJob(t *testing.T) {
+	s := MustNew(Config{Workers: 1})
+	defer s.Close()
+	req := slowRequest()
+	_, job, err := s.Submit(req)
+	if err != nil || job == nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, job, JobRunning)
+	job.Cancel()
+	_, again, err := s.Submit(req)
+	if err != nil || again == nil || again == job {
+		t.Fatalf("resubmission after the cancel: job=%v err=%v, want a fresh job", again, err)
+	}
+	if _, errMsg := waitDone(t, job); !strings.HasPrefix(errMsg, "cancelled") {
+		t.Errorf("the cancelled job ended %q", errMsg)
+	}
+	if rep, errMsg := waitDone(t, again); rep == nil || errMsg != "" {
+		t.Fatalf("the fresh job ended report=%v err=%q, want done", rep, errMsg)
+	}
+	if st, _, _ := again.Snapshot(); st != JobDone {
+		t.Errorf("the fresh job is %s, want %s", st, JobDone)
+	}
+	if coalesced := s.Stats().JobsCoalesced; coalesced != 0 {
+		t.Errorf("%d submissions coalesced onto the cancelled job", coalesced)
 	}
 }
 

@@ -32,9 +32,9 @@ func TestObligationKeysArePinned(t *testing.T) {
 	forms := delta2Forms(t)
 	u := verify.DefaultUniverse()
 	for id, want := range map[verify.ObligationID]string{
-		verify.ObLemma1:         "ded683a33457b3ce90f5135b6fd245e65ec7db40768271a8936ccc3527f1a00a",
-		verify.ObWorkConservSeq: "ad569084963c465abbcc83acfe9a088219ec6c5da1a99c93e12a9a80796b8818",
-		verify.ObNoTaskLost:     "985a9e255e3cdcc47c0cc21c8276d834d14a685edf74b048d1383c22261a57b0",
+		verify.ObLemma1:         "c3fd8f4582ab43f2d8977738b35a8b56cd64621d82d5419578eb0467c8b59fc3",
+		verify.ObWorkConservSeq: "8ec2791b6c262b78e351564a456db269dc6a5028f5bbceb7700df4e5d9ef7285",
+		verify.ObNoTaskLost:     "170ba4d91cf927020893aa607399f814943697c50214eb087b3838950848b06a",
 	} {
 		if got := obligationKey(forms, u, id, 0).String(); got != want {
 			t.Errorf("%s: key %s, pinned %s", id, got, want)
@@ -47,7 +47,7 @@ func TestObligationKeysArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "b92ce44746f14c8a2a00f8c49dc2845feb9228bc5f3858d2d1653f850e058e1a"; sub.jobKey.String() != want {
+	if want := "25e42a3c31d6a8e83e0f32e8d97a37a6949a319a5eb88606d5c13b5474254fa0"; sub.jobKey.String() != want {
 		t.Errorf("job key %s, pinned %s", sub.jobKey, want)
 	}
 	// A submission's keys are obligationKey's, cell for cell.

@@ -387,7 +387,8 @@ func (s *Service) submit(req Request) (*verify.Report, *Job, []dsl.Diagnostic, e
 	return rep, job, sub.warnings, err
 }
 
-// enqueue coalesces onto a live identical job or queues a new one.
+// enqueue coalesces onto a live identical job that is not cancelled, or
+// queues a new one.
 func (s *Service) enqueue(sub *submission) (*verify.Report, *Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -397,7 +398,10 @@ func (s *Service) enqueue(sub *submission) (*verify.Report, *Job, error) {
 	if s.draining.Load() {
 		return nil, nil, ErrDraining
 	}
-	if live, ok := s.byKey[sub.jobKey]; ok {
+	// A cancelled job is winding down and will report its cancellation:
+	// a submission that arrives meanwhile gets a job of its own, which
+	// takes the key (finish leaves a newer job's entry alone).
+	if live, ok := s.byKey[sub.jobKey]; ok && live.ctx.Err() == nil {
 		s.jobsCoalesced.Add(1)
 		return nil, live, nil
 	}

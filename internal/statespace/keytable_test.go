@@ -8,57 +8,33 @@ import (
 	"testing"
 )
 
-// Find returns key's entry, or -1 if the key is absent: a lookup that
-// inserts nothing, for checking the table against its model.
-func (t *KeyTable) Find(key []byte) int {
-	if len(t.index) == 0 {
-		return -1
-	}
-	h := hashKey(key)
-	mask := len(t.index) - 1
-	for s := int(h) & mask; ; s = (s + 1) & mask {
-		i := int(t.index[s]) - 1
-		if i < 0 {
-			return -1
-		}
-		if t.entries[i].hash == h && bytes.Equal(t.Key(i), key) {
-			return i
-		}
-	}
-}
-
 // keyTableModel drives a KeyTable and a map beside it, and checks after
 // every operation that they agree.
 type keyTableModel struct {
 	t       testing.TB
 	table   KeyTable
-	vals    map[string]int32
 	entries map[string]int // the entry Lookup returned for each key
 }
 
 func newKeyTableModel(t testing.TB) *keyTableModel {
-	return &keyTableModel{t: t, vals: map[string]int32{}, entries: map[string]int{}}
+	return &keyTableModel{t: t, entries: map[string]int{}}
 }
 
-func (m *keyTableModel) lookup(key []byte, v int32) {
+func (m *keyTableModel) lookup(key []byte) {
 	m.t.Helper()
-	entry, found := m.table.Lookup(key, v)
-	want, ok := m.vals[string(key)]
+	entry, found := m.table.Lookup(key)
+	want, ok := m.entries[string(key)]
 	if found != ok {
 		m.t.Fatalf("Lookup(%q): found %v, model %v", key, found, ok)
 	}
 	if !ok {
 		// Entries are numbered densely in insertion order.
-		if entry != len(m.vals) {
-			m.t.Fatalf("Lookup(%q): new entry %d, want %d", key, entry, len(m.vals))
+		if entry != len(m.entries) {
+			m.t.Fatalf("Lookup(%q): new entry %d, want %d", key, entry, len(m.entries))
 		}
-		m.vals[string(key)], m.entries[string(key)] = v, entry
-		want = v
-	} else if entry != m.entries[string(key)] {
-		m.t.Fatalf("Lookup(%q): entry %d, first returned as %d", key, entry, m.entries[string(key)])
-	}
-	if got := m.table.Value(entry); got != want {
-		m.t.Fatalf("Lookup(%q): value %d, model %d", key, got, want)
+		m.entries[string(key)] = entry
+	} else if entry != want {
+		m.t.Fatalf("Lookup(%q): entry %d, first returned as %d", key, entry, want)
 	}
 	if got := m.table.Key(entry); !bytes.Equal(got, key) {
 		m.t.Fatalf("Lookup(%q): entry %d holds key %q", key, entry, got)
@@ -77,32 +53,18 @@ func (m *keyTableModel) find(key []byte) {
 	}
 }
 
-func (m *keyTableModel) set(key []byte, v int32) {
-	m.t.Helper()
-	entry, ok := m.entries[string(key)]
-	if !ok {
-		return
-	}
-	m.table.Set(entry, v)
-	m.vals[string(key)] = v
-	if got := m.table.Value(entry); got != v {
-		m.t.Fatalf("Set(%q, %d): value %d", key, v, got)
-	}
-}
-
 func (m *keyTableModel) reset() {
 	m.table.Reset()
-	clear(m.vals)
 	clear(m.entries)
 }
 
 // checkAll looks every model key up again, by Find and by Lookup.
 func (m *keyTableModel) checkAll() {
 	m.t.Helper()
-	for k, v := range m.vals {
+	for k, want := range m.entries {
 		m.find([]byte(k))
-		if entry, found := m.table.Lookup([]byte(k), v+1); !found || m.table.Value(entry) != v {
-			m.t.Fatalf("Lookup(%q): found %v value %d, model %d", k, found, m.table.Value(entry), v)
+		if entry, found := m.table.Lookup([]byte(k)); !found || entry != want {
+			m.t.Fatalf("Lookup(%q): found %v entry %d, model %d", k, found, entry, want)
 		}
 	}
 }
@@ -138,13 +100,10 @@ func TestKeyTableMatchesMap(t *testing.T) {
 				key = keys[rng.Intn(len(keys)*(round+1)/4)]
 			}
 			buf := append([]byte(nil), key...)
-			switch rng.Intn(4) {
-			case 0, 1:
-				m.lookup(buf, int32(rng.Intn(100)-2))
-			case 2:
+			if rng.Intn(2) == 0 {
+				m.lookup(buf)
+			} else {
 				m.find(buf)
-			case 3:
-				m.set(buf, int32(rng.Intn(100)-2))
 			}
 			// The table copies its keys: scribbling on the caller's
 			// buffer afterwards changes nothing.
@@ -153,8 +112,8 @@ func TestKeyTableMatchesMap(t *testing.T) {
 			}
 		}
 		m.checkAll()
-		if round == 3 && len(m.vals) < 512 {
-			t.Fatalf("only %d keys: the table never grew across several doublings", len(m.vals))
+		if round == 3 && len(m.entries) < 512 {
+			t.Fatalf("only %d keys: the table never grew across several doublings", len(m.entries))
 		}
 		m.reset()
 		for _, k := range keys {
@@ -165,7 +124,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 
 // FuzzKeyTable runs the differential model on an operation sequence
 // decoded from the input: each op is a kind byte, a key length byte and
-// that many key bytes; a value is taken from the kind byte's high bits.
+// that many key bytes.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 0, 4, 0})
 	f.Add(bytes.Repeat([]byte{0, 65, 'y'}, 40))
@@ -180,14 +139,11 @@ func FuzzKeyTable(f *testing.F) {
 			}
 			key := data[:n]
 			data = data[n:]
-			v := int32(kind>>3) - 2
 			switch kind % 5 {
 			case 0, 1:
-				m.lookup(key, v)
-			case 2:
+				m.lookup(key)
+			case 2, 3:
 				m.find(key)
-			case 3:
-				m.set(key, v)
 			case 4:
 				m.reset()
 			}
@@ -203,8 +159,8 @@ func TestKeyTableAllocatesNothingOnceSized(t *testing.T) {
 	var table KeyTable
 	fill := func() {
 		table.Reset()
-		for i, k := range keys {
-			table.Lookup(k, int32(i))
+		for _, k := range keys {
+			table.Lookup(k)
 		}
 	}
 	fill()
@@ -228,7 +184,7 @@ func TestKeyTableResetAfterGrowth(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5000; i++ {
-		m.lookup([]byte(strconv.Itoa(i)), int32(i))
+		m.lookup([]byte(strconv.Itoa(i)))
 	}
 	m.reset()
 	emptied()
@@ -239,13 +195,10 @@ func TestKeyTableResetAfterGrowth(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		for op := 0; op < 1+rng.Intn(40); op++ {
 			key := []byte(strconv.Itoa(rng.Intn(64)))
-			switch rng.Intn(3) {
-			case 0:
-				m.lookup(key, int32(op))
-			case 1:
+			if rng.Intn(2) == 0 {
+				m.lookup(key)
+			} else {
 				m.find(key)
-			case 2:
-				m.set(key, int32(round))
 			}
 		}
 		m.checkAll()

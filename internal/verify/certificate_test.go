@@ -213,20 +213,22 @@ func certificateOrders(atts []sched.Attempt) [][]int {
 
 // verifierRanks runs shard s of obligation id on sc and returns the
 // ranks the verifier's proof of it rests on, by target: the layers of
-// the shard's game graph, work conservation's or the target core's.
+// the game graph of the shard's start states, in the row's game, toward
+// work conservation or the target core.
 func verifierRanks(id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) (func(target int) ranker, error) {
 	if r := runTask(context.Background(), id, f, u, s, sc); !r.Passed {
 		return nil, fmt.Errorf("shard %d is not proved: %s", s, r.Witness)
 	}
-	g := &sc.graph
+	g := sc.graph
+	games := g.layers[kindIndex(row(id).graph.kinds())]
 	return func(target int) ranker {
 		var layers []int32
-		if target+1 < len(g.layers) {
-			layers = g.layers[target+1]
+		if target+1 < len(games) {
+			layers = games[target+1]
 		}
 		return func(m *sched.Machine) (int, bool) {
-			i, found := g.table.Lookup(m.AppendKey(nil), 0)
-			if !found || i >= len(layers) || layers[i] == unsolved {
+			i := g.table.Find(m.AppendKey(nil))
+			if i < 0 || i >= len(layers) || layers[i] == unsolved {
 				return 0, false
 			}
 			return int(layers[i]), true

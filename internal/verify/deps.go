@@ -29,8 +29,9 @@ const (
 // about a proof obligation.
 type obligation struct {
 	id ObligationID
-	// check examines one enumerated machine, on the running task's
-	// scratch (see the package doc's checker contract).
+	// check examines one start state, on the running task's scratch:
+	// an enumerated machine, or for a graph row its node of the call's
+	// game graph (see the package doc's checker contract).
 	check func(sc *shardScratch, rank int, m *sched.Machine) bool
 	// deps are the policy components check reads, in canonical order:
 	// the components the obligation's cache key covers.
@@ -41,6 +42,10 @@ type obligation struct {
 	// rounds: check reads Config.MaxRounds, so the bound is part of the
 	// verdict's identity (ReadsMaxRounds).
 	rounds bool
+	// graph: what check reads of the call's game graph, which
+	// PolicyContext builds once for every row that reads it; zero for a
+	// per-state row.
+	graph graphUse
 }
 
 // obligations is the table, in report order. The deps are audited
@@ -75,11 +80,11 @@ var obligations = [...]obligation{
 	{id: ObLemma1, check: (*shardScratch).lemma1, deps: []PolicyComponent{CompFilter}},
 	{id: ObStealSoundness, check: (*shardScratch).stealSoundness, deps: []PolicyComponent{CompFilter, CompSteal}},
 	{id: ObPotentialDecrease, check: (*shardScratch).potentialDecrease, deps: []PolicyComponent{CompLoad, CompFilter, CompSteal}},
-	{id: ObFailureImpliesSucc, check: (*shardScratch).failureImpliesSuccess, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
+	{id: ObFailureImpliesSucc, check: (*shardScratch).failureImpliesSuccess, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}, graph: seedFacts},
 	{id: ObWorkConservSeq, check: (*shardScratch).workConservationSequential, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}, rounds: true},
-	{id: ObWorkConservConc, check: (*shardScratch).workConservationConcurrent, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
-	{id: ObChoiceIndependence, check: (*shardScratch).choiceIndependence, deps: []PolicyComponent{CompFilter, CompSteal}}, //schedlint:allow depsaudit the check calls Choose only to discard it: the verdict quantifies over all choices, so choose edits cannot change it
-	{id: ObReactivity, check: (*shardScratch).reactivity, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}},
+	{id: ObWorkConservConc, check: (*shardScratch).workConservationConcurrent, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}, graph: orderGame},
+	{id: ObChoiceIndependence, check: (*shardScratch).choiceIndependence, deps: []PolicyComponent{CompFilter, CompSteal}, graph: choiceGame}, //schedlint:allow depsaudit the check calls Choose only to discard it: the verdict quantifies over all choices, so choose edits cannot change it
+	{id: ObReactivity, check: (*shardScratch).reactivity, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal}, graph: targetGames},
 	{id: ObNoTaskLost, check: (*shardScratch).noTaskLost, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal, CompRescue}, faults: true, rounds: true},
 	{id: ObDegradedWastedCores, check: (*shardScratch).degradedWastedCores, deps: []PolicyComponent{CompFilter, CompChoose, CompSteal, CompRescue}, faults: true, rounds: true},
 }

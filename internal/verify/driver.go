@@ -13,18 +13,22 @@ import (
 
 // This file is the verifier's skeleton: the one shard loop every
 // obligation runs under (runShard), the deterministic merge of per-shard
-// Results and its one witness render (explain), and the worker pool. Every obligation's quantifier ("for all
-// machines in the universe") is split into shardCount disjoint slices
-// via statespace.Enumerator.EnumerateShardRank; PolicyContext fans the
-// slices out and merges them back into one Result.
+// Results and its one witness render (explain), and the worker pool.
+// Every obligation's quantifier ("for all machines in the universe") is
+// split into shardCount disjoint slices via
+// statespace.Enumerator.EnumerateShardRank; PolicyContext fans the
+// slices out and merges them back into one Result. A graph row's slice
+// is the same start states, read from the call's game graph (game.go),
+// which is built once for all of them.
 //
 // Two properties make the reports byte-identical run to run, across
 // parallelism levels and across hosts:
 //
 //   - The shard count is a constant, independent of the configured
 //     worker count and of the machine, so every run checks exactly the
-//     same slices (the game graph is shard-local, so the game rows'
-//     schedule counters depend on the partition).
+//     same slices. The game graph is the whole universe's, whoever
+//     built which part of it, and a game row counts each node it
+//     reaches once, whichever shard reached it first.
 //   - A refuted shard records only the global enumeration rank of its
 //     refutation, and the merge keeps the lowest — the refutation a
 //     sequential scan of the whole universe would have found first.
@@ -35,40 +39,46 @@ import (
 //
 // Shards decide and the merge explains: no shard renders a witness, and
 // for each refuted obligation the merge renders the winning one once,
-// on the calling goroutine (explain). No state is shared between
-// concurrently running shard tasks but the task counter.
+// on the calling goroutine (explain). Concurrently running shard tasks
+// share only the task counter and the call's game graph, which they
+// read once it is built, marking the nodes a game row has counted with
+// atomic bits.
 
-// shardCount is the per-obligation shard count. Changing it changes the
-// schedule counters of the game obligations, so it bumps Version.
+// shardCount is the per-obligation shard count. Changing it changes
+// which states a refuted obligation's shards scan, so it bumps Version.
 const shardCount = 8
 
 // shardScratch is what one worker's shard tasks run on, kept from task to
-// task and, in scratchPool, from fan-out to fan-out (a fan-out takes one
-// per worker, Sequential exactly one). Its first fields are the running
+// task and, in scratchPool, from call to call (a call takes one per
+// worker, Sequential exactly one). Its first fields are the running
 // task's: set once per task by the fan-out and runShard, read by the
 // per-state checks, and their references cleared on return to the pool.
-// The rest is the worker's: the enumerator, the game graph, the cycle
-// set, and every buffer a per-state check reuses. A check resets what it
-// takes as its own per-state code always has, and runShard resets the
-// game graph, so a shard's Result never depends on the tasks the scratch
-// ran before — in particular the graph is emptied per shard, never
-// shared.
+// The rest is the worker's: the enumerator, its share of a game graph
+// build's level, the machines a node is rebuilt and a round is run on,
+// and every buffer a per-state check reuses. A check resets what it
+// takes as its own per-state code always has, so a shard's Result never
+// depends on the tasks the scratch ran before.
 type shardScratch struct {
 	ctx       context.Context
 	f         Factory
 	res       *Result // the shard's Result, which the check reports into
 	render    bool    // refute renders the witness: set only by explain
 	maxRounds int     // Config.MaxRounds, defaulted
-	walked    int     // the shard's walked steal orders, the cancellation poll's stride
+	walked    int     // the orders walked since the last poll's stride began
 	ablation  *AblationResult
+	graph     *gameGraph // the call's game graph, which the graph rows read
+	seed      int        // the start node a graph row's check is handed
 
 	enum  statespace.Enumerator
-	graph gameGraph
-	link  visitFunc       // linkSuccessor, bound once
+	level graphLevel      // the worker's share of a build level
+	link  roundFunc       // linkRound, bound once
+	m     sched.Machine   // a graph node's state, rebuilt from its key
 	trial sched.Machine   // the copy a single steal or one whole order runs on
 	att   sched.Attempt   // the single steal's attempt (a local one would escape)
-	atts  []sched.Attempt // choiceSuccessors' victim assignment
+	atts  []sched.Attempt // expand's victim assignment
 	perms permScratch
+	key   []byte             // a graph row's start state key
+	stack []int32            // enter's walk
 	seen  statespace.Visited // the sequential checks' cycle set
 	start []int              // the start state's loads, for the witness
 	// noTaskLost's orphan maps: orphanedAt[id] is the round at which
@@ -81,14 +91,20 @@ type shardScratch struct {
 // scratchPool keeps worker scratches between fan-outs.
 var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
-// forEachPooledTask is sched.ForEach with each worker on a scratch from
-// scratchPool, put back (minus its references into the call) when done.
-func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
-	scratch := make([]*shardScratch, min(workers, n))
+// takeScratch takes n worker scratches from scratchPool.
+func takeScratch(n int) []*shardScratch {
+	scratch := make([]*shardScratch, n)
 	for w := range scratch {
 		scratch[w] = scratchPool.Get().(*shardScratch)
 	}
-	sched.ForEach(n, workers, func(w, i int) bool {
+	return scratch
+}
+
+// forEachPooledTask is sched.ForEach with each of min(workers, n)
+// workers on a scratch from scratchPool, put back when done.
+func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
+	scratch := takeScratch(min(workers, n))
+	sched.ForEach(n, len(scratch), func(w, i int) bool {
 		fn(scratch[w], i)
 		return true
 	})
@@ -100,7 +116,7 @@ func forEachPooledTask(n, workers int, fn func(sc *shardScratch, i int)) {
 // putScratch puts sc back into scratchPool, minus its references into
 // the call and with rendering off.
 func putScratch(sc *shardScratch) {
-	sc.ctx, sc.f, sc.res, sc.ablation, sc.render = nil, nil, nil, nil, false
+	sc.ctx, sc.f, sc.res, sc.ablation, sc.graph, sc.render = nil, nil, nil, nil, nil, false
 	scratchPool.Put(sc)
 }
 
@@ -129,7 +145,7 @@ func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, r
 	defer func(start time.Time) { took = time.Since(start) }(time.Now()) //schedlint:allow determinism shard timing is telemetry beside the report (Report.Elapsed, json:"-"), never in a Result, a memo key or a WAL frame
 	defer contain(ob.id, res)
 	u = sc.arm(ob, u, res)
-	sc.enum.EnumerateShardRank(u, s, shardCount, func(rank int, m *sched.Machine) bool {
+	sc.states(ob, u, s, func(rank int, m *sched.Machine) bool {
 		if res.StatesChecked&63 == 0 && aborted(sc.ctx, res) {
 			return false
 		}
@@ -139,16 +155,34 @@ func (sc *shardScratch) runShard(ob *obligation, u statespace.Universe, s int, r
 	return // took is stamped by the deferred call above
 }
 
+// states walks shard s of u as ob quantifies over it, stopping when fn
+// returns false: the enumerated machines, or for a graph row the call's
+// graph's start states in the same order, each handed over as its node
+// (in seed) and no machine — the graph holds its state.
+func (sc *shardScratch) states(ob *obligation, u statespace.Universe, s int, fn func(rank int, m *sched.Machine) bool) {
+	if ob.graph == 0 {
+		sc.enum.EnumerateShardRank(u, s, shardCount, fn)
+		return
+	}
+	for _, st := range sc.graph.starts {
+		if int(st.rank)%shardCount != s {
+			continue
+		}
+		if sc.seed = int(st.node); !fn(int(st.rank), nil) {
+			return
+		}
+	}
+}
+
 // arm readies the scratch for a task of ob that reports into res: res
-// passes until the check says otherwise, the game graph is empty, and
-// the returned universe is u as ob quantifies over it.
+// passes until the check says otherwise, and the returned universe is u
+// as ob quantifies over it.
 func (sc *shardScratch) arm(ob *obligation, u statespace.Universe, res *Result) statespace.Universe {
 	*res = Result{ID: ob.id, Passed: true}
 	if !ob.faults {
 		u.MaxFaults = 0
 	}
 	sc.res, sc.walked = res, 0
-	sc.graph.reset(u)
 	return u
 }
 
@@ -179,7 +213,7 @@ func (sc *shardScratch) explain(ob *obligation, u statespace.Universe, merged, r
 	want := merged.order
 	u = sc.arm(ob, u, res)
 	sc.render = true
-	sc.enum.EnumerateShardRank(u, want%shardCount, shardCount, func(rank int, m *sched.Machine) bool {
+	sc.states(ob, u, want%shardCount, func(rank int, m *sched.Machine) bool {
 		return rank < want || rank == want && ob.check(sc, rank, m)
 	})
 	if res.Passed {

@@ -17,11 +17,11 @@ import (
 	"repro/internal/statespace"
 )
 
-// updateGolden regenerates testdata/golden-v7.txt from the checker as it
+// updateGolden regenerates testdata/golden-v8.txt from the checker as it
 // stands. Only a change that bumps Version may use it.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/verify/testdata/golden-*.txt (only together with a verify.Version bump)")
 
-const goldenFile = "testdata/golden-v7.txt"
+const goldenFile = "testdata/golden-v8.txt"
 
 type goldenCase struct {
 	name string

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sched"
 )
@@ -158,25 +159,28 @@ func potentialViolation(before, after *sched.Machine, p sched.Policy, att *sched
 // successful steal involving the failed attempt's thief or victim. The
 // argument in the paper: only the stealing phase mutates runqueues, so a
 // filter that flipped between selection and steal must have been
-// flipped by a completed steal.
-func (sc *shardScratch) failureImpliesSuccess(rank int, m *sched.Machine) bool {
-	// One selection per state: it reads only the round-start snapshot,
-	// which is the same under every order.
-	p := sc.f()
-	atts := sched.SelectAll(p, m)
-	return sc.perms.stealOrders(atts, func(order []int, weight int) bool {
-		if !sc.walk(weight) {
-			return false
-		}
-		rr := sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
-		for _, att := range rr.Attempts {
-			if att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
-				return sc.refute(rank, func() string {
-					return fmt.Sprintf("state %s order %s: c%d's failed steal from c%d has no predecessor success",
-						ints(m.Loads()), ints(order), att.Thief, att.Victim)
-				})
-			}
-		}
+// flipped by a completed steal. The call's game graph walked the state's
+// order game once and kept the verdict and the orders' weight on its
+// start node; only a witness walks them again.
+func (sc *shardScratch) failureImpliesSuccess(rank int, _ *sched.Machine) bool {
+	g, i := sc.graph, sc.seed
+	n := &g.nodes[i]
+	sc.res.SchedulesChecked = satAdd(sc.res.SchedulesChecked, n.fis)
+	if !n.fails {
 		return true
+	}
+	return sc.refute(rank, func() string {
+		var witness string
+		m := g.rebuild(&sc.m, i)
+		sc.expand(m, orderEdge, func(rr sched.RoundResult, _ *sched.Machine, _ []sched.Attempt, order []int, _ int, _ edgeKind) bool {
+			att := unexplained(rr)
+			if att == nil {
+				return true
+			}
+			witness = "state " + ints(m.Loads()) + " order " + ints(order) + ": c" + strconv.Itoa(att.Thief) +
+				"'s failed steal from c" + strconv.Itoa(att.Victim) + " has no predecessor success"
+			return false
+		})
+		return witness
 	})
 }

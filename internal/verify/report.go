@@ -41,7 +41,10 @@
 // whether it quantifies over the fault dimension or reads MaxRounds.
 // The report order, the memoizer's keys and the depsaudit analyzer all
 // read the same rows, so adding an obligation is one constant and one
-// row. Every check is driven by the one shard loop, runShard, which owns
+// row. A graph row (failure-implies-success and the games) reads the
+// call's game graph instead of a machine: its check is handed each start
+// state as a node of the graph (shardScratch.seed) and no machine. Every
+// check is driven by the one shard loop, runShard, which owns
 // the shard's Result, sets the task's state on the scratch (context,
 // factory, Result, round bound; the check's own counters start at
 // zero), counts the states, polls cancellation every 64 states and
@@ -83,28 +86,41 @@
 //
 // Work-conservation-concurrent, choice-independence and reactivity are
 // reachability games — from every start state, every schedule the
-// adversary picks reaches the goal — solved on one graph per shard task
-// (gameGraph), with no recursion.
+// adversary picks reaches the goal — and failure-implies-success a
+// property of the first round of the same walk. All four read one game
+// graph per PolicyContext call (gameGraph), built once for every row
+// that reads it, with no recursion.
 //
-//   - Graph: the states the shard's start states reach, numbered in
-//     discovery order by key (sched.Machine.AppendKey). A flat loop
-//     expands each node once per shard, rebuilt from its key, keeping the
-//     distinct successors of its walked orders; work-conserved nodes end
-//     every game and are not expanded.
+//   - Graph: every start state of the universe and every state they
+//     reach, numbered by key (sched.Machine.AppendKey) level by level.
+//     Each node is expanded once per call, rebuilt from its key: its
+//     distinct successors become edges marked with the games they
+//     belong to — the order game (the policy's own victims, stolen by
+//     the instance that chose them) and the choice game (any admitted
+//     victim, stolen by a second instance) — each with its summed
+//     schedule weight. Work-conserved nodes end every game and are not
+//     expanded, but for start states, whose order-game rounds give
+//     failure-implies-success its facts: whether one fails
+//     re-validation unexplained, and the weight walked up to it.
+//   - Build: the call's workers expand a level's nodes into buffers of
+//     their own, and one pass per level numbers the new states in node
+//     order, so the graph is the same whatever the worker count.
 //   - Goals: work conservation, or per reactivity target core, the core
 //     has work or no core is overloaded.
-//   - Solver: one backward pass per goal (solve) gives a node meeting the
-//     goal layer 0 and any other, once its successors are solved, 1 +
-//     their largest layer — its worst-case rounds, the Bound. A node never
-//     solved is refuted. Each pass covers only the nodes the graph gained
-//     since the goal's last one, so a goal is solved once per shard.
+//   - Solver: one backward pass per game and goal (solve) gives a node
+//     meeting the goal layer 0 and any other, once its successors are
+//     solved, 1 + their largest layer — its worst-case rounds, the
+//     Bound. A node never solved is refuted.
 //   - Lasso: a refuted start state's witness walks the first unsolved
-//     successor in enumeration order until a node repeats, and prints the
+//     successor in expansion order until a node repeats, and prints the
 //     cycle.
 //
-// SchedulesChecked counts each expanded node's walked orders once per
-// shard: a refuted shard counts all its start states reach, and
-// reactivity's targets share one count.
+// A graph row's shard task scans its start states as any row does, each
+// a lookup. A game row's SchedulesChecked is the walked order weight, on
+// its game's edges, of each distinct node it reaches from the start
+// states it checked — whichever shard reached the node first — so it is
+// the same whether the row runs alone or beside others, at any
+// parallelism; failure-implies-success counts each start state's own.
 package verify
 
 import (
@@ -215,7 +231,8 @@ type Report struct {
 
 	// Elapsed is telemetry beside the report, parallel to Results on a
 	// report PolicyContext returned and nil on any other: the time the
-	// obligation's shards took, summed over the shards. Shards of
+	// obligation's shards took, summed over the shards, and for a graph
+	// row its share of the call's game graph build. Shards of
 	// different obligations interleave on one worker pool, so this is
 	// checker busy time, not a span on the clock. It is not part of the
 	// report: it never reaches ReportJSON, a memo key or a WAL frame.

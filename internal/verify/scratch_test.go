@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -12,11 +13,24 @@ import (
 )
 
 // runTask is one (obligation, shard) task of PolicyContext's fan-out, on
-// the given scratch, with its witness rendered.
+// the given scratch, with its witness rendered. A graph row's task reads
+// a game graph of the shard's own start states, built on the scratch
+// alone (the scratch keeps it from task to task); a build cut short is
+// the task's Result.
 func runTask(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, s int, sc *shardScratch) Result {
 	var res Result
 	sc.ctx, sc.f, sc.maxRounds, sc.render = ctx, f, DefaultMaxRounds, true
-	sc.runShard(row(id), u, s, &res)
+	ob := row(id)
+	if ob.graph != 0 {
+		g := sc.graph
+		if g == nil {
+			g = new(gameGraph)
+		}
+		if !g.build(u, s, shardCount, []*shardScratch{sc}, 0, ob.graph) {
+			return g.cutResult(id, ob.graph)
+		}
+	}
+	sc.runShard(ob, u, s, &res)
 	return res
 }
 
@@ -122,33 +136,35 @@ func TestShardSetupAllocatesOncePerWorker(t *testing.T) {
 	}
 }
 
-// A game allocates per shard task, not per node: its graph — a key table
-// numbering the nodes, their keys, successors and layers — is storage the
-// worker's scratch keeps, so a second identical
-// work-conservation-concurrent shard on the same scratch allocates only
-// runTask's Result and nothing that grows with the nodes it expands.
+// A game allocates per call, not per node: the call's graph — a key
+// table numbering the nodes, their keys, edges and layers — and the
+// workers' levels are storage graphPool and scratchPool keep, so a
+// warmed work-conservation-concurrent report allocates no more on a
+// universe of thousands of nodes than on one of a dozen.
 func TestGameExplorerAllocatesNothingPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what escapes to the heap")
 	}
 	p := policy.NewDelta2()
 	f := func() sched.Policy { return p }
-	var sc shardScratch
-	for _, u := range []statespace.Universe{
+	var allocs [2]float64
+	for i, u := range []statespace.Universe{
 		{Cores: 3, MaxPerCore: 2},
 		{Cores: 4, MaxPerCore: 3, MaxTotal: 7, IncludeUnscheduled: true},
 	} {
-		var r Result
-		runTask(context.Background(), ObWorkConservConc, f, u, 0, &sc)
-		allocs := testing.AllocsPerRun(3, func() { r = runTask(context.Background(), ObWorkConservConc, f, u, 0, &sc) })
-		if !r.Passed {
+		cfg := Config{Universe: u, Obligations: []ObligationID{ObWorkConservConc}, Sequential: true}
+		var rep *Report
+		report := func() { rep, _ = PolicyContext(context.Background(), "delta2", f, cfg) }
+		report()
+		allocs[i] = testing.AllocsPerRun(3, report)
+		if r := rep.Results[0]; !r.Passed {
 			t.Fatalf("%v: delta2 refuted: %s", u, r.Witness)
+		} else {
+			t.Logf("%v: %.0f objects for a report of %d states, %d schedules", u, allocs[i], r.StatesChecked, r.SchedulesChecked)
 		}
-		t.Logf("%v: %.0f objects for a shard of %d states, %d schedules", u, allocs, r.StatesChecked, r.SchedulesChecked)
-		const perTask = 1 // it read 2 while the task built its check's closure
-		if allocs > perTask {
-			t.Errorf("%v: a warmed shard allocates %.0f objects, want at most %d whatever its node count", u, allocs, perTask)
-		}
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("a warmed report allocates %.0f objects on the large universe, %.0f on the small one: want no more, whatever the node count", allocs[1], allocs[0])
 	}
 }
 
@@ -167,7 +183,13 @@ func TestLassoPrintsTheCycleOnly(t *testing.T) {
 	} {
 		var res Result
 		sc := &shardScratch{ctx: context.Background(), f: greedyFactory, res: &res, render: true}
-		if sc.workConservationConcurrent(0, sched.MachineFromLoads(c.loads...)) {
+		// A universe whose start states include c.loads.
+		u := statespace.Universe{Cores: len(c.loads), MaxPerCore: slices.Max(c.loads), MaxTotal: 4}
+		if !new(gameGraph).build(u, 0, 1, []*shardScratch{sc}, 0, orderGame) {
+			t.Fatalf("the build over %v was cut short: %s", u, sc.graph.cut)
+		}
+		sc.seed = sc.graph.find(sc, sched.MachineFromLoads(c.loads...))
+		if sc.workConservationConcurrent(0, nil) {
 			t.Fatalf("greedy-buggy conserves work from %v", c.loads)
 		}
 		if res.Witness != c.want {
@@ -249,17 +271,13 @@ func TestMergedWitnessIsTheWinningShards(t *testing.T) {
 }
 
 // fanOutCalls counts the factory calls greedy-buggy's Sequential report
-// on u makes before its merge renders: its shard tasks', which render
-// nothing.
+// on u makes before its merge renders: its game graph build's and its
+// shard tasks', which render nothing.
 func fanOutCalls(u statespace.Universe) int64 {
 	var calls atomic.Int64
 	counting := func() sched.Policy { calls.Add(1); return greedyFactory() }
-	ids := AllObligations()
-	forEachPooledTask(len(ids)*shardCount, 1, func(sc *shardScratch, i int) {
-		sc.ctx, sc.f, sc.maxRounds = context.Background(), counting, DefaultMaxRounds
-		var res Result
-		sc.runShard(row(ids[i/shardCount]), u, i%shardCount, &res)
-	})
+	sc := &shardScratch{ctx: context.Background(), f: counting, maxRounds: DefaultMaxRounds}
+	fanOut(u, AllObligations(), []*shardScratch{sc})
 	return calls.Load()
 }
 

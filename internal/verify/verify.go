@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/statespace"
 )
 
@@ -14,7 +15,7 @@ import (
 // Bump it whenever any obligation's verdicts, counters, bounds or
 // witness text can change — shard-merge changes included, since reports
 // are defined to be byte-identical across parallelism levels.
-const Version = "optsched-verify/7"
+const Version = "optsched-verify/8"
 
 // DefaultMaxRounds is the cap on sequential convergence loops that a
 // zero Config.MaxRounds selects — the one statement of that default for
@@ -68,7 +69,9 @@ func DefaultUniverse() statespace.Universe {
 // shard) tasks drain through one worker pool of cfg.Parallelism
 // goroutines — so a single expensive obligation saturates every worker
 // instead of hogging one goroutine while the others finish early — or,
-// under cfg.Sequential, run inline in the same order. Because pooled
+// under cfg.Sequential, run inline in the same order. The obligations
+// that quantify over concurrent rounds read one game graph, built once
+// per call as a task of the same fan-out (fanOut). Because pooled
 // shard checks run concurrently, f must then be safe for concurrent
 // calls; every registered and DSL-compiled factory is (see Factory).
 //
@@ -100,11 +103,6 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	// All (obligation, shard) tasks flattened obligation-major onto one
-	// task list; each task owns its slot of parts, and runs on the
-	// scratch of the worker that claimed it.
-	parts := make([]Result, len(ids)*shardCount)
-	took := make([]time.Duration, len(parts))
 	workers := 1
 	if !cfg.Sequential {
 		workers = cfg.Parallelism
@@ -112,37 +110,127 @@ func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Re
 			workers = runtime.GOMAXPROCS(0)
 		}
 	}
-	forEachPooledTask(len(parts), workers, func(sc *shardScratch, i int) {
+	scratch := takeScratch(min(workers, len(ids)*shardCount))
+	for _, sc := range scratch {
 		sc.ctx, sc.f, sc.maxRounds = ctx, f, maxRounds
-		took[i] = sc.runShard(row(ids[i/shardCount]), u, i%shardCount, &parts[i])
-	})
+	}
+	parts, took, g := fanOut(u, ids, scratch)
 	rep := &Report{
 		Policy:   name,
 		Universe: u.String(),
 		Results:  make([]Result, len(ids)),
 		Elapsed:  make([]time.Duration, len(ids)),
 	}
-	var sc *shardScratch // the merge's, taken for the first refutation
+	graphRows := 0
+	for _, id := range ids {
+		if row(id).graph != 0 {
+			graphRows++
+		}
+	}
+	sc, rendering := scratch[0], false // the renders' scratch, taken for the first refutation
 	for i, id := range ids {
+		ob := row(id)
 		lo, hi := i*shardCount, (i+1)*shardCount
 		res := &rep.Results[i]
 		*res, rep.Elapsed[i] = mergeResults(id, parts[lo:hi], took[lo:hi])
+		if ob.graph != 0 {
+			// The rows that shared the build share its time.
+			share := g.built / time.Duration(graphRows)
+			if graphRows--; graphRows == 0 {
+				share = g.built
+			}
+			g.built -= share
+			rep.Elapsed[i] += share
+			if g.cut != "" {
+				*res = g.cutResult(id, ob.graph)
+			}
+		}
 		if res.Passed || res.Aborted {
 			continue
 		}
-		if sc == nil {
+		if !rendering {
 			// The fan-out finished, so the report carries every witness
-			// even if ctx is cancelled now: the render polls a context
+			// even if ctx is cancelled now: the renders poll a context
 			// that is never cancelled.
-			sc = scratchPool.Get().(*shardScratch)
-			sc.ctx, sc.f, sc.maxRounds = context.WithoutCancel(ctx), f, maxRounds
+			sc.ctx, rendering = context.WithoutCancel(ctx), true
+			if g != nil && sc.graph != g {
+				g.attach(sc)
+			}
 		}
-		sc.explain(row(id), u, res, &parts[lo]) // the merged shards' slots are spent
+		sc.explain(ob, u, res, &parts[lo]) // the merged shards' slots are spent
 	}
-	if sc != nil {
+	if g != nil {
+		graphPool.Put(g)
+	}
+	for _, sc := range scratch {
 		putScratch(sc)
 	}
 	return rep, rep.abortErr(ctx)
+}
+
+// fanOut runs the call's checks on its worker scratches, as one task
+// list the workers claim in order: every per-state row's shard tasks,
+// obligation-major; then, when a row in ids reads one, the build of the
+// call's game graph; then the graph rows' shard tasks. Each shard task
+// owns its slot of parts and runs on the scratch of the worker that
+// claimed it. A worker that claims a graph row's task while the build is
+// under way helps build it first (gameGraph.help), so no worker idles;
+// the build's time, the builder's and the helpers', is the graph's. When the
+// build was cut short the graph rows' tasks run nothing, and the merge
+// reports the cut.
+func fanOut(u statespace.Universe, ids []ObligationID, scratch []*shardScratch) ([]Result, []time.Duration, *gameGraph) {
+	parts := make([]Result, len(ids)*shardCount)
+	took := make([]time.Duration, len(parts))
+	var use graphUse
+	perState := 0 // the per-state rows' tasks, which come first
+	for _, id := range ids {
+		if use |= row(id).graph; row(id).graph == 0 {
+			perState += shardCount
+		}
+	}
+	var g *gameGraph
+	tasks := len(parts)
+	if use != 0 {
+		g = graphPool.Get().(*gameGraph)
+		g.done = false
+		tasks++
+	}
+	sched.ForEach(tasks, len(scratch), func(w, i int) bool {
+		sc := scratch[w]
+		graph := g != nil && i >= perState
+		if graph {
+			if i == perState {
+				g.build(u, 0, 1, scratch, w, use)
+				return true
+			}
+			i -= perState + 1 // the graph rows' tasks, numbered from 0
+			if g.help(sc, w); g.cut != "" {
+				return true
+			}
+			if sc.graph != g {
+				g.attach(sc)
+			}
+		}
+		j := rowOf(ids, graph, i/shardCount)
+		t := j*shardCount + i%shardCount
+		took[t] = sc.runShard(row(ids[j]), u, i%shardCount, &parts[t])
+		return true
+	})
+	return parts, took, g
+}
+
+// rowOf returns the index in ids of the k-th graph row when graph is
+// set, of the k-th per-state row otherwise.
+func rowOf(ids []ObligationID, graph bool, k int) int {
+	for j, id := range ids {
+		if (row(id).graph != 0) == graph {
+			if k == 0 {
+				return j
+			}
+			k--
+		}
+	}
+	panic("verify: no such row")
 }
 
 // RunObligation checks a single obligation under cfg and returns its

@@ -836,25 +836,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// One fan-out over any set of obligations yields, per obligation, the
-// Result that obligation yields alone — what lets the daemon run a job's
-// memo misses together and splice memoized Results between them.
-func TestFanOutOfASubsetEqualsItsObligationsAlone(t *testing.T) {
-	subset := []ObligationID{ObDegradedWastedCores, ObLemma1, ObWorkConservConc, ObNoTaskLost}
-	for _, f := range []Factory{delta2Factory, greedyFactory} {
-		cfg := Config{Universe: faultUniverse(), Obligations: subset, Parallelism: 3}
-		rep, err := PolicyContext(context.Background(), "p", f, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, id := range subset {
-			if alone := RunObligation(context.Background(), id, f, Config{Universe: cfg.Universe, Sequential: true}); !reflect.DeepEqual(rep.Results[i], alone) {
-				t.Errorf("%s in a fan-out of %d: %+v, alone: %+v", id, len(subset), rep.Results[i], alone)
-			}
-		}
-	}
-}
-
 // Shard time travels beside the report, never in it.
 func TestElapsedIsNotPartOfTheReport(t *testing.T) {
 	rep, err := PolicyContext(context.Background(), "delta2", delta2Factory, Config{Universe: smallUniverse()})

@@ -73,77 +73,120 @@ func (sc *shardScratch) workConservationSequential(rank int, m *sched.Machine) b
 	return true
 }
 
-// visitFunc is handed each one-round successor of a state, the
-// adversary's decisions that led to it — the attempts carrying the
-// victims it chose (nil when Choose picked them) and the steal order —
-// and the full orders that order stands for. All three are reused after
-// the call; returning false stops the enumeration.
-type visitFunc func(next *sched.Machine, atts []sched.Attempt, order []int, weight int) bool
+// edgeKind marks which game an edge of the game graph belongs to.
+type edgeKind uint8
 
-// successorFunc enumerates the adversary's one-round successors of a
-// state, in a fixed order, and reports whether it ran to completion.
-// The selection phase runs once per state, not once per order: it reads
-// only the round-start snapshot, which no order can change.
-type successorFunc func(sc *shardScratch, m *sched.Machine, visit visitFunc) bool
+const (
+	// orderEdge marks the order game's edges, the §4.3 model: the
+	// policy's own victims, under every steal order, stolen by the
+	// instance that selected them.
+	orderEdge edgeKind = 1 << iota
+	// choiceEdge marks the choice game's edges: any victim the filter
+	// admitted, under every steal order, stolen by a second instance.
+	choiceEdge
+)
 
-// orderSuccessors gives the adversary control of the steal serialization
-// order only — the §4.3 model where the policy's own Choose picks
-// victims.
-func orderSuccessors(sc *shardScratch, m *sched.Machine, visit visitFunc) bool {
+// edgeKinds is how many kinds there are; kind k is edgeKind(1 << k).
+const edgeKinds = 2
+
+// roundFunc is handed each round expand walks: its outcome, the
+// successor it made, the victims the adversary chose (nil when the
+// policy's Choose picked them), the steal order, the full orders that
+// order stands for, and the games the round is an edge of. All of it is
+// reused after the call; returning false stops the walk.
+type roundFunc func(rr sched.RoundResult, next *sched.Machine, chosen []sched.Attempt, order []int, weight int, kind edgeKind) bool
+
+// expand walks the adversary's one-round moves from m, in a fixed
+// order, for the games in kinds, and reports whether it ran to
+// completion. The selection phase runs once per state, not once per
+// order: it reads only the round-start snapshot, which no order can
+// change.
+//
+// The choice game's victim assignments are walked as an odometer over
+// the candidates the policy's filter admitted against the snapshot, the
+// last attempting core's choice turning fastest, each under every
+// order. Its steals re-validate under a second instance, one that has
+// not seen BeginRound, never the selecting one: sharing it flips
+// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP item
+// 3(a) records the open question). The order game's rounds are the
+// policy's own assignment under every order, stolen by the selecting
+// instance. A policy that observes no round has nothing for the two
+// instances to disagree on, so there the order game's rounds are the
+// choice game's rounds of the policy's assignment, walked once for both.
+func (sc *shardScratch) expand(m *sched.Machine, kinds edgeKind, visit roundFunc) bool {
 	p := sc.f()
-	return sc.permuteSteals(p, m, sched.SelectAll(p, m), nil, visit)
-}
-
-// choiceSuccessors gives the adversary control of both the victim chosen
-// in step 2 (any core that passed the filter) and the steal order —
-// checking the paper's claim that the exact choice "does not matter for
-// the correctness proof". The candidate sets come from the policy's own
-// filter against the round-start snapshot; the victim assignments are
-// walked as an odometer, the last attempting core's choice turning
-// fastest.
-func choiceSuccessors(sc *shardScratch, m *sched.Machine, visit visitFunc) bool {
-	base := sched.SelectAll(sc.f(), m)
-	// The steals re-validate under a second instance, one that has not
-	// seen BeginRound, never the selecting one: sharing it flips
-	// cfs-group-buggy's verdict on a grouped 4-core universe (ROADMAP
-	// item 3(a) records the open question).
-	p := sc.f()
-	atts := append(sc.atts[:0], base...)
-	sc.atts = atts
-	for i := range atts {
-		if base[i].Victim >= 0 {
-			atts[i].Victim = base[i].Candidates[0]
-		}
-	}
-	for {
-		if !sc.permuteSteals(p, m, atts, atts, visit) {
-			return false
-		}
-		i := len(atts) - 1
-		for ; i >= 0; i-- {
-			if cs := base[i].Candidates; base[i].Victim >= 0 {
-				next := (slices.Index(cs, atts[i].Victim) + 1) % len(cs)
-				if atts[i].Victim = cs[next]; next > 0 {
-					break
-				}
+	base := sched.SelectAll(p, m)
+	_, observes := p.(sched.RoundObserver)
+	if kinds&choiceEdge != 0 {
+		q := sc.f()
+		atts := append(sc.atts[:0], base...)
+		sc.atts = atts
+		for i := range atts {
+			if base[i].Victim >= 0 {
+				atts[i].Victim = base[i].Candidates[0]
 			}
 		}
-		if i < 0 {
+		for {
+			kind := choiceEdge
+			if !observes && kinds&orderEdge != 0 && sameVictims(atts, base) {
+				kind |= orderEdge
+			}
+			if !sc.steals(q, m, atts, atts, kind, visit) {
+				return false
+			}
+			i := len(atts) - 1
+			for ; i >= 0; i-- {
+				if cs := base[i].Candidates; base[i].Victim >= 0 {
+					next := (slices.Index(cs, atts[i].Victim) + 1) % len(cs)
+					if atts[i].Victim = cs[next]; next > 0 {
+						break
+					}
+				}
+			}
+			if i < 0 {
+				break
+			}
+		}
+		if !observes || kinds&orderEdge == 0 {
 			return true
 		}
 	}
+	return sc.steals(p, m, base, nil, orderEdge, visit)
 }
 
-// permuteSteals visits the state every steal order makes of m under the
+// sameVictims reports whether the assignment atts names the victims
+// base does.
+func sameVictims(atts, base []sched.Attempt) bool {
+	for i := range atts {
+		if atts[i].Victim != base[i].Victim {
+			return false
+		}
+	}
+	return true
+}
+
+// steals visits the round every steal order makes of m under the
 // selected attempts — one order per class of orders that differ only in
 // where the no-op cores sit (stealOrders) — each on the scratch's trial
 // machine. chosen is what visit is told the adversary picked besides the
 // order.
-func (sc *shardScratch) permuteSteals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, visit visitFunc) bool {
+func (sc *shardScratch) steals(p sched.Policy, m *sched.Machine, atts, chosen []sched.Attempt, kind edgeKind, visit roundFunc) bool {
 	return sc.perms.stealOrders(atts, func(order []int, weight int) bool {
-		sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
-		return visit(&sc.trial, chosen, order, weight)
+		rr := sched.ExecuteSteals(p, sc.trial.CopyFrom(m), atts, order)
+		return visit(rr, &sc.trial, chosen, order, weight, kind)
 	})
+}
+
+// unexplained returns the first attempt of rr that failed re-validation
+// with no earlier successful steal involving its thief or victim, or
+// nil: the failure-implies-success obligation's counterexample.
+func unexplained(rr sched.RoundResult) *sched.Attempt {
+	for i := range rr.Attempts {
+		if att := &rr.Attempts[i]; att.Reason == sched.FailRevalidation && !att.PredecessorSuccess {
+			return att
+		}
+	}
+	return nil
 }
 
 // permScratch is what a steal-order walk runs on. Each worker keeps one,
@@ -239,180 +282,19 @@ func appendFaults(dst []byte, evs []sched.FaultEvent) []byte {
 // faults is appendFaults as a string.
 func faults(evs []sched.FaultEvent) string { return string(appendFaults(nil, evs)) }
 
-// gameGraph is a shard task's game graph (see the package doc's game
-// obligations), on storage the worker keeps: a node is numbered by its
-// key's entry in table, which keeps the key, and each edge is threaded
-// onto the list of edges into its target.
-type gameGraph struct {
-	table     statespace.KeyTable // an entry's value is 1 + the node that last linked it
-	key       []byte              // the AppendKey scratch
-	nodes     []gameNode
-	succ      []int32 // per edge, node by node: its target
-	src, next []int32 // per edge: its source, and the previous edge into its target (-1: none)
-	expanded  int     // nodes [0, expanded) have their edges
-	// layers[goal] holds the layers solve has given the goal, by node;
-	// goal 0 is work conservation, goal 1+c reactivity's target core c.
-	layers      [][]int32
-	left, queue []int32 // solve's
-	m           sched.Machine
-}
-
-// gameNode is where a node's edges lie in succ, its last incoming edge,
-// and the goals met at it: bit 0 when the state is work-conserved — that
-// ends every game, so the node is not expanded — and bit 1+c when core c
-// has work or no core is overloaded.
-type gameNode struct {
-	succ [2]int32
-	into int32
-	met  uint32
-}
-
-// unsolved is the layer of a node from which the adversary can keep the
-// game from its goal forever.
-const unsolved = -1
-
-// reset empties g for a shard task over u and keeps its storage; its
-// machine takes u's layout, which every node's state shares (no round
-// changes a core's node or group).
-func (g *gameGraph) reset(u statespace.Universe) {
-	g.m.Reset(u.Cores, u.Groups)
-	g.table.Reset()
-	g.nodes, g.succ, g.src, g.next, g.expanded = g.nodes[:0], g.succ[:0], g.src[:0], g.next[:0], 0
-	for i := range g.layers {
-		g.layers[i] = g.layers[i][:0]
-	}
-}
-
-// node returns m's node, adding it when the graph has not reached m yet:
-// node i is the table's entry i.
-func (g *gameGraph) node(m *sched.Machine) int {
-	g.key = m.AppendKey(g.key[:0])
-	i, found := g.table.Lookup(g.key, 0)
-	if found {
-		return i
-	}
-	n := gameNode{into: -1}
-	if m.WorkConserved() {
-		n.met = 1
-	}
-	over := slices.ContainsFunc(m.Cores, (*sched.Core).Overloaded)
-	for _, c := range m.Cores {
-		if !c.Idle() || !over {
-			n.met |= 2 << c.ID
-		}
-	}
-	g.nodes = append(g.nodes, n)
-	return i
-}
-
-// rebuild returns node i's state, g's machine until the next call, built
-// from its key (sched.Machine.SetFromKey) on the layout reset gave it:
-// queued tasks in ascending weight, task IDs afresh, however the game
-// reached the node.
-func (g *gameGraph) rebuild(i int) *sched.Machine {
-	g.m.SetFromKey(g.table.Key(i))
-	return &g.m
-}
-
-// grow adds start state m's node to the graph and expands, in one flat
-// loop, every node not yet expanded, including those the loop discovers.
-// It reports false if cancellation cut the expansion short.
-func (sc *shardScratch) grow(m *sched.Machine, succ successorFunc) (start int, ok bool) {
-	g := &sc.graph
-	start = g.node(m)
-	if sc.link == nil {
-		sc.link = sc.linkSuccessor
-	}
-	for ; g.expanded < len(g.nodes); g.expanded++ {
-		n := &g.nodes[g.expanded]
-		n.succ[0] = int32(len(g.succ))
-		if n.met&1 == 0 && !succ(sc, g.rebuild(g.expanded), sc.link) {
-			return start, false
-		}
-		g.nodes[g.expanded].succ[1] = int32(len(g.succ)) // not n: the expansion may have moved g.nodes
-	}
-	return start, true
-}
-
-// linkSuccessor is grow's visit (bound once, as link): it counts the
-// walked order and links next's node to the node being expanded, once.
-func (sc *shardScratch) linkSuccessor(next *sched.Machine, _ []sched.Attempt, _ []int, weight int) bool {
-	if !sc.walk(weight) {
-		return false
-	}
-	g := &sc.graph
-	j, from := g.node(next), int32(g.expanded)
-	if g.table.Value(j) != from+1 {
-		g.table.Set(j, from+1)
-		g.succ, g.src, g.next = append(g.succ, int32(j)), append(g.src, from), append(g.next, g.nodes[j].into)
-		g.nodes[j].into = int32(len(g.succ) - 1)
-	}
-	return true
-}
-
-// solve gives goal's layers to the nodes that lack them (a node's edges
-// never change, so the others keep theirs) and returns them: one
-// backward pass in Kahn's order, each node counting its unsolved
-// successors and solved when the count reaches zero.
-func (g *gameGraph) solve(goal int) []int32 {
-	for len(g.layers) <= goal {
-		g.layers = append(g.layers, nil)
-	}
-	layers, lo := g.layers[goal], len(g.layers[goal])
-	left, queue := g.left[:0], g.queue[:0]
-	for i := lo; i < len(g.nodes); i++ {
-		layers = append(layers, unsolved)
-		n := int32(0)
-		for _, j := range g.successors(i, goal) {
-			if int(j) >= lo || layers[j] == unsolved { // an old unsolved one never counts down
-				n++
-			}
-		}
-		if left = append(left, n); n == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	// The graph is expanded to closure before every pass, so every edge
-	// into a node the pass solves comes from a node it solves too.
-	for q := 0; q < len(queue); q++ {
-		i := queue[q]
-		layers[i] = 0
-		for _, j := range g.successors(int(i), goal) {
-			layers[i] = max(layers[i], layers[j]+1)
-		}
-		for e := g.nodes[i].into; e >= 0; e = g.next[e] {
-			if p := int(g.src[e]) - lo; left[p] > 0 { // a node meeting the goal was queued at 0
-				if left[p]--; left[p] == 0 {
-					queue = append(queue, g.src[e])
-				}
-			}
-		}
-	}
-	g.layers[goal], g.left, g.queue = layers, left, queue
-	return layers
-}
-
-// successors returns node i's successors in goal's game: none where the
-// goal is met.
-func (g *gameGraph) successors(i, goal int) []int32 {
-	if n := &g.nodes[i]; n.met&(1<<goal) == 0 {
-		return g.succ[n.succ[0]:n.succ[1]]
-	}
-	return nil
-}
-
-// lasso renders the adversary's win from node start, unsolved in layers:
-// the cycle the walk through first unsolved successors ends in (every
-// unsolved node has one).
-func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc) string {
+// lasso renders the adversary's win from node start, unsolved in layers
+// of the game on kind's edges: the cycle the walk through first unsolved
+// successors, in expand's order, ends in (every unsolved node has one).
+func (sc *shardScratch) lasso(start int, layers []int32, kind edgeKind) string {
+	g := sc.graph
 	walk, marks := make([]int, 0, 16), make([]int, 0, 16) // the nodes walked, and where each one's step starts in w.b
 	w := struct {
 		next int    // the node the walk takes next
 		b    []byte // the steps rendered so far
 		xs   []int  // a step's loads or victims
-	}{start, make([]byte, 0, 512), make([]int, 0, len(sc.graph.m.Cores))}
-	visit := func(m *sched.Machine, atts []sched.Attempt, order []int, _ int) bool {
-		j := sc.graph.node(m)
+	}{start, make([]byte, 0, 512), make([]int, 0, g.cores)}
+	visit := func(_ sched.RoundResult, m *sched.Machine, atts []sched.Attempt, order []int, _ int, _ edgeKind) bool {
+		j := g.find(sc, m)
 		if layers[j] != unsolved {
 			return true
 		}
@@ -428,27 +310,23 @@ func (sc *shardScratch) lasso(start int, layers []int32, succ successorFunc) str
 	}
 	for !slices.Contains(walk, w.next) {
 		walk, marks = append(walk, w.next), append(marks, len(w.b))
-		m := sc.graph.rebuild(w.next)
+		m := g.rebuild(&sc.m, w.next)
 		w.xs = appendLoads(w.xs[:0], m)
 		w.b = append(appendInts(append(w.b, ' '), w.xs), " --"...)
-		succ(sc, m, visit)
+		sc.expand(m, kind, visit)
 	}
 	cycle := w.b[marks[slices.Index(walk, w.next)]:]
 	repeat, _, _ := bytes.Cut(cycle[1:], []byte(" --"))
 	return "adversarial livelock: state " + string(repeat) + " recurs without conserving; schedule:" + string(cycle) + " " + string(repeat)
 }
 
-// play holds start state m to goal in the game succ's adversary plays.
-// m's layer and lasso depend only on the states m reaches, not on what
-// else the shard's graph holds, so the merge's re-check (explain), on a
-// graph grown from the winning rank's states alone, renders the lasso a
-// whole-universe sequential scan finds first.
-func (sc *shardScratch) play(rank int, m *sched.Machine, succ successorFunc, goal int) bool {
-	start, ok := sc.grow(m, succ)
-	if !ok {
-		return false
-	}
-	layers := sc.graph.solve(goal)
+// play holds start node start to goal in the game on kind's edges. Its
+// layer and lasso depend only on the states it reaches, so the merge's
+// re-check (explain) renders the lasso a whole-universe sequential scan
+// finds first.
+func (sc *shardScratch) play(rank, start int, kind edgeKind, goal int) bool {
+	g := sc.graph
+	layers := g.layers[kindIndex(kind)][goal]
 	if layers[start] != unsolved {
 		sc.res.raiseBound(int(layers[start]))
 		return true
@@ -458,29 +336,29 @@ func (sc *shardScratch) play(rank int, m *sched.Machine, succ successorFunc, goa
 		if goal > 0 {
 			from = "core " + strconv.Itoa(goal-1) + " can starve from "
 		}
-		return from + ints(m.Loads()) + ": " + sc.lasso(start, layers, succ)
+		from += ints(g.rebuild(&sc.m, start).Loads()) + ": "
+		return from + sc.lasso(start, layers, kind)
 	})
 }
 
 // workConservationConcurrent checks work conservation in the full
 // optimistic-concurrency setting of §4.3 on one start state: the §3.2
 // definition under *every* adversarial serialization of every round's
-// steals (orderSuccessors). This is the obligation greedy-buggy fails:
-// on the 0/1/2 machine the adversary ping-pongs the spare thread between
+// steals (the order game). This is the obligation greedy-buggy fails: on
+// the 0/1/2 machine the adversary ping-pongs the spare thread between
 // the two non-idle cores forever, and the lasso is that cycle.
-func (sc *shardScratch) workConservationConcurrent(rank int, m *sched.Machine) bool {
-	return sc.play(rank, m, orderSuccessors, 0)
+func (sc *shardScratch) workConservationConcurrent(rank int, _ *sched.Machine) bool {
+	return sc.play(rank, sc.enter(orderGame), orderEdge, 0)
 }
 
 // choiceIndependence checks the paper's central structural claim (§3.1),
 // "the exact choice of the core does not matter for the correctness
 // proof", on one start state: the adversary controls the step-2 choice
-// (any filter-passing candidate) *and* the steal order
-// (choiceSuccessors), so a policy whose proofs secretly rely on its
-// Choose heuristic fails here even if it passes
-// work-conservation-concurrent.
-func (sc *shardScratch) choiceIndependence(rank int, m *sched.Machine) bool {
-	return sc.play(rank, m, choiceSuccessors, 0)
+// (any filter-passing candidate) *and* the steal order (the choice
+// game), so a policy whose proofs secretly rely on its Choose heuristic
+// fails here even if it passes work-conservation-concurrent.
+func (sc *shardScratch) choiceIndependence(rank int, _ *sched.Machine) bool {
+	return sc.play(rank, sc.enter(choiceGame), choiceEdge, 0)
 }
 
 // reactivity checks, on one state, the third performance property the
@@ -490,10 +368,13 @@ func (sc *shardScratch) choiceIndependence(rank int, m *sched.Machine) bool {
 // core stops being idle (or the machine runs out of overloaded cores to
 // take from) within a bounded number of rounds. The result's Bound is
 // that worst-case delay in rounds — the paper's missing latency limit,
-// made concrete over the bounded universe.
-func (sc *shardScratch) reactivity(rank int, m *sched.Machine) bool {
-	for _, c := range m.Cores {
-		if c.Idle() && !sc.play(rank, m, orderSuccessors, 1+c.ID) {
+// made concrete over the bounded universe. A core whose goal the state
+// already meets is at layer 0 and bounds nothing.
+func (sc *shardScratch) reactivity(rank int, _ *sched.Machine) bool {
+	start := sc.enter(targetGames)
+	met := sc.graph.nodes[start].met
+	for c := 0; c < sc.graph.cores; c++ {
+		if met&(2<<c) == 0 && !sc.play(rank, start, orderEdge, 1+c) {
 			return false
 		}
 	}
